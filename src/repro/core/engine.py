@@ -755,7 +755,7 @@ class EnBlogue(DetectionEngineBase):
         window = self.tracker.tag_window
         with tracer.span("seed_select") as span:
             self._current_seeds = self.seed_selector.select(
-                window, history=self.tracker.count_history()
+                window, history=self.tracker.count_history_map
             )
             span.set(seeds=len(self._current_seeds))
         if self._fused is not None:

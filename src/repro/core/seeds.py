@@ -14,9 +14,10 @@ volatility criterion, the recent history of each tag's windowed count.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from itertools import islice
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.windows.aggregates import TagFrequencyWindow
+from repro.windows.aggregates import TagFrequencyWindow, top_scored
 
 
 class SeedSelector:
@@ -35,31 +36,31 @@ class SeedSelector:
     def select(
         self,
         window: TagFrequencyWindow,
-        history: Optional[Dict[str, Sequence[int]]] = None,
+        history: Optional[Mapping[str, Sequence[int]]] = None,
     ) -> List[str]:
         """Return the seed tags, best first.
 
         ``window`` holds the current sliding-window tag counts; ``history``
         optionally maps each tag to its windowed counts at previous
-        evaluations (needed by the volatility criterion).
+        evaluations (needed by the volatility criterion).  Neither is
+        modified: the engines hand in their live count history, not a copy.
         """
-        scored = []
-        for tag in window.tags():
-            count = window.count(tag)
-            if count < self.min_count:
+        min_count = self.min_count
+        scored: List[Tuple[str, float]] = []
+        for tag, count in window.counts.items():
+            if count < min_count:
                 continue
             score = self.score(tag, count, window, history)
             if score > 0:
                 scored.append((tag, score))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return [tag for tag, _ in scored[: self.num_seeds]]
+        return [tag for tag, _ in top_scored(scored, self.num_seeds)]
 
     def score(
         self,
         tag: str,
         count: int,
         window: TagFrequencyWindow,
-        history: Optional[Dict[str, Sequence[int]]],
+        history: Optional[Mapping[str, Sequence[int]]],
     ) -> float:
         raise NotImplementedError
 
@@ -68,6 +69,11 @@ class PopularitySeedSelector(SeedSelector):
     """Seed tags are the most popular tags of the window (the paper's choice)."""
 
     name = "popularity"
+
+    def select(self, window, history=None) -> List[str]:
+        # The k most frequent tags, ties by name: the window's own rule.
+        top = window.top_tags(self.num_seeds, self.min_count)
+        return [tag for tag, _ in top]
 
     def score(self, tag, count, window, history) -> float:
         return float(count)
@@ -90,16 +96,15 @@ class VolatilitySeedSelector(SeedSelector):
         self.history_length = int(history_length)
 
     def score(self, tag, count, window, history) -> float:
-        past: List[float] = []
-        if history and tag in history:
-            # The per-tag series may be a list or a bounded deque (the
-            # trackers keep deques); convert before trimming — deques do
-            # not support slicing and both stay tiny (<= history_length
-            # of the tracker, a few dozen points).
-            past = [float(v) for v in history[tag]]
-            if len(past) > self.history_length:
-                past = past[-self.history_length:]
-        series = past + [float(count)]
+        series: List[float] = []
+        past = history.get(tag) if history else None
+        if past:
+            # The per-tag series may be a list, a tuple or a bounded deque
+            # (the trackers keep deques, which do not support slicing):
+            # skip to the last ``history_length`` points before converting.
+            start = max(len(past) - self.history_length, 0)
+            series = [float(v) for v in islice(past, start, None)]
+        series.append(float(count))
         if len(series) < 2:
             # Without any history volatility is undefined; fall back to a
             # small popularity-based score so early evaluations still work.

@@ -41,7 +41,7 @@ from repro.persistence.snapshot import (
     SnapshotMismatchError, require_compatible, require_state,
 )
 from repro.windows.aggregates import TagFrequencyWindow
-from repro.windows.striped import StripedCounter
+from repro.windows.striped import StripedCounter, record_count_history
 from repro.windows.timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,41 +130,6 @@ class DocumentDecomposer:
                     del self._cache[stale]
             self._cache[key] = (ordered, pairs)
         return ordered, pairs
-
-
-def count_history_series(history_length: int) -> Deque[int]:
-    """A fresh per-tag count series: a deque bounded to ``history_length``.
-
-    The bound lives in the container so an append is the whole trim — no
-    length check, no slice — which is what lets
-    :func:`record_count_history` run in one pass over the tags.
-    """
-    return deque(maxlen=int(history_length))
-
-
-def record_count_history(
-    history: Dict[str, Deque[int]],
-    snapshot: Mapping[str, int],
-    history_length: int,
-) -> None:
-    """Fold one evaluation's per-tag count snapshot into ``history`` in place.
-
-    Tags absent from the window record an explicit zero so volatility
-    reflects disappearance as well as growth; each tag's series is a
-    bounded :func:`count_history_series` deque, so the append itself trims
-    to the last ``history_length`` points — the per-evaluation rescan that
-    used to re-slice every tag's list is gone.  The single rule behind the
-    volatility seed criterion, shared by the tracker and the sharded
-    coordinator (whose global count history must evolve identically).
-    """
-    for tag, count in snapshot.items():
-        series = history.get(tag)
-        if series is None:
-            series = history[tag] = count_history_series(history_length)
-        series.append(count)
-    for tag, series in history.items():
-        if tag not in snapshot:
-            series.append(0)
 
 
 #: Journal event kinds: a document's ordered tag set (its pair list and
@@ -667,8 +632,17 @@ class CorrelationTracker:
     def tracked_pairs(self) -> List[TagPair]:
         return sorted(self._histories)
 
+    @property
+    def count_history_map(self) -> Mapping[str, Deque[int]]:
+        """The live per-tag count history (read-only; do not mutate).
+
+        What the seed selector reads at every evaluation: one series per
+        tag ever seen, so handing it over must not copy it.
+        """
+        return self._count_history
+
     def count_history(self) -> Dict[str, List[int]]:
-        """Windowed count history per tag (for the volatility seed selector)."""
+        """A copy of the windowed count history per tag (tests and tools)."""
         return {tag: list(values) for tag, values in self._count_history.items()}
 
     def record_count_history_row(self) -> None:

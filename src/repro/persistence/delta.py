@@ -31,9 +31,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.core.tracker import _DELTA_DOC, record_count_history
+from repro.core.tracker import _DELTA_DOC
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.sketches.tier import SketchTier
+from repro.windows.striped import record_count_history
 
 
 def _require_delta(state: Any, kind: str, version: int = 1) -> Mapping[str, Any]:

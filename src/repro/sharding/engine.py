@@ -40,7 +40,7 @@ from repro.core.engine import (
     bind_tier_gauges,
     make_sketch_tier,
 )
-from repro.core.tracker import DocumentDecomposer, record_count_history
+from repro.core.tracker import DocumentDecomposer
 from repro.core.types import Ranking
 from repro.core.vectorized import config_vectorizes
 from repro.entity.tagger import EntityTagger
@@ -51,7 +51,7 @@ from repro.sharding.partitioner import PairPartitioner
 from repro.sharding.reshard import reshard_worker_states
 from repro.sharding.worker import ShardEvent, ShardWorker
 from repro.windows.aggregates import TagFrequencyWindow
-from repro.windows.striped import StripedCountHistory
+from repro.windows.striped import StripedCountHistory, record_count_history
 
 
 class ShardedEnBlogue(DetectionEngineBase):

@@ -8,12 +8,33 @@ approximate counterparts based on synopses live in :mod:`repro.sketches`.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
 
 from repro.persistence.snapshot import require_compatible, require_state
 from repro.windows.sliding import TimeSlidingWindow
 from repro.windows.striped import StripedCounter
+
+
+_Score = TypeVar("_Score", int, float)
+
+
+def top_scored(
+    scored: Iterable[Tuple[str, _Score]], k: int
+) -> List[Tuple[str, _Score]]:
+    """The ``k`` highest-scoring ``(name, score)`` items, best first.
+
+    Ties are broken by name.  The one ordering rule behind the window's
+    most frequent tags and every seed criterion; a bounded heap, so the
+    cost beyond one pass over the items depends on ``k``, not on how many
+    items there are.  Equal to ``sorted(scored, key=...)[:k]``.
+    """
+    return heapq.nsmallest(k, scored, key=_best_first)
+
+
+def _best_first(item: Tuple[str, _Score]) -> Tuple[_Score, str]:
+    return -item[1], item[0]
 
 
 class SlidingSum:
@@ -225,16 +246,33 @@ class TagFrequencyWindow:
         """Tags with at least one live occurrence."""
         return [tag for tag, count in self._counts.items() if count > 0]
 
-    def top_tags(self, k: int) -> List[Tuple[str, int]]:
-        """The ``k`` most frequent tags in the window, ties broken by name."""
-        if k <= 0:
+    def top_tags(self, k: int, min_count: int = 1) -> List[Tuple[str, int]]:
+        """The ``k`` most frequent tags in the window, ties broken by name.
+
+        Only tags with at least ``min_count`` (>= 1) live occurrences
+        qualify.
+        """
+        counts = self.counts
+        # The k-th largest count bounds the answer.  Finding it is one
+        # allocation-free C pass over the bare counts; only the handful of
+        # tags that reach it are then paired up and ordered.
+        largest = heapq.nlargest(k, counts.values())
+        if not largest:
             return []
-        live = [(tag, count) for tag, count in self._counts.items() if count > 0]
-        live.sort(key=lambda item: (-item[1], item[0]))
-        return live[:k]
+        floor = max(largest[-1], min_count)
+        return top_scored(
+            [(tag, count) for tag, count in counts.items() if count >= floor],
+            k,
+        )
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of the live per-tag counts."""
+        if self.stripes == 1:
+            # Eviction deletes a tag the moment its count reaches zero, so
+            # the plain counter holds live tags only.  ``dict.copy`` clones
+            # the hash table as is (``dict(...)`` would re-insert every
+            # key) and returns a plain dict, not a Counter.
+            return dict.copy(self._counts)
         return {tag: count for tag, count in self._counts.items() if count > 0}
 
     # -- persistence ----------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import Counter, deque
+from itertools import filterfalse, repeat
 from typing import Deque, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 
@@ -145,6 +146,36 @@ class StripedCounter:
         return any(self._counters)
 
 
+def record_count_history(
+    history: Dict[str, Deque[int]],
+    snapshot: Mapping[str, int],
+    history_length: int,
+) -> None:
+    """Fold one evaluation's per-tag count snapshot into ``history`` in place.
+
+    Tags absent from the window record an explicit zero so volatility
+    reflects disappearance as well as growth; each tag's series is a deque
+    bounded to ``history_length``, so the append itself trims to the last
+    ``history_length`` points.  The single rule behind the volatility seed
+    criterion, shared by the tracker, the sharded coordinator (plain and
+    striped — its global count history must evolve identically) and the
+    journal replay.
+
+    The history holds every tag ever seen, so the row is folded in by
+    C-level iteration, not a Python loop over the vocabulary: tags new to
+    the history enter first, in row order (which keeps the history's
+    first-appearance key order), then every series appends its tag's count
+    in the row, zero when the row lacks it, in one ``map`` pass.
+    """
+    maxlen = int(history_length)
+    for tag in filterfalse(history.__contains__, snapshot):
+        history[tag] = deque(maxlen=maxlen)
+    appends = map(
+        deque.append, history.values(), map(snapshot.get, history, repeat(0))
+    )
+    deque(appends, maxlen=0)  # exhaust the iterator, keeping nothing
+
+
 class StripedCountHistory:
     """The coordinator's per-tag count-history deques, striped by tag.
 
@@ -190,28 +221,19 @@ class StripedCountHistory:
     def record_row(self, snapshot: Mapping[str, int]) -> None:
         """Fold one evaluation's per-tag count row in, stripe by stripe.
 
-        Applies the :func:`repro.core.tracker.record_count_history` rule —
-        present tags append their count, absent tags append an explicit
-        zero, bounded deques trim — to each stripe under its own lock.
+        Stripes partition the tag space, so applying
+        :func:`record_count_history` to each stripe with its share of the
+        row — under that stripe's lock only — is the same rule as applying
+        it to the whole history at once.
         """
-        per_stripe: List[List[Tuple[str, int]]] = [
-            [] for _ in self._maps
-        ]
+        per_stripe: List[Dict[str, int]] = [{} for _ in self._maps]
         for tag, count in snapshot.items():
-            per_stripe[self._stripe(tag)].append((tag, count))
+            per_stripe[self._stripe(tag)][tag] = count
         for index, lock in enumerate(self._locks):
             with lock:
-                series_map = self._maps[index]
-                for tag, count in per_stripe[index]:
-                    series = series_map.get(tag)
-                    if series is None:
-                        series = series_map[tag] = deque(
-                            maxlen=self.history_length
-                        )
-                    series.append(count)
-                for tag, series in series_map.items():
-                    if tag not in snapshot:
-                        series.append(0)
+                record_count_history(
+                    self._maps[index], per_stripe[index], self.history_length
+                )
 
     def seed(self, history: Mapping[str, Iterable[int]]) -> None:
         """Adopt ``history`` wholesale (the restore path)."""

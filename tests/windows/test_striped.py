@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
-from repro.core.tracker import record_count_history
 from repro.windows.aggregates import TagFrequencyWindow
-from repro.windows.striped import StripedCounter, StripedCountHistory
+from repro.windows.striped import (
+    StripedCounter, StripedCountHistory, record_count_history,
+)
 
 
 class TestStripedCounter:
