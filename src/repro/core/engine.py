@@ -631,9 +631,9 @@ class EnBlogue(DetectionEngineBase):
         if tier is not None:
             bind_tier_gauges(self.observability, tier)
         self.detector = make_shift_detector(self.config)
-        # Fused batched evaluation (None → scalar path): built once; it
-        # mirrors tracker/detector state in columnar arrays and rebuilds
-        # lazily whenever the scalar state mutates behind its back.
+        # Fused batched evaluation (None → scalar path): built once; while
+        # attached, its columns are where histories and scores are written,
+        # and the tracker's/detector's dicts are materialised on read.
         self._fused = make_fused_evaluator(
             self.tracker, self.detector, self.ranking_builder,
             enabled=vectorize,

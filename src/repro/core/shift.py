@@ -14,7 +14,7 @@ approximately 2 days."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.tracker import PairObservation
 from repro.core.types import TagPair
@@ -22,6 +22,9 @@ from repro.persistence.codec import string_interner
 from repro.persistence.snapshot import require_compatible, require_state
 from repro.timeseries.predictors import MovingAveragePredictor, Predictor
 from repro.windows.decay import DecayedMaximum, ExponentialDecay
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.vectorized import FusedEvaluator
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,49 @@ class ShiftDetector:
         #: When True, drops in correlation also count as shifts; the paper
         #: targets *increases*, so the default only scores positive errors.
         self.penalize_drops = bool(penalize_drops)
+        # With a fused evaluator attached its score columns are where
+        # evaluations write; this dict then lags behind until
+        # _synced_scores() folds the scored rows in, so read it through
+        # that method only.
         self._scores: Dict[TagPair, DecayedMaximum] = {}
+        self._evaluator: Optional["FusedEvaluator"] = None
         # Pairs whose decayed maximum changed since the last delta drain;
         # None when delta recording is inactive.
         self._dirty: Optional[Set[TagPair]] = None
-        # Bumped on every score mutation (update, restore, reset) so
-        # columnar mirrors (vectorized.FusedEvaluator) can detect staleness.
-        self._mutation_epoch = 0
+
+    def attach_evaluator(self, evaluator: "FusedEvaluator") -> None:
+        """Make ``evaluator``'s score columns the place evaluations write.
+
+        Called by :class:`~repro.core.vectorized.FusedEvaluator` on
+        construction; a detector feeds at most one evaluator.
+        """
+        self._evaluator = evaluator
+
+    def _synced_scores(
+        self, mutating: bool = False
+    ) -> Dict[TagPair, DecayedMaximum]:
+        """The per-pair decayed maxima with every scored row folded in.
+
+        Rows the attached evaluator scored since the last call are
+        materialised here, on read, and — while a journal is armed —
+        marked dirty for the next :meth:`delta_since`.  ``mutating`` tells
+        the evaluator that the caller is about to change the dict behind
+        its back, so it reloads its columns before its next evaluation.
+        """
+        evaluator = self._evaluator
+        if evaluator is not None:
+            scores = self._scores
+            dirty = self._dirty
+            for pair, value, last_update in evaluator.drain_scores():
+                maximum = scores.get(pair)
+                if maximum is None:
+                    maximum = scores[pair] = DecayedMaximum(self.decay)
+                maximum.restore_state(value, last_update)
+                if dirty is not None:
+                    dirty.add(pair)
+            if mutating:
+                evaluator.invalidate()
+        return self._scores
 
     # -- scoring ------------------------------------------------------------
 
@@ -122,13 +161,12 @@ class ShiftDetector:
         else:
             predicted = self.predictor.predict(usable)
             error = self._error(observation.correlation, predicted)
-        tracker = self._scores.setdefault(
+        tracker = self._synced_scores(mutating=True).setdefault(
             observation.pair, DecayedMaximum(self.decay)
         )
         score = tracker.update(observation.timestamp, error)
         if self._dirty is not None:
             self._dirty.add(observation.pair)
-        self._mutation_epoch += 1
         return ShiftScore(
             pair=observation.pair,
             timestamp=observation.timestamp,
@@ -141,51 +179,18 @@ class ShiftDetector:
 
     def score_at(self, pair: TagPair, timestamp: float) -> float:
         """Current decayed score of ``pair`` (0.0 when never scored)."""
-        tracker = self._scores.get(pair)
+        tracker = self._synced_scores().get(pair)
         if tracker is None:
             return 0.0
         return tracker.value_at(timestamp)
 
     def scored_pairs(self) -> List[TagPair]:
-        return sorted(self._scores)
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotone counter of score mutations (staleness detection)."""
-        return self._mutation_epoch
-
-    def note_mutation(self) -> None:
-        """Record an external score mutation (bumps the epoch)."""
-        self._mutation_epoch += 1
+        return sorted(self._synced_scores())
 
     @property
     def score_map(self) -> Dict[TagPair, DecayedMaximum]:
         """The live per-pair decayed maxima (read-only; do not mutate)."""
-        return self._scores
-
-    def record_scores(
-        self,
-        timestamp: float,
-        scored: Iterable[Tuple[TagPair, float]],
-    ) -> None:
-        """Adopt batch-computed decayed maxima (absolute values).
-
-        The write-back half of :meth:`update` for callers that computed the
-        decayed-maximum fold themselves (the fused evaluator): each pair's
-        tracker is set to ``(value, timestamp)``, delta dirtiness is
-        maintained, and the mutation epoch is bumped once.
-        """
-        scores = self._scores
-        dirty = self._dirty
-        decay = self.decay
-        for pair, value in scored:
-            maximum = scores.get(pair)
-            if maximum is None:
-                maximum = scores[pair] = DecayedMaximum(decay)
-            maximum.restore_state(value, timestamp)
-            if dirty is not None:
-                dirty.add(pair)
-        self._mutation_epoch += 1
+        return self._synced_scores()
 
     def reset(self, pair: Optional[TagPair] = None) -> None:
         """Forget the score of one pair, or of every pair.
@@ -200,11 +205,11 @@ class ShiftDetector:
                 "journal delta cannot express deletions; write a full "
                 "checkpoint (re-base) first"
             )
+        scores = self._synced_scores(mutating=True)
         if pair is None:
-            self._scores.clear()
+            scores.clear()
         else:
-            self._scores.pop(pair, None)
-        self._mutation_epoch += 1
+            scores.pop(pair, None)
 
     # -- persistence --------------------------------------------------------
 
@@ -222,8 +227,8 @@ class ShiftDetector:
             "penalize_drops": self.penalize_drops,
             "decay_half_life": self.decay.half_life,
             "scores": [
-                [pair.first, pair.second, *self._scores[pair].state()]
-                for pair in sorted(self._scores)
+                [pair.first, pair.second, *maximum.state()]
+                for pair, maximum in sorted(self._synced_scores().items())
             ],
         }
 
@@ -244,15 +249,20 @@ class ShiftDetector:
             maximum = DecayedMaximum(self.decay)
             maximum.restore_state(value, last_update)
             scores[TagPair(str(first), str(second))] = maximum
+        if self._evaluator is not None:
+            # Rows not yet folded into the dict describe the pre-restore
+            # state: dropped, not flushed.
+            self._evaluator.discard_scores()
         self._scores = scores
         # Any buffered delta described the pre-restore state; drop it.
         self._dirty = None
-        self._mutation_epoch += 1
 
     # -- incremental persistence --------------------------------------------
 
     def begin_delta_tracking(self) -> None:
         """Start (or re-arm, emptying the buffer) delta recording."""
+        # Rows scored before this point belong to the base snapshot.
+        self._synced_scores()
         self._dirty = set()
 
     def end_delta_tracking(self) -> None:
@@ -278,9 +288,10 @@ class ShiftDetector:
                 "call begin_delta_tracking() first"
             )
         intern, tags_table = string_interner()
+        scores = self._synced_scores()
         groups: Dict[float, List[list]] = {}
         for pair in sorted(self._dirty):
-            value, last_update = self._scores[pair].state()
+            value, last_update = scores[pair].state()
             groups.setdefault(last_update, []).append(
                 [intern(pair.first), intern(pair.second), value]
             )

@@ -148,15 +148,18 @@ class _TrackerDelta:
     The event buffer aliases the exact tuples the live deques hold
     (events are immutable), so recording costs one list append per
     document and preserves the interleaving of document- and pair-fed
-    ingestion; the dirty-history map records how many points each sampled
-    pair's correlation series gained — the drain ships exactly that tail,
-    not the whole bounded ring.
+    ingestion; ``samples`` holds one ``(timestamp, pairs, values)``
+    record per evaluation — the sampled pairs and their correlations as
+    two parallel lists — so recording an evaluation costs one list append
+    and two live containers however many pairs it sampled, and the drain
+    regroups the points per pair.
     """
 
     events: List[Tuple[int, float, tuple]] = field(default_factory=list)
     usage_events: List[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]] = \
         field(default_factory=list)
-    dirty_histories: Dict[TagPair, int] = field(default_factory=dict)
+    samples: List[Tuple[float, List[TagPair], List[float]]] = \
+        field(default_factory=list)
     count_rows: List[Dict[str, int]] = field(default_factory=list)
 
 
@@ -214,7 +217,11 @@ class CorrelationTracker:
         self._usage: Dict[str, Mapping[str, int]] = {}
         # Correlation histories per pair, appended at each evaluation;
         # bounded ring buffers so long runs cannot grow them without limit.
+        # With a fused evaluator attached its columns are where evaluations
+        # write; this dict then lags behind until _synced_histories() folds
+        # the evaluated rows in, so read it through that method only.
         self._histories: Dict[TagPair, TimeSeries] = {}
+        self._evaluator: Optional["_vectorized.FusedEvaluator"] = None
         # Windowed tag-count history per tag (for the volatility seed
         # criterion); bounded deques, appended by record_count_history.
         self._count_history: Dict[str, Deque[int]] = {}
@@ -226,9 +233,6 @@ class CorrelationTracker:
         self._decomposer = DocumentDecomposer(use_entities=self.use_entities)
         self._documents_seen = 0
         self._latest: Optional[float] = None
-        # Bumped on every history mutation (sampling, restore) so columnar
-        # mirrors (vectorized.FusedEvaluator) can detect staleness lazily.
-        self._history_epoch = 0
 
     # -- ingestion ------------------------------------------------------------
 
@@ -259,19 +263,40 @@ class CorrelationTracker:
         """``"vectorized"`` or ``"scalar"`` — how :meth:`_sample` computes."""
         return "vectorized" if self._vectorize_sampling else "scalar"
 
-    @property
-    def history_epoch(self) -> int:
-        """Monotone counter of history mutations (staleness detection)."""
-        return self._history_epoch
+    def attach_evaluator(self, evaluator: "_vectorized.FusedEvaluator") -> None:
+        """Make ``evaluator``'s history columns the place evaluations write.
 
-    def note_history_mutation(self) -> None:
-        """Record an external history mutation (bumps the epoch)."""
-        self._history_epoch += 1
+        Called by :class:`~repro.core.vectorized.FusedEvaluator` on
+        construction; a tracker feeds at most one evaluator.
+        """
+        self._evaluator = evaluator
+
+    def _synced_histories(
+        self, mutating: bool = False
+    ) -> Dict[TagPair, TimeSeries]:
+        """The per-pair histories with every evaluated row folded in.
+
+        Rows the attached evaluator wrote since the last call are
+        materialised here, on read.  ``mutating`` tells the evaluator that
+        the caller is about to change the dict behind its back, so it
+        reloads its columns before its next evaluation.
+        """
+        evaluator = self._evaluator
+        if evaluator is not None:
+            histories = self._histories
+            maxlen = self.history_length
+            for pair, timestamps, values in evaluator.drain_histories():
+                histories[pair] = TimeSeries.from_points(
+                    timestamps, values, maxlen=maxlen
+                )
+            if mutating:
+                evaluator.invalidate()
+        return self._histories
 
     @property
     def history_map(self) -> Dict[TagPair, TimeSeries]:
         """The live per-pair correlation histories (read-only; do not mutate)."""
-        return self._histories
+        return self._synced_histories()
 
     @property
     def min_pair_support(self) -> int:
@@ -495,11 +520,12 @@ class CorrelationTracker:
         # of pairs per boundary, so attribute and method-call overhead shows.
         measure_value = self.measure.value
         track_usage = self.track_usage
-        dirty = None if self._delta is None else self._delta.dirty_histories
+        histories = self._synced_histories(mutating=True)
         # Unsorted iteration: per-pair sampling is order-independent and the
         # ranking builder applies its own total order downstream.  The
         # postings entries carry the pair counts, so no lookups are needed.
-        for pair, seed_tag, pair_count in self._candidates.iter_candidates(seeds):
+        candidates = self._candidates.iter_candidates(seeds)
+        for pair, seed_tag, pair_count in candidates:
             count_a = tag_counts.get(pair.first, 0)
             count_b = tag_counts.get(pair.second, 0)
             counts = PairCounts(
@@ -516,18 +542,21 @@ class CorrelationTracker:
             usage_a = self._usage.get(pair.first) if track_usage else None
             usage_b = self._usage.get(pair.second) if track_usage else None
             value = max(0.0, measure_value(counts, usage_a, usage_b))
-            history = self._histories.get(pair)
+            history = histories.get(pair)
             if history is None:
                 history = TimeSeries(maxlen=self.history_length)
-                self._histories[pair] = history
+                histories[pair] = history
             history.append(timestamp, value)
-            if dirty is not None:
-                dirty[pair] = dirty.get(pair, 0) + 1
             observations.append(PairObservation(
                 pair=pair, timestamp=timestamp, correlation=value,
                 counts=counts, seed_tag=seed_tag,
             ))
-        self._history_epoch += 1
+        if self._delta is not None:
+            self.journal_samples(
+                timestamp, candidates,
+                [float(observation.correlation)
+                 for observation in observations],
+            )
         return observations
 
     def _sample_vectorized(
@@ -548,7 +577,6 @@ class CorrelationTracker:
         candidates = self._candidates.iter_candidates(seeds)
         count = len(candidates)
         if count == 0:
-            self._history_epoch += 1
             return []
         count_a = np.fromiter(
             (tag_counts.get(pair.first, 0) for pair, _, _ in candidates),
@@ -572,8 +600,7 @@ class CorrelationTracker:
             self.measure, count_a, count_b, count_both, total_documents
         ).tolist()
         observations: List[PairObservation] = []
-        histories = self._histories
-        dirty = None if self._delta is None else self._delta.dirty_histories
+        histories = self._synced_histories(mutating=True)
         count_a = count_a.tolist()
         count_b = count_b.tolist()
         count_both = count_both.tolist()
@@ -591,46 +618,37 @@ class CorrelationTracker:
                 history = TimeSeries(maxlen=self.history_length)
                 histories[pair] = history
             history.append(timestamp, value)
-            if dirty is not None:
-                dirty[pair] = dirty.get(pair, 0) + 1
             observations.append(PairObservation(
                 pair=pair, timestamp=timestamp, correlation=value,
                 counts=counts, seed_tag=seed_tag,
             ))
-        self._history_epoch += 1
+        self.journal_samples(timestamp, candidates, values)
         return observations
 
-    def record_sampled_values(
+    def journal_samples(
         self,
         timestamp: float,
-        sampled: Iterable[Tuple[TagPair, float]],
+        candidates: List[Tuple[TagPair, str, int]],
+        values: List[float],
     ) -> None:
-        """Append one evaluation's sampled correlations to the histories.
+        """Note one evaluation's sampled correlations in the armed journal.
 
-        The write-back half of :meth:`_sample` for callers that computed
-        the values themselves (the fused evaluator): appends each value to
-        the pair's bounded series, maintains delta dirty counts, and bumps
-        the history epoch once.
+        ``values[i]`` is the correlation appended to the history of
+        ``candidates[i]``'s pair at ``timestamp``; the list is kept by
+        reference until the next :meth:`delta_since`.  A no-op while delta
+        recording is inactive.
         """
-        histories = self._histories
-        dirty = None if self._delta is None else self._delta.dirty_histories
-        history_length = self.history_length
-        for pair, value in sampled:
-            history = histories.get(pair)
-            if history is None:
-                history = TimeSeries(maxlen=history_length)
-                histories[pair] = history
-            history.append(timestamp, value)
-            if dirty is not None:
-                dirty[pair] = dirty.get(pair, 0) + 1
-        self._history_epoch += 1
+        if self._delta is not None:
+            self._delta.samples.append((
+                float(timestamp), [pair for pair, _, _ in candidates], values,
+            ))
 
     def history(self, pair: TagPair) -> TimeSeries:
         """Correlation history of ``pair`` (empty series when never observed)."""
-        return self._histories.get(pair, TimeSeries())
+        return self._synced_histories().get(pair, TimeSeries())
 
     def tracked_pairs(self) -> List[TagPair]:
-        return sorted(self._histories)
+        return sorted(self._synced_histories())
 
     @property
     def count_history_map(self) -> Mapping[str, Deque[int]]:
@@ -695,7 +713,7 @@ class CorrelationTracker:
             ],
             "histories": [
                 [pair.first, pair.second, series.snapshot()]
-                for pair, series in sorted(self._histories.items())
+                for pair, series in sorted(self._synced_histories().items())
             ],
             "count_history": {
                 tag: list(values) for tag, values in self._count_history.items()
@@ -755,6 +773,10 @@ class CorrelationTracker:
                 counter.update(cotags)
         self._usage_events = usage_events
         self._usage = usage
+        if self._evaluator is not None:
+            # Rows not yet folded into the dict describe the pre-restore
+            # state: dropped, not flushed.
+            self._evaluator.discard_histories()
         self._histories = {
             TagPair(str(a), str(b)): TimeSeries.from_snapshot(series)
             for a, b, series in state["histories"]
@@ -770,7 +792,6 @@ class CorrelationTracker:
         self._latest = None if latest is None else float(latest)
         # Any buffered delta described the pre-restore state; drop it.
         self._delta = None
-        self._history_epoch += 1
 
     # -- incremental persistence ----------------------------------------------
 
@@ -780,8 +801,8 @@ class CorrelationTracker:
         Call right after taking the base :meth:`snapshot`; everything the
         tracker appends afterwards is buffered until :meth:`delta_since`
         drains it.  Recording costs one list append per ingested document
-        plus a set add per sampled candidate — negligible next to the
-        statistics updates themselves.
+        and one per evaluation — negligible next to the statistics updates
+        themselves.
         """
         self._delta = _TrackerDelta()
 
@@ -823,12 +844,27 @@ class CorrelationTracker:
                    for pair in payload]]
             for kind, timestamp, payload in buffer.events
         ]
+        # Regroup the per-evaluation sample records per pair — one flat
+        # [timestamp, value, timestamp, value, ...] list each, so the
+        # regrouping leaves one container per pair for the collector —
+        # then per evaluation timestamp in canonical pair order.  A pair
+        # sampled more often than its ring holds ships only the tail that
+        # survived.
+        appended: Dict[TagPair, List[float]] = {}
+        for timestamp, pairs, values in buffer.samples:
+            for pair, value in zip(pairs, values):
+                points = appended.get(pair)
+                if points is None:
+                    appended[pair] = [timestamp, value]
+                else:
+                    points.append(timestamp)
+                    points.append(value)
         history_groups: Dict[float, List[list]] = {}
-        for pair, appended in sorted(buffer.dirty_histories.items()):
-            timestamps, values = self._histories[pair].tail_points(appended)
+        for pair in sorted(appended):
             first = intern(pair.first)
             second = intern(pair.second)
-            for timestamp, value in zip(timestamps, values):
+            points = appended[pair][-2 * self.history_length:]
+            for timestamp, value in zip(points[::2], points[1::2]):
                 history_groups.setdefault(timestamp, []).append(
                     [first, second, value]
                 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -16,76 +17,40 @@ def normalize_tag(tag: object) -> str:
     return str(tag).strip().lower()
 
 
-@dataclass(frozen=True)
-class TagPair:
+class TagPair(tuple):
     """An unordered pair of tags, the unit of an emergent topic.
 
     Pairs are stored in lexicographic order so ``TagPair("b", "a")`` and
-    ``TagPair("a", "b")`` compare (and hash) equal.  The hash and the
-    comparison key are precomputed: pairs are used as dictionary keys and
-    sort keys millions of times per replay, and rebuilding the field tuple
-    on every lookup dominates those operations otherwise.
+    ``TagPair("a", "b")`` are the same pair.  A pair *is* the tuple
+    ``(first, second)``: it is used as a dictionary key and a sort key
+    millions of times per replay, and a tuple subclass hashes, compares
+    and orders in C, where a class with its own ``__hash__``/``__eq__``
+    calls back into the interpreter on every dictionary operation.  Two
+    consequences, both on purpose: a pair equals the plain tuple of its
+    tags (``TagPair("b", "a") == ("a", "b")``), and nothing about it is
+    cached, so a pair unpickled in a spawn-started worker (where ``str``
+    hashes are salted differently) hashes like one built there.
     """
 
-    first: str
-    second: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.first or not self.second:
+    def __new__(cls, first: str, second: str) -> "TagPair":
+        if not first or not second:
             raise ValueError("both tags of a pair must be non-empty")
-        if self.first == self.second:
+        if first == second:
             raise ValueError("a pair needs two distinct tags")
-        if self.first > self.second:
-            smaller, larger = self.second, self.first
-            object.__setattr__(self, "first", smaller)
-            object.__setattr__(self, "second", larger)
-        key = (self.first, self.second)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        if first > second:
+            first, second = second, first
+        return tuple.__new__(cls, (first, second))
 
-    def __getstate__(self):
-        # str hashes are salted per process (PYTHONHASHSEED), so the cached
-        # ``_hash`` must never cross a process boundary: a pair unpickled in
-        # a spawn-started worker would otherwise hash differently from an
-        # equal pair built there, and dicts would keep both as distinct
-        # keys.  Pickle only the tags and recompute the cache on arrival.
-        return (self.first, self.second)
+    first = property(itemgetter(0), doc="The lexicographically smaller tag.")
+    second = property(itemgetter(1), doc="The lexicographically larger tag.")
 
-    def __setstate__(self, state) -> None:
-        first, second = state
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        key = (first, second)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __getnewargs__(self) -> Tuple[str, str]:
+        return tuple(self)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TagPair):
-            return self._key == other._key
-        return NotImplemented
-
-    def __lt__(self, other: "TagPair") -> bool:
-        if isinstance(other, TagPair):
-            return self._key < other._key
-        return NotImplemented
-
-    def __le__(self, other: "TagPair") -> bool:
-        if isinstance(other, TagPair):
-            return self._key <= other._key
-        return NotImplemented
-
-    def __gt__(self, other: "TagPair") -> bool:
-        if isinstance(other, TagPair):
-            return self._key > other._key
-        return NotImplemented
-
-    def __ge__(self, other: "TagPair") -> bool:
-        if isinstance(other, TagPair):
-            return self._key >= other._key
-        return NotImplemented
+    def __repr__(self) -> str:
+        return f"TagPair(first={self.first!r}, second={self.second!r})"
 
     @classmethod
     def of(cls, tag_a: str, tag_b: str) -> "TagPair":

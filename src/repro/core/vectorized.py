@@ -27,14 +27,20 @@ published number **bit-identical** to the scalar path:
   applies the canonical ``topic_sort_key`` total order in Python — the same
   comparisons, just over k-ish topics instead of every scored pair.
 
+While a :class:`FusedEvaluator` is attached, its columns are where the
+histories and scores live: an evaluation writes them and nothing else.
 The scalar dictionaries (the tracker's per-pair :class:`TimeSeries`
-histories, the detector's :class:`DecayedMaximum` table) remain the source
-of truth for persistence: the fused evaluator appends/updates them through
-the owning components and keeps its columnar mirrors in sync incrementally.
-Mutations that happen *outside* the fused path (a scalar evaluation, a
-checkpoint restore, a score reset) bump an epoch counter on the owning
-component; a stamp mismatch triggers a lazy full rebuild of the mirrors, so
-mixing paths is always correct, merely slower for one evaluation.
+histories, the detector's :class:`DecayedMaximum` table) are materialised
+from the rows evaluated since the last read, only when something reads
+them — a query, a snapshot, a scalar evaluation — and the delta journal
+records one ``(timestamp, pairs, values)`` entry per evaluation instead
+of bookkeeping per pair.  Mutations that happen *outside* the
+fused path (a scalar evaluation, a checkpoint restore, a score reset)
+invalidate the columns through the owning component; the next evaluation
+reloads them from the dictionaries first, so mixing paths is always
+correct, merely slower for one evaluation.  Without an evaluator (no
+numpy, a kernel-less measure or predictor, ``vectorize=False``) the
+dictionaries are written directly and are the only store.
 
 Numpy is optional: every consumer gates on :data:`NUMPY_AVAILABLE` and the
 scalar path stays first-class.  Set the environment variable
@@ -395,26 +401,37 @@ def decay_factors(decay_rate: float, elapsed):
 
 
 class FusedEvaluator:
-    """Columnar mirror of tracker histories + detector scores, evaluated
-    in one batched pass per cadence boundary.
+    """Columnar store of correlation histories and decayed scores,
+    evaluated in one batched pass per cadence boundary.
 
     One evaluation performs, over the whole candidate set at once: gather
-    counts → validate → measure kernel → history append (columnar mirror
-    *and* the tracker's scalar :class:`TimeSeries`, which stays the
-    persistence source of truth) → predictor kernel → prediction errors →
-    decayed-maximum update (columnar mirror *and* the detector's scalar
-    table) → global top-k over every known score.  The returned topic list
-    is bit-identical to the scalar
+    counts → validate → measure kernel → history append → predictor kernel
+    → prediction errors → decayed-maximum update → global top-k over every
+    known score.  The returned topic list is bit-identical to the scalar
     ``detector.update`` / ``RankingBuilder.top_topics`` pipeline.
 
-    The mirrors are invalidated by epoch stamps: any history/score mutation
-    outside this evaluator (scalar sampling, restore, reset) bumps the
-    owning component's epoch, and the next :meth:`evaluate` rebuilds from
-    the scalar dictionaries before proceeding.
+    The columns are the only place an evaluation writes.  The tracker's
+    per-pair :class:`TimeSeries` dict and the detector's
+    :class:`DecayedMaximum` dict are *views*: each row written here is
+    flagged pending, and the owning component folds the pending rows into
+    its dict when something reads it (:meth:`drain_histories`,
+    :meth:`drain_scores`) — a history query, a snapshot, a scalar
+    evaluation.  A restore drops the pending rows instead
+    (:meth:`discard_histories`, :meth:`discard_scores`).  In the other
+    direction, whatever changes a dict behind the evaluator's back (scalar
+    sampling, restore, score reset) calls :meth:`invalidate`, and the next
+    :meth:`evaluate` reloads every column from the dicts first, so mixing
+    paths is always correct, merely slower for one evaluation.
     """
 
     #: Initial row capacity of the columnar arrays.
     _INITIAL_CAPACITY = 1024
+
+    #: Every per-row array, grown together.
+    _COLUMNS = (
+        "_hist", "_hist_ts", "_hist_len", "_hist_pending",
+        "_score_value", "_score_last", "_score_known", "_score_pending",
+    )
 
     def __init__(
         self,
@@ -440,38 +457,41 @@ class FusedEvaluator:
         self._pair_rows: Dict[TagPair, int] = {}
         self._pairs: List[TagPair] = []
         self._allocate(self._INITIAL_CAPACITY)
-        # Stamps: None forces a rebuild on the next evaluation.
-        self._history_stamp: Optional[int] = None
-        self._score_stamp: Optional[int] = None
+        # The columns must be reloaded from the dicts before the next
+        # evaluation: true until the first one, and after invalidate().
+        self._stale = True
+        tracker.attach_evaluator(self)
+        detector.attach_evaluator(self)
 
     # -- columnar storage -----------------------------------------------------
 
     def _allocate(self, capacity: int) -> None:
         columns = self._history_columns
+        # Histories: values and their timestamps, right-aligned (row i's
+        # _hist_len[i] points occupy the last columns, oldest first).
         self._hist = np.zeros((capacity, columns), dtype=np.float64)
+        self._hist_ts = np.zeros((capacity, columns), dtype=np.float64)
         self._hist_len = np.zeros(capacity, dtype=np.int64)
         self._score_value = np.zeros(capacity, dtype=np.float64)
         self._score_last = np.zeros(capacity, dtype=np.float64)
         self._score_known = np.zeros(capacity, dtype=bool)
+        # Rows written since the owning component last folded them into
+        # its dict.
+        self._hist_pending = np.zeros(capacity, dtype=bool)
+        self._score_pending = np.zeros(capacity, dtype=bool)
 
     def _grow(self, needed: int) -> None:
         capacity = len(self._hist_len)
         if needed <= capacity:
             return
         new_capacity = max(needed, capacity * 2)
-        hist = np.zeros(
-            (new_capacity, self._history_columns), dtype=np.float64
-        )
-        hist[:capacity] = self._hist
-        self._hist = hist
-        for name in ("_hist_len", "_score_value", "_score_last"):
+        for name in self._COLUMNS:
             old = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=old.dtype)
+            grown = np.zeros(
+                (new_capacity,) + old.shape[1:], dtype=old.dtype
+            )
             grown[:capacity] = old
             setattr(self, name, grown)
-        known = np.zeros(new_capacity, dtype=bool)
-        known[:capacity] = self._score_known
-        self._score_known = known
 
     def _row_for(self, pair: TagPair) -> int:
         row = self._pair_rows.get(pair)
@@ -484,25 +504,29 @@ class FusedEvaluator:
 
     @property
     def row_count(self) -> int:
-        """Interned pairs (mirror rows currently in use)."""
+        """Interned pairs (rows currently in use)."""
         return len(self._pairs)
 
     def _rebuild(self) -> None:
-        """Rebuild the mirrors from the scalar source-of-truth dicts."""
-        tracker = self._tracker
-        detector = self._detector
+        """Reload every column from the tracker's and detector's dicts.
+
+        Reading the two maps first folds any pending rows into them, so
+        nothing evaluated so far is lost when the rows are renumbered.
+        """
+        histories = self._tracker.history_map
+        scores = self._detector.score_map
         self._pair_rows = {}
         self._pairs = []
-        histories = tracker.history_map
-        scores = detector.score_map
-        needed = len(set(histories) | set(scores))
-        self._allocate(max(self._INITIAL_CAPACITY, needed))
+        self._allocate(max(
+            self._INITIAL_CAPACITY, len(histories.keys() | scores.keys())
+        ))
         columns = self._history_columns
         for pair, series in histories.items():
             row = self._row_for(pair)
-            values = series.tail(columns)
+            timestamps, values = series.tail_points(columns)
             if values:
                 self._hist[row, columns - len(values):] = values
+                self._hist_ts[row, columns - len(values):] = timestamps
             self._hist_len[row] = len(values)
         for pair, maximum in scores.items():
             row = self._row_for(pair)
@@ -513,8 +537,59 @@ class FusedEvaluator:
             self._score_value[row] = value
             self._score_last[row] = last_update
             self._score_known[row] = True
-        self._history_stamp = tracker.history_epoch
-        self._score_stamp = detector.mutation_epoch
+        self._stale = False
+
+    # -- the dict views -------------------------------------------------------
+
+    def invalidate(self) -> None:
+        """A dict changed outside this evaluator: reload before evaluating."""
+        self._stale = True
+
+    def drain_histories(self):
+        """The history rows evaluated since the last drain, as an
+        iterator of ``(pair, timestamps, values)`` with fresh lists.
+
+        The rows stop being pending at once; the caller must consume the
+        iterator (lazy, so a large drain leaves no per-row temporaries
+        for the cyclic collector to walk).
+        """
+        rows = np.nonzero(self._hist_pending[:len(self._pairs)])[0]
+        if rows.size == 0:
+            return ()
+        self._hist_pending[rows] = False
+        columns = self._history_columns
+        pairs = self._pairs
+        return (
+            (pairs[row], timestamps[columns - length:],
+             values[columns - length:])
+            for row, length, timestamps, values in zip(
+                rows.tolist(), self._hist_len[rows].tolist(),
+                self._hist_ts[rows].tolist(), self._hist[rows].tolist(),
+            )
+        )
+
+    def discard_histories(self) -> None:
+        """Forget the pending history rows (their dict is being replaced)."""
+        self._hist_pending[:] = False
+        self._stale = True
+
+    def drain_scores(self):
+        """The score rows updated since the last drain, as an iterator of
+        ``(pair, value, last_update)``; consumed as :meth:`drain_histories`."""
+        rows = np.nonzero(self._score_pending[:len(self._pairs)])[0]
+        if rows.size == 0:
+            return ()
+        self._score_pending[rows] = False
+        return zip(
+            map(self._pairs.__getitem__, rows.tolist()),
+            self._score_value[rows].tolist(),
+            self._score_last[rows].tolist(),
+        )
+
+    def discard_scores(self) -> None:
+        """Forget the pending score rows (their dict is being replaced)."""
+        self._score_pending[:] = False
+        self._stale = True
 
     # -- evaluation -----------------------------------------------------------
 
@@ -529,60 +604,46 @@ class FusedEvaluator:
 
         The caller must already have advanced the tracker's window to
         ``timestamp`` (both engines do, mirroring the scalar entry points).
-        State divergence on *error* paths is possible — array validation
-        raises before any history is appended, where the scalar loop
-        appends candidates preceding the offending one — but the raised
-        message is identical and a tracker holding invalid windowed counts
-        is unreachable through ingestion.
+        Every check runs before any column is written, so an evaluation
+        that raises leaves histories, scores and the journal buffer exactly
+        as they were — where the scalar loop keeps what it appended for the
+        candidates preceding the offending one.  The raised message is the
+        scalar path's (with several offenders it may name a different one),
+        and a tracker holding invalid windowed counts is unreachable
+        through ingestion.
         """
         from repro.core.ranking import topic_sort_key
 
         tracker = self._tracker
         detector = self._detector
         builder = self._builder
-        if (
-            self._history_stamp != tracker.history_epoch
-            or self._score_stamp != detector.mutation_epoch
-        ):
+        if self._stale:
             self._rebuild()
         timestamp = float(timestamp)
         decay_rate = detector.decay.decay_rate
         candidates = tracker.candidate_index.iter_candidates(seeds)
-        count = len(candidates)
         fresh_rows: Dict[int, int] = {}
         values_list: List[float] = []
         predicted_list: List[float] = []
         errors_list: List[float] = []
-        try:
-            if count:
-                (
-                    fresh_rows, values_list, predicted_list, errors_list
-                ) = self._score_candidates(
-                    timestamp, candidates, tag_counts, total_documents,
-                    decay_rate,
-                )
-        except BaseException:
-            # A partial batch leaves the mirrors out of step with the
-            # scalar dicts; force a rebuild before the next evaluation.
-            self._history_stamp = None
-            self._score_stamp = None
-            raise
+        if candidates:
+            (
+                fresh_rows, values_list, predicted_list, errors_list
+            ) = self._score_candidates(
+                timestamp, candidates, tag_counts, total_documents,
+                decay_rate,
+            )
+        else:
+            # _score_candidates runs this guard after its history guard,
+            # the order in which the scalar loop would trip over them.
+            self._reject_future_scores(timestamp)
         # Global top-k over every known score (candidates updated above
         # carry last_update == timestamp, so their factor is exactly 1.0).
-        used = len(self._pairs)
-        known = np.nonzero(self._score_known[:used])[0]
+        known = np.nonzero(self._score_known[:len(self._pairs)])[0]
         if known.size == 0:
             return []
-        last_updates = self._score_last[known]
-        elapsed = timestamp - last_updates
-        stale = elapsed < 0
-        if stale.any():
-            offending = float(last_updates[np.nonzero(stale)[0][0]])
-            raise ValueError(
-                f"cannot evaluate in the past: {timestamp} < {offending}"
-            )
         current = self._score_value[known] * decay_factors(
-            decay_rate, elapsed
+            decay_rate, timestamp - self._score_last[known]
         )
         admitted = current > builder.min_score
         rows = known[admitted]
@@ -618,6 +679,18 @@ class FusedEvaluator:
         topics.sort(key=topic_sort_key)
         return topics[:top_k]
 
+    def _reject_future_scores(self, timestamp: float) -> None:
+        """DecayedMaximum's guard, over every known score at once: the
+        candidates about to be updated and the dormant pairs the top-k
+        decays to ``timestamp``."""
+        used = len(self._pairs)
+        future = self._score_known[:used] & (self._score_last[:used] > timestamp)
+        if future.any():
+            offending = float(self._score_last[np.nonzero(future)[0][0]])
+            raise ValueError(
+                f"cannot evaluate in the past: {timestamp} < {offending}"
+            )
+
     def _score_candidates(
         self,
         timestamp: float,
@@ -626,7 +699,8 @@ class FusedEvaluator:
         total_documents: int,
         decay_rate: float,
     ) -> Tuple[Dict[int, int], List[float], List[float], List[float]]:
-        """Measure, append, predict and score the candidate set in batch."""
+        """Measure, predict and score the candidate set in batch, then
+        write the new history points and scores into the columns."""
         tracker = self._tracker
         detector = self._detector
         count = len(candidates)
@@ -657,24 +731,23 @@ class FusedEvaluator:
             (self._row_for(pair) for pair, _, _ in candidates),
             dtype=np.int64, count=count,
         )
+        columns = self._history_columns
+        lengths = self._hist_len[rows]
+        # TimeSeries.append's guard, over the candidate rows at once.
+        newest = self._hist_ts[rows, -1]
+        late = (lengths > 0) & (newest > timestamp)
+        if late.any():
+            offending = float(newest[np.nonzero(late)[0][0]])
+            raise ValueError(
+                f"out-of-order append: {timestamp} < {offending}"
+            )
+        self._reject_future_scores(timestamp)
         # History: the predictor sees the values *preceding* the current
         # observation.  Rows are right-aligned, so dropping the first
         # column yields exactly previous_values() after the append — the
         # whole old row while it is short, the last H-1 values once full.
-        columns = self._history_columns
-        old_block = self._hist[rows]
-        lengths = self._hist_len[rows]
         usable = np.minimum(lengths, columns - 1)
-        previous = old_block[:, 1:]
-        # Append: shift left one, place the fresh value in the last column.
-        self._hist[rows, :-1] = previous
-        self._hist[rows, -1] = values
-        self._hist_len[rows] = np.minimum(lengths + 1, columns)
-        tracker.record_sampled_values(
-            timestamp,
-            zip((pair for pair, _, _ in candidates), values_list),
-        )
-        self._history_stamp = tracker.history_epoch
+        previous = self._hist[rows, 1:]
         # Predict + error, gated exactly as ShiftDetector._usable_history:
         # too-short histories forecast 0.0 with error 0.0.
         gate_limit = max(detector.min_history, detector.predictor.min_history)
@@ -690,30 +763,28 @@ class FusedEvaluator:
         else:
             errors = np.maximum(0.0, raw)
         errors = np.where(gate, errors, 0.0)
-        # Decayed-maximum update for the candidate rows.
-        last_updates = self._score_last[rows]
+        # Decayed-maximum fold for the candidate rows.
         known = self._score_known[rows]
-        elapsed = timestamp - last_updates
-        stale = known & (elapsed < 0)
-        if stale.any():
-            offending = float(last_updates[np.nonzero(stale)[0][0]])
-            raise ValueError(
-                f"cannot evaluate in the past: {timestamp} < {offending}"
-            )
         decayed = np.zeros(count, dtype=np.float64)
         if known.any():
-            decayed[known] = self._score_value[rows[known]] * decay_factors(
-                decay_rate, elapsed[known]
+            known_rows = rows[known]
+            decayed[known] = self._score_value[known_rows] * decay_factors(
+                decay_rate, timestamp - self._score_last[known_rows]
             )
         new_scores = np.maximum(decayed, errors)
+        # Every check has passed and nothing below raises.  Append: shift
+        # each row left one, place the fresh point in the last column.
+        self._hist[rows, :-1] = previous
+        self._hist[rows, -1] = values
+        self._hist_ts[rows, :-1] = self._hist_ts[rows, 1:]
+        self._hist_ts[rows, -1] = timestamp
+        self._hist_len[rows] = np.minimum(lengths + 1, columns)
+        self._hist_pending[rows] = True
         self._score_value[rows] = new_scores
         self._score_last[rows] = timestamp
         self._score_known[rows] = True
-        detector.record_scores(
-            timestamp,
-            zip((pair for pair, _, _ in candidates), new_scores.tolist()),
-        )
-        self._score_stamp = detector.mutation_epoch
+        self._score_pending[rows] = True
+        tracker.journal_samples(timestamp, candidates, values_list)
         fresh_rows = {row: index for index, row in enumerate(rows.tolist())}
         return fresh_rows, values_list, predicted.tolist(), errors.tolist()
 

@@ -92,11 +92,14 @@ class IngestDocument:
         tags = payload.get("tags", ()) or ()
         if isinstance(tags, str):
             raise ValueError("'tags' must be an array of strings")
-        self.tags = tuple(str(tag) for tag in tags)
+        # frozensets, the shape the tracker's decomposition memo keys on:
+        # tag sets recur constantly in a stream, and a tuple here would
+        # re-run normalisation and pair construction for every document.
+        self.tags = frozenset(str(tag) for tag in tags)
         entities = payload.get("entities", ()) or ()
         if isinstance(entities, str):
             raise ValueError("'entities' must be an array of strings")
-        self.entities = tuple(str(entity) for entity in entities)
+        self.entities = frozenset(str(entity) for entity in entities)
         self.text = str(payload.get("text", "") or "")
 
 

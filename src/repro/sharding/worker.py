@@ -57,7 +57,8 @@ class ShardWorker:
         self.detector = make_shift_detector(config)
         self.builder = RankingBuilder(top_k=config.top_k)
         # Fused batched evaluation over this shard's pair slice (None →
-        # scalar path); columnar mirrors pickle with the worker and rebuild
+        # scalar path); its columns — the shard's histories and scores,
+        # pending rows included — pickle with the worker and reload
         # lazily after a restore.
         self._fused = make_fused_evaluator(
             self.tracker, self.detector, self.builder, enabled=vectorize

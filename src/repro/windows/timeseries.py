@@ -58,14 +58,39 @@ class TimeSeries:
         }
 
     @classmethod
+    def from_points(
+        cls,
+        timestamps: List[float],
+        values: List[float],
+        maxlen: Optional[int] = None,
+    ) -> "TimeSeries":
+        """A series adopting two parallel, time-ordered lists of floats.
+
+        The bulk constructor for callers that already hold a whole series
+        (a snapshot, a columnar history row): the lists are adopted, not
+        copied or re-validated point by point, so the caller must not
+        keep mutating them.  Only the newest ``maxlen`` points are kept.
+        """
+        if len(timestamps) != len(values):
+            raise ValueError("timestamps and values differ in length")
+        series = cls(maxlen=maxlen)
+        if maxlen is not None and len(timestamps) > maxlen:
+            timestamps = timestamps[-maxlen:]
+            values = values[-maxlen:]
+        series._timestamps = timestamps
+        series._values = values
+        return series
+
+    @classmethod
     def from_snapshot(cls, state: dict) -> "TimeSeries":
         """Rebuild a series from :meth:`snapshot` output, bit for bit."""
         require_state(state, "timeseries", 1)
         maxlen = state["maxlen"]
-        series = cls(maxlen=None if maxlen is None else int(maxlen))
-        series._timestamps = [float(t) for t in state["timestamps"]]
-        series._values = [float(v) for v in state["values"]]
-        return series
+        return cls.from_points(
+            [float(t) for t in state["timestamps"]],
+            [float(v) for v in state["values"]],
+            maxlen=None if maxlen is None else int(maxlen),
+        )
 
     def __len__(self) -> int:
         return len(self._timestamps)

@@ -1,5 +1,11 @@
 """Tests for tag pairs, emergent topics and rankings."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.types import EmergentTopic, Ranking, TagPair, overlap_at_k
@@ -37,6 +43,43 @@ class TestTagPair:
     def test_pairs_are_sortable(self):
         pairs = [TagPair("c", "d"), TagPair("a", "b")]
         assert sorted(pairs)[0] == TagPair("a", "b")
+
+    def test_a_pair_is_the_tuple_of_its_tags(self):
+        # On purpose since the tuple-subclass rewrite: hashing, equality
+        # and ordering are the tuple's own (C speed, nothing cached).
+        pair = TagPair("b", "a")
+        assert pair == ("a", "b")
+        assert hash(pair) == hash(("a", "b"))
+        assert {pair: 1}[("a", "b")] == 1
+        assert pair < ("a", "c")
+        first, second = pair
+        assert (first, second) == ("a", "b")
+        assert repr(pair) == "TagPair(first='a', second='b')"
+        with pytest.raises(AttributeError):
+            pair.first = "z"
+
+    def test_pair_pickled_under_another_hash_seed_hashes_like_a_local_one(self):
+        # str hashes are salted per process; a pair arriving from a
+        # spawn-started worker must land on the same dict slot as an equal
+        # pair built here.
+        source = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import pickle, sys\n"
+            "from repro.core.types import TagPair\n"
+            "pair = TagPair('volcano', 'air traffic')\n"
+            "sys.stdout.buffer.write(pickle.dumps((pair, {pair: 7})))\n"
+        )
+        environment = dict(os.environ, PYTHONHASHSEED="4242",
+                           PYTHONPATH=str(source))
+        blob = subprocess.run(
+            [sys.executable, "-c", script], env=environment,
+            check=True, capture_output=True, timeout=60,
+        ).stdout
+        loaded, table = pickle.loads(blob)
+        local = TagPair("air traffic", "volcano")
+        assert type(loaded) is TagPair
+        assert loaded == local and hash(loaded) == hash(local)
+        assert table[local] == 7
 
 
 class TestEmergentTopic:

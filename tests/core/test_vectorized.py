@@ -213,9 +213,15 @@ class TestStaleEvaluationRejected:
                 timestamp=t * HOUR, doc_id=f"d{t}",
                 tags=frozenset({"a", "b", "c"}),
             ))
-        future = 100 * HOUR
-        engine.detector.record_scores(
-            future, [(TagPair("a", "b"), 0.25)]
-        )
+        state = engine.detector.snapshot()
+        assert state["scores"], "the replay scored nothing to corrupt"
+        state["scores"][0][3] = 100 * HOUR
+        engine.detector.restore(state)
+        before = engine.snapshot()
         with pytest.raises(ValueError, match="cannot evaluate in the past"):
             engine.evaluate_now(9 * HOUR)
+        # Checked before any column is written: apart from the clock and
+        # the count row the engine advanced first, nothing moved.
+        after = engine.snapshot()
+        assert after["tracker"]["histories"] == before["tracker"]["histories"]
+        assert after["detector"] == before["detector"]

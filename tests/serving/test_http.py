@@ -133,7 +133,8 @@ class TestParsing:
             documents = parse_ingest_body(body.encode())
             assert len(documents) == 1
             assert documents[0].timestamp == 1.0
-            assert documents[0].tags == ("a", "b")
+            assert documents[0].tags == frozenset({"a", "b"})
+            assert documents[0].entities == frozenset()
 
     @pytest.mark.parametrize("body", [
         b"not json",
@@ -159,6 +160,55 @@ class TestParsing:
 
 
 class TestEndpoints:
+    def test_reposted_tag_sets_hit_the_decomposition_memo(self, monkeypatch):
+        # The ingest payload carries frozensets, the shape the tracker's
+        # decomposition memo keys on: a tag set seen before is neither
+        # normalised nor paired again, whatever order it is posted in.
+        import repro.core.tracker as tracker_module
+
+        normalised = []
+        real = tracker_module.normalize_tag
+
+        def spy(tag):
+            normalised.append(tag)
+            return real(tag)
+
+        monkeypatch.setattr(tracker_module, "normalize_tag", spy)
+
+        def batch(start, flip):
+            tag_sets = [["alpha", "beta"], ["beta", "gamma", "delta"]]
+            return [
+                {"timestamp": float(start + index),
+                 "tags": tags[::-1] if flip else tags}
+                for index, tags in enumerate(tag_sets)
+            ]
+
+        async def scenario():
+            engine = EnBlogue(config())
+            service = DetectionService(engine)
+            await service.start()
+            server = RankingServer(service, port=0)
+            await server.start()
+            try:
+                status, _ = await http_request(
+                    server.port, "POST", "/ingest", batch(0, flip=False))
+                assert status == 202
+                await service.drain()
+                first = len(normalised)
+                status, _ = await http_request(
+                    server.port, "POST", "/ingest", batch(10, flip=True))
+                assert status == 202
+                await service.drain()
+                return first, len(normalised), engine.documents_processed
+            finally:
+                await server.stop()
+                await service.stop()
+
+        first, second, processed = asyncio.run(scenario())
+        assert processed == 4
+        assert first == 5, "one normalisation per tag of each new tag set"
+        assert second == first, "the re-posted tag sets were decomposed again"
+
     def test_ingest_rankings_stream_and_status(self, docs):
         async def scenario():
             engine = EnBlogue(config())
