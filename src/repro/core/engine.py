@@ -147,10 +147,11 @@ class DetectionEngineBase:
     rankings with their ``max_ranking_history`` bound, listeners,
     personalization and the document-preparation rule — so both engines
     run literally the same ingestion loop; they differ only in the hooks:
-    ``_ingest_document`` (where a prepared document's statistics go),
-    ``_latest_timestamp`` and ``_evaluate``.  Keeping this in one place is
-    part of the sharded engine's bit-identical guarantee: there is no
-    second copy of the catch-up loop to drift.
+    ``_ingest_observations`` (where a boundary-free run of prepared
+    documents' statistics go), ``_latest_timestamp`` and ``_evaluate``.
+    Keeping this in one place is part of the sharded engine's
+    bit-identical guarantee: there is no second copy of the catch-up loop
+    to drift.
     """
 
     def __init__(
@@ -194,9 +195,13 @@ class DetectionEngineBase:
 
     # -- hooks ----------------------------------------------------------------
 
-    def _ingest_document(self, timestamp: float, tags, entities) -> None:
-        """Feed one prepared document into the engine's statistics."""
+    def _ingest_observations(self, observations: List[tuple]) -> int:
+        """Feed one boundary-free run of prepared documents; returns count."""
         raise NotImplementedError
+
+    def _ingest_document(self, timestamp: float, tags, entities) -> None:
+        """Feed one prepared document: by default, a run of one."""
+        self._ingest_observations([(timestamp, tags, entities)])
 
     def _latest_timestamp(self) -> Optional[float]:
         """The most recent stream time seen (None before any document)."""
@@ -356,14 +361,6 @@ class DetectionEngineBase:
             latest = timestamp
             prepared.append(observation)
         return prepared
-
-    def _ingest_observations(self, observations: List[tuple]) -> int:
-        """Feed one boundary-free run of prepared documents; returns count."""
-        ingested = 0
-        for timestamp, tags, entities in observations:
-            self._ingest_document(timestamp, tags, entities)
-            ingested += 1
-        return ingested
 
     def evaluate_now(self, timestamp: Optional[float] = None) -> Ranking:
         """Force an evaluation at ``timestamp`` (default: latest stream time)."""

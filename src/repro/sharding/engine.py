@@ -22,7 +22,7 @@ Because pairs are partitioned (each one lives in exactly one shard) and the
 per-pair computations are identical to the single engine's, the merged
 ranking sequence is **bit-identical** to :class:`~repro.core.engine.EnBlogue`
 on the same stream — the property the test-suite pins for shard counts 1, 2
-and 4 on both backends.  The shared ingestion loop itself (boundary
+and 4 on all three backends.  The shared ingestion loop itself (boundary
 catch-up, document preparation, ranking bookkeeping) lives in the common
 :class:`~repro.core.engine.DetectionEngineBase`, so there is no second copy
 of it to drift.
@@ -57,12 +57,13 @@ from repro.windows.striped import StripedCountHistory, record_count_history
 class ShardedEnBlogue(DetectionEngineBase):
     """Emergent topic detection scattered over hash-partitioned shards.
 
-    ``backend`` is either a backend name (``"serial"`` or ``"process"``) or
-    an already constructed, *unstarted* :class:`ShardBackend`.  The engine
-    mirrors the public surface of :class:`~repro.core.engine.EnBlogue`
-    (``process``, ``process_batch``, ``evaluate_now``, rankings, listeners,
-    personalization, ``as_sink``); call :meth:`close` — or use the engine as
-    a context manager — to shut worker processes down.
+    ``backend`` is either a backend name (``"serial"``, ``"threads"`` or
+    ``"process"``) or an already constructed, *unstarted*
+    :class:`ShardBackend`.  The engine mirrors the public surface of
+    :class:`~repro.core.engine.EnBlogue` (``process``, ``process_batch``,
+    ``evaluate_now``, rankings, listeners, personalization, ``as_sink``);
+    call :meth:`close` — or use the engine as a context manager — to shut
+    worker threads or processes down.
     """
 
     def __init__(
@@ -177,27 +178,61 @@ class ShardedEnBlogue(DetectionEngineBase):
 
     # -- hooks ----------------------------------------------------------------
 
-    def _ingest_document(self, timestamp: float, tags, entities) -> None:
-        """Decompose once, update the global window, route pairs to shards."""
+    def _ingest_observations(self, observations: List[tuple]) -> int:
+        """Decompose once, update the global window, route pairs to shards.
+
+        The run is order-checked and decomposed in full before any state
+        is touched, so a malformed document leaves the engine unchanged.
+        It is then committed in slices that end exactly where
+        ``chunk_size`` buffered documents are reached — one window update
+        (and one eviction) per slice — so the backend receives the same
+        chunks as one call per document would have produced, and a failed
+        dispatch leaves the window holding what was buffered, no more.
+        """
         self._ensure_open()
-        if self._latest is not None and timestamp < self._latest:
-            raise ValueError(
-                f"out-of-order document: {timestamp} < {self._latest}"
-            )
-        ordered, pairs = self._decomposer.decompose(tags, entities)
-        self._tag_window.add_document(timestamp, ordered, prepared=True)
-        if self._delta_tag_events is not None:
-            self._delta_tag_events.append((timestamp, ordered))
-        self._latest = timestamp
-        if pairs and self._tier is not None:
-            pairs = self._tier.filter_pairs(timestamp, pairs)
-        if pairs:
+        latest = self._latest
+        decompose = self._decomposer.decompose
+        tag_events: List[Tuple[float, Tuple[str, ...]]] = []
+        pair_sets: List[tuple] = []
+        for timestamp, tags, entities in observations:
+            if latest is not None and timestamp < latest:
+                raise ValueError(
+                    f"out-of-order document: {timestamp} < {latest}"
+                )
+            latest = timestamp
+            ordered, pairs = decompose(tags, entities)
+            tag_events.append((timestamp, ordered))
+            pair_sets.append(pairs)
+        # Commit phase: nothing below can fail on malformed input.  Tier
+        # admission runs here, per document in stream order, so a rejected
+        # run leaves the sketch untouched too.
+        tier = self._tier
+        split_event = self.partitioner.split_event
+        total = len(tag_events)
+        start = 0
+        while start < total:
+            # At least one document, so a chunk left full by a failed
+            # dispatch is retried by the next document, as it always was.
+            stop = min(total, start + max(
+                1, self.chunk_size - self._buffered_documents
+            ))
+            events = tag_events[start:stop]
+            self._tag_window.add_documents(events, prepared=True)
+            if self._delta_tag_events is not None:
+                self._delta_tag_events.extend(events)
+            self._latest = events[-1][0]
             buffers = self._buffers
-            for shard_id, event in self.partitioner.split_event(timestamp, pairs):
-                buffers[shard_id].append(event)
-        self._buffered_documents += 1
-        if self._buffered_documents >= self.chunk_size:
-            self._flush()
+            for (timestamp, _), pairs in zip(events, pair_sets[start:stop]):
+                if pairs and tier is not None:
+                    pairs = tier.filter_pairs(timestamp, pairs)
+                if pairs:
+                    for shard_id, event in split_event(timestamp, pairs):
+                        buffers[shard_id].append(event)
+            self._buffered_documents += stop - start
+            if self._buffered_documents >= self.chunk_size:
+                self._flush()
+            start = stop
+        return total
 
     def _latest_timestamp(self) -> Optional[float]:
         return self._latest

@@ -8,6 +8,8 @@ backend matches too.  "Bit-identical" is checked through full
 error) must agree exactly, not approximately.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import EnBlogueConfig
@@ -312,6 +314,69 @@ class TestEngineSurface:
             sharded.process_batch(tweet_docs[half:])
             sharded.evaluate_now()
             assert signature(sharded) == signature(reference)
+
+    @pytest.mark.parametrize("journal", [False, True])
+    @pytest.mark.parametrize("tracking", ["exact", "tiered"])
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_malformed_document_mid_batch_leaves_engine_unchanged(
+        self, tmp_path, backend, tracking, journal
+    ):
+        # Decomposition can fail too, not only the order check: the run is
+        # decomposed in full before the tag window, the sketch tier, the
+        # shard buffers or an armed journal see any of it.  The twin never
+        # sees the rejected batch; everything observable must agree.
+        cfg = config(tracking=tracking, promote_support=2)
+        good = [doc(0, ["a", "b"]), doc(1, ["a", "b", "c"])]
+        rejected = [
+            doc(2, ["a", "c"]),
+            SimpleNamespace(timestamp=3.0, tags=7),
+        ]
+        engines = [
+            ShardedEnBlogue(cfg, num_shards=2, backend=backend)
+            for _ in range(2)
+        ]
+        try:
+            for index, engine in enumerate(engines):
+                engine.process_batch(good)
+                if journal:
+                    engine.save_checkpoint(tmp_path / str(index),
+                                           track_deltas=True)
+            offered, twin = engines
+            before = offered.snapshot()
+            assert ("tier" in before) == (tracking == "tiered")
+            with pytest.raises(TypeError):
+                offered.process_batch(rejected)
+            assert offered.documents_processed == len(good)
+            assert offered.snapshot() == before == twin.snapshot()
+            if journal:
+                delta = offered.delta_since(1)
+                assert delta["tag_events"] == []
+                assert delta == twin.delta_since(1)
+        finally:
+            for engine in engines:
+                engine.close()
+
+    def test_chunk_left_full_by_a_failed_dispatch_is_retried(self):
+        # A dispatch that raises leaves the chunk buffered and full; the
+        # next document joins it and the dispatch is attempted again.
+        with ShardedEnBlogue(config(), num_shards=1, chunk_size=2) as sharded:
+            ingest = sharded.backend.ingest
+            sent = []
+
+            def failing_once(chunks):
+                if not sent:
+                    sent.append(None)
+                    raise RuntimeError("transport down")
+                sent.append([list(chunk) for chunk in chunks])
+                ingest(chunks)
+
+            sharded.backend.ingest = failing_once
+            with pytest.raises(RuntimeError, match="transport down"):
+                sharded.process_batch([doc(0, ["a", "b"]), doc(1, ["a", "c"]),
+                                       doc(2, ["b", "c"])])
+            sharded.process_batch([doc(2, ["b", "c"]), doc(3, ["a", "b"])])
+            assert [len(chunk) for chunk in sent[1]] == [3]
+            assert sharded.shard_stats()[0]["events"] == 4
 
     def test_backend_instance_accepted(self):
         backend = SerialBackend()
