@@ -14,6 +14,7 @@ profiles see the update immediately, without polling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
@@ -61,6 +62,7 @@ def make_tracker(
     vectorize: Optional[bool] = None,
     counter_stripes: int = 1,
     tier: Optional[SketchTier] = None,
+    track_count_history: bool = True,
 ) -> CorrelationTracker:
     """The correlation tracker a configuration prescribes.
 
@@ -70,6 +72,10 @@ def make_tracker(
     state.  ``vectorize``/``counter_stripes`` are runtime choices (batched
     sampling kernels, MRV-striped usage counters), not structural ones:
     they never affect produced values or snapshot compatibility.
+
+    ``track_count_history`` comes from the seed selector the caller built
+    (``seed_selector.reads_history``): the per-tag count history exists for
+    the criteria that read it and for nothing else.
 
     ``tier`` is deliberately explicit rather than derived from the config:
     in the sharded engine admission runs once, globally, in the
@@ -88,6 +94,7 @@ def make_tracker(
         vectorize=vectorize,
         counter_stripes=counter_stripes,
         tier=tier,
+        track_count_history=track_count_history,
     )
 
 
@@ -261,6 +268,7 @@ class DetectionEngineBase:
         direct tracker callers see the same tag identities as this façade.
         """
         timestamp, tags, entities = self._prepare(document)
+        self._require_finite(timestamp)
 
         if self._next_evaluation is None:
             self._next_evaluation = timestamp + self.config.evaluation_interval
@@ -354,13 +362,26 @@ class DetectionEngineBase:
         for document in documents:
             observation = self._prepare(document)
             timestamp = observation[0]
-            if latest is not None and timestamp < latest:
+            # Negated >=, so a NaN timestamp fails the check instead of
+            # passing it and then switching it off for what follows.
+            if latest is not None and not timestamp >= latest:
                 raise ValueError(
                     f"out-of-order document: {timestamp} < {latest}"
                 )
             latest = timestamp
             prepared.append(observation)
+        if prepared:
+            # A time-ordered chunk is finite iff both its ends are.
+            self._require_finite(prepared[0][0])
+            self._require_finite(prepared[-1][0])
         return prepared
+
+    @staticmethod
+    def _require_finite(timestamp: float) -> None:
+        """Reject a stream time the boundary catch-up could never reach
+        (``inf``) or order (``nan``), before any state is touched."""
+        if not math.isfinite(timestamp):
+            raise ValueError(f"non-finite document timestamp: {timestamp}")
 
     def evaluate_now(self, timestamp: Optional[float] = None) -> Ranking:
         """Force an evaluation at ``timestamp`` (default: latest stream time)."""
@@ -623,8 +644,10 @@ class EnBlogue(DetectionEngineBase):
     ):
         super().__init__(config, entity_tagger, observability=observability)
         tier = make_sketch_tier(self.config)
-        self.tracker = make_tracker(self.config, vectorize=vectorize,
-                                    tier=tier)
+        self.tracker = make_tracker(
+            self.config, vectorize=vectorize, tier=tier,
+            track_count_history=self.seed_selector.reads_history,
+        )
         if tier is not None:
             bind_tier_gauges(self.observability, tier)
         self.detector = make_shift_detector(self.config)

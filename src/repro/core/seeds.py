@@ -25,6 +25,10 @@ class SeedSelector:
 
     name = "base"
 
+    #: Whether :meth:`select` reads ``history``.  The engines record the
+    #: per-tag count history only for a selector that does.
+    reads_history = True
+
     def __init__(self, num_seeds: int = 25, min_count: int = 3):
         if num_seeds <= 0:
             raise ValueError("num_seeds must be positive")
@@ -69,6 +73,7 @@ class PopularitySeedSelector(SeedSelector):
     """Seed tags are the most popular tags of the window (the paper's choice)."""
 
     name = "popularity"
+    reads_history = False
 
     def select(self, window, history=None) -> List[str]:
         # The k most frequent tags, ties by name: the window's own rule.

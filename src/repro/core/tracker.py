@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import combinations, islice
 from typing import (
     TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
 )
@@ -64,6 +65,11 @@ _DECOMPOSE_CACHE_LIMIT = 65536
 #: clear-everything policy did; evicted-but-hot tag sets re-enter on
 #: their next occurrence at the cost of one recomputation.
 _DECOMPOSE_EVICT_BATCH = _DECOMPOSE_CACHE_LIMIT // 8
+
+#: A pair from two tags already known to be non-empty, distinct and in
+#: order — what ``combinations`` yields over a document's sorted,
+#: de-duplicated tags — skipping ``TagPair.__new__``'s re-validation.
+_ordered_pair = partial(tuple.__new__, TagPair)
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,7 @@ class DocumentDecomposer:
             effective |= {normalize_tag(entity) for entity in entities}
         effective.discard("")
         ordered = tuple(sorted(effective))
-        pairs = tuple(
-            TagPair(ordered[i], ordered[j])
-            for i in range(len(ordered))
-            for j in range(i + 1, len(ordered))
-        )
+        pairs = tuple(map(_ordered_pair, combinations(ordered, 2)))
         if key is not None:
             if len(self._cache) >= _DECOMPOSE_CACHE_LIMIT:
                 # FIFO partial eviction: drop the oldest batch instead of
@@ -177,6 +179,7 @@ class CorrelationTracker:
         vectorize: Optional[bool] = None,
         counter_stripes: int = 1,
         tier: Optional["SketchTier"] = None,
+        track_count_history: bool = True,
     ):
         if window_horizon <= 0:
             raise ValueError("window_horizon must be positive")
@@ -191,6 +194,13 @@ class CorrelationTracker:
         self.history_length = int(history_length)
         self.use_entities = bool(use_entities)
         self.track_usage = bool(track_usage)
+        # Whether an evaluation records the per-tag count row.  Only the
+        # volatility/hybrid seed criteria read that history, so the engines
+        # switch it off under popularity; a bare tracker keeps recording.
+        # Like track_usage it decides what is kept, but it is not part of
+        # the snapshot contract: restoring a state that carries a history
+        # into a tracker that keeps none simply drops it.
+        self.track_count_history = bool(track_count_history)
         self.counter_stripes = int(counter_stripes)
         # Batched sampling kernels: auto-detected (numpy present, measure
         # carries a bit-identical kernel) unless forced off.  Not a
@@ -224,6 +234,7 @@ class CorrelationTracker:
         self._evaluator: Optional["_vectorized.FusedEvaluator"] = None
         # Windowed tag-count history per tag (for the volatility seed
         # criterion); bounded deques, appended by record_count_history.
+        # Stays empty when track_count_history is off.
         self._count_history: Dict[str, Deque[int]] = {}
         # Delta recording (for journaled checkpoints); None when inactive.
         self._delta: Optional[_TrackerDelta] = None
@@ -339,7 +350,7 @@ class CorrelationTracker:
         latest = self._latest
         for timestamp, tags, entities in observations:
             timestamp = float(timestamp)
-            if latest is not None and timestamp < latest:
+            if latest is not None and not timestamp >= latest:
                 raise ValueError(
                     f"out-of-order document: {timestamp} < {latest}"
                 )
@@ -394,7 +405,7 @@ class CorrelationTracker:
         latest = self._latest
         for timestamp, pairs in events:
             timestamp = float(timestamp)
-            if latest is not None and timestamp < latest:
+            if latest is not None and not timestamp >= latest:
                 raise ValueError(
                     f"out-of-order pair event: {timestamp} < {latest}"
                 )
@@ -418,7 +429,7 @@ class CorrelationTracker:
 
     def advance_to(self, timestamp: float) -> None:
         """Move stream time forward without ingesting a document."""
-        if self._latest is not None and timestamp < self._latest:
+        if self._latest is not None and not timestamp >= self._latest:
             raise ValueError(
                 f"cannot advance backwards: {timestamp} < {self._latest}"
             )
@@ -655,7 +666,8 @@ class CorrelationTracker:
         """The live per-tag count history (read-only; do not mutate).
 
         What the seed selector reads at every evaluation: one series per
-        tag ever seen, so handing it over must not copy it.
+        tag ever seen, so handing it over must not copy it.  Empty when
+        the tracker keeps no count history.
         """
         return self._count_history
 
@@ -669,6 +681,7 @@ class CorrelationTracker:
         Public wrapper over the row-recording half of :meth:`evaluate`, for
         callers (the fused evaluator's engine path) that sample correlations
         outside the tracker but must keep the volatility history identical.
+        Returns at once when the tracker keeps no count history.
         """
         self._record_count_history()
 
@@ -781,11 +794,17 @@ class CorrelationTracker:
             TagPair(str(a), str(b)): TimeSeries.from_snapshot(series)
             for a, b, series in state["histories"]
         }
+        # A tracker that keeps no count history drops a restored one (a
+        # checkpoint written when every engine recorded it), so its next
+        # snapshot is the one an uninterrupted run would take.
+        count_history = (
+            state["count_history"] if self.track_count_history else {}
+        )
         self._count_history = {
             str(tag): deque(
                 (int(value) for value in values), maxlen=self.history_length
             )
-            for tag, values in state["count_history"].items()
+            for tag, values in count_history.items()
         }
         self._documents_seen = int(state["documents_seen"])
         latest = state["latest"]
@@ -907,7 +926,7 @@ class CorrelationTracker:
     ) -> Tuple[float, Tuple[str, ...]]:
         """Everything except the tag window and eviction, for the single path."""
         timestamp = float(timestamp)
-        if self._latest is not None and timestamp < self._latest:
+        if self._latest is not None and not timestamp >= self._latest:
             raise ValueError(
                 f"out-of-order document: {timestamp} < {self._latest}"
             )
@@ -945,6 +964,8 @@ class CorrelationTracker:
             counter.update(cotags)
 
     def _record_count_history(self) -> None:
+        if not self.track_count_history:
+            return
         snapshot = self._tag_window.snapshot()
         if self._delta is not None:
             # The row is a fresh dict from the window; recording the

@@ -15,13 +15,16 @@ published number **bit-identical** to the scalar path:
 * ``np.log``/``np.exp`` are *not* used — on this platform they differ from
   ``math.log``/``math.exp`` in the last ulp for a fraction of inputs.  The
   PMI kernel takes ``math.log`` per masked candidate, and decay factors are
-  computed with ``math.exp`` once per *unique* elapsed time (evaluation
-  boundaries are shared by construction, so the unique set is tiny) and
-  gathered back;
+  computed with ``math.exp`` once per *distinct* elapsed time (evaluation
+  boundaries are shared by construction, so the distinct set is tiny),
+  gathered back through a dict, once per evaluation for every known row;
 * predictor kernels replay the scalar recurrences column by column in the
   exact same operation order (sums accumulate oldest→newest, EWMA/Holt
-  recurrences step per column), grouping rows by usable-history length so
-  every row sees precisely the slice the scalar predictor saw;
+  recurrences step per column).  The windowed kernels group rows by
+  window length; the EWMA/Holt recurrences advance every row together in
+  one pass over the columns, a row joining at its own first column by a
+  masked restart, so every row sees precisely the slice the scalar
+  predictor saw whatever mix of history lengths the candidates have;
 * the top-k cut thresholds on ``min_score`` (strict, as the scalar
   builder), takes a tie-inclusive superset via ``np.partition``, and then
   applies the canonical ``topic_sort_key`` total order in Python — the same
@@ -52,6 +55,8 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correlation import (
@@ -91,6 +96,8 @@ DISABLE_ENV_VAR = "REPRO_DISABLE_VECTORIZED"
 
 #: One candidate triple as produced by ``CandidateIndex.iter_candidates``.
 Candidate = Tuple[TagPair, str, int]
+
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 def vectorization_disabled() -> bool:
@@ -244,10 +251,23 @@ def measure_candidates(
 # Each kernel receives a right-aligned matrix ``previous`` of the values
 # preceding the current observation (row i's usable[i] values occupy the
 # *last* usable[i] columns) and replays the scalar predictor's recurrence
-# column by column.  Rows are grouped by usable length so every row sees
-# exactly the slice the scalar predictor saw; within a group the per-column
-# array operations perform the same IEEE operations in the same order as
-# the scalar loop, which is what keeps the forecasts bit-identical.
+# column by column.  Every row sees exactly the slice the scalar predictor
+# saw — the windowed kernels group rows by window length, the recurrences
+# restart each row at its own first column — and the per-column array
+# operations perform the same IEEE operations in the same order as the
+# scalar loop, which is what keeps the forecasts bit-identical.
+
+
+def _time_major(previous, usable):
+    """What a one-pass recurrence kernel steps over.
+
+    Returns the history block transposed to one contiguous row per column,
+    each row's first column, and the set of columns some row starts at.
+    A row's state before its own first column is whatever the recurrence
+    made of the padding; the masked restart at that column overwrites it.
+    """
+    start = previous.shape[1] - usable
+    return np.ascontiguousarray(previous.T), start, set(start.tolist())
 
 
 def _predict_last(predictor, previous, usable):
@@ -269,18 +289,19 @@ def _predict_moving_average(predictor, previous, usable):
 
 
 def _predict_ewma(predictor, previous, usable):
-    columns = previous.shape[1]
     alpha = predictor.alpha
     complement = 1 - alpha
-    out = np.empty(len(usable), dtype=np.float64)
-    for length in np.unique(usable).tolist():
-        rows = usable == length
-        block = previous[rows, columns - length:]
-        estimate = block[:, 0].copy()
-        for column in range(1, length):
-            estimate = alpha * block[:, column] + complement * estimate
-        out[rows] = estimate
-    return out
+    block, start, starts = _time_major(previous, usable)
+    weighted = alpha * block
+    first = min(starts)
+    estimate = block[first].copy()
+    for column in range(first + 1, len(block)):
+        # estimate = alpha * value + complement * estimate, in place.
+        np.multiply(estimate, complement, out=estimate)
+        np.add(weighted[column], estimate, out=estimate)
+        if column in starts:
+            np.copyto(estimate, block[column], where=start == column)
+    return estimate
 
 
 def _predict_linear(predictor, previous, usable):
@@ -312,25 +333,35 @@ def _predict_linear(predictor, previous, usable):
 
 
 def _predict_holt(predictor, previous, usable):
-    columns = previous.shape[1]
     alpha = predictor.alpha
     beta = predictor.beta
     alpha_complement = 1 - alpha
     beta_complement = 1 - beta
-    out = np.empty(len(usable), dtype=np.float64)
-    for length in np.unique(usable).tolist():
-        rows = usable == length
-        block = previous[rows, columns - length:]
-        level = block[:, 0].copy()
-        trend = block[:, 1] - block[:, 0]
-        for column in range(1, length):
-            previous_level = level
-            level = alpha * block[:, column] + alpha_complement * (
-                level + trend
-            )
-            trend = beta * (level - previous_level) + beta_complement * trend
-        out[rows] = level + trend
-    return out
+    block, start, starts = _time_major(previous, usable)
+    weighted = alpha * block
+    # A row starts with trend = second value - first value; every row has
+    # at least two (min_history), so none starts at the last column.
+    initial_trend = block[1:] - block[:-1]
+    first = min(starts)
+    level = block[first].copy()
+    trend = initial_trend[first].copy()
+    step = np.empty_like(level)
+    for column in range(first + 1, len(block)):
+        # level' = alpha * value + alpha_complement * (level + trend)
+        np.add(level, trend, out=step)
+        np.multiply(alpha_complement, step, out=step)
+        np.add(weighted[column], step, out=step)
+        # trend' = beta * (level' - level) + beta_complement * trend
+        np.subtract(step, level, out=level)
+        np.multiply(beta, level, out=level)
+        np.multiply(beta_complement, trend, out=trend)
+        np.add(level, trend, out=trend)
+        level, step = step, level
+        if column in starts:
+            joining = start == column
+            np.copyto(level, block[column], where=joining)
+            np.copyto(trend, initial_trend[column], where=joining)
+    return level + trend
 
 
 _PREDICTOR_KERNELS: Dict[type, object] = {
@@ -381,18 +412,16 @@ def decay_factors(decay_rate: float, elapsed):
 
     ``np.exp`` disagrees with ``math.exp`` in the last ulp for ~5% of
     inputs on this platform, so the factor is computed with ``math.exp``
-    once per *unique* elapsed value and gathered back.  Elapsed times are
-    differences of evaluation-boundary timestamps, which pairs share by
-    construction, so the unique set stays tiny (typically a few dozen)
-    regardless of how many pairs are scored.
+    once per *distinct* elapsed value and gathered back through a dict.
+    Elapsed times are differences of evaluation-boundary timestamps, which
+    pairs share by construction, so the distinct set stays tiny (typically
+    a few dozen) regardless of how many pairs are scored.
     """
-    unique, inverse = np.unique(elapsed, return_inverse=True)
-    factors = np.fromiter(
-        (math.exp(-decay_rate * value) for value in unique.tolist()),
-        dtype=np.float64,
-        count=len(unique),
+    values = elapsed.tolist()
+    factor = {value: math.exp(-decay_rate * value) for value in set(values)}
+    return np.fromiter(
+        map(factor.__getitem__, values), dtype=np.float64, count=len(values)
     )
-    return factors[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -620,31 +649,44 @@ class FusedEvaluator:
         if self._stale:
             self._rebuild()
         timestamp = float(timestamp)
-        decay_rate = detector.decay.decay_rate
         candidates = tracker.candidate_index.iter_candidates(seeds)
+        sampled = None
+        if candidates:
+            sampled = self._sample_candidates(
+                timestamp, candidates, tag_counts, total_documents
+            )
+        # After the history guard in _sample_candidates: the order in
+        # which the scalar loop would trip over them.
+        self._reject_future_scores(timestamp)
+        # The one decay pass: every known score's factor at ``timestamp``,
+        # held per row for the candidate fold and the top-k scan alike.
+        used = len(self._pairs)
+        known = np.nonzero(self._score_known[:used])[0]
+        factors = np.zeros(used, dtype=np.float64)
+        factors[known] = decay_factors(
+            detector.decay.decay_rate, timestamp - self._score_last[known]
+        )
         fresh_rows: Dict[int, int] = {}
         values_list: List[float] = []
         predicted_list: List[float] = []
         errors_list: List[float] = []
-        if candidates:
-            (
-                fresh_rows, values_list, predicted_list, errors_list
-            ) = self._score_candidates(
-                timestamp, candidates, tag_counts, total_documents,
-                decay_rate,
+        if sampled is not None:
+            values, scored, lengths = sampled
+            values_list = values.tolist()
+            predicted_list, errors_list = self._score_candidates(
+                timestamp, values, scored, lengths, factors
             )
-        else:
-            # _score_candidates runs this guard after its history guard,
-            # the order in which the scalar loop would trip over them.
-            self._reject_future_scores(timestamp)
-        # Global top-k over every known score (candidates updated above
-        # carry last_update == timestamp, so their factor is exactly 1.0).
-        known = np.nonzero(self._score_known[:len(self._pairs)])[0]
+            tracker.journal_samples(timestamp, candidates, values_list)
+            fresh_rows = {
+                row: index for index, row in enumerate(scored.tolist())
+            }
+            # Scored just now: last_update == timestamp, factor exactly 1.
+            factors[scored] = 1.0
+            known = np.nonzero(self._score_known[:used])[0]
+        # Global top-k over every known score.
         if known.size == 0:
             return []
-        current = self._score_value[known] * decay_factors(
-            decay_rate, timestamp - self._score_last[known]
-        )
+        current = self._score_value[known] * factors[known]
         admitted = current > builder.min_score
         rows = known[admitted]
         scores = current[admitted]
@@ -691,30 +733,33 @@ class FusedEvaluator:
                 f"cannot evaluate in the past: {timestamp} < {offending}"
             )
 
-    def _score_candidates(
+    def _sample_candidates(
         self,
         timestamp: float,
         candidates: List[Candidate],
         tag_counts,
         total_documents: int,
-        decay_rate: float,
-    ) -> Tuple[Dict[int, int], List[float], List[float], List[float]]:
-        """Measure, predict and score the candidate set in batch, then
-        write the new history points and scores into the columns."""
-        tracker = self._tracker
-        detector = self._detector
+    ):
+        """Measure the candidate set in batch and intern its rows.
+
+        Returns ``(values, rows, lengths)``; writes no column (interning a
+        new pair only reserves its row).
+        """
         count = len(candidates)
+        # The triples' columns, split by C-level maps.  (Not zip(*...):
+        # that allocates one collector-tracked iterator per candidate,
+        # enough to pull a collection into most evaluations.)
+        pairs = list(map(_FIRST, candidates))
         count_a = np.fromiter(
-            (tag_counts.get(pair.first, 0) for pair, _, _ in candidates),
+            map(tag_counts.get, map(_FIRST, pairs), repeat(0)),
             dtype=np.int64, count=count,
         )
         count_b = np.fromiter(
-            (tag_counts.get(pair.second, 0) for pair, _, _ in candidates),
+            map(tag_counts.get, map(_SECOND, pairs), repeat(0)),
             dtype=np.int64, count=count,
         )
         count_both = np.fromiter(
-            (pair_count for _, _, pair_count in candidates),
-            dtype=np.int64, count=count,
+            map(_THIRD, candidates), dtype=np.int64, count=count
         )
         # Same clamp as the tracker's sampling paths: a sketch tier's
         # back-filled promotion can push a windowed pair count past a tag
@@ -724,14 +769,13 @@ class FusedEvaluator:
             candidates, count_a, count_b, count_both, total_documents
         )
         values = measure_candidates(
-            tracker.measure, count_a, count_b, count_both, total_documents
+            self._tracker.measure, count_a, count_b, count_both,
+            total_documents,
         )
-        values_list = values.tolist()
-        rows = np.fromiter(
-            (self._row_for(pair) for pair, _, _ in candidates),
-            dtype=np.int64, count=count,
-        )
-        columns = self._history_columns
+        row_list = list(map(self._pair_rows.get, pairs))
+        if None in row_list:  # a pair scored for the first time
+            row_list = [self._row_for(pair) for pair in pairs]
+        rows = np.array(row_list, dtype=np.int64)
         lengths = self._hist_len[rows]
         # TimeSeries.append's guard, over the candidate rows at once.
         newest = self._hist_ts[rows, -1]
@@ -741,7 +785,20 @@ class FusedEvaluator:
             raise ValueError(
                 f"out-of-order append: {timestamp} < {offending}"
             )
-        self._reject_future_scores(timestamp)
+        return values, rows, lengths
+
+    def _score_candidates(
+        self, timestamp: float, values, rows, lengths, factors
+    ) -> Tuple[List[float], List[float]]:
+        """Predict and score the sampled candidates, then write their new
+        history points and scores into the columns.
+
+        Every guard has passed by now and nothing here raises.  Returns
+        the predictions and the prediction errors as lists.
+        """
+        detector = self._detector
+        count = len(rows)
+        columns = self._history_columns
         # History: the predictor sees the values *preceding* the current
         # observation.  Rows are right-aligned, so dropping the first
         # column yields exactly previous_values() after the append — the
@@ -763,17 +820,13 @@ class FusedEvaluator:
         else:
             errors = np.maximum(0.0, raw)
         errors = np.where(gate, errors, 0.0)
-        # Decayed-maximum fold for the candidate rows.
-        known = self._score_known[rows]
-        decayed = np.zeros(count, dtype=np.float64)
-        if known.any():
-            known_rows = rows[known]
-            decayed[known] = self._score_value[known_rows] * decay_factors(
-                decay_rate, timestamp - self._score_last[known_rows]
-            )
-        new_scores = np.maximum(decayed, errors)
-        # Every check has passed and nothing below raises.  Append: shift
-        # each row left one, place the fresh point in the last column.
+        # Decayed-maximum fold: a never-scored row holds value 0.0 and
+        # factor 0.0, so its decayed score is the scalar path's 0.0.
+        new_scores = np.maximum(
+            self._score_value[rows] * factors[rows], errors
+        )
+        # Append: shift each row left one, place the fresh point in the
+        # last column.
         self._hist[rows, :-1] = previous
         self._hist[rows, -1] = values
         self._hist_ts[rows, :-1] = self._hist_ts[rows, 1:]
@@ -784,9 +837,7 @@ class FusedEvaluator:
         self._score_last[rows] = timestamp
         self._score_known[rows] = True
         self._score_pending[rows] = True
-        tracker.journal_samples(timestamp, candidates, values_list)
-        fresh_rows = {row: index for index, row in enumerate(rows.tolist())}
-        return fresh_rows, values_list, predicted.tolist(), errors.tolist()
+        return predicted.tolist(), errors.tolist()
 
 
 # ---------------------------------------------------------------------------

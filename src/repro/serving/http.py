@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -89,6 +90,11 @@ class IngestDocument:
         if "timestamp" not in payload:
             raise ValueError("each document needs a numeric 'timestamp'")
         self.timestamp = float(payload["timestamp"])
+        # json.loads accepts NaN, Infinity and 1e999, and float() the string
+        # "inf": none of them is a stream time an engine can order or
+        # catch up to.
+        if not math.isfinite(self.timestamp):
+            raise ValueError("'timestamp' must be a finite number")
         tags = payload.get("tags", ()) or ()
         if isinstance(tags, str):
             raise ValueError("'tags' must be an array of strings")

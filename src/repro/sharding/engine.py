@@ -128,14 +128,17 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._tag_window = TagFrequencyWindow(
             self.config.window_horizon, stripes=window_stripes
         )
-        # The count history is appended one row per boundary but read by
-        # checkpoint/status threads mid-append under the threads backend,
-        # so it gets the same striped treatment as the tag window there.
+        # The count history exists only for a seed criterion that reads
+        # it (as in the single engine's tracker).  It is appended one row
+        # per boundary but read by checkpoint/status threads mid-append
+        # under the threads backend, so it gets the same striped treatment
+        # as the tag window there.
+        self._track_count_history = self.seed_selector.reads_history
         self._count_history = (
             StripedCountHistory(
                 self.config.history_length, stripes=window_stripes
             )
-            if threaded
+            if threaded and self._track_count_history
             else {}
         )
         # Admission runs once, globally, before pairs are partitioned:
@@ -195,7 +198,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         tag_events: List[Tuple[float, Tuple[str, ...]]] = []
         pair_sets: List[tuple] = []
         for timestamp, tags, entities in observations:
-            if latest is not None and timestamp < latest:
+            if latest is not None and not timestamp >= latest:
                 raise ValueError(
                     f"out-of-order document: {timestamp} < {latest}"
                 )
@@ -339,15 +342,21 @@ class ShardedEnBlogue(DetectionEngineBase):
         if tier_state is not None:
             self._tier.restore(tier_state)
         self._tag_window.restore_state(state["tag_window"])
+        # An engine that keeps no count history drops a restored one (a
+        # checkpoint written when every engine recorded it), so its next
+        # snapshot is the one an uninterrupted run would take.
+        count_history = (
+            state["count_history"] if self._track_count_history else {}
+        )
         if isinstance(self._count_history, StripedCountHistory):
-            self._count_history.seed(state["count_history"])
+            self._count_history.seed(count_history)
         else:
             self._count_history = {
                 str(tag): deque(
                     (int(value) for value in values),
                     maxlen=self.config.history_length,
                 )
-                for tag, values in state["count_history"].items()
+                for tag, values in count_history.items()
             }
         self._latest = optional_float(state["latest"])
         self.ranking_builder.restore(state["builder"])
@@ -448,6 +457,18 @@ class ShardedEnBlogue(DetectionEngineBase):
         """Per-shard health from the backend, without a sync point."""
         return self.backend.health()
 
+    def _record_count_row(self) -> None:
+        """Fold the window's current per-tag counts into the count history."""
+        count_row = self._tag_window.snapshot()
+        if self._delta_count_rows is not None:
+            self._delta_count_rows.append(count_row)
+        if isinstance(self._count_history, StripedCountHistory):
+            self._count_history.record_row(count_row)
+        else:
+            record_count_history(
+                self._count_history, count_row, self.config.history_length,
+            )
+
     def _evaluate(self, timestamp: float) -> Ranking:
         # Mirrors EnBlogue._evaluate step for step.  Seeds are selected from
         # the window *before* it advances to the boundary (the single
@@ -463,15 +484,8 @@ class ShardedEnBlogue(DetectionEngineBase):
             span.set(seeds=len(self._current_seeds))
         self._tag_window.advance_to(timestamp)
         self._latest = timestamp
-        count_row = self._tag_window.snapshot()
-        if self._delta_count_rows is not None:
-            self._delta_count_rows.append(count_row)
-        if isinstance(self._count_history, StripedCountHistory):
-            self._count_history.record_row(count_row)
-        else:
-            record_count_history(
-                self._count_history, count_row, self.config.history_length,
-            )
+        if self._track_count_history:
+            self._record_count_row()
         with tracer.span("shard_evaluate") as span:
             topic_lists = self.backend.evaluate(
                 timestamp,

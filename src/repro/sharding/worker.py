@@ -50,9 +50,11 @@ class ShardWorker:
         self.config = config
         # Usage tracking is off: co-tag usage distributions are computed over
         # whole documents, which shards never see — the coordinator rejects
-        # the one measure ("kl") that needs them.
+        # the one measure ("kl") that needs them.  The count history is a
+        # tag-level statistic too, kept (when at all) by the coordinator.
         self.tracker = make_tracker(
-            config, track_usage=False, vectorize=vectorize
+            config, track_usage=False, vectorize=vectorize,
+            track_count_history=False,
         )
         self.detector = make_shift_detector(config)
         self.builder = RankingBuilder(top_k=config.top_k)

@@ -1,10 +1,15 @@
 """Edge-case behaviour of the EnBlogue engine."""
 
+import signal
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.documents import Document
+from repro.sharding import ShardedEnBlogue
 
 HOUR = 3600.0
 
@@ -128,3 +133,100 @@ class TestScoreSemantics:
         engine = EnBlogue(config())
         engine.process(doc(0, ["a", "b"]))
         assert engine.topic_score("never", "seen") == 0.0
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: an ``inf`` timestamp used to park the
+    boundary catch-up loop forever."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def hostile_doc(timestamp, tags):
+    # Not a Document: that refuses a negative timestamp on its own.
+    return SimpleNamespace(timestamp=timestamp, tags=frozenset(tags))
+
+
+def make_engine(kind):
+    if kind == "single":
+        return EnBlogue(config())
+    return ShardedEnBlogue(config(), num_shards=2, backend=kind)
+
+
+class TestNonFiniteTimestamps:
+    """``nan`` cannot be ordered and ``inf`` cannot be caught up to: both
+    are rejected before any state is touched, on every ingestion path."""
+
+    KINDS = ("single", "serial", "threads")
+    HOSTILE = (float("nan"), float("inf"), float("-inf"))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("path", ["process", "process_batch"])
+    @pytest.mark.parametrize("fresh", [True, False])
+    @pytest.mark.parametrize("timestamp", HOSTILE, ids=str)
+    def test_rejected_with_the_engine_unchanged(
+        self, kind, path, fresh, timestamp
+    ):
+        engine = make_engine(kind)
+        try:
+            if not fresh:
+                engine.process_batch(
+                    [doc(t * 600, ["a", "b", "c"]) for t in range(20)]
+                )
+            before = engine.snapshot()
+            hostile = hostile_doc(timestamp, ["a", "b"])
+            with time_limit(5), pytest.raises(ValueError):
+                if path == "process":
+                    engine.process(hostile)
+                else:
+                    engine.process_batch([hostile])
+            assert engine.snapshot() == before
+            # The order check is still armed for what follows.
+            if not fresh:
+                with pytest.raises(ValueError, match="out-of-order"):
+                    engine.process(doc(10, ["a", "b"], doc_id="late"))
+            engine.process_batch([doc(20 * 600, ["a", "b"], doc_id="next")])
+            assert engine.documents_processed == (1 if fresh else 21)
+        finally:
+            if kind != "single":
+                engine.close()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("timestamp", HOSTILE, ids=str)
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_rejected_anywhere_in_a_batch(self, kind, timestamp, position):
+        engine = make_engine(kind)
+        try:
+            engine.process_batch([doc(t, ["a", "b"]) for t in range(5)])
+            before = engine.snapshot()
+            batch = [doc(10 + t, ["a", "c"]) for t in range(6)]
+            index = {"first": 0, "middle": 3, "last": 5}[position]
+            batch[index] = hostile_doc(timestamp, ["a", "c"])
+            with time_limit(5), pytest.raises(ValueError):
+                engine.process_batch(batch)
+            assert engine.snapshot() == before
+        finally:
+            if kind != "single":
+                engine.close()
+
+    def test_tracker_order_checks_reject_nan(self):
+        tracker = EnBlogue(config()).tracker
+        tracker.observe(100.0, ["a", "b"])
+        with pytest.raises(ValueError, match="out-of-order"):
+            tracker.observe(float("nan"), ["a", "b"])
+        with pytest.raises(ValueError, match="out-of-order"):
+            tracker.observe_many([(float("nan"), ["a", "b"], ())])
+        with pytest.raises(ValueError, match="out-of-order"):
+            tracker.observe_pair_events([(float("nan"), ())])
+        with pytest.raises(ValueError, match="backwards"):
+            tracker.advance_to(float("nan"))
+        assert tracker.latest_timestamp == 100.0

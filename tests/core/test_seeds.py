@@ -5,6 +5,7 @@ import pytest
 from repro.core.seeds import (
     HybridSeedSelector,
     PopularitySeedSelector,
+    SeedSelector,
     VolatilitySeedSelector,
     make_seed_selector,
 )
@@ -95,3 +96,11 @@ class TestFactory:
         selector = make_seed_selector("popularity", num_seeds=3)
         window = window_with({f"t{i}": 10 - i for i in range(8)})
         assert len(selector.select(window)) == 3
+
+    def test_only_popularity_ignores_the_count_history(self):
+        # The engines record the per-tag count history for a selector that
+        # reads it; a custom selector is assumed to, unless it says not.
+        assert SeedSelector.reads_history
+        assert not make_seed_selector("popularity").reads_history
+        assert make_seed_selector("volatility").reads_history
+        assert make_seed_selector("hybrid").reads_history

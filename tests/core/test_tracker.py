@@ -340,6 +340,31 @@ class TestCountHistoryBound:
         assert history["s"] == [1, 0]
         assert history["x"] == [1, 0]
 
+    def test_tracker_told_not_to_keeps_no_count_history(self):
+        recording = CorrelationTracker(window_horizon=100.0,
+                                       min_pair_support=1)
+        silent = CorrelationTracker(window_horizon=100.0, min_pair_support=1,
+                                    track_count_history=False)
+        for tracker in (recording, silent):
+            tracker.observe(1.0, ["s", "x"])
+            tracker.begin_delta_tracking()
+            tracker.evaluate(2.0, ["s"])
+            tracker.advance_to(3.0)
+            tracker.record_count_history_row()
+        assert recording.count_history() == {"s": [1, 1], "x": [1, 1]}
+        assert silent.count_history() == {} == silent.count_history_map
+        assert silent.snapshot()["count_history"] == {}
+        assert silent.delta_since(1)["count_rows"] == []
+        assert len(recording.delta_since(1)["count_rows"]) == 2
+        # Not a structural parameter: a state that carries a history
+        # restores, and the history is dropped rather than kept stale.
+        silent.restore(recording.snapshot())
+        assert silent.count_history() == {}
+        assert silent.history(TagPair("s", "x")).values \
+            == recording.history(TagPair("s", "x")).values
+        recording.restore(silent.snapshot())
+        assert recording.count_history() == {}
+
     def test_count_history_returns_plain_lists(self):
         # Consumers (seed selectors, JSON snapshots) slice and serialise
         # the series; the public copy stays a list whatever the internal
@@ -350,6 +375,37 @@ class TestCountHistoryBound:
         tracker.evaluate(2.0, ["s"])
         assert all(type(series) is list
                    for series in tracker.count_history().values())
+
+
+class TestDecomposerMissPath:
+    def test_pairs_are_the_validated_constructors_pairs(self):
+        # The miss path builds its pairs without TagPair's re-validation;
+        # what it builds must be what the constructor would have built.
+        from repro.core.tracker import DocumentDecomposer
+        from repro.core.types import TagPair
+
+        decomposer = DocumentDecomposer()
+        cases = [
+            (frozenset(), frozenset()),
+            (frozenset({"solo"}), frozenset()),
+            (frozenset({" B", "a ", "A", ""}), frozenset({"c", "b"})),
+            (["z", "y", "z", "x"], ("w",)),  # not frozensets: never memoised
+            (frozenset({"é", "e", "E", "10", "9"}), frozenset()),
+        ]
+        for tags, entities in cases:
+            ordered, pairs = decomposer.decompose(tags, entities)
+            assert list(ordered) == sorted(set(ordered))
+            assert "" not in ordered
+            expected = tuple(
+                TagPair(ordered[i], ordered[j])
+                for i in range(len(ordered))
+                for j in range(i + 1, len(ordered))
+            )
+            assert pairs == expected
+            assert all(type(pair) is TagPair for pair in pairs)
+            assert [(pair.first, pair.second) for pair in pairs] == [
+                tuple(pair) for pair in expected
+            ]
 
 
 class TestDecomposerEviction:

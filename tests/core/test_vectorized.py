@@ -5,12 +5,18 @@ The bit-identity of the kernels themselves is property-tested in
 dispatch contract — auto-detection, the ``REPRO_DISABLE_VECTORIZED``
 environment switch, kernel-less measures falling back to scalar — and
 the error paths (batched validation raising the scalar pair-named
-message, stale timestamps rejected).
+message, stale timestamps rejected) — plus the structure that keeps an
+evaluation's cost fixed: no ``np.unique`` in the recurrence kernels or
+the decay pass, and one decay pass per evaluation.
 """
+
+import math
 
 import pytest
 
 np = pytest.importorskip("numpy")
+
+from repro.core import vectorized
 
 from repro.core.config import EnBlogueConfig
 from repro.core.correlation import (
@@ -28,12 +34,16 @@ from repro.core.vectorized import (
     NUMPY_AVAILABLE,
     VECTORIZED_PREDICTOR_NAMES,
     config_vectorizes,
+    decay_factors,
     make_fused_evaluator,
     measure_candidates,
     measure_supported,
+    predict_batch,
     sampling_supported,
     validate_pair_counts,
 )
+
+from repro.timeseries.predictors import EwmaPredictor, HoltPredictor
 
 pytestmark = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="vectorized path requires numpy"
@@ -225,3 +235,64 @@ class TestStaleEvaluationRejected:
         after = engine.snapshot()
         assert after["tracker"]["histories"] == before["tracker"]["histories"]
         assert after["detector"] == before["detector"]
+
+
+class TestFixedCostPerEvaluation:
+    """The evaluation's cost is a fixed handful of array passes: the
+    recurrence kernels and the decay pass group nothing by value."""
+
+    @staticmethod
+    def forbid_unique(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(vectorized.np, "unique", forbidden)
+
+    @pytest.mark.parametrize("predictor", [EwmaPredictor(), HoltPredictor()])
+    def test_recurrence_kernels_do_not_group_by_length(
+        self, monkeypatch, predictor
+    ):
+        rows = [[0.5, 0.25], [0.1, 0.2, 0.4, 0.8], [0.3, 0.3, 0.9]]
+        previous = np.zeros((3, 5))
+        for index, row in enumerate(rows):
+            previous[index, 5 - len(row):] = row
+        usable = np.array([len(row) for row in rows], dtype=np.int64)
+        self.forbid_unique(monkeypatch)
+        forecasts = predict_batch(predictor, previous, usable)
+        assert forecasts.tolist() == [predictor.predict(row) for row in rows]
+
+    def test_decay_factors_equal_math_exp_elementwise(self, monkeypatch):
+        rate = math.log(2) / (24 * HOUR)
+        elapsed = [0.0, HOUR, HOUR, 0.0, 7 * HOUR, 1e12, 1e300, HOUR, 0.5]
+        self.forbid_unique(monkeypatch)
+        factors = decay_factors(rate, np.array(elapsed))
+        assert factors.dtype == np.float64
+        assert factors.tolist() == [math.exp(-rate * e) for e in elapsed]
+        assert factors[0] == 1.0 and factors[6] == 0.0
+        assert decay_factors(rate, np.array([])).tolist() == []
+
+    def test_one_decay_pass_per_evaluation(self, monkeypatch):
+        from repro.datasets.documents import Document
+
+        calls = []
+        original = vectorized.decay_factors
+
+        def spy(decay_rate, elapsed):
+            calls.append(len(elapsed))
+            return original(decay_rate, elapsed)
+
+        monkeypatch.setattr(vectorized, "decay_factors", spy)
+        engine = EnBlogue(config(predictor="ewma"), vectorize=True)
+        rankings = 0
+        for t in range(12):
+            # The pair changes half-way: the later evaluations score fresh
+            # candidates *and* decay dormant ones.
+            tags = {"a", "b", "c"} if t < 6 else {"c", "d"}
+            produced = engine.process(Document(
+                timestamp=t * HOUR, doc_id=f"d{t}", tags=frozenset(tags),
+            ))
+            rankings += produced is not None
+        assert rankings == 11
+        assert len(calls) == rankings
+        # An evaluation with nothing known yet still makes its one call.
+        assert calls[0] == 0 and max(calls) > 0

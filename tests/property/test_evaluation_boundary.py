@@ -6,20 +6,34 @@ implementations they replaced.  Those — the full sort over every live tag
 and the two-loop row rule — live on here, and only here, as the oracles.
 
 Also pinned: an evaluation reads the tracker's live count history (no
-per-evaluation copy) and a selector never modifies what it is handed.
+per-evaluation copy), a selector never modifies what it is handed, and
+the history exists only for a criterion that reads it — under
+``popularity`` every engine variant keeps, snapshots and journals none
+(and drops one it is handed by an older checkpoint), under ``volatility``
+and ``hybrid`` every variant keeps exactly the scalar single engine's.
+
+The engine-variant matrix runs on the no-numpy CI leg too, where it pins
+the scalar store; its fused-evaluator cases skip themselves there.
 """
 
+import json
 import math
+import random
+import tempfile
 from collections import deque
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.core.seeds import make_seed_selector
 from repro.core.tracker import CorrelationTracker
+from repro.core.vectorized import NUMPY_AVAILABLE
 from repro.datasets.documents import Document
+from repro.persistence import load_engine, read_checkpoint
 from repro.persistence.delta import _replay_count_rows
+from repro.sharding import ShardedEnBlogue
 from repro.windows.aggregates import TagFrequencyWindow
 from repro.windows.striped import StripedCountHistory, record_count_history
 
@@ -270,7 +284,10 @@ def test_process_batch_never_copies_the_count_history(monkeypatch):
         for start in range(0, len(documents), 16):
             rankings.extend(engine.process_batch(documents[start:start + 16]))
         assert len(rankings) == 7
-        assert engine.tracker.count_history_map
+        # Only a criterion that reads the history has one to copy.
+        assert bool(engine.tracker.count_history_map) == (
+            criterion != "popularity"
+        )
     assert calls == []
 
 
@@ -289,3 +306,196 @@ def test_selector_is_handed_the_live_history_itself(monkeypatch):
         assert len(handed) == 7
         assert all(history is engine.tracker.count_history_map
                    for history in handed)
+
+
+# -- the history exists only for a criterion that reads it ---------------------
+
+needs_evaluator = pytest.mark.skipif(
+    not NUMPY_AVAILABLE, reason="needs the fused evaluator (numpy)"
+)
+
+#: ``(engine kind, vectorize)``: single, sharded serial and sharded threads,
+#: each on the fused evaluator (the default) and on the scalar store.
+VARIANTS = [
+    pytest.param(kind, vectorize, marks=marks, id=f"{kind}-{label}")
+    for kind in ("single", "serial", "threads")
+    for vectorize, label, marks in (
+        (None, "fused", needs_evaluator), (False, "scalar", ()),
+    )
+]
+
+READING_CRITERIA = ("volatility", "hybrid")
+
+
+def make_engine(kind, vectorize, criterion):
+    cfg = boundary_config(criterion)
+    if kind == "single":
+        return EnBlogue(cfg, vectorize=vectorize)
+    return ShardedEnBlogue(
+        cfg, num_shards=2, backend=kind, chunk_size=7, vectorize=vectorize,
+    )
+
+
+def close(engine):
+    if isinstance(engine, ShardedEnBlogue):
+        engine.close()
+
+
+#: The last documents of a stream, fed after the journaled part; enough to
+#: cross an evaluation boundary.
+TAIL = 30
+
+
+def churning_documents():
+    """Tags that appear, fade out of the window and come back."""
+    rng = random.Random(5)
+    tags = [f"tag{index}" for index in range(9)]
+    documents = []
+    for index in range(3 * 84 + TAIL):
+        era = tags[(index // 40) % 3 * 3:][:5]
+        documents.append(Document(
+            timestamp=float(index), doc_id=f"doc-{index}",
+            tags=frozenset(rng.sample(era, rng.randint(1, 3))),
+        ))
+    return documents
+
+
+def signature(engine):
+    return [
+        (ranking.timestamp, ranking.label, ranking.topics)
+        for ranking in engine.ranking_history()
+    ]
+
+
+def count_history_of(state):
+    """The count history inside an engine snapshot, wherever it lives."""
+    if state["kind"] == EnBlogue.SNAPSHOT_KIND:
+        return state["tracker"]["count_history"]
+    return state["count_history"]
+
+
+def count_rows_of(delta):
+    if delta["kind"] == "enblogue-delta":
+        return delta["tracker"]["count_rows"]
+    return delta["count_rows"]
+
+
+def feed(engine, documents):
+    for start in range(0, len(documents), 16):
+        engine.process_batch(documents[start:start + 16])
+
+
+def run_with_journal(engine, documents, directory):
+    """All but the tail: a base checkpoint a third of the way in, then a
+    journal tick per third.  Returns the count history of the chain
+    (base + journal, folded) after each tick."""
+    third = (len(documents) - TAIL) // 3
+    feed(engine, documents[:third])
+    engine.save_checkpoint(directory, track_deltas=True)
+    folded = []
+    for start in (third, 2 * third):
+        feed(engine, documents[start:start + third])
+        engine.save_delta_checkpoint(directory)
+        folded.append(count_history_of(read_checkpoint(directory)[1]))
+    return folded
+
+
+@pytest.mark.parametrize("kind, vectorize", VARIANTS)
+def test_popularity_engines_keep_no_count_history(kind, vectorize):
+    documents = churning_documents()
+    engine = make_engine(kind, vectorize, "popularity")
+    reference = EnBlogue(boundary_config("popularity"), vectorize=False)
+    try:
+        assert not engine.seed_selector.reads_history
+        with tempfile.TemporaryDirectory() as directory:
+            folded = run_with_journal(engine, documents, directory)
+            assert folded == [{}, {}]
+            assert count_history_of(engine.snapshot()) == {}
+            if kind == "single":
+                assert engine.tracker.count_history_map == {}
+                assert engine.tracker.count_history() == {}
+            # The journal carries no rows either.
+            feed(engine, documents[-TAIL:])
+            assert count_rows_of(engine.delta_since(99)) == []
+            # Base + journal replays to the live state, and resumes.
+            engine.save_checkpoint(directory, track_deltas=True)
+            resumed, _ = load_engine(directory)
+            try:
+                assert resumed.snapshot() == engine.snapshot()
+            finally:
+                close(resumed)
+        feed(reference, documents)
+        assert signature(engine) == signature(reference)
+    finally:
+        close(engine)
+
+
+@pytest.mark.parametrize("kind, vectorize", VARIANTS)
+def test_restoring_a_history_into_a_popularity_engine_drops_it(
+    kind, vectorize
+):
+    """A checkpoint from before the history became conditional carries one
+    under every criterion: it restores, and the next snapshot is canonical.
+    """
+    documents = churning_documents()
+    half = len(documents) // 2
+    uninterrupted = make_engine(kind, vectorize, "popularity")
+    resumed = make_engine(kind, vectorize, "popularity")
+    # What the older code kept: the volatility engine's history at the
+    # same stream position (the row rule never depended on the criterion).
+    recorder = EnBlogue(boundary_config("volatility"), vectorize=False)
+    try:
+        feed(uninterrupted, documents[:half])
+        feed(recorder, documents[:half])
+        history = recorder.snapshot()["tracker"]["count_history"]
+        assert history
+        old_format = json.loads(json.dumps(uninterrupted.snapshot()))
+        if kind == "single":
+            old_format["tracker"]["count_history"] = history
+        else:
+            old_format["count_history"] = history
+        resumed.restore(old_format)
+        assert resumed.snapshot() == uninterrupted.snapshot()
+        feed(uninterrupted, documents[half:])
+        feed(resumed, documents[half:])
+        assert signature(resumed) == signature(uninterrupted)
+        assert resumed.snapshot() == uninterrupted.snapshot()
+        assert count_history_of(resumed.snapshot()) == {}
+    finally:
+        close(uninterrupted)
+        close(resumed)
+
+
+@pytest.mark.parametrize("criterion", READING_CRITERIA)
+@pytest.mark.parametrize("kind, vectorize", VARIANTS)
+def test_history_reading_engines_keep_the_scalar_engines_history(
+    kind, vectorize, criterion
+):
+    documents = churning_documents()
+    engine = make_engine(kind, vectorize, criterion)
+    reference = EnBlogue(boundary_config(criterion), vectorize=False)
+    try:
+        assert engine.seed_selector.reads_history
+        with tempfile.TemporaryDirectory() as left, \
+                tempfile.TemporaryDirectory() as right:
+            folded = run_with_journal(engine, documents, left)
+            expected = run_with_journal(reference, documents, right)
+            # Journal replay, tick by tick.
+            assert folded == expected
+            assert all(folded)
+            feed(engine, documents[-TAIL:])
+            feed(reference, documents[-TAIL:])
+            rows = count_rows_of(engine.delta_since(99))
+            assert rows == count_rows_of(reference.delta_since(99))
+            assert rows
+        live = count_history_of(engine.snapshot())
+        assert live == reference.tracker.count_history()
+        if kind != "threads":
+            # First-appearance key order too; the threads coordinator's
+            # striped history lists its series stripe by stripe.
+            assert list(live) == list(reference.tracker.count_history())
+        assert signature(engine) == signature(reference)
+        if kind == "single":
+            assert engine.snapshot() == reference.snapshot()
+    finally:
+        close(engine)

@@ -9,7 +9,9 @@ On randomized streams the two paths must agree *exactly*:
 - whole-engine rankings (sampling + shift scoring + top-k) are equal
   across every vectorizable measure × predictor combination;
 - the threads shard backend matches the serial backend for shard counts
-  1, 2 and 4, including through a mid-stream checkpoint → restore.
+  1, 2 and 4, including through a mid-stream checkpoint → restore;
+- ``predict_batch`` returns the scalar predictor's forecast for every row
+  of a right-aligned history matrix, wherever each row starts.
 
 Equality is dataclass equality on floats — no tolerances anywhere.
 """
@@ -27,9 +29,10 @@ from repro.core.correlation import (
 )
 from repro.core.engine import EnBlogue
 from repro.core.tracker import CorrelationTracker
-from repro.core.vectorized import NUMPY_AVAILABLE
+from repro.core.vectorized import NUMPY_AVAILABLE, np, predict_batch
 from repro.datasets.documents import Document
 from repro.sharding import ShardedEnBlogue
+from repro.timeseries.predictors import EwmaPredictor, make_predictor
 from repro.windows.aggregates import TagFrequencyWindow
 
 pytestmark = pytest.mark.skipif(
@@ -209,3 +212,87 @@ def test_threads_backend_checkpoint_restore_mid_stream(
         second.restore(state)
         second.process_many(docs[cut:])
         assert second.evaluate_now() == expected
+
+
+# -- predictor kernels: one pass, whatever the history lengths -------------------
+
+PREDICTORS = {
+    "last": lambda: make_predictor("last"),
+    "moving_average": lambda: make_predictor("moving_average", window=3),
+    "ewma": lambda: make_predictor("ewma"),
+    "ewma_alpha_1": lambda: EwmaPredictor(alpha=1.0),
+    "linear": lambda: make_predictor("linear"),
+    "holt": lambda: make_predictor("holt"),
+}
+
+history_values = st.floats(
+    min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def history_matrices(draw):
+    """``(columns, rows)``: each row its own history, 1..columns values."""
+    columns = draw(st.integers(min_value=1, max_value=9))
+    shape = draw(st.sampled_from(
+        ["every_start", "all_equal", "single_row", "mixed"]
+    ))
+    if shape == "every_start":
+        # One row starting at every column, shuffled.
+        lengths = draw(st.permutations(range(1, columns + 1)))
+    elif shape == "all_equal":
+        lengths = [draw(st.integers(1, columns))] * draw(st.integers(1, 6))
+    elif shape == "single_row":
+        lengths = [draw(st.integers(1, columns))]
+    else:
+        lengths = draw(st.lists(st.integers(1, columns), min_size=1,
+                                max_size=8))
+    rows = [
+        draw(st.lists(history_values, min_size=length, max_size=length))
+        for length in lengths
+    ]
+    return columns, rows
+
+
+def right_aligned(columns, rows, padding):
+    matrix = np.full((len(rows), columns), padding, dtype=np.float64)
+    for index, row in enumerate(rows):
+        matrix[index, columns - len(row):] = row
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PREDICTORS)),
+    matrix=history_matrices(),
+    padding=st.sampled_from([0.0, 0.75, -3.5]),
+)
+def test_predict_batch_equals_the_scalar_predictor(name, matrix, padding):
+    predictor = PREDICTORS[name]()
+    columns, rows = matrix
+    # Gating is the caller's job: keep the rows the predictor can take —
+    # which leaves lengths exactly at min_history in play.
+    rows = [row for row in rows if len(row) >= predictor.min_history]
+    if not rows:
+        return
+    usable = np.array([len(row) for row in rows], dtype=np.int64)
+    # Whatever sits left of a row's own values must not leak into it.
+    previous = right_aligned(columns, rows, padding)
+    forecasts = predict_batch(predictor, previous, usable)
+    assert forecasts.tolist() == [predictor.predict(row) for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTORS))
+def test_predict_batch_at_min_history_and_full_length(name):
+    predictor = PREDICTORS[name]()
+    columns = 7
+    rows = [
+        [0.25 + 0.125 * step for step in range(length)]
+        for length in (predictor.min_history, columns, predictor.min_history,
+                       predictor.min_history + 1)
+    ]
+    usable = np.array([len(row) for row in rows], dtype=np.int64)
+    forecasts = predict_batch(
+        predictor, right_aligned(columns, rows, 0.0), usable
+    )
+    assert forecasts.tolist() == [predictor.predict(row) for row in rows]

@@ -123,6 +123,10 @@ async def read_sse_frames(port, count, collected):
             pass
 
 
+#: The spellings of a non-finite timestamp a POST body can carry.
+NON_FINITE_SPELLINGS = [b"NaN", b"Infinity", b"1e999", b'"inf"']
+
+
 class TestParsing:
     def test_parse_ingest_accepts_array_and_wrapped_forms(self):
         raw = json.dumps([{"timestamp": 1.0, "tags": ["a", "b"]}])
@@ -145,6 +149,13 @@ class TestParsing:
     ])
     def test_parse_ingest_rejects_malformed_bodies(self, body):
         with pytest.raises(ValueError):
+            parse_ingest_body(body)
+
+    @pytest.mark.parametrize("spelling", NON_FINITE_SPELLINGS)
+    def test_parse_ingest_rejects_non_finite_timestamps(self, spelling):
+        # json.loads takes every one of these; none is a stream time.
+        body = b'[{"timestamp": %s, "tags": ["a", "b"]}]' % spelling
+        with pytest.raises(ValueError, match="finite"):
             parse_ingest_body(body)
 
     def test_ingest_document_shape_feeds_process_batch(self):
@@ -307,6 +318,62 @@ class TestEndpoints:
         assert results["out_of_order"][0] == 400
         assert "out-of-order" in results["out_of_order"][1]["error"]
         assert results["closed"][0] == 503
+
+    def test_non_finite_timestamps_are_a_400_and_leave_the_engine_alone(
+        self, docs
+    ):
+        # One such document used to park the engine executor forever
+        # (inf: the boundary catch-up never catches up) or switch the
+        # order check off (nan).
+        async def post_raw(port, payload):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload)
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            return int(head.split(b" ", 2)[1]), json.loads(body)
+
+        async def scenario():
+            engine = EnBlogue(config())
+            service = DetectionService(engine)
+            await service.start()
+            server = RankingServer(service, port=0)
+            await server.start()
+            try:
+                await http_request(
+                    server.port, "POST", "/ingest",
+                    [doc_payload(d) for d in docs[:10]],
+                )
+                await service.drain()
+                before = engine.snapshot()
+                results = [
+                    await post_raw(
+                        server.port,
+                        b'[{"timestamp": %s, "tags": ["a", "b"]}]' % spelling,
+                    )
+                    for spelling in NON_FINITE_SPELLINGS
+                ]
+                await service.drain()
+                assert engine.snapshot() == before
+                # The engine still takes the stream where it left off.
+                status, _ = await http_request(
+                    server.port, "POST", "/ingest",
+                    [doc_payload(d) for d in docs[10:20]],
+                )
+                await asyncio.wait_for(service.drain(), timeout=10.0)
+                return results, status, engine.documents_processed
+            finally:
+                await server.stop()
+                await service.stop()
+
+        results, status, processed = asyncio.run(scenario())
+        assert [code for code, _ in results] == [400] * 4
+        assert all("finite" in body["error"] for _, body in results)
+        assert (status, processed) == (202, 20)
 
     def test_keep_alive_serves_sequential_requests(self, docs):
         async def scenario():
