@@ -531,6 +531,11 @@ class DetectionEngineBase:
         chain.newest_generation = generation
         return Path(directory)
 
+    @property
+    def delta_chain_armed(self) -> bool:
+        """Whether :meth:`save_delta_checkpoint` has a chain to extend."""
+        return self._delta_chain is not None
+
     def _begin_delta_tracking(self) -> None:
         """Arm delta recording in every stateful component (hook)."""
         self._delta_rankings = []

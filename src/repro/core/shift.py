@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.tracker import PairObservation
 from repro.core.types import TagPair
-from repro.persistence.codec import string_interner
+from repro.persistence.codec import intern_rows
 from repro.persistence.snapshot import require_compatible, require_state
 from repro.timeseries.predictors import MovingAveragePredictor, Predictor
 from repro.windows.decay import DecayedMaximum, ExponentialDecay
@@ -272,38 +272,31 @@ class ShiftDetector:
     def delta_since(self, generation: int) -> dict:
         """The decayed maxima updated since the last base/drain.
 
-        Replace semantics: each row carries the pair's *absolute*
-        ``(value, last_update)`` state, so
-        :func:`repro.persistence.delta.apply_detector_delta` merges rows
-        into the base table without replaying updates.  Encoded lean for
-        the cadence hot path — tag names interned into a per-delta
-        ``tags`` table, rows grouped under their shared ``last_update``
-        timestamp (each dirty pair appears exactly once, under its final
-        one).  Requires :meth:`begin_delta_tracking`; recording stays
-        armed afterwards.
+        Replace semantics: the dirty pairs (``pairs``, each exactly once,
+        in canonical order, as positions into the ``tags`` string table)
+        with their *absolute* state in two parallel columns (``values``,
+        ``last_updates``), so
+        :func:`repro.persistence.delta.apply_detector_delta` merges them
+        into the base table without replaying updates.  Requires
+        :meth:`begin_delta_tracking`; recording stays armed afterwards.
         """
         if self._dirty is None:
             raise RuntimeError(
                 "delta tracking is not active: take a base snapshot and "
                 "call begin_delta_tracking() first"
             )
-        intern, tags_table = string_interner()
         scores = self._synced_scores()
-        groups: Dict[float, List[list]] = {}
-        for pair in sorted(self._dirty):
-            value, last_update = scores[pair].state()
-            groups.setdefault(last_update, []).append(
-                [intern(pair.first), intern(pair.second), value]
-            )
+        dirty = sorted(self._dirty)
+        states = [scores[pair].state() for pair in dirty]
+        tags, pairs = intern_rows(dirty)
         delta = {
             "kind": "shift-detector-delta",
-            "version": 1,
+            "version": 2,
             "since": int(generation),
-            "tags": tags_table,
-            "scores": [
-                [last_update, rows]
-                for last_update, rows in sorted(groups.items())
-            ],
+            "tags": tags,
+            "pairs": pairs,
+            "values": [value for value, _ in states],
+            "last_updates": [last_update for _, last_update in states],
         }
         self._dirty = set()
         return delta

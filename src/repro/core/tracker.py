@@ -28,7 +28,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
 )
@@ -37,7 +38,7 @@ from repro.core import vectorized as _vectorized
 from repro.core.candidates import CandidateIndex
 from repro.core.correlation import CorrelationMeasure, JaccardCorrelation, PairCounts
 from repro.core.types import TagPair, normalize_tag
-from repro.persistence.codec import string_interner
+from repro.persistence.codec import index_table, intern_rows
 from repro.persistence.snapshot import (
     SnapshotMismatchError, require_compatible, require_state,
 )
@@ -153,8 +154,8 @@ class _TrackerDelta:
     ingestion; ``samples`` holds one ``(timestamp, pairs, values)``
     record per evaluation — the sampled pairs and their correlations as
     two parallel lists — so recording an evaluation costs one list append
-    and two live containers however many pairs it sampled, and the drain
-    regroups the points per pair.
+    and two live containers however many pairs it sampled.  The drain
+    writes both logs out as they stand.
     """
 
     events: List[Tuple[int, float, tuple]] = field(default_factory=list)
@@ -564,7 +565,8 @@ class CorrelationTracker:
             ))
         if self._delta is not None:
             self.journal_samples(
-                timestamp, candidates,
+                timestamp,
+                [observation.pair for observation in observations],
                 [float(observation.correlation)
                  for observation in observations],
             )
@@ -633,26 +635,21 @@ class CorrelationTracker:
                 pair=pair, timestamp=timestamp, correlation=value,
                 counts=counts, seed_tag=seed_tag,
             ))
-        self.journal_samples(timestamp, candidates, values)
+        self.journal_samples(timestamp, [c[0] for c in candidates], values)
         return observations
 
     def journal_samples(
-        self,
-        timestamp: float,
-        candidates: List[Tuple[TagPair, str, int]],
-        values: List[float],
+        self, timestamp: float, pairs: List[TagPair], values: List[float]
     ) -> None:
         """Note one evaluation's sampled correlations in the armed journal.
 
         ``values[i]`` is the correlation appended to the history of
-        ``candidates[i]``'s pair at ``timestamp``; the list is kept by
-        reference until the next :meth:`delta_since`.  A no-op while delta
-        recording is inactive.
+        ``pairs[i]`` at ``timestamp``; both lists are kept by reference
+        until the next :meth:`delta_since`.  A no-op while delta recording
+        is inactive, and for an evaluation that sampled nothing.
         """
-        if self._delta is not None:
-            self._delta.samples.append((
-                float(timestamp), [pair for pair, _, _ in candidates], values,
-            ))
+        if self._delta is not None and pairs:
+            self._delta.samples.append((float(timestamp), pairs, values))
 
     def history(self, pair: TagPair) -> TimeSeries:
         """Correlation history of ``pair`` (empty series when never observed)."""
@@ -832,16 +829,19 @@ class CorrelationTracker:
     def delta_since(self, generation: int) -> dict:
         """Drain the recorded changes since the last base/drain as a dict.
 
-        The companion of :meth:`snapshot` for journaled checkpoints: the
-        result carries only what arrived since the last drain — the
-        ingested events (a document event ships just the ordered tag set;
-        its pair list and tag-window entry are derived on apply), the
-        usage events, the points appended to each sampled pair's
-        correlation series (the exact tail, extended-and-retrimmed on
-        apply), the per-evaluation count-history rows, and the absolute
-        counters — and
-        :func:`repro.persistence.delta.apply_tracker_delta` folds it onto
-        the base snapshot to reproduce :meth:`snapshot` exactly.  Requires
+        The companion of :meth:`snapshot` for journaled checkpoints, and a
+        transcript of the buffers rather than a walk over the state.  The
+        distinct ordered tag sets of the documents (``tag_sets``) and the
+        distinct pairs of the pair events and samples (``pairs``) are
+        written once, as positions into one string table (``tags``); a
+        document event is ``[kind, timestamp, tag_set_position]``, a pair
+        event lists pair positions, and ``samples`` holds one
+        ``[timestamp, pair_positions, values]`` record per evaluation as
+        :meth:`journal_samples` buffered it — every pass runs in C.
+        What is left out (a document's pair list and window entry, the
+        rings' trim to ``maxlen``) is derived by
+        :func:`repro.persistence.delta.apply_tracker_delta`, whose fold
+        onto the base reproduces :meth:`snapshot` exactly.  Requires
         :meth:`begin_delta_tracking`; recording stays armed afterwards.
         """
         buffer = self._delta
@@ -850,60 +850,42 @@ class CorrelationTracker:
                 "delta tracking is not active: take a base snapshot and "
                 "call begin_delta_tracking() first"
             )
-        # A cadence tick's cost is dominated by serializing this dict, so
-        # the encoding is deliberately lean: tag names are interned into
-        # one string table per delta ("tags", referenced by index
-        # everywhere else) and history points are grouped under their
-        # evaluation timestamp instead of repeating floats per pair.
-        intern, tags_table = string_interner()
-        events = [
-            [kind, timestamp,
-             [intern(tag) for tag in payload] if kind == _DELTA_DOC
-             else [[intern(pair.first), intern(pair.second)]
-                   for pair in payload]]
-            for kind, timestamp, payload in buffer.events
-        ]
-        # Regroup the per-evaluation sample records per pair — one flat
-        # [timestamp, value, timestamp, value, ...] list each, so the
-        # regrouping leaves one container per pair for the collector —
-        # then per evaluation timestamp in canonical pair order.  A pair
-        # sampled more often than its ring holds ships only the tail that
-        # survived.
-        appended: Dict[TagPair, List[float]] = {}
-        for timestamp, pairs, values in buffer.samples:
-            for pair, value in zip(pairs, values):
-                points = appended.get(pair)
-                if points is None:
-                    appended[pair] = [timestamp, value]
-                else:
-                    points.append(timestamp)
-                    points.append(value)
-        history_groups: Dict[float, List[list]] = {}
-        for pair in sorted(appended):
-            first = intern(pair.first)
-            second = intern(pair.second)
-            points = appended[pair][-2 * self.history_length:]
-            for timestamp, value in zip(points[::2], points[1::2]):
-                history_groups.setdefault(timestamp, []).append(
-                    [first, second, value]
-                )
+        events, samples = buffer.events, buffer.samples
+        tag_set_at, tag_sets = index_table(
+            payload for kind, _, payload in events if kind == _DELTA_DOC
+        )
+        pair_at, pairs = index_table(chain(
+            chain.from_iterable(
+                payload for kind, _, payload in events if kind == _DELTA_PAIRS
+            ),
+            chain.from_iterable(map(itemgetter(1), samples)),
+        ))
+        pair_position = pair_at.__getitem__
+        tags, tag_sets, pairs = intern_rows(tag_sets, pairs)
         delta = {
             "kind": "correlation-tracker-delta",
-            "version": 1,
+            "version": 2,
             "since": int(generation),
             "documents_seen": self._documents_seen,
             "latest": self._latest,
             "min_support": self._candidates.min_support,
             "tag_window_latest": self._tag_window.latest_timestamp,
-            "tags": tags_table,
-            "events": events,
+            "tags": tags,
+            "tag_sets": tag_sets,
+            "pairs": pairs,
+            "events": [
+                [kind, timestamp,
+                 tag_set_at[payload] if kind == _DELTA_DOC
+                 else list(map(pair_position, payload))]
+                for kind, timestamp, payload in events
+            ],
             "usage_events": [
                 [timestamp, [[tag, list(cotags)] for tag, cotags in update]]
                 for timestamp, update in buffer.usage_events
             ],
-            "histories": [
-                [timestamp, rows]
-                for timestamp, rows in sorted(history_groups.items())
+            "samples": [
+                [timestamp, list(map(pair_position, sampled)), values]
+                for timestamp, sampled, values in samples
             ],
             "count_rows": buffer.count_rows,
         }

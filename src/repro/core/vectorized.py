@@ -671,12 +671,12 @@ class FusedEvaluator:
         predicted_list: List[float] = []
         errors_list: List[float] = []
         if sampled is not None:
-            values, scored, lengths = sampled
+            pairs, values, scored, lengths = sampled
             values_list = values.tolist()
             predicted_list, errors_list = self._score_candidates(
                 timestamp, values, scored, lengths, factors
             )
-            tracker.journal_samples(timestamp, candidates, values_list)
+            tracker.journal_samples(timestamp, pairs, values_list)
             fresh_rows = {
                 row: index for index, row in enumerate(scored.tolist())
             }
@@ -742,8 +742,8 @@ class FusedEvaluator:
     ):
         """Measure the candidate set in batch and intern its rows.
 
-        Returns ``(values, rows, lengths)``; writes no column (interning a
-        new pair only reserves its row).
+        Returns ``(pairs, values, rows, lengths)``; writes no column
+        (interning a new pair only reserves its row).
         """
         count = len(candidates)
         # The triples' columns, split by C-level maps.  (Not zip(*...):
@@ -785,7 +785,7 @@ class FusedEvaluator:
             raise ValueError(
                 f"out-of-order append: {timestamp} < {offending}"
             )
-        return values, rows, lengths
+        return pairs, values, rows, lengths
 
     def _score_candidates(
         self, timestamp: float, values, rows, lengths, factors

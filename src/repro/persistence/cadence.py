@@ -17,6 +17,7 @@ the engine executor so the event loop never blocks on an fsync).
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Mapping, Optional
 
 
@@ -89,17 +90,22 @@ class CheckpointCadence:
         then boundary-consistent and the written checkpoint resumable.
         Returns whether a checkpoint was written.
         """
+        due = self.due(1)
         self.rankings_seen += 1
-        if not (self.directory is not None and self.every):
-            return False
-        if self.rankings_seen % self.every != 0:
-            return False
-        self._write_tick()
-        return True
+        if due:
+            self._write_tick()
+        return due
 
     def note_rankings(self, count: int) -> int:
         """Count ``count`` rankings at once; returns checkpoints written."""
         return sum(self.note_ranking() for _ in range(count))
+
+    def due(self, count: int) -> bool:
+        """Whether counting ``count`` more rankings writes a checkpoint."""
+        return bool(
+            self.directory is not None and self.every
+            and self.rankings_seen % self.every + count >= self.every
+        )
 
     def finalize(self) -> bool:
         """The bare ``--checkpoint-dir`` save: end state, no cadence.
@@ -136,11 +142,7 @@ class CheckpointCadence:
         """An ``after_ranking`` harness hook, or None when no cadence."""
         if not self.every:
             return None
-
-        def after_ranking(ranking) -> None:
-            self.note_ranking()
-
-        return after_ranking
+        return lambda ranking: self.note_ranking()
 
     # -- internals -------------------------------------------------------------
 
@@ -157,19 +159,23 @@ class CheckpointCadence:
         return extras
 
     def _write_tick(self) -> None:
+        # A delta cadence appends — except that every ``full_every``-th
+        # write, and any write while the engine holds no armed chain (a
+        # failed append disarms it for good), re-bases with a full one.
+        append = (
+            self.mode == "delta"
+            and self.checkpoints_written % self.full_every != 0
+            and self.engine.delta_chain_armed
+        )
         observability = getattr(self.engine, "observability", None)
         if observability is None or not observability.enabled:
-            self._write_tick_inner()
+            self._write_tick_inner(append)
             return
-        is_full = (
-            self.mode == "full"
-            or self.checkpoints_written % self.full_every == 0
-        )
-        mode = "full" if is_full else "delta"
+        mode = "delta" if append else "full"
         clock = observability.clock
         with observability.tracer.span(f"checkpoint_{mode}"):
             started = clock()
-            self._write_tick_inner()
+            self._write_tick_inner(append)
             elapsed = clock() - started
             # Emitted inside the span so the record carries the
             # checkpoint trace id, pairing /logs with /trace.
@@ -185,15 +191,22 @@ class CheckpointCadence:
         registry.counter("repro_persistence_checkpoints_total") \
             .labels(mode=mode).inc()
 
-    def _write_tick_inner(self) -> None:
-        if self.mode == "full":
-            self.engine.save_checkpoint(self.directory, extras=self._extras())
-        elif self.checkpoints_written % self.full_every == 0:
-            # Re-base: a fresh full checkpoint compacts the journal.
-            self.engine.save_checkpoint(
-                self.directory, extras=self._extras(), track_deltas=True
-            )
-        else:
-            # Manifest extras were recorded at the base/re-base tick.
-            self.engine.save_delta_checkpoint(self.directory)
+    def _write_tick_inner(self, append: bool) -> None:
+        # A tick builds, encodes and drops one burst of acyclic containers;
+        # the cyclic collector would promote them mid-burst and then walk
+        # the whole engine state to free nothing, so it pauses for the tick.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if append:
+                # Manifest extras were recorded at the base/re-base tick.
+                self.engine.save_delta_checkpoint(self.directory)
+            else:
+                self.engine.save_checkpoint(
+                    self.directory, extras=self._extras(),
+                    track_deltas=self.mode == "delta",
+                )
+        finally:
+            if collecting:
+                gc.enable()
         self.checkpoints_written += 1

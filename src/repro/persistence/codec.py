@@ -11,34 +11,42 @@ live here — the stateful components encode themselves via their own
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.core.types import EmergentTopic, Ranking, TagPair
 from repro.persistence.snapshot import SnapshotCorruptionError
 
 
-def string_interner() -> Tuple[Callable[[str], int], List[str]]:
-    """An ``(intern, table)`` pair for per-delta string tables.
+def index_table(keys: Iterable[Hashable]) -> Tuple[Dict[Any, int], list]:
+    """``(position, table)`` for the distinct ``keys``, in first-seen order.
 
-    Journal deltas reference every tag by index into one table per delta
-    (``intern`` returns the index, appending on first sight), which is
-    most of the difference between a cadence tick sized by the new
-    documents and one sized by their repeated tag strings.  The encoders
-    in the tracker and the shift detector share this one definition so
-    they cannot drift from the decoders in
-    :mod:`repro.persistence.delta`.
+    Journal deltas write every recurring tag set and pair once, into a
+    table, and refer to it by position everywhere else — most of the
+    difference between a cadence tick sized by what changed and one sized
+    by the repeated strings.  Shared (with :func:`intern_rows`) by the
+    tracker, the shift detector and the sharded coordinator, so they
+    cannot drift from the decoders in :mod:`repro.persistence.delta`.
     """
-    table: List[str] = []
-    index: Dict[str, int] = {}
+    position = dict.fromkeys(keys)
+    position = dict(zip(position, range(len(position))))
+    return position, list(position)
 
-    def intern(value: str) -> int:
-        position = index.get(value)
-        if position is None:
-            position = index[value] = len(table)
-            table.append(value)
-        return position
 
-    return intern, table
+def intern_rows(*tables: Sequence[Sequence[str]]) -> tuple:
+    """``(tags, *tables)``: each table's rows (tuples of tags: ordered
+    tag sets, canonical pairs) as lists of positions into one ``tags``
+    table, so a delta spells a tag once however often it occurs.
+    """
+    tag_at, tags = index_table(
+        chain.from_iterable(chain.from_iterable(tables))
+    )
+    position = tag_at.__getitem__
+    return (tags, *(
+        [list(map(position, row)) for row in table] for table in tables
+    ))
 
 
 def pair_to_state(pair: TagPair) -> List[str]:

@@ -29,16 +29,13 @@ owns its freshly decoded dicts, which is the intended call site).
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import combinations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.tracker import _DELTA_DOC
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.sketches.tier import SketchTier
 from repro.windows.striped import record_count_history
-
-
-def _require_delta(state: Any, kind: str, version: int = 1) -> Mapping[str, Any]:
-    return require_state(state, kind, version)
 
 
 def _evict_events(events: List[list], latest, horizon: float) -> List[list]:
@@ -67,26 +64,23 @@ def _merge_keyed(base: List[list], updates: List[list]) -> List[list]:
 
 
 def _merge_histories(
-    base: List[list], groups: List[list], tags: List[str],
-    history_length: int,
+    base: List[list], samples: List[list], history_length: int,
 ) -> List[list]:
     """Extend per-pair correlation series with their delta points.
 
-    ``base`` rows are ``[first, second, series_snapshot]``; ``groups``
-    are ``[timestamp, [[first_idx, second_idx, value], ...]]`` — the
-    points appended since the base, grouped under their evaluation
-    timestamp, tag names interned through ``tags``.  Extending each
-    series in group order and re-trimming to its ``maxlen`` reproduces
-    the live bounded ring bit for bit (``maxlen`` appended points are the
-    whole ring); new pairs start an empty ring bounded to the tracker's
-    ``history_length``.
+    ``base`` rows are ``[first, second, series_snapshot]``; ``samples``
+    are ``[timestamp, pairs, values]``, one record per evaluation since
+    the base.  Extending each series in record order and re-trimming to
+    its ``maxlen`` reproduces the live ring bit for bit (a pair sampled
+    more often than its ring holds keeps the tail that survived); a new
+    pair starts an empty ring bounded to the tracker's ``history_length``.
     """
     table: Dict[Tuple[str, str], list] = {
         tuple(row[:2]): row for row in base
     }
-    for timestamp, rows in groups:
-        for first_idx, second_idx, value in rows:
-            key = (tags[first_idx], tags[second_idx])
+    for timestamp, pairs, values in samples:
+        for pair, value in zip(pairs, values):
+            key = tuple(pair)
             row = table.get(key)
             if row is None:
                 row = table[key] = [key[0], key[1], {
@@ -106,6 +100,11 @@ def _merge_histories(
             series["timestamps"] = series["timestamps"][-int(maxlen):]
             series["values"] = series["values"][-int(maxlen):]
     return [table[key] for key in sorted(table)]
+
+
+def _named(tags: List[str], rows: List[list]) -> List[List[str]]:
+    """``rows`` of positions into a delta's ``tags`` table, as tag names."""
+    return [[tags[position] for position in row] for row in rows]
 
 
 def _replay_count_rows(
@@ -165,7 +164,7 @@ def apply_tracker_delta(
 ) -> dict:
     """Fold a tracker delta onto a tracker snapshot dict.
 
-    A document event in the delta carries only the ordered tag set; its
+    A document event in the delta names only its ordered tag set; its
     tag-window entry and its pair list — every ``(i, j)`` combination of
     the sorted tags, the one decomposition rule of the system — are
     derived here, where restore-time cost is paid once instead of on
@@ -176,10 +175,37 @@ def apply_tracker_delta(
     restore O(window + journal) instead of O(N × window).
     """
     require_state(state, "correlation-tracker", 1)
-    _require_delta(delta, "correlation-tracker-delta")
+    require_state(delta, "correlation-tracker-delta", (1, 2))
+    names = delta["tags"]
+    if delta["version"] == 1:
+        # Still folded — a stopped server always leaves a journal tick
+        # behind: tags and pairs spelled in place as positions in ``names``,
+        # history points as ``[first, second, value]`` rows per timestamp.
+        payloads = [
+            [names[position] for position in payload] if kind == _DELTA_DOC
+            else _named(names, payload)
+            for kind, _, payload in delta["events"]
+        ]
+        samples = [
+            [timestamp, _named(names, [row[:2] for row in rows]),
+             [row[2] for row in rows]]
+            for timestamp, rows in delta["histories"]
+        ]
+    else:
+        tag_sets = _named(names, delta["tag_sets"])
+        pair_table = _named(names, delta["pairs"])
+        payloads = [
+            list(tag_sets[payload]) if kind == _DELTA_DOC
+            else [list(pair_table[position]) for position in payload]
+            for kind, _, payload in delta["events"]
+        ]
+        samples = [
+            [timestamp, [pair_table[position] for position in positions],
+             values]
+            for timestamp, positions, values in delta["samples"]
+        ]
     horizon = float(state["window_horizon"])
     latest = delta["latest"]
-    table = delta["tags"]
 
     # A tiered tracker journals raw documents; re-running admission from
     # the base snapshot's tier reproduces both the admitted weighted pair
@@ -193,25 +219,14 @@ def apply_tracker_delta(
     events = list(state["pair_events"])
     window = state["tag_window"]
     window_events = list(window["events"])
-    for kind, timestamp, payload in delta["events"]:
+    for (kind, timestamp, _), payload in zip(delta["events"], payloads):
         if kind == _DELTA_DOC:
-            tags = [table[index] for index in payload]
-            window_events.append([timestamp, tags])
-            pairs = [
-                (tags[i], tags[j])
-                for i in range(len(tags))
-                for j in range(i + 1, len(tags))
-            ]
+            window_events.append([timestamp, payload])
+            pairs = list(combinations(payload, 2))
             if tier is not None and pairs:
                 pairs = tier.filter_pairs(timestamp, pairs)
-            events.append(
-                [timestamp, [[first, second] for first, second in pairs]]
-            )
-        else:
-            events.append([timestamp, [
-                [table[first_idx], table[second_idx]]
-                for first_idx, second_idx in payload
-            ]])
+            payload = list(map(list, pairs))
+        events.append([timestamp, payload])
     events = _evict_events(events, latest, horizon)
     state["pair_events"] = events
 
@@ -230,8 +245,7 @@ def apply_tracker_delta(
     window["latest"] = window_latest
 
     state["histories"] = _merge_histories(
-        list(state["histories"]), list(delta["histories"]), table,
-        int(state["history_length"]),
+        list(state["histories"]), samples, int(state["history_length"]),
     )
     state["count_history"] = _replay_count_rows(
         state["count_history"], delta["count_rows"],
@@ -247,18 +261,27 @@ def apply_tracker_delta(
 def apply_detector_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Fold a shift-detector delta (dirty decayed-score rows) onto a base.
 
-    Delta rows arrive grouped under their shared ``last_update`` with tag
-    names interned through the delta's ``tags`` table; each carries the
-    pair's absolute state, so the merge replaces table entries outright.
+    The delta names each dirty pair once (``pairs``, positions into its
+    ``tags`` table) with its absolute state in the parallel ``values`` /
+    ``last_updates`` columns (version 1: ``[first, second, value]`` rows
+    grouped under their ``last_update``); the merge replaces entries.
     """
     require_state(state, "shift-detector", 1)
-    _require_delta(delta, "shift-detector-delta")
+    require_state(delta, "shift-detector-delta", (1, 2))
     tags = delta["tags"]
-    updates = [
-        [tags[first_idx], tags[second_idx], value, last_update]
-        for last_update, rows in delta["scores"]
-        for first_idx, second_idx, value in rows
-    ]
+    if delta["version"] == 1:
+        updates = [
+            [tags[first], tags[second], value, last_update]
+            for last_update, rows in delta["scores"]
+            for first, second, value in rows
+        ]
+    else:
+        updates = [
+            [tags[first], tags[second], value, last_update]
+            for (first, second), value, last_update in zip(
+                delta["pairs"], delta["values"], delta["last_updates"]
+            )
+        ]
     state["scores"] = _merge_keyed(list(state["scores"]), updates)
     return state
 
@@ -266,7 +289,7 @@ def apply_detector_delta(state: dict, delta: Mapping[str, Any]) -> dict:
 def apply_builder_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Adopt the ranking policy carried by a builder delta (tiny, absolute)."""
     require_state(state, "ranking-builder", 1)
-    _require_delta(delta, "ranking-builder-delta")
+    require_state(delta, "ranking-builder-delta", 1)
     state["top_k"] = int(delta["top_k"])
     state["min_score"] = float(delta["min_score"])
     return state
@@ -277,7 +300,7 @@ def apply_worker_delta(
 ) -> dict:
     """Fold a shard-worker delta onto one shard's snapshot dict."""
     require_state(state, "shard-worker", 1)
-    _require_delta(delta, "shard-worker-delta")
+    require_state(delta, "shard-worker-delta", 1)
     if state.get("shard_id") != delta.get("shard_id"):
         raise SnapshotMismatchError(
             f"shard-worker delta is addressed to shard "
@@ -322,7 +345,7 @@ def apply_engine_delta(
     """
     kind = state.get("kind") if isinstance(state, Mapping) else None
     if kind == "enblogue":
-        _require_delta(delta, "enblogue-delta")
+        require_state(delta, "enblogue-delta", 1)
         _apply_base_bookkeeping(state, delta)
         state["tracker"] = apply_tracker_delta(
             state["tracker"], delta["tracker"], derive=derive
@@ -335,21 +358,26 @@ def apply_engine_delta(
         )
         return state
     if kind == "sharded-enblogue":
-        # Version 2 interned the coordinator's tag events (one string
-        # table per delta, events reference it by index) — the same
-        # encoding the tracker deltas use; version-1 journals predate the
-        # table and are rejected by the envelope check below.
-        _require_delta(delta, "sharded-enblogue-delta", 2)
+        # Version 3 names each distinct ordered tag set once ("tag_sets",
+        # an event is a position into it), as the tracker deltas do;
+        # version 2 spelled an event's tag positions in place; version-1
+        # journals predate the "tags" table and fail the envelope check.
+        require_state(delta, "sharded-enblogue-delta", (2, 3))
+        tags = delta["tags"]
+        tag_sets = delta["tag_sets"] if delta["version"] == 3 else None
+        tag_events = [
+            [timestamp, [
+                tags[position] for position in
+                (payload if tag_sets is None else tag_sets[payload])
+            ]]
+            for timestamp, payload in delta["tag_events"]
+        ]
         _apply_base_bookkeeping(state, delta)
         latest = delta["latest"]
         state["latest"] = latest
-        table = delta["tags"]
         window = state["tag_window"]
         window_events = list(window["events"])
-        window_events.extend(
-            [timestamp, [table[index] for index in indices]]
-            for timestamp, indices in delta["tag_events"]
-        )
+        window_events.extend(tag_events)
         window["events"] = _evict_events(
             window_events, delta["tag_window_latest"], float(window["horizon"])
         )
@@ -361,13 +389,9 @@ def apply_engine_delta(
         tier_state = state.get("tier")
         if tier_state is not None:
             tier = SketchTier.from_snapshot(tier_state)
-            for timestamp, indices in delta["tag_events"]:
-                if len(indices) < 2:
-                    continue
-                tags = [table[index] for index in indices]
-                for i in range(len(tags)):
-                    for j in range(i + 1, len(tags)):
-                        tier.admit(timestamp, tags[i], tags[j])
+            for timestamp, tags in tag_events:
+                for first, second in combinations(tags, 2):
+                    tier.admit(timestamp, first, second)
             state["tier"] = tier.snapshot()
         config = state.get("config") or {}
         state["count_history"] = _replay_count_rows(

@@ -13,7 +13,7 @@ restore fails loudly at the door instead of silently corrupting a stream.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, Tuple, Union, runtime_checkable
 
 
 class SnapshotError(RuntimeError):
@@ -85,8 +85,12 @@ class DeltaSnapshotable(Snapshotable, Protocol):
         ...
 
 
-def require_state(state: Any, kind: str, version: int) -> Mapping[str, Any]:
+def require_state(
+    state: Any, kind: str, version: Union[int, Tuple[int, ...]]
+) -> Mapping[str, Any]:
     """Validate a snapshot's envelope; returns ``state`` for chaining.
+
+    ``version`` is the one version this build reads, or a tuple of them.
 
     Raises :class:`SnapshotCorruptionError` when ``state`` is not a mapping,
     :class:`SnapshotMismatchError` when it describes a different component,
@@ -102,7 +106,9 @@ def require_state(state: Any, kind: str, version: int) -> Mapping[str, Any]:
             f"expected a {kind!r} snapshot, got {found_kind!r}"
         )
     found_version = state.get("version")
-    if found_version != version:
+    if found_version not in (
+        version if isinstance(version, tuple) else (version,)
+    ):
         raise SnapshotVersionError(
             f"{kind!r} snapshot version {found_version!r} is not supported "
             f"(this build reads version {version})"

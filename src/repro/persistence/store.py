@@ -98,25 +98,28 @@ def _shard_delta_name(shard_id: int, generation: int) -> str:
     return f"shard-{shard_id:04d}-{generation:08d}.delta"
 
 
-def _next_generation(directory: Path) -> int:
+def _next_generation(
+    directory: Path, manifest: Optional[Mapping[str, Any]] = None
+) -> int:
     """One past the newest generation any file in ``directory`` belongs to.
 
-    The committed manifest's ``generation`` is the authority, but the scan
-    over file names guards the case of a corrupt manifest plus orphaned
-    state files from an interrupted write: new files must never collide
-    with (and thereby destroy) anything already on disk.
+    The committed manifest's ``generation`` is the authority (pass the
+    ``manifest`` when it is already parsed), but the scan over file names
+    guards the case of a corrupt manifest plus orphaned state files from
+    an interrupted write: new files must never collide with (and thereby
+    destroy) anything already on disk.
     """
     newest = 0
     try:
-        manifest = json.loads((directory / MANIFEST_NAME).read_bytes())
+        if manifest is None:
+            manifest = json.loads((directory / MANIFEST_NAME).read_bytes())
         newest = int(manifest.get("generation", 0))
     except (OSError, ValueError, TypeError, AttributeError):
         pass
-    for pattern in ("*.json", "*.delta"):
-        for path in directory.glob(pattern):
-            match = _GENERATION_SUFFIX.search(path.name)
-            if match:
-                newest = max(newest, int(match.group(1)))
+    for name in os.listdir(directory):
+        match = _GENERATION_SUFFIX.search(name)
+        if match:
+            newest = max(newest, int(match.group(1)))
     return newest + 1
 
 
@@ -459,7 +462,7 @@ def append_delta(
             f"another writer owns the directory; write a fresh full "
             f"checkpoint first"
         )
-    generation = _next_generation(directory)
+    generation = _next_generation(directory, manifest)
     if expected_generation is not None \
             and generation != expected_generation + 1:
         raise SnapshotMismatchError(

@@ -489,10 +489,15 @@ class DetectionService:
             else:
                 self.stats.add("rankings_published")
         if self.cadence is not None and rankings:
+            # Only a write hops to the engine executor (the consumer is
+            # the cadence's one caller while it runs: nothing races it).
             try:
-                await self._run_on_engine(
-                    self.cadence.note_rankings, len(rankings)
-                )
+                if self.cadence.due(len(rankings)):
+                    await self._run_on_engine(
+                        self.cadence.note_rankings, len(rankings)
+                    )
+                else:
+                    self.cadence.note_rankings(len(rankings))
             except Exception as exc:
                 self.stats.add("batch_errors")
                 self.stats.last_error = repr(exc)

@@ -31,6 +31,7 @@ of it to drift.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.config import EnBlogueConfig
@@ -44,7 +45,7 @@ from repro.core.tracker import DocumentDecomposer
 from repro.core.types import Ranking
 from repro.core.vectorized import config_vectorizes
 from repro.entity.tagger import EntityTagger
-from repro.persistence.codec import optional_float, string_interner
+from repro.persistence.codec import index_table, intern_rows, optional_float
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.sharding.backends import ShardBackend, make_backend
 from repro.sharding.partitioner import PairPartitioner
@@ -415,22 +416,22 @@ class ShardedEnBlogue(DetectionEngineBase):
         count_rows = self._delta_count_rows
         self._delta_tag_events = []
         self._delta_count_rows = []
-        # Version 2: tag names are interned into one string table per
-        # delta ("tags", referenced by index in "tag_events") — the same
-        # lean encoding the tracker uses for its events, so a cadence
-        # tick's coordinator segment is sized by the distinct tags, not
-        # by every document repeating its tag strings.
-        intern, tags_table = string_interner()
+        # Version 3, the tracker delta's encoding: each distinct ordered
+        # tag set once ("tag_sets", positions into the "tags" string
+        # table), every event a position into it — a segment sized by the
+        # distinct tag sets, not by every document repeating its tags.
+        tag_set_at, tag_sets = index_table(map(itemgetter(1), tag_events))
+        tags, tag_sets = intern_rows(tag_sets)
         return {
             "kind": "sharded-enblogue-delta",
-            "version": 2,
+            "version": 3,
             **self._base_delta(generation),
             "latest": self._latest,
             "tag_window_latest": self._tag_window.latest_timestamp,
-            "tags": tags_table,
+            "tags": tags,
+            "tag_sets": tag_sets,
             "tag_events": [
-                [timestamp, [intern(tag) for tag in tags]]
-                for timestamp, tags in tag_events
+                [timestamp, tag_set_at[tags]] for timestamp, tags in tag_events
             ],
             "count_rows": count_rows,
             "builder": self.ranking_builder.delta_since(generation),

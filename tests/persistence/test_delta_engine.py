@@ -183,6 +183,110 @@ class TestChainGuards:
         assert merged == engine.snapshot()
 
 
+class TestCadenceSurvivesAFailedAppend:
+    """One failed journal append must cost one tick, not the chain.
+
+    The engine disarms its chain when an append fails (the drained tick
+    can never be re-journaled); the cadence must then re-base instead of
+    asking for another append, which raised "no delta baseline" on every
+    later tick.
+    """
+
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["single", "serial-2"])
+    def test_next_tick_rebases_and_the_chain_continues(
+        self, sharded, docs, tmp_path, monkeypatch
+    ):
+        import errno
+
+        import repro.core.engine as engine_module
+        from repro.observability import Observability
+        from repro.persistence.cadence import CheckpointCadence
+
+        real_append = engine_module.append_delta
+        appends = []
+
+        def flaky_append(*args, **kwargs):
+            appends.append(args)
+            if len(appends) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_append(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "append_delta", flaky_append)
+        observability = Observability()
+        engine = (
+            ShardedEnBlogue(config(), num_shards=2, backend="serial",
+                            chunk_size=7, observability=observability)
+            if sharded else EnBlogue(config(), observability=observability)
+        )
+        cadence = CheckpointCadence(
+            engine, directory=tmp_path, every=1, mode="delta", full_every=100
+        )
+        cadence.begin()
+        outcomes = []
+        for start in range(0, len(docs), 10):
+            for _ranking in engine.process_batch(docs[start:start + 10]):
+                try:
+                    outcomes.append(cadence.note_ranking())
+                except OSError:
+                    outcomes.append("failed")
+        assert outcomes.count("failed") == 1 and outcomes.index("failed") == 1
+        assert set(outcomes) == {True, "failed"}
+        # begin + every tick but the failed one.
+        assert cadence.checkpoints_written == len(outcomes)
+        written = [
+            record["mode"] for record in observability.log.records()
+            if record["event"] == "checkpoint"
+        ]
+        # The labels say what was written: the tick after the failure is
+        # the re-base, everything else an append.
+        assert written == ["delta", "full"] + ["delta"] * (len(outcomes) - 3)
+        _, merged = read_checkpoint(tmp_path)
+        assert merged == engine.snapshot()
+        if sharded:
+            engine.close()
+
+
+def test_a_tick_pauses_the_cyclic_collector_and_restores_it(docs, tmp_path):
+    # A tick's burst of containers is acyclic; the collector is paused
+    # while it lives and put back as found — also when the write fails,
+    # and left off when the caller had it off.
+    import gc
+
+    from repro.persistence.cadence import CheckpointCadence
+
+    engine = EnBlogue(config())
+    cadence = CheckpointCadence(
+        engine, directory=tmp_path, every=1, mode="delta", full_every=100
+    )
+    cadence.begin()
+    during = []
+    real_save = engine.save_delta_checkpoint
+
+    def spying_save(directory):
+        during.append(gc.isenabled())
+        if len(during) == 2:
+            raise OSError("disk full")
+        return real_save(directory)
+
+    engine.save_delta_checkpoint = spying_save
+    assert gc.isenabled()
+    engine.process_many(docs[:40])
+    cadence.note_ranking()
+    assert gc.isenabled()
+    with pytest.raises(OSError):
+        cadence.note_ranking()
+    assert gc.isenabled()
+    engine.save_checkpoint(tmp_path, track_deltas=True)
+    gc.disable()
+    try:
+        cadence.note_ranking()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert during == [False, False, False]
+
+
 class TestShardedChains:
     CUTS = (60, 110, 160)
 
@@ -239,55 +343,58 @@ class TestShardedChains:
             assert signature(final) == reference
 
 
-class TestCoordinatorTagInterning:
-    """The coordinator's tag events use a per-delta string table.
+class TestCoordinatorTagSets:
+    """The coordinator's tag events use the tracker delta's tag-set table.
 
-    Sharded deltas reference every tag by index into one ``tags`` table
-    (version 2 of the ``sharded-enblogue-delta`` payload) — the same lean
-    encoding the tracker uses for its events — so a cadence tick's
-    coordinator segment is sized by the *distinct* tags in the window,
-    not by every document repeating its tag strings.
+    A sharded delta writes every distinct ordered tag set once
+    (``tag_sets``, version 3 of the ``sharded-enblogue-delta`` payload,
+    its tags positions into one ``tags`` string table) and each event as
+    a position into it, so a cadence tick's coordinator segment is sized
+    by the *distinct* tag sets, not by every document repeating its tag
+    strings.
     """
 
-    def test_tag_events_reference_the_string_table(self, docs, tmp_path):
+    @pytest.fixture
+    def delta(self, docs, tmp_path):
         with ShardedEnBlogue(config(), num_shards=2, backend="serial",
                              chunk_size=7) as engine:
             engine.process_many(docs[:60])
             engine.save_checkpoint(tmp_path, track_deltas=True)
             engine.process_many(docs[60:140])
-            delta = engine.delta_since(2)
-        assert delta["version"] == 2
-        assert delta["tag_events"], "the window of docs must append events"
-        table = delta["tags"]
-        assert all(isinstance(tag, str) for tag in table)
-        assert len(set(table)) == len(table)  # each tag interned once
-        for _timestamp, indices in delta["tag_events"]:
-            assert all(isinstance(index, int) for index in indices)
-            assert all(0 <= index < len(table) for index in indices)
+            return engine.delta_since(2)
 
-    def test_size_regression_vs_raw_string_encoding(self, docs, tmp_path):
+    def test_tag_events_reference_the_table(self, delta):
+        assert delta["version"] == 3
+        assert delta["tag_events"], "the window of docs must append events"
+        tags = delta["tags"]
+        assert all(isinstance(tag, str) for tag in tags)
+        assert len(set(tags)) == len(tags)  # each tag spelled once
+        table = delta["tag_sets"]
+        assert len(set(map(tuple, table))) == len(table)  # each set once
+        assert all(0 <= tag < len(tags) for row in table for tag in row)
+        for _timestamp, position in delta["tag_events"]:
+            assert isinstance(position, int)
+            assert 0 <= position < len(table)
+
+    def test_size_regression_vs_raw_string_encoding(self, delta):
         import json
 
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
-                             chunk_size=7) as engine:
-            engine.process_many(docs[:60])
-            engine.save_checkpoint(tmp_path, track_deltas=True)
-            engine.process_many(docs[60:140])
-            delta = engine.delta_since(2)
-        table = delta["tags"]
+        tags, table = delta["tags"], delta["tag_sets"]
         raw_events = [
-            [timestamp, [table[index] for index in indices]]
-            for timestamp, indices in delta["tag_events"]
+            [timestamp, [tags[tag] for tag in table[position]]]
+            for timestamp, position in delta["tag_events"]
         ]
-        interned_bytes = len(json.dumps(
-            {"tags": table, "tag_events": delta["tag_events"]}
-        ).encode())
+        table_bytes = len(json.dumps({
+            "tags": tags, "tag_sets": table,
+            "tag_events": delta["tag_events"],
+        }).encode())
         raw_bytes = len(json.dumps({"tag_events": raw_events}).encode())
-        # The pin: interning must actually shrink the coordinator events
-        # (each distinct tag is paid once, every reference is an index).
-        assert interned_bytes < raw_bytes
+        # The pin: the tables must actually shrink the coordinator events
+        # (each tag and each distinct set is paid once, every reference
+        # is a position).
+        assert table_bytes < raw_bytes
 
-    def test_version_1_journals_are_rejected_not_misread(self, docs, tmp_path):
+    def test_version_1_journals_are_rejected_not_misread(self, docs, delta):
         from repro.persistence.delta import apply_engine_delta
         from repro.persistence.snapshot import SnapshotVersionError
 
@@ -295,22 +402,7 @@ class TestCoordinatorTagInterning:
                              chunk_size=7) as engine:
             engine.process_many(docs[:60])
             base = engine.snapshot()
-            engine.save_checkpoint(tmp_path, track_deltas=True)
-            engine.process_many(docs[60:100])
-            delta = engine.delta_since(2)
         legacy = dict(delta)
-        legacy["version"] = 1  # a pre-interning journal's envelope
+        legacy["version"] = 1  # a pre-table journal's envelope
         with pytest.raises(SnapshotVersionError):
             apply_engine_delta(base, legacy)
-
-    def test_interned_delta_still_folds_bit_identically(self, docs, tmp_path):
-        # Belt over the chain suites: the fold of an interned delta
-        # reproduces snapshot() exactly through the public reader.
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
-                             chunk_size=7) as engine:
-            engine.process_many(docs[:60])
-            engine.save_checkpoint(tmp_path, track_deltas=True)
-            engine.process_many(docs[60:140])
-            engine.save_delta_checkpoint(tmp_path)
-            _, merged = read_checkpoint(tmp_path)
-            assert merged == engine.snapshot()

@@ -334,3 +334,79 @@ class TestValidation:
         # those frames never reached async subscribers — but the stream
         # stayed alive and ended cleanly.
         assert frames == []
+
+
+class TestCheckpointHops:
+    """Only a ranking that writes a checkpoint hops to the engine executor."""
+
+    @staticmethod
+    def serve_with_cadence(tmp_path, all_hops):
+        from repro.datasets.documents import Document
+        from repro.persistence.cadence import CheckpointCadence
+
+        documents = [
+            Document(timestamp=float(second), doc_id=f"doc-{second}",
+                     tags=frozenset({"a", "b", f"t{second % 7}"}))
+            for second in range(2001)
+        ]
+        hops = []
+
+        class AlwaysDue:
+            """The behaviour before: every count goes to the executor."""
+
+            def __init__(self, cadence):
+                self._cadence = cadence
+
+            def due(self, count):
+                return True
+
+            def __getattr__(self, name):
+                return getattr(self._cadence, name)
+
+        class SpiedService(DetectionService):
+            async def _run_on_engine(self, fn, *args):
+                hops.append(fn.__name__)
+                return await super()._run_on_engine(fn, *args)
+
+        async def scenario():
+            engine = EnBlogue(config(window_horizon=60.0,
+                                     evaluation_interval=10.0))
+            cadence = CheckpointCadence(
+                engine, directory=tmp_path, every=16, mode="delta",
+                full_every=4,
+            )
+            service = SpiedService(
+                engine, cadence=AlwaysDue(cadence) if all_hops else cadence
+            )
+            await service.start()
+            for batch in chunks(documents, 25):
+                await service.submit(batch)
+            await service.stop()
+            return cadence, service.status()
+
+        cadence, status = run(scenario())
+        return hops, cadence, status
+
+    def test_hops_are_batches_plus_writing_ticks(self, tmp_path):
+        hops, cadence, status = self.serve_with_cadence(
+            tmp_path / "spared", all_hops=False
+        )
+        assert cadence.rankings_seen == 200
+        assert hops == (
+            ["_latest_timestamp", "begin"]
+            + [hop for hop in hops if hop in ("process_batch", "note_rankings")]
+            + ["shutdown"]
+        )
+        assert hops.count("process_batch") == 81
+        assert hops.count("note_rankings") == 200 // 16
+        # begin + the writing ticks + shutdown.
+        assert cadence.checkpoints_written == 200 // 16 + 2
+
+        all_hops, reference, reference_status = self.serve_with_cadence(
+            tmp_path / "all-hops", all_hops=True
+        )
+        assert all_hops.count("note_rankings") > 200 // 16
+        assert reference.rankings_seen == cadence.rankings_seen
+        assert reference.checkpoints_written == cadence.checkpoints_written
+        assert reference_status["checkpoints_written"] \
+            == status["checkpoints_written"] == cadence.checkpoints_written
