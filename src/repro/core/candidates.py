@@ -2,47 +2,54 @@
 
 The paper's efficiency argument is that only pairs containing a *seed* tag
 need correlation sampling.  The seed implementation honoured that at
-evaluation time by scanning every windowed pair and testing it against the
-seed set — linear in the number of live pairs regardless of how few seeds
-there are.  :class:`CandidateIndex` maintains the inverse mapping
-incrementally as documents arrive and expire: for every tag it keeps a
-postings dictionary of the live pairs containing that tag together with
-their windowed co-occurrence counts.  Candidate generation then unions the
-postings of the seed tags, which is linear in the size of the seeds'
-postings — and because the count is stored inside each postings entry, the
-union needs no per-pair hash lookups at all.
+evaluation time by scanning every windowed pair — linear in the number of
+live pairs however few seeds there are.  :class:`CandidateIndex` maintains
+the inverse mapping as documents arrive and expire: one ``Counter`` holds
+the windowed count of every live pair, and per tag a postings dictionary
+records *which* live pairs contain it — membership only.  Candidate
+generation unions the seeds' postings, one count lookup per visited pair.
 
-The index is updated by the :class:`~repro.core.tracker.CorrelationTracker`
-in ``observe``/``observe_many`` (additions) and during window eviction
-(removals); the batch entry points collapse duplicate pairs with
-:class:`collections.Counter` arithmetic before touching the postings, so
-large ingests and evictions pay one postings update per *distinct* pair.
+Keeping the counts out of the postings keeps ingestion cheap: a recurring
+pair costs one increment inside ``Counter.update`` (a C loop) and one
+in-line decrement when an occurrence expires, and the postings are touched
+only when a pair is *born* or *dies*.  With the count inside both postings
+entries every distinct pair of every chunk cost an interpreted call on
+arrival and on eviction (``replay_tweets``: tracker ingest 2.75 → 2.0
+µs/doc).  The price is that lookup, which hashes the pair: +0.15 ms per
+evaluation on ``replay_zipf``, whose seeds' buckets hold ≈ 3,000 pairs.
+Candidate generation stays an interpreted loop on purpose: as C-level
+passes (``dict.fromkeys``, ``map(counts.__getitem__, ...)``, ``compress``)
+it measured slower still (``replay_zipf`` 17.2 → 19.4 µs/doc) — a
+``TagPair``'s hash is not cached, so every pass re-hashes every pair.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.core.types import TagPair
 from repro.persistence.snapshot import require_state
 
-_EMPTY: Dict[TagPair, int] = {}
+_EMPTY: Dict[TagPair, None] = {}
 
 
 class CandidateIndex:
-    """Per-tag postings of live pairs, each entry carrying the pair's count.
+    """One count per live pair, plus per-tag postings of which pairs are live.
 
-    Every live pair is present in exactly two postings dictionaries (one per
-    tag), which hold the identical windowed co-occurrence count.
-    ``min_support`` mirrors the tracker's ``min_pair_support``: pairs with a
-    lower count stay in the index (they may regain support) but are not
-    reported as candidates.
+    Every live pair has a positive count in exactly one mapping and is a
+    member of exactly two postings dictionaries (one per tag); a tag with
+    no live pair has no postings dictionary.  ``min_support`` mirrors the
+    tracker's ``min_pair_support``: pairs with a lower count stay in the
+    index (they may regain support) but are not reported as candidates.
     """
 
     def __init__(self, min_support: int = 1):
-        self._postings: Dict[str, Dict[TagPair, int]] = {}
-        self._size = 0
+        self._counts: Counter = Counter()
+        # A bucket is born on its first write and deleted with its last
+        # pair; reads go through .get so they never create one.
+        self._postings: Dict[str, Dict[TagPair, None]] = defaultdict(dict)
         self.min_support = min_support
 
     @property
@@ -50,7 +57,7 @@ class CandidateIndex:
         """Support threshold below which live pairs are not reported.
 
         Mutable between evaluations: pairs below the threshold *stay in the
-        postings* with their counts (they may regain support, and lowering
+        index* with their counts (they may regain support, and lowering
         the threshold must bring them back), so changing the value takes
         effect on the next candidate query without any rebuild.  Validation
         lives here so every write path — the tracker's ``min_pair_support``
@@ -69,21 +76,18 @@ class CandidateIndex:
 
     def __len__(self) -> int:
         """Number of distinct live pairs."""
-        return self._size
+        return len(self._counts)
 
     def __contains__(self, pair: TagPair) -> bool:
-        return pair in self._postings.get(pair.first, _EMPTY)
+        return pair in self._counts
 
     def count(self, pair: TagPair) -> int:
         """Windowed co-occurrence count of ``pair`` (0 when absent)."""
-        return self._postings.get(pair.first, _EMPTY).get(pair, 0)
+        return self._counts.get(pair, 0)
 
     def items(self) -> Iterator[Tuple[TagPair, int]]:
         """Iterate over ``(pair, count)`` for every live pair, once each."""
-        for tag, postings in self._postings.items():
-            for pair, count in postings.items():
-                if pair.first == tag:
-                    yield pair, count
+        return iter(self._counts.items())
 
     def pairs_for(self, tag: str) -> FrozenSet[TagPair]:
         """The live pairs containing ``tag`` (the tag's postings list)."""
@@ -92,10 +96,10 @@ class CandidateIndex:
     # -- persistence ----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The postings' complete state as a versioned, JSON-safe dict.
+        """The index's complete state as a versioned, JSON-safe dict.
 
         Pairs are stored once each (sorted, with their windowed counts);
-        the two-sided postings structure is rebuilt on restore.
+        the postings are rebuilt on restore.
         """
         return {
             "kind": "candidate-index",
@@ -103,65 +107,66 @@ class CandidateIndex:
             "min_support": self._min_support,
             "pairs": [
                 [pair.first, pair.second, count]
-                for pair, count in sorted(self.items())
+                for pair, count in sorted(self._counts.items())
             ],
         }
 
     def restore(self, state: Mapping) -> None:
-        """Replace the postings with a :meth:`snapshot`'s state."""
+        """Replace the index with a :meth:`snapshot`'s state."""
         require_state(state, "candidate-index", 1)
-        self._postings = {}
-        self._size = 0
+        self._counts = Counter()
+        self._postings = defaultdict(dict)
         self.min_support = state["min_support"]
         for first, second, count in state["pairs"]:
-            self._bump(TagPair(str(first), str(second)), int(count))
+            if int(count) > 0:
+                self.add_many({TagPair(str(first), str(second)): int(count)})
 
     # -- maintenance ----------------------------------------------------------
 
     def add(self, pair: TagPair) -> None:
         """Record one co-occurrence of ``pair``."""
-        self._bump(pair, 1)
+        self.add_many((pair,))
 
     def add_many(self, pairs: Iterable[TagPair]) -> None:
-        """Record a batch of co-occurrences (duplicates allowed)."""
-        for pair, increment in Counter(pairs).items():
-            self._bump(pair, increment)
+        """Record a batch of co-occurrences (duplicates allowed; a
+        ``{pair: n}`` mapping records ``n`` of each, as ``Counter.update``)."""
+        counts = self._counts
+        size_before = len(counts)
+        counts.update(pairs)
+        born = len(counts) - size_before
+        if not born:
+            return
+        # An increment does not move a key and a new key goes to the end,
+        # so the pairs born here are the last ``born`` keys; walked oldest
+        # first, so a bucket lists its pairs in arrival order either way.
+        postings = self._postings
+        for pair in reversed(list(islice(reversed(counts), born))):
+            for tag in pair:
+                postings[tag][pair] = None
 
     def discard(self, pair: TagPair) -> None:
         """Remove one co-occurrence of ``pair``, dropping dead postings."""
-        self._bump(pair, -1)
+        self.remove_many((pair,))
 
     def remove_many(self, pairs: Iterable[TagPair]) -> None:
-        """Remove a batch of co-occurrences (duplicates allowed)."""
-        for pair, decrement in Counter(pairs).items():
-            self._bump(pair, -decrement)
+        """Remove a batch of co-occurrences (duplicates allowed).
 
-    def _bump(self, pair: TagPair, delta: int) -> None:
+        A pair whose count reaches zero dies: it leaves the counts and both
+        its tags' postings.  A pair that is not live is ignored.
+        """
+        counts = self._counts
         postings = self._postings
-        first = postings.get(pair.first)
-        if first is None:
-            if delta <= 0:
-                return
-            first = postings[pair.first] = {}
-        count = first.get(pair, 0) + delta
-        if count > 0:
-            if pair not in first:
-                self._size += 1
-            first[pair] = count
-            second = postings.get(pair.second)
-            if second is None:
-                second = postings[pair.second] = {}
-            second[pair] = count
-        else:
-            if first.pop(pair, None) is not None:
-                self._size -= 1
-            if not first:
-                del postings[pair.first]
-            second = postings.get(pair.second)
-            if second is not None:
-                second.pop(pair, None)
-                if not second:
-                    del postings[pair.second]
+        for pair, expired in Counter(pairs).items():
+            count = counts.get(pair, 0)
+            if count > expired:
+                counts[pair] = count - expired
+            elif count:
+                counts.pop(pair)  # not del: Counter.__delitem__ is interpreted
+                for tag in pair:
+                    bucket = postings[tag]
+                    del bucket[pair]
+                    if not bucket:
+                        del postings[tag]
 
     # -- candidate generation -------------------------------------------------
 
@@ -177,27 +182,23 @@ class CandidateIndex:
         and the final ranking applies a total order of its own.
 
         A pair whose tags are both seeds occurs in two postings lists; it is
-        collected only from its trigger's list, which deduplicates the union
-        without a seen-set.
+        collected only from its trigger's list — ``seed``'s when ``seed`` is
+        its first tag or its first tag is no seed at all — which
+        deduplicates the union without a seen-set.
         """
         seed_set = set(seeds)
-        if not seed_set:
-            return []
         min_support = self.min_support
         postings = self._postings
+        counts = self._counts
         selected: List[Tuple[TagPair, str, int]] = []
         append = selected.append
         for seed in seed_set:
-            seed_postings = postings.get(seed)
-            if not seed_postings:
-                continue
-            for pair, count in seed_postings.items():
-                if count < min_support:
-                    continue
-                first = pair.first
-                trigger = first if first in seed_set else pair.second
-                if trigger == seed:
-                    append((pair, trigger, count))
+            for pair in postings.get(seed, _EMPTY):
+                count = counts[pair]
+                if count >= min_support:
+                    first = pair[0]
+                    if first == seed or first not in seed_set:
+                        append((pair, seed, count))
         return selected
 
     def candidates(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:

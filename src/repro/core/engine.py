@@ -15,9 +15,10 @@ profiles see the update immediately, without polling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.config import EnBlogueConfig
 from repro.core.correlation import make_measure
@@ -310,30 +311,27 @@ class DetectionEngineBase:
         every ranking produced (one per crossed boundary).
         """
         interval = self.config.evaluation_interval
-        observations = self._prepare_batch(documents)
+        observations, timestamps = self._prepare_batch(documents)
         produced: List[Ranking] = []
-        pending: List[tuple] = []
+        total = len(observations)
+        if total and self._next_evaluation is None:
+            self._next_evaluation = timestamps[0] + interval
         # The trace id derives from documents_processed at batch start —
         # checkpointed state, so a resumed run reproduces the same ids.
         with self.observability.tracer.trace(
                 self._documents_processed) as root:
-            root.set(documents=len(observations))
-            for observation in observations:
-                timestamp = observation[0]
-                if self._next_evaluation is None:
-                    self._next_evaluation = timestamp + interval
-                if timestamp >= self._next_evaluation:
-                    if pending:
-                        self._ingest_pending(pending)
-                        pending = []
-                    while timestamp >= self._next_evaluation:
-                        produced.append(
-                            self._timed_evaluate(self._next_evaluation)
-                        )
-                        self._next_evaluation += interval
-                pending.append(observation)
-            if pending:
-                self._ingest_pending(pending)
+            root.set(documents=total)
+            start = 0
+            while start < total:
+                while timestamps[start] >= self._next_evaluation:
+                    produced.append(
+                        self._timed_evaluate(self._next_evaluation)
+                    )
+                    self._next_evaluation += interval
+                # The run ends at the first document on or past the boundary.
+                stop = bisect_left(timestamps, self._next_evaluation, start)
+                self._ingest_pending(observations[start:stop])
+                start = stop
             self._metric_batches.inc()
             if produced:
                 root.set(rankings=len(produced))
@@ -341,7 +339,7 @@ class DetectionEngineBase:
             # deterministic trace id — the /logs ↔ /trace join key.
             self.observability.log.emit(
                 "batch",
-                documents=len(observations),
+                documents=total,
                 rankings=len(produced),
                 documents_processed=self._documents_processed,
             )
@@ -355,13 +353,22 @@ class DetectionEngineBase:
         self._documents_processed += ingested
         self._metric_documents.inc(ingested)
 
-    def _prepare_batch(self, documents: Iterable) -> List[tuple]:
-        """Prepare a chunk and validate its time order against the stream."""
+    def _prepare_batch(self, documents: Iterable) -> Tuple[list, list]:
+        """Prepare a chunk (:meth:`_prepare`'s rule, in the loop itself) and
+        validate its time order against the stream; returns the observations
+        and the column of their timestamps, which ``process_batch`` bisects."""
         prepared: List[tuple] = []
+        timestamps: List[float] = []
         latest = self._latest_timestamp()
+        tagger = self.entity_tagger
         for document in documents:
-            observation = self._prepare(document)
-            timestamp = observation[0]
+            timestamp = float(document.timestamp)
+            tags = getattr(document, "tags", ()) or ()
+            entities = getattr(document, "entities", ()) or ()
+            if tagger is not None and not entities:
+                text = str(getattr(document, "text", "") or "")
+                if text:
+                    entities = tagger.tag(text)
             # Negated >=, so a NaN timestamp fails the check instead of
             # passing it and then switching it off for what follows.
             if latest is not None and not timestamp >= latest:
@@ -369,12 +376,13 @@ class DetectionEngineBase:
                     f"out-of-order document: {timestamp} < {latest}"
                 )
             latest = timestamp
-            prepared.append(observation)
-        if prepared:
+            timestamps.append(timestamp)
+            prepared.append((timestamp, tags, entities))
+        if timestamps:
             # A time-ordered chunk is finite iff both its ends are.
-            self._require_finite(prepared[0][0])
-            self._require_finite(prepared[-1][0])
-        return prepared
+            self._require_finite(timestamps[0])
+            self._require_finite(timestamps[-1])
+        return prepared, timestamps
 
     @staticmethod
     def _require_finite(timestamp: float) -> None:

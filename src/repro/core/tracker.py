@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
@@ -119,7 +119,7 @@ class DocumentDecomposer:
                 if cached is not None:
                     return cached
         effective = {normalize_tag(tag) for tag in tags}
-        if self.use_entities:
+        if entities and self.use_entities:
             effective |= {normalize_tag(entity) for entity in entities}
         effective.discard("")
         ordered = tuple(sorted(effective))
@@ -329,7 +329,20 @@ class CorrelationTracker:
         Tags and entities are normalised (stripped, lower-cased) before any
         statistic is updated, so every ingestion path agrees on tag identity.
         """
-        timestamp, ordered = self._ingest(timestamp, tags, entities)
+        timestamp = float(timestamp)
+        if self._latest is not None and not timestamp >= self._latest:
+            raise ValueError(
+                f"out-of-order document: {timestamp} < {self._latest}"
+            )
+        ordered, pairs = self._decomposer.decompose(tags, entities)
+        if self._tier is not None and pairs:
+            pairs = self._tier.filter_pairs(timestamp, pairs)
+        self._pair_events.append((timestamp, pairs))
+        self._candidates.add_many(pairs)
+        if self.track_usage:
+            self._record_usage(timestamp, ordered)
+        self._documents_seen += 1
+        self._latest = timestamp
         self._tag_window.add_document(timestamp, ordered, prepared=True)
         if self._delta is not None:
             self._delta.events.append((_DELTA_DOC, timestamp, ordered))
@@ -346,9 +359,11 @@ class CorrelationTracker:
         document leaves the tracker unchanged.  Returns the number of
         documents ingested.
         """
-        prepared: List[Tuple[float, Tuple[str, ...], Tuple[TagPair, ...]]] = []
-        all_pairs: List[TagPair] = []
+        timestamps: List[float] = []
+        tag_sets: List[Tuple[str, ...]] = []
+        pair_lists: List[Tuple[TagPair, ...]] = []
         latest = self._latest
+        decompose = self._decomposer.decompose
         for timestamp, tags, entities in observations:
             timestamp = float(timestamp)
             if latest is not None and not timestamp >= latest:
@@ -356,34 +371,28 @@ class CorrelationTracker:
                     f"out-of-order document: {timestamp} < {latest}"
                 )
             latest = timestamp
-            ordered, pairs = self._decompose(tags, entities)
-            prepared.append((timestamp, ordered, pairs))
-        if not prepared:
+            ordered, pairs = decompose(tags, entities)
+            timestamps.append(timestamp)
+            tag_sets.append(ordered)
+            pair_lists.append(pairs)
+        if not timestamps:
             return 0
-        # Commit phase: nothing below can fail on malformed input.  Tier
-        # admission runs here, per document in stream order, so a rejected
-        # chunk leaves the sketches untouched too.
-        track_usage = self.track_usage
-        tier = self._tier
-        buffer = self._delta
-        for timestamp, ordered, pairs in prepared:
-            if tier is not None and pairs:
-                pairs = tier.filter_pairs(timestamp, pairs)
-            all_pairs.extend(pairs)
-            self._pair_events.append((timestamp, pairs))
-            if buffer is not None:
-                buffer.events.append((_DELTA_DOC, timestamp, ordered))
-            if track_usage:
+        # Commit phase: nothing below can fail on malformed input, so a
+        # rejected chunk leaves the sketches untouched too.  Tier admission
+        # and usage tracking loop per document, only when configured.
+        if self._tier is not None:
+            filter_pairs = self._tier.filter_pairs
+            pair_lists = [
+                filter_pairs(timestamp, pairs) if pairs else pairs
+                for timestamp, pairs in zip(timestamps, pair_lists)
+            ]
+        self._commit_pairs(_DELTA_DOC, timestamps, pair_lists, tag_sets)
+        if self.track_usage:
+            for timestamp, ordered in zip(timestamps, tag_sets):
                 self._record_usage(timestamp, ordered)
-        self._documents_seen += len(prepared)
-        self._latest = latest
-        self._candidates.add_many(all_pairs)
-        self._tag_window.add_documents(
-            ((timestamp, ordered) for timestamp, ordered, _ in prepared),
-            prepared=True,
-        )
+        self._tag_window.add_ordered_run(timestamps, tag_sets)
         self._evict(latest)
-        return len(prepared)
+        return len(timestamps)
 
     def observe_pair_events(
         self, events: Iterable[Tuple[float, Tuple[TagPair, ...]]]
@@ -401,8 +410,8 @@ class CorrelationTracker:
         Events must be time-ordered; the whole chunk is validated before any
         state is touched.  Returns the number of events ingested.
         """
-        staged: List[Tuple[float, Tuple[TagPair, ...]]] = []
-        all_pairs: List[TagPair] = []
+        timestamps: List[float] = []
+        pair_lists: List[Tuple[TagPair, ...]] = []
         latest = self._latest
         for timestamp, pairs in events:
             timestamp = float(timestamp)
@@ -411,22 +420,23 @@ class CorrelationTracker:
                     f"out-of-order pair event: {timestamp} < {latest}"
                 )
             latest = timestamp
-            staged.append((timestamp, pairs))
-            all_pairs.extend(pairs)
-        if not staged:
+            timestamps.append(timestamp)
+            pair_lists.append(pairs)
+        if not timestamps:
             return 0
-        self._pair_events.extend(staged)
-        if self._delta is not None:
-            self._delta.events.extend(
-                (_DELTA_PAIRS, timestamp, pairs)
-                for timestamp, pairs in staged
-            )
-        self._documents_seen += len(staged)
-        self._latest = latest
-        self._candidates.add_many(all_pairs)
+        self._commit_pairs(_DELTA_PAIRS, timestamps, pair_lists, pair_lists)
         self._tag_window.advance_to(latest)
         self._evict(latest)
-        return len(staged)
+        return len(timestamps)
+
+    def _commit_pairs(self, kind, timestamps, pair_lists, journaled) -> None:
+        """A validated run's pair side, column by column in C-level passes."""
+        self._pair_events.extend(zip(timestamps, pair_lists))
+        if self._delta is not None:
+            self._delta.events.extend(zip(repeat(kind), timestamps, journaled))
+        self._documents_seen += len(timestamps)
+        self._latest = timestamps[-1]
+        self._candidates.add_many(chain.from_iterable(pair_lists))
 
     def advance_to(self, timestamp: float) -> None:
         """Move stream time forward without ingesting a document."""
@@ -535,7 +545,7 @@ class CorrelationTracker:
         histories = self._synced_histories(mutating=True)
         # Unsorted iteration: per-pair sampling is order-independent and the
         # ranking builder applies its own total order downstream.  The
-        # postings entries carry the pair counts, so no lookups are needed.
+        # triples carry the pair counts, so no lookups are needed here.
         candidates = self._candidates.iter_candidates(seeds)
         for pair, seed_tag, pair_count in candidates:
             count_a = tag_counts.get(pair.first, 0)
@@ -894,36 +904,6 @@ class CorrelationTracker:
 
     # -- internals ----------------------------------------------------------------
 
-    def _decompose(
-        self, tags: Iterable[str], entities: Iterable[str]
-    ) -> Tuple[Tuple[str, ...], Tuple[TagPair, ...]]:
-        """Normalise a document's tag/entity sets into (ordered tags, pairs)."""
-        return self._decomposer.decompose(tags, entities)
-
-    def _ingest(
-        self,
-        timestamp: float,
-        tags: Iterable[str],
-        entities: Iterable[str],
-    ) -> Tuple[float, Tuple[str, ...]]:
-        """Everything except the tag window and eviction, for the single path."""
-        timestamp = float(timestamp)
-        if self._latest is not None and not timestamp >= self._latest:
-            raise ValueError(
-                f"out-of-order document: {timestamp} < {self._latest}"
-            )
-        ordered, pairs = self._decompose(tags, entities)
-        if self._tier is not None and pairs:
-            pairs = self._tier.filter_pairs(timestamp, pairs)
-        self._pair_events.append((timestamp, pairs))
-        for pair in pairs:
-            self._candidates.add(pair)
-        if self.track_usage:
-            self._record_usage(timestamp, ordered)
-        self._documents_seen += 1
-        self._latest = timestamp
-        return timestamp, ordered
-
     def _make_usage_counter(self):
         """A fresh per-tag co-tag counter, striped when configured."""
         if self.counter_stripes == 1:
@@ -959,10 +939,10 @@ class CorrelationTracker:
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_horizon
+        pair_events = self._pair_events
         expired_pairs: List[TagPair] = []
-        while self._pair_events and self._pair_events[0][0] <= cutoff:
-            _, pairs = self._pair_events.popleft()
-            expired_pairs.extend(pairs)
+        while pair_events and pair_events[0][0] <= cutoff:
+            expired_pairs.extend(pair_events.popleft()[1])
         if expired_pairs:
             self._candidates.remove_many(expired_pairs)
         while self._usage_events and self._usage_events[0][0] <= cutoff:

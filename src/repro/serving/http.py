@@ -134,7 +134,8 @@ class RankingServer:
         self.host = host
         self.port = int(port)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._streams: set = set()
+        # Every live handler task, SSE stream or kept-alive producer.
+        self._connections: set = set()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -157,18 +158,20 @@ class RankingServer:
             self._server = None
 
     async def stop(self) -> None:
-        """Stop accepting and end every open SSE stream (idempotent)."""
+        """Stop accepting and end every open connection (idempotent): the
+        event loop's teardown logs a traceback per handler left parked."""
         await self.close_listener()
-        for task in list(self._streams):
+        connections = list(self._connections)
+        for task in connections:
             task.cancel()
-        if self._streams:
-            await asyncio.gather(*self._streams, return_exceptions=True)
-            self._streams.clear()
+        await asyncio.gather(*connections, return_exceptions=True)
 
     # -- request handling ------------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             # One iteration per request on a kept-alive connection; the
             # exact Content-Length on every response is what keeps the
@@ -176,6 +179,11 @@ class RankingServer:
             while True:
                 try:
                     request = await self._read_request(reader)
+                except asyncio.CancelledError:
+                    # stop() reaping an idle connection.  Return, not
+                    # re-raise: the stream protocol's done callback calls
+                    # task.exception(), which raises on a cancelled task.
+                    return
                 except ValueError as exc:
                     # Unparsable Content-Length, oversized body: the client
                     # deserves a 400, not a dropped connection and an
@@ -254,6 +262,7 @@ class RankingServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -336,12 +345,9 @@ class RankingServer:
         }, keep_alive)
 
     async def _handle_stream(self, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._streams.add(task)
         try:
             subscription = self.service.subscribe()
         except RuntimeError:
-            self._streams.discard(task)
             await self._respond_json(
                 writer, 503, {"error": "ranking stream is closed"}
             )
@@ -383,7 +389,6 @@ class RankingServer:
             pass
         finally:
             self.service.unsubscribe(subscription)
-            self._streams.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+from itertools import chain
+from typing import (
+    Deque, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from repro.persistence.snapshot import require_compatible, require_state
-from repro.windows.sliding import TimeSlidingWindow
+from repro.windows.sliding import TimeSlidingWindow, require_ordered
 from repro.windows.striped import StripedCounter
 
 
@@ -140,7 +143,6 @@ class TagFrequencyWindow:
         self._counts: Union[Counter, StripedCounter] = (
             Counter() if self.stripes == 1 else StripedCounter(self.stripes)
         )
-        self._documents = 0
         self._latest: Optional[float] = None
 
     @property
@@ -150,7 +152,7 @@ class TagFrequencyWindow:
     @property
     def document_count(self) -> int:
         """Number of documents currently inside the window."""
-        return self._documents
+        return len(self._events)
 
     @property
     def counts(self) -> Counter:
@@ -173,14 +175,10 @@ class TagFrequencyWindow:
         With ``prepared`` the caller asserts ``tags`` is already a
         deduplicated, sorted tuple, skipping the re-sort.
         """
-        if self._latest is not None and timestamp < self._latest:
-            raise ValueError(
-                f"out-of-order insertion: {timestamp} < {self._latest}"
-            )
+        require_ordered(timestamp, self._latest, "out-of-order insertion")
         unique_tags = tags if prepared else tuple(sorted(set(tags)))
         self._events.append((timestamp, unique_tags))
         self._counts.update(unique_tags)
-        self._documents += 1
         self._latest = timestamp
         self._evict(timestamp)
 
@@ -191,44 +189,42 @@ class TagFrequencyWindow:
     ) -> int:
         """Register a time-ordered chunk of ``(timestamp, tags)`` documents.
 
-        Counter updates run once over the whole chunk and the window is
-        evicted once at the end; because eviction is monotone in time, the
-        final state is identical to one :meth:`add_document` call per
-        document.  With ``prepared`` the caller asserts that every tag
-        collection is already a deduplicated, sorted tuple (the correlation
-        tracker normalises documents before handing them over), skipping the
-        per-document re-sort.  Returns the number of documents added.
-
         The whole chunk is validated before any state is touched, so a
-        rejected document leaves the window unchanged (as the per-document
-        path does).
+        rejected document leaves the window unchanged; it then goes in
+        through :meth:`add_ordered_run`.  ``prepared`` as in
+        :meth:`add_document`.  Returns the number of documents added.
         """
         latest = self._latest
-        staged: List[Tuple[float, Tuple[str, ...]]] = []
-        added: List[str] = []
+        timestamps: List[float] = []
+        tag_sets: List[Tuple[str, ...]] = []
         for timestamp, tags in documents:
-            if latest is not None and timestamp < latest:
-                raise ValueError(
-                    f"out-of-order insertion: {timestamp} < {latest}"
-                )
-            unique_tags = tags if prepared else tuple(sorted(set(tags)))
-            staged.append((timestamp, unique_tags))
-            added.extend(unique_tags)
+            require_ordered(timestamp, latest, "out-of-order insertion")
             latest = timestamp
-        if not staged:
-            return 0
-        self._events.extend(staged)
-        self._counts.update(added)
-        self._documents += len(staged)
-        self._latest = latest
-        self._evict(latest)
-        return len(staged)
+            timestamps.append(timestamp)
+            tag_sets.append(tags if prepared else tuple(sorted(set(tags))))
+        self.add_ordered_run(timestamps, tag_sets)
+        return len(timestamps)
+
+    def add_ordered_run(
+        self, timestamps: Sequence[float], tag_sets: Sequence[Tuple[str, ...]]
+    ) -> None:
+        """Register a run the caller has validated: the trusted bulk entry.
+
+        ``timestamps`` must be non-decreasing and ``tag_sets[i]`` document
+        ``i``'s deduplicated, sorted tag tuple; only the first timestamp is
+        checked.  Two C-level passes and one eviction leave the window as one
+        :meth:`add_document` each would (eviction is monotone in time).
+        """
+        if not timestamps:
+            return
+        require_ordered(timestamps[0], self._latest, "out-of-order insertion")
+        self._events.extend(zip(timestamps, tag_sets))
+        self._counts.update(chain.from_iterable(tag_sets))
+        self._latest = timestamps[-1]
+        self._evict(self._latest)
 
     def advance_to(self, timestamp: float) -> None:
-        if self._latest is not None and timestamp < self._latest:
-            raise ValueError(
-                f"cannot advance backwards: {timestamp} < {self._latest}"
-            )
+        require_ordered(timestamp, self._latest, "cannot advance backwards")
         self._latest = timestamp
         self._evict(timestamp)
 
@@ -238,9 +234,9 @@ class TagFrequencyWindow:
 
     def frequency(self, tag: str) -> float:
         """Fraction of windowed documents tagged with ``tag``."""
-        if self._documents == 0:
+        if not self._events:
             return 0.0
-        return self._counts.get(tag, 0) / self._documents
+        return self._counts.get(tag, 0) / len(self._events)
 
     def tags(self) -> List[str]:
         """Tags with at least one live occurrence."""
@@ -316,19 +312,27 @@ class TagFrequencyWindow:
             striped = StripedCounter(self.stripes)
             striped.seed(counts)
             self._counts = striped
-        self._documents = len(events)
         latest = state["latest"]
         self._latest = None if latest is None else float(latest)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.horizon
+        events = self._events
         expired: List[str] = []
-        while self._events and self._events[0][0] <= cutoff:
-            _, tags = self._events.popleft()
-            expired.extend(tags)
-            self._documents -= 1
-        if expired:
-            self._counts.subtract(expired)
+        while events and events[0][0] <= cutoff:
+            expired.extend(events.popleft()[1])
+        if not expired:
+            return
+        counts = self._counts
+        if self.stripes > 1:
+            counts.subtract(expired)
             for tag in set(expired):
-                if self._counts[tag] <= 0:
-                    del self._counts[tag]
+                if counts[tag] <= 0:
+                    del counts[tag]
+            return
+        for tag, gone in Counter(expired).items():
+            left = counts[tag] - gone
+            if left > 0:
+                counts[tag] = left
+            else:
+                counts.pop(tag, None)  # not del: that is interpreted

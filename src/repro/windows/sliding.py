@@ -26,6 +26,16 @@ class WindowEntry:
             raise ValueError("timestamp must be non-negative")
 
 
+def require_ordered(
+    timestamp: float, latest: Optional[float], complaint: str
+) -> None:
+    """Reject a timestamp behind a window's clock, NaN included: negated
+    >=, and a first timestamp held against itself, so NaN fails the check
+    instead of passing it and switching it (and eviction) off for good."""
+    if not timestamp >= (timestamp if latest is None else latest):
+        raise ValueError(f"{complaint}: {timestamp} < {latest}")
+
+
 class TimeSlidingWindow:
     """Sliding window holding all entries newer than ``horizon`` time units.
 
@@ -58,20 +68,14 @@ class TimeSlidingWindow:
 
     def append(self, timestamp: float, value: Any = 1.0) -> None:
         """Insert a new observation and evict anything that has expired."""
-        if self._latest is not None and timestamp < self._latest:
-            raise ValueError(
-                f"out-of-order insertion: {timestamp} < {self._latest}"
-            )
+        require_ordered(timestamp, self._latest, "out-of-order insertion")
         self._entries.append(WindowEntry(timestamp, value))
         self._latest = timestamp
         self._evict(timestamp)
 
     def advance_to(self, timestamp: float) -> None:
         """Move the window's notion of "now" forward without inserting."""
-        if self._latest is not None and timestamp < self._latest:
-            raise ValueError(
-                f"cannot advance backwards: {timestamp} < {self._latest}"
-            )
+        require_ordered(timestamp, self._latest, "cannot advance backwards")
         self._latest = timestamp
         self._evict(timestamp)
 
@@ -134,10 +138,7 @@ class CountSlidingWindow:
         return len(self._entries) == self.capacity
 
     def append(self, timestamp: float, value: Any = 1.0) -> None:
-        if self._latest is not None and timestamp < self._latest:
-            raise ValueError(
-                f"out-of-order insertion: {timestamp} < {self._latest}"
-            )
+        require_ordered(timestamp, self._latest, "out-of-order insertion")
         self._entries.append(WindowEntry(timestamp, value))
         self._latest = timestamp
 

@@ -408,6 +408,41 @@ class TestDecomposerMissPath:
             ]
 
 
+    def test_every_member_is_normalised_as_normalize_tag_would(self):
+        # The miss path normalises a whole collection in one call; tag
+        # identity is still normalize_tag's, whatever the members are.
+        from repro.core.tracker import DocumentDecomposer
+        from repro.core.types import normalize_tag
+
+        class Subclassed(str):
+            pass
+
+        class Renamed(str):
+            def __str__(self):
+                return " Renamed "
+
+        cases = [
+            (["  Padded ", "\tTabbed\n", "plain"], ()),
+            (["MiXeD", "mixed", "MIXED ", "Straße"], ()),
+            ([7, 2.5, None, b"Bytes", ("tu", "ple")], ()),
+            ([Subclassed(" Sub "), Renamed("ignored")], ()),
+            (["a", 7, Subclassed("A "), "", "   "], ()),
+            (["tag"], [" Entity", 3, Subclassed("TAG")]),
+        ]
+        for use_entities in (True, False):
+            decomposer = DocumentDecomposer(use_entities=use_entities)
+            for tags, entities in cases:
+                for shape in (list, frozenset):
+                    ordered, _ = decomposer.decompose(
+                        shape(tags), shape(entities))
+                    members = list(tags) + (
+                        list(entities) if use_entities else [])
+                    expected = {normalize_tag(member) for member in members}
+                    expected.discard("")
+                    assert list(ordered) == sorted(expected)
+                    assert all(type(tag) is str for tag in ordered)
+
+
 class TestDecomposerEviction:
     def test_memo_never_exceeds_the_limit(self):
         from repro.core.tracker import (

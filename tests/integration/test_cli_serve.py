@@ -178,3 +178,36 @@ class TestServeEndToEnd:
             assert ranking["ranking"] is not None
         finally:
             shutdown(resumed)
+
+    def test_a_clean_drain_with_an_idle_keep_alive_connection_is_silent(self):
+        # A producer that keeps its connection open between POSTs leaves
+        # a handler parked on the socket; the drain must reap it itself
+        # (left to the event loop's teardown it logs a traceback).
+        body = json.dumps(
+            [{"timestamp": float(hour), "tags": ["alpha", "beta"]}
+             for hour in range(3)]
+        ).encode()
+        port = free_port()
+        process = spawn_serve([], port)
+        try:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as producer:
+                producer.sendall(
+                    b"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode()
+                    + b"\r\n\r\n" + body
+                )
+                response = producer.recv(4096)
+                assert response.startswith(b"HTTP/1.1 202")
+                assert b"Connection: keep-alive" in response
+                # Still connected, nothing more sent: SIGTERM arrives here.
+                shutdown(process)
+        finally:
+            if process.poll() is None:
+                process.kill()
+        stdout, stderr = process.communicate(timeout=10)
+        assert process.returncode == 0
+        assert "served 3 documents" in stdout
+        assert stderr == ""
+

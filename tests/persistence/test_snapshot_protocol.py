@@ -153,6 +153,21 @@ class TestCandidateIndex:
         assert pair("x", "y") not in restored
         assert len(restored) == len(index)
 
+    def test_restore_costs_one_step_per_row_whatever_the_count(self):
+        # Each row is written as a count, not replayed as that many
+        # occurrences: a row claiming 10**15 returns at once.  Repeated
+        # rows add up and a non-positive one is no live pair, as before.
+        state = CandidateIndex(min_support=2).snapshot()
+        state["pairs"] = [["a", "b", 10 ** 15], ["a", "c", 0],
+                          ["b", "c", -3], ["a", "b", 2], ["c", "d", 1]]
+        restored = CandidateIndex()
+        restored.restore(state)
+        assert dict(restored.items()) \
+            == {pair("a", "b"): 10 ** 15 + 2, pair("c", "d"): 1}
+        assert restored.pairs_for("a") == frozenset({pair("a", "b")})
+        assert restored.pairs_for("c") == frozenset({pair("c", "d")})
+        assert restored.candidates(["a", "c"]) == [(pair("a", "b"), "a")]
+
     def test_foreign_snapshot_rejected(self):
         with pytest.raises(SnapshotMismatchError):
             CandidateIndex().restore({"kind": "timeseries", "version": 1})

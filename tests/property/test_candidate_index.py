@@ -6,8 +6,11 @@ arrivals and evictions.  On randomized streams the two must agree exactly —
 same ``(pair, seed_tag)`` list, same order.
 """
 
-from hypothesis import given, settings, strategies as st
+from itertools import combinations
 
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.candidates import CandidateIndex
 from repro.core.tracker import CorrelationTracker
 from repro.core.types import TagPair
 
@@ -98,3 +101,102 @@ def test_postings_and_counts_stay_consistent(docs):
         for pair in postings:
             assert pair in live
             assert tag in (pair.first, pair.second)
+
+
+# -- the index alone, against a plain multiset ---------------------------------
+
+ORACLE_TAGS = ["a", "b", "c", "d", "e"]
+ORACLE_PAIRS = [TagPair(x, y) for x, y in combinations(ORACLE_TAGS, 2)]
+AB, AC = TagPair("a", "b"), TagPair("a", "c")
+
+pair_batches = st.lists(st.sampled_from(ORACLE_PAIRS), max_size=8)
+index_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_many"), pair_batches),
+        st.tuples(st.just("remove_many"), pair_batches),
+        st.tuples(st.just("add"), st.sampled_from(ORACLE_PAIRS)),
+        st.tuples(st.just("discard"), st.sampled_from(ORACLE_PAIRS)),
+        st.tuples(st.just("min_support"), st.integers(1, 3)),
+        st.tuples(st.just("snapshot_restore"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+def check_against_oracle(index, oracle, min_support, seeds):
+    """Every observable of ``index`` equals the multiset ``oracle``'s."""
+    assert len(index) == len(oracle)
+    assert dict(index.items()) == oracle
+    for pair in ORACLE_PAIRS:
+        assert index.count(pair) == oracle.get(pair, 0)
+        assert (pair in index) == (pair in oracle)
+    for tag in ORACLE_TAGS:
+        assert index.pairs_for(tag) == {p for p in oracle if tag in p}
+    expected = sorted(
+        (pair, pair.first if pair.first in seeds else pair.second, count)
+        for pair, count in oracle.items()
+        if count >= min_support and (pair.first in seeds
+                                     or pair.second in seeds)
+    )
+    assert sorted(index.iter_candidates(seeds)) == expected
+    assert index.candidates(seeds) == index.scan_candidates(seeds) \
+        == [(pair, trigger) for pair, trigger, _ in expected]
+    assert index.snapshot() == {
+        "kind": "candidate-index",
+        "version": 1,
+        "min_support": min_support,
+        "pairs": [[pair.first, pair.second, count]
+                  for pair, count in sorted(oracle.items())],
+    }
+    # The structure the design rests on: one positive count per live pair,
+    # each live pair a member of exactly its two tags' buckets, no bucket
+    # left behind empty.
+    assert all(type(count) is int and count > 0
+               for count in index._counts.values())
+    assert all(index._postings.values())
+    memberships = sorted(
+        (pair, tag) for tag, bucket in index._postings.items()
+        for pair in bucket
+    )
+    assert memberships == sorted(
+        (pair, tag) for pair in oracle for tag in pair
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=index_steps, seeds=st.sets(st.sampled_from(ORACLE_TAGS)))
+# A pair dies in one batch and is reborn in a later one, beside a survivor.
+@example(
+    steps=[("add_many", [AB, AB, AC]), ("remove_many", [AB, AB, AB]),
+           ("snapshot_restore", None), ("add_many", [AC, AB]),
+           ("discard", AC), ("discard", AC), ("add", AC)],
+    seeds={"a"},
+)
+def test_interleaved_maintenance_matches_a_plain_multiset(steps, seeds):
+    index = CandidateIndex()
+    oracle = {}
+    min_support = 1
+    check_against_oracle(index, oracle, min_support, seeds)
+    for operation, argument in steps:
+        if operation in ("add_many", "add"):
+            added = argument if operation == "add_many" else [argument]
+            getattr(index, operation)(argument)
+            for pair in added:
+                oracle[pair] = oracle.get(pair, 0) + 1
+        elif operation in ("remove_many", "discard"):
+            removed = argument if operation == "remove_many" else [argument]
+            getattr(index, operation)(argument)
+            for pair in removed:
+                # Removing a pair that is not live is ignored.
+                if pair in oracle:
+                    oracle[pair] -= 1
+                    if not oracle[pair]:
+                        del oracle[pair]
+        elif operation == "min_support":
+            index.min_support = min_support = argument
+        else:
+            restored = CandidateIndex()
+            restored.restore(index.snapshot())
+            index = restored
+        check_against_oracle(index, oracle, min_support, seeds)
+

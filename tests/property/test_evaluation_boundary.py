@@ -12,6 +12,11 @@ the history exists only for a criterion that reads it — under
 (and drops one it is handed by an older checkpoint), under ``volatility``
 and ``hybrid`` every variant keeps exactly the scalar single engine's.
 
+Last, where ``process_batch`` cuts a chunk: it finds each boundary-free
+run by bisection, and every engine variant must evaluate exactly where the
+document-at-a-time loop does (documents on a boundary, equal timestamps
+around one, several boundaries crossed at once, empty chunks).
+
 The engine-variant matrix runs on the no-numpy CI leg too, where it pins
 the scalar store; its fused-evaluator cases skip themselves there.
 """
@@ -499,3 +504,82 @@ def test_history_reading_engines_keep_the_scalar_engines_history(
             assert engine.snapshot() == reference.snapshot()
     finally:
         close(engine)
+
+
+# -- where process_batch cuts a chunk ------------------------------------------
+
+#: Chunks of timestamps around the evaluation boundaries (every 25 after
+#: the first document at 0), each a case the bisection must cut exactly
+#: where the document-at-a-time loop evaluates.
+CUT_CASES = {
+    "first-document-of-a-chunk-on-a-boundary":
+        [[0.0, 10.0, 24.0], [25.0, 26.0, 49.0], [50.0]],
+    "every-document-on-a-boundary":
+        [[0.0, 25.0, 50.0, 75.0], [100.0, 125.0]],
+    "one-document-crossing-several-boundaries":
+        [[0.0, 1.0, 130.0, 131.0], [290.0]],
+    "equal-timestamps-straddling-a-cut":
+        [[0.0, 24.0, 24.0, 25.0, 25.0], [25.0, 25.0, 26.0, 50.0, 50.0]],
+    "empty-chunks":
+        [[], [0.0, 12.0], [], [30.0, 80.0], []],
+    "no-boundary-at-all":
+        [[0.0, 1.0, 2.0], [3.0, 24.0]],
+}
+
+
+def cut_documents(chunks):
+    tags = ["alpha", "beta", "gamma", "delta"]
+    result, index = [], 0
+    for chunk in chunks:
+        documents = []
+        for timestamp in chunk:
+            documents.append(Document(
+                timestamp=timestamp, doc_id=f"doc-{index}",
+                tags=frozenset({tags[index % 4], tags[(index + 1) % 4],
+                                tags[(index * 3 + 2) % 4]}),
+            ))
+            index += 1
+        result.append(documents)
+    return result
+
+
+def listen(engine):
+    """Record ``documents_processed`` as every published ranking sees it."""
+    seen = []
+    engine.add_ranking_listener(
+        lambda ranking: seen.append(
+            (ranking.timestamp, engine.documents_processed))
+    )
+    return seen
+
+
+@pytest.mark.parametrize("case", CUT_CASES)
+@pytest.mark.parametrize("kind, vectorize", VARIANTS)
+def test_process_batch_cuts_where_process_evaluates(kind, vectorize, case):
+    chunks = cut_documents(CUT_CASES[case])
+    engine = make_engine(kind, vectorize, "popularity")
+    reference = EnBlogue(boundary_config("popularity"), vectorize=False)
+    try:
+        seen, expected_seen = listen(engine), listen(reference)
+        for chunk in chunks:
+            published = len(expected_seen)
+            produced = engine.process_batch(chunk)
+            for document in chunk:
+                reference.process(document)
+            # One ranking per crossed boundary, in order (process itself
+            # returns only the last one a document triggered).
+            assert [ranking.timestamp for ranking in produced] == [
+                timestamp for timestamp, _ in expected_seen[published:]
+            ]
+            assert engine.documents_processed \
+                == reference.documents_processed
+        assert seen == expected_seen
+        assert signature(engine) == signature(reference)
+        final = max(sum(CUT_CASES[case], [])) + 25.0
+        assert engine.evaluate_now(final).topics \
+            == reference.evaluate_now(final).topics
+        if kind == "single":
+            assert engine.snapshot() == reference.snapshot()
+    finally:
+        close(engine)
+

@@ -171,21 +171,11 @@ class TestParsing:
 
 
 class TestEndpoints:
-    def test_reposted_tag_sets_hit_the_decomposition_memo(self, monkeypatch):
+    def test_reposted_tag_sets_hit_the_decomposition_memo(self):
         # The ingest payload carries frozensets, the shape the tracker's
         # decomposition memo keys on: a tag set seen before is neither
-        # normalised nor paired again, whatever order it is posted in.
-        import repro.core.tracker as tracker_module
-
-        normalised = []
-        real = tracker_module.normalize_tag
-
-        def spy(tag):
-            normalised.append(tag)
-            return real(tag)
-
-        monkeypatch.setattr(tracker_module, "normalize_tag", spy)
-
+        # normalised nor paired again, whatever order it is posted in —
+        # its documents get the very objects the first decomposition built.
         def batch(start, flip):
             tag_sets = [["alpha", "beta"], ["beta", "gamma", "delta"]]
             return [
@@ -200,25 +190,31 @@ class TestEndpoints:
             await service.start()
             server = RankingServer(service, port=0)
             await server.start()
+            memo = engine.tracker._decomposer._cache
             try:
                 status, _ = await http_request(
                     server.port, "POST", "/ingest", batch(0, flip=False))
                 assert status == 202
                 await service.drain()
-                first = len(normalised)
+                first = dict(memo)
                 status, _ = await http_request(
                     server.port, "POST", "/ingest", batch(10, flip=True))
                 assert status == 202
                 await service.drain()
-                return first, len(normalised), engine.documents_processed
+                return first, dict(memo), engine
             finally:
                 await server.stop()
                 await service.stop()
 
-        first, second, processed = asyncio.run(scenario())
-        assert processed == 4
-        assert first == 5, "one normalisation per tag of each new tag set"
+        first, second, engine = asyncio.run(scenario())
+        assert engine.documents_processed == 4
+        assert len(first) == 2, "one memo entry per new tag set"
         assert second == first, "the re-posted tag sets were decomposed again"
+        tag_events = list(engine.tracker.tag_window._events)
+        pair_events = list(engine.tracker._pair_events)
+        for reposted, original in ((2, 0), (3, 1)):
+            assert tag_events[reposted][1] is tag_events[original][1]
+            assert pair_events[reposted][1] is pair_events[original][1]
 
     def test_ingest_rankings_stream_and_status(self, docs):
         async def scenario():

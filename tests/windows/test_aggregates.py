@@ -180,3 +180,97 @@ class TestBatchAddDocuments:
         window.add_document(20.0, ["c"])
         assert window.document_count == 1
         assert window.count("c") == 1
+
+
+NAN = float("nan")
+
+#: Every way a timestamp enters a TagFrequencyWindow.
+ENTRY_POINTS = {
+    "add_document": lambda window, t: window.add_document(t, ["x"]),
+    "add_documents": lambda window, t: window.add_documents([(t, ["x"])]),
+    "add_documents_mid_run":
+        lambda window, t: window.add_documents([(1.0, ["w"]), (t, ["x"])]),
+    "advance_to": lambda window, t: window.advance_to(t),
+    "add_ordered_run":
+        lambda window, t: window.add_ordered_run([t], [("x",)]),
+}
+
+
+@pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+class TestTimestampOrderGuard:
+    """A NaN timestamp passes ``t < latest``; it must not pass the guard."""
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["empty", "primed"])
+    def test_nan_is_rejected_and_leaves_the_window_unchanged(
+            self, enter, primed):
+        window = TagFrequencyWindow(10.0)
+        if primed:
+            window.add_document(1.0, ["a"])
+        before = window.state_dict()
+        with pytest.raises(ValueError):
+            enter(window, NAN)
+        assert window.state_dict() == before
+        assert window.document_count == int(primed)
+        assert window.snapshot() == ({"a": 1} if primed else {})
+
+    def test_the_order_check_and_eviction_survive_a_nan(self, enter):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(1.0, ["a"])
+        with pytest.raises(ValueError):
+            enter(window, NAN)
+        with pytest.raises(ValueError):
+            window.add_document(0.5, ["c"])
+        window.add_document(1000.0, ["d"])
+        assert window.document_count == 1
+        assert window.snapshot() == {"d": 1}
+
+    @pytest.mark.parametrize("timestamp", [1.0, 2.5, float("inf")],
+                             ids=["equal", "later", "inf"])
+    def test_every_other_timestamp_is_accepted_as_before(
+            self, enter, timestamp):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(1.0, ["a"])
+        enter(window, timestamp)
+        assert window.latest_timestamp == timestamp
+
+
+class TestAddOrderedRun:
+    def test_matches_one_add_document_per_document(self):
+        sequential = TagFrequencyWindow(10.0)
+        bulk = TagFrequencyWindow(10.0)
+        documents = [(0.0, ("a", "b")), (4.0, ("b",)), (4.0, ()),
+                     (12.0, ("a", "c"))]
+        for timestamp, tags in documents:
+            sequential.add_document(timestamp, tags, prepared=True)
+        bulk.add_ordered_run(*zip(*documents))
+        assert bulk.state_dict() == sequential.state_dict()
+        assert list(bulk.snapshot().items()) \
+            == list(sequential.snapshot().items())
+        assert bulk.document_count == sequential.document_count == 3
+
+    def test_empty_run_is_a_noop(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_ordered_run([], [])
+        assert window.latest_timestamp is None
+        assert window.document_count == 0
+
+    def test_a_run_starting_behind_the_clock_is_rejected_whole(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(5.0, ["a"])
+        before = window.state_dict()
+        with pytest.raises(ValueError):
+            window.add_ordered_run([4.0, 6.0], [("b",), ("c",)])
+        assert window.state_dict() == before
+        # Still consistent after the rejection: no phantom events to evict.
+        window.add_document(20.0, ["c"])
+        assert window.document_count == 1
+        assert window.snapshot() == {"c": 1}
+
+    def test_striped_window_takes_the_same_run(self):
+        plain = TagFrequencyWindow(10.0)
+        striped = TagFrequencyWindow(10.0, stripes=3)
+        run = ([0.0, 1.0, 11.0, 11.5], [("a", "b"), ("b",), ("a",), ("c",)])
+        plain.add_ordered_run(*run)
+        striped.add_ordered_run(*run)
+        assert striped.snapshot() == plain.snapshot() == {"a": 1, "c": 1}
+        assert striped.document_count == plain.document_count == 2

@@ -136,3 +136,51 @@ class TestCountSlidingWindow:
         window.append(1.0)
         window.clear()
         assert len(window) == 0
+
+
+NAN = float("nan")
+
+#: Every way a timestamp enters the two bare windows.
+ENTRY_POINTS = {
+    "time_append": (lambda: TimeSlidingWindow(10.0),
+                    lambda window, t: window.append(t, "v")),
+    "time_advance_to": (lambda: TimeSlidingWindow(10.0),
+                        lambda window, t: window.advance_to(t)),
+    "count_append": (lambda: CountSlidingWindow(3),
+                     lambda window, t: window.append(t, "v")),
+}
+
+
+@pytest.mark.parametrize("make,enter", ENTRY_POINTS.values(),
+                         ids=ENTRY_POINTS)
+class TestTimestampOrderGuard:
+    """A NaN timestamp passes ``t < latest``; it must not pass the guard."""
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["empty", "primed"])
+    def test_nan_is_rejected_and_leaves_the_window_unchanged(
+            self, make, enter, primed):
+        window = make()
+        if primed:
+            window.append(1.0, "a")
+        with pytest.raises(ValueError):
+            enter(window, NAN)
+        assert window.values() == (["a"] if primed else [])
+        assert window.latest_timestamp == (1.0 if primed else None)
+        # The guard is still on: the past stays rejected, the future evicts.
+        window.append(2.0, "b")
+        with pytest.raises(ValueError):
+            window.append(0.5, "c")
+        window.append(1000.0, "d")
+        assert window.values()[-1] == "d"
+        if isinstance(window, TimeSlidingWindow):
+            assert window.values() == ["d"]
+
+    @pytest.mark.parametrize("timestamp", [1.0, 2.5, float("inf")],
+                             ids=["equal", "later", "inf"])
+    def test_every_other_timestamp_is_accepted_as_before(
+            self, make, enter, timestamp):
+        window = make()
+        window.append(1.0, "a")
+        enter(window, timestamp)
+        assert window.latest_timestamp == timestamp
+
