@@ -60,7 +60,6 @@ class _DeltaChain:
 def make_tracker(
     config: EnBlogueConfig,
     track_usage: Optional[bool] = None,
-    vectorize: Optional[bool] = None,
     counter_stripes: int = 1,
     tier: Optional[SketchTier] = None,
     track_count_history: bool = True,
@@ -70,9 +69,9 @@ def make_tracker(
     Shared by the :class:`EnBlogue` façade and the sharded engine's workers
     (which pass ``track_usage=False``: co-tag usage is a global statistic
     that cannot be maintained per shard), so both build identical stage (ii)
-    state.  ``vectorize``/``counter_stripes`` are runtime choices (batched
-    sampling kernels, MRV-striped usage counters), not structural ones:
-    they never affect produced values or snapshot compatibility.
+    state.  ``counter_stripes`` is a runtime choice (MRV-striped usage
+    counters), not a structural one: it never affects produced values or
+    snapshot compatibility.
 
     ``track_count_history`` comes from the seed selector the caller built
     (``seed_selector.reads_history``): the per-tag count history exists for
@@ -92,7 +91,6 @@ def make_tracker(
         history_length=config.history_length,
         use_entities=config.use_entities,
         track_usage=track_usage,
-        vectorize=vectorize,
         counter_stripes=counter_stripes,
         tier=tier,
         track_count_history=track_count_history,
@@ -658,7 +656,7 @@ class EnBlogue(DetectionEngineBase):
         super().__init__(config, entity_tagger, observability=observability)
         tier = make_sketch_tier(self.config)
         self.tracker = make_tracker(
-            self.config, vectorize=vectorize, tier=tier,
+            self.config, tier=tier,
             track_count_history=self.seed_selector.reads_history,
         )
         if tier is not None:

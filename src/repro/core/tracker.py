@@ -34,7 +34,6 @@ from typing import (
     TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
 )
 
-from repro.core import vectorized as _vectorized
 from repro.core.candidates import CandidateIndex
 from repro.core.correlation import CorrelationMeasure, JaccardCorrelation, PairCounts
 from repro.core.types import TagPair, normalize_tag
@@ -47,6 +46,7 @@ from repro.windows.striped import StripedCounter, record_count_history
 from repro.windows.timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core import vectorized as _vectorized
     from repro.sketches.tier import SketchTier
 
 #: One prepared document: ``(timestamp, tags, entities)``.
@@ -177,7 +177,6 @@ class CorrelationTracker:
         history_length: int = 24,
         use_entities: bool = True,
         track_usage: bool = False,
-        vectorize: Optional[bool] = None,
         counter_stripes: int = 1,
         tier: Optional["SketchTier"] = None,
         track_count_history: bool = True,
@@ -203,12 +202,6 @@ class CorrelationTracker:
         # into a tracker that keeps none simply drops it.
         self.track_count_history = bool(track_count_history)
         self.counter_stripes = int(counter_stripes)
-        # Batched sampling kernels: auto-detected (numpy present, measure
-        # carries a bit-identical kernel) unless forced off.  Not a
-        # structural parameter — snapshots restore across either path.
-        self._vectorize_sampling = _vectorized.sampling_supported(
-            self.measure, vectorize
-        )
 
         # Optional sketch tier in front of the exact pair state: when set,
         # every document's pairs pass through its admission filter before
@@ -269,11 +262,6 @@ class CorrelationTracker:
     def tier(self):
         """The sketch admission tier, or ``None`` in exact mode."""
         return self._tier
-
-    @property
-    def sampling_path(self) -> str:
-        """``"vectorized"`` or ``"scalar"`` — how :meth:`_sample` computes."""
-        return "vectorized" if self._vectorize_sampling else "scalar"
 
     def attach_evaluator(self, evaluator: "_vectorized.FusedEvaluator") -> None:
         """Make ``evaluator``'s history columns the place evaluations write.
@@ -533,10 +521,6 @@ class CorrelationTracker:
         tag_counts: Mapping[str, int],
         total_documents: int,
     ) -> List[PairObservation]:
-        if self._vectorize_sampling:
-            return self._sample_vectorized(
-                timestamp, seeds, tag_counts, total_documents
-            )
         observations: List[PairObservation] = []
         # Local bindings for the per-pair loop: evaluation samples hundreds
         # of pairs per boundary, so attribute and method-call overhead shows.
@@ -580,72 +564,6 @@ class CorrelationTracker:
                 [float(observation.correlation)
                  for observation in observations],
             )
-        return observations
-
-    def _sample_vectorized(
-        self,
-        timestamp: float,
-        seeds: Iterable[str],
-        tag_counts: Mapping[str, int],
-        total_documents: int,
-    ) -> List[PairObservation]:
-        """The measure kernel over the whole candidate set at once.
-
-        Counts are validated and scored in batch; the per-candidate
-        PairCounts/PairObservation construction and the history appends
-        then replay the scalar loop with the kernel's values, which are
-        bit-identical by construction (property-tested).
-        """
-        np = _vectorized.np
-        candidates = self._candidates.iter_candidates(seeds)
-        count = len(candidates)
-        if count == 0:
-            return []
-        count_a = np.fromiter(
-            (tag_counts.get(pair.first, 0) for pair, _, _ in candidates),
-            dtype=np.int64, count=count,
-        )
-        count_b = np.fromiter(
-            (tag_counts.get(pair.second, 0) for pair, _, _ in candidates),
-            dtype=np.int64, count=count,
-        )
-        count_both = np.fromiter(
-            (pair_count for _, _, pair_count in candidates),
-            dtype=np.int64, count=count,
-        )
-        # Same clamp as the scalar loop: a sketch tier's back-filled
-        # promotion can push the windowed pair count past a tag count.
-        count_both = np.minimum(count_both, np.minimum(count_a, count_b))
-        _vectorized.validate_pair_counts(
-            candidates, count_a, count_b, count_both, total_documents
-        )
-        values = _vectorized.measure_candidates(
-            self.measure, count_a, count_b, count_both, total_documents
-        ).tolist()
-        observations: List[PairObservation] = []
-        histories = self._synced_histories(mutating=True)
-        count_a = count_a.tolist()
-        count_b = count_b.tolist()
-        count_both = count_both.tolist()
-        for index, (pair, seed_tag, pair_count) in enumerate(candidates):
-            counts = PairCounts(
-                count_a=count_a[index],
-                count_b=count_b[index],
-                count_both=count_both[index],
-                total_documents=total_documents,
-                pair=pair,
-            )
-            value = values[index]
-            history = histories.get(pair)
-            if history is None:
-                history = TimeSeries(maxlen=self.history_length)
-                histories[pair] = history
-            history.append(timestamp, value)
-            observations.append(PairObservation(
-                pair=pair, timestamp=timestamp, correlation=value,
-                counts=counts, seed_tag=seed_tag,
-            ))
-        self.journal_samples(timestamp, [c[0] for c in candidates], values)
         return observations
 
     def journal_samples(

@@ -761,7 +761,7 @@ class FusedEvaluator:
         count_both = np.fromiter(
             map(_THIRD, candidates), dtype=np.int64, count=count
         )
-        # Same clamp as the tracker's sampling paths: a sketch tier's
+        # Same clamp as the tracker's scalar sampling loop: a sketch tier's
         # back-filled promotion can push a windowed pair count past a tag
         # count; exact tracking never does, so this is a no-op there.
         count_both = np.minimum(count_both, np.minimum(count_a, count_b))
@@ -843,19 +843,6 @@ class FusedEvaluator:
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
-
-
-def sampling_supported(
-    measure: CorrelationMeasure, enabled: Optional[bool] = None
-) -> bool:
-    """Whether the tracker's sampling loop may use the measure kernels."""
-    if enabled is False:
-        return False
-    if not NUMPY_AVAILABLE:
-        return False
-    if enabled is None and vectorization_disabled():
-        return False
-    return measure_supported(measure)
 
 
 def make_fused_evaluator(

@@ -4,9 +4,11 @@ The harness is deliberately dumb: a :class:`FaultPlan` holds an ordered
 list of :class:`Fault` records, each keyed to a hook *site* (``dispatch``
 or ``gather``), an optional shard filter, and an occurrence window — the
 fault fires on matching events number ``after + 1`` through
-``after + times``, counted per fault. Backends call the two hooks only
-when a plan is bound (``if self._fault_plan is not None:``), so the
-absent-plan cost is one attribute test.
+``after + times``, counted per fault. The shard protocol has one send
+site and one receive site (``ShardBackend._send`` / ``_recv``), so every
+message on every backend — ``serial`` included — passes both hooks; they
+are called only when a plan is bound (``if self._fault_plan is not
+None:``), so the absent-plan cost is one attribute test.
 
 Actions:
 
@@ -14,7 +16,8 @@ Actions:
   I/O happens (e.g. a dispatch that fails with ``BrokenPipeError``),
 * ``kill`` — the hook returns ``"kill"`` and the backend murders the
   shard worker *after* delivering the message, so "kill worker k after
-  batch N" leaves the worker dead with batch N applied,
+  batch N" leaves the worker dead with batch N applied (a process may
+  lose the race with its SIGTERM; recovery is exact either way),
 * ``delay`` — the hook invokes the plan's ``sleep`` for the configured
   seconds before the gather; with an injected fake sleep this advances a
   fake clock past a supervision deadline without any real waiting.

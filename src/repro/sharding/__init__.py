@@ -9,8 +9,13 @@ published rankings stay **bit-identical** to the single engine:
   canonical pair to a shard id,
 * :class:`ShardWorker` — one shard's pair-restricted tracker, shift
   detector and local top-k,
-* :class:`SerialBackend` / :class:`ProcessBackend` — pluggable execution
-  (in-process reference vs. one worker process per shard),
+* :class:`ShardBackend` — the shard protocol, stated once, over three
+  transports: :class:`SerialBackend` (the caller's thread: deterministic
+  default and reference), :class:`ThreadBackend` (a thread per shard,
+  payloads by reference), :class:`ProcessBackend` (a process per shard,
+  parallel on a GIL build),
+* :class:`SupervisedBackend` — the self-healing wrapper over any of them
+  (operation log, retry policy, exact recovery),
 * :class:`ShardedEnBlogue` — the coordinator: decomposes each document
   once, keeps the global tag-frequency window, routes per-shard pair
   chunks, broadcasts seeds and counts at each boundary and k-way-merges
@@ -23,6 +28,7 @@ from repro.sharding.backends import (
     SerialBackend,
     ShardBackend,
     ShardExecutionError,
+    ThreadBackend,
     available_backends,
     make_backend,
 )
@@ -37,6 +43,7 @@ __all__ = [
     "ShardWorker",
     "ShardBackend",
     "SerialBackend",
+    "ThreadBackend",
     "ProcessBackend",
     "ShardExecutionError",
     "DEFAULT_START_METHOD",

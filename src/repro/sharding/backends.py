@@ -1,30 +1,40 @@
-"""Pluggable execution backends for the sharded detection engine.
+"""The shard protocol, and the three transports it travels over.
 
-The coordinator talks to its shard workers through a minimal scatter-gather
-protocol — ``ingest`` (fire-and-forget, chunked), ``evaluate`` (synchronous
-broadcast + gather) and ``close`` — and the backend decides where the
-workers live:
+The coordinator talks to its shard workers in eight messages — ``ingest``
+(fire-and-forget, one chunk of pair events) and seven synchronous
+operations (``evaluate``, ``stats``, ``collect_state``, ``restore_state``,
+``begin_delta``, ``end_delta``, ``collect_delta``) — plus ``stop``, and
+the protocol is written down here exactly once:
 
-* :class:`SerialBackend` keeps them in-process and calls them directly.
-  It is the deterministic reference implementation: tests establish
-  bit-identical equivalence against the single engine here, and the
-  process backend is then held to the same output.
-* :class:`ProcessBackend` gives each shard its own worker process.  The
-  worker state (all plain-Python, picklable) is shipped once at start-up;
-  afterwards only pair-event chunks flow down and local top-k lists flow
-  back.  Ingest messages need no acknowledgement — pipes are FIFO, so an
-  ``evaluate`` request observes every chunk sent before it — which lets
-  the coordinator keep decomposing and routing documents while workers
-  ingest in parallel.  A worker that fails during ingest remembers the
-  failure and reports it at the next synchronisation point.
-* :class:`ThreadBackend` gives each shard its own worker *thread*, fed
-  through an in-process deque — zero serialization in either direction:
-  payloads (event chunks, the broadcast tag counts, result topic lists)
-  are passed by reference.  On GIL builds the threads interleave, but the
-  pickling tax of the process backend disappears for the dispatch half;
-  on free-threaded builds the shards genuinely run in parallel.  Error
-  semantics mirror the process backend exactly (sticky ingest failures
-  surfacing at the next synchronisation point).
+* **worker side** — :data:`_OPERATIONS` maps each synchronous operation
+  to the :class:`~repro.sharding.worker.ShardWorker` call it stands for;
+  :class:`_ShardServer` applies a message under the protocol's three
+  rules (``ingest`` sends no reply; a failure is *sticky* and answers
+  every later request with its traceback; a reply carries the worker's
+  drained telemetry as its third element, so in-shard stage timings and
+  log records ship for free on a reply the coordinator was reading
+  anyway — ingest telemetry rides the next synchronisation point); one
+  request loop, :func:`_shard_loop`, serves a thread or a process;
+* **coordinator side** — :class:`ShardBackend` sends through one site
+  (fault hook, transport) and receives through one (fault hook,
+  transport, status check, telemetry merge).  ``ingest`` is a send per
+  non-empty chunk, every other method a scatter to all shards and a
+  gather in shard order.  Every transport is FIFO, so a synchronous
+  operation observes every chunk sent before it — which is what lets
+  ingest go unacknowledged, and a worker that failed during ingest report
+  it at the next synchronisation point.  Any shard failure (a sticky
+  worker error, a dead worker, a failed send) goes through one rule:
+  record it, tear the *whole* pool down promptly — a half-dead pool must
+  never publish partial rankings — and raise :class:`ShardExecutionError`
+  naming the shard.
+
+The backends differ only in how a message travels, and each has one
+reason to exist: :class:`SerialBackend` (on the caller's thread) is the
+deterministic default and the reference the others are held to,
+:class:`ThreadBackend` (a queue per shard thread) passes every payload by
+reference and is what the ``replay_sharded`` benchmark measures,
+:class:`ProcessBackend` (a pipe per shard process) is the only one that
+runs shards in parallel on a GIL build.
 """
 
 from __future__ import annotations
@@ -34,7 +44,10 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Deque, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from queue import SimpleQueue
+from types import SimpleNamespace
+from typing import Deque, List, Mapping, Optional, Sequence
 
 from repro.core.types import EmergentTopic
 from repro.persistence.snapshot import SnapshotMismatchError
@@ -69,11 +82,256 @@ _FAILURE_METRICS = {
     "dead": "repro_sharding_dead_workers_total",
 }
 
+#: What a transport raises when the worker behind it is gone.
+_TRANSPORT_ERRORS = (OSError, EOFError)
+
+
+# -- worker side -------------------------------------------------------------------
+
+#: The synchronous operations: name → the worker call the payload stands
+#: for.  Lambdas on purpose: the method is looked up on the worker when
+#: the message is applied, so a ``ShardWorker`` method patched on the
+#: class after the pool started (the benchmark's traced pass does that)
+#: is the one that runs.
+_OPERATIONS = {
+    "evaluate": lambda worker, payload: worker.evaluate(*payload),
+    "stats": lambda worker, _: worker.stats(),
+    "collect_state": lambda worker, _: worker.snapshot(),
+    "restore_state": lambda worker, state: worker.restore(state),
+    "begin_delta": lambda worker, _: worker.begin_delta_tracking(),
+    "end_delta": lambda worker, _: worker.end_delta_tracking(),
+    "collect_delta": lambda worker, generation: worker.delta_since(generation),
+}
+
+
+class _ShardServer:
+    """Applies protocol messages to one shard worker.
+
+    A reply is ``("ok", result, drained telemetry)`` or ``(failure kind —
+    a key of _FAILURE_METRICS —, traceback text, None)``.
+    """
+
+    def __init__(self, worker: ShardWorker):
+        self.worker = worker
+        self._failure: Optional[tuple] = None
+
+    def handle(self, operation: str, payload) -> Optional[tuple]:
+        """The reply to one message; None for ``ingest``, which has none.
+
+        An ingest failure is remembered and surfaces at the next reply,
+        so the coordinator's fire-and-forget dispatch cannot silently
+        lose an error; once failed, the worker applies nothing further.
+        """
+        if operation == "ingest":
+            if self._failure is None:
+                try:
+                    self.worker.ingest(payload)
+                except Exception:
+                    self._failure = ("ingest", traceback.format_exc(), None)
+            return None
+        if self._failure is not None:
+            return self._failure
+        apply = _OPERATIONS.get(operation)
+        if apply is None:
+            return ("failure", f"unknown operation {operation!r}", None)
+        try:
+            value = apply(self.worker, payload)
+        except Exception:
+            self._failure = ("failure", traceback.format_exc(), None)
+            return self._failure
+        return ("ok", value, self.worker.drain_telemetry())
+
+
+def _shard_loop(worker: ShardWorker, connection) -> None:
+    """Request loop of one shard thread or process (module-level, so a
+    spawned interpreter can import it).
+
+    ``connection`` is the worker's end of a duplex channel, closed on
+    every way out so that the coordinator's ``recv`` sees end-of-file
+    instead of waiting on a worker that is gone.
+    """
+    server = _ShardServer(worker)
+    try:
+        while True:
+            try:
+                operation, payload = connection.recv()
+            except EOFError:
+                break
+            if operation == "stop":
+                break
+            reply = server.handle(operation, payload)
+            if reply is not None:
+                connection.send(reply)
+    finally:
+        connection.close()
+
+
+# -- transports --------------------------------------------------------------------
+#
+# One per shard, behind ``send / recv / alive / depth / kill / shutdown /
+# join``: ``send`` delivers one ``(operation, payload)`` and ``recv``
+# returns the next reply, either raising one of _TRANSPORT_ERRORS when the
+# worker is gone; ``depth`` counts messages not yet taken; ``kill`` is a
+# scripted death after delivery (fault drills); ``shutdown`` tells the
+# worker to stop *now*; ``join`` waits for it and releases the transport.
+
+
+class _InlineTransport:
+    """Applies each message on the caller's thread; replies queue up."""
+
+    def __init__(self, worker: ShardWorker):
+        self._server: Optional[_ShardServer] = _ShardServer(worker)
+        self._replies: Deque[tuple] = deque()
+
+    def send(self, message) -> None:
+        if self._server is None:
+            raise BrokenPipeError("the in-process shard worker is gone")
+        if message[0] == "stop":
+            return self.kill()
+        reply = self._server.handle(*message)
+        if reply is not None:
+            self._replies.append(reply)
+
+    def recv(self) -> tuple:
+        if not self._replies:
+            raise EOFError("the in-process shard worker is gone")
+        return self._replies.popleft()
+
+    def alive(self) -> bool:
+        return self._server is not None
+
+    def depth(self) -> int:
+        return 0
+
+    def kill(self) -> None:
+        self._server = None
+
+    shutdown = kill
+
+    def join(self) -> None:
+        pass
+
+
+#: What a shard thread leaves on its reply queue on the way out.
+_EOF = object()
+
+
+class _ThreadTransport:
+    """A shard thread fed through one in-process queue, replying on another.
+
+    Zero-copy by design: the coordinator blocks in the gather while the
+    shard threads read the broadcast seeds/tag counts, so live references
+    are safe to share and nothing is ever pickled.  The per-shard trackers
+    remain single-writer (only their own thread touches them) — the same
+    isolation argument as a process, minus the serialization.
+    """
+
+    def __init__(self, worker: ShardWorker):
+        self._requests, self._replies = SimpleQueue(), SimpleQueue()
+        self.send = self._requests.put
+        self._thread = threading.Thread(
+            target=_shard_loop,
+            args=(worker, SimpleNamespace(
+                recv=self._requests.get,
+                send=self._replies.put,
+                close=partial(self._replies.put, _EOF),
+            )),
+            name=f"enblogue-shard-{worker.shard_id}",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def recv(self) -> tuple:
+        # The end-of-file rule of a pipe: what the thread queued before it
+        # exited is still delivered, then every recv raises — a dead
+        # thread is noticed on the spot, not after a timeout.
+        reply = self._replies.get()
+        if reply is _EOF:
+            self._replies.put(_EOF)
+            raise EOFError("the shard thread exited")
+        return reply
+
+    def alive(self) -> bool:
+        return self._thread.is_alive()
+
+    def depth(self) -> int:
+        return self._requests.qsize()
+
+    def kill(self) -> None:
+        # A thread cannot be terminated; a stop posted *behind* the
+        # delivered chunk makes it apply the chunk and exit — the
+        # deterministic analogue of terminating a process.
+        self.send(("stop", None))
+
+    shutdown = kill
+
+    def join(self) -> None:
+        self._thread.join(timeout=5.0)
+
+
+class _PipeTransport:
+    """A shard process behind a duplex pipe; every message is pickled."""
+
+    def __init__(self, worker: ShardWorker, context):
+        self._pipe, child_end = context.Pipe(duplex=True)
+        self._process = context.Process(
+            target=_shard_loop,
+            args=(worker, child_end),
+            name=f"enblogue-shard-{worker.shard_id}",
+            daemon=True,
+        )
+        self._process.start()
+        # The child holds the only other copy: when it dies, recv() here
+        # raises EOFError instead of blocking.
+        child_end.close()
+        self.send = self._pipe.send
+        self.recv = self._pipe.recv
+
+    def alive(self) -> bool:
+        return self._process.is_alive()
+
+    def depth(self) -> int:
+        return 0
+
+    def kill(self) -> None:
+        # The worker may or may not apply the delivered message before
+        # the SIGTERM lands, exactly like a real crash racing an in-flight
+        # batch — a supervisor must recover to the correct state either way.
+        self._process.terminate()
+        self._process.join(timeout=5.0)
+
+    def shutdown(self) -> None:
+        # Terminate rather than ask: a worker mid-ingest cannot read a
+        # stop message until it drains its pipe, so asking can stall for
+        # the full join timeout and — if the join expires while the worker
+        # still holds buffered pipe data — leave a live process behind
+        # until interpreter exit.
+        self._process.terminate()
+
+    def join(self) -> None:
+        try:
+            self._pipe.close()
+        except OSError:
+            pass
+        self._process.join(timeout=5.0)
+        if self._process.is_alive():
+            self._process.terminate()
+            self._process.join(timeout=1.0)
+            if self._process.is_alive():  # pragma: no cover - last resort
+                self._process.kill()
+                self._process.join(timeout=1.0)
+
+
+# -- coordinator side --------------------------------------------------------------
+
 
 class ShardBackend:
-    """Interface: execute shard workers and the scatter-gather protocol.
+    """The coordinator's side of the shard protocol, over any transport.
 
-    Every backend also keeps *coordinator-side* per-shard health records —
+    A concrete backend supplies :meth:`_connect` — how one worker is
+    reached — and nothing else.
+
+    The backend also keeps *coordinator-side* per-shard health records —
     pair events dispatched, dispatch count, last dispatch latency, sticky
     ingest failure — as plain dicts, so :meth:`health` works (and stays
     non-blocking) with or without an observability bundle attached.  When
@@ -83,6 +341,8 @@ class ShardBackend:
 
     name = "base"
 
+    _transports: Sequence = ()
+    _closed = False
     _observability = None
     _health_records: Optional[List[dict]] = None
     _metric_dispatch: Optional[List] = None
@@ -90,13 +350,19 @@ class ShardBackend:
     _metric_shard_stage: Optional[List[dict]] = None
     _shard_stage_family = None
     _clock = staticmethod(time.perf_counter)
-    #: Bound fault-injection plan (tests/chaos only).  The hook sites all
+    #: Bound fault-injection plan (tests/chaos only).  Both hook sites
     #: guard with ``if self._fault_plan is not None`` so the production
-    #: cost of the harness is one attribute test per dispatch/gather.
+    #: cost of the harness is one attribute test per send/receive.
     _fault_plan = None
 
-    def start(self, workers: Sequence[ShardWorker]) -> None:
+    def _connect(self, worker: ShardWorker):
+        """Start ``worker`` wherever this backend runs it; its transport."""
         raise NotImplementedError
+
+    def start(self, workers: Sequence[ShardWorker]) -> None:
+        self._closed = False
+        self._transports = [self._connect(worker) for worker in workers]
+        self._init_health(len(self._transports))
 
     def bind_fault_plan(self, plan) -> None:
         """Attach a :class:`repro.faults.FaultPlan` (None detaches)."""
@@ -129,11 +395,12 @@ class ShardBackend:
         depth — safe to call from a serving event loop even while a shard
         is wedged.  ``alive: False`` is what flips ``GET /status`` to 503.
         """
-        records = self._health_records or []
+        transports = self._transports  # empty once closed or torn down
         health = []
-        for shard_id, record in enumerate(records):
+        for shard_id, record in enumerate(self._health_records or ()):
             entry = dict(record)
-            entry["alive"] = self._shard_alive(shard_id)
+            entry["alive"] = (shard_id < len(transports)
+                              and transports[shard_id].alive())
             entry["queue_depth"] = self._shard_queue_depth(shard_id)
             health.append(entry)
         return health
@@ -194,21 +461,17 @@ class ShardBackend:
 
     def _record_dispatch(self, shard_id: int, events: int,
                          seconds: float) -> None:
-        records = self._health_records
-        if records is not None and 0 <= shard_id < len(records):
-            record = records[shard_id]
-            record["pair_events"] += events
-            record["dispatches"] += 1
-            record["last_dispatch_us"] = round(seconds * 1e6, 3)
+        record = self._health_records[shard_id]
+        record["pair_events"] += events
+        record["dispatches"] += 1
+        record["last_dispatch_us"] = round(seconds * 1e6, 3)
         if self._metric_dispatch is not None:
             self._metric_dispatch[shard_id].observe(seconds)
             self._metric_events[shard_id].inc(events)
 
     def _record_failure(self, shard_id: int, kind: str) -> None:
-        records = self._health_records
-        if kind == "ingest" and records is not None \
-                and 0 <= shard_id < len(records):
-            records[shard_id]["ingest_failed"] = True
+        if kind == "ingest":
+            self._health_records[shard_id]["ingest_failed"] = True
         observability = self._observability
         if observability is not None and observability.enabled:
             observability.registry.counter(_FAILURE_METRICS[kind]) \
@@ -227,7 +490,7 @@ class ShardBackend:
         if not telemetry:
             return
         children = self._metric_shard_stage
-        if children is not None and 0 <= shard_id < len(children):
+        if children is not None:
             shard_children = children[shard_id]
             for stage, seconds in telemetry.get("stages", ()):
                 child = shard_children.get(stage)
@@ -242,15 +505,26 @@ class ShardBackend:
             for record in telemetry.get("logs", ()):
                 observability.log.merge(record, shard=shard_id)
 
-    def _shard_alive(self, shard_id: int) -> bool:
-        return not getattr(self, "_closed", False)
-
     def _shard_queue_depth(self, shard_id: int) -> int:
-        return 0
+        if shard_id >= len(self._transports):
+            return 0
+        return self._transports[shard_id].depth()
+
+    # -- the protocol ----------------------------------------------------------
 
     def ingest(self, chunks: Sequence[List[ShardEvent]]) -> None:
-        """Dispatch one chunk of pair events per shard (empty chunks skipped)."""
-        raise NotImplementedError
+        """Dispatch one chunk of pair events per shard (empty chunks skipped).
+
+        Fire-and-forget: no reply is awaited, so the coordinator keeps
+        decomposing and routing documents while the workers ingest.
+        """
+        self._ensure_open()
+        for shard_id, events in enumerate(chunks):
+            if events:
+                # Dispatch latency is the transport's price per chunk: the
+                # ingest itself, a queue put, or pickle + pipe write.
+                seconds = self._send(shard_id, "ingest", events)
+                self._record_dispatch(shard_id, len(events), seconds)
 
     def evaluate(
         self,
@@ -260,727 +534,198 @@ class ShardBackend:
         total_documents: int,
     ) -> List[List[EmergentTopic]]:
         """Broadcast the globals, gather every shard's local top-k."""
-        raise NotImplementedError
+        # The list() guards against a shared one-shot iterable; tag_counts
+        # is deliberately NOT copied — shards only read it, and the
+        # coordinator does not mutate it until the gather returns (only
+        # the pipe copies, by pickling).
+        return self._call(
+            "evaluate", (timestamp, list(seeds), tag_counts, total_documents)
+        )
 
     def stats(self) -> List[dict]:
-        raise NotImplementedError
+        """Every shard worker's summary counters, in shard order."""
+        return self._call("stats")
 
     def collect_states(self) -> List[dict]:
-        """Gather every shard worker's snapshot, in shard order.
-
-        A synchronisation point like ``evaluate``: the returned states
-        reflect every ingest chunk dispatched before the call.
-        """
-        raise NotImplementedError
+        """Gather every shard worker's snapshot, in shard order."""
+        return self._call("collect_state")
 
     def restore_states(self, states: Sequence[Mapping]) -> None:
         """Restore one snapshot per shard worker, in shard order."""
-        raise NotImplementedError
+        self._call("restore_state", states)
 
     def begin_delta_tracking(self) -> None:
         """Arm delta recording in every shard worker (journal checkpoints)."""
-        raise NotImplementedError
+        self._call("begin_delta")
 
     def end_delta_tracking(self) -> None:
         """Disarm delta recording in every shard worker."""
-        raise NotImplementedError
+        self._call("end_delta")
 
     def collect_deltas(self, generation: int) -> List[dict]:
-        """Drain every shard worker's delta, in shard order.
-
-        A synchronisation point like ``collect_states``: the returned
-        deltas reflect every ingest chunk dispatched before the call.
-        """
-        raise NotImplementedError
+        """Drain every shard worker's delta, in shard order."""
+        return self._call("collect_delta", generation)
 
     def close(self) -> None:
-        raise NotImplementedError
-
-    def _require_state_per_shard(self, states: Sequence, shards: int) -> None:
-        if len(states) != shards:
-            raise SnapshotMismatchError(
-                f"backend runs {shards} shard(s) but {len(states)} shard "
-                f"state(s) were offered; re-partition the checkpoint first "
-                f"(see repro.sharding.reshard)"
-            )
-
-
-class SerialBackend(ShardBackend):
-    """In-process reference backend: direct calls, fully deterministic."""
-
-    name = "serial"
-
-    def __init__(self) -> None:
-        self.workers: List[ShardWorker] = []
-        self._closed = False
-
-    def start(self, workers: Sequence[ShardWorker]) -> None:
-        self.workers = list(workers)
-        self._closed = False
-        self._init_health(len(self.workers))
-
-    def ingest(self, chunks: Sequence[List[ShardEvent]]) -> None:
-        self._ensure_open()
-        clock = self._clock
-        for shard_id, (worker, events) in enumerate(
-                zip(self.workers, chunks)):
-            if events:
-                start = clock()
-                try:
-                    worker.ingest(events)
-                except Exception:
-                    # In-process workers fail synchronously (no sticky
-                    # deferral): record, then let the error propagate.
-                    self._record_failure(shard_id, "ingest")
-                    raise
-                self._record_dispatch(shard_id, len(events), clock() - start)
-                self._merge_telemetry(shard_id, worker.drain_telemetry())
-
-    def evaluate(self, timestamp, seeds, tag_counts, total_documents):
-        self._ensure_open()
-        results = []
-        for shard_id, worker in enumerate(self.workers):
-            results.append(
-                worker.evaluate(timestamp, seeds, tag_counts, total_documents)
-            )
-            self._merge_telemetry(shard_id, worker.drain_telemetry())
-        return results
-
-    def stats(self) -> List[dict]:
-        self._ensure_open()
-        return [worker.stats() for worker in self.workers]
-
-    def collect_states(self) -> List[dict]:
-        self._ensure_open()
-        return [worker.snapshot() for worker in self.workers]
-
-    def restore_states(self, states: Sequence[Mapping]) -> None:
-        self._ensure_open()
-        self._require_state_per_shard(states, len(self.workers))
-        for shard_id, (worker, state) in enumerate(zip(self.workers, states)):
-            worker.restore(state)
-            self._merge_telemetry(shard_id, worker.drain_telemetry())
-
-    def begin_delta_tracking(self) -> None:
-        self._ensure_open()
-        for worker in self.workers:
-            worker.begin_delta_tracking()
-
-    def end_delta_tracking(self) -> None:
-        self._ensure_open()
-        for worker in self.workers:
-            worker.end_delta_tracking()
-
-    def collect_deltas(self, generation: int) -> List[dict]:
-        self._ensure_open()
-        return [worker.delta_since(generation) for worker in self.workers]
-
-    def close(self) -> None:
+        """Graceful shutdown (idempotent): a stop message behind whatever
+        is queued, then wait for every worker to drain and exit."""
         self._closed = True
-        self.workers = []
+        transports, self._transports = self._transports, ()
+        for transport in transports:
+            try:
+                transport.send(("stop", None))
+            except _TRANSPORT_ERRORS:
+                pass
+        for transport in transports:
+            transport.join()
+
+    def _call(self, operation: str, payload=None) -> List:
+        """One synchronous operation: scatter, then gather in shard order.
+
+        A synchronisation point: transports are FIFO, so every reply
+        reflects every ingest chunk dispatched before the call.  Every
+        shard gets its request before any reply is awaited, so they all
+        compute concurrently; the merge needs a fixed order anyway.
+        ``payload`` goes to every shard as it is, except ``restore_state``'s,
+        which holds one state per shard.
+        """
+        self._ensure_open()
+        shards = range(len(self._transports))
+        per_shard = operation == "restore_state"
+        if per_shard and len(payload) != len(shards):
+            raise SnapshotMismatchError(
+                f"backend runs {len(shards)} shard(s) but {len(payload)} "
+                f"shard state(s) were offered; re-partition the checkpoint "
+                f"first (see repro.sharding.reshard)"
+            )
+        for shard_id in shards:
+            self._send(shard_id, operation,
+                       payload[shard_id] if per_shard else payload)
+        return [self._recv(shard_id, operation) for shard_id in shards]
+
+    def _send(self, shard_id: int, operation: str, payload) -> float:
+        """The one send site; returns the seconds the transport took."""
+        transport = self._transports[shard_id]
+        clock = self._clock
+        try:
+            verdict = None
+            if self._fault_plan is not None:
+                verdict = self._fault_plan.on_dispatch(shard_id, operation)
+            start = clock()
+            transport.send((operation, payload))
+            seconds = clock() - start
+        except _TRANSPORT_ERRORS as exc:
+            self._fail(
+                shard_id, "dead",
+                f"shard {shard_id} worker died before {operation!r} could "
+                f"be dispatched: {exc!r}", exc,
+            )
+        if verdict == "kill":
+            # Scripted death *after* delivery ("kill worker k after batch
+            # N"); the next message to or from the shard finds it gone.
+            transport.kill()
+        return seconds
+
+    def _recv(self, shard_id: int, operation: str):
+        """The one receive site: the value of ``shard_id``'s next reply."""
+        try:
+            if self._fault_plan is not None:
+                self._fault_plan.on_gather(shard_id, operation)
+            status, value, telemetry = self._transports[shard_id].recv()
+        except _TRANSPORT_ERRORS as exc:
+            self._fail(
+                shard_id, "dead",
+                f"shard {shard_id} worker died during {operation}: {exc!r}",
+                exc,
+            )
+        if status != "ok":
+            # Sticky worker-side failures (an ingest that blew up earlier)
+            # surface here, at the sync point, under their own kind.
+            self._fail(
+                shard_id, status,
+                f"shard {shard_id} failed during {operation}:\n{value}",
+            )
+        self._merge_telemetry(shard_id, telemetry)
+        return value
+
+    def _fail(self, shard_id: int, kind: str, message: str,
+              cause: Optional[BaseException] = None) -> None:
+        """The one failure rule: record, tear the whole pool down, raise.
+
+        Prompt, unlike :meth:`close`: every worker is told to stop first
+        and only then joined, so the teardown costs the slowest exit, not
+        the sum — and no worker, process or thread, outlives the failure.
+        """
+        self._record_failure(shard_id, kind)
+        self._closed = True
+        transports, self._transports = self._transports, ()
+        for transport in transports:
+            transport.shutdown()
+        for transport in transports:
+            transport.join()
+        raise ShardExecutionError(message, shard_id=shard_id) from cause
 
     def _ensure_open(self) -> None:
-        # A closed backend must fail loudly: silently dropping chunks or
-        # returning empty evaluations would publish bogus empty rankings.
+        # A closed (or failure-torn) pool must fail loudly: silently
+        # dropping chunks or returning empty evaluations would publish
+        # bogus empty rankings.
         if self._closed:
             raise ShardExecutionError("backend is closed")
 
 
-def _shard_loop(worker: ShardWorker, connection) -> None:
-    """Request loop of one shard process.
+class SerialBackend(ShardBackend):
+    """Workers in-process, each message applied on the caller's thread.
 
-    Ingest requests carry no reply; request/reply operations (``evaluate``,
-    ``stats``) answer ``("ok", value, telemetry)`` or ``("error",
-    traceback)``.  The third element piggybacks the worker's drained
-    stage timings and queued log records on the reply the coordinator
-    was reading anyway — in-shard telemetry ships for free, with no
-    extra pipe round-trip (ingest telemetry rides the next sync point,
-    by the same FIFO argument the protocol already rests on).  An
-    ingest failure is remembered and surfaces at the next reply, so the
-    coordinator's fire-and-forget dispatch cannot silently lose an error.
+    The deterministic default and the reference: tests establish
+    bit-identical equivalence against the single engine here, and the
+    other two transports are then held to the same output.  A failure is
+    sticky and surfaces at the next synchronisation point here too.
     """
-    failure: Optional[str] = None
 
-    def reply_ok(value) -> None:
-        connection.send(("ok", value, worker.drain_telemetry()))
+    name = "serial"
 
-    while True:
-        try:
-            operation, payload = connection.recv()
-        except EOFError:
-            break
-        if operation == "stop":
-            break
-        if operation == "ingest":
-            if failure is None:
-                try:
-                    worker.ingest(payload)
-                except Exception:
-                    failure = traceback.format_exc()
-        elif failure is not None:
-            connection.send(("error", failure))
-        elif operation == "evaluate":
-            try:
-                reply_ok(worker.evaluate(*payload))
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        elif operation == "stats":
-            try:
-                reply_ok(worker.stats())
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        elif operation == "collect_state":
-            try:
-                reply_ok(worker.snapshot())
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        elif operation == "begin_delta":
-            try:
-                worker.begin_delta_tracking()
-                reply_ok(None)
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        elif operation == "end_delta":
-            try:
-                worker.end_delta_tracking()
-                reply_ok(None)
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        elif operation == "collect_delta":
-            try:
-                reply_ok(worker.delta_since(payload))
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        elif operation == "restore_state":
-            try:
-                worker.restore(payload)
-                reply_ok(None)
-            except Exception:
-                failure = traceback.format_exc()
-                connection.send(("error", failure))
-        else:
-            connection.send(("error", f"unknown operation {operation!r}"))
-    connection.close()
+    def _connect(self, worker: ShardWorker) -> _InlineTransport:
+        return _InlineTransport(worker)
+
+
+class ThreadBackend(ShardBackend):
+    """One worker thread per shard, fed through an in-process queue.
+
+    Zero serialization in either direction: event chunks, the broadcast
+    tag counts and result topic lists are passed by reference.  On GIL
+    builds the threads interleave, but the pickling tax of the process
+    backend disappears; on free-threaded builds the shards genuinely run
+    in parallel.  The transport ``replay_sharded`` measures.
+    """
+
+    name = "threads"
+
+    def _connect(self, worker: ShardWorker) -> _ThreadTransport:
+        return _ThreadTransport(worker)
 
 
 class ProcessBackend(ShardBackend):
     """One worker process per shard, connected by a duplex pipe.
 
-    ``start_method`` selects the :mod:`multiprocessing` context and is
-    pinned to :data:`DEFAULT_START_METHOD` (``"spawn"``) rather than the
-    platform default, so a checkpoint restored on macOS behaves exactly
-    like the Linux run that wrote it.  The picklable worker state is
-    shipped to each child at start-up; pass ``start_method="fork"`` to
-    trade that portability for cheaper start-up (tests do).
+    The only transport that runs shards in parallel on a GIL build.  The
+    picklable worker state is shipped to each child at start-up;
+    afterwards only pair-event chunks flow down and local top-k lists flow
+    back.  ``start_method`` selects the :mod:`multiprocessing` context,
+    pinned to :data:`DEFAULT_START_METHOD` rather than the platform
+    default (see there); pass ``"fork"`` to trade that portability for
+    cheaper start-up (tests do).
     """
 
     name = "process"
 
     def __init__(self, start_method: Optional[str] = None):
-        self._start_method = start_method or DEFAULT_START_METHOD
-        self._processes: List[multiprocessing.Process] = []
-        self._pipes: List = []
-        self._closed = False
+        #: The multiprocessing start method workers are launched with.
+        self.start_method = start_method or DEFAULT_START_METHOD
 
-    @property
-    def start_method(self) -> str:
-        """The multiprocessing start method workers are launched with."""
-        return self._start_method
-
-    def start(self, workers: Sequence[ShardWorker]) -> None:
-        self._closed = False
-        context = multiprocessing.get_context(self._start_method)
-        for worker in workers:
-            parent_end, child_end = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_shard_loop,
-                args=(worker, child_end),
-                name=f"enblogue-shard-{worker.shard_id}",
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._pipes.append(parent_end)
-            self._processes.append(process)
-        self._init_health(len(self._processes))
-
-    def ingest(self, chunks: Sequence[List[ShardEvent]]) -> None:
-        self._ensure_open()
-        clock = self._clock
-        for shard_id, (pipe, events) in enumerate(zip(self._pipes, chunks)):
-            if events:
-                # Dispatch latency here is the pickle+pipe.send cost — the
-                # coordinator-side price of the process protocol, which is
-                # exactly what the threads backend eliminates.
-                start = clock()
-                self._send(shard_id, pipe, ("ingest", events))
-                self._record_dispatch(shard_id, len(events), clock() - start)
-
-    def evaluate(self, timestamp, seeds, tag_counts, total_documents):
-        self._ensure_open()
-        payload = (timestamp, list(seeds), dict(tag_counts), total_documents)
-        # Scatter to every shard first so they all compute concurrently,
-        # then gather in shard order (the merge needs a fixed order anyway).
-        for shard_id, pipe in enumerate(self._pipes):
-            self._send(shard_id, pipe, ("evaluate", payload))
-        return self._gather("evaluate")
-
-    def stats(self) -> List[dict]:
-        self._ensure_open()
-        for shard_id, pipe in enumerate(self._pipes):
-            self._send(shard_id, pipe, ("stats", None))
-        return self._gather("stats")
-
-    def collect_states(self) -> List[dict]:
-        self._ensure_open()
-        # Pipes are FIFO, so each snapshot observes every chunk dispatched
-        # before this call — the same ordering argument as ``evaluate``.
-        for shard_id, pipe in enumerate(self._pipes):
-            self._send(shard_id, pipe, ("collect_state", None))
-        return self._gather("collect_state")
-
-    def restore_states(self, states: Sequence[Mapping]) -> None:
-        self._ensure_open()
-        self._require_state_per_shard(states, len(self._pipes))
-        for shard_id, (pipe, state) in enumerate(zip(self._pipes, states)):
-            self._send(shard_id, pipe, ("restore_state", dict(state)))
-        self._gather("restore_state")
-
-    def begin_delta_tracking(self) -> None:
-        self._ensure_open()
-        for shard_id, pipe in enumerate(self._pipes):
-            self._send(shard_id, pipe, ("begin_delta", None))
-        self._gather("begin_delta")
-
-    def end_delta_tracking(self) -> None:
-        self._ensure_open()
-        for shard_id, pipe in enumerate(self._pipes):
-            self._send(shard_id, pipe, ("end_delta", None))
-        self._gather("end_delta")
-
-    def collect_deltas(self, generation: int) -> List[dict]:
-        self._ensure_open()
-        # FIFO pipes: each drained delta observes every chunk dispatched
-        # before this call — the same ordering argument as collect_states.
-        for shard_id, pipe in enumerate(self._pipes):
-            self._send(shard_id, pipe, ("collect_delta", generation))
-        return self._gather("collect_delta")
-
-    def _ensure_open(self) -> None:
-        # Matches SerialBackend: using a closed (or crash-reaped) pool must
-        # raise, not silently drop chunks and return empty evaluations.
-        if self._closed:
-            raise ShardExecutionError("backend is closed")
-
-    def _send(self, shard_id: int, pipe, message) -> None:
-        try:
-            verdict = None
-            if self._fault_plan is not None:
-                verdict = self._fault_plan.on_dispatch(shard_id, message[0])
-            pipe.send(message)
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            # The worker process died (OOM kill, crash): tear the rest of
-            # the pool down instead of leaking it, and surface shard context.
-            self._record_failure(shard_id, "dead")
-            self._reap()
-            raise ShardExecutionError(
-                f"shard {shard_id} process died before "
-                f"{message[0]!r} could be dispatched: {exc!r}",
-                shard_id=shard_id,
-            ) from exc
-        if verdict == "kill" and shard_id < len(self._processes):
-            # Scripted death *after* delivery: the worker may or may not
-            # apply the message before the SIGTERM lands, exactly like a
-            # real crash racing an in-flight batch — the supervisor must
-            # recover to the correct state either way.
-            self._processes[shard_id].terminate()
-            self._processes[shard_id].join(timeout=5.0)
-
-    def _gather(self, operation: str) -> List:
-        results = []
-        for shard_id, pipe in enumerate(self._pipes):
-            try:
-                if self._fault_plan is not None:
-                    self._fault_plan.on_gather(shard_id, operation)
-                message = pipe.recv()
-                status, value = message[0], message[1]
-            except (EOFError, OSError) as exc:
-                self._record_failure(shard_id, "dead")
-                self._reap()
-                raise ShardExecutionError(
-                    f"shard {shard_id} process died during {operation}: {exc!r}",
-                    shard_id=shard_id,
-                ) from exc
-            if status != "ok":
-                # Sticky worker-side failures (an ingest that blew up
-                # earlier) surface here, at the sync point.
-                self._record_failure(shard_id, "failure")
-                self._reap()
-                raise ShardExecutionError(
-                    f"shard {shard_id} failed during {operation}:\n{value}",
-                    shard_id=shard_id,
-                )
-            if len(message) > 2:
-                self._merge_telemetry(shard_id, message[2])
-            results.append(value)
-        return results
-
-    def _shard_alive(self, shard_id: int) -> bool:
-        return (
-            not self._closed
-            and shard_id < len(self._processes)
-            and self._processes[shard_id].is_alive()
+    def _connect(self, worker: ShardWorker) -> _PipeTransport:
+        return _PipeTransport(
+            worker, multiprocessing.get_context(self.start_method)
         )
-
-    def close(self) -> None:
-        self._closed = True
-        for pipe in self._pipes:
-            try:
-                pipe.send(("stop", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for pipe in self._pipes:
-            try:
-                pipe.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        self._pipes = []
-        self._processes = []
-
-    def _reap(self) -> None:
-        """Prompt teardown after a shard failure.
-
-        Unlike the graceful :meth:`close` (stop message + up-to-5s join per
-        worker), this terminates the surviving workers immediately: a
-        worker mid-ingest cannot read the stop message until it drains its
-        pipe, so the graceful path can stall for the full join timeout and
-        — if the join expires while the worker still holds buffered pipe
-        data — leave live processes behind until interpreter exit.  On the
-        failure path there is no state worth preserving: kill, join, done.
-        """
-        self._closed = True
-        for pipe in self._pipes:
-            try:
-                pipe.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - kill of last resort
-                process.kill()
-                process.join(timeout=1.0)
-        self._pipes = []
-        self._processes = []
-
-
-class _Reply:
-    """One request's reply slot: an event plus status, value, telemetry."""
-
-    __slots__ = ("event", "status", "value", "telemetry")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.status = "ok"
-        self.value = None
-        self.telemetry = None
-
-    def resolve(self, status: str, value, telemetry=None) -> None:
-        self.status = status
-        self.value = value
-        self.telemetry = telemetry
-        self.event.set()
-
-
-class _ThreadChannel:
-    """A deque-fed mailbox between the coordinator and one shard thread."""
-
-    def __init__(self) -> None:
-        self._items: Deque[Tuple[str, object, Optional[_Reply]]] = deque()
-        self._condition = threading.Condition()
-
-    def post(self, operation: str, payload=None,
-             reply: Optional[_Reply] = None) -> None:
-        with self._condition:
-            self._items.append((operation, payload, reply))
-            self._condition.notify()
-
-    def take(self) -> Tuple[str, object, Optional[_Reply]]:
-        with self._condition:
-            while not self._items:
-                self._condition.wait()
-            return self._items.popleft()
-
-
-def _shard_thread_loop(worker: ShardWorker, channel: _ThreadChannel,
-                       on_ingest_failure=None) -> None:
-    """Request loop of one shard thread; mirrors :func:`_shard_loop`.
-
-    The deque replaces the pipe — same FIFO ordering argument, so a
-    synchronous operation observes every ingest chunk posted before it —
-    and payloads arrive by reference instead of by pickle.  Ingest
-    failures are sticky exactly as in the process loop: remembered and
-    reported at every subsequent reply until the backend is torn down.
-    ``on_ingest_failure`` (optional) fires once, the moment the failure
-    turns sticky — in-process threads can count the event immediately
-    instead of waiting for a sync point like the process protocol must.
-    """
-    failure: Optional[str] = None
-    while True:
-        operation, payload, reply = channel.take()
-        if operation == "stop":
-            if reply is not None:
-                reply.resolve("ok", None)
-            break
-        if operation == "ingest":
-            if failure is None:
-                try:
-                    worker.ingest(payload)
-                except Exception:
-                    failure = traceback.format_exc()
-                    if on_ingest_failure is not None:
-                        try:
-                            on_ingest_failure()
-                        except Exception:  # pragma: no cover - belt-and-braces
-                            pass
-            continue
-        if reply is None:  # pragma: no cover - protocol misuse guard
-            continue
-        if failure is not None:
-            reply.resolve("error", failure)
-            continue
-        try:
-            if operation == "evaluate":
-                result = worker.evaluate(*payload)
-            elif operation == "stats":
-                result = worker.stats()
-            elif operation == "collect_state":
-                result = worker.snapshot()
-            elif operation == "begin_delta":
-                worker.begin_delta_tracking()
-                result = None
-            elif operation == "end_delta":
-                worker.end_delta_tracking()
-                result = None
-            elif operation == "collect_delta":
-                result = worker.delta_since(payload)
-            elif operation == "restore_state":
-                worker.restore(payload)
-                result = None
-            else:
-                reply.resolve("error", f"unknown operation {operation!r}")
-                continue
-        except Exception:
-            failure = traceback.format_exc()
-            reply.resolve("error", failure)
-            continue
-        # Telemetry rides the reply slot by reference — the thread
-        # analogue of the process loop's third tuple element.
-        reply.resolve("ok", result, worker.drain_telemetry())
-
-
-class ThreadBackend(ShardBackend):
-    """One worker thread per shard, fed through an in-process deque.
-
-    Zero-copy by design: the coordinator blocks in the gather while the
-    shard threads read the broadcast seeds/tag counts, so live references
-    are safe to share and nothing is ever pickled.  The per-shard trackers
-    remain single-writer (only their own thread touches them), which is
-    the same isolation argument as the process backend — minus the
-    serialization.
-    """
-
-    name = "threads"
-
-    def __init__(self) -> None:
-        self._threads: List[threading.Thread] = []
-        self._channels: List[_ThreadChannel] = []
-        self._closed = False
-
-    def start(self, workers: Sequence[ShardWorker]) -> None:
-        self._closed = False
-        for shard_id, worker in enumerate(workers):
-            channel = _ThreadChannel()
-            thread = threading.Thread(
-                target=_shard_thread_loop,
-                args=(worker, channel),
-                kwargs={
-                    "on_ingest_failure":
-                        self._make_ingest_failure_callback(shard_id),
-                },
-                name=f"enblogue-shard-{worker.shard_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._channels.append(channel)
-            self._threads.append(thread)
-        self._init_health(len(self._threads))
-
-    def _make_ingest_failure_callback(self, shard_id: int):
-        def on_ingest_failure() -> None:
-            self._record_failure(shard_id, "ingest")
-
-        return on_ingest_failure
-
-    def ingest(self, chunks: Sequence[List[ShardEvent]]) -> None:
-        self._ensure_open()
-        clock = self._clock
-        for shard_id, (channel, events) in enumerate(
-                zip(self._channels, chunks)):
-            if events:
-                verdict = None
-                if self._fault_plan is not None:
-                    try:
-                        verdict = self._fault_plan.on_dispatch(
-                            shard_id, "ingest")
-                    except Exception as exc:
-                        self._record_failure(shard_id, "dead")
-                        self.close()
-                        raise ShardExecutionError(
-                            f"shard {shard_id} thread dispatch failed: "
-                            f"{exc!r}",
-                            shard_id=shard_id,
-                        ) from exc
-                # Dispatch here is a deque append — the zero-copy half the
-                # backend exists for; the histogram proves it stays flat.
-                start = clock()
-                channel.post("ingest", events)
-                self._record_dispatch(shard_id, len(events), clock() - start)
-                if verdict == "kill":
-                    # Scripted death after delivery: a stop posted behind
-                    # the chunk makes the thread drain it and exit — the
-                    # deterministic analogue of terminating a process.
-                    channel.post("stop")
-
-    def evaluate(self, timestamp, seeds, tag_counts, total_documents):
-        self._ensure_open()
-        # The list() guards against a shared one-shot iterable; tag_counts
-        # is deliberately NOT copied — shards only read it, and the
-        # coordinator does not mutate it until the gather below returns.
-        payload = (timestamp, list(seeds), tag_counts, total_documents)
-        return self._broadcast("evaluate", payload)
-
-    def stats(self) -> List[dict]:
-        self._ensure_open()
-        return self._broadcast("stats")
-
-    def collect_states(self) -> List[dict]:
-        self._ensure_open()
-        # Deques are FIFO, so each snapshot observes every chunk posted
-        # before this call — the same ordering argument as ``evaluate``.
-        return self._broadcast("collect_state")
-
-    def restore_states(self, states: Sequence[Mapping]) -> None:
-        self._ensure_open()
-        self._require_state_per_shard(states, len(self._channels))
-        replies = []
-        for channel, state in zip(self._channels, states):
-            reply = _Reply()
-            channel.post("restore_state", state, reply)
-            replies.append(reply)
-        self._gather("restore_state", replies)
-
-    def begin_delta_tracking(self) -> None:
-        self._ensure_open()
-        self._broadcast("begin_delta")
-
-    def end_delta_tracking(self) -> None:
-        self._ensure_open()
-        self._broadcast("end_delta")
-
-    def collect_deltas(self, generation: int) -> List[dict]:
-        self._ensure_open()
-        return self._broadcast("collect_delta", generation)
-
-    def close(self) -> None:
-        if self._closed and not self._threads:
-            return
-        self._closed = True
-        for channel in self._channels:
-            channel.post("stop")
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
-        self._channels = []
-
-    def _ensure_open(self) -> None:
-        # Matches the other backends: using a closed pool must raise, not
-        # silently drop chunks and return empty evaluations.
-        if self._closed:
-            raise ShardExecutionError("backend is closed")
-
-    def _broadcast(self, operation: str, payload=None) -> List:
-        replies = []
-        for channel in self._channels:
-            reply = _Reply()
-            channel.post(operation, payload, reply)
-            replies.append(reply)
-        return self._gather(operation, replies)
-
-    def _gather(self, operation: str, replies: Sequence[_Reply]) -> List:
-        results = []
-        for shard_id, (reply, thread) in enumerate(
-            zip(replies, self._threads)
-        ):
-            if self._fault_plan is not None:
-                try:
-                    self._fault_plan.on_gather(shard_id, operation)
-                except Exception as exc:
-                    self._record_failure(shard_id, "dead")
-                    self.close()
-                    raise ShardExecutionError(
-                        f"shard {shard_id} gather failed during "
-                        f"{operation}: {exc!r}",
-                        shard_id=shard_id,
-                    ) from exc
-            # An already-dead thread is detected without waiting out the
-            # poll interval; the re-check of the event guards the race
-            # where the thread resolved the reply just before exiting.
-            while not reply.event.wait(
-                    timeout=1.0 if thread.is_alive() else 0.0):
-                if not thread.is_alive() and not reply.event.is_set():
-                    self._record_failure(shard_id, "dead")
-                    self.close()
-                    raise ShardExecutionError(
-                        f"shard {shard_id} thread died during {operation}",
-                        shard_id=shard_id,
-                    )
-            if reply.status != "ok":
-                self._record_failure(shard_id, "failure")
-                self.close()
-                raise ShardExecutionError(
-                    f"shard {shard_id} failed during {operation}:\n"
-                    f"{reply.value}",
-                    shard_id=shard_id,
-                )
-            self._merge_telemetry(shard_id, reply.telemetry)
-            results.append(reply.value)
-        return results
-
-    def _shard_alive(self, shard_id: int) -> bool:
-        return (
-            not self._closed
-            and shard_id < len(self._threads)
-            and self._threads[shard_id].is_alive()
-        )
-
-    def _shard_queue_depth(self, shard_id: int) -> int:
-        if shard_id >= len(self._channels):
-            return 0
-        return len(self._channels[shard_id]._items)
 
 
 _BACKENDS = {
@@ -996,14 +741,10 @@ def available_backends() -> List[str]:
 
 
 def make_backend(name: str, **kwargs) -> ShardBackend:
-    """Instantiate an execution backend by name.
-
-    ``serial`` (in-process reference), ``threads`` (one thread per shard,
-    zero-copy), ``process`` (one process per shard, pickled protocol) or
-    ``supervised`` (the self-healing wrapper from
+    """Instantiate an execution backend by name: ``serial``, ``threads``,
+    ``process``, or ``supervised`` (the self-healing wrapper from
     :mod:`repro.sharding.supervision`; pass ``inner=`` to pick what it
-    wraps, default serial).
-    """
+    wraps, default serial)."""
     if name == "supervised":
         # Imported lazily: supervision composes over the backends defined
         # here, so a top-level import would be circular.

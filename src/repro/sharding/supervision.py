@@ -8,13 +8,18 @@ the wrong *policy* for serving. :class:`SupervisedBackend` composes over
 any inner backend (serial / threads / process) and turns worker death
 back into liveness:
 
-* every mutating operation the coordinator issues (``ingest`` chunks,
-  ``evaluate`` boundaries, delta arm/disarm, journal drains) is recorded
-  in an **operation log** since the last state-capture point,
+* every state-changing protocol message the coordinator issues
+  (``ingest`` chunks, ``evaluate`` boundaries, delta arm/disarm, journal
+  drains) is recorded, as the ``(operation, payload)`` it is, in an
+  **operation log** since the last state-capture point — and the log is
+  bounded: a full checkpoint restarts it, and where no cadence takes one
+  the supervisor captures the workers' state itself every
+  :data:`LOG_COMPACT_OPS` messages,
 * on failure the dead pool is discarded wholesale and a fresh one is
   rebuilt — base state first (the last checkpoint on disk when its delta
   journal lines up with a recorded drain marker, otherwise the last
-  in-memory snapshot), then the logged suffix replayed in order,
+  in-memory snapshot), then the logged suffix replayed in order through
+  the same two entry points the live traffic uses,
 * retries are governed by a :class:`RetryPolicy` — bounded attempts,
   exponential backoff, an optional per-operation deadline — with
   injected clock/sleep so chaos tests run instantly,
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Set
 
@@ -53,6 +59,29 @@ from repro.sharding.reshard import reshard_worker_states
 from repro.sharding.worker import ShardWorker
 
 __all__ = ["RetryPolicy", "SupervisedBackend"]
+
+#: The messages that change worker state, hence logged for replay.
+#: (``restore_state`` changes it too, but together with
+#: ``collect_state`` it is a state-capture point: the log restarts there.)
+_LOGGED = frozenset(
+    {"ingest", "evaluate", "begin_delta", "end_delta", "collect_delta"}
+)
+
+#: Length at which the supervisor re-bases the operation log itself, by a
+#: ``collect_states`` of its own, unless delta tracking is armed.  Armed
+#: means a checkpoint cadence exists, whose every ``full_every``-th tick
+#: re-bases already — and un-drained delta buffers are not part of a
+#: snapshot, so an armed chain must not be re-based behind the engine's
+#: back.  Unarmed, nothing else restarts the log: it would keep every
+#: dispatched chunk for the life of the process.
+LOG_COMPACT_OPS = 1024
+
+
+def _deliver(backend: ShardBackend, operation: str, payload):
+    """Hand one protocol message to a pool through its entry point."""
+    if operation == "ingest":
+        return backend.ingest(payload)
+    return backend._call(operation, payload)
 
 
 @dataclass(frozen=True)
@@ -135,12 +164,8 @@ class SupervisedBackend(ShardBackend):
         self._live_shards = 0
         self._worker_config = None
         self._worker_vectorize: Optional[bool] = None
-        self._base_states: Optional[List[Mapping]] = None
         self._armed = False
-        self._armed_at_base = False
-        self._log: List[tuple] = []
-        self._log_truncated = False
-        self._closed = False
+        self._reset_log(base=None, armed=False)
 
         self._recovering: Set[int] = set()
         self._permanent: Optional[str] = None
@@ -163,10 +188,6 @@ class SupervisedBackend(ShardBackend):
     def inner_name(self) -> str:
         """The wrapped backend's name (``serial``/``threads``/``process``)."""
         return self._inner.name
-
-    @property
-    def start_method(self) -> Optional[str]:
-        return getattr(self._inner, "start_method", None)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -209,7 +230,6 @@ class SupervisedBackend(ShardBackend):
                 "repro_sharding_permanent_failures_total")
 
     def bind_fault_plan(self, plan) -> None:
-        self._fault_plan = plan
         self._inner.bind_fault_plan(plan)
 
     def close(self) -> None:
@@ -217,28 +237,29 @@ class SupervisedBackend(ShardBackend):
         self._inner.close()
 
     # -- the guarded protocol ---------------------------------------------
+    #
+    # Guarded at the protocol's two entry points, ``ingest`` and ``_call``
+    # (every other method is ShardBackend's one-liner over ``_call``); a
+    # method is overridden only where supervision adds to that operation.
 
     def ingest(self, chunks: Sequence[List]) -> None:
         if self._degraded:
             chunks = self._reroute(chunks)
-        self._guard("ingest", lambda b: b.ingest(chunks),
-                    log=("ingest", chunks))
+        self._guard("ingest", chunks)
+
+    def _call(self, operation: str, payload=None) -> List:
+        return self._guard(operation, payload)
 
     def evaluate(self, timestamp, seeds, tag_counts, total_documents):
         # Copied at log time: under the threads backend the coordinator
         # hands over *live* references (its seed list, the window's
         # counts) that mutate as the stream advances — replay needs the
         # values as they were at this boundary.
-        payload = (timestamp, list(seeds), dict(tag_counts),
-                   int(total_documents))
-        return self._guard("evaluate", lambda b: b.evaluate(*payload),
-                           log=("evaluate", payload))
-
-    def stats(self) -> List[dict]:
-        return self._guard("stats", lambda b: b.stats())
+        return super().evaluate(timestamp, seeds, dict(tag_counts),
+                                int(total_documents))
 
     def collect_states(self) -> List[dict]:
-        states = self._guard("collect_states", lambda b: b.collect_states())
+        states = super().collect_states()
         # A fresh full snapshot of every worker is a state-capture point:
         # the log restarts here.  (If delta tracking is armed, the workers'
         # un-drained buffers are not part of the snapshot — the arm flag is
@@ -258,18 +279,16 @@ class SupervisedBackend(ShardBackend):
             self._degraded = False
             self._routing = None
             self._live_shards = self.num_shards
-        self._guard("restore_states", lambda b: b.restore_states(states))
+        super().restore_states(states)
         self._reset_log(base=states, armed=self._armed)
 
     def begin_delta_tracking(self) -> None:
-        self._guard("begin_delta_tracking",
-                    lambda b: b.begin_delta_tracking(),
-                    log=("begin_delta", None))
+        # Set before the call is logged, so that logging it cannot compact.
         self._armed = True
+        super().begin_delta_tracking()
 
     def end_delta_tracking(self) -> None:
-        self._guard("end_delta_tracking", lambda b: b.end_delta_tracking(),
-                    log=("end_delta", None))
+        super().end_delta_tracking()
         self._armed = False
 
     def collect_deltas(self, generation: int) -> List[dict]:
@@ -281,12 +300,10 @@ class SupervisedBackend(ShardBackend):
                 "the shard pool is running degraded (N-1 re-shard); the "
                 "delta journal cannot be extended until a full re-base"
             )
-        # The generation is the journal segment this drain lands in — the
-        # marker is how recovery aligns the on-disk chain with the log.
-        return self._guard(
-            "collect_deltas", lambda b: b.collect_deltas(generation),
-            log=("drain", generation),
-        )
+        # Logged with its generation — the journal segment this drain
+        # lands in — which is how recovery aligns the on-disk chain with
+        # the log.
+        return super().collect_deltas(generation)
 
     # -- health / introspection -------------------------------------------
 
@@ -338,44 +355,38 @@ class SupervisedBackend(ShardBackend):
 
     # -- the supervision loop ---------------------------------------------
 
-    def _guard(self, operation: str, call, log: Optional[tuple] = None):
+    def _guard(self, operation: str, payload):
+        """Deliver one protocol message to the pool, recovering on failure."""
         if self._permanent is not None:
             raise ShardExecutionError(
                 f"shard pool permanently failed: {self._permanent}")
-        if self._closed:
-            raise ShardExecutionError("backend is closed")
+        self._ensure_open()
         policy = self.policy
         attempt = 0
         while True:
             started = policy.clock()
-            failure: Optional[BaseException] = None
-            failed_shard: Optional[int] = None
             try:
-                result = call(self._inner)
-            except ShardExecutionError as exc:
-                failure = exc
-                failed_shard = exc.shard_id
-            else:
+                result = _deliver(self._inner, operation, payload)
                 elapsed = policy.clock() - started
                 if policy.deadline is not None and elapsed > policy.deadline:
                     # Success past the deadline is a failure: a pool this
                     # slow is wedged, and the result may interleave with a
                     # retry — discard it with the pool.
-                    failure = ShardExecutionError(
+                    self._inner.close()
+                    raise ShardExecutionError(
                         f"{operation} took {elapsed:.3f}s, past the "
                         f"{policy.deadline:.3f}s deadline; treating the "
                         f"pool as wedged"
                     )
-                    try:
-                        self._inner.close()
-                    except Exception:  # pragma: no cover
-                        pass
-                else:
-                    self._recovering.clear()
-                    if log is not None:
-                        self._append_log(log)
-                    return result
+            except ShardExecutionError as exc:
+                failure = exc
+            else:
+                self._recovering.clear()
+                if operation in _LOGGED:
+                    self._append_log((operation, payload))
+                return result
             # -- failure path --
+            failed_shard = failure.shard_id
             if failed_shard is not None:
                 self._recovering.add(failed_shard)
             attempt += 1
@@ -439,16 +450,9 @@ class SupervisedBackend(ShardBackend):
 
     def _recover(self, failed_shard: Optional[int]) -> None:
         observability = self._observability
-        tracer = observability.tracer if observability is not None else None
         started = self.policy.clock()
-        span = tracer.span("recovery") if tracer is not None else None
-        try:
-            if span is not None:
-                span.__enter__()
-            try:
-                self._inner.close()
-            except Exception:  # pragma: no cover
-                pass
+        with (observability.tracer.span("recovery")
+              if observability is not None else nullcontext()):
             source = self._recovery_source()
             if source is None:
                 self._recover_degraded(failed_shard)
@@ -478,9 +482,6 @@ class SupervisedBackend(ShardBackend):
                 recoveries=self._recoveries,
                 **(self._last_recovery or {"source": "degraded"}),
             )
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
 
     def _emit_log(self, event: str, level: str = "info", **fields) -> None:
         observability = self._observability
@@ -511,8 +512,7 @@ class SupervisedBackend(ShardBackend):
                 cut = None
                 if restored is not None and shards:
                     for index in range(len(log) - 1, -1, -1):
-                        entry = log[index]
-                        if entry[0] == "drain" and entry[1] == restored:
+                        if log[index] == ("collect_delta", restored):
                             cut = index
                             break
                 if cut is not None:
@@ -533,52 +533,30 @@ class SupervisedBackend(ShardBackend):
 
     def _rebuild_pool(self, width: int, base, suffix: Sequence[tuple],
                       armed: bool) -> None:
-        inner = self._clone_inner()
-        if self._fault_plan is not None:
-            inner.bind_fault_plan(self._fault_plan)
-        workers = [
-            ShardWorker(shard_id, self._worker_config,
-                        vectorize=self._worker_vectorize)
-            for shard_id in range(width)
-        ]
+        """Restart the inner backend on ``width`` fresh workers (what was
+        bound to it — fault plan, observability — stays bound), restore
+        ``base`` and replay ``suffix``."""
+        inner = self._inner
+        inner.close()
         try:
-            inner.start(workers)
-            if self._observability is not None:
-                inner.bind_observability(self._observability)
+            inner.start([
+                ShardWorker(shard_id, self._worker_config,
+                            vectorize=self._worker_vectorize)
+                for shard_id in range(width)
+            ])
             if base is not None:
                 inner.restore_states(base)
             if armed:
                 inner.begin_delta_tracking()
-            for entry in suffix:
-                kind, payload = entry
-                if kind == "ingest":
-                    inner.ingest(payload)
-                elif kind == "evaluate":
-                    inner.evaluate(*payload)
-                elif kind == "begin_delta":
-                    inner.begin_delta_tracking()
-                elif kind == "end_delta":
-                    inner.end_delta_tracking()
-                elif kind == "drain":
-                    # Replayed for its buffer-reset side effect; the
-                    # drained events were already journaled pre-crash.
-                    inner.collect_deltas(payload)
+            # A replayed drain is there for its buffer-reset side effect;
+            # the drained events were already journaled pre-crash.
+            for operation, payload in suffix:
+                _deliver(inner, operation, payload)
         except BaseException:
             # A rebuild that dies mid-replay must not leak its half-built
-            # pool (worker processes/threads) on top of the dead one.
-            try:
-                inner.close()
-            except Exception:  # pragma: no cover
-                pass
+            # pool (worker processes/threads).
+            inner.close()
             raise
-        self._inner = inner
-
-    def _clone_inner(self) -> ShardBackend:
-        cls = type(self._inner)
-        start_method = getattr(self._inner, "start_method", None)
-        if start_method is not None:
-            return cls(start_method=start_method)
-        return cls()
 
     def _recover_degraded(self, failed_shard: Optional[int]) -> None:
         base = self._base_states
@@ -613,23 +591,20 @@ class SupervisedBackend(ShardBackend):
     def _reroute(self, chunks: Sequence[List]) -> List[List]:
         """Re-split coordinator chunks (cut for ``num_shards``) across the
         contracted pool, preserving global timestamp order."""
-        routing = self._routing
+        split_event = self._routing.split_event
         rerouted: List[List] = [[] for _ in range(self._live_shards)]
         for timestamp, pairs in heapq.merge(
                 *chunks, key=lambda event: event[0]):
-            split: dict = {}
-            for pair in pairs:
-                split.setdefault(routing.shard_of(pair), []).append(pair)
-            for shard_id, routed in split.items():
-                rerouted[shard_id].append((timestamp, tuple(routed)))
+            for shard_id, event in split_event(timestamp, pairs):
+                rerouted[shard_id].append(event)
         return rerouted
 
     # -- log bookkeeping ---------------------------------------------------
 
-    def _reset_log(self, base, armed: bool) -> None:
+    def _reset_log(self, base: Optional[List[Mapping]], armed: bool) -> None:
         self._base_states = base
         self._armed_at_base = armed
-        self._log = []
+        self._log: List[tuple] = []
         self._log_truncated = False
 
     def _append_log(self, entry: tuple) -> None:
@@ -641,3 +616,7 @@ class SupervisedBackend(ShardBackend):
             self._log = []
             self._log_truncated = True
         self._log.append(entry)
+        if len(self._log) >= LOG_COMPACT_OPS and not self._armed:
+            # Guarded like any other call: should it fail, the entry just
+            # appended is replayed with the rest.
+            self.collect_states()

@@ -53,8 +53,7 @@ class ShardWorker:
         # the one measure ("kl") that needs them.  The count history is a
         # tag-level statistic too, kept (when at all) by the coordinator.
         self.tracker = make_tracker(
-            config, track_usage=False, vectorize=vectorize,
-            track_count_history=False,
+            config, track_usage=False, track_count_history=False,
         )
         self.detector = make_shift_detector(config)
         self.builder = RankingBuilder(top_k=config.top_k)
@@ -66,10 +65,9 @@ class ShardWorker:
             self.tracker, self.detector, self.builder, enabled=vectorize
         )
         # Worker-side telemetry: stage timings and structured log
-        # records accumulate here (bounded) and are drained by the
-        # backend — piggybacked on pipe replies for process workers —
-        # so the coordinator's /metrics and /logs cover the inside of
-        # every shard, not just dispatch totals.
+        # records accumulate here (bounded) and ride back on every reply
+        # of the shard protocol, so the coordinator's /metrics and /logs
+        # cover the inside of every shard, not just dispatch totals.
         self._stage_timings: List[Tuple[str, float]] = []
         self._pending_logs: List[dict] = []
         self._clock = time.perf_counter
@@ -122,10 +120,6 @@ class ShardWorker:
         count = self.tracker.observe_pair_events(events)
         self._record_stage("ingest", self._clock() - started)
         return count
-
-    def advance_to(self, timestamp: float) -> None:
-        """Move the shard's window forward without ingesting events."""
-        self.tracker.advance_to(timestamp)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -39,7 +39,6 @@ from repro.core.vectorized import (
     measure_candidates,
     measure_supported,
     predict_batch,
-    sampling_supported,
     validate_pair_counts,
 )
 
@@ -83,13 +82,11 @@ class TestDispatchSwitches:
     def test_env_var_disables_auto_detection(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV_VAR, "1")
         assert make_fused_evaluator(*parts()) is None
-        assert not sampling_supported(JaccardCorrelation())
         assert not config_vectorizes(config())
 
     def test_enabled_true_overrides_the_env_var(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV_VAR, "1")
         assert make_fused_evaluator(*parts(), enabled=True) is not None
-        assert sampling_supported(JaccardCorrelation(), enabled=True)
 
     def test_kernel_less_measure_falls_back_to_scalar(self):
         assert not measure_supported(KlDivergenceCorrelation())
@@ -98,7 +95,6 @@ class TestDispatchSwitches:
             track_usage=True,
         )
         assert make_fused_evaluator(*parts(tracker)) is None
-        assert tracker.sampling_path == "scalar"
 
     def test_subclassed_measure_falls_back_to_scalar(self):
         # A subclass may override value(); the exact-type kernel registry

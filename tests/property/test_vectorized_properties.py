@@ -4,8 +4,9 @@ The numpy-batched kernels in :mod:`repro.core.vectorized` are a pure
 performance rewrite of the scalar evaluation loop — not an approximation.
 On randomized streams the two paths must agree *exactly*:
 
-- tracker-level sampling returns equal :class:`PairObservation` lists
-  (every float, every count) for all four vectorizable measures;
+- the measure kernels return the scalar measure's value, float for
+  float, on the counts a tracker's (scalar) sampling loop hands out, for
+  all four vectorizable measures;
 - whole-engine rankings (sampling + shift scoring + top-k) are equal
   across every vectorizable measure × predictor combination;
 - the threads shard backend matches the serial backend for shard counts
@@ -29,7 +30,12 @@ from repro.core.correlation import (
 )
 from repro.core.engine import EnBlogue
 from repro.core.tracker import CorrelationTracker
-from repro.core.vectorized import NUMPY_AVAILABLE, np, predict_batch
+from repro.core.vectorized import (
+    NUMPY_AVAILABLE,
+    measure_candidates,
+    np,
+    predict_batch,
+)
 from repro.datasets.documents import Document
 from repro.sharding import ShardedEnBlogue
 from repro.timeseries.predictors import EwmaPredictor, make_predictor
@@ -70,41 +76,44 @@ measures = st.sampled_from([
     min_support=st.integers(min_value=1, max_value=3),
     horizon=st.floats(min_value=10.0, max_value=400.0, allow_nan=False),
 )
-def test_vectorized_sampling_equals_scalar(
+def test_measure_kernels_equal_the_scalar_measure(
     docs, seeds, measure, min_support, horizon
 ):
     ordered = sorted(docs, key=lambda d: d[0])
-    scalar = CorrelationTracker(window_horizon=horizon, measure=measure,
-                                min_pair_support=min_support,
-                                vectorize=False)
-    batched = CorrelationTracker(window_horizon=horizon, measure=measure,
-                                 min_pair_support=min_support,
-                                 vectorize=True)
-    assert scalar.sampling_path == "scalar"
-    assert batched.sampling_path == "vectorized"
+    tracker = CorrelationTracker(window_horizon=horizon, measure=measure,
+                                 min_pair_support=min_support)
 
-    # Coordinator-style global statistics, independent of either tracker.
+    # Coordinator-style global statistics, independent of the tracker.
     window = TagFrequencyWindow(horizon)
     chunk = max(1, len(ordered) // 3)
     latest = 0.0
     for start in range(0, len(ordered), chunk):
         for timestamp, tags in ordered[start:start + chunk]:
-            scalar.observe(timestamp, frozenset(tags))
-            batched.observe(timestamp, frozenset(tags))
+            tracker.observe(timestamp, frozenset(tags))
             window.add_document(timestamp, tags)
             latest = timestamp
         window.advance_to(latest)
-        left = scalar.sample_candidates(
+        # The scalar loop is the oracle: the counts it hands the measure,
+        # through the kernel, must give its values back float for float.
+        observations = tracker.sample_candidates(
             latest, seeds, window.counts, window.document_count
         )
-        right = batched.sample_candidates(
-            latest, seeds, window.counts, window.document_count
-        )
-        key = lambda obs: obs.pair
-        assert sorted(left, key=key) == sorted(right, key=key)
-    # Appended correlation histories must agree too (they feed prediction).
-    for pair, series in scalar.history_map.items():
-        assert batched.history(pair).values == series.values
+        if not observations:
+            continue
+        counts = [observation.counts for observation in observations]
+        kernel_values = measure_candidates(
+            measure,
+            np.array([c.count_a for c in counts], dtype=np.int64),
+            np.array([c.count_b for c in counts], dtype=np.int64),
+            np.array([c.count_both for c in counts], dtype=np.int64),
+            window.document_count,
+        ).tolist()
+        assert kernel_values == [
+            observation.correlation for observation in observations
+        ]
+        assert kernel_values == [
+            max(0.0, measure.value(c)) for c in counts
+        ]
 
 
 engine_documents = st.lists(

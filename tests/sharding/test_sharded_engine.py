@@ -173,62 +173,6 @@ class TestProcessBackendEquivalence:
             sharded.evaluate_now()
             assert signature(sharded) == signature(reference)
 
-    def test_worker_failure_surfaces_at_evaluation(self):
-        # An out-of-order chunk poisons the worker; the fire-and-forget
-        # ingest defers the error to the next synchronisation point.
-        from repro.sharding.backends import ShardExecutionError
-        from repro.sharding.worker import ShardWorker
-        from repro.core.types import TagPair
-
-        backend = ProcessBackend()
-        backend.start([ShardWorker(0, config())])
-        try:
-            backend.ingest([[(10.0, (TagPair("a", "b"),))]])
-            backend.ingest([[(5.0, (TagPair("a", "c"),))]])
-            with pytest.raises(ShardExecutionError):
-                backend.evaluate(11.0, ["a"], {"a": 2, "b": 1, "c": 1}, 2)
-        finally:
-            backend.close()
-
-    def test_dead_worker_process_raises_shard_error_and_reaps_pool(self):
-        from repro.sharding.backends import ShardExecutionError
-        from repro.sharding.worker import ShardWorker
-
-        backend = ProcessBackend()
-        backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
-        try:
-            backend._processes[0].terminate()
-            backend._processes[0].join(timeout=5.0)
-            with pytest.raises(ShardExecutionError, match="shard 0"):
-                backend.evaluate(1.0, ["a"], {"a": 1}, 1)
-            # The surviving worker was reaped, not leaked.
-            assert backend._processes == []
-            assert backend._pipes == []
-        finally:
-            backend.close()
-
-    def test_close_is_idempotent(self):
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="process") as sharded:
-            sharded.process(doc(0, ["a", "b"]))
-            sharded.close()
-        sharded.close()
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_use_after_close_raises_instead_of_publishing_empty(self, backend):
-        # A closed engine must fail loudly: silently dropping chunks would
-        # publish bogus empty rankings to listeners.
-        sharded = ShardedEnBlogue(config(), num_shards=2, backend=backend)
-        sharded.process(doc(0, ["a", "b"]))
-        sharded.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            sharded.process(doc(10, ["a", "c"]))
-        with pytest.raises(RuntimeError, match="closed"):
-            sharded.process_batch([doc(10, ["a", "c"])])
-        with pytest.raises(RuntimeError, match="closed"):
-            sharded.evaluate_now(10.0)
-        assert sharded.ranking_history() == []
-
     def test_shard_stats_report_partitioned_state(self, tweet_docs):
         with ShardedEnBlogue(config(), num_shards=4,
                              backend="process") as sharded:
@@ -257,7 +201,7 @@ class TestEngineSurface:
         with pytest.raises(ValueError):
             ShardedEnBlogue(config(correlation_measure="kl"), num_shards=2,
                             backend=backend)
-        assert backend.workers == []
+        assert backend.health() == [] and backend.stats() == []
 
     def test_process_backend_start_method_pinned_to_spawn(self):
         # The platform default ("fork" on Linux, "spawn" on macOS) must not
@@ -383,7 +327,8 @@ class TestEngineSurface:
         with ShardedEnBlogue(config(), num_shards=2, backend=backend) as sharded:
             sharded.process(doc(0, ["a", "b"]))
             assert sharded.backend is backend
-            assert len(backend.workers) == 2
+            assert [entry["shard_id"] for entry in backend.stats()] == [0, 1]
+            assert all(record["alive"] for record in backend.health())
 
     def test_as_sink_feeds_engine(self, tweet_docs):
         cfg = config()

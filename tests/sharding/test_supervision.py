@@ -8,8 +8,6 @@ approximates it.  Every fault here is scripted through the counted
 deterministic and sleeps for zero real seconds.
 """
 
-import multiprocessing
-
 import pytest
 
 from repro.core.config import EnBlogueConfig
@@ -87,9 +85,9 @@ def instant_policy(clock=None, **overrides):
 
 
 def make_inner(kind):
-    if kind == "threads":
-        return ThreadBackend()
-    return ProcessBackend(start_method="fork")
+    if kind == "process":
+        return ProcessBackend(start_method="fork")
+    return make_backend(kind)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +131,7 @@ class TestRetryPolicy:
 
 class TestExactRecovery:
     @pytest.mark.parametrize("num_shards", [2, 4])
-    @pytest.mark.parametrize("inner", ["threads", "process"])
+    @pytest.mark.parametrize("inner", ["serial", "threads", "process"])
     def test_worker_kill_mid_stream_stays_bit_identical(
             self, tweet_docs, reference_signature, num_shards, inner):
         clock = FakeClock()
@@ -274,7 +272,8 @@ class TestPermanentFailure:
         clock = FakeClock()
         policy = instant_policy(clock, max_retries=2)
         plan = FaultPlan(sleep=clock.sleep).fail_dispatch(
-            shard=0, exception=BrokenPipeError, times=99)
+            shard=0, exception=BrokenPipeError, times=99,
+            operation="ingest")
         backend = SupervisedBackend(ThreadBackend(), policy=policy)
         backend.bind_fault_plan(plan)
         backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
@@ -343,39 +342,72 @@ class TestDegradedMode:
             assert info["live_shards"] == 3
 
 
-class TestNoOrphanedProcesses:
-    def test_gather_failure_reaps_every_worker_process(self):
-        backend = ProcessBackend(start_method="fork")
-        backend.bind_fault_plan(
-            FaultPlan().fail_gather(shard=0, exception=EOFError))
-        backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
-        processes = list(backend._processes)
-        assert all(process.is_alive() for process in processes)
-        backend.ingest([[(10.0, (TagPair("a", "b"),))], []])
-        with pytest.raises(ShardExecutionError, match="shard 0"):
-            backend.stats()
-        for process in processes:
-            process.join(timeout=10.0)
-        assert all(not process.is_alive() for process in processes)
-        assert backend._processes == []
-        leftover = {
-            child.pid for child in multiprocessing.active_children()
-        }
-        assert not leftover.intersection(
-            {process.pid for process in processes})
+class TestBoundedOperationLog:
+    """Without a checkpoint cadence nothing but the supervisor itself can
+    restart the log: it re-bases at ``LOG_COMPACT_OPS``, exactly."""
 
-    def test_dispatch_failure_reaps_every_worker_process(self):
-        backend = ProcessBackend(start_method="fork")
-        backend.bind_fault_plan(
-            FaultPlan().fail_dispatch(shard=1, exception=BrokenPipeError))
-        backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
-        processes = list(backend._processes)
-        with pytest.raises(ShardExecutionError, match="shard 1"):
-            backend.ingest([[(10.0, (TagPair("a", "b"),))],
-                            [(10.0, (TagPair("a", "c"),))]])
-        for process in processes:
-            process.join(timeout=10.0)
-        assert all(not process.is_alive() for process in processes)
+    LIMIT = 8
+
+    def test_log_stays_under_the_constant_and_recovery_stays_exact(
+            self, tweet_docs, reference_signature, monkeypatch):
+        from repro.sharding import supervision
+
+        monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
+        clock = FakeClock()
+        backend = SupervisedBackend(ThreadBackend(),
+                                    policy=instant_policy(clock))
+        cut = len(tweet_docs) // 2
+        with ShardedEnBlogue(config(), num_shards=2, backend=backend,
+                             chunk_size=16) as sharded:
+            high_water = 0
+            for start in range(0, cut, 40):
+                sharded.process_batch(tweet_docs[start:min(start + 40, cut)])
+                high_water = max(high_water,
+                                 sharded.supervision_info()["log_ops"])
+            # Fed well past the constant: dozens of chunks and boundaries.
+            dispatched = sum(record["dispatches"]
+                             for record in backend.health())
+            assert dispatched > 4 * self.LIMIT
+            assert high_water <= self.LIMIT
+            # A worker killed *after* a compaction rebuilds from the
+            # compacted base plus the short log — still bit-identical.
+            plan = FaultPlan(sleep=clock.sleep).kill_worker(
+                1, after_batches=3)
+            backend.bind_fault_plan(plan)
+            sharded.process_batch(tweet_docs[cut:])
+            sharded.evaluate_now()
+            assert signature(sharded) == reference_signature
+            info = sharded.supervision_info()
+        assert plan.fired() == 1
+        assert info["recoveries"] == 1
+        assert info["last_recovery"]["source"] == "memory"
+        assert info["last_recovery"]["replayed_ops"] <= self.LIMIT
+        assert info["log_ops"] <= self.LIMIT
+
+    def test_an_armed_delta_chain_is_not_rebased_behind_the_engine(
+            self, tweet_docs, reference_signature, monkeypatch, tmp_path):
+        from repro.sharding import supervision
+
+        monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
+        backend = SupervisedBackend(ThreadBackend(),
+                                    policy=instant_policy())
+        with ShardedEnBlogue(config(), num_shards=2, backend=backend,
+                             chunk_size=16) as sharded:
+            sharded.process_batch(tweet_docs[:400])
+            sharded.save_checkpoint(tmp_path, track_deltas=True)
+            sharded.process_batch(tweet_docs[400:900])
+            # Armed: the log runs past the constant (the cadence's own
+            # re-base is what restarts it) and the drained delta still
+            # carries every event since the base.
+            assert sharded.supervision_info()["log_ops"] > self.LIMIT
+            delta = sharded.delta_since(1)
+            shard_events = sum(
+                len(shard["tracker"]["events"]) for shard in delta["shards"])
+            assert shard_events > 0
+            assert len(delta["tag_events"]) == 500
+            sharded.process_batch(tweet_docs[900:])
+            sharded.evaluate_now()
+            assert signature(sharded) == reference_signature
 
 
 class TestSupervisedWiring:
@@ -456,7 +488,8 @@ class TestFaultLogTrail:
         observability = Observability()
         policy = instant_policy(clock, max_retries=1)
         plan = FaultPlan(sleep=clock.sleep).fail_dispatch(
-            shard=0, exception=BrokenPipeError, times=99)
+            shard=0, exception=BrokenPipeError, times=99,
+            operation="ingest")
         backend = SupervisedBackend(ThreadBackend(), policy=policy)
         backend.bind_fault_plan(plan)
         backend.bind_observability(observability)

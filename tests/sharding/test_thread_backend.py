@@ -1,21 +1,18 @@
-"""The threads shard backend: equivalence, error surfacing and lifecycle.
+"""The threads shard backend: equivalence and the engine's view of it.
 
-Mirrors the process-backend suite: same sticky-ingest-failure contract,
-same loud use-after-close behaviour, plus the thread-specific guarantees —
-zero serialization (workers receive the coordinator's live objects) and a
-striped coordinator tag window whose merged counts stay exact.
+What every transport owes the coordinator (ordering, sticky failures,
+teardown, dead workers, by-reference delivery) is asserted once for all
+three in ``test_backend_contract.py``; this file keeps what is about the
+engine running on threads — bit-identical rankings with a striped
+coordinator tag window whose merged counts stay exact.
 """
 
 import pytest
 
 from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
-from repro.core.types import TagPair
-from repro.datasets.documents import Document
 from repro.datasets.twitter import TweetStreamGenerator
-from repro.sharding import ShardedEnBlogue, make_backend
-from repro.sharding.backends import ShardExecutionError, ThreadBackend
-from repro.sharding.worker import ShardWorker
+from repro.sharding import ShardedEnBlogue
 
 HOUR = 3600.0
 
@@ -40,10 +37,6 @@ def signature(engine):
         (ranking.timestamp, ranking.label, ranking.topics)
         for ranking in engine.ranking_history()
     ]
-
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"doc-{t}", tags=frozenset(tags))
 
 
 @pytest.fixture(scope="module")
@@ -87,75 +80,7 @@ class TestThreadBackendEquivalence:
         assert final == reference.ranking_history()[-1]
 
 
-class TestThreadBackendLifecycle:
-    def test_registered_with_make_backend(self):
-        backend = make_backend("threads")
-        assert isinstance(backend, ThreadBackend)
-        assert backend.name == "threads"
-
-    def test_worker_failure_is_sticky_and_surfaces_at_evaluation(self):
-        # An out-of-order chunk poisons the worker; the fire-and-forget
-        # ingest defers the error to the next synchronisation point.
-        backend = ThreadBackend()
-        backend.start([ShardWorker(0, config())])
-        try:
-            backend.ingest([[(10.0, (TagPair("a", "b"),))]])
-            backend.ingest([[(5.0, (TagPair("a", "c"),))]])
-            with pytest.raises(ShardExecutionError,
-                               match="shard 0 failed during evaluate"):
-                backend.evaluate(11.0, ["a"], {"a": 2, "b": 1, "c": 1}, 2)
-        finally:
-            backend.close()
-
-    def test_failed_gather_tears_the_pool_down(self):
-        backend = ThreadBackend()
-        backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
-        backend.ingest([[(10.0, (TagPair("a", "b"),))], []])
-        backend.ingest([[(5.0, (TagPair("a", "c"),))], []])
-        with pytest.raises(ShardExecutionError, match="shard 0"):
-            backend.stats()
-        # The gather closed the backend; further use raises, not hangs.
-        assert backend._threads == []
-        with pytest.raises(ShardExecutionError, match="closed"):
-            backend.stats()
-
-    def test_close_is_idempotent(self):
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="threads") as sharded:
-            sharded.process(doc(0, ["a", "b"]))
-            sharded.close()
-        sharded.close()
-
-    def test_use_after_close_raises_instead_of_publishing_empty(self):
-        sharded = ShardedEnBlogue(config(), num_shards=2, backend="threads")
-        sharded.process(doc(0, ["a", "b"]))
-        sharded.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            sharded.process(doc(10, ["a", "c"]))
-        with pytest.raises(RuntimeError, match="closed"):
-            sharded.evaluate_now(10.0)
-        assert sharded.ranking_history() == []
-
-    def test_workers_receive_live_objects_not_copies(self):
-        # Zero-copy contract: the exact event tuples posted by the
-        # coordinator reach the worker without pickling.
-        witnessed = []
-
-        class Recording(ShardWorker):
-            def ingest(self, events):
-                witnessed.extend(id(event) for event in events)
-                return super().ingest(events)
-
-        backend = ThreadBackend()
-        backend.start([Recording(0, config())])
-        try:
-            event = (10.0, (TagPair("a", "b"),))
-            backend.ingest([[event]])
-            backend.stats()  # synchronisation barrier
-            assert witnessed == [id(event)]
-        finally:
-            backend.close()
-
+class TestEngineOnThreads:
     def test_shard_stats_report_evaluation_path(self, tweet_docs):
         with ShardedEnBlogue(config(), num_shards=2,
                              backend="threads") as sharded:
@@ -175,70 +100,3 @@ class TestThreadBackendLifecycle:
         assert info["backend"] == "threads"
         assert info["shards"] == 2
         assert info["evaluation_path"] in ("vectorized", "scalar")
-
-
-class TestThreadBackendDeadWorker:
-    """A worker thread that dies mid-run must surface loudly, never hang.
-
-    The kills are scripted through the counted fault hooks: the worker
-    processes its last chunk, then stops — exactly the shape of an
-    uncaught exception in worker code or a runaway thread being reaped.
-    """
-
-    def _killed_backend(self, after_batches=1, shards=2):
-        from repro.faults import FaultPlan
-
-        backend = ThreadBackend()
-        backend.bind_fault_plan(
-            FaultPlan().kill_worker(0, after_batches=after_batches))
-        backend.start([ShardWorker(i, config()) for i in range(shards)])
-        return backend
-
-    def test_kill_mid_ingest_surfaces_at_next_sync_point(self):
-        backend = self._killed_backend()
-        try:
-            backend.ingest([[(10.0, (TagPair("a", "b"),))], []])
-            # Fire-and-forget: posting to the dead worker's mailbox does
-            # not raise, the next gather does — promptly, no timeout.
-            backend.ingest([[(20.0, (TagPair("a", "c"),))], []])
-            with pytest.raises(ShardExecutionError, match="shard 0"):
-                backend.evaluate(21.0, ["a"], {"a": 2, "b": 1, "c": 1}, 2)
-        finally:
-            backend.close()
-
-    def test_kill_mid_gather_tears_the_pool_down(self):
-        backend = self._killed_backend()
-        try:
-            backend.ingest([[(10.0, (TagPair("a", "b"),))],
-                            [(10.0, (TagPair("c", "d"),))]])
-            with pytest.raises(ShardExecutionError, match="shard 0"):
-                backend.stats()
-            assert backend._threads == []
-            with pytest.raises(ShardExecutionError, match="closed"):
-                backend.stats()
-        finally:
-            backend.close()
-
-    def test_kill_mid_collect_states_raises_not_hangs(self):
-        backend = self._killed_backend()
-        try:
-            backend.ingest([[(10.0, (TagPair("a", "b"),))], []])
-            with pytest.raises(ShardExecutionError, match="shard 0"):
-                backend.collect_states()
-        finally:
-            backend.close()
-
-    def test_dead_worker_detection_is_prompt(self):
-        # The gather loop polls thread liveness: once the thread is gone
-        # it stops waiting on the reply event instead of riding out the
-        # full timeout — the suite itself is the regression test (a hang
-        # here would blow the test timeout, not just fail).
-        backend = self._killed_backend(after_batches=2)
-        try:
-            backend.ingest([[(10.0, (TagPair("a", "b"),))], []])
-            backend.stats()  # worker still alive after batch one
-            backend.ingest([[(20.0, (TagPair("a", "c"),))], []])
-            with pytest.raises(ShardExecutionError, match="shard 0"):
-                backend.stats()
-        finally:
-            backend.close()
