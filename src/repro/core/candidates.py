@@ -1,33 +1,31 @@
-"""Stage (i) pruning made incremental: a tag→pairs postings index.
+"""Stage (i) pruning made incremental: a tag→supported-pairs postings index.
 
-The paper's efficiency argument is that only pairs containing a *seed* tag
-need correlation sampling.  The seed implementation honoured that at
-evaluation time by scanning every windowed pair — linear in the number of
-live pairs however few seeds there are.  :class:`CandidateIndex` maintains
-the inverse mapping as documents arrive and expire: one ``Counter`` holds
+The paper's efficiency argument is that only pairs that contain a *seed*
+tag **and** have enough windowed support need a correlation sample.
+:class:`CandidateIndex` keeps exactly those findable: one ``Counter`` holds
 the windowed count of every live pair, and per tag a postings dictionary
-records *which* live pairs contain it — membership only.  Candidate
-generation unions the seeds' postings, one count lookup per visited pair.
+records — membership only — the pairs containing it whose count has
+reached ``min_support``.  Candidate generation walks the seeds' postings
+and reads one count per pair it *emits*: no support test is left at
+evaluation time, so its cost follows the answer, not the live pairs.
 
-Keeping the counts out of the postings keeps ingestion cheap: a recurring
-pair costs one increment inside ``Counter.update`` (a C loop) and one
-in-line decrement when an occurrence expires, and the postings are touched
-only when a pair is *born* or *dies*.  With the count inside both postings
-entries every distinct pair of every chunk cost an interpreted call on
-arrival and on eviction (``replay_tweets``: tracker ingest 2.75 → 2.0
-µs/doc).  The price is that lookup, which hashes the pair: +0.15 ms per
-evaluation on ``replay_zipf``, whose seeds' buckets hold ≈ 3,000 pairs.
-Candidate generation stays an interpreted loop on purpose: as C-level
-passes (``dict.fromkeys``, ``map(counts.__getitem__, ...)``, ``compress``)
-it measured slower still (``replay_zipf`` 17.2 → 19.4 µs/doc) — a
-``TagPair``'s hash is not cached, so every pass re-hashes every pair.
+A pair touches a posting only when a batch carries its count across the
+threshold.  Below it a birth is one increment inside ``Counter.update`` (a
+C loop) and a death one ``pop``; noticing a crossing costs one look per
+arriving occurrence and one comparison per distinct expiring pair.  Where
+most live pairs never reach support (``replay_zipf``: 7,168 live, 36
+supported) an evaluation visits those 36 instead of the ≈ 3,000 pairs in
+the seeds' all-pairs buckets, and ≈ 3,400 bucket dictionaries per window
+are never allocated; where nearly all do (``replay_tweets``: 464 live, 426
+supported) the look is the whole difference, ≈ 0.15 µs per document.  The
+one O(live pairs) step is a change of ``min_support`` (or a restore),
+which rebuilds the postings from the counts — never taken on the stream.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.core.types import TagPair
 from repro.persistence.snapshot import require_state
@@ -36,41 +34,45 @@ _EMPTY: Dict[TagPair, None] = {}
 
 
 class CandidateIndex:
-    """One count per live pair, plus per-tag postings of which pairs are live.
+    """One count per live pair, plus per-tag postings of the supported ones.
 
-    Every live pair has a positive count in exactly one mapping and is a
-    member of exactly two postings dictionaries (one per tag); a tag with
-    no live pair has no postings dictionary.  ``min_support`` mirrors the
-    tracker's ``min_pair_support``: pairs with a lower count stay in the
-    index (they may regain support) but are not reported as candidates.
+    Every live pair has a positive count in exactly one mapping; a pair is
+    a member of its two tags' postings dictionaries iff that count is at
+    least ``min_support`` (the tracker's ``min_pair_support``), and a tag
+    with no supported pair has no postings dictionary.  Pairs below the
+    threshold stay in the counts — they may regain support.
     """
 
     def __init__(self, min_support: int = 1):
+        self._reset({}, min_support)
+
+    def _reset(self, counts: Mapping[TagPair, int], min_support: int) -> None:
+        """Start over from ``counts`` under ``min_support``: O(live pairs)."""
+        min_support = int(min_support)
+        if min_support < 1:
+            raise ValueError("min_support must be at least 1")
+        self._min_support = min_support
         self._counts: Counter = Counter()
         # A bucket is born on its first write and deleted with its last
         # pair; reads go through .get so they never create one.
         self._postings: Dict[str, Dict[TagPair, None]] = defaultdict(dict)
-        self.min_support = min_support
+        self.add_many(counts)
 
     @property
     def min_support(self) -> int:
-        """Support threshold below which live pairs are not reported.
+        """Support threshold a live pair must reach to be a candidate.
 
-        Mutable between evaluations: pairs below the threshold *stay in the
-        index* with their counts (they may regain support, and lowering
-        the threshold must bring them back), so changing the value takes
-        effect on the next candidate query without any rebuild.  Validation
-        lives here so every write path — the tracker's ``min_pair_support``
-        setter or a direct assignment — enforces the same invariant.
+        Mutable between evaluations: pairs below it keep their counts, so
+        a changed value rebuilds the postings from them.  Every write path
+        — the tracker's ``min_pair_support`` setter or a direct assignment
+        — is validated by the one check in :meth:`_reset`.
         """
         return self._min_support
 
     @min_support.setter
     def min_support(self, value: int) -> None:
-        value = int(value)
-        if value < 1:
-            raise ValueError("min_support must be at least 1")
-        self._min_support = value
+        if int(value) != self._min_support:
+            self._reset(self._counts, value)
 
     # -- introspection --------------------------------------------------------
 
@@ -88,10 +90,6 @@ class CandidateIndex:
     def items(self) -> Iterator[Tuple[TagPair, int]]:
         """Iterate over ``(pair, count)`` for every live pair, once each."""
         return iter(self._counts.items())
-
-    def pairs_for(self, tag: str) -> FrozenSet[TagPair]:
-        """The live pairs containing ``tag`` (the tag's postings list)."""
-        return frozenset(self._postings.get(tag, _EMPTY))
 
     # -- persistence ----------------------------------------------------------
 
@@ -114,12 +112,42 @@ class CandidateIndex:
     def restore(self, state: Mapping) -> None:
         """Replace the index with a :meth:`snapshot`'s state."""
         require_state(state, "candidate-index", 1)
-        self._counts = Counter()
-        self._postings = defaultdict(dict)
-        self.min_support = state["min_support"]
+        rows: Counter = Counter()
         for first, second, count in state["pairs"]:
             if int(count) > 0:
-                self.add_many({TagPair(str(first), str(second)): int(count)})
+                rows[TagPair(str(first), str(second))] += int(count)
+        self._reset(rows, state["min_support"])
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` naming a pair the invariant fails for.
+
+        Every count is a positive integer; a pair is in a posting iff its
+        count is at least ``min_support``, and then in exactly its two
+        tags' buckets; no bucket is empty.  For tests — O(live pairs),
+        never called on the stream.
+        """
+        counts, postings = self._counts, self._postings
+        for pair, count in counts.items():
+            if type(count) is not int or count < 1:
+                raise AssertionError(f"{pair!r} has count {count!r}")
+            supported = count >= self._min_support
+            for tag in pair:
+                if (pair in postings.get(tag, _EMPTY)) != supported:
+                    raise AssertionError(
+                        f"{pair!r} has count {count} against min_support "
+                        f"{self._min_support} but is "
+                        f"{'missing from' if supported else 'listed in'} "
+                        f"the postings of {tag!r}"
+                    )
+        for tag, bucket in postings.items():
+            if not bucket:
+                raise AssertionError(f"empty postings bucket for {tag!r}")
+            for pair in bucket:
+                if pair not in counts or tag not in pair:
+                    raise AssertionError(
+                        f"the postings of {tag!r} list {pair!r}, which is "
+                        f"not a live pair containing it"
+                    )
 
     # -- maintenance ----------------------------------------------------------
 
@@ -129,20 +157,21 @@ class CandidateIndex:
 
     def add_many(self, pairs: Iterable[TagPair]) -> None:
         """Record a batch of co-occurrences (duplicates allowed; a
-        ``{pair: n}`` mapping records ``n`` of each, as ``Counter.update``)."""
+        ``{pair: n}`` mapping records ``n`` of each, as ``Counter.update``).
+        A pair the batch carries to ``min_support`` enters its postings."""
+        if not isinstance(pairs, Mapping):
+            pairs = list(pairs)
         counts = self._counts
-        size_before = len(counts)
+        min_support = self._min_support
+        count_of = counts.get
+        # Only a pair below the threshold can cross it; the increments stay C.
+        below = [pair for pair in pairs if count_of(pair, 0) < min_support]
         counts.update(pairs)
-        born = len(counts) - size_before
-        if not born:
-            return
-        # An increment does not move a key and a new key goes to the end,
-        # so the pairs born here are the last ``born`` keys; walked oldest
-        # first, so a bucket lists its pairs in arrival order either way.
         postings = self._postings
-        for pair in reversed(list(islice(reversed(counts), born))):
-            for tag in pair:
-                postings[tag][pair] = None
+        for pair in below:
+            if counts[pair] >= min_support:
+                for tag in pair:
+                    postings[tag][pair] = None
 
     def discard(self, pair: TagPair) -> None:
         """Remove one co-occurrence of ``pair``, dropping dead postings."""
@@ -151,17 +180,21 @@ class CandidateIndex:
     def remove_many(self, pairs: Iterable[TagPair]) -> None:
         """Remove a batch of co-occurrences (duplicates allowed).
 
-        A pair whose count reaches zero dies: it leaves the counts and both
-        its tags' postings.  A pair that is not live is ignored.
+        A pair whose count reaches zero dies and leaves the counts; one
+        that falls below ``min_support`` (dead or not) leaves its
+        postings.  A pair that is not live is ignored.
         """
         counts = self._counts
         postings = self._postings
+        min_support = self._min_support
         for pair, expired in Counter(pairs).items():
             count = counts.get(pair, 0)
-            if count > expired:
-                counts[pair] = count - expired
+            left = count - expired
+            if left > 0:
+                counts[pair] = left
             elif count:
                 counts.pop(pair)  # not del: Counter.__delitem__ is interpreted
+            if count >= min_support > left:
                 for tag in pair:
                     bucket = postings[tag]
                     del bucket[pair]
@@ -187,18 +220,15 @@ class CandidateIndex:
         deduplicates the union without a seen-set.
         """
         seed_set = set(seeds)
-        min_support = self.min_support
         postings = self._postings
         counts = self._counts
         selected: List[Tuple[TagPair, str, int]] = []
         append = selected.append
         for seed in seed_set:
             for pair in postings.get(seed, _EMPTY):
-                count = counts[pair]
-                if count >= min_support:
-                    first = pair[0]
-                    if first == seed or first not in seed_set:
-                        append((pair, seed, count))
+                first = pair[0]
+                if first == seed or first not in seed_set:
+                    append((pair, seed, counts[pair]))
         return selected
 
     def candidates(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:

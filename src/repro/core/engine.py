@@ -387,7 +387,7 @@ class DetectionEngineBase:
         """Reject a stream time the boundary catch-up could never reach
         (``inf``) or order (``nan``), before any state is touched."""
         if not math.isfinite(timestamp):
-            raise ValueError(f"non-finite document timestamp: {timestamp}")
+            raise ValueError(f"non-finite timestamp: {timestamp}")
 
     def evaluate_now(self, timestamp: Optional[float] = None) -> Ranking:
         """Force an evaluation at ``timestamp`` (default: latest stream time)."""
@@ -395,6 +395,7 @@ class DetectionEngineBase:
             timestamp = self._latest_timestamp()
         if timestamp is None:
             raise ValueError("no documents processed yet")
+        self._require_finite(timestamp)
         return self._timed_evaluate(timestamp)
 
     # -- results --------------------------------------------------------------

@@ -737,6 +737,38 @@ class CorrelationTracker:
         # Any buffered delta described the pre-restore state; drop it.
         self._delta = None
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless a live tracker could hold this state.
+
+        The index's counts are the pair multiset of the windowed pair
+        events; no pair or usage event sits at or before ``latest −
+        window_horizon`` (every ingest and advance evicts those); then the
+        index's own invariants.  For tests, after whatever *makes* a state
+        — a restore, a journal fold, a re-shard — never on the stream.
+        """
+        expected = Counter(chain.from_iterable(
+            pairs for _, pairs in self._pair_events
+        ))
+        counts = dict(self._candidates.items())
+        for pair in expected.keys() | counts.keys():
+            if expected[pair] != counts.get(pair, 0):
+                raise AssertionError(
+                    f"{pair!r} occurs {expected[pair]} time(s) in the pair "
+                    f"events but has count {counts.get(pair, 0)}"
+                )
+        if self._latest is not None:
+            cutoff = self._latest - self.window_horizon
+            for name, events in (("pair", self._pair_events),
+                                 ("usage", self._usage_events)):
+                for timestamp, payload in events:
+                    if timestamp <= cutoff:
+                        raise AssertionError(
+                            f"{name} event {payload!r} at {timestamp} is at "
+                            f"or before the window's cutoff {cutoff} "
+                            f"(latest {self._latest})"
+                        )
+        self._candidates.check_invariants()
+
     # -- incremental persistence ----------------------------------------------
 
     def begin_delta_tracking(self) -> None:

@@ -38,7 +38,7 @@ from repro.sketches.tier import SketchTier
 from repro.windows.striped import record_count_history
 
 
-def _evict_events(events: List[list], latest, horizon: float) -> List[list]:
+def evict_events(events: List[list], latest, horizon: float) -> List[list]:
     """Drop leading events at or past the horizon, the windows' one rule."""
     if latest is None:
         return events
@@ -227,7 +227,7 @@ def apply_tracker_delta(
                 pairs = tier.filter_pairs(timestamp, pairs)
             payload = list(map(list, pairs))
         events.append([timestamp, payload])
-    events = _evict_events(events, latest, horizon)
+    events = evict_events(events, latest, horizon)
     state["pair_events"] = events
 
     state["candidates"]["min_support"] = int(delta["min_support"])
@@ -236,10 +236,10 @@ def apply_tracker_delta(
 
     usage = list(state["usage_events"])
     usage.extend(delta["usage_events"])
-    state["usage_events"] = _evict_events(usage, latest, horizon)
+    state["usage_events"] = evict_events(usage, latest, horizon)
 
     window_latest = delta["tag_window_latest"]
-    window["events"] = _evict_events(
+    window["events"] = evict_events(
         window_events, window_latest, float(window["horizon"])
     )
     window["latest"] = window_latest
@@ -378,7 +378,7 @@ def apply_engine_delta(
         window = state["tag_window"]
         window_events = list(window["events"])
         window_events.extend(tag_events)
-        window["events"] = _evict_events(
+        window["events"] = evict_events(
             window_events, delta["tag_window_latest"], float(window["horizon"])
         )
         window["latest"] = delta["tag_window_latest"]

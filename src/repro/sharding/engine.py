@@ -196,7 +196,8 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._ensure_open()
         latest = self._latest
         decompose = self._decomposer.decompose
-        tag_events: List[Tuple[float, Tuple[str, ...]]] = []
+        timestamps: List[float] = []
+        tag_sets: List[Tuple[str, ...]] = []
         pair_sets: List[tuple] = []
         for timestamp, tags, entities in observations:
             if latest is not None and not timestamp >= latest:
@@ -205,14 +206,15 @@ class ShardedEnBlogue(DetectionEngineBase):
                 )
             latest = timestamp
             ordered, pairs = decompose(tags, entities)
-            tag_events.append((timestamp, ordered))
+            timestamps.append(timestamp)
+            tag_sets.append(ordered)
             pair_sets.append(pairs)
         # Commit phase: nothing below can fail on malformed input.  Tier
         # admission runs here, per document in stream order, so a rejected
         # run leaves the sketch untouched too.
         tier = self._tier
         split_event = self.partitioner.split_event
-        total = len(tag_events)
+        total = len(timestamps)
         start = 0
         while start < total:
             # At least one document, so a chunk left full by a failed
@@ -220,13 +222,13 @@ class ShardedEnBlogue(DetectionEngineBase):
             stop = min(total, start + max(
                 1, self.chunk_size - self._buffered_documents
             ))
-            events = tag_events[start:stop]
-            self._tag_window.add_documents(events, prepared=True)
+            times, tags = timestamps[start:stop], tag_sets[start:stop]
+            self._tag_window.add_ordered_run(times, tags)  # checked above
             if self._delta_tag_events is not None:
-                self._delta_tag_events.extend(events)
-            self._latest = events[-1][0]
+                self._delta_tag_events.extend(zip(times, tags))
+            self._latest = times[-1]
             buffers = self._buffers
-            for (timestamp, _), pairs in zip(events, pair_sets[start:stop]):
+            for timestamp, pairs in zip(times, pair_sets[start:stop]):
                 if pairs and tier is not None:
                     pairs = tier.filter_pairs(timestamp, pairs)
                 if pairs:

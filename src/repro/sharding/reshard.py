@@ -21,6 +21,7 @@ import heapq
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.types import TagPair
+from repro.persistence.delta import derive_candidates, evict_events
 from repro.persistence.snapshot import (
     SnapshotMismatchError,
     require_state,
@@ -99,16 +100,29 @@ def reshard_worker_states(
     def owner(pair_state: Sequence[str]) -> int:
         return partitioner.shard_of(TagPair(str(pair_state[0]), str(pair_state[1])))
 
+    latests = [
+        tracker["latest"] for tracker in trackers
+        if tracker["latest"] is not None
+    ]
+    latest: Optional[float] = max(latests) if latests else None
+    horizon = trackers[0]["tag_window"]["horizon"]
+
     # Pair events: merge the old shards' time-ordered event lists into one
     # stream (stable for equal timestamps), then split each event's pairs by
     # the new partitioner.  Granularity may differ from a from-scratch run —
     # one document can appear as two same-timestamp events on a new shard —
     # but counts, eviction times and per-pair state are identical, which is
-    # all the detection math reads.
+    # all the detection math reads.  The windows' one eviction rule runs
+    # against the merged clock first: a shard last advanced earlier may
+    # hold events no tracker at that clock can (its next ingest, or a
+    # journal fold, would evict them).
     new_events: List[List[list]] = [[] for _ in range(num_shards)]
-    merged = heapq.merge(
-        *(tracker["pair_events"] for tracker in trackers),
-        key=lambda event: event[0],
+    merged = evict_events(
+        list(heapq.merge(
+            *(tracker["pair_events"] for tracker in trackers),
+            key=lambda event: event[0],
+        )),
+        latest, trackers[0]["window_horizon"],
     )
     for timestamp, pairs in merged:
         split: Dict[int, list] = {}
@@ -116,12 +130,6 @@ def reshard_worker_states(
             split.setdefault(owner(pair_state), []).append(list(pair_state))
         for shard_id, shard_pairs in split.items():
             new_events[shard_id].append([timestamp, shard_pairs])
-
-    min_support = candidates[0]["min_support"]
-    new_counts: List[list] = [[] for _ in range(num_shards)]
-    for candidate_state in candidates:
-        for entry in candidate_state["pairs"]:
-            new_counts[owner(entry)].append(list(entry))
 
     new_histories: List[list] = [[] for _ in range(num_shards)]
     for tracker in trackers:
@@ -132,13 +140,6 @@ def reshard_worker_states(
     for detector in detectors:
         for entry in detector["scores"]:
             new_scores[owner(entry)].append(entry)
-
-    latests = [
-        tracker["latest"] for tracker in trackers
-        if tracker["latest"] is not None
-    ]
-    latest: Optional[float] = max(latests) if latests else None
-    horizon = trackers[0]["tag_window"]["horizon"]
 
     resharded: List[dict] = []
     for shard_id in range(num_shards):
@@ -159,17 +160,14 @@ def reshard_worker_states(
                 "events": [],
             },
             "pair_events": new_events[shard_id],
-            "candidates": {
-                "kind": "candidate-index",
-                "version": 1,
-                "min_support": min_support,
-                "pairs": sorted(new_counts[shard_id]),
-            },
+            # The counts are the pair multiset of the events that survived.
+            "candidates": {"min_support": candidates[0]["min_support"]},
             "usage_events": [],
             "histories": sorted(new_histories[shard_id],
                                 key=lambda entry: (entry[0], entry[1])),
             "count_history": {},
         }
+        derive_candidates(tracker_state)
         detector_state = {
             "kind": "shift-detector",
             "version": 1,

@@ -10,6 +10,11 @@ def pair(a, b):
     return TagPair(a, b)
 
 
+def postings(index, tag):
+    """The pairs listed under ``tag`` — by the invariant, the supported ones."""
+    return set(index._postings.get(tag, ()))
+
+
 class TestMaintenance:
     def test_add_and_count(self):
         index = CandidateIndex()
@@ -35,21 +40,21 @@ class TestMaintenance:
         index.discard(pair("a", "b"))
         assert len(index) == 0
 
-    def test_postings_track_both_tags(self):
-        index = CandidateIndex()
-        index.add(pair("a", "b"))
-        index.add(pair("a", "c"))
-        assert index.pairs_for("a") == {pair("a", "b"), pair("a", "c")}
-        assert index.pairs_for("b") == {pair("a", "b")}
-        assert index.pairs_for("missing") == frozenset()
+    def test_postings_hold_the_supported_pairs_under_both_tags(self):
+        index = CandidateIndex(min_support=2)
+        index.add_many([pair("a", "b"), pair("a", "b"), pair("a", "c")])
+        assert postings(index, "a") == postings(index, "b") == {pair("a", "b")}
+        # Live but below support: counted, in no posting.
+        assert index.count(pair("a", "c")) == 1
+        assert postings(index, "c") == postings(index, "missing") == set()
+        index.check_invariants()
 
     def test_postings_cleaned_up_after_removal(self):
         index = CandidateIndex()
         index.add(pair("a", "b"))
         index.discard(pair("a", "b"))
-        assert index.pairs_for("a") == frozenset()
-        assert index.pairs_for("b") == frozenset()
         assert index._postings == {}
+        index.check_invariants()
 
     def test_batch_updates_match_single_updates(self):
         pairs = [pair("a", "b"), pair("a", "b"), pair("a", "c"), pair("b", "c")]
@@ -111,3 +116,36 @@ class TestCandidates:
         index.add_many([pair("s", "x"), pair("s", "x"), pair("s", "y")])
         triples = sorted(index.iter_candidates(["s"]))
         assert triples == [(pair("s", "x"), "s", 2), (pair("s", "y"), "s", 1)]
+
+
+class TestCheckInvariants:
+    def build(self):
+        index = CandidateIndex(min_support=2)
+        index.add_many([pair("a", "b"), pair("a", "b"), pair("a", "c")])
+        index.check_invariants()
+        return index
+
+    def test_names_a_supported_pair_missing_from_a_posting(self):
+        index = self.build()
+        del index._postings["b"]
+        with pytest.raises(AssertionError, match=r"'a'.*'b'.*missing from"):
+            index.check_invariants()
+
+    def test_names_an_unsupported_pair_listed_in_a_posting(self):
+        index = self.build()
+        index._postings["c"][pair("a", "c")] = None
+        with pytest.raises(AssertionError, match=r"'a'.*'c'.*listed in"):
+            index.check_invariants()
+
+    def test_names_a_dead_pair_an_empty_bucket_and_a_bad_count(self):
+        index = self.build()
+        index._postings["x"][pair("x", "y")] = None
+        with pytest.raises(AssertionError, match="not a live pair"):
+            index.check_invariants()
+        del index._postings["x"][pair("x", "y")]
+        with pytest.raises(AssertionError, match="empty postings bucket"):
+            index.check_invariants()
+        del index._postings["x"]
+        index._counts[pair("a", "c")] = 0
+        with pytest.raises(AssertionError, match="count 0"):
+            index.check_invariants()

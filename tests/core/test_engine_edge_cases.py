@@ -218,6 +218,26 @@ class TestNonFiniteTimestamps:
             if kind != "single":
                 engine.close()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("timestamp", HOSTILE, ids=str)
+    def test_evaluate_now_rejects_it_with_the_engine_unchanged(
+        self, kind, timestamp
+    ):
+        # Used to publish a ranking stamped ``inf`` and park the clock
+        # there, after which every honest document was out of order.
+        engine = make_engine(kind)
+        try:
+            engine.process_batch([doc(t, ["a", "b"]) for t in range(5)])
+            before = engine.snapshot()
+            with pytest.raises(ValueError, match="non-finite"):
+                engine.evaluate_now(timestamp)
+            assert engine.snapshot() == before
+            engine.process(doc(5, ["a", "b"], doc_id="next"))
+            assert engine.documents_processed == 6
+        finally:
+            if kind != "single":
+                engine.close()
+
     def test_tracker_order_checks_reject_nan(self):
         tracker = EnBlogue(config()).tracker
         tracker.observe(100.0, ["a", "b"])

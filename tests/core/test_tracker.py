@@ -298,8 +298,8 @@ class TestMinPairSupportPropagation:
         assert [p for p, _ in tracker.candidate_pairs(["a"])] == [TagPair("a", "b")]
 
     def test_lowering_support_restores_retained_postings(self):
-        # Sub-threshold pairs stay in the postings with their counts, so
-        # lowering the threshold brings them back without any re-ingestion.
+        # Sub-threshold pairs stay in the counts, so lowering the threshold
+        # rebuilds their postings without any re-ingestion.
         tracker = self._tracker_with_mixed_support()
         tracker.min_pair_support = 3
         assert [p for p, _ in tracker.candidate_pairs(["a"])] == [TagPair("a", "b")]
@@ -315,6 +315,40 @@ class TestMinPairSupportPropagation:
         with pytest.raises(ValueError):
             tracker.candidate_index.min_support = 0
         assert tracker.min_pair_support == 1
+
+
+class TestCheckInvariants:
+    def build(self):
+        tracker = CorrelationTracker(window_horizon=10.0, min_pair_support=1,
+                                     track_usage=True)
+        tracker.observe(0.0, ["a", "b"])
+        tracker.observe(5.0, ["a", "c"])
+        tracker.check_invariants()
+        return tracker
+
+    def test_names_a_count_the_pair_events_do_not_explain(self):
+        tracker = self.build()
+        tracker.candidate_index.add(TagPair("a", "b"))
+        with pytest.raises(AssertionError, match=r"'a'.*'b'.*1 time.*count 2"):
+            tracker.check_invariants()
+
+    def test_names_an_event_no_live_tracker_would_still_hold(self):
+        # What a restore can do and an ingest cannot: move the clock past
+        # an event's expiry without evicting it.
+        tracker = self.build()
+        tracker._latest = 10.0
+        with pytest.raises(AssertionError, match=r"pair event .* at 0.0"):
+            tracker.check_invariants()
+        tracker._pair_events.popleft()
+        tracker.candidate_index.discard(TagPair("a", "b"))
+        with pytest.raises(AssertionError, match=r"usage event .* at 0.0"):
+            tracker.check_invariants()
+
+    def test_runs_the_index_check(self):
+        tracker = self.build()
+        del tracker.candidate_index._postings["c"]
+        with pytest.raises(AssertionError, match="missing from"):
+            tracker.check_invariants()
 
 
 class TestCountHistoryBound:

@@ -139,11 +139,16 @@ class TestCandidateIndex:
         assert sorted(restored.items()) == sorted(index.items())
         assert restored.min_support == 2
         assert restored.candidates(["b"]) == index.candidates(["b"])
-        # The two-sided postings structure is intact: removal through one
-        # tag's postings keeps the other side consistent.
+        # The postings are rebuilt: the supported pairs under both their
+        # tags, the sub-threshold (a, c) in the counts only — and removal
+        # through one tag's postings keeps the other side consistent.
+        restored.check_invariants()
+        assert restored._postings == index._postings
+        assert set(restored._postings["c"]) == {pair("b", "c")}
         restored.remove_many([pair("b", "c")] * 3)
         assert pair("b", "c") not in restored
-        assert restored.pairs_for("c") == frozenset({pair("a", "c")})
+        assert "c" not in restored._postings
+        restored.check_invariants()
 
     def test_restore_replaces_previous_state(self):
         index = self.build()
@@ -164,9 +169,12 @@ class TestCandidateIndex:
         restored.restore(state)
         assert dict(restored.items()) \
             == {pair("a", "b"): 10 ** 15 + 2, pair("c", "d"): 1}
-        assert restored.pairs_for("a") == frozenset({pair("a", "b")})
-        assert restored.pairs_for("c") == frozenset({pair("c", "d")})
+        # Only the row that reaches min_support is in a posting.
+        assert {tag: set(bucket)
+                for tag, bucket in restored._postings.items()} \
+            == {"a": {pair("a", "b")}, "b": {pair("a", "b")}}
         assert restored.candidates(["a", "c"]) == [(pair("a", "b"), "a")]
+        restored.check_invariants()
 
     def test_foreign_snapshot_rejected(self):
         with pytest.raises(SnapshotMismatchError):

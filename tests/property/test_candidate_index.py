@@ -6,6 +6,7 @@ arrivals and evictions.  On randomized streams the two must agree exactly —
 same ``(pair, seed_tag)`` list, same order.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
@@ -83,40 +84,43 @@ def test_batched_ingestion_matches_sequential_then_brute_force(docs, seeds, chun
 
 
 @settings(max_examples=100, deadline=None)
-@given(docs=documents)
-def test_postings_and_counts_stay_consistent(docs):
-    """Every live pair appears in exactly its two tags' postings."""
-    tracker = CorrelationTracker(window_horizon=80.0, min_pair_support=1)
+@given(docs=documents, min_support=st.integers(min_value=1, max_value=3))
+def test_postings_and_counts_stay_consistent(docs, min_support):
+    """The postings are exactly the supported pairs, under both their tags."""
+    tracker = CorrelationTracker(window_horizon=80.0,
+                                 min_pair_support=min_support)
     for timestamp, tags in sorted(docs, key=lambda d: d[0]):
         tracker.observe(timestamp, tags)
+        tracker.check_invariants()
     index = tracker.candidate_index
     live = dict(index.items())
     assert len(live) == len(index)
+    assert all(count > 0 for count in live.values())
+    expected = {}
     for pair, count in live.items():
-        assert count > 0
-        assert pair in index.pairs_for(pair.first)
-        assert pair in index.pairs_for(pair.second)
-    # No postings entry without a live pair.
-    for tag, postings in index._postings.items():
-        for pair in postings:
-            assert pair in live
-            assert tag in (pair.first, pair.second)
+        if count >= min_support:
+            for tag in pair:
+                expected.setdefault(tag, set()).add(pair)
+    assert {tag: set(bucket)
+            for tag, bucket in index._postings.items()} == expected
 
 
 # -- the index alone, against a plain multiset ---------------------------------
 
 ORACLE_TAGS = ["a", "b", "c", "d", "e"]
 ORACLE_PAIRS = [TagPair(x, y) for x, y in combinations(ORACLE_TAGS, 2)]
-AB, AC = TagPair("a", "b"), TagPair("a", "c")
+AB, AC, BC = TagPair("a", "b"), TagPair("a", "c"), TagPair("b", "c")
 
 pair_batches = st.lists(st.sampled_from(ORACLE_PAIRS), max_size=8)
 index_steps = st.lists(
     st.one_of(
         st.tuples(st.just("add_many"), pair_batches),
+        st.tuples(st.just("add_mapping"), st.dictionaries(
+            st.sampled_from(ORACLE_PAIRS), st.integers(1, 4), max_size=3)),
         st.tuples(st.just("remove_many"), pair_batches),
         st.tuples(st.just("add"), st.sampled_from(ORACLE_PAIRS)),
         st.tuples(st.just("discard"), st.sampled_from(ORACLE_PAIRS)),
-        st.tuples(st.just("min_support"), st.integers(1, 3)),
+        st.tuples(st.just("min_support"), st.integers(1, 4)),
         st.tuples(st.just("snapshot_restore"), st.none()),
     ),
     max_size=30,
@@ -130,14 +134,14 @@ def check_against_oracle(index, oracle, min_support, seeds):
     for pair in ORACLE_PAIRS:
         assert index.count(pair) == oracle.get(pair, 0)
         assert (pair in index) == (pair in oracle)
-    for tag in ORACLE_TAGS:
-        assert index.pairs_for(tag) == {p for p in oracle if tag in p}
+    supported = {pair: count for pair, count in oracle.items()
+                 if count >= min_support}
     expected = sorted(
         (pair, pair.first if pair.first in seeds else pair.second, count)
-        for pair, count in oracle.items()
-        if count >= min_support and (pair.first in seeds
-                                     or pair.second in seeds)
+        for pair, count in supported.items()
+        if pair.first in seeds or pair.second in seeds
     )
+    # The postings walk against the full scan over the same counts.
     assert sorted(index.iter_candidates(seeds)) == expected
     assert index.candidates(seeds) == index.scan_candidates(seeds) \
         == [(pair, trigger) for pair, trigger, _ in expected]
@@ -149,17 +153,15 @@ def check_against_oracle(index, oracle, min_support, seeds):
                   for pair, count in sorted(oracle.items())],
     }
     # The structure the design rests on: one positive count per live pair,
-    # each live pair a member of exactly its two tags' buckets, no bucket
-    # left behind empty.
-    assert all(type(count) is int and count > 0
-               for count in index._counts.values())
-    assert all(index._postings.values())
+    # the *supported* pairs — and only they — members of exactly their two
+    # tags' buckets, no bucket left behind empty.
+    index.check_invariants()
     memberships = sorted(
         (pair, tag) for tag, bucket in index._postings.items()
         for pair in bucket
     )
     assert memberships == sorted(
-        (pair, tag) for pair in oracle for tag in pair
+        (pair, tag) for pair in supported for tag in pair
     )
 
 
@@ -172,15 +174,51 @@ def check_against_oracle(index, oracle, min_support, seeds):
            ("discard", AC), ("discard", AC), ("add", AC)],
     seeds={"a"},
 )
+# Crossing up inside one call: by multiplicity, and by the mapping form.
+@example(
+    steps=[("min_support", 3), ("add_many", [AB, AC, AB, AB]),
+           ("add_mapping", {AC: 2, BC: 4})],
+    seeds={"a"},
+)
+# Crossing up by the last of several calls; down again by a partial expiry.
+@example(
+    steps=[("min_support", 3), ("add", AB), ("add_many", [AB, AC]),
+           ("add", AB), ("add", AB), ("remove_many", [AB, AB])],
+    seeds={"b"},
+)
+# Supported straight to dead in one remove_many, beside a survivor in the
+# same bucket; then reborn below support.
+@example(
+    steps=[("min_support", 2), ("add_many", [AB, AB, AC, AC, AC]),
+           ("remove_many", [AB, AB, AC]), ("add", AB)],
+    seeds={"a", "c"},
+)
+# The threshold raised, then lowered mid-stream: the rebuild drops the
+# pairs it no longer admits and brings the retained ones back.
+@example(
+    steps=[("add_many", [AB, AB, AC, BC, BC, BC]), ("min_support", 3),
+           ("add", AB), ("discard", BC), ("min_support", 2),
+           ("snapshot_restore", None), ("min_support", 1)],
+    seeds={"a", "b"},
+)
+# min_support = 1 (every live pair supported) and both tags seeds: the pair
+# is reported once, under its smaller tag.
+@example(
+    steps=[("add_many", [AB, BC]), ("discard", AB), ("add", AB)],
+    seeds={"a", "b", "c"},
+)
 def test_interleaved_maintenance_matches_a_plain_multiset(steps, seeds):
     index = CandidateIndex()
     oracle = {}
     min_support = 1
     check_against_oracle(index, oracle, min_support, seeds)
     for operation, argument in steps:
-        if operation in ("add_many", "add"):
-            added = argument if operation == "add_many" else [argument]
-            getattr(index, operation)(argument)
+        if operation in ("add_many", "add", "add_mapping"):
+            added = (argument if operation == "add_many"
+                     else [argument] if operation == "add"
+                     else Counter(argument).elements())
+            getattr(index, "add" if operation == "add" else "add_many")(
+                argument)
             for pair in added:
                 oracle[pair] = oracle.get(pair, 0) + 1
         elif operation in ("remove_many", "discard"):
@@ -199,4 +237,3 @@ def test_interleaved_maintenance_matches_a_plain_multiset(steps, seeds):
             restored.restore(index.snapshot())
             index = restored
         check_against_oracle(index, oracle, min_support, seeds)
-

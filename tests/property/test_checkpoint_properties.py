@@ -24,6 +24,8 @@ from repro.datasets.documents import Document
 from repro.persistence import load_engine
 from repro.sharding import ProcessBackend, ShardedEnBlogue
 
+from invariants import check_invariants
+
 tag_names = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 )
@@ -83,6 +85,9 @@ def interrupted_run(docs, cut, checkpoint_shards, resume_shards, backend):
             directory, num_shards=resume_shards, backend=backend(),
         )
         with resumed:
+            # Restored (and for N != M re-sharded): a state a live engine
+            # can be in, checked where it was made.
+            check_invariants(resumed)
             resumed.process_many(docs[cut:])
             return signature(resumed)
 

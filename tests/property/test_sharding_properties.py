@@ -20,6 +20,8 @@ from repro.datasets.documents import Document
 from repro.sharding import ShardedEnBlogue
 from repro.sharding.partitioner import PairPartitioner
 
+from invariants import check_invariants
+
 tag_names = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 )
@@ -92,8 +94,10 @@ def test_union_of_shard_candidates_equals_single_tracker(
             shard.advance_to(timestamp)
 
     single_candidates = single.candidate_pairs(seeds)
+    single.check_invariants()
     union = []
     for shard in shards:
+        shard.check_invariants()
         union.extend(shard.candidate_pairs(seeds))
     assert sorted(union, key=lambda item: item[0]) == single_candidates
 
@@ -185,7 +189,9 @@ def drive(docs, calls, pauses, config, chunk_size, backend, directory):
             (ranking.timestamp, ranking.label, ranking.topics)
             for ranking in engine.ranking_history()
         ]
-        return signature, engine.snapshot(), delta, dispatched
+        snapshot = engine.snapshot()
+        check_invariants(snapshot)
+        return signature, snapshot, delta, dispatched
 
 
 @settings(max_examples=60, deadline=None)
