@@ -725,84 +725,6 @@ def test_count_history_deques_vs_seed_slicing():
     assert medians["bounded deques"] < medians["rescan+slice (seed)"]
 
 
-# -- striped count-history maintenance under reader threads (micro) ----------
-
-
-def test_striped_count_history_contention():
-    """Striped vs single-stripe count history under concurrent readers.
-
-    The threads-backend coordinator records count-history rows while the
-    metrics endpoint and the evaluation path read tag series concurrently.
-    Equivalence is asserted first: the striped structure evolves exactly
-    like the shared ``record_count_history`` rule.  Then the same
-    write+read workload runs against one stripe (a single global lock)
-    and eight stripes; with stripes, readers touch one lock at a time so
-    the writer rarely blocks behind a whole-table scan.
-    """
-    import threading
-
-    from repro.core.tracker import record_count_history
-    from repro.windows.striped import StripedCountHistory
-
-    tags = [f"tag{i:04d}" for i in range(2000)]
-    rows = [
-        {tag: (step + index) % 7 + 1
-         for index, tag in enumerate(tags)
-         if (step + index) % 3}
-        for step in range(48)
-    ]
-    history_length = 24
-
-    plain: dict = {}
-    striped_check = StripedCountHistory(history_length, stripes=8)
-    for row in rows:
-        record_count_history(plain, row, history_length)
-        striped_check.record_row(row)
-    assert {tag: list(series) for tag, series in striped_check.items()} \
-        == {tag: list(series) for tag, series in plain.items()}
-
-    def contended_run(stripes):
-        history = StripedCountHistory(history_length, stripes=stripes)
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                for _, series in history.items():
-                    len(series)
-
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in readers:
-            thread.start()
-        try:
-            for row in rows:
-                history.record_row(row)
-        finally:
-            stop.set()
-            for thread in readers:
-                thread.join()
-
-    medians = interleaved_medians(
-        [
-            ("1 stripe (global lock)", lambda: contended_run(1)),
-            ("8 stripes", lambda: contended_run(8)),
-        ],
-        rounds=5,
-    )
-    print()
-    print(format_table(
-        [
-            {"layout": name,
-             "ms/48-row replay": round(seconds * 1000, 1)}
-            for name, seconds in medians.items()
-        ],
-        title=f"PERF-2 — count-history writes over {len(tags)} tags "
-              "with 2 reader threads",
-    ))
-    # No strict ordering assert: on a saturated CI runner the GIL flattens
-    # the difference; the recorded table carries the machine numbers.
-    assert all(seconds > 0 for seconds in medians.values())
-
-
 # -- indexed vs scanned candidate generation ---------------------------------
 
 

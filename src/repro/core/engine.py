@@ -60,7 +60,6 @@ class _DeltaChain:
 def make_tracker(
     config: EnBlogueConfig,
     track_usage: Optional[bool] = None,
-    counter_stripes: int = 1,
     tier: Optional[SketchTier] = None,
     track_count_history: bool = True,
 ) -> CorrelationTracker:
@@ -69,9 +68,7 @@ def make_tracker(
     Shared by the :class:`EnBlogue` façade and the sharded engine's workers
     (which pass ``track_usage=False``: co-tag usage is a global statistic
     that cannot be maintained per shard), so both build identical stage (ii)
-    state.  ``counter_stripes`` is a runtime choice (MRV-striped usage
-    counters), not a structural one: it never affects produced values or
-    snapshot compatibility.
+    state.
 
     ``track_count_history`` comes from the seed selector the caller built
     (``seed_selector.reads_history``): the per-tag count history exists for
@@ -91,7 +88,6 @@ def make_tracker(
         history_length=config.history_length,
         use_entities=config.use_entities,
         track_usage=track_usage,
-        counter_stripes=counter_stripes,
         tier=tier,
         track_count_history=track_count_history,
     )

@@ -29,9 +29,10 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, islice, repeat
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import (
-    TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
+    TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Mapping, Optional,
+    Tuple,
 )
 
 from repro.core.candidates import CandidateIndex
@@ -41,8 +42,7 @@ from repro.persistence.codec import index_table, intern_rows
 from repro.persistence.snapshot import (
     SnapshotMismatchError, require_compatible, require_state,
 )
-from repro.windows.aggregates import TagFrequencyWindow
-from repro.windows.striped import StripedCounter, record_count_history
+from repro.windows.aggregates import TagFrequencyWindow, record_count_history
 from repro.windows.timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +66,12 @@ _DECOMPOSE_CACHE_LIMIT = 65536
 #: clear-everything policy did; evicted-but-hot tag sets re-enter on
 #: their next occurrence at the cost of one recomputation.
 _DECOMPOSE_EVICT_BATCH = _DECOMPOSE_CACHE_LIMIT // 8
+
+#: Widest tag set the memo admits.  An entry holds O(width²) pairs, so
+#: the entry bound alone is no byte bound: 16 tags are 120 pairs, a
+#: 1,000-tag document is 499,500.  Wider sets rarely recur and are
+#: decomposed afresh each time.
+_DECOMPOSE_CACHE_WIDTH = 16
 
 #: A pair from two tags already known to be non-empty, distinct and in
 #: order — what ``combinations`` yields over a document's sorted,
@@ -96,18 +102,30 @@ class DocumentDecomposer:
     before routing its pairs to shard workers).  Results are memoised when
     both inputs are frozensets (the shape every dataset and stream item
     produces), since the same tag combinations recur constantly within a
-    stream.
+    stream; the memo is bounded in entries (``_DECOMPOSE_CACHE_LIMIT``)
+    and in the width of a tag set it admits (``_DECOMPOSE_CACHE_WIDTH``).
+
+    ``route``, when given, is applied to the pair tuple once per
+    decomposition — on a memo miss, never on a hit — and its result is what
+    :meth:`decompose` hands back in the pairs' place.  The sharded
+    coordinator passes its partitioner's ``route``, so a recurring tag set
+    costs one lookup for its decomposition *and* its per-shard split.
     """
 
-    def __init__(self, use_entities: bool = True):
+    def __init__(
+        self,
+        use_entities: bool = True,
+        route: Optional[Callable[[Tuple[TagPair, ...]], tuple]] = None,
+    ):
         self.use_entities = bool(use_entities)
+        self._route = route
         self._cache: Dict[
-            Tuple[frozenset, frozenset], Tuple[Tuple[str, ...], Tuple[TagPair, ...]]
+            Tuple[frozenset, frozenset], Tuple[Tuple[str, ...], tuple]
         ] = {}
 
     def decompose(
         self, tags: Iterable[str], entities: Iterable[str] = ()
-    ) -> Tuple[Tuple[str, ...], Tuple[TagPair, ...]]:
+    ) -> Tuple[Tuple[str, ...], tuple]:
         key: Optional[Tuple[frozenset, frozenset]] = None
         if type(tags) is frozenset:
             if not entities:
@@ -124,7 +142,9 @@ class DocumentDecomposer:
         effective.discard("")
         ordered = tuple(sorted(effective))
         pairs = tuple(map(_ordered_pair, combinations(ordered, 2)))
-        if key is not None:
+        if self._route is not None:
+            pairs = self._route(pairs)
+        if key is not None and len(ordered) <= _DECOMPOSE_CACHE_WIDTH:
             if len(self._cache) >= _DECOMPOSE_CACHE_LIMIT:
                 # FIFO partial eviction: drop the oldest batch instead of
                 # clearing the memo wholesale.  dict iteration order is
@@ -133,6 +153,31 @@ class DocumentDecomposer:
                     del self._cache[stale]
             self._cache[key] = (ordered, pairs)
         return ordered, pairs
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the memo is within its bounds
+        and every entry is what a fresh decomposition would produce: the
+        pairs of its ordered tags, or — routed — tuples that concatenate
+        to a permutation of them.  For tests, never on the stream.
+        """
+        if len(self._cache) > _DECOMPOSE_CACHE_LIMIT:
+            raise AssertionError(
+                f"memo holds {len(self._cache)} entries, limit "
+                f"{_DECOMPOSE_CACHE_LIMIT}"
+            )
+        for ordered, pairs in self._cache.values():
+            if len(ordered) > _DECOMPOSE_CACHE_WIDTH:
+                raise AssertionError(
+                    f"memo holds a {len(ordered)}-tag set, width limit "
+                    f"{_DECOMPOSE_CACHE_WIDTH}"
+                )
+            if self._route is not None:
+                pairs = sorted(chain.from_iterable(pairs))
+            if list(pairs) != list(combinations(ordered, 2)):
+                raise AssertionError(
+                    f"memo entry for {ordered!r} holds {pairs!r}, not the "
+                    "pairs of its tags"
+                )
 
 
 #: Journal event kinds: a document's ordered tag set (its pair list and
@@ -177,7 +222,6 @@ class CorrelationTracker:
         history_length: int = 24,
         use_entities: bool = True,
         track_usage: bool = False,
-        counter_stripes: int = 1,
         tier: Optional["SketchTier"] = None,
         track_count_history: bool = True,
     ):
@@ -187,8 +231,6 @@ class CorrelationTracker:
             raise ValueError("min_pair_support must be at least 1")
         if history_length < 2:
             raise ValueError("history_length must be at least 2")
-        if counter_stripes < 1:
-            raise ValueError("counter_stripes must be at least 1")
         self.window_horizon = float(window_horizon)
         self.measure = measure or JaccardCorrelation()
         self.history_length = int(history_length)
@@ -201,7 +243,6 @@ class CorrelationTracker:
         # the snapshot contract: restoring a state that carries a history
         # into a tracker that keeps none simply drops it.
         self.track_count_history = bool(track_count_history)
-        self.counter_stripes = int(counter_stripes)
 
         # Optional sketch tier in front of the exact pair state: when set,
         # every document's pairs pass through its admission filter before
@@ -215,10 +256,8 @@ class CorrelationTracker:
         self._pair_events: Deque[Tuple[float, Tuple[TagPair, ...]]] = deque()
         self._candidates = CandidateIndex(min_support=min_pair_support)
         # Windowed co-tag usage per tag (only when the measure needs it).
-        # With counter_stripes > 1 each per-tag counter is MRV-striped so
-        # concurrent writer threads do not serialize on one hot dict.
         self._usage_events: Deque[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]] = deque()
-        self._usage: Dict[str, Mapping[str, int]] = {}
+        self._usage: Dict[str, Counter] = {}
         # Correlation histories per pair, appended at each evaluation;
         # bounded ring buffers so long runs cannot grow them without limit.
         # With a fused evaluator attached its columns are where evaluations
@@ -398,20 +437,24 @@ class CorrelationTracker:
         Events must be time-ordered; the whole chunk is validated before any
         state is touched.  Returns the number of events ingested.
         """
-        timestamps: List[float] = []
-        pair_lists: List[Tuple[TagPair, ...]] = []
-        latest = self._latest
-        for timestamp, pairs in events:
-            timestamp = float(timestamp)
-            if latest is not None and not timestamp >= latest:
-                raise ValueError(
-                    f"out-of-order pair event: {timestamp} < {latest}"
-                )
-            latest = timestamp
-            timestamps.append(timestamp)
-            pair_lists.append(pairs)
-        if not timestamps:
+        columns = tuple(zip(*events, strict=True))
+        if not columns:
             return 0
+        stamps, pair_lists = columns
+        timestamps = list(map(float, stamps))
+        # Each timestamp against the one before it, the first against the
+        # tracker's clock (itself, on a fresh tracker), in one C-level pass;
+        # the interpreted loop runs only to name the offender.
+        latest = self._latest
+        floor = timestamps[0] if latest is None else latest
+        if not all(map(ge, timestamps, chain((floor,), timestamps))):
+            for timestamp in timestamps:
+                if latest is not None and not timestamp >= latest:
+                    raise ValueError(
+                        f"out-of-order pair event: {timestamp} < {latest}"
+                    )
+                latest = timestamp
+        latest = timestamps[-1]
         self._commit_pairs(_DELTA_PAIRS, timestamps, pair_lists, pair_lists)
         self._tag_window.advance_to(latest)
         self._evict(latest)
@@ -697,7 +740,7 @@ class CorrelationTracker:
         usage_events: Deque[
             Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]
         ] = deque()
-        usage: Dict[str, Mapping[str, int]] = {}
+        usage: Dict[str, Counter] = {}
         for timestamp, update in state["usage_events"]:
             prepared = tuple(
                 (str(tag), tuple(str(cotag) for cotag in cotags))
@@ -707,7 +750,7 @@ class CorrelationTracker:
             for tag, cotags in prepared:
                 counter = usage.get(tag)
                 if counter is None:
-                    counter = usage[tag] = self._make_usage_counter()
+                    counter = usage[tag] = Counter()
                 counter.update(cotags)
         self._usage_events = usage_events
         self._usage = usage
@@ -854,12 +897,6 @@ class CorrelationTracker:
 
     # -- internals ----------------------------------------------------------------
 
-    def _make_usage_counter(self):
-        """A fresh per-tag co-tag counter, striped when configured."""
-        if self.counter_stripes == 1:
-            return Counter()
-        return StripedCounter(self.counter_stripes)
-
     def _record_usage(self, timestamp: float, ordered: Tuple[str, ...]) -> None:
         """Update the windowed co-tag usage distributions for one document."""
         usage_update = tuple(
@@ -872,7 +909,7 @@ class CorrelationTracker:
         for tag, cotags in usage_update:
             counter = usage.get(tag)
             if counter is None:
-                counter = usage[tag] = self._make_usage_counter()
+                counter = usage[tag] = Counter()
             counter.update(cotags)
 
     def _record_count_history(self) -> None:

@@ -5,14 +5,15 @@ The registry follows the Prometheus data model — labeled *families* of
 beyond the stdlib, so the library keeps its zero-dependency core and the
 ``no-numpy`` CI job stays honest.
 
-Thread safety reuses the MRV striping idiom of
-:class:`~repro.windows.striped.StripedCounter`: every counter and
-histogram splits its cells into per-thread stripes chosen by
+Thread safety is MRV striping (multi-record values: split one hot value
+into per-writer records, merge on read): every counter and histogram
+splits its cells into per-thread stripes chosen by
 ``threading.get_ident()``, each guarded by a stripe-local lock, and reads
 merge the stripes.  Counts are integers/float sums, so the merge is exact
 — the registry reports the same totals a single-lock implementation
-would, without serialising the shard threads of the ``threads`` backend
-on one hot lock.
+would.  Striping pays only under *write* contention, which metrics have:
+the event loop, the engine executor and the shard threads of the
+``threads`` backend all write them concurrently.
 
 Two registries exist:
 

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 from repro.core.tracker import _DELTA_DOC
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.sketches.tier import SketchTier
-from repro.windows.striped import record_count_history
+from repro.windows.aggregates import record_count_history
 
 
 def evict_events(events: List[list], latest, horizon: float) -> List[list]:

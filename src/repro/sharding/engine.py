@@ -3,16 +3,23 @@
 ``ShardedEnBlogue`` horizontally partitions the *pair space* of the
 detection pipeline while keeping the *tag space* global:
 
-* every incoming document is decomposed exactly once (the same
-  normalise/dedupe/sort rule as the single engine, via the shared
-  :class:`~repro.core.tracker.DocumentDecomposer`);
+* every distinct tag set is decomposed *and routed* exactly once (the
+  same normalise/dedupe/sort rule as the single engine, via the shared
+  :class:`~repro.core.tracker.DocumentDecomposer`): a pair's shard is a
+  pure function of the pair, so the decomposition memo holds the
+  :class:`~repro.sharding.partitioner.PairPartitioner`'s per-shard split
+  of a tag set's pairs next to its ordered tags, and a recurring tag set
+  costs one lookup for both;
 * the ordered tag set feeds one global
   :class:`~repro.windows.aggregates.TagFrequencyWindow` — seed selection
-  and the correlation denominators are whole-stream statistics;
-* the document's pairs are routed by the
-  :class:`~repro.sharding.partitioner.PairPartitioner` into per-shard
-  chunks, dispatched to the backend when ``chunk_size`` documents have
-  accumulated or an evaluation boundary forces a flush;
+  and the correlation denominators are whole-stream statistics.  It is the
+  plain, unlocked window on every backend: the coordinator thread is its
+  only writer, and shard threads read its counts only inside an
+  evaluation, while the coordinator is blocked in the gather;
+* a boundary-free run reaches the per-shard buffers column-wise (one
+  C-level pass per shard), and the buffers are dispatched to the backend
+  when ``chunk_size`` documents have accumulated or an evaluation
+  boundary forces a flush;
 * at each boundary the coordinator selects seeds from the global window,
   broadcasts ``(timestamp, seeds, tag counts, total documents)``, gathers
   every shard's local top-k and k-way-merges them into the published
@@ -31,6 +38,7 @@ of it to drift.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -51,8 +59,7 @@ from repro.sharding.backends import ShardBackend, make_backend
 from repro.sharding.partitioner import PairPartitioner
 from repro.sharding.reshard import reshard_worker_states
 from repro.sharding.worker import ShardEvent, ShardWorker
-from repro.windows.aggregates import TagFrequencyWindow
-from repro.windows.striped import StripedCountHistory, record_count_history
+from repro.windows.aggregates import TagFrequencyWindow, record_count_history
 
 
 class ShardedEnBlogue(DetectionEngineBase):
@@ -112,36 +119,6 @@ class ShardedEnBlogue(DetectionEngineBase):
             else "scalar"
         )
 
-        self._decomposer = DocumentDecomposer(
-            use_entities=self.config.use_entities
-        )
-        # Under the threads backend the global tag window is the one hot
-        # dict shared across coordinator and shard threads (checkpoint and
-        # status reads race ingestion), so its counts are MRV-striped;
-        # merged() sums integers, keeping the broadcast counts bit-exact.
-        # A supervised wrapper over threads shares the same memory, so the
-        # check looks through it.
-        threaded = (
-            self.backend.name == "threads"
-            or getattr(self.backend, "inner_name", None) == "threads"
-        )
-        window_stripes = self.num_shards if threaded else 1
-        self._tag_window = TagFrequencyWindow(
-            self.config.window_horizon, stripes=window_stripes
-        )
-        # The count history exists only for a seed criterion that reads
-        # it (as in the single engine's tracker).  It is appended one row
-        # per boundary but read by checkpoint/status threads mid-append
-        # under the threads backend, so it gets the same striped treatment
-        # as the tag window there.
-        self._track_count_history = self.seed_selector.reads_history
-        self._count_history = (
-            StripedCountHistory(
-                self.config.history_length, stripes=window_stripes
-            )
-            if threaded and self._track_count_history
-            else {}
-        )
         # Admission runs once, globally, before pairs are partitioned:
         # a per-shard sketch could not be re-split on an N-to-M restore,
         # and the admitted weighted pair stream is what keeps the shard
@@ -149,6 +126,26 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._tier = make_sketch_tier(self.config)
         if self._tier is not None:
             bind_tier_gauges(self.observability, self._tier)
+        # A pair's shard is a pure function of the pair, so in exact mode
+        # the memoised decomposition of a tag set carries its per-shard
+        # split: decompose() hands back (ordered, routed).  Under a tier
+        # the admitted pairs differ from document to document, so the
+        # decomposer keeps plain pairs and each document is routed after
+        # admission.
+        self._decomposer = DocumentDecomposer(
+            use_entities=self.config.use_entities,
+            route=self.partitioner.route if self._tier is None else None,
+        )
+        # The window and the count history are plain, unlocked structures
+        # on every backend.  This thread is their only writer; a shard
+        # thread reads the window's counts only inside an evaluation, while
+        # this thread is blocked in the gather (as on serial and process),
+        # and a supervised backend copies the counts it logs.
+        self._tag_window = TagFrequencyWindow(self.config.window_horizon)
+        # The count history exists only for a seed criterion that reads
+        # it (as in the single engine's tracker).
+        self._track_count_history = self.seed_selector.reads_history
+        self._count_history: Dict[str, deque] = {}
         self._buffers: List[List[ShardEvent]] = [
             [] for _ in range(self.num_shards)
         ]
@@ -183,7 +180,8 @@ class ShardedEnBlogue(DetectionEngineBase):
     # -- hooks ----------------------------------------------------------------
 
     def _ingest_observations(self, observations: List[tuple]) -> int:
-        """Decompose once, update the global window, route pairs to shards.
+        """Decompose and route once, update the global window, fill the
+        shard buffers.
 
         The run is order-checked and decomposed in full before any state
         is touched, so a malformed document leaves the engine unchanged.
@@ -192,13 +190,19 @@ class ShardedEnBlogue(DetectionEngineBase):
         (and one eviction) per slice — so the backend receives the same
         chunks as one call per document would have produced, and a failed
         dispatch leaves the window holding what was buffered, no more.
+        A slice reaches the buffers column-wise: its routed rows are
+        transposed into one column per shard, and each shard's buffer
+        takes the ``(timestamp, pairs)`` events of the documents that gave
+        it a pair in one C-level pass.
         """
         self._ensure_open()
         latest = self._latest
         decompose = self._decomposer.decompose
         timestamps: List[float] = []
         tag_sets: List[Tuple[str, ...]] = []
-        pair_sets: List[tuple] = []
+        # Per document: its pairs as one tuple per shard — or, under a
+        # tier, its plain pairs, routed once admitted (see __init__).
+        pair_rows: List[tuple] = []
         for timestamp, tags, entities in observations:
             if latest is not None and not timestamp >= latest:
                 raise ValueError(
@@ -208,12 +212,12 @@ class ShardedEnBlogue(DetectionEngineBase):
             ordered, pairs = decompose(tags, entities)
             timestamps.append(timestamp)
             tag_sets.append(ordered)
-            pair_sets.append(pairs)
+            pair_rows.append(pairs)
         # Commit phase: nothing below can fail on malformed input.  Tier
         # admission runs here, per document in stream order, so a rejected
         # run leaves the sketch untouched too.
         tier = self._tier
-        split_event = self.partitioner.split_event
+        route = self.partitioner.route
         total = len(timestamps)
         start = 0
         while start < total:
@@ -227,13 +231,17 @@ class ShardedEnBlogue(DetectionEngineBase):
             if self._delta_tag_events is not None:
                 self._delta_tag_events.extend(zip(times, tags))
             self._latest = times[-1]
-            buffers = self._buffers
-            for timestamp, pairs in zip(times, pair_sets[start:stop]):
-                if pairs and tier is not None:
-                    pairs = tier.filter_pairs(timestamp, pairs)
-                if pairs:
-                    for shard_id, event in split_event(timestamp, pairs):
-                        buffers[shard_id].append(event)
+            rows = pair_rows[start:stop]
+            if tier is not None:
+                admitted = [
+                    tier.filter_pairs(timestamp, pairs) if pairs else pairs
+                    for timestamp, pairs in zip(times, rows)
+                ]
+                no_pairs = ((),) * self.num_shards
+                rows = [route(pairs) if pairs else no_pairs
+                        for pairs in admitted]
+            for buffer, column in zip(self._buffers, zip(*rows)):
+                buffer.extend(compress(zip(times, column), column))
             self._buffered_documents += stop - start
             if self._buffered_documents >= self.chunk_size:
                 self._flush()
@@ -282,6 +290,59 @@ class ShardedEnBlogue(DetectionEngineBase):
             "tracking": "tiered" if self._tier is not None else "exact",
             "promote_support": self.config.promote_support,
         }
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless a live coordinator could hold this.
+
+        Every buffered event is non-empty and sits in the buffer of the
+        shard that owns each of its pairs; each buffer is time-ordered and
+        ends at or before the coordinator's clock; fewer than
+        ``chunk_size`` documents are buffered; no shard tracker's clock is
+        ahead of the tag window's; then the decomposition memo's own
+        invariants.  For tests, between calls — never on the stream (it
+        asks every shard for its stats, a sync point).
+        """
+        shard_of = self.partitioner.shard_of
+        for shard_id, buffer in enumerate(self._buffers):
+            previous = None
+            for timestamp, pairs in buffer:
+                if not pairs:
+                    raise AssertionError(
+                        f"shard {shard_id} buffers an empty event at "
+                        f"{timestamp}"
+                    )
+                for pair in pairs:
+                    if shard_of(pair) != shard_id:
+                        raise AssertionError(
+                            f"{pair!r} is buffered for shard {shard_id} but "
+                            f"owned by shard {shard_of(pair)}"
+                        )
+                if previous is not None and not timestamp >= previous:
+                    raise AssertionError(
+                        f"shard {shard_id}'s buffer goes back in time: "
+                        f"{timestamp} after {previous}"
+                    )
+                previous = timestamp
+            if previous is not None and not previous <= self._latest:
+                raise AssertionError(
+                    f"shard {shard_id}'s buffer ends at {previous}, past "
+                    f"the coordinator's clock {self._latest}"
+                )
+        if not self._buffered_documents < self.chunk_size:
+            raise AssertionError(
+                f"{self._buffered_documents} documents buffered with "
+                f"chunk_size {self.chunk_size}"
+            )
+        window_latest = self._tag_window.latest_timestamp
+        for stats in self.backend.stats():
+            clock = stats["latest"]
+            if clock is not None and not (
+                    window_latest is not None and clock <= window_latest):
+                raise AssertionError(
+                    f"shard {stats['shard_id']}'s tracker is at {clock}, "
+                    f"ahead of the tag window's {window_latest}"
+                )
+        self._decomposer.check_invariants()
 
     def supervision_info(self) -> Optional[dict]:
         """Supervisor state when the backend is supervised, else None."""
@@ -351,16 +412,13 @@ class ShardedEnBlogue(DetectionEngineBase):
         count_history = (
             state["count_history"] if self._track_count_history else {}
         )
-        if isinstance(self._count_history, StripedCountHistory):
-            self._count_history.seed(count_history)
-        else:
-            self._count_history = {
-                str(tag): deque(
-                    (int(value) for value in values),
-                    maxlen=self.config.history_length,
-                )
-                for tag, values in count_history.items()
-            }
+        self._count_history = {
+            str(tag): deque(
+                (int(value) for value in values),
+                maxlen=self.config.history_length,
+            )
+            for tag, values in count_history.items()
+        }
         self._latest = optional_float(state["latest"])
         self.ranking_builder.restore(state["builder"])
         shard_states = state["shards"]
@@ -465,12 +523,9 @@ class ShardedEnBlogue(DetectionEngineBase):
         count_row = self._tag_window.snapshot()
         if self._delta_count_rows is not None:
             self._delta_count_rows.append(count_row)
-        if isinstance(self._count_history, StripedCountHistory):
-            self._count_history.record_row(count_row)
-        else:
-            record_count_history(
-                self._count_history, count_row, self.config.history_length,
-            )
+        record_count_history(
+            self._count_history, count_row, self.config.history_length,
+        )
 
     def _evaluate(self, timestamp: float) -> Ranking:
         # Mirrors EnBlogue._evaluate step for step.  Seeds are selected from

@@ -10,6 +10,11 @@ Python's builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so it
 would break the invariant across worker processes and across runs; the
 partitioner hashes the canonical pair with CRC-32 instead, which is stable
 everywhere and cheap.
+
+:meth:`PairPartitioner.route` is the one routing loop; ``split`` and
+``split_event`` are views of its result.  Because the result depends on
+the pairs alone, the coordinator computes it once per distinct tag set
+(inside its decomposition memo) rather than once per document.
 """
 
 from __future__ import annotations
@@ -39,6 +44,24 @@ class PairPartitioner:
         key = f"{pair.first}\x1f{pair.second}".encode("utf-8")
         return zlib.crc32(key) % self.num_shards
 
+    def route(
+        self, pairs: Iterable[TagPair]
+    ) -> Tuple[Tuple[TagPair, ...], ...]:
+        """``pairs`` as one tuple per shard, each in input order.
+
+        Dense: position ``shard_id`` holds that shard's pairs, the empty
+        tuple where it owns none.  The one routing loop — a pure function
+        of the pair tuple, which is why the coordinator keeps its result
+        in the decomposition memo instead of re-deriving it per document.
+        """
+        if self.num_shards == 1:
+            return (tuple(pairs),)
+        routed: List[List[TagPair]] = [[] for _ in range(self.num_shards)]
+        shard_of = self.shard_of
+        for pair in pairs:
+            routed[shard_of(pair)].append(pair)
+        return tuple(map(tuple, routed))
+
     def split(
         self, pairs: Iterable[TagPair]
     ) -> Dict[int, List[TagPair]]:
@@ -46,17 +69,21 @@ class PairPartitioner:
 
         Only shards that own at least one of the pairs appear as keys.
         """
-        split: Dict[int, List[TagPair]] = {}
-        shard_of = self.shard_of
-        for pair in pairs:
-            split.setdefault(shard_of(pair), []).append(pair)
-        return split
+        return {
+            shard_id: list(shard_pairs)
+            for shard_id, shard_pairs in enumerate(self.route(pairs))
+            if shard_pairs
+        }
 
     def split_event(
         self, timestamp: float, pairs: Iterable[TagPair]
     ) -> List[Tuple[int, Tuple[float, Tuple[TagPair, ...]]]]:
-        """One document's pair set as per-shard ``(timestamp, pairs)`` events."""
+        """One document's pair set as per-shard ``(timestamp, pairs)`` events.
+
+        Only shards that own at least one of the pairs get an event.
+        """
         return [
-            (shard_id, (timestamp, tuple(shard_pairs)))
-            for shard_id, shard_pairs in self.split(pairs).items()
+            (shard_id, (timestamp, shard_pairs))
+            for shard_id, shard_pairs in enumerate(self.route(pairs))
+            if shard_pairs
         ]

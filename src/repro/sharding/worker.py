@@ -251,6 +251,7 @@ class ShardWorker:
         return {
             "shard_id": self.shard_id,
             "events": self.tracker.documents_seen,
+            "latest": self.tracker.latest_timestamp,
             "live_pairs": self.live_pairs(),
             "scored_pairs": len(self.detector.scored_pairs()),
             "evaluation_path": self.evaluation_path,

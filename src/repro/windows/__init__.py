@@ -17,12 +17,9 @@ from repro.windows.aggregates import (
     TagFrequencyWindow,
 )
 from repro.windows.decay import ExponentialDecay, DecayedMaximum, half_life_to_lambda
-from repro.windows.striped import StripedCounter, StripedCountHistory
 from repro.windows.timeseries import TimeSeries
 
 __all__ = [
-    "StripedCounter",
-    "StripedCountHistory",
     "CountSlidingWindow",
     "TimeSlidingWindow",
     "WindowEntry",

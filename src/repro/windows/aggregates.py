@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, filterfalse, repeat
 from typing import (
-    Deque, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union,
+    Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar,
 )
 
 from repro.persistence.snapshot import require_compatible, require_state
 from repro.windows.sliding import TimeSlidingWindow, require_ordered
-from repro.windows.striped import StripedCounter
 
 
 _Score = TypeVar("_Score", int, float)
@@ -126,23 +125,19 @@ class TagFrequencyWindow:
     denominators of the pairwise correlation measures: for each tag it tracks
     how many documents inside the sliding window carry that tag, and it also
     tracks the total number of documents in the window.
+
+    One writer at a time: the counts are a plain ``Counter`` with no lock.
+    Every owner (a tracker, the sharded coordinator) updates its window
+    from one thread, and hands :attr:`counts` to other threads only while
+    that thread is blocked waiting for them.
     """
 
-    def __init__(self, horizon: float, stripes: int = 1):
+    def __init__(self, horizon: float):
         if horizon <= 0:
             raise ValueError("window horizon must be positive")
-        if stripes < 1:
-            raise ValueError("stripes must be at least 1")
         self.horizon = float(horizon)
-        self.stripes = int(stripes)
         self._events: Deque[Tuple[float, Tuple[str, ...]]] = deque()
-        # MRV striping for the hot per-tag tallies: with one writer the
-        # plain Counter is strictly faster, so stripes=1 keeps it; the
-        # threads shard backend opts into per-thread stripes merged on
-        # read (integer sums, so totals stay bit-identical).
-        self._counts: Union[Counter, StripedCounter] = (
-            Counter() if self.stripes == 1 else StripedCounter(self.stripes)
-        )
+        self._counts: Counter = Counter()
         self._latest: Optional[float] = None
 
     @property
@@ -156,17 +151,13 @@ class TagFrequencyWindow:
 
     @property
     def counts(self) -> Counter:
-        """The per-tag counts as one ``Counter`` (read-only; do not mutate).
+        """The live per-tag ``Counter`` (read-only; do not mutate).
 
         Hot loops (the tracker's evaluation samples hundreds of pairs per
         boundary) read this directly instead of paying two method calls per
-        tag via :meth:`count`.  With ``stripes == 1`` this is the live
-        counter itself; a striped window returns the exact merged sum of
-        its stripes (one merge per evaluation, not per tag).
+        tag via :meth:`count`.
         """
-        if self.stripes == 1:
-            return self._counts
-        return self._counts.merged()
+        return self._counts
 
     def add_document(self, timestamp: float, tags: Iterable[str],
                      prepared: bool = False) -> None:
@@ -263,13 +254,11 @@ class TagFrequencyWindow:
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of the live per-tag counts."""
-        if self.stripes == 1:
-            # Eviction deletes a tag the moment its count reaches zero, so
-            # the plain counter holds live tags only.  ``dict.copy`` clones
-            # the hash table as is (``dict(...)`` would re-insert every
-            # key) and returns a plain dict, not a Counter.
-            return dict.copy(self._counts)
-        return {tag: count for tag, count in self._counts.items() if count > 0}
+        # Eviction deletes a tag the moment its count reaches zero, so the
+        # counter holds live tags only.  ``dict.copy`` clones the hash
+        # table as is (``dict(...)`` would re-insert every key) and
+        # returns a plain dict, not a Counter.
+        return dict.copy(self._counts)
 
     # -- persistence ----------------------------------------------------------
 
@@ -306,12 +295,7 @@ class TagFrequencyWindow:
             events.append((float(timestamp), unique_tags))
             counts.update(unique_tags)
         self._events = events
-        if self.stripes == 1:
-            self._counts = counts
-        else:
-            striped = StripedCounter(self.stripes)
-            striped.seed(counts)
-            self._counts = striped
+        self._counts = counts
         latest = state["latest"]
         self._latest = None if latest is None else float(latest)
 
@@ -324,15 +308,38 @@ class TagFrequencyWindow:
         if not expired:
             return
         counts = self._counts
-        if self.stripes > 1:
-            counts.subtract(expired)
-            for tag in set(expired):
-                if counts[tag] <= 0:
-                    del counts[tag]
-            return
         for tag, gone in Counter(expired).items():
             left = counts[tag] - gone
             if left > 0:
                 counts[tag] = left
             else:
                 counts.pop(tag, None)  # not del: that is interpreted
+
+
+def record_count_history(
+    history: Dict[str, Deque[int]],
+    snapshot: Mapping[str, int],
+    history_length: int,
+) -> None:
+    """Fold one evaluation's per-tag count snapshot into ``history`` in place.
+
+    Tags absent from the window record an explicit zero so volatility
+    reflects disappearance as well as growth; each tag's series is a deque
+    bounded to ``history_length``, so the append itself trims to the last
+    ``history_length`` points.  The single rule behind the volatility seed
+    criterion, shared by the tracker, the sharded coordinator (its global
+    count history must evolve identically) and the journal replay.
+
+    The history holds every tag ever seen, so the row is folded in by
+    C-level iteration, not a Python loop over the vocabulary: tags new to
+    the history enter first, in row order (which keeps the history's
+    first-appearance key order), then every series appends its tag's count
+    in the row, zero when the row lacks it, in one ``map`` pass.
+    """
+    maxlen = int(history_length)
+    for tag in filterfalse(history.__contains__, snapshot):
+        history[tag] = deque(maxlen=maxlen)
+    appends = map(
+        deque.append, history.values(), map(snapshot.get, history, repeat(0))
+    )
+    deque(appends, maxlen=0)  # exhaust the iterator, keeping nothing

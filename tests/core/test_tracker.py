@@ -508,6 +508,44 @@ class TestDecomposerEviction:
         assert (oldest, frozenset()) not in cache
         assert (newest, frozenset()) in cache
 
+    def test_wide_tag_sets_are_decomposed_but_not_kept(self):
+        from repro.core.tracker import (
+            _DECOMPOSE_CACHE_WIDTH,
+            DocumentDecomposer,
+        )
+
+        decomposer = DocumentDecomposer()
+        at_limit = frozenset(f"t{i:02d}" for i in range(_DECOMPOSE_CACHE_WIDTH))
+        too_wide = at_limit | {"one-more"}
+        for tags in (at_limit, too_wide, frozenset(f"w{i}" for i in range(400))):
+            ordered, pairs = decomposer.decompose(tags)
+            assert (ordered, pairs) == decomposer.decompose(sorted(tags))
+            assert len(pairs) == len(tags) * (len(tags) - 1) // 2
+        assert list(decomposer._cache) == [(at_limit, frozenset())]
+        decomposer.check_invariants()
+
+    def test_route_runs_on_a_miss_only_and_replaces_the_pairs(self):
+        from repro.core.tracker import DocumentDecomposer
+
+        calls = []
+
+        def route(pairs):
+            calls.append(pairs)
+            return (pairs[::2], pairs[1::2])
+
+        decomposer = DocumentDecomposer(route=route)
+        tags = frozenset({"a", "b", "c"})
+        first = decomposer.decompose(tags)
+        assert first == (("a", "b", "c"),
+                         ((("a", "b"), ("b", "c")), (("a", "c"),)))
+        assert decomposer.decompose(tags) == first
+        assert len(calls) == 1
+        decomposer.check_invariants()
+        # An unmemoised shape is routed every time.
+        decomposer.decompose(["a", "b"])
+        decomposer.decompose(["a", "b"])
+        assert len(calls) == 3
+
     def test_eviction_does_not_change_results(self):
         from repro.core.tracker import DocumentDecomposer
         import repro.core.tracker as tracker_module

@@ -1,12 +1,12 @@
 """``check_invariants()`` on whatever a restore, journal fold or re-shard made.
 
-A live single engine is checked in place.  A sharded engine's trackers
-live behind its backend and a folded journal is only a dict, so both are
-checked through their snapshot: every tracker state in it is restored
-into a fresh tracker (``restore`` adopts a state as it stands — it does
-not evict) and that tracker's invariants are run.  An unreachable state
-then fails where it was made, naming the pair, instead of three steps
-later as a dict diff.
+A live single engine is checked in place.  A sharded engine checks its
+coordinator in place (buffers, clocks, memo); its trackers live behind its
+backend and a folded journal is only a dict, so both are checked through
+their snapshot: every tracker state in it is restored into a fresh tracker
+(``restore`` adopts a state as it stands — it does not evict) and that
+tracker's invariants are run.  An unreachable state then fails where it
+was made, naming the pair, instead of three steps later as a dict diff.
 """
 
 from repro.core.tracker import CorrelationTracker
@@ -20,6 +20,7 @@ def check_invariants(engine_or_state):
         return
     state = engine_or_state
     if not isinstance(state, dict):
+        engine_or_state.check_invariants()  # the sharded coordinator's own
         state = engine_or_state.snapshot()
     if state["kind"] == "sharded-enblogue":
         tracker_states = [shard["tracker"] for shard in state["shards"]]

@@ -39,8 +39,7 @@ from repro.datasets.documents import Document
 from repro.persistence import load_engine, read_checkpoint
 from repro.persistence.delta import _replay_count_rows
 from repro.sharding import ShardedEnBlogue
-from repro.windows.aggregates import TagFrequencyWindow
-from repro.windows.striped import StripedCountHistory, record_count_history
+from repro.windows.aggregates import TagFrequencyWindow, record_count_history
 
 CRITERIA = ("popularity", "volatility", "hybrid")
 
@@ -106,8 +105,8 @@ def oracle_record_count_history(history, snapshot, history_length):
 # -- seed selection ------------------------------------------------------------
 
 
-def build_window(counts, stripes):
-    window = TagFrequencyWindow(1000.0, stripes=stripes)
+def build_window(counts):
+    window = TagFrequencyWindow(1000.0)
     timestamp = 0.0
     for tag, count in counts.items():
         for _ in range(count):
@@ -117,10 +116,6 @@ def build_window(counts, stripes):
 
 
 def build_history(series_by_tag, container):
-    if container == "striped":
-        history = StripedCountHistory(history_length=16, stripes=3)
-        history.seed(series_by_tag)
-        return history
     if container == "deque":
         return {tag: deque(values, maxlen=16)
                 for tag, values in series_by_tag.items()}
@@ -138,30 +133,27 @@ def history_contents(history):
     series_by_tag=st.dictionaries(
         tag_names, st.lists(st.integers(0, 5), max_size=10), max_size=12
     ),
-    container=st.sampled_from(["list", "tuple", "deque", "striped", "none"]),
-    stripes=st.sampled_from([1, 2]),
+    container=st.sampled_from(["list", "tuple", "deque", "none"]),
     num_seeds=st.integers(1, 14),
     min_count=st.integers(1, 4),
     history_length=st.integers(2, 6),
 )
 # Constant series score zero volatility and must be dropped, not ranked last.
 @example(counts={"t0": 3, "t1": 3}, series_by_tag={"t0": [3, 3], "t1": [1, 5]},
-         container="deque", stripes=1, num_seeds=5, min_count=1,
+         container="deque", num_seeds=5, min_count=1,
          history_length=4)
 # Fewer live tags than seeds, all tied on count.
 @example(counts={"t2": 2, "t1": 2, "t0": 2}, series_by_tag={},
-         container="list", stripes=1, num_seeds=14, min_count=2,
+         container="list", num_seeds=14, min_count=2,
          history_length=2)
 def test_selectors_match_the_sort_based_oracle(
-    counts, series_by_tag, container, stripes, num_seeds, min_count,
-    history_length,
+    counts, series_by_tag, container, num_seeds, min_count, history_length,
 ):
-    window = build_window(counts, stripes)
+    window = build_window(counts)
     history = (None if container == "none"
                else build_history(series_by_tag, container))
     before = None if history is None else history_contents(history)
-    # Striped reads hand out tuples; only a plain dict exposes the series.
-    series = list(history.values()) if isinstance(history, dict) else []
+    series = [] if history is None else list(history.values())
     for criterion in CRITERIA:
         selector = make_seed_selector(
             criterion, num_seeds=num_seeds, min_count=min_count,
@@ -182,10 +174,9 @@ def test_selectors_match_the_sort_based_oracle(
     counts=st.dictionaries(tag_names, st.integers(1, 5), max_size=12),
     k=st.integers(-1, 14),
     min_count=st.integers(1, 4),
-    stripes=st.sampled_from([1, 2]),
 )
-def test_top_tags_matches_a_full_sort(counts, k, min_count, stripes):
-    window = build_window(counts, stripes)
+def test_top_tags_matches_a_full_sort(counts, k, min_count):
+    window = build_window(counts)
     ranked = sorted(
         ((tag, count) for tag, count in counts.items() if count >= min_count),
         key=lambda item: (-item[1], item[0]),
@@ -202,23 +193,17 @@ count_rows = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=count_rows, history_length=st.integers(1, 4),
-       stripes=st.integers(1, 4))
-def test_row_rule_matches_the_two_loop_oracle(rows, history_length, stripes):
+@given(rows=count_rows, history_length=st.integers(1, 4))
+def test_row_rule_matches_the_two_loop_oracle(rows, history_length):
     expected = {}
     plain = {}
-    striped = StripedCountHistory(history_length, stripes=stripes)
     for row in rows:
         oracle_record_count_history(expected, row, history_length)
         record_count_history(plain, row, history_length)
-        striped.record_row(row)
         # Equal series and equal (first-appearance) key order, row by row.
         assert list(plain.items()) == list(expected.items())
         assert all(series.maxlen == history_length
                    for series in plain.values())
-        assert striped.merged() == {
-            tag: tuple(series) for tag, series in expected.items()
-        }
 
 
 @settings(max_examples=100, deadline=None)
@@ -495,10 +480,8 @@ def test_history_reading_engines_keep_the_scalar_engines_history(
             assert rows
         live = count_history_of(engine.snapshot())
         assert live == reference.tracker.count_history()
-        if kind != "threads":
-            # First-appearance key order too; the threads coordinator's
-            # striped history lists its series stripe by stripe.
-            assert list(live) == list(reference.tracker.count_history())
+        # First-appearance key order too, on every backend.
+        assert list(live) == list(reference.tracker.count_history())
         assert signature(engine) == signature(reference)
         if kind == "single":
             assert engine.snapshot() == reference.snapshot()

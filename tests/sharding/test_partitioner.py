@@ -58,6 +58,37 @@ class TestPairPartitioner:
             seen.extend(shard_pairs)
         assert sorted(seen) == sorted(pairs)
 
+    def test_route_is_dense_and_preserves_order_within_a_shard(self):
+        partitioner = PairPartitioner(3)
+        pairs = tuple(TagPair(f"a{i}", f"b{i}") for i in range(30))
+        routed = partitioner.route(pairs)
+        assert isinstance(routed, tuple) and len(routed) == 3
+        for shard_id, shard_pairs in enumerate(routed):
+            assert isinstance(shard_pairs, tuple)
+            assert list(shard_pairs) == [
+                p for p in pairs if partitioner.shard_of(p) == shard_id
+            ]
+
+    def test_route_leaves_an_empty_tuple_where_a_shard_owns_nothing(self):
+        partitioner = PairPartitioner(8)
+        pair = TagPair("a", "b")
+        routed = partitioner.route((pair,))
+        owner = partitioner.shard_of(pair)
+        assert routed == tuple(
+            (pair,) if shard_id == owner else () for shard_id in range(8)
+        )
+        assert partitioner.route(()) == ((),) * 8
+        # split_event is route with the empty shards left out.
+        assert partitioner.split_event(1.5, (pair,)) == [
+            (owner, (1.5, (pair,)))
+        ]
+        assert partitioner.split_event(1.5, ()) == []
+
+    def test_route_with_one_shard_is_the_pairs_themselves(self):
+        pairs = [TagPair("a", "b"), TagPair("c", "d"), TagPair("a", "b")]
+        assert PairPartitioner(1).route(pairs) == (tuple(pairs),)
+        assert PairPartitioner(1).route(iter(())) == ((),)
+
     def test_distribution_is_not_degenerate(self):
         # CRC-32 over a realistic vocabulary should touch every shard.
         partitioner = PairPartitioner(4)

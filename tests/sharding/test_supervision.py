@@ -425,7 +425,6 @@ class TestSupervisedWiring:
             sharded.process_batch(tweet_docs[:200])
             info = sharded.runtime_info()
             assert info["backend"] == "supervised[threads]"
-            # The striped-window fast path keys off the *inner* backend.
             stats = sharded.shard_stats()
             assert [entry["shard_id"] for entry in stats] == [0, 1]
 

@@ -3,8 +3,8 @@
 What every transport owes the coordinator (ordering, sticky failures,
 teardown, dead workers, by-reference delivery) is asserted once for all
 three in ``test_backend_contract.py``; this file keeps what is about the
-engine running on threads — bit-identical rankings with a striped
-coordinator tag window whose merged counts stay exact.
+engine running on threads — bit-identical rankings from the same plain
+coordinator tag window the other backends use.
 """
 
 import pytest

@@ -7,6 +7,7 @@ from repro.windows.aggregates import (
     SlidingCounter,
     SlidingSum,
     TagFrequencyWindow,
+    record_count_history,
 )
 
 
@@ -266,11 +267,27 @@ class TestAddOrderedRun:
         assert window.document_count == 1
         assert window.snapshot() == {"c": 1}
 
-    def test_striped_window_takes_the_same_run(self):
-        plain = TagFrequencyWindow(10.0)
-        striped = TagFrequencyWindow(10.0, stripes=3)
-        run = ([0.0, 1.0, 11.0, 11.5], [("a", "b"), ("b",), ("a",), ("c",)])
-        plain.add_ordered_run(*run)
-        striped.add_ordered_run(*run)
-        assert striped.snapshot() == plain.snapshot() == {"a": 1, "c": 1}
-        assert striped.document_count == plain.document_count == 2
+
+class TestRecordCountHistory:
+    ROWS = [
+        {"a": 3, "b": 1},
+        {"a": 2, "c": 4},
+        {"b": 5},
+        {},
+        {"a": 1, "b": 1, "c": 1, "d": 9},
+    ]
+
+    def test_absent_tags_record_zero_and_series_stay_bounded(self):
+        history = {}
+        for row in self.ROWS:
+            record_count_history(history, row, 3)
+        # First-appearance key order; a tag absent from a row records an
+        # explicit zero; every series keeps its last three points.
+        assert {tag: list(series) for tag, series in history.items()} == {
+            "a": [0, 0, 1], "b": [5, 0, 1], "c": [0, 0, 1], "d": [9],
+        }
+        assert list(history) == ["a", "b", "c", "d"]
+
+    def test_importable_from_the_tracker_module(self):
+        from repro.core.tracker import record_count_history as from_tracker
+        assert from_tracker is record_count_history
