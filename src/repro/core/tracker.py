@@ -69,8 +69,10 @@ _DECOMPOSE_EVICT_BATCH = _DECOMPOSE_CACHE_LIMIT // 8
 
 #: Widest tag set the memo admits.  An entry holds O(width²) pairs, so
 #: the entry bound alone is no byte bound: 16 tags are 120 pairs, a
-#: 1,000-tag document is 499,500.  Wider sets rarely recur and are
-#: decomposed afresh each time.
+#: 1,000-tag document is 499,500.  Wider sets are decomposed afresh each
+#: time.  The bound is for memory safety; its value is headroom, not a
+#: measured optimum: no dataset in the repo has a document wider than 6
+#: effective tags, so whether wide sets recur is unverified.
 _DECOMPOSE_CACHE_WIDTH = 16
 
 #: A pair from two tags already known to be non-empty, distinct and in

@@ -11,8 +11,8 @@ would break the invariant across worker processes and across runs; the
 partitioner hashes the canonical pair with CRC-32 instead, which is stable
 everywhere and cheap.
 
-:meth:`PairPartitioner.route` is the one routing loop; ``split`` and
-``split_event`` are views of its result.  Because the result depends on
+:meth:`PairPartitioner.route` is the one routing loop; ``split_event``
+is a view of its result.  Because the result depends on
 the pairs alone, the coordinator computes it once per distinct tag set
 (inside its decomposition memo) rather than once per document.
 """
@@ -20,7 +20,7 @@ the pairs alone, the coordinator computes it once per distinct tag set
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.core.types import TagPair
 
@@ -54,26 +54,11 @@ class PairPartitioner:
         of the pair tuple, which is why the coordinator keeps its result
         in the decomposition memo instead of re-deriving it per document.
         """
-        if self.num_shards == 1:
-            return (tuple(pairs),)
         routed: List[List[TagPair]] = [[] for _ in range(self.num_shards)]
         shard_of = self.shard_of
         for pair in pairs:
             routed[shard_of(pair)].append(pair)
         return tuple(map(tuple, routed))
-
-    def split(
-        self, pairs: Iterable[TagPair]
-    ) -> Dict[int, List[TagPair]]:
-        """Group ``pairs`` by owning shard, preserving input order.
-
-        Only shards that own at least one of the pairs appear as keys.
-        """
-        return {
-            shard_id: list(shard_pairs)
-            for shard_id, shard_pairs in enumerate(self.route(pairs))
-            if shard_pairs
-        }
 
     def split_event(
         self, timestamp: float, pairs: Iterable[TagPair]

@@ -247,7 +247,12 @@ class ShardWorker:
         return len(self.tracker.candidate_index)
 
     def stats(self) -> dict:
-        """Summary counters (for logs, benchmarks and smoke checks)."""
+        """Summary counters (for logs, benchmarks and smoke checks).
+
+        ``latest`` is the shard tracker's clock: the coordinator's
+        ``check_invariants`` compares it with the tag window's without
+        taking a snapshot (which flushes, and re-bases a supervised log).
+        """
         return {
             "shard_id": self.shard_id,
             "events": self.tracker.documents_seen,

@@ -52,9 +52,9 @@ def test_every_observed_pair_has_exactly_one_owner(docs, num_shards):
                 if partitioner.shard_of(pair) == shard
             ]
             assert len(owners) == 1
-        # split() routes each pair to precisely its owner, dropping none.
-        split = partitioner.split(pairs)
-        routed = [pair for shard_pairs in split.values() for pair in shard_pairs]
+        # route() sends each pair to precisely its owner, dropping none.
+        routed = [pair for shard_pairs in partitioner.route(pairs)
+                  for pair in shard_pairs]
         assert sorted(routed) == sorted(pairs)
 
 

@@ -39,9 +39,9 @@ class TestPairPartitioner:
     def test_split_groups_by_owner_and_preserves_order(self):
         partitioner = PairPartitioner(3)
         pairs = [TagPair(f"a{i}", f"b{i}") for i in range(30)]
-        split = partitioner.split(pairs)
-        assert sum(len(v) for v in split.values()) == len(pairs)
-        for shard_id, shard_pairs in split.items():
+        routed = partitioner.route(pairs)
+        assert sum(map(len, routed)) == len(pairs)
+        for shard_id, shard_pairs in enumerate(routed):
             assert all(partitioner.shard_of(p) == shard_id for p in shard_pairs)
             # Order within a shard follows input order.
             indices = [pairs.index(p) for p in shard_pairs]
