@@ -11,7 +11,10 @@ Prometheus scrape covering every pipeline layer; per-batch span trees on
 on ``/slo``; and ``/logs`` records that correlate with the served traces.
 After a SIGTERM drain the journal segments must be on disk, and a second
 server resumed from them (on ``--port`` + 1) must push a ranking frame
-for the rest of the stream.
+for the rest of the stream.  A third server (``--port`` + 2) takes
+4 x ``--queue-capacity`` POSTs pipelined on one connection — every one a
+202, the SSE frames in sequence and equal to an offline replay, and the
+engine-call count on ``/metrics`` below the batch count.
 """
 
 import argparse
@@ -25,8 +28,11 @@ import tempfile
 import time
 import urllib.request
 
+from repro.core.config import live_stream_config
+from repro.core.engine import EnBlogue
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.observability import parse_prometheus_families
+from repro.portal.serialization import ranking_to_dict
 
 HOST = "127.0.0.1"
 
@@ -79,17 +85,88 @@ def open_sse(port):
     return stream
 
 
-def read_frame(stream):
+def read_frames(stream, count):
+    """The next ``count`` SSE frames as ``(id, payload)`` pairs."""
     blob = b""
-    while True:
-        chunk = stream.recv(4096)
-        assert chunk, f"stream closed without a frame: {blob!r}"
+    while blob.count(b"\ndata: ") < count or not blob.endswith(b"\n\n"):
+        chunk = stream.recv(65536)
+        assert chunk, f"stream closed after {blob.count(b'data: ')} frame(s)"
         blob += chunk
-        if b"\ndata: " in blob and b"\n\n" in blob.split(b"\ndata: ", 1)[1]:
-            break
-    for line in blob.split(b"\n"):
-        if line.startswith(b"data: "):
-            return json.loads(line[len(b"data: "):])
+    lines = blob.split(b"\n")
+    return list(zip(
+        [int(line[len(b"id: "):]) for line in lines
+         if line.startswith(b"id: ")],
+        [json.loads(line[len(b"data: "):]) for line in lines
+         if line.startswith(b"data: ")],
+    ))
+
+
+def read_frame(stream):
+    return read_frames(stream, 1)[0][1]
+
+
+def pipelined(port, engine, capacity=8):
+    """4 x capacity POSTs on one connection before the first 202 is read."""
+    corpus, _ = TweetStreamGenerator(hours=16, tweets_per_hour=40,
+                                     seed=9).generate()
+    documents = list(corpus)
+    count = 4 * capacity
+    size = len(documents) // count
+    cuts = [index * size for index in range(count)] + [len(documents)]
+    batches = [documents[start:end] for start, end in zip(cuts, cuts[1:])]
+    reference = EnBlogue(live_stream_config())
+    expected = json.loads(json.dumps(
+        [ranking_to_dict(r) for r in reference.process_batch(documents)]))
+    assert len(expected) >= 4, "the stream must cross several boundaries"
+
+    requests = []
+    for batch in batches:
+        body = json.dumps([{"timestamp": d.timestamp, "tags": sorted(d.tags)}
+                           for d in batch]).encode()
+        requests.append(
+            b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body)
+
+    server = spawn(port, engine + ["--queue-capacity", str(capacity)])
+    try:
+        stream = open_sse(port)
+        with socket.create_connection((HOST, port), 30) as producer:
+            producer.sendall(b"".join(requests))
+            reader = producer.makefile("rb")
+            for batch in batches:
+                status_line = reader.readline()
+                assert status_line.split()[1] == b"202", status_line
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                assert json.loads(reader.read(length))["accepted"] \
+                    == len(batch)
+        frames = read_frames(stream, len(expected))
+        stream.close()
+        assert [sequence for sequence, _ in frames] \
+            == list(range(len(expected))), frames
+        assert [payload for _, payload in frames] == expected, \
+            "pipelined frames differ from the offline replay"
+        scrape = get(port, "/metrics")
+
+        def total(name):
+            for line in scrape.splitlines():
+                if line.startswith(name + " "):
+                    return int(float(line.split()[1]))
+            raise AssertionError(f"scrape is missing {name}")
+
+        submitted = total("repro_serving_batches_submitted_total")
+        processed = total("repro_serving_batches_processed_total")
+        calls = total("repro_core_batches_total")
+        assert submitted == processed == count, (submitted, processed)
+        # 32 POSTs written at once against a queue of 8 must group.
+        assert calls < processed, (calls, processed)
+        print(f"pipelined: {count} POSTs -> {calls} engine call(s), "
+              f"{processed / calls:.2f} batches per call, "
+              f"{len(frames)} frame(s) equal to the offline replay")
+    finally:
+        stop(server)
 
 
 def main() -> None:
@@ -197,6 +274,7 @@ def main() -> None:
             stream.close()
         finally:
             stop(resumed)
+    pipelined(port + 2, engine)
     print(f"[{args.backend}] resumed serve pushed a ranking frame — "
           "smoke green")
 

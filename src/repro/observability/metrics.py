@@ -229,6 +229,10 @@ class MetricFamily:
         self.buckets = tuple(buckets) if buckets is not None else None
         self._registry = registry
         self._children: Dict[Tuple[Tuple[str, str], ...], object] = {}
+        # The unlabeled child, kept after its first use: children are
+        # never dropped (a restore seeds them in place), so it cannot go
+        # stale, and an unlabeled write skips the label-key derivation.
+        self._unlabeled = None
         self._lock = threading.Lock()
 
     def labels(self, **labels: str):
@@ -262,7 +266,10 @@ class MetricFamily:
     # -- unlabeled passthrough -------------------------------------------------
 
     def _default(self):
-        return self.labels()
+        child = self._unlabeled
+        if child is None:
+            child = self._unlabeled = self.labels()
+        return child
 
     def inc(self, amount: float = 1) -> None:
         self._default().inc(amount)

@@ -59,6 +59,11 @@ from repro.portal.serialization import ranking_to_dict
 from repro.serving.service import DetectionService, ServiceClosedError
 from repro.sharding.backends import ShardExecutionError
 
+try:  # optional, as in persistence/store.py: the stdlib is the fallback
+    import orjson as _orjson
+except ImportError:  # pragma: no cover
+    _orjson = None
+
 #: Retry-After (seconds) advertised with a 503 on engine failure — long
 #: enough for a supervised recovery, short enough that probes re-check.
 RETRY_AFTER_SECONDS = 5
@@ -77,6 +82,10 @@ MAX_PROFILE_SECONDS = 30.0
 #: Cap on request bodies; an ingest batch should be chunks, not the
 #: whole archive in one request.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+#: The one empty set every document without entities shares.
+_NO_ENTITIES: frozenset = frozenset()
 
 
 class IngestDocument:
@@ -101,18 +110,36 @@ class IngestDocument:
         # frozensets, the shape the tracker's decomposition memo keys on:
         # tag sets recur constantly in a stream, and a tuple here would
         # re-run normalisation and pair construction for every document.
-        self.tags = frozenset(str(tag) for tag in tags)
-        entities = payload.get("entities", ()) or ()
-        if isinstance(entities, str):
+        self.tags = frozenset(map(str, tags))
+        entities = payload.get("entities")
+        if not entities:
+            self.entities = _NO_ENTITIES
+        elif isinstance(entities, str):
             raise ValueError("'entities' must be an array of strings")
-        self.entities = frozenset(str(entity) for entity in entities)
+        else:
+            self.entities = frozenset(map(str, entities))
         self.text = str(payload.get("text", "") or "")
+
+
+def _loads(body: bytes):
+    # Whatever orjson refuses (NaN, Infinity, 1e999, a BOM, malformed
+    # text) goes to the stdlib, which either accepts it for the checks
+    # below or words the 400.  The one value the two read differently is
+    # an integer outside 64 bits, a float to orjson: the same timestamp
+    # after float(), but a *numeric tag* that large becomes the float's
+    # text ("1.8446744073709552e+19") instead of its digits.
+    if _orjson is not None:
+        try:
+            return _orjson.loads(body)
+        except ValueError:
+            pass
+    return json.loads(body)
 
 
 def parse_ingest_body(body: bytes) -> List[IngestDocument]:
     """Decode a ``POST /ingest`` body; raises ``ValueError`` on bad input."""
     try:
-        payload = json.loads(body)
+        payload = _loads(body)
     except json.JSONDecodeError as exc:
         raise ValueError(f"request body is not valid JSON: {exc}") from exc
     if isinstance(payload, dict):
@@ -122,7 +149,7 @@ def parse_ingest_body(body: bytes) -> List[IngestDocument]:
             "request body must be a JSON array of documents (or an object "
             "with a 'documents' array)"
         )
-    return [IngestDocument(entry) for entry in payload]
+    return list(map(IngestDocument, payload))
 
 
 class RankingServer:

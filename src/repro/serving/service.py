@@ -6,11 +6,26 @@ behind an event loop:
 * **Ingest** is a bounded :class:`asyncio.Queue` of document batches.
   ``await submit(batch)`` blocks the producer when shard dispatch falls
   behind — backpressure, not buffering without bound.
-* **One consumer task** drains batches into ``engine.process_batch`` via a
+* **One consumer task** hands batches to ``engine.process_batch`` via a
   single-thread executor, so the loop never blocks on the process backend
   and the engine is only ever touched from that one worker thread (the
   engines are not thread-safe; serialization through the executor is the
-  whole synchronisation story).
+  whole synchronisation story).  The consumer **group-commits**: after
+  taking one batch it also takes every batch already waiting,
+  concatenates them in arrival order and makes one executor hop, one
+  engine call, one publish loop, one cadence decision and one SLO tick
+  for the group.  That is safe because ``process_batch`` is
+  chunking-invariant (rankings and snapshots are bit-identical under any
+  chunking of the stream) and every batch was validated at ``submit``;
+  the frames of a group are published when the group returns.  There is
+  no knob: a group is whatever the queue holds, an idle server sees
+  groups of one through the same path, and accepted-but-unprocessed
+  batches never exceed ``2 × queue_capacity`` (one group inside the
+  engine, one full queue behind it).  A group the engine *rejects* has
+  changed nothing (``process_batch`` validates before touching state
+  and raises ``ValueError``), so it is replayed batch by batch and a
+  poisoned batch costs only itself; any other failure is recorded for
+  the whole group and nothing is re-fed.
 * **Ranking push**: every ranking a batch produces is published on the
   portal's :class:`~repro.portal.push.PushDispatcher` (the same channel
   the synchronous portal sessions use) and fanned out to async
@@ -18,11 +33,11 @@ behind an event loop:
   SSE/websocket handlers just await frames.
 * **Checkpointing** rides the same loop: a
   :class:`~repro.persistence.cadence.CheckpointCadence` (typically delta
-  mode) runs on the engine executor between batches, so a snapshot never
-  observes a half-ingested batch and ingestion keeps accepting documents
-  (into the queue) while the journal segment fsyncs.
+  mode) runs on the engine executor between engine calls, so a snapshot
+  never observes a half-ingested batch and ingestion keeps accepting
+  documents (into the queue) while the journal segment fsyncs.
 
-Because the consumer replays the exact batch sequence through the same
+Because the consumer feeds the exact document sequence through the same
 ``process_batch`` the offline CLI uses, the rankings pushed to
 subscribers are **bit-identical** to a batch replay of the same document
 stream — the property the serving test-suite pins for shards 1/2 on both
@@ -33,7 +48,8 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from repro.observability import Observability
 from repro.persistence.cadence import CheckpointCadence
@@ -235,7 +251,7 @@ class DetectionService:
         consumer works through everything already accepted — no document
         is lost or replayed — and subscribers receive every produced
         frame before their streams end.  ``drain=False`` abandons queued
-        batches (the engine still finishes the batch it is on, so its
+        batches (the engine still finishes the group it is on, so its
         state stays batch-consistent).  Idempotent.
         """
         if self._closed:
@@ -440,43 +456,60 @@ class DetectionService:
         return await loop.run_in_executor(self._executor, fn, *args)
 
     async def _consume(self) -> None:
+        queue = self._queue
         while True:
-            item = await self._queue.get()
+            group = [await queue.get()]
             try:
-                if item is None:
+                # Group commit: whatever is already waiting rides in the
+                # same engine call; the shutdown sentinel ends the group.
+                while group[-1] is not None and not queue.empty():
+                    group.append(queue.get_nowait())
+                stopping = group[-1] is None
+                batches = group[:-1] if stopping else group
+                if batches:
+                    await self._process(batches)
+                if stopping:
                     return
-                enqueued_at, batch = item
-                await self._process(batch, enqueued_at)
             finally:
-                self._queue.task_done()
+                for _ in group:
+                    queue.task_done()
 
-    async def _process(self, batch: List,
-                       enqueued_at: Optional[float] = None) -> None:
+    async def _process(self, group: List[Tuple[float, List]]) -> None:
+        """One engine call for ``group``: ``(enqueue stamp, batch)`` items."""
+        documents = list(chain.from_iterable(batch for _, batch in group))
         try:
             rankings = await self._run_on_engine(
-                self.engine.process_batch, batch
+                self.engine.process_batch, documents
             )
         except Exception as exc:
             # process_batch validates the whole chunk before touching any
-            # state, so a rejected batch leaves the engine unchanged and
-            # the stream serviceable; record and move on.  A
-            # ShardExecutionError that reaches here means the pool is
-            # gone for good (the supervised backend only lets one through
-            # after its retry budget is spent) — latch it so submit()
-            # stops accepting batches nothing can process.
-            self.stats.add("batch_errors")
-            self.stats.last_error = repr(exc)
+            # state and rejects it with a ValueError, so a rejected call
+            # leaves the engine unchanged and the stream serviceable: the
+            # group is replayed batch by batch and one poisoned batch
+            # costs only itself.  Any other failure may have come after
+            # documents were ingested, so nothing is re-fed: the group is
+            # recorded and the consumer moves on.  A ShardExecutionError
+            # that reaches here means the pool is gone for good (the
+            # supervised backend only lets one through after its retry
+            # budget is spent) — latch it so submit() stops accepting
+            # batches nothing can process.
+            if isinstance(exc, ValueError) and len(group) > 1:
+                for item in group:
+                    await self._process([item])
+                return
             if isinstance(exc, ShardExecutionError):
                 self._engine_error = exc
+            self.stats.add("batch_errors", len(group))
+            self.stats.last_error = repr(exc)
             return
-        self.stats.add("documents_processed", len(batch))
-        self.stats.add("batches_processed")
+        self.stats.add("documents_processed", len(documents))
+        self.stats.add("batches_processed", len(group))
         if rankings:
             self._last_ranking = rankings[-1]
         # Push first (the frame is the product), persist second — the
-        # cadence write happens between batches either way.  A raising
+        # cadence write happens between engine calls either way.  A raising
         # subscriber callback (or an externally closed dispatcher) must
-        # not kill the consumer: the engine already ingested the batch,
+        # not kill the consumer: the engine already ingested the group,
         # and a dead consumer would keep 202-ing batches nothing drains.
         for ranking in rankings:
             try:
@@ -504,12 +537,11 @@ class DetectionService:
             self.stats.set(
                 "checkpoints_written", self.cadence.checkpoints_written
             )
-        # Full ingest→publish latency (queue wait included): the batch
-        # was stamped at enqueue time in submit().  The SLO tick samples
+        # Full ingest→publish latency (queue wait included), once per
+        # submitted batch from its own enqueue stamp.  The SLO tick samples
         # every objective's good/total right after, so burn-rate windows
-        # advance on the batch cadence.
-        if enqueued_at is not None:
-            self._metric_batch_seconds.observe(
-                self.observability.clock() - enqueued_at
-            )
+        # advance on the engine-call cadence.
+        now = self.observability.clock()
+        for enqueued_at, _ in group:
+            self._metric_batch_seconds.observe(now - enqueued_at)
         self.observability.slo.tick()

@@ -167,6 +167,24 @@ class TestSnapshotRestore:
         assert restored.counter("repro_test_total").value == 7
 
 
+    def test_unlabeled_writes_keep_one_child_through_a_restore(self):
+        registry = MetricsRegistry()
+        family = registry.counter("repro_test_total")
+        derived = []
+        labels = family.labels
+        family.labels = lambda **kw: derived.append(kw) or labels(**kw)
+        family.inc()
+        family.inc()
+        assert derived == [{}]  # the child is derived once, then kept
+        assert [child for _, child in family.samples()] == [labels()]
+
+        source = MetricsRegistry()
+        source.counter("repro_test_total").inc(5)
+        registry.restore(source.snapshot())  # seeds the kept child in place
+        family.inc(2)
+        assert family.value == labels().value == 7
+
+
 class TestNoop:
     def test_disabled_bundle_allocates_nothing_per_event(self):
         counter = NOOP.registry.counter("repro_test_total")

@@ -70,39 +70,49 @@ class TestProducerBackpressure:
     def test_full_queue_stalls_the_producer_until_the_consumer_drains(
         self, docs
     ):
+        capacity = 2
+
         async def scenario():
             engine = GatedEngine(config())
-            service = DetectionService(engine, queue_capacity=2)
+            service = DetectionService(engine, queue_capacity=capacity)
             await service.start()
 
-            batches = chunks(docs[:256], 64)  # 4 batches > capacity + in-flight
+            batches = chunks(docs[:256], 32)  # 8 batches > 2 x capacity
             submitted = []
+            unprocessed = []
 
             async def producer():
                 for batch in batches:
                     await service.submit(batch)
                     submitted.append(len(batch))
+                    unprocessed.append(service.stats.batches_submitted
+                                       - service.stats.batches_processed)
 
             task = asyncio.ensure_future(producer())
-            # The consumer takes batch 0 into the (gated) engine; batches
-            # 1 and 2 fill the queue; the producer must now be parked on
-            # batch 3's put.
+            # The consumer takes everything the queue holds (batches 0 and
+            # 1) into the (gated) engine as one group; batches 2 and 3
+            # fill the queue again; the producer must now be parked on
+            # batch 4's put.
             await asyncio.get_running_loop().run_in_executor(
                 None, engine.entered.wait, 5.0
             )
             await asyncio.sleep(0.05)
             assert not task.done(), "producer should stall on the full queue"
-            assert len(submitted) == 3
-            assert service.queue_depth() == 2
+            assert len(submitted) == 2 * capacity
+            assert service.queue_depth() == capacity
+            assert service.stats.batches_processed == 0
 
             engine.gate.set()  # the backend catches up ...
             await asyncio.wait_for(task, timeout=30.0)  # ... producer resumes
-            assert len(submitted) == 4
+            assert len(submitted) == len(batches)
             await service.stop()
-            return engine
+            return engine, service, unprocessed
 
-        engine = asyncio.run(scenario())
+        engine, service, unprocessed = asyncio.run(scenario())
         assert engine.documents_processed == 256
+        assert service.stats.batches_processed == 8
+        # One group inside the engine plus one full queue: the bound.
+        assert max(unprocessed) <= 2 * capacity
 
     def test_concurrent_producer_validates_against_the_parked_batch(
         self, docs
@@ -257,3 +267,26 @@ class TestCleanShutdown:
         # executor thread mid-batch); queued ones were abandoned whole.
         assert engine.documents_processed in (64, 128, 192)
         assert engine.documents_processed % 64 == 0
+
+    def test_abandoning_the_queue_finishes_the_group_in_flight(self, docs):
+        async def scenario():
+            engine = GatedEngine(config())
+            service = DetectionService(engine, queue_capacity=4)
+            await service.start()
+            for batch in chunks(docs[:192], 64):  # one group of three
+                await service.submit(batch)
+            await asyncio.get_running_loop().run_in_executor(
+                None, engine.entered.wait, 5.0
+            )
+            for batch in chunks(docs[192:320], 64):  # queued behind it
+                await service.submit(batch)
+            engine.gate.set()
+            await service.stop(drain=False)
+            return engine, service
+
+        engine, service = asyncio.run(scenario())
+        # The group completed whole; the queued batches were abandoned
+        # whole, and task_done was called once per batch taken.
+        assert engine.documents_processed == 192
+        assert service.queue_depth() == 2
+        assert service._queue._unfinished_tasks == 2

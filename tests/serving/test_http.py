@@ -158,6 +158,59 @@ class TestParsing:
         with pytest.raises(ValueError, match="finite"):
             parse_ingest_body(body)
 
+    @pytest.mark.parametrize("body", [
+        b'[{"timestamp": 1.5, "tags": ["a", 2], "entities": ["E"],'
+        b' "text": "t"}, {"timestamp": 2, "tags": []}]',
+        b'{"documents": [{"timestamp": 1e3, "tags": ["\\u00e9"]}]}',
+        b'[{"timestamp": 123456789012345678901234567890, "tags": ["a"]}]',
+        b'\xef\xbb\xbf[{"timestamp": 1, "tags": ["a"]}]',  # a BOM
+        b'[{"timestamp": NaN, "tags": ["a"]}]',
+        b'[{"timestamp": 1e999, "tags": ["a"]}]',
+        b'[{"timestamp": 1, "tags": ["\xff"]}]',  # not UTF-8
+        b'[{"timestamp": 1, "tags": ["a"]},]',
+        b"",
+    ])
+    def test_fast_and_stdlib_decoders_agree(self, body, monkeypatch):
+        """Same documents, or the same 400 text, with orjson or without."""
+        import repro.serving.http as http
+
+        if http._orjson is None:
+            pytest.skip("orjson is not installed: nothing to compare")
+
+        def outcome():
+            try:
+                return [(d.timestamp, d.tags, d.entities, d.text)
+                        for d in http.parse_ingest_body(body)]
+            except ValueError as exc:
+                return str(exc)
+
+        fast = outcome()
+        monkeypatch.setattr(http, "_orjson", None)
+        assert outcome() == fast
+
+    def test_a_numeric_tag_outside_64_bits_is_where_the_decoders_differ(
+        self, monkeypatch
+    ):
+        """orjson reads such an integer as a float; ``_loads`` says so."""
+        import repro.serving.http as http
+
+        if http._orjson is None:
+            pytest.skip("orjson is not installed: nothing to compare")
+        body = (b'[{"timestamp": 1, "tags": [18446744073709551615,'
+                b' 18446744073709551616]}]')
+        (fast,) = http.parse_ingest_body(body)
+        assert fast.tags == {"18446744073709551615", "1.8446744073709552e+19"}
+        monkeypatch.setattr(http, "_orjson", None)
+        (stdlib,) = http.parse_ingest_body(body)
+        assert stdlib.tags == {"18446744073709551615", "18446744073709551616"}
+
+    def test_documents_without_entities_share_one_empty_set(self):
+        first, second = parse_ingest_body(
+            b'[{"timestamp": 1, "tags": ["a"]},'
+            b' {"timestamp": 2, "tags": ["b"], "entities": []}]'
+        )
+        assert first.entities is second.entities == frozenset()
+
     def test_ingest_document_shape_feeds_process_batch(self):
         engine = EnBlogue(config())
         documents = [
@@ -674,3 +727,53 @@ class TestEndpoints:
 
         raw = asyncio.run(scenario())
         assert b"event: end" in raw
+
+    def test_every_subscriber_sees_the_markers_while_a_shard_recovers(
+        self, docs
+    ):
+        """Three streams, the same frames: marked while degraded, byte-clean
+        once the shard is back."""
+
+        class RecoveringEngine(EnBlogue):
+            recovering = [1]
+
+            def supervision_info(self):
+                return {"recovering_shards": self.recovering,
+                        "permanent_failure": None, "recoveries": 1,
+                        "degraded": bool(self.recovering)}
+
+        reference = EnBlogue(config())
+        degraded = len(reference.process_batch(docs[:128]))
+        expected = degraded + len(reference.process_batch(docs[128:256]))
+
+        async def scenario():
+            engine = RecoveringEngine(config())
+            service = DetectionService(engine)
+            await service.start()
+            server = RankingServer(service, port=0)
+            await server.start()
+            streams = [[] for _ in range(3)]
+            readers = [
+                asyncio.ensure_future(
+                    read_sse_frames(server.port, expected, frames))
+                for frames in streams
+            ]
+            await asyncio.sleep(0.05)  # let the streams subscribe first
+            await service.submit(docs[:128])
+            for _ in range(1000):
+                if all(len(frames) == degraded for frames in streams):
+                    break
+                await asyncio.sleep(0.01)
+            engine.recovering = []  # the shard is back
+            await service.submit(docs[128:256])
+            await asyncio.wait_for(asyncio.gather(*readers), timeout=10.0)
+            await server.stop()
+            await service.stop()
+            return streams
+
+        streams = asyncio.run(scenario())
+        assert streams[0] == streams[1] == streams[2]
+        clean = [ranking_to_dict(r) for r in reference.ranking_history()]
+        marked = [dict(frame, stale=True, recovering_shards=[1])
+                  for frame in clean[:degraded]]
+        assert degraded and streams[0] == marked + clean[degraded:]

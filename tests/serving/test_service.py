@@ -275,7 +275,8 @@ class TestValidation:
             def process_batch(self, documents):
                 documents = list(documents)
                 if any(getattr(d, "poison", False) for d in documents):
-                    raise RuntimeError("poisoned batch")
+                    # What _prepare_batch raises, before touching state.
+                    raise ValueError("poisoned batch")
                 return super().process_batch(documents)
 
         class Poison:
@@ -337,11 +338,17 @@ class TestValidation:
 
 
 class TestCheckpointHops:
-    """Only a ranking that writes a checkpoint hops to the engine executor."""
+    """Engine calls and writing ticks are the only executor hops.
+
+    Ten-second batches against a ten-second evaluation interval: a full
+    group of eight carries 8 rankings, under the cadence's 16, so a
+    writing hop writes exactly one tick.
+    """
 
     @staticmethod
     def serve_with_cadence(tmp_path, all_hops):
         from repro.datasets.documents import Document
+        from repro.observability import Observability
         from repro.persistence.cadence import CheckpointCadence
 
         documents = [
@@ -370,7 +377,8 @@ class TestCheckpointHops:
 
         async def scenario():
             engine = EnBlogue(config(window_horizon=60.0,
-                                     evaluation_interval=10.0))
+                                     evaluation_interval=10.0),
+                              observability=Observability())
             cadence = CheckpointCadence(
                 engine, directory=tmp_path, every=16, mode="delta",
                 full_every=4,
@@ -379,10 +387,13 @@ class TestCheckpointHops:
                 engine, cadence=AlwaysDue(cadence) if all_hops else cadence
             )
             await service.start()
-            for batch in chunks(documents, 25):
+            for batch in chunks(documents, 10):
                 await service.submit(batch)
             await service.stop()
-            return cadence, service.status()
+            status = service.status()
+            status["engine_calls"] = int(service.observability.registry.get(
+                "repro_core_batches_total").value)
+            return cadence, status
 
         cadence, status = run(scenario())
         return hops, cadence, status
@@ -392,12 +403,15 @@ class TestCheckpointHops:
             tmp_path / "spared", all_hops=False
         )
         assert cadence.rankings_seen == 200
+        assert status["batches_processed"] == status["batches_submitted"] == 201
         assert hops == (
             ["_latest_timestamp", "begin"]
             + [hop for hop in hops if hop in ("process_batch", "note_rankings")]
             + ["shutdown"]
         )
-        assert hops.count("process_batch") == 81
+        # One hop per engine call, and a call carries a whole group.
+        assert hops.count("process_batch") == status["engine_calls"]
+        assert status["engine_calls"] < status["batches_submitted"]
         assert hops.count("note_rankings") == 200 // 16
         # begin + the writing ticks + shutdown.
         assert cadence.checkpoints_written == 200 // 16 + 2
