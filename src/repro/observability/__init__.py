@@ -147,10 +147,6 @@ STANDARD_FAMILIES = {
         ("counter", "Batches the engine rejected."),
     "repro_serving_publish_errors_total":
         ("counter", "Ranking publishes that raised."),
-    "repro_serving_source_errors_total":
-        ("counter", "Producer iterators that raised mid-pump."),
-    "repro_serving_source_retries_total":
-        ("counter", "Producer pumps restarted after a transient error."),
     "repro_serving_sse_frames_total":
         ("counter", "Frames delivered to SSE subscriber buffers."),
     "repro_serving_sse_dropped_frames_total":

@@ -21,10 +21,9 @@ the batch-replay engines into a servable system:
   (with per-shard health; 503 when a shard worker is dead),
   ``GET /metrics`` (Prometheus text) and ``GET /trace`` (NDJSON span
   trees) on asyncio's stdlib primitives.
-* :mod:`~repro.serving.source` — pumps bridging the synchronous dataset
-  ``iter_batches``/stream :class:`~repro.streams.sources.Source` iterators
-  into the queue, pacing the producer by the queue's bound.
 
+``POST /ingest`` is the one way documents reach a served engine; a
+producer is paced by the queue's bound through its withheld responses.
 The serving path replays the exact batch sequence through the same
 ``process_batch`` the CLI uses, so served rankings are bit-identical to
 an offline replay of the same stream — pinned by ``tests/serving``.
@@ -38,12 +37,6 @@ from repro.serving.service import (
     ServiceClosedError,
     ServingStats,
 )
-from repro.serving.source import (
-    SourceProducerError,
-    pump_batches,
-    pump_documents,
-    pump_source,
-)
 
 __all__ = [
     "AsyncFanout",
@@ -51,11 +44,7 @@ __all__ = [
     "DetectionService",
     "ServiceClosedError",
     "ServingStats",
-    "SourceProducerError",
     "RankingServer",
     "IngestDocument",
     "parse_ingest_body",
-    "pump_batches",
-    "pump_documents",
-    "pump_source",
 ]

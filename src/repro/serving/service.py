@@ -93,8 +93,6 @@ class ServingStats:
         "rankings_published": "repro_serving_rankings_published_total",
         "batch_errors": "repro_serving_batch_errors_total",
         "publish_errors": "repro_serving_publish_errors_total",
-        "source_errors": "repro_serving_source_errors_total",
-        "source_retries": "repro_serving_source_retries_total",
     }
 
     #: Attribute name → gauge family backing it (absolute values).
@@ -438,15 +436,6 @@ class DetectionService:
             "recoveries": int(info.get("recoveries", 0)),
             "degraded": bool(info.get("degraded", False)),
         }
-
-    def note_source_error(self, error: BaseException) -> None:
-        """Record a producer-iterator failure (see ``serving.source``)."""
-        self.stats.add("source_errors")
-        self.stats.last_error = repr(error)
-
-    def note_source_retry(self) -> None:
-        """Record a producer pump restart after a transient error."""
-        self.stats.add("source_retries")
 
     # -- internals -------------------------------------------------------------
 

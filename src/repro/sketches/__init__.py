@@ -1,16 +1,17 @@
-"""Sketching operators: compact synopses of stream items.
+"""Compact synopses for approximate pair tracking.
 
 Section 4.1 of the paper describes "plug-in options for sketching operators
-that map stream items into synopses".  This package provides the classic
-synopses such a plug-in would use: a Count-Min sketch for approximate tag
-and pair counting, a Bloom filter for membership tests, a reservoir sample
-for unbiased document samples, and the shared hashing utilities.
+that map stream items into synopses".  In this reproduction that plug-in is
+the sketch tier of the two-tier tracker (:class:`SketchTier`, behind
+``--tracking tiered``): a Count-Min sketch counts pair occurrences and a
+Bloom filter records which pairs were seen, so only pairs with enough
+sketched support reach exact tracking.  The windowed Count-Min variant and
+the shared hashing utilities complete the package.
 """
 
 from repro.sketches.hashing import HashFamily
 from repro.sketches.countmin import CountMinSketch, WindowedCountMinSketch
 from repro.sketches.bloom import BloomFilter
-from repro.sketches.sampling import ReservoirSample
 from repro.sketches.tier import SketchTier
 
 __all__ = [
@@ -18,6 +19,5 @@ __all__ = [
     "CountMinSketch",
     "WindowedCountMinSketch",
     "BloomFilter",
-    "ReservoirSample",
     "SketchTier",
 ]

@@ -1,19 +1,17 @@
-"""In-memory storage substrate: document store and tag indexes.
+"""In-memory tag indexes behind the archive explorer.
 
-The engine itself is purely streaming, but the demo's front end needs to
-answer follow-up queries ("show me the documents behind this emergent
-topic", "re-rank this past time range") which require keeping recent
-documents retrievable by id, by tag and by time.  This package provides the
-stores those features need: a document store, an inverted tag index and a
+The engine itself is purely streaming, but show case 1 answers follow-up
+queries ("show me the documents behind this emergent topic", "re-rank this
+past time range") which need recent documents retrievable by tag and by
+time.  :class:`~repro.core.explorer.ArchiveExplorer` (``repro.cli
+explore``) builds on the two indexes here: an inverted tag index and a
 time-partitioned index for range queries.
 """
 
-from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedTagIndex
 from repro.storage.time_index import TimePartitionedIndex
 
 __all__ = [
-    "DocumentStore",
     "InvertedTagIndex",
     "TimePartitionedIndex",
 ]

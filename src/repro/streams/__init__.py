@@ -5,29 +5,25 @@ docId, set of tags, set of entities)`` consumed by stream operators and
 pushed along producer-consumer edges in query-processing plans; sinks at the
 end of the operator DAG compute the final rankings.  The engine supports
 multiple query plans executing in parallel with shared operators (sources,
-sketching, entity tagging, statistics) for efficiency.
+entity tagging, statistics) for efficiency.
 
 This package reproduces that architecture in Python: :class:`StreamItem` is
-the tuple, :class:`Operator`/:class:`Sink` are the DAG nodes,
-:class:`OperatorDAG` holds the producer-consumer edges, :class:`QueryPlan`
-and :class:`PlanExecutor` build and run (possibly shared) plans, and the
-sources replay datasets or simulate live feeds under a replay clock.
+the tuple, :class:`Operator`/:class:`Sink` are the DAG nodes, the sources
+wrap datasets as DAG roots, and :class:`QueryPlan` and
+:class:`PlanExecutor` wire (possibly shared) plans into one DAG and replay
+it.  Show case 2 (``benchmarks/bench_showcase2_live.py``) and
+``examples/live_monitoring.py`` drive exactly this path.
 """
 
 from repro.streams.item import StreamItem
-from repro.streams.clock import ReplayClock, SimulatedClock, SystemClock
 from repro.streams.operators import (
     CollectorSink,
-    FilterOperator,
     FunctionSink,
-    MapOperator,
     Operator,
     Sink,
     StatisticsOperator,
     TagNormalizerOperator,
 )
-from repro.streams.dag import OperatorDAG
-from repro.streams.synopses import SamplingOperator, SketchingOperator, ThrottleOperator
 from repro.streams.sources import (
     DocumentStreamSource,
     IterableSource,
@@ -38,21 +34,12 @@ from repro.streams.plan import PlanExecutor, QueryPlan
 
 __all__ = [
     "StreamItem",
-    "ReplayClock",
-    "SimulatedClock",
-    "SystemClock",
     "Operator",
     "Sink",
-    "MapOperator",
-    "FilterOperator",
     "TagNormalizerOperator",
     "StatisticsOperator",
     "CollectorSink",
     "FunctionSink",
-    "SketchingOperator",
-    "SamplingOperator",
-    "ThrottleOperator",
-    "OperatorDAG",
     "Source",
     "IterableSource",
     "DocumentStreamSource",

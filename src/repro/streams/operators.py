@@ -124,44 +124,6 @@ class Sink(Operator):
         """Sinks may override to finalise their state at end-of-stream."""
 
 
-class MapOperator(Operator):
-    """Apply a pure function ``StreamItem -> StreamItem`` to every item."""
-
-    def __init__(
-        self,
-        function: Callable[[StreamItem], StreamItem],
-        name: Optional[str] = None,
-    ):
-        super().__init__(name=name or f"map({getattr(function, '__name__', 'fn')})")
-        self._function = function
-
-    def process(self, item: StreamItem) -> Iterable[StreamItem]:
-        return (self._function(item),)
-
-
-class FilterOperator(Operator):
-    """Forward only the items for which ``predicate`` holds."""
-
-    def __init__(
-        self,
-        predicate: Callable[[StreamItem], bool],
-        name: Optional[str] = None,
-    ):
-        super().__init__(name=name or f"filter({getattr(predicate, '__name__', 'fn')})")
-        self._predicate = predicate
-        self._dropped = 0
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped
-
-    def process(self, item: StreamItem) -> Iterable[StreamItem]:
-        if self._predicate(item):
-            return (item,)
-        self._dropped += 1
-        return ()
-
-
 class TagNormalizerOperator(Operator):
     """Lower-case and strip tags, dropping empty ones.
 

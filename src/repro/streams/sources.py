@@ -13,17 +13,12 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-from repro.streams.clock import SimulatedClock
 from repro.streams.item import StreamItem
 from repro.streams.operators import Operator
 
 
 class Source(Operator):
     """Base class for stream sources."""
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self.clock = SimulatedClock()
 
     def push(self, item: StreamItem) -> None:
         raise TypeError("sources are roots of the DAG and cannot receive items")
@@ -48,7 +43,6 @@ class Source(Operator):
         for item in self.stream():
             if limit is not None and emitted >= limit:
                 break
-            self.clock.advance_to(max(self.clock.now(), item.timestamp))
             emitted += 1
             if batch_size is None:
                 self.emit(item)

@@ -4,9 +4,8 @@ Section 2 of the paper notes that "dealing with time series in this general
 sense is a sub-problem of our approach that arises in the second step of our
 framework".  This package collects that machinery: one-step-ahead predictors
 (the shift detector scores a tag pair by how far the observed correlation is
-from the predicted one), burst detection over single-tag frequency series
-(the TwitterMonitor-style baseline), and online motif discovery (the Mueen &
-Keogh line of work the paper cites as a complementary tool).
+from the predicted one) and burst detection over single-tag frequency series
+(the TwitterMonitor-style baseline).
 """
 
 from repro.timeseries.predictors import (
@@ -19,7 +18,6 @@ from repro.timeseries.predictors import (
     make_predictor,
 )
 from repro.timeseries.bursts import BurstDetector, BurstEvent, MeanDeviationBurstModel
-from repro.timeseries.motifs import MotifDiscovery, Motif
 
 __all__ = [
     "Predictor",
@@ -32,6 +30,4 @@ __all__ = [
     "BurstDetector",
     "BurstEvent",
     "MeanDeviationBurstModel",
-    "MotifDiscovery",
-    "Motif",
 ]

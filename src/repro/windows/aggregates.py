@@ -1,9 +1,12 @@
-"""Windowed aggregates built on top of the sliding windows.
+"""Windowed tag statistics over the document stream.
 
-The seed-tag selector needs sliding-window averages of tag frequencies, and
-the correlation tracker needs windowed document counts per tag and per tag
-pair.  These aggregates keep the per-entry data so that evictions are exact;
-approximate counterparts based on synopses live in :mod:`repro.sketches`.
+The seed-tag selector needs the windowed popularity of every tag, and the
+correlation tracker needs windowed document counts per tag as the
+denominators of its pair measures.  :class:`TagFrequencyWindow` keeps the
+per-document events so that evictions are exact;
+:func:`record_count_history` folds its per-evaluation snapshots into the
+count series the volatility criterion reads.  The approximate counterpart
+of the pair counts is the sketch tier in :mod:`repro.sketches`.
 """
 
 from __future__ import annotations
@@ -16,10 +19,19 @@ from typing import (
 )
 
 from repro.persistence.snapshot import require_compatible, require_state
-from repro.windows.sliding import TimeSlidingWindow, require_ordered
 
 
 _Score = TypeVar("_Score", int, float)
+
+
+def require_ordered(
+    timestamp: float, latest: Optional[float], complaint: str
+) -> None:
+    """Reject a timestamp behind a window's clock, NaN included: negated
+    >=, and a first timestamp held against itself, so NaN fails the check
+    instead of passing it and switching it (and eviction) off for good."""
+    if not timestamp >= (timestamp if latest is None else latest):
+        raise ValueError(f"{complaint}: {timestamp} < {latest}")
 
 
 def top_scored(
@@ -37,85 +49,6 @@ def top_scored(
 
 def _best_first(item: Tuple[str, _Score]) -> Tuple[_Score, str]:
     return -item[1], item[0]
-
-
-class SlidingSum:
-    """Sum of numeric values observed within a time horizon."""
-
-    def __init__(self, horizon: float):
-        self._window = TimeSlidingWindow(horizon)
-        self._sum = 0.0
-
-    def add(self, timestamp: float, value: float) -> None:
-        self._window.append(timestamp, float(value))
-        self._resync()
-
-    def advance_to(self, timestamp: float) -> None:
-        self._window.advance_to(timestamp)
-        self._resync()
-
-    @property
-    def value(self) -> float:
-        return self._sum
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def _resync(self) -> None:
-        # Recompute from live entries: windows are small relative to the
-        # stream, and exact recomputation avoids floating point drift from
-        # incremental add/subtract over long runs.
-        self._sum = float(sum(self._window.values()))
-
-
-class SlidingAverage:
-    """Sliding-window average, the paper's popularity measure for seed tags."""
-
-    def __init__(self, horizon: float):
-        self._window = TimeSlidingWindow(horizon)
-
-    def add(self, timestamp: float, value: float = 1.0) -> None:
-        self._window.append(timestamp, float(value))
-
-    def advance_to(self, timestamp: float) -> None:
-        self._window.advance_to(timestamp)
-
-    @property
-    def count(self) -> int:
-        return len(self._window)
-
-    @property
-    def value(self) -> float:
-        """Mean of the live values; 0.0 when the window is empty."""
-        if not self._window:
-            return 0.0
-        values = self._window.values()
-        return float(sum(values)) / len(values)
-
-    def rate(self) -> float:
-        """Arrivals per time unit over the window horizon."""
-        return len(self._window) / self._window.horizon
-
-
-class SlidingCounter:
-    """Number of events observed within a time horizon."""
-
-    def __init__(self, horizon: float):
-        self._window = TimeSlidingWindow(horizon)
-
-    def add(self, timestamp: float) -> None:
-        self._window.append(timestamp, 1)
-
-    def advance_to(self, timestamp: float) -> None:
-        self._window.advance_to(timestamp)
-
-    @property
-    def value(self) -> int:
-        return len(self._window)
-
-    @property
-    def horizon(self) -> float:
-        return self._window.horizon
 
 
 class TagFrequencyWindow:

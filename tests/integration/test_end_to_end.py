@@ -10,7 +10,6 @@ from repro.datasets.synthetic import figure1_stream
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.entity.tagger import EntityTaggingOperator
 from repro.portal.server import Portal
-from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedTagIndex
 from repro.streams.operators import FunctionSink, StatisticsOperator, TagNormalizerOperator
 from repro.streams.plan import PlanExecutor, QueryPlan
@@ -73,12 +72,10 @@ class TestFullPipelineThroughStreamEngine:
         """The inverted index answers 'show me the documents behind this topic'."""
         corpus, schedule = figure1_stream(num_steps=40, shift_start=20)
         engine = EnBlogue(engine_config())
-        store = DocumentStore()
         index = InvertedTagIndex()
 
         source = DocumentStreamSource(corpus, source_name="figure1")
         def archive(item):
-            store.put(item)
             index.index(item)
             engine.process(item)
         source.connect(FunctionSink(archive))
@@ -88,7 +85,6 @@ class TestFullPipelineThroughStreamEngine:
         supporting = index.query(list(pair))
         assert supporting
         assert all(set(pair) <= set(item.tags) for item in supporting)
-        assert store.get(supporting[0].doc_id) is not None
 
 
 class TestPortalEndToEnd:

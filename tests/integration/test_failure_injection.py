@@ -8,10 +8,9 @@ from repro.core.types import TagPair
 from repro.datasets.synthetic import figure1_stream
 from repro.portal.server import Portal
 from repro.streams.item import StreamItem
-from repro.streams.operators import FilterOperator, TagNormalizerOperator
+from repro.streams.operators import Operator, TagNormalizerOperator
 from repro.streams.plan import PlanExecutor, QueryPlan
 from repro.streams.sources import DocumentStreamSource, IterableSource
-from repro.streams.synopses import ThrottleOperator
 
 HOUR = 3600.0
 
@@ -24,6 +23,33 @@ def engine_config(**overrides):
     )
     defaults.update(overrides)
     return EnBlogueConfig(**defaults)
+
+
+class DropTagless(Operator):
+    """A plan's guard: forwards documents with tags, counts the rest."""
+
+    def __init__(self):
+        super().__init__("guard")
+        self.dropped = 0
+
+    def process(self, item):
+        if item.tags:
+            return (item,)
+        self.dropped += 1
+        return ()
+
+
+class ShedLoad(Operator):
+    """Keeps the first of every ``keep_one_in`` documents."""
+
+    def __init__(self, keep_one_in):
+        super().__init__("shed")
+        self.keep_one_in = keep_one_in
+        self.seen = 0
+
+    def process(self, item):
+        self.seen += 1
+        return (item,) if (self.seen - 1) % self.keep_one_in == 0 else ()
 
 
 class TestMalformedInput:
@@ -56,7 +82,7 @@ class TestMalformedInput:
         ]
         engine = EnBlogue(engine_config())
         executor = PlanExecutor()
-        guard = FilterOperator(lambda item: bool(item.tags), name="guard")
+        guard = DropTagless()
         executor.register(QueryPlan("guarded", IterableSource(items), [guard],
                                     engine.as_sink()))
         executor.run()
@@ -72,7 +98,7 @@ class TestDegradedOperation:
         executor = PlanExecutor()
         executor.register(QueryPlan(
             "shedded", DocumentStreamSource(corpus, source_name="figure1"),
-            [TagNormalizerOperator(), ThrottleOperator(keep_one_in=2)],
+            [TagNormalizerOperator(), ShedLoad(keep_one_in=2)],
             engine.as_sink()))
         executor.run()
         engine.evaluate_now()

@@ -21,7 +21,6 @@ from repro.timeseries.predictors import (
 )
 from repro.windows.aggregates import TagFrequencyWindow
 from repro.windows.decay import DecayedMaximum, ExponentialDecay
-from repro.windows.sliding import TimeSlidingWindow
 
 # -- strategies ---------------------------------------------------------------
 
@@ -104,19 +103,27 @@ class TestTagPairProperties:
 
 class TestWindowProperties:
     @given(
-        timestamps=st.lists(st.floats(min_value=0.0, max_value=1000.0,
-                                      allow_nan=False), min_size=1, max_size=60),
+        documents=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+                      st.lists(tag_names, min_size=1, max_size=3)),
+            min_size=1, max_size=60,
+        ),
         horizon=st.floats(min_value=1.0, max_value=200.0, allow_nan=False),
     )
-    def test_window_only_ever_holds_live_entries(self, timestamps, horizon):
-        # The retention rule is "timestamp > now - horizon"; assert exactly
-        # that form, since `now - entry.timestamp < horizon` is not float-safe
+    def test_window_only_ever_holds_live_entries(self, documents, horizon):
+        # The retention rule is "timestamp > latest - horizon"; recount in
+        # exactly that form, since `latest - t < horizon` is not float-safe
         # when the two subtractions round differently.
-        window = TimeSlidingWindow(horizon)
-        for timestamp in sorted(timestamps):
-            window.append(timestamp)
+        window = TagFrequencyWindow(horizon)
+        added = []
+        for timestamp, tags in sorted(documents, key=lambda d: d[0]):
+            window.add_document(timestamp, tags)
+            added.append((timestamp, set(tags)))
             cutoff = timestamp - horizon
-            assert all(entry.timestamp > cutoff for entry in window)
+            live = [tags for t, tags in added if t > cutoff]
+            assert window.document_count == len(live)
+            for tag in set().union(*(tags for _, tags in added)):
+                assert window.count(tag) == sum(tag in tags for tags in live)
 
     @given(
         documents=st.lists(

@@ -68,6 +68,24 @@ class TestServeReplay:
         assert engine.documents_processed == len(docs)
         assert service.stats.rankings_published == len(frames)
 
+    def test_dataset_iter_batches_submit_as_is(self, docs):
+        async def scenario():
+            engine = EnBlogue(config())
+            service = DetectionService(engine)
+            await service.start()
+            generator = TweetStreamGenerator(
+                hours=12, tweets_per_hour=30, seed=11)
+            for batch in generator.iter_batches(64):
+                await service.submit(batch)
+            await service.stop()
+            return engine, service
+
+        engine, service = run(scenario())
+        assert service.stats.documents_submitted == len(docs)
+        reference = EnBlogue(config())
+        reference.process_batch(docs)
+        assert engine.ranking_history() == reference.ranking_history()
+
     def test_micro_batch_size_does_not_change_rankings(self, docs):
         engines = [EnBlogue(config()) for _ in range(3)]
         results = [
@@ -171,75 +189,6 @@ class TestLifecycle:
 
         dispatcher = run(scenario())
         assert dispatcher.closed
-
-
-class TestSourcePumps:
-    """The async adapters bridging sources/iter_batches into the queue."""
-
-    def test_pump_batches_feeds_dataset_iter_batches(self, docs):
-        from repro.serving import pump_batches
-
-        async def scenario():
-            engine = EnBlogue(config())
-            service = DetectionService(engine)
-            await service.start()
-            generator = TweetStreamGenerator(
-                hours=12, tweets_per_hour=30, seed=11)
-            submitted = await pump_batches(
-                service, generator.iter_batches(64))
-            await service.stop()
-            return engine, submitted
-
-        engine, submitted = run(scenario())
-        assert submitted == len(docs)
-        reference = EnBlogue(config())
-        reference.process_batch(docs)
-        assert engine.ranking_history() == reference.ranking_history()
-
-    def test_pump_source_paces_a_stream_source(self, docs):
-        from repro.serving import pump_source
-        from repro.streams.sources import DocumentStreamSource
-
-        async def scenario():
-            engine = EnBlogue(config())
-            service = DetectionService(engine, queue_capacity=2)
-            await service.start()
-            source = DocumentStreamSource(docs, source_name="twitter")
-            submitted = await pump_source(service, source, batch_size=64)
-            await service.stop()
-            return engine, submitted
-
-        engine, submitted = run(scenario())
-        assert submitted == len(docs)
-        assert engine.documents_processed == len(docs)
-
-    def test_pump_source_respects_limit_without_over_consuming(self, docs):
-        from repro.serving import pump_source
-        from repro.streams.sources import DocumentStreamSource
-
-        pulled = []
-
-        def live_feed():
-            # Stands in for a non-replayable live source: every document
-            # pulled but not submitted would be lost forever.
-            for document in docs:
-                pulled.append(document)
-                yield document
-
-        async def scenario():
-            engine = EnBlogue(config())
-            service = DetectionService(engine)
-            await service.start()
-            source = DocumentStreamSource(live_feed(), source_name="twitter")
-            submitted = await pump_source(
-                service, source, batch_size=50, limit=120)
-            await service.stop()
-            return engine, submitted
-
-        engine, submitted = run(scenario())
-        assert submitted == 120
-        assert engine.documents_processed == 120
-        assert len(pulled) == 120  # the 121st document was never taken
 
 
 class TestValidation:

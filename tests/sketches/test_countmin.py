@@ -108,3 +108,18 @@ class TestWindowedCountMinSketch:
         sketch = WindowedCountMinSketch(horizon=10.0)
         with pytest.raises(ValueError):
             sketch.add(-1.0, "a")
+
+    def test_never_undercounts_a_windowed_stream(self):
+        sketch = WindowedCountMinSketch(horizon=1000.0, panes=4, width=64)
+        for i in range(20):
+            sketch.add(float(i), "hot")
+            sketch.add(float(i), f"rare{i}")
+        assert sketch.estimate("hot") >= 20
+        assert all(sketch.estimate(f"rare{i}") >= 1 for i in range(20))
+
+    def test_weighted_adds_within_one_pane(self):
+        sketch = WindowedCountMinSketch(horizon=100.0, panes=4)
+        sketch.add(1.0, "a", count=3)
+        sketch.add(2.0, "a", count=4)
+        assert sketch.estimate("a") == 7
+        assert sketch.estimate("b") == 0

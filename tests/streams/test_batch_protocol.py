@@ -5,9 +5,7 @@ import pytest
 from repro.streams.item import StreamItem
 from repro.streams.operators import (
     CollectorSink,
-    FilterOperator,
     FunctionSink,
-    MapOperator,
     Operator,
     TagNormalizerOperator,
 )
@@ -22,6 +20,30 @@ def item(t, tags=("a",), doc_id=None):
 
 def items(n):
     return [item(i) for i in range(n)]
+
+
+class KeepEven(Operator):
+    """Forwards items with an even timestamp, counting the rest."""
+
+    def __init__(self):
+        super().__init__()
+        self.dropped = 0
+
+    def process(self, one):
+        if int(one.timestamp) % 2 == 0:
+            return (one,)
+        self.dropped += 1
+        return ()
+
+
+class DropAll(Operator):
+    def process(self, one):
+        return ()
+
+
+class AddExtraTag(Operator):
+    def process(self, one):
+        return (one.with_tags(["extra"]),)
 
 
 class TestOperatorBatches:
@@ -42,7 +64,7 @@ class TestOperatorBatches:
             assert head.items_out == 3
 
     def test_filter_drops_inside_batches(self):
-        keep_even = FilterOperator(lambda i: int(i.timestamp) % 2 == 0)
+        keep_even = KeepEven()
         collector = CollectorSink()
         keep_even.connect(collector)
         keep_even.push_batch(items(5))
@@ -50,7 +72,7 @@ class TestOperatorBatches:
         assert keep_even.dropped == 2
 
     def test_empty_result_batch_not_forwarded(self):
-        drop_all = FilterOperator(lambda i: False)
+        drop_all = DropAll()
         downstream = CollectorSink()
         drop_all.connect(downstream)
         drop_all.push_batch(items(3))
@@ -58,7 +80,7 @@ class TestOperatorBatches:
         assert downstream.items_in == 0
 
     def test_batches_flow_through_operator_chains(self):
-        double = MapOperator(lambda i: i.with_tags(["extra"]))
+        double = AddExtraTag()
         normalizer = TagNormalizerOperator()
         collector = CollectorSink()
         double.connect(normalizer)

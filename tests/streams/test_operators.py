@@ -5,9 +5,7 @@ import pytest
 from repro.streams.item import StreamItem
 from repro.streams.operators import (
     CollectorSink,
-    FilterOperator,
     FunctionSink,
-    MapOperator,
     Operator,
     StatisticsOperator,
     TagNormalizerOperator,
@@ -63,26 +61,6 @@ class TestOperatorWiring:
         op.connect(sink)
         op.flush()
         assert flushed == [True]
-
-
-class TestMapOperator:
-    def test_applies_function(self):
-        mapper = MapOperator(lambda item: item.with_tags(["extra"]))
-        sink = CollectorSink()
-        mapper.connect(sink)
-        mapper.push(make_item(tags=("a",)))
-        assert sink.items[0].tags == frozenset({"a", "extra"})
-
-
-class TestFilterOperator:
-    def test_forwards_matching_items_only(self):
-        keep_even = FilterOperator(lambda item: int(item.timestamp) % 2 == 0)
-        sink = CollectorSink()
-        keep_even.connect(sink)
-        for i in range(4):
-            keep_even.push(make_item(i))
-        assert [item.timestamp for item in sink.items] == [0.0, 2.0]
-        assert keep_even.dropped == 2
 
 
 class TestTagNormalizer:

@@ -2,74 +2,13 @@
 
 import pytest
 
+from repro.persistence.snapshot import SnapshotMismatchError
 from repro.windows.aggregates import (
-    SlidingAverage,
-    SlidingCounter,
-    SlidingSum,
     TagFrequencyWindow,
     record_count_history,
+    require_ordered,
+    top_scored,
 )
-
-
-class TestSlidingSum:
-    def test_sums_live_values(self):
-        aggregate = SlidingSum(10.0)
-        aggregate.add(0.0, 2.0)
-        aggregate.add(5.0, 3.0)
-        assert aggregate.value == pytest.approx(5.0)
-
-    def test_expired_values_leave_the_sum(self):
-        aggregate = SlidingSum(10.0)
-        aggregate.add(0.0, 2.0)
-        aggregate.add(20.0, 3.0)
-        assert aggregate.value == pytest.approx(3.0)
-
-    def test_advance_without_adding(self):
-        aggregate = SlidingSum(10.0)
-        aggregate.add(0.0, 2.0)
-        aggregate.advance_to(50.0)
-        assert aggregate.value == 0.0
-        assert len(aggregate) == 0
-
-
-class TestSlidingAverage:
-    def test_average_of_live_values(self):
-        average = SlidingAverage(10.0)
-        average.add(0.0, 2.0)
-        average.add(1.0, 4.0)
-        assert average.value == pytest.approx(3.0)
-
-    def test_empty_average_is_zero(self):
-        assert SlidingAverage(10.0).value == 0.0
-
-    def test_rate_counts_arrivals_per_time_unit(self):
-        average = SlidingAverage(10.0)
-        for t in range(5):
-            average.add(float(t))
-        assert average.rate() == pytest.approx(0.5)
-
-    def test_eviction_changes_average(self):
-        average = SlidingAverage(10.0)
-        average.add(0.0, 100.0)
-        average.add(20.0, 4.0)
-        assert average.value == pytest.approx(4.0)
-
-
-class TestSlidingCounter:
-    def test_counts_live_events(self):
-        counter = SlidingCounter(10.0)
-        counter.add(0.0)
-        counter.add(5.0)
-        assert counter.value == 2
-
-    def test_advance_expires_events(self):
-        counter = SlidingCounter(10.0)
-        counter.add(0.0)
-        counter.advance_to(20.0)
-        assert counter.value == 0
-
-    def test_horizon_exposed(self):
-        assert SlidingCounter(7.0).horizon == 7.0
 
 
 class TestTagFrequencyWindow:
@@ -141,6 +80,82 @@ class TestTagFrequencyWindow:
         window.add_document(0.0, ["a"])
         window.advance_to(100.0)
         assert window.document_count == 0
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_rejects_non_positive_horizon(self, horizon):
+        with pytest.raises(ValueError):
+            TagFrequencyWindow(horizon)
+
+    def test_empty_window(self):
+        window = TagFrequencyWindow(10.0)
+        assert window.document_count == 0
+        assert window.latest_timestamp is None
+        assert window.tags() == []
+        assert window.top_tags(3) == []
+        assert window.snapshot() == {}
+
+    def test_eviction_boundary_is_exclusive(self):
+        # A document exactly `horizon` old is evicted (half-open window).
+        window = TagFrequencyWindow(10.0)
+        window.add_document(0.0, ["boundary"])
+        window.add_document(10.0, ["now"])
+        assert window.snapshot() == {"now": 1}
+
+    def test_document_just_inside_horizon_is_kept(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(0.1, ["kept"])
+        window.add_document(10.0, ["now"])
+        assert window.snapshot() == {"kept": 1, "now": 1}
+
+    def test_equal_timestamps_are_accepted(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(3.0, ["a"])
+        window.add_document(3.0, ["a"])
+        assert window.count("a") == 2
+
+    def test_advance_to_moves_the_clock_without_inserting(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(0.0, ["a"])
+        window.advance_to(5.0)
+        assert window.latest_timestamp == 5.0
+        assert window.document_count == 1
+        window.advance_to(20.0)
+        assert window.latest_timestamp == 20.0
+        assert window.snapshot() == {}
+
+    def test_advance_backwards_is_rejected(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(5.0, ["a"])
+        with pytest.raises(ValueError):
+            window.advance_to(1.0)
+        assert window.latest_timestamp == 5.0
+
+    def test_top_tags_respects_min_count(self):
+        window = TagFrequencyWindow(100.0)
+        window.add_document(1.0, ["a", "b"])
+        window.add_document(2.0, ["a"])
+        assert window.top_tags(5, min_count=2) == [("a", 2)]
+        assert window.top_tags(5, min_count=3) == []
+
+    def test_state_dict_round_trip(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_documents([(0.0, ["a", "b"]), (4.0, ["b"]), (12.0, ["c"])])
+        restored = TagFrequencyWindow(10.0)
+        restored.restore_state(window.state_dict())
+        assert restored.state_dict() == window.state_dict()
+        assert restored.snapshot() == window.snapshot()
+        assert restored.latest_timestamp == 12.0
+        # The restored clock keeps rejecting the past and evicting.
+        with pytest.raises(ValueError):
+            restored.add_document(11.0, ["d"])
+        restored.add_document(30.0, ["d"])
+        assert restored.snapshot() == {"d": 1}
+
+    def test_restore_rejects_another_horizon(self):
+        window = TagFrequencyWindow(10.0)
+        window.add_document(1.0, ["a"])
+        with pytest.raises(SnapshotMismatchError, match="horizon"):
+            TagFrequencyWindow(20.0).restore_state(window.state_dict())
 
 
 class TestBatchAddDocuments:
@@ -266,6 +281,35 @@ class TestAddOrderedRun:
         window.add_document(20.0, ["c"])
         assert window.document_count == 1
         assert window.snapshot() == {"c": 1}
+
+
+class TestRequireOrdered:
+    @pytest.mark.parametrize("timestamp,latest", [
+        (0.0, None), (5.0, 5.0), (6.0, 5.0), (float("inf"), 5.0),
+        (float("-inf"), None),
+    ], ids=["first", "equal", "later", "inf", "first-minus-inf"])
+    def test_accepts(self, timestamp, latest):
+        require_ordered(timestamp, latest, "unused")
+
+    @pytest.mark.parametrize("timestamp,latest", [
+        (4.0, 5.0), (NAN, None), (NAN, 5.0), (float("-inf"), 5.0),
+    ], ids=["behind", "nan-first", "nan-later", "minus-inf"])
+    def test_rejects(self, timestamp, latest):
+        with pytest.raises(ValueError, match="^complaint: "):
+            require_ordered(timestamp, latest, "complaint")
+
+
+class TestTopScored:
+    SCORED = [("d", 2), ("a", 5), ("c", 2), ("b", 7), ("e", 0)]
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5, 10])
+    def test_equals_a_full_sort(self, k):
+        expected = sorted(self.SCORED, key=lambda item: (-item[1], item[0]))[:k]
+        assert top_scored(self.SCORED, k) == expected
+
+    def test_ties_are_broken_by_name(self):
+        assert top_scored([("z", 1.5), ("m", 1.5), ("a", 1.5)], 2) \
+            == [("a", 1.5), ("m", 1.5)]
 
 
 class TestRecordCountHistory:
