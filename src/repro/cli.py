@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.baselines.popularity import PopularityBaseline
 from repro.baselines.twitter_monitor import TwitterMonitorBaseline
@@ -208,12 +208,13 @@ def _checkpoint_cadence(engine, args: argparse.Namespace, extras: dict,
     Built on the shared :class:`CheckpointCadence` (the serving layer
     runs the very same class on its engine executor, so serve-time
     checkpoints cannot drift from what ``--resume`` is tested against).
-    ``begin`` eagerly writes the delta chain's base — the replay-start
-    state (for ``--resume``: the just-restored state, which compacts any
-    inherited journal) — so every cadence tick until the next re-base
-    appends a segment.
+    A replay calls ``begin`` itself (the service does so on start): it
+    eagerly writes the delta chain's base — the replay-start state (for
+    ``--resume``: the just-restored state, which compacts any inherited
+    journal) — so every cadence tick until the next re-base appends a
+    segment.
     """
-    cadence = CheckpointCadence(
+    return CheckpointCadence(
         engine,
         directory=args.checkpoint_dir,
         every=args.checkpoint_every,
@@ -222,8 +223,18 @@ def _checkpoint_cadence(engine, args: argparse.Namespace, extras: dict,
         extras=extras,
         extras_provider=_metrics_extras_provider(observability),
     )
-    cadence.begin()
-    return cadence
+
+
+def _require_checkpoint_flags(args: argparse.Namespace) -> None:
+    """Reject checkpoint flags that cannot work together (replay, serve)."""
+    if args.checkpoint_every and not args.checkpoint_dir:
+        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
+    if args.checkpoint_mode == "delta" and not args.checkpoint_every:
+        raise SystemExit(
+            "--checkpoint-mode delta requires --checkpoint-every: a delta "
+            "journal only exists on a cadence (a one-off save is a full "
+            "checkpoint already)"
+        )
 
 
 def _report_checkpoints(cadence: CheckpointCadence, directory) -> None:
@@ -239,14 +250,7 @@ def _export_rankings(path: str, rankings: Sequence) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if args.checkpoint_every and not args.checkpoint_dir:
-        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    if args.checkpoint_mode == "delta" and not args.checkpoint_every:
-        raise SystemExit(
-            "--checkpoint-mode delta requires --checkpoint-every: a delta "
-            "journal only exists on a cadence (a one-off save is a full "
-            "checkpoint already)"
-        )
+    _require_checkpoint_flags(args)
     if args.resume:
         return _cmd_replay_resume(args)
     corpus, schedule, config = _load_dataset(args.dataset, args.hours, args.years, args.seed)
@@ -261,6 +265,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     extras = _checkpoint_extras(args.dataset, args.hours, args.years, args.seed)
     cadence = _checkpoint_cadence(engine, args, extras, observability)
+    cadence.begin()
 
     try:
         result = run_experiment(
@@ -286,7 +291,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _require_no_resume_overrides(args: argparse.Namespace,
-                                 extras: dict, parser_defaults: dict) -> None:
+                                 extras: Optional[dict] = None) -> None:
     """Reject flags a resume cannot honor, instead of dropping them.
 
     A resumed engine runs under the checkpoint's configuration and
@@ -295,7 +300,7 @@ def _require_no_resume_overrides(args: argparse.Namespace,
     for.  Config overrides are detectable directly (their defaults are
     None); dataset parameters are flagged when they differ from both the
     parser default and the manifest (explicitly re-passing the recorded
-    value is a harmless no-op).
+    value is a harmless no-op); ``serve`` has no dataset and passes none.
     """
     for flag in ("top_k", "measure", "predictor", "seeds",
                  "tracking", "promote_support"):
@@ -306,8 +311,10 @@ def _require_no_resume_overrides(args: argparse.Namespace,
                 f"configuration"
             )
     for flag in ("dataset", "hours", "years", "seed"):
+        if flag not in (extras or {}):
+            continue
         value = getattr(args, flag)
-        if flag in extras and value != parser_defaults[flag] \
+        if value != _RESUME_FALLBACK_DEFAULTS[flag] \
                 and value != type(value)(extras[flag]):
             raise SystemExit(
                 f"--{flag} {value!r} conflicts with the checkpoint's "
@@ -334,7 +341,7 @@ def _cmd_replay_resume(args: argparse.Namespace) -> int:
     _restore_metrics(observability, manifest)
     extras = manifest.get("extras", {})
     try:
-        _require_no_resume_overrides(args, extras, _RESUME_FALLBACK_DEFAULTS)
+        _require_no_resume_overrides(args, extras)
     except SystemExit:
         if isinstance(engine, ShardedEnBlogue):
             engine.close()
@@ -351,6 +358,7 @@ def _cmd_replay_resume(args: argparse.Namespace) -> int:
     skip = engine.documents_processed
     remaining = list(corpus)[skip:]
     cadence = _checkpoint_cadence(engine, args, extras, observability)
+    cadence.begin()
 
     try:
         # The one replay loop of the harness: collection, the cadence
@@ -394,27 +402,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.serving import DetectionService, RankingServer
 
-    if args.checkpoint_every and not args.checkpoint_dir:
-        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    if args.checkpoint_mode == "delta" and not args.checkpoint_every:
-        raise SystemExit(
-            "--checkpoint-mode delta requires --checkpoint-every: a delta "
-            "journal only exists on a cadence"
-        )
+    _require_checkpoint_flags(args)
     # Serving always runs instrumented: /metrics, /trace, /logs, /slo
     # are part of the HTTP surface, and the ≤2% overhead is the price of
     # admission.  --log-file adds an NDJSON sink next to the in-memory
     # log ring.
     observability = Observability(log_path=args.log_file)
     if args.resume:
-        for flag in ("top_k", "measure", "predictor", "seeds",
-                     "tracking", "promote_support"):
-            if getattr(args, flag) is not None:
-                raise SystemExit(
-                    f"--{flag.replace('_', '-')} cannot be combined with "
-                    f"--resume: the engine runs under the checkpoint's "
-                    f"configuration"
-                )
+        _require_no_resume_overrides(args)
         engine, manifest = load_engine(
             args.resume, num_shards=args.shards,
             backend=_resolve_backend(args),
@@ -448,15 +443,7 @@ async def _serve_async(engine, args: argparse.Namespace, extras: dict,
                        observability: Optional[Observability] = None) -> int:
     cadence = None
     if args.checkpoint_dir:
-        cadence = CheckpointCadence(
-            engine,
-            directory=args.checkpoint_dir,
-            every=args.checkpoint_every,
-            mode=args.checkpoint_mode,
-            full_every=args.full_every,
-            extras=extras,
-            extras_provider=_metrics_extras_provider(observability),
-        )
+        cadence = _checkpoint_cadence(engine, args, extras, observability)
     service = service_class(
         engine,
         queue_capacity=args.queue_capacity,

@@ -1,15 +1,16 @@
 """The EnBlogue façade: stages (i)-(iii) wired into a streaming engine.
 
-``EnBlogue.process`` ingests one tagged document at a time (either a
-:class:`~repro.streams.item.StreamItem` or anything exposing ``timestamp``,
-``tags`` and optionally ``entities``/``text``); ``EnBlogue.process_batch``
-ingests a time-ordered chunk in one call, splitting it internally at
-evaluation boundaries so the produced rankings are identical to the
-document-at-a-time path.  Whenever stream time crosses an evaluation
-boundary the engine re-selects seed tags, samples the correlations of all
-candidate pairs, scores their shifts and publishes a new top-k ranking;
-registered ranking listeners (e.g. the portal's push dispatcher) and user
-profiles see the update immediately, without polling.
+Documents enter in time-ordered chunks: ``EnBlogue.process_batch`` is the
+one ingestion path, splitting a chunk internally at evaluation boundaries.
+``process(document)`` is a chunk of one and ``process_many`` feeds a whole
+corpus through it in chunks of :data:`CORPUS_CHUNK`.  A document is either
+a :class:`~repro.streams.item.StreamItem` or anything exposing
+``timestamp``, ``tags`` and optionally ``entities``/``text``.  Whenever
+stream time crosses an evaluation boundary the engine re-selects seed
+tags, samples the correlations of all candidate pairs, scores their
+shifts and publishes a new top-k ranking; registered ranking listeners
+(e.g. the portal's push dispatcher) and user profiles see the update
+immediately, without polling.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -39,13 +41,15 @@ from repro.persistence.codec import (
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.persistence.store import append_delta, write_checkpoint
 from repro.sketches.tier import SketchTier
-from repro.streams.item import StreamItem
 from repro.streams.operators import FunctionSink
 from repro.timeseries.predictors import make_predictor
 from repro.windows.decay import ExponentialDecay
 from repro.windows.timeseries import TimeSeries
 
 RankingListener = Callable[[Ranking], None]
+
+#: Documents per ``process_batch`` call when a whole corpus is replayed.
+CORPUS_CHUNK = 256
 
 
 @dataclass
@@ -152,8 +156,8 @@ class DetectionEngineBase:
     ``_ingest_observations`` (where a boundary-free run of prepared
     documents' statistics go), ``_latest_timestamp`` and ``_evaluate``.
     Keeping this in one place is part of the sharded engine's
-    bit-identical guarantee: there is no second copy of the catch-up loop
-    to drift.
+    bit-identical guarantee: there is one catch-up loop, in
+    :meth:`process_batch`, and every entry point goes through it.
     """
 
     def __init__(
@@ -200,10 +204,6 @@ class DetectionEngineBase:
     def _ingest_observations(self, observations: List[tuple]) -> int:
         """Feed one boundary-free run of prepared documents; returns count."""
         raise NotImplementedError
-
-    def _ingest_document(self, timestamp: float, tags, entities) -> None:
-        """Feed one prepared document: by default, a run of one."""
-        self._ingest_observations([(timestamp, tags, entities)])
 
     def _latest_timestamp(self) -> Optional[float]:
         """The most recent stream time seen (None before any document)."""
@@ -252,41 +252,23 @@ class DetectionEngineBase:
         return list(self._current_seeds)
 
     def process(self, document) -> Optional[Ranking]:
-        """Ingest one document; returns a new ranking if one was produced.
+        """Ingest one document: :meth:`process_batch` on a chunk of one.
 
-        ``document`` may be a :class:`StreamItem`, a dataset
-        :class:`~repro.datasets.documents.Document`, or any object with
-        ``timestamp`` and ``tags`` attributes (``entities`` and ``text`` are
-        optional).  When an entity tagger was supplied and the document has
-        text but no entities, entities are extracted on the fly.  Tag
-        normalisation (strip + lower-case) happens inside the tracker, so
-        direct tracker callers see the same tag identities as this façade.
+        Returns the newest ranking the document's arrival produced, if any.
         """
-        timestamp, tags, entities = self._prepare(document)
-        self._require_finite(timestamp)
-
-        if self._next_evaluation is None:
-            self._next_evaluation = timestamp + self.config.evaluation_interval
-
-        ranking: Optional[Ranking] = None
-        # Catch up on evaluation boundaries crossed by a jump in stream time
-        # (replayed archives can have quiet stretches spanning many periods).
-        while timestamp >= self._next_evaluation:
-            ranking = self._timed_evaluate(self._next_evaluation)
-            self._next_evaluation += self.config.evaluation_interval
-
-        self._ingest_document(timestamp, tags, entities)
-        self._documents_processed += 1
-        self._metric_documents.inc()
-        return ranking
+        return (self.process_batch((document,)) or [None])[-1]
 
     def process_many(self, documents: Iterable) -> List[Ranking]:
-        """Ingest a whole corpus or stream; returns every ranking produced."""
+        """Ingest a whole corpus or stream in chunks of :data:`CORPUS_CHUNK`;
+        returns every ranking produced.
+
+        A rejected document fails its own chunk only: the chunks before it
+        stay ingested, and the engine is otherwise unchanged.
+        """
         produced: List[Ranking] = []
-        for document in documents:
-            ranking = self.process(document)
-            if ranking is not None:
-                produced.append(ranking)
+        iterator = iter(documents)
+        while chunk := list(islice(iterator, CORPUS_CHUNK)):
+            produced.extend(self.process_batch(chunk))
         return produced
 
     def process_batch(self, documents: Iterable) -> List[Ranking]:
@@ -295,9 +277,9 @@ class DetectionEngineBase:
         The chunk is split internally at evaluation boundaries: documents up
         to each boundary are handed to :meth:`_ingest_observations` as one
         batch, the evaluation runs, and ingestion resumes — so the rankings
-        produced are identical to feeding the same documents through
-        :meth:`process` one at a time, and listeners fired by a boundary
-        observe the same ``documents_processed`` count on every path.
+        produced do not depend on how the stream is cut into chunks, and
+        listeners fired by a boundary observe the same
+        ``documents_processed`` count however it was cut.
 
         The whole chunk is prepared and validated *before* any state is
         touched, so a rejected (out-of-order) document leaves the engine
@@ -348,7 +330,8 @@ class DetectionEngineBase:
         self._metric_documents.inc(ingested)
 
     def _prepare_batch(self, documents: Iterable) -> Tuple[list, list]:
-        """Prepare a chunk (:meth:`_prepare`'s rule, in the loop itself) and
+        """Prepare a chunk (``timestamp``, ``tags``, ``entities``, the latter
+        from the entity tagger when a document has text but none) and
         validate its time order against the stream; returns the observations
         and the column of their timestamps, which ``process_batch`` bisects."""
         prepared: List[tuple] = []
@@ -434,16 +417,9 @@ class DetectionEngineBase:
         self._listeners.append(listener)
 
     def as_sink(self, name: Optional[str] = None) -> FunctionSink:
-        """A stream sink feeding this engine, for use in operator DAGs.
-
-        The sink is batch-aware: chunks pushed by batch-mode sources land in
-        :meth:`process_batch`, single items in :meth:`process`.
-        """
-        return FunctionSink(
-            self.process,
-            name=name or self._sink_name(),
-            batch_callback=self.process_batch,
-        )
+        """A stream sink feeding this engine, for use in operator DAGs: every
+        chunk the DAG pushes lands in :meth:`process_batch`."""
+        return FunctionSink(self.process_batch, name=name or self._sink_name())
 
     def _sink_name(self) -> str:
         return f"enblogue[{self.config.name}]"
@@ -612,17 +588,6 @@ class DetectionEngineBase:
 
     # -- shared internals ------------------------------------------------------
 
-    def _prepare(self, document) -> tuple:
-        """Extract ``(timestamp, tags, entities)``, running the entity tagger."""
-        timestamp = float(getattr(document, "timestamp"))
-        tags = getattr(document, "tags", ()) or ()
-        entities = getattr(document, "entities", ()) or ()
-        if not entities and self.entity_tagger is not None:
-            text = str(getattr(document, "text", "") or "")
-            if text:
-                entities = self.entity_tagger.tag(text)
-        return timestamp, tags, entities
-
     def _publish(self, ranking: Ranking) -> Ranking:
         """Record a new ranking (bounded history) and notify listeners."""
         self._rankings.append(ranking)
@@ -647,7 +612,7 @@ class EnBlogue(DetectionEngineBase):
         self,
         config: Optional[EnBlogueConfig] = None,
         entity_tagger: Optional[EntityTagger] = None,
-        vectorize: Optional[bool] = None,
+        vectorize: bool = True,
         observability: Optional[Observability] = None,
     ):
         super().__init__(config, entity_tagger, observability=observability)
@@ -684,9 +649,6 @@ class EnBlogue(DetectionEngineBase):
         }
 
     # -- hooks ----------------------------------------------------------------
-
-    def _ingest_document(self, timestamp: float, tags, entities) -> None:
-        self.tracker.observe(timestamp, tags, entities)
 
     def _latest_timestamp(self) -> Optional[float]:
         return self.tracker.latest_timestamp

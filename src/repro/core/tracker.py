@@ -353,37 +353,17 @@ class CorrelationTracker:
 
     def observe(self, timestamp: float, tags: Iterable[str],
                 entities: Iterable[str] = ()) -> None:
-        """Ingest one document's tag (and entity) set.
-
-        Tags and entities are normalised (stripped, lower-cased) before any
-        statistic is updated, so every ingestion path agrees on tag identity.
-        """
-        timestamp = float(timestamp)
-        if self._latest is not None and not timestamp >= self._latest:
-            raise ValueError(
-                f"out-of-order document: {timestamp} < {self._latest}"
-            )
-        ordered, pairs = self._decomposer.decompose(tags, entities)
-        if self._tier is not None and pairs:
-            pairs = self._tier.filter_pairs(timestamp, pairs)
-        self._pair_events.append((timestamp, pairs))
-        self._candidates.add_many(pairs)
-        if self.track_usage:
-            self._record_usage(timestamp, ordered)
-        self._documents_seen += 1
-        self._latest = timestamp
-        self._tag_window.add_document(timestamp, ordered, prepared=True)
-        if self._delta is not None:
-            self._delta.events.append((_DELTA_DOC, timestamp, ordered))
-        self._evict(timestamp)
+        """Ingest one document's tag (and entity) set: a chunk of one."""
+        self.observe_many(((timestamp, tags, entities),))
 
     def observe_many(self, observations: Iterable[Observation]) -> int:
         """Ingest a chunk of ``(timestamp, tags, entities)`` documents.
 
-        The documents must be time-ordered (as within ``observe``); counter
+        Tags and entities are normalised (stripped, lower-cased) before any
+        statistic is updated.  The documents must be time-ordered; counter
         updates are batched and the window is evicted once at the end, which
-        leaves the tracker in exactly the state that one ``observe`` call per
-        document would have produced.  The whole chunk is validated *and*
+        leaves the tracker in exactly the state that one call per document
+        would have produced.  The whole chunk is validated *and*
         decomposed before any state is touched, so a rejected or malformed
         document leaves the tracker unchanged.  Returns the number of
         documents ingested.

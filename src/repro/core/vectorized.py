@@ -46,15 +46,12 @@ numpy, a kernel-less measure or predictor, ``vectorize=False``) the
 dictionaries are written directly and are the only store.
 
 Numpy is optional: every consumer gates on :data:`NUMPY_AVAILABLE` and the
-scalar path stays first-class.  Set the environment variable
-``REPRO_DISABLE_VECTORIZED`` (to any non-empty value) to force the scalar
-path without code changes.
+scalar path stays first-class.  ``vectorize=False`` on an engine forces it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -91,18 +88,10 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # type: ignore[assignment]
     NUMPY_AVAILABLE = False
 
-#: Environment switch forcing the scalar path (any non-empty value).
-DISABLE_ENV_VAR = "REPRO_DISABLE_VECTORIZED"
-
 #: One candidate triple as produced by ``CandidateIndex.iter_candidates``.
 Candidate = Tuple[TagPair, str, int]
 
 _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-def vectorization_disabled() -> bool:
-    """Whether the environment forces the scalar path."""
-    return bool(os.environ.get(DISABLE_ENV_VAR))
 
 
 # ---------------------------------------------------------------------------
@@ -849,22 +838,16 @@ def make_fused_evaluator(
     tracker: "CorrelationTracker",
     detector: "ShiftDetector",
     builder: "RankingBuilder",
-    enabled: Optional[bool] = None,
+    enabled: bool = True,
 ) -> Optional[FusedEvaluator]:
-    """A :class:`FusedEvaluator` when the configuration supports one.
+    """A :class:`FusedEvaluator` when ``enabled`` and the configuration
+    supports one: numpy importable, the measure and predictor carry kernels.
 
-    ``enabled=None`` (the default) auto-detects: numpy importable, the
-    measure and predictor carry kernels, and :data:`DISABLE_ENV_VAR` is
-    unset.  ``enabled=False`` forces the scalar path; ``enabled=True``
-    requests the vectorized path, overriding the environment switch but
-    still returning ``None`` when numpy or a kernel is missing (the scalar
-    fallback stays first-class rather than raising).
+    ``enabled=False`` forces the scalar path; otherwise a missing numpy or
+    kernel returns ``None`` too (the scalar fallback stays first-class
+    rather than raising).
     """
-    if enabled is False:
-        return None
-    if not NUMPY_AVAILABLE:
-        return None
-    if enabled is None and vectorization_disabled():
+    if not enabled or not NUMPY_AVAILABLE:
         return None
     if not measure_supported(tracker.measure):
         return None
@@ -876,11 +859,11 @@ def make_fused_evaluator(
 def config_vectorizes(config) -> bool:
     """Whether a configuration's engines will evaluate vectorized.
 
-    Pure function of the configuration and the environment — accurate for
-    remote shard workers too, since process workers inherit both the
-    interpreter (numpy availability) and the environment variables.
+    Pure function of the configuration and the interpreter — accurate for
+    remote shard workers too, since process workers inherit the
+    interpreter (numpy availability).
     """
-    if not NUMPY_AVAILABLE or vectorization_disabled():
+    if not NUMPY_AVAILABLE:
         return False
     return (
         config.correlation_measure in vectorizable_measures()

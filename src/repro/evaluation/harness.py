@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from repro.core.engine import CORPUS_CHUNK
 from repro.core.types import Ranking
 from repro.datasets.documents import Corpus
 from repro.datasets.events import EventSchedule
@@ -67,29 +69,31 @@ def run_detector(
 ) -> DetectorRun:
     """Replay ``corpus`` through ``detector`` and collect its rankings.
 
-    ``detector`` must expose ``process(document)`` returning an optional
-    ranking (EnBlogue and both baselines do).  With ``finalize`` the
+    The corpus goes in as ``detector.process_many(chunk)`` calls of
+    :data:`~repro.core.engine.CORPUS_CHUNK` documents (EnBlogue, the
+    sharded engine and both baselines expose it).  With ``finalize`` the
     detector's ``evaluate_now`` (when present) is called once after the
     replay so events near the end of the corpus still get a final ranking.
 
     ``after_ranking`` is called with each ranking the *stream itself*
-    produced, after the producing ``process`` call has fully returned — at
-    that point the detector is between documents and its state is
-    checkpoint-consistent, which is what the CLI's ``--checkpoint-every``
-    relies on.  The forced ``finalize`` ranking is excluded: it is not a
-    stream boundary, so a checkpoint taken there would not resume
-    identically.
+    produced, in order, after the chunk that produced it has fully
+    returned — at that point the detector is between documents and its
+    state is checkpoint-consistent, which is what the CLI's
+    ``--checkpoint-every`` relies on.  The forced ``finalize`` ranking is
+    excluded: it is not a stream boundary, so a checkpoint taken there
+    would not resume identically.
     """
     run_name = name or type(detector).__name__
     rankings: List[Ranking] = []
     documents = 0
     started = time.perf_counter()
-    for document in corpus:
-        ranking = detector.process(document)
-        documents += 1
-        if ranking is not None:
-            rankings.append(ranking)
-            if after_ranking is not None:
+    iterator = iter(corpus)
+    while chunk := list(islice(iterator, CORPUS_CHUNK)):
+        produced = detector.process_many(chunk)
+        documents += len(chunk)
+        rankings.extend(produced)
+        if after_ranking is not None:
+            for ranking in produced:
                 after_ranking(ranking)
     if finalize and hasattr(detector, "evaluate_now") and documents > 0:
         rankings.append(detector.evaluate_now())

@@ -81,7 +81,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         backend: Union[str, ShardBackend] = "serial",
         chunk_size: int = 256,
         entity_tagger: Optional[EntityTagger] = None,
-        vectorize: Optional[bool] = None,
+        vectorize: bool = True,
         observability=None,
     ):
         super().__init__(config, entity_tagger, observability=observability)
@@ -115,7 +115,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         self.backend.bind_observability(self.observability)
         self._bind_evaluation_metric(
             "vectorized"
-            if vectorize is not False and config_vectorizes(self.config)
+            if vectorize and config_vectorizes(self.config)
             else "scalar"
         )
 
@@ -273,10 +273,7 @@ class ShardedEnBlogue(DetectionEngineBase):
             except Exception:
                 path = None
         if path is None:
-            vectorized = (
-                self._vectorize is not False
-                and config_vectorizes(self.config)
-            )
+            vectorized = self._vectorize and config_vectorizes(self.config)
             path = "vectorized" if vectorized else "scalar"
         backend_label = self.backend.name
         inner_name = getattr(self.backend, "inner_name", None)

@@ -163,7 +163,7 @@ class SupervisedBackend(ShardBackend):
         self.num_shards = 0
         self._live_shards = 0
         self._worker_config = None
-        self._worker_vectorize: Optional[bool] = None
+        self._worker_vectorize = True
         self._armed = False
         self._reset_log(base=None, armed=False)
 
@@ -197,7 +197,7 @@ class SupervisedBackend(ShardBackend):
             raise ValueError("supervised backend needs at least one worker")
         # Capture the rebuild recipe: fresh workers for a replacement pool
         # are constructed exactly like these (the evaluation path a worker
-        # actually took pins the vectorize flag, environment unchanged).
+        # actually took pins the vectorize flag).
         self._worker_config = workers[0].config
         self._worker_vectorize = (
             workers[0].evaluation_path == "vectorized"

@@ -42,7 +42,7 @@ class ShardWorker:
         self,
         shard_id: int,
         config: EnBlogueConfig,
-        vectorize: Optional[bool] = None,
+        vectorize: bool = True,
     ):
         if shard_id < 0:
             raise ValueError("shard_id must be non-negative")

@@ -6,12 +6,12 @@ the DAG; the most important sink in enBlogue computes the emergent-topic
 ranking and forwards it to the portal (see :mod:`repro.core.engine` and
 :mod:`repro.portal`).
 
-The DAG supports two push granularities.  ``push``/``emit`` move one item at
-a time; ``push_batch``/``emit_batch`` move a time-ordered chunk through the
-same ``process`` logic while paying the per-edge call overhead once per
-chunk instead of once per item.  Batch-aware sinks (see
-:class:`FunctionSink`) can exploit the chunk directly — the detection engine
-feeds it to its batched ingestion path.
+Items move through the DAG in time-ordered chunks: ``push_batch`` runs
+each item of a chunk through ``process`` and ``emit_batch`` forwards the
+results as one chunk, so the per-edge call overhead is paid once per chunk.
+``push(item)`` is a chunk of one.  Sinks consume whole chunks — the
+detection engine's sink (see :class:`FunctionSink`) hands them to its
+batched ingestion path.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ class Operator:
     # -- push protocol ----------------------------------------------------
 
     def push(self, item: StreamItem) -> None:
-        """Receive one item, process it and forward the results."""
-        self._items_in += 1
-        for result in self.process(item):
-            self.emit(result)
+        """Receive one item: a chunk of one."""
+        self.push_batch((item,))
 
     def push_batch(self, items: Sequence[StreamItem]) -> None:
         """Receive a time-ordered chunk, process it and forward one chunk."""
@@ -64,12 +62,6 @@ class Operator:
     def process(self, item: StreamItem) -> Iterable[StreamItem]:
         """Transform one input item into zero or more output items."""
         return (item,)
-
-    def emit(self, item: StreamItem) -> None:
-        """Push ``item`` to every downstream consumer."""
-        self._items_out += 1
-        for consumer in self._consumers:
-            consumer.push(item)
 
     def emit_batch(self, items: Sequence[StreamItem]) -> None:
         """Push a chunk of items to every downstream consumer."""
@@ -101,21 +93,13 @@ class Operator:
 class Sink(Operator):
     """Terminal operator: consumes items without forwarding them."""
 
-    def push(self, item: StreamItem) -> None:
-        self._items_in += 1
-        self.consume(item)
-
     def push_batch(self, items: Sequence[StreamItem]) -> None:
         self._items_in += len(items)
         self.consume_batch(items)
 
-    def consume(self, item: StreamItem) -> None:
-        raise NotImplementedError
-
     def consume_batch(self, items: Sequence[StreamItem]) -> None:
-        """Consume a chunk; sinks with a batched backend should override."""
-        for item in items:
-            self.consume(item)
+        """Consume a time-ordered chunk of items."""
+        raise NotImplementedError
 
     def connect(self, consumer: "Operator") -> "Operator":
         raise TypeError("sinks terminate the DAG and cannot have consumers")
@@ -203,37 +187,25 @@ class CollectorSink(Sink):
         super().__init__(name=name or "collector")
         self.items: List[StreamItem] = []
 
-    def consume(self, item: StreamItem) -> None:
-        self.items.append(item)
+    def consume_batch(self, items: Sequence[StreamItem]) -> None:
+        self.items.extend(items)
 
 
 class FunctionSink(Sink):
-    """Sink that hands every item to a callback (e.g. the detection engine).
-
-    ``batch_callback`` receives whole chunks pushed via the batch protocol;
-    without it, chunks fall back to one ``callback`` call per item.
-    """
+    """Sink that hands every chunk to a callback (e.g. the detection engine)."""
 
     def __init__(
         self,
-        callback: Callable[[StreamItem], None],
+        callback: Callable[[Sequence[StreamItem]], None],
         name: Optional[str] = None,
         on_flush: Optional[Callable[[], None]] = None,
-        batch_callback: Optional[Callable[[Sequence[StreamItem]], None]] = None,
     ):
         super().__init__(name=name or "callback-sink")
         self._callback = callback
         self._on_flush = on_flush
-        self._batch_callback = batch_callback
-
-    def consume(self, item: StreamItem) -> None:
-        self._callback(item)
 
     def consume_batch(self, items: Sequence[StreamItem]) -> None:
-        if self._batch_callback is not None:
-            self._batch_callback(items)
-        else:
-            super().consume_batch(items)
+        self._callback(items)
 
     def flush(self) -> None:
         if self._on_flush is not None:

@@ -95,16 +95,14 @@ class PlanExecutor:
             self._shared[key] = factory()
         return self._shared[key]
 
-    def run(self, limit: Optional[int] = None,
-            batch_size: Optional[int] = None) -> int:
+    def run(self, limit: Optional[int] = None, batch_size: int = 1) -> int:
         """Replay every distinct source once, pushing through all plans.
 
         Returns the total number of items emitted by the sources.  Plans
         sharing a source are fed by a single replay of that source, which is
-        precisely the efficiency argument of the paper.  ``batch_size``
-        switches the replay to the DAG's batch protocol: sources push chunks
-        of up to that many items, and batch-aware sinks (e.g. the engine's)
-        ingest them through their batched path.
+        precisely the efficiency argument of the paper.  Sources push chunks
+        of up to ``batch_size`` items, which the engine's sink ingests as
+        one ``process_batch`` call each.
         """
         if not self._plans:
             raise ValueError("no plans registered")

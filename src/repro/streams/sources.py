@@ -20,23 +20,18 @@ from repro.streams.operators import Operator
 class Source(Operator):
     """Base class for stream sources."""
 
-    def push(self, item: StreamItem) -> None:
-        raise TypeError("sources are roots of the DAG and cannot receive items")
-
     def push_batch(self, items) -> None:
         raise TypeError("sources are roots of the DAG and cannot receive items")
 
-    def run(self, limit: Optional[int] = None,
-            batch_size: Optional[int] = None) -> int:
-        """Replay the backing stream, pushing items downstream.
+    def run(self, limit: Optional[int] = None, batch_size: int = 1) -> int:
+        """Replay the backing stream, pushing chunks of up to ``batch_size``
+        items downstream.
 
         Returns the number of items emitted.  ``limit`` caps the emission
         count, which is convenient for incremental replays in tests and in
-        the interactive examples.  With ``batch_size`` set, items are pushed
-        as chunks of up to that many items through the DAG's batch protocol
-        instead of one at a time.
+        the interactive examples.
         """
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         emitted = 0
         batch: List[StreamItem] = []
@@ -44,13 +39,10 @@ class Source(Operator):
             if limit is not None and emitted >= limit:
                 break
             emitted += 1
-            if batch_size is None:
-                self.emit(item)
-            else:
-                batch.append(item)
-                if len(batch) >= batch_size:
-                    self.emit_batch(batch)
-                    batch = []
+            batch.append(item)
+            if len(batch) >= batch_size:
+                self.emit_batch(batch)
+                batch = []
         if batch:
             self.emit_batch(batch)
         if limit is None:

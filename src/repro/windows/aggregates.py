@@ -92,31 +92,19 @@ class TagFrequencyWindow:
         """
         return self._counts
 
-    def add_document(self, timestamp: float, tags: Iterable[str],
-                     prepared: bool = False) -> None:
-        """Register a document and its (deduplicated) tag set.
-
-        With ``prepared`` the caller asserts ``tags`` is already a
-        deduplicated, sorted tuple, skipping the re-sort.
-        """
-        require_ordered(timestamp, self._latest, "out-of-order insertion")
-        unique_tags = tags if prepared else tuple(sorted(set(tags)))
-        self._events.append((timestamp, unique_tags))
-        self._counts.update(unique_tags)
-        self._latest = timestamp
-        self._evict(timestamp)
+    def add_document(self, timestamp: float, tags: Iterable[str]) -> None:
+        """Register a document and its (deduplicated) tag set."""
+        self.add_documents(((timestamp, tags),))
 
     def add_documents(
-        self,
-        documents: Iterable[Tuple[float, Iterable[str]]],
-        prepared: bool = False,
+        self, documents: Iterable[Tuple[float, Iterable[str]]]
     ) -> int:
         """Register a time-ordered chunk of ``(timestamp, tags)`` documents.
 
         The whole chunk is validated before any state is touched, so a
         rejected document leaves the window unchanged; it then goes in
-        through :meth:`add_ordered_run`.  ``prepared`` as in
-        :meth:`add_document`.  Returns the number of documents added.
+        through :meth:`add_ordered_run`.  Returns the number of documents
+        added.
         """
         latest = self._latest
         timestamps: List[float] = []
@@ -125,7 +113,7 @@ class TagFrequencyWindow:
             require_ordered(timestamp, latest, "out-of-order insertion")
             latest = timestamp
             timestamps.append(timestamp)
-            tag_sets.append(tags if prepared else tuple(sorted(set(tags))))
+            tag_sets.append(tuple(sorted(set(tags))))
         self.add_ordered_run(timestamps, tag_sets)
         return len(timestamps)
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.config import EnBlogueConfig
-from repro.core.engine import EnBlogue
+from repro.core.engine import CORPUS_CHUNK, EnBlogue
 from repro.core.tracker import CorrelationTracker
 from repro.datasets.documents import Document
 from repro.datasets.synthetic import figure1_stream
+from repro.observability import Observability
 from repro.streams.item import StreamItem
 
 HOUR = 3600.0
@@ -80,6 +81,32 @@ class TestProcessBatchEquivalence:
         engine = EnBlogue(config())
         with pytest.raises(ValueError):
             engine.process_batch([doc(10, ["a"]), doc(5, ["b"])])
+
+
+class TestOneIngestionPath:
+    def test_process_many_keeps_the_chunks_before_a_rejected_one(self):
+        corpus, _ = figure1_stream(num_steps=45, shift_start=25)
+        documents = list(corpus)[:CORPUS_CHUNK + 10]
+        # Out of order inside the second chunk, fed from a generator.
+        stale = doc(documents[0].timestamp, ["stale"])
+        cut = CORPUS_CHUNK + 5
+        stream = documents[:cut] + [stale] + documents[cut:]
+        engine = EnBlogue(config())
+        with pytest.raises(ValueError, match="out-of-order"):
+            engine.process_many(document for document in stream)
+        reference = EnBlogue(config())
+        reference.process_batch(documents[:CORPUS_CHUNK])
+        assert engine.snapshot() == reference.snapshot()
+        assert engine.documents_processed == CORPUS_CHUNK
+
+    def test_process_is_one_engine_batch(self):
+        observability = Observability()
+        engine = EnBlogue(config(), observability=observability)
+        batches = observability.registry.get("repro_core_batches_total")
+        engine.process(doc(0, ["a", "b"]))
+        assert batches.value == 1
+        engine.process(doc(2 * HOUR, ["a", "c"]))
+        assert batches.value == 2
 
 
 class TestEvaluationCatchUp:

@@ -2,8 +2,8 @@
 
 The bit-identity of the kernels themselves is property-tested in
 ``tests/property/test_vectorized_properties.py``; here we pin the
-dispatch contract — auto-detection, the ``REPRO_DISABLE_VECTORIZED``
-environment switch, kernel-less measures falling back to scalar — and
+dispatch contract — vectorized by default, ``vectorize=False`` forcing
+the scalar path, kernel-less measures falling back to scalar — and
 the error paths (batched validation raising the scalar pair-named
 message, stale timestamps rejected) — plus the structure that keeps an
 evaluation's cost fixed: no ``np.unique`` in the recurrence kernels or
@@ -30,7 +30,6 @@ from repro.core.shift import ShiftDetector
 from repro.core.tracker import CorrelationTracker
 from repro.core.types import TagPair
 from repro.core.vectorized import (
-    DISABLE_ENV_VAR,
     NUMPY_AVAILABLE,
     VECTORIZED_PREDICTOR_NAMES,
     config_vectorizes,
@@ -72,21 +71,12 @@ def parts(tracker=None):
 
 
 class TestDispatchSwitches:
-    def test_auto_detection_builds_the_evaluator(self, monkeypatch):
-        monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
+    def test_auto_detection_builds_the_evaluator(self):
         assert make_fused_evaluator(*parts()) is not None
+        assert make_fused_evaluator(*parts(), enabled=True) is not None
 
     def test_enabled_false_forces_scalar(self):
         assert make_fused_evaluator(*parts(), enabled=False) is None
-
-    def test_env_var_disables_auto_detection(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        assert make_fused_evaluator(*parts()) is None
-        assert not config_vectorizes(config())
-
-    def test_enabled_true_overrides_the_env_var(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        assert make_fused_evaluator(*parts(), enabled=True) is not None
 
     def test_kernel_less_measure_falls_back_to_scalar(self):
         assert not measure_supported(KlDivergenceCorrelation())
@@ -108,18 +98,14 @@ class TestDispatchSwitches:
             *parts(CorrelationTracker(window_horizon=HOUR, measure=Tweaked()))
         ) is None
 
-    def test_config_vectorizes_checks_measure_and_predictor(self, monkeypatch):
-        monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
+    def test_config_vectorizes_checks_measure_and_predictor(self):
         assert config_vectorizes(config())
         assert not config_vectorizes(config(correlation_measure="kl"))
         assert "moving_average" in VECTORIZED_PREDICTOR_NAMES
 
-    def test_engine_reports_its_evaluation_path(self, monkeypatch):
-        monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
+    def test_engine_reports_its_evaluation_path(self):
         assert EnBlogue(config()).evaluation_path == "vectorized"
         assert EnBlogue(config(), vectorize=False).evaluation_path == "scalar"
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        assert EnBlogue(config()).evaluation_path == "scalar"
 
     def test_engine_runtime_info(self):
         info = EnBlogue(config()).runtime_info()

@@ -3,20 +3,31 @@
 import pytest
 
 from repro.core.config import EnBlogueConfig
-from repro.core.engine import EnBlogue
+from repro.core.engine import CORPUS_CHUNK, EnBlogue
 from repro.datasets.events import EmergentEvent, EventSchedule
 from repro.datasets.synthetic import SyntheticStreamGenerator, figure1_stream
 from repro.evaluation.harness import run_detector, run_experiment, score_run
+from repro.sharding import ShardedEnBlogue
 
 HOUR = 3600.0
 
 
+SMALL_CONFIG = EnBlogueConfig(
+    window_horizon=6 * HOUR, evaluation_interval=HOUR,
+    num_seeds=10, min_seed_count=1, min_pair_support=1, min_history=2,
+    predictor_window=3,
+)
+
+
 def small_engine():
-    return EnBlogue(EnBlogueConfig(
-        window_horizon=6 * HOUR, evaluation_interval=HOUR,
-        num_seeds=10, min_seed_count=1, min_pair_support=1, min_history=2,
-        predictor_window=3,
-    ))
+    return EnBlogue(SMALL_CONFIG)
+
+
+def signature(rankings):
+    return [
+        (ranking.timestamp, [(topic.pair, topic.score) for topic in ranking])
+        for ranking in rankings
+    ]
 
 
 class TestRunDetector:
@@ -46,6 +57,53 @@ class TestRunDetector:
         assert run.documents == 0
         assert run.rankings == []
         assert run.throughput >= 0.0
+
+
+class TestChunkedReplay:
+    """``run_detector`` feeds the corpus in chunks of ``CORPUS_CHUNK``."""
+
+    def test_after_ranking_runs_once_per_ranking_after_its_chunk(self):
+        corpus, _ = figure1_stream(num_steps=45, shift_start=25)
+        documents = list(corpus)
+        assert len(documents) > 2 * CORPUS_CHUNK
+        engine = small_engine()
+        seen = []
+        run = run_detector(
+            engine, documents,
+            after_ranking=lambda r: seen.append((r, engine.documents_processed)),
+        )
+        # Every stream ranking exactly once, in order; the forced final
+        # evaluation is not a stream boundary and is not reported.
+        assert [ranking for ranking, _ in seen] == run.rankings[:-1]
+        # The hook runs between chunks, never inside one.
+        chunk_ends = {
+            min(end, len(documents))
+            for end in range(CORPUS_CHUNK, len(documents) + CORPUS_CHUNK,
+                             CORPUS_CHUNK)
+        }
+        assert {processed for _, processed in seen} <= chunk_ends
+        # One chunk crosses several boundaries: its rankings are all
+        # reported after it returns.
+        first_chunk = [r for r, processed in seen if processed == CORPUS_CHUNK]
+        assert len(first_chunk) > 1
+
+    @pytest.mark.parametrize("shape", ["single", "serial", "threads"])
+    def test_rankings_equal_one_process_batch(self, shape):
+        corpus, _ = figure1_stream(num_steps=45, shift_start=25)
+        documents = list(corpus)
+        reference = small_engine()
+        expected = reference.process_batch(documents)
+        if shape == "single":
+            engine = small_engine()
+        else:
+            engine = ShardedEnBlogue(SMALL_CONFIG, num_shards=2, backend=shape)
+        try:
+            run = run_detector(engine, documents, finalize=False)
+        finally:
+            if shape != "single":
+                engine.close()
+        assert signature(run.rankings) == signature(expected)
+        assert run.documents == len(documents)
 
 
 class TestScoring:

@@ -75,9 +75,10 @@ class TestFullPipelineThroughStreamEngine:
         index = InvertedTagIndex()
 
         source = DocumentStreamSource(corpus, source_name="figure1")
-        def archive(item):
-            index.index(item)
-            engine.process(item)
+        def archive(chunk):
+            for item in chunk:
+                index.index(item)
+            engine.process_batch(chunk)
         source.connect(FunctionSink(archive))
         source.run()
 

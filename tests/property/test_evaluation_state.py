@@ -280,7 +280,7 @@ def worker_events(docs):
                           window.document_count))
             boundary += 25.0
         ordered, pairs = decomposer.decompose(document.tags)
-        window.add_document(document.timestamp, ordered, prepared=True)
+        window.add_document(document.timestamp, ordered)
         steps.append(("ingest", document.timestamp, pairs, None))
     return steps
 

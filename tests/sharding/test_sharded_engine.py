@@ -336,6 +336,7 @@ class TestEngineSurface:
         reference.process_many(tweet_docs[:200])
         with ShardedEnBlogue(cfg, num_shards=2) as sharded:
             sink = sharded.as_sink()
-            for document in tweet_docs[:200]:
-                sink.consume(document)
+            sink.push_batch(tweet_docs[:150])
+            for document in tweet_docs[150:200]:
+                sink.push(document)
             assert signature(sharded) == signature(reference)

@@ -99,29 +99,40 @@ class TestOperatorBatches:
 
 
 class TestSinkBatches:
-    def test_default_consume_batch_falls_back_to_consume(self):
+    def test_collector_sink_keeps_every_chunk(self):
         collector = CollectorSink()
         collector.push_batch(items(3))
-        assert len(collector.items) == 3
-        assert collector.items_in == 3
+        collector.push(item(7))
+        assert [i.timestamp for i in collector.items] == [0.0, 1.0, 2.0, 7.0]
+        assert collector.items_in == 4
 
-    def test_function_sink_batch_callback(self):
+    def test_function_sink_hands_each_chunk_to_its_callback(self):
         received = []
-        singles = []
-        sink = FunctionSink(singles.append, batch_callback=received.append)
+        sink = FunctionSink(received.append)
         sink.push_batch(items(2))
         sink.push(item(5))
-        assert len(received) == 1 and len(received[0]) == 2
-        assert [i.timestamp for i in singles] == [5.0]
+        assert [[i.timestamp for i in chunk] for chunk in received] == [
+            [0.0, 1.0], [5.0]]
+        assert sink.items_in == 3
 
-    def test_function_sink_without_batch_callback_loops(self):
-        singles = []
-        sink = FunctionSink(singles.append)
-        sink.push_batch(items(3))
-        assert [i.timestamp for i in singles] == [0.0, 1.0, 2.0]
+    def test_push_is_a_chunk_of_one_through_operators(self):
+        received = []
+        head = TagNormalizerOperator()
+        head.connect(FunctionSink(received.append))
+        head.push(item(3, ["A"]))
+        assert [[sorted(i.tags) for i in chunk] for chunk in received] == [
+            [["a"]]]
+        assert head.items_in == head.items_out == 1
 
 
 class TestSourceBatches:
+    def test_run_defaults_to_chunks_of_one(self):
+        received = []
+        source = IterableSource(items(3))
+        source.connect(FunctionSink(received.append))
+        assert source.run() == 3
+        assert [len(chunk) for chunk in received] == [1, 1, 1]
+
     def test_run_with_batch_size_emits_everything_in_order(self):
         source = IterableSource(items(10))
         collector = CollectorSink()
@@ -150,7 +161,7 @@ class TestSourceBatches:
 
 class TestExecutorBatches:
     def test_executor_batch_replay_matches_single_replay(self):
-        for batch_size in (None, 4):
+        for batch_size in (1, 4):
             source = IterableSource(items(9))
             collector = CollectorSink()
             executor = PlanExecutor()

@@ -56,7 +56,7 @@ class TestOperatorWiring:
 
     def test_flush_propagates_to_sinks(self):
         flushed = []
-        sink = FunctionSink(lambda item: None, on_flush=lambda: flushed.append(True))
+        sink = FunctionSink(lambda chunk: None, on_flush=lambda: flushed.append(True))
         op = Operator()
         op.connect(sink)
         op.flush()
@@ -116,9 +116,9 @@ class TestStatisticsOperator:
 
 
 class TestFunctionSink:
-    def test_invokes_callback_per_item(self):
+    def test_invokes_callback_per_chunk(self):
         received = []
         sink = FunctionSink(received.append)
         sink.push(make_item(1))
-        sink.push(make_item(2))
-        assert len(received) == 2
+        sink.push_batch([make_item(2), make_item(3)])
+        assert [len(chunk) for chunk in received] == [1, 2]

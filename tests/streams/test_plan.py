@@ -221,7 +221,7 @@ class TestPlanExecutor:
     def test_run_batch_size_reaches_sinks_as_batches(self):
         executor = PlanExecutor()
         batches = []
-        sink = FunctionSink(lambda item: None, batch_callback=batches.append)
+        sink = FunctionSink(batches.append)
         executor.register(QueryPlan("p", IterableSource(items(5)),
                                     [TagNormalizerOperator()], sink))
         assert executor.run(batch_size=2) == 5

@@ -72,15 +72,14 @@ class TestIterableSource:
     def test_batch_size_chunks_the_replay(self):
         batches = []
         source = IterableSource(items([1, 2, 3, 4, 5]))
-        source.connect(FunctionSink(lambda item: None,
-                                    batch_callback=batches.append))
+        source.connect(FunctionSink(batches.append))
         assert source.run(batch_size=2) == 5
         assert [[i.timestamp for i in b] for b in batches] \
             == [[1.0, 2.0], [3.0, 4.0], [5.0]]
 
     def test_only_a_complete_replay_flushes(self):
         flushes = []
-        sink = FunctionSink(lambda item: None,
+        sink = FunctionSink(lambda chunk: None,
                             on_flush=lambda: flushes.append(True))
         source = IterableSource(items([1, 2, 3]))
         source.connect(sink)

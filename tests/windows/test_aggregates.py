@@ -170,9 +170,9 @@ class TestBatchAddDocuments:
         assert sequential.document_count == batched.document_count
         assert sequential.latest_timestamp == batched.latest_timestamp
 
-    def test_prepared_batch_trusts_sorted_tuples(self):
+    def test_batch_deduplicates_each_tag_set(self):
         window = TagFrequencyWindow(100.0)
-        window.add_documents([(0.0, ("a", "b")), (1.0, ("b",))], prepared=True)
+        window.add_documents([(0.0, ["b", "a", "b"]), (1.0, ("b",))])
         assert window.count("b") == 2
         assert window.count("a") == 1
 
@@ -257,7 +257,7 @@ class TestAddOrderedRun:
         documents = [(0.0, ("a", "b")), (4.0, ("b",)), (4.0, ()),
                      (12.0, ("a", "c"))]
         for timestamp, tags in documents:
-            sequential.add_document(timestamp, tags, prepared=True)
+            sequential.add_document(timestamp, tags)
         bulk.add_ordered_run(*zip(*documents))
         assert bulk.state_dict() == sequential.state_dict()
         assert list(bulk.snapshot().items()) \
