@@ -2,15 +2,16 @@
 
 The demo consumes live Twitter and RSS streams, offers a time-lapse view
 over the past couple of days, and invites the audience to push a
-"SIGMOD + Athens" topic into the ranking.  The benchmark replays the
-synthetic tweet stream merged with the synthetic RSS feeds through the
-stream engine and the portal, prints how the ranking evolves, and tracks
-the rank trajectory of the injected SIGMOD/Athens topic.
+"SIGMOD + Athens" topic into the ranking.  The benchmark merges the
+synthetic tweet stream with the synthetic RSS feeds through the stream
+engine, serves the plan's output through the detection service to a
+connected subscriber, prints how the ranking evolves, and tracks the
+rank trajectory of the injected SIGMOD/Athens topic.
 """
 
 from __future__ import annotations
 
-import pytest
+import asyncio
 
 from benchmarks.conftest import HOUR, live_config
 from repro.core.engine import EnBlogue
@@ -18,35 +19,56 @@ from repro.core.types import TagPair
 from repro.datasets.rss import RssFeedGenerator
 from repro.evaluation.ground_truth import GroundTruthMatcher
 from repro.evaluation.reporting import format_series, format_table
-from repro.portal.server import Portal
-from repro.streams.operators import TagNormalizerOperator
+from repro.serving import DetectionService
+from repro.streams.operators import CollectorSink, TagNormalizerOperator
 from repro.streams.plan import PlanExecutor, QueryPlan
 from repro.streams.sources import DocumentStreamSource, MergedSource
 
+#: Documents per submitted batch: a group of queued batches then spans a
+#: few hours of stream, far fewer rankings than a subscriber buffers.
+CHUNK = 64
+
+
+async def serve(engine, documents):
+    """Submit ``documents`` to a service; return the subscriber's frames."""
+    service = DetectionService(engine)
+    await service.start()
+    subscription = service.subscribe()
+
+    async def collect():
+        return [message async for message in subscription]
+
+    reader = asyncio.ensure_future(collect())
+    for start in range(0, len(documents), CHUNK):
+        await service.submit(documents[start:start + CHUNK])
+    await service.stop()
+    frames = await reader
+    assert subscription.dropped == 0
+    return frames
+
 
 def replay_live(tweets):
-    """Merge tweets + RSS feeds and push them through engine + portal."""
+    """Merge tweets + RSS feeds and serve them through engine + push."""
     feeds = RssFeedGenerator(hours=72, posts_per_hour=5, seed=37).generate_all()
     sources = [DocumentStreamSource(tweets, source_name="twitter")]
     for name, corpus in feeds.items():
         sources.append(DocumentStreamSource(corpus, source_name=name))
     merged = MergedSource(sources, name="live-feeds")
 
-    engine = EnBlogue(live_config(name="live"))
-    portal = Portal(engine)
-    session = portal.connect("demo-browser")
-
+    collector = CollectorSink()
     executor = PlanExecutor()
     executor.register(QueryPlan(
-        "live-monitoring", merged, [TagNormalizerOperator()], engine.as_sink()))
+        "live-monitoring", merged, [TagNormalizerOperator()], collector))
     executor.run()
-    engine.evaluate_now()
-    return engine, portal, session
+
+    engine = EnBlogue(live_config(name="live"))
+    frames = asyncio.run(serve(engine, collector.items))
+    return engine, frames
 
 
 def test_showcase2_live_monitoring(benchmark, tweet_stream):
     tweets, schedule = tweet_stream
-    engine, portal, session = benchmark.pedantic(
+    engine, frames = benchmark.pedantic(
         replay_live, args=(tweets,), rounds=1, iterations=1)
 
     rankings = engine.ranking_history()
@@ -82,10 +104,8 @@ def test_showcase2_live_monitoring(benchmark, tweet_stream):
     print()
     print(format_table(rows, title="Time-lapse view of the evolving ranking"))
 
-    status = portal.status()
-    print(f"\nportal: {status['messages_published']} ranking updates pushed to "
-          f"{status['sessions']} session(s) without polling "
-          f"({len(session.messages())} received by the demo browser)")
+    print(f"\npush: {len(frames)} ranking updates pushed to the demo "
+          f"browser's subscription without polling")
 
     # -- shape assertions -----------------------------------------------------------
     matcher = GroundTruthMatcher(schedule, k=10)
@@ -94,5 +114,5 @@ def test_showcase2_live_monitoring(benchmark, tweet_stream):
     assert outcomes["sigmod-athens"].latency <= 12 * HOUR
     best_rank = outcomes["sigmod-athens"].best_rank
     assert best_rank is not None and best_rank < 5
-    # The push layer delivered every ranking to the connected session.
-    assert len(session.messages()) == len(rankings)
+    # The push layer delivered every ranking to the connected subscriber.
+    assert [message.payload for message in frames] == rankings

@@ -4,25 +4,29 @@
 Builds the full demo architecture in process:
 
   twitter source ─┐
-  rss feed 1     ─┼─ merged, time-ordered ─ tag normalizer ─ entity tagging ─ enBlogue
-  rss feed 2     ─┘                                                              │
-                                                     portal (APE-style push) ◄───┘
-                                                         │
-                                     connected browser sessions (no polling)
+  rss feed 1     ─┼─ merged, time-ordered ─ tag normalizer ─ entity tagging
+  rss feed 2     ─┘                                                │
+                          detection service (enBlogue + push) ◄────┘
+                                          │
+                   subscribed laptop and smartphone clients (no polling)
 
 and replays three days of synthetic live data, showing how the ranking
 evolves and how the audience-injected "SIGMOD + Athens" topic climbs into
-the top positions while connected sessions receive every update by push.
+the top positions while both subscribers receive every update by push —
+the same fan-out that ``GET /rankings/stream`` serves over HTTP.
 
 Run with:  python examples/live_monitoring.py
 """
 
 from __future__ import annotations
 
-from repro import EnBlogue, Portal, TagPair, live_stream_config
+import asyncio
+
+from repro import DetectionService, EnBlogue, TagPair, live_stream_config
 from repro.datasets import RssFeedGenerator, TweetStreamGenerator
 from repro.entity import EntityTaggingOperator
 from repro.streams import (
+    CollectorSink,
     DocumentStreamSource,
     MergedSource,
     QueryPlan,
@@ -32,6 +36,27 @@ from repro.streams import (
 )
 
 HOUR = 3600.0
+CHUNK = 64  # documents per submitted batch
+
+
+async def serve(engine, documents):
+    """Serve the documents; return what each subscribed client received."""
+    service = DetectionService(engine)
+    await service.start()
+    clients = {"laptop": service.subscribe(), "smartphone": service.subscribe()}
+
+    async def receive(subscription):
+        return [message.payload async for message in subscription]
+
+    readers = [asyncio.ensure_future(receive(s)) for s in clients.values()]
+    for start in range(0, len(documents), CHUNK):
+        await service.submit(documents[start:start + CHUNK])
+    await service.stop()
+    received = dict(zip(clients, await asyncio.gather(*readers)))
+    assert all(s.dropped == 0 for s in clients.values())
+    print(f"\nservice status: {service.status()['rankings_published']} "
+          f"rankings published to {len(clients)} subscribers")
+    return received
 
 
 def main() -> None:
@@ -47,8 +72,8 @@ def main() -> None:
 
     # 2. The operator DAG: shared normalizer / statistics / entity tagging in
     #    front of the detection engine, exactly as in Section 4.1.
-    engine = EnBlogue(live_stream_config())
     executor = PlanExecutor()
+    collector = CollectorSink()
     plan = QueryPlan(
         "live-monitoring",
         merged,
@@ -57,25 +82,22 @@ def main() -> None:
             executor.shared_operator("statistics", StatisticsOperator),
             executor.shared_operator("entities", EntityTaggingOperator),
         ],
-        engine.as_sink(),
+        collector,
     )
     executor.register(plan)
     print(executor.describe())
-
-    # 3. The portal: two browser sessions subscribe and receive pushed updates.
-    portal = Portal(engine)
-    laptop = portal.connect("laptop-browser")
-    phone = portal.connect("smartphone")
-
-    # 4. Replay the live data.
     executor.run()
-    engine.evaluate_now()
 
-    # 5. What the connected clients saw.
-    print(f"\nportal status: {portal.status()}")
-    print(f"laptop session received {len(laptop.messages())} ranking updates; "
+    # 3. The detection service: two clients subscribe and receive pushed
+    #    updates while the plan's output is ingested.
+    engine = EnBlogue(live_stream_config())
+    received = asyncio.run(serve(engine, collector.items))
+
+    # 4. What the connected clients saw.
+    laptop = received["laptop"]
+    print(f"laptop session received {len(laptop)} ranking updates; "
           f"latest view:")
-    print(portal.current_view("laptop-browser").describe(k=5))
+    print(laptop[-1].describe(k=5))
 
     sigmod = TagPair("sigmod", "athens")
     trajectory = [
@@ -91,9 +113,9 @@ def main() -> None:
     else:
         print(f"\nthe injected {sigmod} topic never entered the top-10")
 
-    # The phone session got exactly the same pushes - "we in particular also
+    # The smartphone got exactly the same pushes - "we in particular also
     # support (mobile) smartphone users receiving continuous updates".
-    assert len(phone.messages()) == len(laptop.messages())
+    assert received["smartphone"] == laptop == engine.ranking_history()
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from repro.core.engine import EnBlogue
 from repro.core.personalization import PersonalizationEngine, UserProfile
 from repro.core.types import EmergentTopic, Ranking, TagPair
 from repro.persistence import load_engine
-from repro.portal.server import Portal
 from repro.serving import DetectionService, RankingServer
 from repro.sharding import ShardedEnBlogue
 from repro.streams.item import StreamItem
@@ -46,7 +45,6 @@ __all__ = [
     "Ranking",
     "UserProfile",
     "PersonalizationEngine",
-    "Portal",
     "StreamItem",
     "__version__",
 ]

@@ -9,8 +9,7 @@ a :class:`~repro.streams.item.StreamItem` or anything exposing
 stream time crosses an evaluation boundary the engine re-selects seed
 tags, samples the correlations of all candidate pairs, scores their
 shifts and publishes a new top-k ranking; registered ranking listeners
-(e.g. the portal's push dispatcher) and user profiles see the update
-immediately, without polling.
+and user profiles see the update immediately, without polling.
 """
 
 from __future__ import annotations

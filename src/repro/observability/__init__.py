@@ -142,7 +142,7 @@ STANDARD_FAMILIES = {
     "repro_serving_batches_processed_total":
         ("counter", "Batches the consumer fed to the engine."),
     "repro_serving_rankings_published_total":
-        ("counter", "Rankings pushed to the dispatcher."),
+        ("counter", "Rankings pushed on every channel of the fan-out."),
     "repro_serving_batch_errors_total":
         ("counter", "Batches the engine rejected."),
     "repro_serving_publish_errors_total":

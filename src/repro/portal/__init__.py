@@ -1,27 +1,13 @@
-"""The front-end substrate: push-based ranking delivery.
+"""The wire format of rankings.
 
-Section 4.2: rankings are delivered to web browsers "in a push-based manner
-(i.e., without the user having to continuously poll the server for updates
-on emergent topic rankings)" through the Ajax Push Engine (APE): the
-back-end sends topic rankings to APE, which "dispatches the messages to the
-registered clients, i.e., all Web browsers that have currently active
-sessions".
-
-The browser side is out of scope for a library reproduction, but the message
-flow is not: :class:`PushDispatcher` implements APE's channel/subscriber
-semantics in process, :class:`ClientSession` stands in for a browser
-session, and :class:`Portal` glues the enBlogue engine, the dispatcher and
-per-user personalization together.
+Section 4.2 pushes rankings to web browsers through APE; the push itself
+is :class:`~repro.serving.broadcast.AsyncFanout`, served over SSE by
+:mod:`repro.serving`.  What is left here is the JSON shape a ranking
+travels in — the SSE frames and ``GET /rankings``, the CLI's
+``--export`` and the benchmarks' frame checks all read
+:func:`~repro.portal.serialization.ranking_to_dict`.
 """
 
-from repro.portal.push import (
-    Channel,
-    ChannelClosedError,
-    PushDispatcher,
-    PushMessage,
-)
-from repro.portal.sessions import ClientSession
-from repro.portal.server import Portal
 from repro.portal.serialization import (
     ranking_from_dict,
     ranking_from_json,
@@ -32,12 +18,6 @@ from repro.portal.serialization import (
 )
 
 __all__ = [
-    "PushMessage",
-    "Channel",
-    "ChannelClosedError",
-    "PushDispatcher",
-    "ClientSession",
-    "Portal",
     "ranking_to_dict",
     "ranking_from_dict",
     "ranking_to_json",

@@ -3,9 +3,9 @@
 The back-end "sends topic rankings to an installation of APE which
 dispatches the messages to the registered clients" — over the wire those
 messages are JSON.  This module converts rankings and topics to and from
-plain JSON-compatible dictionaries so the portal (or any external consumer)
-can ship them across process boundaries, and so sessions can be replayed
-from stored messages.
+plain JSON-compatible dictionaries so the serving layer (or any external
+consumer) can ship them across process boundaries, and so a stream can be
+replayed from stored frames.
 """
 
 from __future__ import annotations

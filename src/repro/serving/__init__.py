@@ -7,17 +7,18 @@ the batch-replay engines into a servable system:
 * :class:`~repro.serving.service.DetectionService` — a bounded ingest
   queue with backpressure, one consumer task draining micro-batches into
   ``process_batch`` on a single-thread executor (the event loop never
-  blocks on the process backend), rankings published through the portal's
-  :class:`~repro.portal.push.PushDispatcher`, and an optional
+  blocks on the process backend), the global ranking and one personalised
+  ranking per registered user published on the fan-out, and an optional
   :class:`~repro.persistence.cadence.CheckpointCadence` persisting the
   engine between batches (delta mode rides the loop at journal-segment
   cost).
 * :class:`~repro.serving.broadcast.AsyncFanout` /
-  :class:`~repro.serving.broadcast.Subscription` — per-subscriber bounded
-  frame buffers bridging dispatcher pushes to awaiting SSE/websocket
-  handlers (slow consumers drop oldest frames, never grow without bound).
+  :class:`~repro.serving.broadcast.Subscription` — the one push path:
+  channels of frames, each fanned out to per-subscriber bounded buffers
+  that SSE handlers and in-process consumers await (slow consumers drop
+  oldest frames, never grow without bound).
 * :class:`~repro.serving.http.RankingServer` — ``POST /ingest``,
-  ``GET /rankings``, ``GET /rankings/stream`` (SSE), ``GET /status``
+  ``GET /rankings``, ``GET /rankings/stream[?user=U]`` (SSE), ``GET /status``
   (with per-shard health; 503 when a shard worker is dead),
   ``GET /metrics`` (Prometheus text) and ``GET /trace`` (NDJSON span
   trees) on asyncio's stdlib primitives.

@@ -1,10 +1,14 @@
-"""Async fan-out of ranking pushes to SSE/websocket subscribers.
+"""The one push path: ranking frames fanned out to per-subscriber buffers.
 
-The portal's :class:`~repro.portal.push.PushDispatcher` delivers messages
-by synchronous callback at publish time.  The serving layer publishes on
-it from the event-loop thread, and this module bridges those pushes into
-per-subscriber asyncio queues so any number of SSE connections can await
-frames concurrently.
+Section 4.2 pushes rankings through APE, which "dispatches the messages
+to the registered clients": no client polls.  :class:`AsyncFanout` is
+that dispatcher.  It holds ``channel → subscriptions``; the global
+ranking travels on :data:`GLOBAL_CHANNEL` and each registered user's
+personalised ranking on :func:`user_channel`.  ``publish`` stamps a frame
+with its channel's own sequence number (so one channel's ``id:`` lines do
+not depend on how many other channels exist) and buffers it for that
+channel's subscriptions; SSE handlers and in-process consumers await
+frames from their :class:`Subscription`.
 
 Backpressure on the subscriber side is *lossy by design*: a ranking
 stream is a sequence of full snapshots, so a slow consumer does not need
@@ -18,12 +22,29 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import AsyncIterator, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, AsyncIterator, Dict, Optional
 
-from repro.portal.push import PushMessage
+#: Channel carrying the global (non-personalised) ranking.
+GLOBAL_CHANNEL = "emergent-topics"
 
 #: Default per-subscriber frame buffer (frames, not bytes).
 DEFAULT_BUFFER_LIMIT = 64
+
+
+def user_channel(user_id: str) -> str:
+    """Channel name carrying one user's personalised ranking."""
+    return f"{GLOBAL_CHANNEL}/{user_id}"
+
+
+@dataclass(frozen=True)
+class PushMessage:
+    """One frame published on a channel."""
+
+    channel: str
+    payload: Any
+    sequence: int
+    timestamp: float = 0.0
 
 
 class Subscription:
@@ -35,10 +56,11 @@ class Subscription:
     consumer fell more than ``buffer_limit`` frames behind.
     """
 
-    def __init__(self, subscriber_id: str, buffer_limit: int):
+    def __init__(self, subscriber_id: str, channel: str, buffer_limit: int):
         if buffer_limit < 1:
             raise ValueError("buffer_limit must be at least 1")
         self.subscriber_id = subscriber_id
+        self.channel = channel
         self.buffer_limit = int(buffer_limit)
         self.dropped = 0
         # The bound is enforced in deliver() rather than by the queue's
@@ -101,22 +123,20 @@ class Subscription:
 
 
 class AsyncFanout:
-    """Bridges one dispatcher channel into per-subscriber asyncio queues.
+    """Channels of frames, each fanned out to its subscriptions' buffers.
 
-    Registers itself as an ordinary subscriber on the channel, so it
-    composes with the portal's synchronous sessions: both see every
-    publish.  All methods must run on the event-loop thread (the serving
-    layer publishes from there; engine work happens in an executor and
-    never touches the fan-out directly).
+    All methods must run on the event-loop thread (the serving layer
+    publishes from there; engine work happens in an executor and never
+    touches the fan-out).  ``publish`` and ``subscribe`` raise
+    ``RuntimeError`` after :meth:`close`: a shut-down push path must never
+    silently drop ranking updates.
     """
 
-    def __init__(self, dispatcher, channel: str,
-                 buffer_limit: int = DEFAULT_BUFFER_LIMIT,
+    def __init__(self, buffer_limit: int = DEFAULT_BUFFER_LIMIT,
                  observability=None):
-        self.dispatcher = dispatcher
-        self.channel = channel
         self.buffer_limit = int(buffer_limit)
-        self._subscriptions: Dict[str, Subscription] = {}
+        self._channels: Dict[str, Dict[str, Subscription]] = {}
+        self._sequences: Dict[str, int] = {}
         self._ids = itertools.count()
         self._closed = False
         # Fan-out metrics (None when no enabled bundle was handed over):
@@ -134,37 +154,35 @@ class AsyncFanout:
         else:
             self._metric_frames = None
             self._metric_dropped = None
-        dispatcher.subscribe(channel, f"async-fanout[{channel}]", self._deliver)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def subscriber_count(self) -> int:
-        return len(self._subscriptions)
+        return sum(map(len, self._channels.values()))
 
-    def subscribe(self, subscriber_id: Optional[str] = None,
+    def subscribe(self, channel: str = GLOBAL_CHANNEL,
+                  subscriber_id: Optional[str] = None,
                   buffer_limit: Optional[int] = None) -> Subscription:
-        """Open a new bounded subscription (fails after :meth:`close`)."""
-        if self._closed:
-            raise RuntimeError(
-                f"cannot subscribe to channel {self.channel!r}: "
-                f"the fan-out is closed"
-            )
+        """Open a bounded subscription to ``channel``'s later frames."""
+        self._ensure_open(f"subscribe to channel {channel!r}")
         if subscriber_id is None:
             subscriber_id = f"subscriber-{next(self._ids)}"
-        if subscriber_id in self._subscriptions:
+        subscriptions = self._channels.setdefault(channel, {})
+        if subscriber_id in subscriptions:
             raise ValueError(f"subscriber {subscriber_id!r} already exists")
         subscription = Subscription(
-            subscriber_id, buffer_limit or self.buffer_limit
+            subscriber_id, channel, buffer_limit or self.buffer_limit
         )
-        self._subscriptions[subscriber_id] = subscription
+        subscriptions[subscriber_id] = subscription
         self._log_event("sse_subscribe", subscriber=subscriber_id)
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Close one subscription and stop delivering to it (idempotent)."""
-        removed = self._subscriptions.pop(subscription.subscriber_id, None)
+        subscriptions = self._channels.get(subscription.channel, {})
+        removed = subscriptions.pop(subscription.subscriber_id, None)
         subscription.close()
         if removed is not None:
             self._log_event(
@@ -173,46 +191,57 @@ class AsyncFanout:
                 dropped=subscription.dropped,
             )
 
+    def close(self) -> None:
+        """End every subscription's stream (idempotent).
+
+        Buffered frames stay readable; the ``None`` sentinel follows them.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        ended = 0
+        for subscriptions in self._channels.values():
+            for subscription in subscriptions.values():
+                subscription.close()
+            ended += len(subscriptions)
+        self._channels.clear()
+        self._log_event("sse_close", ended=ended)
+
+    def publish(self, channel: str, payload: Any,
+                timestamp: float = 0.0) -> PushMessage:
+        """Stamp ``payload`` with the channel's next sequence; buffer it."""
+        self._ensure_open(f"publish on channel {channel!r}")
+        sequence = self._sequences.get(channel, 0)
+        self._sequences[channel] = sequence + 1
+        message = PushMessage(channel, payload, sequence, timestamp)
+        subscriptions = self._channels.get(channel)
+        if not subscriptions:
+            # Nothing to deliver: no span either, so idle publishes don't
+            # crowd batch traces out of the bounded trace ring.
+            return message
+        if self._metric_frames is None:
+            for subscription in list(subscriptions.values()):
+                subscription.deliver(message)
+            return message
+        delivered = 0
+        dropped = 0
+        with self._observability.tracer.span("sse_fanout") as span:
+            for subscription in list(subscriptions.values()):
+                if subscription.deliver(message):
+                    dropped += 1
+                delivered += 1
+            span.set(subscribers=delivered, dropped=dropped)
+        self._metric_frames.inc(delivered)
+        if dropped:
+            self._metric_dropped.inc(dropped)
+        return message
+
+    def _ensure_open(self, action: str) -> None:
+        if self._closed:
+            raise RuntimeError(f"cannot {action}: the fan-out is closed")
+
     def _log_event(self, event: str, **fields) -> None:
         observability = self._observability
         if observability is not None:
             observability.log.emit(event, subscribers=self.subscriber_count(),
                                    **fields)
-
-    def close(self) -> None:
-        """End every subscription's stream (idempotent).
-
-        Buffered frames stay readable; the ``None`` sentinel follows them.
-        The dispatcher channel itself is left to its owner.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        ended = len(self._subscriptions)
-        for subscription in list(self._subscriptions.values()):
-            subscription.close()
-        self._subscriptions.clear()
-        self._log_event("sse_close", ended=ended)
-
-    def _deliver(self, message: PushMessage) -> None:
-        subscriptions = list(self._subscriptions.values())
-        if self._metric_frames is None:
-            for subscription in subscriptions:
-                subscription.deliver(message)
-            return
-        if not subscriptions:
-            # Nothing to deliver: skip the span so idle publishes don't
-            # crowd batch traces out of the bounded trace ring.
-            return
-        delivered = 0
-        dropped = 0
-        with self._observability.tracer.span("sse_fanout") as span:
-            for subscription in subscriptions:
-                if subscription.deliver(message):
-                    dropped += 1
-                delivered += 1
-            span.set(subscribers=delivered, dropped=dropped)
-        if delivered:
-            self._metric_frames.inc(delivered)
-        if dropped:
-            self._metric_dropped.inc(dropped)

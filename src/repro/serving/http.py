@@ -12,9 +12,11 @@ new dependencies), exposing:
 * ``GET /rankings`` — the current top-k ranking as JSON (``null`` before
   the first evaluation).
 * ``GET /rankings/stream`` — Server-Sent Events: one ``data:`` frame per
-  published ranking, ``id:`` carrying the dispatcher sequence number.
-  Slow consumers are bounded by the per-subscriber frame buffer (oldest
-  frames dropped — each frame is a full snapshot).
+  published ranking, ``id:`` carrying the channel's sequence number.
+  ``?user=U`` streams U's personalised ranking instead (404 unless U's
+  profile was registered through the service).  Slow consumers are
+  bounded by the per-subscriber frame buffer (oldest frames dropped —
+  each frame is a full snapshot).
 * ``GET /status`` — the service's operational counters plus per-shard
   health; answers 503 (with the same body) when any shard worker is dead.
 * ``GET /metrics`` — the service's metrics registry in the Prometheus
@@ -242,7 +244,7 @@ class RankingServer:
                         writer, keep_alive
                     )
                 elif method == "GET" and path == "/rankings/stream":
-                    await self._handle_stream(writer)
+                    await self._handle_stream(writer, query)
                     return  # the stream owns the connection's lifetime
                 elif method == "GET" and path == "/status":
                     status = self.service.status()
@@ -371,9 +373,16 @@ class RankingServer:
             "recovering_shards": degradation["recovering_shards"],
         }, keep_alive)
 
-    async def _handle_stream(self, writer: asyncio.StreamWriter) -> None:
+    async def _handle_stream(self, writer: asyncio.StreamWriter,
+                             query: str) -> None:
+        user = parse_qs(query).get("user", [None])[0]
         try:
-            subscription = self.service.subscribe()
+            subscription = self.service.subscribe(user=user)
+        except KeyError:
+            await self._respond_json(
+                writer, 404, {"error": f"no profile registered for {user!r}"}
+            )
+            return
         except RuntimeError:
             await self._respond_json(
                 writer, 503, {"error": "ranking stream is closed"}

@@ -27,10 +27,13 @@ behind an event loop:
   poisoned batch costs only itself; any other failure is recorded for
   the whole group and nothing is re-fed.
 * **Ranking push**: every ranking a batch produces is published on the
-  portal's :class:`~repro.portal.push.PushDispatcher` (the same channel
-  the synchronous portal sessions use) and fanned out to async
-  subscribers through :class:`~repro.serving.broadcast.AsyncFanout` —
-  SSE/websocket handlers just await frames.
+  global channel of :class:`~repro.serving.broadcast.AsyncFanout`, and
+  its personalisation for each profile registered through
+  :meth:`DetectionService.register_user` on that user's channel — SSE
+  handlers and in-process consumers just await frames.  The personalised
+  rankings are computed in the same executor hop as ``process_batch``
+  (the engine is only touched from that thread).  Profiles live in the
+  engine's personalization component and are not checkpointed.
 * **Checkpointing** rides the same loop: a
   :class:`~repro.persistence.cadence.CheckpointCadence` (typically delta
   mode) runs on the engine executor between engine calls, so a snapshot
@@ -51,16 +54,17 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.personalization import UserProfile
 from repro.observability import Observability
 from repro.persistence.cadence import CheckpointCadence
-from repro.portal.push import PushDispatcher
-from repro.sharding.backends import ShardExecutionError
-from repro.portal.server import GLOBAL_CHANNEL
 from repro.serving.broadcast import (
     DEFAULT_BUFFER_LIMIT,
+    GLOBAL_CHANNEL,
     AsyncFanout,
     Subscription,
+    user_channel,
 )
+from repro.sharding.backends import ShardExecutionError
 
 #: Default bound of the ingest queue, in batches (not documents): small
 #: enough that a stalled shard backend pushes back on producers within a
@@ -149,19 +153,16 @@ class DetectionService:
     """Non-blocking front end over a detection engine (see module docs).
 
     ``cadence`` persists the engine on the ranking cadence it describes
-    (its writes run on the engine executor, between batches).  The
-    service owns neither the engine nor a passed-in dispatcher: ``stop``
-    quiesces the service and closes what it created (executor, fan-out,
-    its own dispatcher), while the engine is the caller's to close —
-    typically after a final checkpoint.
+    (its writes run on the engine executor, between batches).  ``stop``
+    quiesces the service and closes what it created (executor, fan-out),
+    while the engine is the caller's to close — typically after a final
+    checkpoint.
     """
 
     def __init__(
         self,
         engine,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        dispatcher: Optional[PushDispatcher] = None,
-        channel: str = GLOBAL_CHANNEL,
         buffer_limit: int = DEFAULT_BUFFER_LIMIT,
         cadence: Optional[CheckpointCadence] = None,
         observability: Optional[Observability] = None,
@@ -170,9 +171,6 @@ class DetectionService:
             raise ValueError("queue_capacity must be at least 1")
         self.engine = engine
         self.queue_capacity = int(queue_capacity)
-        self._owns_dispatcher = dispatcher is None
-        self.dispatcher = dispatcher or PushDispatcher()
-        self.channel = channel
         self.cadence = cadence
         # The service always runs with an enabled registry: its stats ARE
         # metrics (that is what keeps /status and /metrics in agreement),
@@ -187,10 +185,11 @@ class DetectionService:
                 observability = Observability()
         self.observability = observability
         self.stats = ServingStats(observability.registry)
-        self._fanout = AsyncFanout(
-            self.dispatcher, channel, buffer_limit=buffer_limit,
-            observability=observability,
+        self.dispatcher = AsyncFanout(
+            buffer_limit=buffer_limit, observability=observability
         )
+        # Users with a channel, recorded once their profile is registered.
+        self._users: set = set()
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_capacity)
         self.observability.registry.gauge("repro_serving_queue_depth") \
             .set_function(self._queue.qsize)
@@ -278,9 +277,7 @@ class DetectionService:
             self.stats.set(
                 "checkpoints_written", self.cadence.checkpoints_written
             )
-        self._fanout.close()
-        if self._owns_dispatcher:
-            self.dispatcher.close()
+        self.dispatcher.close()
         self._executor.shutdown(wait=True)
 
     @property
@@ -341,13 +338,32 @@ class DetectionService:
 
     # -- results ---------------------------------------------------------------
 
+    async def register_user(self, profile: UserProfile) -> UserProfile:
+        """Register a personalisation profile and open its user's channel.
+
+        Every ranking produced after this returns is also published,
+        personalised for the user, on ``user_channel(profile.user_id)``.
+        """
+        registered = await self._run_on_engine(
+            self.engine.register_user, profile
+        )
+        self._users.add(registered.user_id)
+        return registered
+
     def subscribe(self, subscriber_id: Optional[str] = None,
-                  buffer_limit: Optional[int] = None) -> Subscription:
-        """A bounded async subscription to the ranking stream."""
-        return self._fanout.subscribe(subscriber_id, buffer_limit)
+                  buffer_limit: Optional[int] = None,
+                  user: Optional[str] = None) -> Subscription:
+        """A bounded async subscription to the global ranking stream, or
+        to ``user``'s personalised one (``KeyError`` if not registered)."""
+        channel = GLOBAL_CHANNEL
+        if user is not None:
+            if user not in self._users:
+                raise KeyError(f"no profile registered for user {user!r}")
+            channel = user_channel(user)
+        return self.dispatcher.subscribe(channel, subscriber_id, buffer_limit)
 
     def unsubscribe(self, subscription: Subscription) -> None:
-        self._fanout.unsubscribe(subscription)
+        self.dispatcher.unsubscribe(subscription)
 
     async def current_ranking(self):
         """The engine's latest ranking (runs on the engine executor).
@@ -394,7 +410,7 @@ class DetectionService:
             "healthy": healthy,
             "queue_depth": self.queue_depth(),
             "queue_capacity": self.queue_capacity,
-            "subscribers": self._fanout.subscriber_count(),
+            "subscribers": self.dispatcher.subscriber_count(),
             **degradation,
             **self._runtime_info,
             **self.stats.as_dict(),
@@ -442,6 +458,16 @@ class DetectionService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, fn, *args)
 
+    def _engine_step(self, documents):
+        """``process_batch`` plus, once a profile is registered, each
+        ranking's personalised views (runs on the engine executor)."""
+        rankings = self.engine.process_batch(documents)
+        personalization = self.engine.personalization
+        if not len(personalization):
+            return rankings, None
+        return rankings, [personalization.personalize_all(ranking)
+                          for ranking in rankings]
+
     async def _consume(self) -> None:
         queue = self._queue
         while True:
@@ -465,8 +491,8 @@ class DetectionService:
         """One engine call for ``group``: ``(enqueue stamp, batch)`` items."""
         documents = list(chain.from_iterable(batch for _, batch in group))
         try:
-            rankings = await self._run_on_engine(
-                self.engine.process_batch, documents
+            rankings, views = await self._run_on_engine(
+                self._engine_step, documents
             )
         except Exception as exc:
             # process_batch validates the whole chunk before touching any
@@ -495,14 +521,20 @@ class DetectionService:
             self._last_ranking = rankings[-1]
         # Push first (the frame is the product), persist second — the
         # cadence write happens between engine calls either way.  A raising
-        # subscriber callback (or an externally closed dispatcher) must
-        # not kill the consumer: the engine already ingested the group,
-        # and a dead consumer would keep 202-ing batches nothing drains.
-        for ranking in rankings:
+        # subscriber (or a closed fan-out) must not kill the consumer: the
+        # engine already ingested the group, and a dead consumer would
+        # keep 202-ing batches nothing drains.
+        for index, ranking in enumerate(rankings):
             try:
                 self.dispatcher.publish(
-                    self.channel, ranking, timestamp=ranking.timestamp
+                    GLOBAL_CHANNEL, ranking, timestamp=ranking.timestamp
                 )
+                if views is not None:
+                    for user_id, view in views[index].items():
+                        self.dispatcher.publish(
+                            user_channel(user_id), view,
+                            timestamp=ranking.timestamp,
+                        )
             except Exception as exc:
                 self.stats.add("publish_errors")
                 self.stats.last_error = repr(exc)

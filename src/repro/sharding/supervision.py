@@ -45,7 +45,6 @@ from typing import Callable, List, Mapping, Optional, Sequence, Set
 from repro.sharding.backends import (
     ShardBackend,
     ShardExecutionError,
-    make_backend,
 )
 from repro.sharding.worker import ShardWorker
 
@@ -119,23 +118,17 @@ class RetryPolicy:
 class SupervisedBackend(ShardBackend):
     """A self-healing wrapper over any shard execution backend.
 
-    ``inner`` is a backend name or instance. The wrapper is transparent
-    to the coordinator — same protocol, same bit-identical outputs — until
-    a failure, when it retries under ``policy`` instead of propagating.
+    ``inner`` is the backend instance to supervise. The wrapper is
+    transparent to the coordinator — same protocol, same bit-identical
+    outputs — until a failure, when it retries under ``policy`` instead
+    of propagating.
     """
 
     def __init__(
         self,
-        inner="serial",
+        inner: ShardBackend,
         policy: Optional[RetryPolicy] = None,
-        **inner_kwargs,
     ) -> None:
-        if isinstance(inner, str):
-            inner = make_backend(inner, **inner_kwargs)
-        elif inner_kwargs:
-            raise ValueError(
-                "inner backend kwargs are only accepted with a backend name"
-            )
         if isinstance(inner, SupervisedBackend):
             raise ValueError("refusing to supervise a supervised backend")
         self._inner: ShardBackend = inner

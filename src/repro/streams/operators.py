@@ -3,8 +3,8 @@
 Every operator consumes :class:`~repro.streams.item.StreamItem` tuples pushed
 by its producers and pushes derived items to its consumers.  Sinks terminate
 the DAG; the most important sink in enBlogue computes the emergent-topic
-ranking and forwards it to the portal (see :mod:`repro.core.engine` and
-:mod:`repro.portal`).
+ranking (see :mod:`repro.core.engine`), which :mod:`repro.serving` pushes
+to subscribers.
 
 Items move through the DAG in time-ordered chunks: ``push_batch`` runs
 each item of a chunk through ``process`` and ``emit_batch`` forwards the
@@ -138,8 +138,8 @@ class StatisticsOperator(Operator):
     """Pass-through operator gathering simple stream statistics.
 
     The paper lists "statistics operators" among the shareable plug-ins; this
-    one counts documents, distinct tags and tags per document, which the
-    throughput benchmark and the portal status page both read.
+    one counts documents, distinct tags and tags per document
+    (:meth:`summary`).
     """
 
     def __init__(self, name: Optional[str] = None):

@@ -1,4 +1,6 @@
-"""End-to-end integration: stream engine -> enBlogue -> portal."""
+"""End-to-end integration: stream engine -> enBlogue -> detection service."""
+
+import asyncio
 
 import pytest
 
@@ -9,9 +11,14 @@ from repro.core.types import TagPair
 from repro.datasets.synthetic import figure1_stream
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.entity.tagger import EntityTaggingOperator
-from repro.portal.server import Portal
+from repro.serving import DetectionService
 from repro.storage.inverted_index import InvertedTagIndex
-from repro.streams.operators import FunctionSink, StatisticsOperator, TagNormalizerOperator
+from repro.streams.operators import (
+    CollectorSink,
+    FunctionSink,
+    StatisticsOperator,
+    TagNormalizerOperator,
+)
 from repro.streams.plan import PlanExecutor, QueryPlan
 from repro.streams.sources import DocumentStreamSource
 
@@ -92,25 +99,45 @@ class TestPortalEndToEnd:
     def test_live_monitoring_with_personalized_sessions(self):
         corpus, schedule = TweetStreamGenerator(hours=60, tweets_per_hour=25,
                                                 seed=13).generate()
+        collector = CollectorSink()
+        source = DocumentStreamSource(corpus, source_name="tweets")
+        source.connect(TagNormalizerOperator()).connect(collector)
+        source.run()
         engine = EnBlogue(engine_config(name="live"))
-        portal = Portal(engine)
-        portal.register_user(UserProfile(user_id="attendee",
-                                         keywords=("sigmod", "athens"), boost=4.0))
-        anonymous = portal.connect("anon-browser")
-        attendee = portal.connect("attendee-browser", user_id="attendee")
 
-        for document in corpus:
-            engine.process(document)
+        async def serve():
+            service = DetectionService(engine)
+            await service.start()
+            await service.register_user(UserProfile(
+                user_id="attendee", keywords=("sigmod", "athens"), boost=4.0))
+            anonymous = service.subscribe()
+            attendee = service.subscribe(user="attendee")
 
-        # Both sessions were pushed every ranking without polling.
-        assert len(anonymous.messages()) == len(engine.ranking_history())
-        assert len(attendee.messages()) > len(anonymous.messages())
+            async def receive(subscription):
+                return [message.payload async for message in subscription]
+
+            readers = [asyncio.ensure_future(receive(subscription))
+                       for subscription in (anonymous, attendee)]
+            for start in range(0, len(collector.items), 64):
+                await service.submit(collector.items[start:start + 64])
+            await service.stop()
+            assert anonymous.dropped == attendee.dropped == 0
+            return service, await asyncio.gather(*readers)
+
+        service, (anonymous, attendee) = asyncio.run(serve())
+
+        # Both subscribers were pushed every ranking without polling: the
+        # anonymous one the global ranking, the attendee their own view.
+        history = engine.ranking_history()
+        assert anonymous == history
+        assert attendee == [
+            engine.personalization.personalize(r, "attendee") for r in history]
 
         # The injected SIGMOD/Athens topic reaches the attendee's top list.
         personalized = engine.ranking_for_user("attendee", top_k=5)
         sigmod_pair = TagPair("sigmod", "athens")
         assert personalized.contains_pair(sigmod_pair)
 
-        status = portal.status()
+        status = service.status()
         assert status["documents_processed"] == len(corpus)
-        assert status["rankings_produced"] > 0
+        assert status["rankings_published"] == len(history) > 0

@@ -1,8 +1,8 @@
 """The examples run as scripts: each exits cleanly and prints its story.
 
 They drive the Section 4.1 surface end to end — shared operators, the
-executor's ``describe()``, ``MergedSource`` and the portal — so a change
-that breaks what a reader is told to run fails here.
+executor's ``describe()``, ``MergedSource`` and the service's push — so a
+change that breaks what a reader is told to run fails here.
 """
 
 import runpy

@@ -1,14 +1,20 @@
 """Failure injection and degraded-mode behaviour across components."""
 
+import asyncio
+
 import pytest
 
 from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.core.types import TagPair
 from repro.datasets.synthetic import figure1_stream
-from repro.portal.server import Portal
+from repro.serving import DetectionService
 from repro.streams.item import StreamItem
-from repro.streams.operators import Operator, TagNormalizerOperator
+from repro.streams.operators import (
+    CollectorSink,
+    Operator,
+    TagNormalizerOperator,
+)
 from repro.streams.plan import PlanExecutor, QueryPlan
 from repro.streams.sources import DocumentStreamSource, IterableSource
 
@@ -112,20 +118,40 @@ class TestDegradedOperation:
 
     def test_portal_survives_sessions_coming_and_going(self):
         corpus, _ = figure1_stream(num_steps=20, shift_start=10)
+        collector = CollectorSink()
+        source = DocumentStreamSource(corpus, source_name="figure1")
+        source.connect(collector)
+        source.run()
+        documents = collector.items
+        midpoint = len(documents) // 2
         engine = EnBlogue(engine_config())
-        portal = Portal(engine)
-        stable = portal.connect("stable")
-        flaky = portal.connect("flaky")
-        midpoint = len(corpus) // 2
-        for index, document in enumerate(corpus):
-            engine.process(document)
-            if index == midpoint:
-                portal.disconnect("flaky")
-                portal.connect("latecomer")
-        assert len(stable.messages()) == len(engine.ranking_history())
-        assert len(flaky.messages()) < len(stable.messages())
-        latecomer = portal.session("latecomer")
-        assert 0 < len(latecomer.messages()) < len(stable.messages())
+
+        async def receive(subscription):
+            return [message.payload async for message in subscription]
+
+        async def serve():
+            service = DetectionService(engine)
+            await service.start()
+            stable, flaky = service.subscribe(), service.subscribe()
+            readers = [asyncio.ensure_future(receive(stable)),
+                       asyncio.ensure_future(receive(flaky))]
+            for start in range(0, midpoint, 16):
+                await service.submit(documents[start:min(start + 16, midpoint)])
+            await service.drain()
+            service.unsubscribe(flaky)
+            latecomer = service.subscribe()
+            readers.append(asyncio.ensure_future(receive(latecomer)))
+            for start in range(midpoint, len(documents), 16):
+                await service.submit(documents[start:start + 16])
+            await service.stop()
+            assert stable.dropped == latecomer.dropped == 0
+            return await asyncio.gather(*readers)
+
+        stable, flaky, latecomer = asyncio.run(serve())
+        assert stable == engine.ranking_history()
+        assert 0 < len(flaky) < len(stable)
+        assert 0 < len(latecomer) < len(stable)
+        assert flaky + latecomer == stable
 
     def test_listener_registered_mid_stream_only_sees_later_rankings(self):
         corpus, _ = figure1_stream(num_steps=12, shift_start=6)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
+from repro.core.personalization import UserProfile
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.portal.serialization import ranking_to_dict
 from repro.serving import DetectionService, RankingServer, parse_ingest_body
@@ -121,6 +122,19 @@ async def read_sse_frames(port, count, collected):
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+async def read_sse_lines(port, path):
+    """Every ``id:``/``data:`` line of one SSE stream, read to its end."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n"
+                 .encode("latin-1"))
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return [line for line in raw.split(b"\n")
+            if line.startswith((b"id: ", b"data: "))]
 
 
 #: The spellings of a non-finite timestamp a POST body can carry.
@@ -314,6 +328,51 @@ class TestEndpoints:
             ranking_to_dict(r) for r in reference.ranking_history()
         ]
         assert current == frames[-1]
+
+    def test_user_stream_beside_an_unchanged_global_stream(self, docs):
+        """A registered profile adds a channel: its client gets the
+        personalised rankings, and the global client's lines stay byte
+        for byte those of a server with no profile."""
+        profile = UserProfile(user_id="alice", keywords=("sigmod", "athens"),
+                              boost=4.0)
+
+        async def scenario(register):
+            engine = EnBlogue(config())
+            service = DetectionService(engine)
+            await service.start()
+            paths = ["/rankings/stream"]
+            if register:
+                await service.register_user(profile)
+                paths.append("/rankings/stream?user=alice")
+            server = RankingServer(service, port=0)
+            await server.start()
+            readers = [asyncio.ensure_future(read_sse_lines(server.port, path))
+                       for path in paths]
+            while service.status()["subscribers"] < len(paths):
+                await asyncio.sleep(0.01)
+            missing, _ = await http_request(
+                server.port, "GET", "/rankings/stream?user=nobody")
+            await service.submit(docs[:128])
+            await service.submit(docs[128:256])
+            await service.stop()
+            streams = await asyncio.wait_for(asyncio.gather(*readers), 10.0)
+            await server.stop()
+            return engine, streams, missing
+
+        plain_engine, (plain,), missing = asyncio.run(scenario(False))
+        engine, (global_lines, user_lines), _ = asyncio.run(scenario(True))
+        assert missing == 404
+        history = engine.ranking_history()
+        assert history == plain_engine.ranking_history()
+        assert len(plain) == 2 * len(history) + 1  # id + data, end frame
+        assert global_lines == plain
+        user_frames = [json.loads(line[len(b"data: "):])
+                       for line in user_lines if line.startswith(b"data: ")]
+        assert user_frames[:-1] == [
+            ranking_to_dict(engine.personalization.personalize(r, "alice"))
+            for r in history
+        ]
+        assert user_frames[-1] == {}  # the end-of-stream frame
 
     def test_error_statuses(self, docs):
         async def scenario():

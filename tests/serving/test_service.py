@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.twitter import TweetStreamGenerator
-from repro.portal.push import PushDispatcher
+from repro.core.personalization import UserProfile
 from repro.serving import DetectionService, ServiceClosedError
 
 HOUR = 3600.0
@@ -167,28 +167,16 @@ class TestLifecycle:
 
         run(scenario())
 
-    def test_external_dispatcher_is_not_closed_by_stop(self, docs):
-        async def scenario():
-            dispatcher = PushDispatcher()
-            engine = EnBlogue(config())
-            service = DetectionService(engine, dispatcher=dispatcher)
-            await service.start()
-            await service.submit(docs[:64])
-            await service.stop()
-            return dispatcher
-
-        dispatcher = run(scenario())
-        assert not dispatcher.closed
-
-    def test_owned_dispatcher_closes_with_the_service(self):
+    def test_stop_closes_the_fan_out(self):
         async def scenario():
             service = DetectionService(EnBlogue(config()))
             await service.start()
             await service.stop()
+            with pytest.raises(RuntimeError, match="closed"):
+                service.subscribe()
             return service.dispatcher
 
-        dispatcher = run(scenario())
-        assert dispatcher.closed
+        assert run(scenario()).closed
 
 
 class TestValidation:
@@ -251,39 +239,108 @@ class TestValidation:
         assert engine.documents_processed == 128
 
     def test_consumer_survives_a_raising_subscriber_callback(self, docs):
-        """A portal session callback that raises must not kill the
+        """A subscription whose delivery raises must not kill the
         consumer: the engine already ingested the batch, and a dead
         consumer would keep accepting batches nothing drains."""
 
+        def exploding(message):
+            raise RuntimeError("subscriber blew up")
+
         async def scenario():
-            dispatcher = PushDispatcher()
-            from repro.portal.server import GLOBAL_CHANNEL
-
-            def exploding(message):
-                raise RuntimeError("subscriber blew up")
-
-            dispatcher.subscribe(GLOBAL_CHANNEL, "bad-session", exploding)
             engine = EnBlogue(config())
-            service = DetectionService(engine, dispatcher=dispatcher)
+            service = DetectionService(engine)
             await service.start()
-            subscription = service.subscribe()
+            service.subscribe().deliver = exploding
             for batch in chunks(docs, 64):
                 await service.submit(batch)
             await service.stop()
-            frames = []
-            while (message := await subscription.next_message()) is not None:
-                frames.append(message.payload)
-            return engine, service, frames
+            return engine, service
 
-        engine, service, frames = run(scenario())
+        engine, service = run(scenario())
         assert engine.documents_processed == len(docs)
         assert service.stats.publish_errors > 0
         assert "blew up" in service.stats.last_error
         assert service.stats.batch_errors == 0
-        # The exploding callback fired before the fan-out delivery, so
-        # those frames never reached async subscribers — but the stream
-        # stayed alive and ended cleanly.
-        assert frames == []
+
+
+class TestUserChannels:
+    """Registered profiles get a personalised channel on the one fan-out."""
+
+    @staticmethod
+    async def collect(subscription):
+        return [message async for message in subscription]
+
+    def test_each_user_channel_carries_its_personalised_ranking(self, docs):
+        alice = UserProfile(user_id="alice", keywords=("sigmod",), boost=4.0)
+        bob = UserProfile(user_id="bob", keywords=("athens",), boost=4.0)
+
+        async def scenario():
+            engine = EnBlogue(config())
+            service = DetectionService(engine)
+            await service.start()
+            assert await service.register_user(alice) is alice
+            await service.register_user(bob)
+            subscriptions = [service.subscribe(),
+                             service.subscribe(user="alice"),
+                             service.subscribe(user="bob")]
+            readers = [asyncio.ensure_future(self.collect(subscription))
+                       for subscription in subscriptions]
+            for batch in chunks(docs, 64):
+                await service.submit(batch)
+            await service.stop()
+            return engine, service, await asyncio.gather(*readers)
+
+        engine, service, (plain, for_alice, for_bob) = run(scenario())
+        history = engine.ranking_history()
+        assert [m.payload for m in plain] == history
+        personalization = engine.personalization
+        assert [m.payload for m in for_alice] == [
+            personalization.personalize(r, "alice") for r in history]
+        assert [m.payload for m in for_bob] == [
+            personalization.personalize(r, "bob") for r in history]
+        # Each channel numbers its own frames from zero.
+        for messages in (plain, for_alice, for_bob):
+            assert [m.sequence for m in messages] == list(range(len(history)))
+        assert service.stats.rankings_published == len(history)
+
+    def test_unregistered_user_is_refused(self):
+        async def scenario():
+            service = DetectionService(EnBlogue(config()))
+            await service.start()
+            with pytest.raises(KeyError, match="nobody"):
+                service.subscribe(user="nobody")
+            await service.stop()
+
+        run(scenario())
+
+    def test_a_late_subscriber_sees_only_later_frames(self, docs):
+        half = len(docs) // 2
+
+        async def scenario():
+            engine = EnBlogue(config())
+            service = DetectionService(engine)
+            await service.start()
+            stable = service.subscribe()
+            flaky = service.subscribe()
+            readers = [asyncio.ensure_future(self.collect(subscription))
+                       for subscription in (stable, flaky)]
+            for batch in chunks(docs[:half], 64):
+                await service.submit(batch)
+            await service.drain()
+            service.unsubscribe(flaky)  # mid-stream: its stream just ends
+            late = service.subscribe()
+            readers.append(asyncio.ensure_future(self.collect(late)))
+            for batch in chunks(docs[half:], 64):
+                await service.submit(batch)
+            await service.stop()
+            return await asyncio.gather(*readers)
+
+        stable, flaky, late = run(scenario())
+        assert 0 < len(flaky) < len(stable)
+        assert 0 < len(late) < len(stable)
+        assert stable[:len(flaky)] == flaky
+        assert stable[len(stable) - len(late):] == late
+        assert len(flaky) + len(late) == len(stable)
 
 
 class TestCheckpointHops:
@@ -355,11 +412,11 @@ class TestCheckpointHops:
         assert status["batches_processed"] == status["batches_submitted"] == 201
         assert hops == (
             ["_latest_timestamp", "begin"]
-            + [hop for hop in hops if hop in ("process_batch", "note_rankings")]
+            + [hop for hop in hops if hop in ("_engine_step", "note_rankings")]
             + ["shutdown"]
         )
         # One hop per engine call, and a call carries a whole group.
-        assert hops.count("process_batch") == status["engine_calls"]
+        assert hops.count("_engine_step") == status["engine_calls"]
         assert status["engine_calls"] < status["batches_submitted"]
         assert hops.count("note_rankings") == 200 // 16
         # begin + the writing ticks + shutdown.

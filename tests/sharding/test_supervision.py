@@ -34,6 +34,7 @@ from repro.sharding import (
 )
 from repro.sharding.backends import (
     ProcessBackend,
+    SerialBackend,
     ShardExecutionError,
     ThreadBackend,
 )
@@ -134,7 +135,7 @@ class TestRetryPolicy:
 
     def test_refuses_double_supervision(self):
         with pytest.raises(ValueError, match="supervise"):
-            SupervisedBackend(SupervisedBackend("serial"))
+            SupervisedBackend(SupervisedBackend(SerialBackend()))
 
 
 class TestExactRecovery:
@@ -438,7 +439,7 @@ class TestSupervisedWiring:
         assert available_backends() == ["process", "serial", "threads"]
         with pytest.raises(ValueError, match="unknown shard backend"):
             make_backend("supervised")
-        assert SupervisedBackend("serial").name == "supervised[serial]"
+        assert SupervisedBackend(SerialBackend()).name == "supervised[serial]"
 
     def test_engine_reports_supervised_shape(self, tweet_docs):
         backend = SupervisedBackend(ThreadBackend())

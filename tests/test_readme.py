@@ -1,9 +1,11 @@
-"""README names only what exists.
+"""The documents name only what exists.
 
-Four checks over ``README.md``: every backticked ``repro.…`` dotted name
-imports, every ``repro_*`` metric family is declared in ``src/``, every
-repository path it names exists, and every ``--flag`` of a ``repro.cli``
-command in a code block is an option of that subcommand.
+Four checks over ``README.md`` and the verify skill
+(``.claude/skills/verify/SKILL.md``): every backticked ``repro.…`` dotted
+name imports, every ``repro_*`` metric family is declared in ``src/``,
+every repository path it names exists, and every ``--flag`` of a
+``repro.cli`` command (in a code block or an inline code span) is an
+option of that subcommand.
 """
 
 import argparse
@@ -18,16 +20,21 @@ import pytest
 from repro import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-README = (ROOT / "README.md").read_text(encoding="utf-8")
+DOCUMENTS = {
+    name: (ROOT / name).read_text(encoding="utf-8")
+    for name in ("README.md", ".claude/skills/verify/SKILL.md")
+}
 
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
-PROSE = FENCE.sub("", README)
-CODE_BLOCKS = FENCE.findall(README)
 
 
-def dotted_names():
+def prose(text):
+    return FENCE.sub("", text)
+
+
+def dotted_names(text):
     names = set()
-    for span in re.findall(r"`([^`\n]+)`", PROSE):
+    for span in re.findall(r"`([^`\n]+)`", prose(text)):
         names.update(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", span))
     return sorted(names)
 
@@ -46,10 +53,10 @@ def resolve(dotted):
     raise ModuleNotFoundError(dotted)
 
 
-def family_patterns():
+def family_patterns(text):
     """Each named family, brace lists expanded; ``*`` stays a wildcard."""
     patterns = set()
-    for token in re.findall(r"repro_(?:[a-z0-9_*]|\{[a-z0-9_,]+\})+", README):
+    for token in re.findall(r"repro_(?:[a-z0-9_*]|\{[a-z0-9_,]+\})+", text):
         pieces = re.split(r"\{([a-z0-9_,]+)\}", token)
         choices = [piece.split(",") if index % 2 else [piece]
                    for index, piece in enumerate(pieces)]
@@ -65,24 +72,34 @@ def declared_families():
     return declared
 
 
-def repository_paths():
+def repository_paths(text):
     found = re.findall(
         r"(?<![\w./-])((?:src|tests|scripts|benchmarks|examples)/[\w./*-]*)",
-        README)
+        text)
     return sorted({path.rstrip(".") for path in found})
 
 
-def cli_invocations():
-    """``(subcommand, flags)`` of every ``repro.cli`` line in a code block."""
+def cli_invocations(text):
+    """``(subcommand, flags)`` of every ``repro.cli`` command line.
+
+    Code blocks are read line by line; an inline code span (which may wrap
+    across lines) is one command.
+    """
+    lines = []
+    for block in FENCE.findall(text):
+        lines.extend(block.replace("\\\n", " ").splitlines())
+    lines.extend(" ".join(span.split())
+                 for span in re.findall(r"`([^`]+)`", prose(text)))
     invocations = []
-    for block in CODE_BLOCKS:
-        for line in block.replace("\\\n", " ").splitlines():
-            if "repro.cli" not in line:
-                continue
-            words = line.split("repro.cli", 1)[1].split("#", 1)[0].split()
-            flags = [word.split("=", 1)[0] for word in words
-                     if re.fullmatch(r"--[a-z][a-z0-9-]*(=.*)?", word)]
-            invocations.append((words[0], tuple(flags)))
+    for line in lines:
+        if "repro.cli" not in line:
+            continue
+        words = line.split("repro.cli", 1)[1].split("#", 1)[0].split()
+        if not words:
+            continue
+        flags = [word.split("=", 1)[0] for word in words
+                 if re.fullmatch(r"--[a-z][a-z0-9-]*(=.*)?", word)]
+        invocations.append((words[0], tuple(flags)))
     return invocations
 
 
@@ -91,20 +108,32 @@ def options_of(parser):
             for option in action.option_strings}
 
 
-def cli_flags():
+def cli_flags(text):
     """Each distinct ``(subcommand, flag)`` pair of :func:`cli_invocations`."""
-    return sorted({(command, flag) for command, flags in cli_invocations()
+    return sorted({(command, flag) for command, flags in cli_invocations(text)
                    for flag in flags})
 
 
-def test_every_check_has_something_to_check():
-    assert dotted_names()
-    assert family_patterns()
-    assert repository_paths()
-    assert cli_flags()
+def cases(extract):
+    """One test case per (document, extracted item)."""
+    params = []
+    for name, text in DOCUMENTS.items():
+        for item in extract(text):
+            label = item if isinstance(item, str) else " ".join(item)
+            params.append(pytest.param(item, id=f"{name}:{label}"))
+    return params
 
 
-@pytest.mark.parametrize("dotted", dotted_names())
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_every_check_has_something_to_check(name):
+    text = DOCUMENTS[name]
+    assert dotted_names(text)
+    assert family_patterns(text)
+    assert repository_paths(text)
+    assert cli_flags(text)
+
+
+@pytest.mark.parametrize("dotted", cases(dotted_names))
 def test_dotted_name_resolves(dotted):
     resolve(dotted)
 
@@ -114,12 +143,12 @@ def declared():
     return declared_families()
 
 
-@pytest.mark.parametrize("pattern", family_patterns())
+@pytest.mark.parametrize("pattern", cases(family_patterns))
 def test_named_family_is_declared(pattern, declared):
     assert any(fnmatchcase(name, pattern) for name in declared)
 
 
-@pytest.mark.parametrize("path", repository_paths())
+@pytest.mark.parametrize("path", cases(repository_paths))
 def test_named_path_exists(path):
     assert list(ROOT.glob(path.rstrip("/")))
 
@@ -132,9 +161,9 @@ def commands():
     return parser, subcommands.choices
 
 
-@pytest.mark.parametrize("command,flag", cli_flags(),
-                         ids=[" ".join(pair) for pair in cli_flags()])
-def test_cli_flag_parses(command, flag, commands):
+@pytest.mark.parametrize("command_flag", cases(cli_flags))
+def test_cli_flag_parses(command_flag, commands):
+    command, flag = command_flag
     parser, subcommands = commands
     assert command in subcommands
     assert flag in options_of(subcommands[command]) | options_of(parser)
