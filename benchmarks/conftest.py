@@ -1,10 +1,11 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark regenerates one artefact of the paper (Figure 1, one of the
-three demonstration show cases, the related-work contrast, the engine
-throughput claims, or an ablation of a design choice) and prints the
-corresponding rows/series.  Run with ``pytest benchmarks/ --benchmark-only``;
-add ``-s`` to see the printed tables.
+three demonstration show cases, the related-work contrast, or an ablation
+of a design choice) and prints the corresponding rows/series;
+``bench_overhead.py`` gates the cost of the observability layer.  Run
+with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
+printed tables.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ the popular/rare contrast of Figure 1 behave as they do on real data.
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -39,11 +40,9 @@ class ZipfSampler:
 
     def sample(self) -> str:
         """Draw one item."""
-        u = self._rng.random()
-        for index, cumulative in enumerate(self._cumulative):
-            if u <= cumulative:
-                return self.items[index]
-        return self.items[-1]
+        index = bisect.bisect_left(self._cumulative, self._rng.random())
+        # Rounding can leave the last cumulative value just under 1.0.
+        return self.items[index] if index < len(self.items) else self.items[-1]
 
     def sample_distinct(self, count: int) -> List[str]:
         """Draw ``count`` distinct items (fewer only if the vocabulary is smaller)."""

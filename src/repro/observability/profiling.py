@@ -11,8 +11,8 @@ first) and counts how often each folded stack was seen.
 Sampling never touches the sampled threads — no signals, no sys
 tracing hooks — so the engine's rankings stay bit-identical with the
 profiler running; the only cost is the GIL time the sampler thread
-itself takes (bounded by the interval, pinned by the throughput gate
-in ``BENCH_throughput.json``).
+itself takes (bounded by the interval, pinned by the <=5% profiling
+gate in ``benchmarks/bench_overhead.py``).
 
 ``GET /profile?seconds=N`` serves a windowed diff of the counts in
 collapsed text (pipe it straight into ``flamegraph.pl``) or JSON.  The

@@ -5,19 +5,18 @@ that map stream items into synopses".  In this reproduction that plug-in is
 the sketch tier of the two-tier tracker (:class:`SketchTier`, behind
 ``--tracking tiered``): a Count-Min sketch counts pair occurrences and a
 Bloom filter records which pairs were seen, so only pairs with enough
-sketched support reach exact tracking.  The windowed Count-Min variant and
-the shared hashing utilities complete the package.
+sketched support reach exact tracking.  The shared hashing utilities
+complete the package.
 """
 
 from repro.sketches.hashing import HashFamily
-from repro.sketches.countmin import CountMinSketch, WindowedCountMinSketch
+from repro.sketches.countmin import CountMinSketch
 from repro.sketches.bloom import BloomFilter
 from repro.sketches.tier import SketchTier
 
 __all__ = [
     "HashFamily",
     "CountMinSketch",
-    "WindowedCountMinSketch",
     "BloomFilter",
     "SketchTier",
 ]

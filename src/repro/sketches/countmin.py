@@ -1,17 +1,15 @@
-"""Count-Min sketch and a windowed variant for stream counting.
+"""Count-Min sketch for stream counting.
 
 The Count-Min sketch overestimates counts but never underestimates them,
 which is the right bias for seed-tag selection: a tag reported as popular by
 the sketch may occasionally be a false positive, but no genuinely popular
-tag is missed.  The windowed variant approximates sliding-window counts by
-keeping one sketch per sub-window ("pane") and summing the live panes.
+tag is missed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.sketches.hashing import HashFamily
 
@@ -136,62 +134,3 @@ class CountMinSketch:
         )
         sketch.restore(state)
         return sketch
-
-
-class WindowedCountMinSketch:
-    """Sliding-window counts approximated by per-pane Count-Min sketches.
-
-    The window ``horizon`` is divided into ``panes`` equal sub-intervals.
-    Each pane has its own sketch; when time moves past a pane boundary the
-    oldest pane is discarded.  Estimates sum the live panes, so they cover a
-    period between ``horizon - horizon/panes`` and ``horizon``.
-    """
-
-    def __init__(
-        self,
-        horizon: float,
-        panes: int = 8,
-        width: int = 512,
-        depth: int = 4,
-        seed: int = 0,
-    ):
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if panes <= 0:
-            raise ValueError("there must be at least one pane")
-        self.horizon = float(horizon)
-        self.panes = int(panes)
-        self.pane_length = self.horizon / self.panes
-        self._width = width
-        self._depth = depth
-        self._seed = seed
-        # Each live pane is (pane_index, sketch); pane_index = floor(t / pane_length).
-        self._live: Deque[Tuple[int, CountMinSketch]] = deque()
-
-    def add(self, timestamp: float, key: str, count: int = 1) -> None:
-        pane_index = self._pane_index(timestamp)
-        self._advance(pane_index)
-        if not self._live or self._live[-1][0] != pane_index:
-            sketch = CountMinSketch(
-                width=self._width, depth=self._depth, seed=self._seed
-            )
-            self._live.append((pane_index, sketch))
-        self._live[-1][1].add(key, count)
-
-    def advance_to(self, timestamp: float) -> None:
-        self._advance(self._pane_index(timestamp))
-
-    def estimate(self, key: str) -> int:
-        return sum(sketch.estimate(key) for _, sketch in self._live)
-
-    def _pane_index(self, timestamp: float) -> int:
-        if timestamp < 0:
-            raise ValueError("timestamp must be non-negative")
-        return int(timestamp // self.pane_length)
-
-    def _advance(self, pane_index: int) -> None:
-        if self._live and pane_index < self._live[-1][0]:
-            raise ValueError("timestamps must be non-decreasing")
-        oldest_allowed = pane_index - self.panes + 1
-        while self._live and self._live[0][0] < oldest_allowed:
-            self._live.popleft()

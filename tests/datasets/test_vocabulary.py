@@ -1,5 +1,6 @@
 """Tests for tag vocabularies and Zipf sampling."""
 
+import math
 import random
 from collections import Counter
 
@@ -54,6 +55,41 @@ class TestZipfSampler:
         first = ZipfSampler(["a", "b", "c"], rng=random.Random(7))
         second = ZipfSampler(["a", "b", "c"], rng=random.Random(7))
         assert [first.sample() for _ in range(20)] == [second.sample() for _ in range(20)]
+
+    @pytest.mark.parametrize("size", [1, 7, 5000])
+    def test_draws_equal_a_linear_scan_oracle(self, size):
+        items = [f"t{i}" for i in range(size)]
+        sampler = ZipfSampler(items, rng=random.Random(11))
+        oracle_rng = random.Random(11)
+        weights = [1.0 / rank ** 1.1 for rank in range(1, size + 1)]
+        total = sum(weights)
+        cumulative, running = [], 0.0
+        for weight in weights:
+            running += weight / total
+            cumulative.append(running)
+
+        def oracle_draw(u):
+            for index, bound in enumerate(cumulative):
+                if u <= bound:
+                    return items[index]
+            return items[-1]
+
+        assert [sampler.sample() for _ in range(2000)] \
+            == [oracle_draw(oracle_rng.random()) for _ in range(2000)]
+
+    def test_draws_on_and_past_the_cumulative_bounds(self):
+        items = [f"t{i}" for i in range(7)]
+        bounds = ZipfSampler(items)._cumulative
+        # A u equal to a bound maps to that bound's item; a u past the
+        # last bound (which rounding can leave below 1.0) maps to the last.
+        draws = iter([bounds[3], bounds[-1], math.nextafter(bounds[-1], 2.0), 0.0])
+
+        class ScriptedRng:
+            def random(self):
+                return next(draws)
+
+        sampler = ZipfSampler(items, rng=ScriptedRng())
+        assert [sampler.sample() for _ in range(4)] == ["t3", "t6", "t6", "t0"]
 
 
 class TestTagVocabulary:

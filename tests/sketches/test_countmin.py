@@ -1,8 +1,8 @@
-"""Tests for the Count-Min sketch and its windowed variant."""
+"""Tests for the Count-Min sketch."""
 
 import pytest
 
-from repro.sketches.countmin import CountMinSketch, WindowedCountMinSketch
+from repro.sketches.countmin import CountMinSketch
 
 
 class TestCountMinSketch:
@@ -69,57 +69,3 @@ class TestCountMinSketch:
         second = CountMinSketch(width=64, depth=4, seed=2)
         with pytest.raises(ValueError):
             first.merge(second)
-
-
-class TestWindowedCountMinSketch:
-    def test_counts_within_window(self):
-        sketch = WindowedCountMinSketch(horizon=100.0, panes=4)
-        sketch.add(0.0, "a")
-        sketch.add(10.0, "a")
-        assert sketch.estimate("a") >= 2
-
-    def test_old_panes_expire(self):
-        sketch = WindowedCountMinSketch(horizon=100.0, panes=4)
-        sketch.add(0.0, "a")
-        sketch.advance_to(500.0)
-        assert sketch.estimate("a") == 0
-
-    def test_partial_expiry_keeps_recent_panes(self):
-        sketch = WindowedCountMinSketch(horizon=100.0, panes=4)
-        sketch.add(0.0, "a")
-        sketch.add(90.0, "a")
-        sketch.advance_to(120.0)
-        # The pane containing t=0 is gone, the pane containing t=90 is live.
-        assert sketch.estimate("a") == 1
-
-    def test_rejects_time_going_backwards(self):
-        sketch = WindowedCountMinSketch(horizon=100.0, panes=4)
-        sketch.add(50.0, "a")
-        with pytest.raises(ValueError):
-            sketch.add(10.0, "a")
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            WindowedCountMinSketch(horizon=0.0)
-        with pytest.raises(ValueError):
-            WindowedCountMinSketch(horizon=10.0, panes=0)
-
-    def test_rejects_negative_timestamp(self):
-        sketch = WindowedCountMinSketch(horizon=10.0)
-        with pytest.raises(ValueError):
-            sketch.add(-1.0, "a")
-
-    def test_never_undercounts_a_windowed_stream(self):
-        sketch = WindowedCountMinSketch(horizon=1000.0, panes=4, width=64)
-        for i in range(20):
-            sketch.add(float(i), "hot")
-            sketch.add(float(i), f"rare{i}")
-        assert sketch.estimate("hot") >= 20
-        assert all(sketch.estimate(f"rare{i}") >= 1 for i in range(20))
-
-    def test_weighted_adds_within_one_pane(self):
-        sketch = WindowedCountMinSketch(horizon=100.0, panes=4)
-        sketch.add(1.0, "a", count=3)
-        sketch.add(2.0, "a", count=4)
-        assert sketch.estimate("a") == 7
-        assert sketch.estimate("b") == 0
