@@ -76,8 +76,7 @@ def main() -> None:
          "--host", HOST, "--port", str(args.port),
          "--shards", "2", "--backend", args.backend, "--supervise",
          "--max-retries", "3", "--retry-backoff", "0.05",
-         "--checkpoint-dir", journal, "--checkpoint-every", "1",
-         "--checkpoint-mode", "delta"],
+         "--checkpoint-dir", journal, "--checkpoint-every", "1"],
         env={**os.environ, "REPRO_FAULT_PLAN": plan},
     )
     deadline = time.monotonic() + 60

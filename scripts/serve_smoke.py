@@ -187,8 +187,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="serve-ckpt-") as directory:
         server = spawn(port, engine + [
-            "--checkpoint-dir", directory, "--checkpoint-every", "2",
-            "--checkpoint-mode", "delta"])
+            "--checkpoint-dir", directory, "--checkpoint-every", "2"])
         try:
             stream = open_sse(port)
             status, body = post(port, docs[:120])

@@ -12,14 +12,10 @@ Examples::
     python -m repro.cli replay --dataset tweets --metrics
     python -m repro.cli replay --dataset nyt --export /tmp/rankings.json
     python -m repro.cli replay --dataset tweets --shards 2 \
-        --checkpoint-every 8 --checkpoint-dir /tmp/ckpt
-    python -m repro.cli replay --dataset tweets --shards 2 \
-        --checkpoint-every 8 --checkpoint-dir /tmp/ckpt \
-        --checkpoint-mode delta --full-every 16
+        --checkpoint-every 8 --checkpoint-dir /tmp/ckpt --full-every 16
     python -m repro.cli replay --resume /tmp/ckpt --shards 4
     python -m repro.cli serve --port 8000 --shards 2 --backend process \
-        --checkpoint-dir /tmp/serve-ckpt --checkpoint-every 4 \
-        --checkpoint-mode delta
+        --checkpoint-dir /tmp/serve-ckpt --checkpoint-every 4
     python -m repro.cli serve --resume /tmp/serve-ckpt --port 8000
     python -m repro.cli compare --dataset shifts
     python -m repro.cli explore --dataset nyt --start-day 50 --end-day 80
@@ -109,9 +105,9 @@ def _apply_overrides(config: EnBlogueConfig, args: argparse.Namespace) -> EnBlog
         overrides["predictor"] = args.predictor
     if args.seeds is not None:
         overrides["num_seeds"] = args.seeds
-    if getattr(args, "tracking", None) is not None:
+    if args.tracking is not None:
         overrides["tracking"] = args.tracking
-    if getattr(args, "promote_support", None) is not None:
+    if args.promote_support is not None:
         overrides["promote_support"] = args.promote_support
     return config.with_overrides(**overrides) if overrides else config
 
@@ -126,16 +122,15 @@ def _resolve_backend(args: argparse.Namespace):
     bound to whichever backend results.
     """
     plan = FaultPlan.from_env()
-    supervise = getattr(args, "supervise", False)
-    if not supervise and plan is None:
+    if not args.supervise and plan is None:
         return args.backend
     backend = make_backend(args.backend)
-    if supervise:
+    if args.supervise:
         backend = SupervisedBackend(
             backend,
             policy=RetryPolicy(
-                max_retries=getattr(args, "max_retries", 3),
-                backoff_base=getattr(args, "retry_backoff", 0.05),
+                max_retries=args.max_retries,
+                backoff_base=args.retry_backoff,
             ),
         )
     if plan is not None:
@@ -212,7 +207,6 @@ def _checkpoint_cadence(engine, args: argparse.Namespace, extras: dict,
         engine,
         directory=args.checkpoint_dir,
         every=args.checkpoint_every,
-        mode=args.checkpoint_mode,
         full_every=args.full_every,
         extras=extras,
         extras_provider=_metrics_extras_provider(observability),
@@ -223,12 +217,6 @@ def _require_checkpoint_flags(args: argparse.Namespace) -> None:
     """Reject checkpoint flags that cannot work together (replay, serve)."""
     if args.checkpoint_every and not args.checkpoint_dir:
         raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    if args.checkpoint_mode == "delta" and not args.checkpoint_every:
-        raise SystemExit(
-            "--checkpoint-mode delta requires --checkpoint-every: a delta "
-            "journal only exists on a cadence (a one-off save is a full "
-            "checkpoint already)"
-        )
 
 
 def _report_checkpoints(cadence: CheckpointCadence, directory) -> None:
@@ -389,8 +377,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Documents arrive over ``POST /ingest`` (a bounded queue pushes back on
     producers), rankings leave over ``GET /rankings`` and the SSE stream
-    ``GET /rankings/stream``, and the checkpoint cadence — delta mode
-    included — rides the same event loop, writing between batches.
+    ``GET /rankings/stream``, and the checkpoint cadence rides the same
+    event loop, writing between batches.
     ``--resume`` restores engine and configuration from a checkpoint
     directory and keeps serving the stream from where it stopped.
     """
@@ -527,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dataset generator seed")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    def add_dataset(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--dataset", choices=("tweets", "nyt", "shifts"),
                          default=_RESUME_FALLBACK_DEFAULTS["dataset"],
                          help="which synthetic dataset to replay")
@@ -537,6 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--years", type=float,
                          default=_RESUME_FALLBACK_DEFAULTS["years"],
                          help="archive length in years (nyt dataset)")
+
+    def add_overrides(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--top-k", type=int, default=None, help="ranking size")
         sub.add_argument("--measure", default=None,
                          help="correlation measure (jaccard, overlap, cosine, pmi, kl)")
@@ -556,8 +546,57 @@ def build_parser() -> argparse.ArgumentParser:
                               "exact tracking (0 or 1 degenerate to the "
                               "exact engine)")
 
+    def add_engine(sub: argparse.ArgumentParser) -> None:
+        """Shards, persistence and supervision: replay and serve alike."""
+        sub.add_argument("--shards", type=_positive_int, default=None,
+                         help="partition the pair space over N shards "
+                              "(default 1 = the single-process engine; with "
+                              "--resume: restore into N shards, "
+                              "re-partitioning the checkpointed pair state "
+                              "if N differs)")
+        sub.add_argument("--backend", choices=available_backends(),
+                         default="serial",
+                         help="shard execution backend (with --shards > 1)")
+        sub.add_argument("--checkpoint-every", type=_positive_int,
+                         default=None, metavar="N",
+                         help="checkpoint cadence: write a full base when "
+                              "the run starts, then append a journal "
+                              "segment after every N published rankings "
+                              "(requires --checkpoint-dir)")
+        sub.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                         help="checkpoint directory; without "
+                              "--checkpoint-every the end state is saved "
+                              "once (end of replay, server shutdown)")
+        sub.add_argument("--full-every", type=_positive_int, default=16,
+                         metavar="K",
+                         help="with --checkpoint-every: re-base (a fresh "
+                              "full checkpoint, compacting the journal) "
+                              "every K-th cadence tick")
+        sub.add_argument("--resume", default=None, metavar="DIR",
+                         help="resume from the checkpoint in DIR (engine "
+                              "configuration and, for replay, the dataset "
+                              "parameters come from its manifest)")
+        sub.add_argument("--supervise", action="store_true",
+                         help="wrap the shard backend in the self-healing "
+                              "supervisor: dead workers are respawned and "
+                              "their state rebuilt by replaying the "
+                              "in-memory operation log (serve keeps "
+                              "accepting ingest and serves the last good "
+                              "ranking, marked stale, meanwhile)")
+        sub.add_argument("--max-retries", type=int, default=3, metavar="N",
+                         help="with --supervise: failed shard operations "
+                              "are retried up to N times before the "
+                              "failure is escalated as permanent (503 on "
+                              "serve)")
+        sub.add_argument("--retry-backoff", type=float, default=0.05,
+                         metavar="SECONDS",
+                         help="with --supervise: base of the exponential "
+                              "retry backoff (doubles per attempt)")
+
     replay = subparsers.add_parser("replay", help="replay a dataset through enBlogue")
-    add_common(replay)
+    add_dataset(replay)
+    add_overrides(replay)
+    add_engine(replay)
     replay.add_argument("--verbose", action="store_true",
                         help="print the engine shape and active evaluation "
                              "path (vectorized or scalar) before replaying")
@@ -568,53 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--export", default=None,
                         help="write the produced rankings to this JSON file "
                              "(with --resume: only the post-resume rankings)")
-    replay.add_argument("--shards", type=_positive_int, default=None,
-                        help="partition the pair space over N shards "
-                             "(default 1 = the single-process engine; with "
-                             "--resume: restore into N shards, re-partitioning "
-                             "the checkpointed pair state if N differs)")
-    replay.add_argument("--backend", choices=available_backends(), default="serial",
-                        help="shard execution backend (with --shards > 1)")
-    replay.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                        metavar="N",
-                        help="write a checkpoint after every N published "
-                             "rankings (requires --checkpoint-dir)")
-    replay.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="checkpoint directory; without --checkpoint-every "
-                             "the end-of-replay state is saved once")
-    replay.add_argument("--checkpoint-mode", choices=("full", "delta"),
-                        default="full",
-                        help="cadence checkpoint format: 'full' re-serializes "
-                             "the whole window each tick; 'delta' writes a "
-                             "full base then appends journal segments "
-                             "proportional to the new documents")
-    replay.add_argument("--full-every", type=_positive_int, default=16,
-                        metavar="K",
-                        help="with --checkpoint-mode delta: write a fresh "
-                             "full base (compacting the journal) every K-th "
-                             "cadence tick")
-    replay.add_argument("--resume", default=None, metavar="DIR",
-                        help="resume from the checkpoint in DIR instead of "
-                             "replaying from cold (engine config and dataset "
-                             "parameters come from the checkpoint manifest)")
-    replay.add_argument("--supervise", action="store_true",
-                        help="wrap the shard backend in the self-healing "
-                             "supervisor: dead workers are respawned and "
-                             "their state rebuilt by replaying the "
-                             "in-memory operation log")
-    replay.add_argument("--max-retries", type=int, default=3, metavar="N",
-                        help="with --supervise: failed shard operations are "
-                             "retried up to N times before the failure is "
-                             "escalated as permanent")
-    replay.add_argument("--retry-backoff", type=float, default=0.05,
-                        metavar="SECONDS",
-                        help="with --supervise: base of the exponential "
-                             "retry backoff (doubles per attempt)")
     replay.set_defaults(handler=_cmd_replay)
 
     serve = subparsers.add_parser(
         "serve",
         help="serve the engine over HTTP: live ingest, rankings, SSE push")
+    add_overrides(serve)
+    add_engine(serve)
+    # Accepted only because benchmarks/perf/serve.py still passes
+    # "--checkpoint-mode delta"; the next [benchmark] change deletes it.
+    serve.add_argument("--checkpoint-mode", choices=("delta",),
+                       default=None, help=argparse.SUPPRESS)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8000,
                        help="TCP port (0 picks an ephemeral port, printed "
@@ -622,28 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--preset", choices=("live", "news"), default="live",
                        help="configuration preset for a fresh engine "
                             "(ignored with --resume)")
-    serve.add_argument("--top-k", type=int, default=None, help="ranking size")
-    serve.add_argument("--measure", default=None,
-                       help="correlation measure (jaccard, overlap, cosine, "
-                            "pmi, kl)")
-    serve.add_argument("--predictor", default=None,
-                       help="shift predictor (last, moving_average, ewma, "
-                            "linear, holt)")
-    serve.add_argument("--seeds", type=int, default=None,
-                       help="number of seed tags")
-    serve.add_argument("--tracking", choices=("exact", "tiered"),
-                       default=None,
-                       help="pair-tracking mode (see replay)")
-    serve.add_argument("--promote-support", type=int, default=None,
-                       metavar="K",
-                       help="with --tracking tiered: promotion threshold "
-                            "(see replay)")
-    serve.add_argument("--shards", type=_positive_int, default=None,
-                       help="partition the pair space over N shards "
-                            "(default 1 = the single-process engine)")
-    serve.add_argument("--backend", choices=available_backends(),
-                       default="serial",
-                       help="shard execution backend (with --shards > 1)")
     serve.add_argument("--queue-capacity", type=_positive_int, default=8,
                        help="bound of the ingest queue, in batches; a full "
                             "queue blocks POST /ingest responses "
@@ -654,46 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-file", default=None, metavar="PATH",
                        help="append every structured log record (the NDJSON "
                             "events served on GET /logs) to this file")
-    serve.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                       metavar="N",
-                       help="checkpoint after every N published rankings "
-                            "(requires --checkpoint-dir)")
-    serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="checkpoint directory; without "
-                            "--checkpoint-every the end state is saved "
-                            "once at shutdown")
-    serve.add_argument("--checkpoint-mode", choices=("full", "delta"),
-                       default="full",
-                       help="cadence checkpoint format (see replay)")
-    serve.add_argument("--full-every", type=_positive_int, default=16,
-                       metavar="K",
-                       help="with --checkpoint-mode delta: re-base the "
-                            "journal every K-th cadence tick")
-    serve.add_argument("--resume", default=None, metavar="DIR",
-                       help="restore engine and configuration from the "
-                            "checkpoint in DIR and continue serving")
-    serve.add_argument("--supervise", action="store_true",
-                       help="self-healing shard pool: dead workers are "
-                            "respawned and rebuilt mid-serve while ingest "
-                            "keeps being accepted and the last good "
-                            "ranking is served (marked stale)")
-    serve.add_argument("--max-retries", type=int, default=3, metavar="N",
-                       help="with --supervise: retry budget per shard "
-                            "operation before escalating to 503")
-    serve.add_argument("--retry-backoff", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="with --supervise: base of the exponential "
-                            "retry backoff (doubles per attempt)")
     serve.set_defaults(handler=_cmd_serve)
 
     compare = subparsers.add_parser("compare",
                                     help="compare enBlogue against the baselines")
-    add_common(compare)
+    add_dataset(compare)
+    add_overrides(compare)
     compare.set_defaults(handler=_cmd_compare)
 
     explore = subparsers.add_parser("explore",
                                     help="rank an archive time range (show case 1)")
-    add_common(explore)
+    add_dataset(explore)
+    add_overrides(explore)
     explore.add_argument("--start-day", type=float, default=None,
                          help="analysis window start (days/hours from archive start)")
     explore.add_argument("--end-day", type=float, default=None,

@@ -60,6 +60,25 @@ class _DeltaChain:
     newest_generation: int
 
 
+def require_stream_time(timestamp: float, interval: float) -> None:
+    """Reject a stream time the evaluation schedule cannot handle.
+
+    ``inf`` can never be caught up to and ``nan`` never ordered; and where
+    the float spacing reaches ``interval`` (|t| ≥ 2**64 for the hourly
+    default) ``boundary + interval`` stops advancing, so the catch-up loop
+    would spin forever.  Raises ``ValueError`` for all three; callers check
+    before any state is touched.
+    """
+    if not math.isfinite(timestamp):
+        raise ValueError(f"non-finite timestamp: {timestamp}")
+    if not math.ulp(timestamp) < interval:
+        raise ValueError(
+            f"timestamp {timestamp} is out of range: the float spacing "
+            f"there ({math.ulp(timestamp)}) reaches the evaluation interval "
+            f"({interval}), so the evaluation schedule could not advance"
+        )
+
+
 def make_tracker(
     config: EnBlogueConfig,
     track_usage: Optional[bool] = None,
@@ -355,17 +374,12 @@ class DetectionEngineBase:
             timestamps.append(timestamp)
             prepared.append((timestamp, tags, entities))
         if timestamps:
-            # A time-ordered chunk is finite iff both its ends are.
-            self._require_finite(timestamps[0])
-            self._require_finite(timestamps[-1])
+            # A time-ordered chunk is a valid stream time iff both its ends
+            # are: the float spacing peaks at the larger magnitude.
+            interval = self.config.evaluation_interval
+            require_stream_time(timestamps[0], interval)
+            require_stream_time(timestamps[-1], interval)
         return prepared, timestamps
-
-    @staticmethod
-    def _require_finite(timestamp: float) -> None:
-        """Reject a stream time the boundary catch-up could never reach
-        (``inf``) or order (``nan``), before any state is touched."""
-        if not math.isfinite(timestamp):
-            raise ValueError(f"non-finite timestamp: {timestamp}")
 
     def evaluate_now(self, timestamp: Optional[float] = None) -> Ranking:
         """Force an evaluation at ``timestamp`` (default: latest stream time)."""
@@ -373,7 +387,7 @@ class DetectionEngineBase:
             timestamp = self._latest_timestamp()
         if timestamp is None:
             raise ValueError("no documents processed yet")
-        self._require_finite(timestamp)
+        require_stream_time(timestamp, self.config.evaluation_interval)
         return self._timed_evaluate(timestamp)
 
     # -- results --------------------------------------------------------------
@@ -467,7 +481,9 @@ class DetectionEngineBase:
             self._stop_delta_tracking()
         return Path(directory)
 
-    def save_delta_checkpoint(self, directory) -> Path:
+    def save_delta_checkpoint(
+        self, directory, extras: Optional[Mapping] = None,
+    ) -> Path:
         """Append a journal segment of everything since the last save.
 
         Requires an active delta chain — a prior
@@ -476,8 +492,9 @@ class DetectionEngineBase:
         the chain's next generation (one durability barrier, kilobytes
         proportional to the new documents).  Restoring the directory
         replays base + journal into exactly this engine's current state;
-        a crash mid-append costs at most this tick.  Manifest ``extras``
-        are recorded at base/re-base time and carry over unchanged.
+        a crash mid-append costs at most this tick.  ``extras`` ride in
+        the segment and supersede the manifest's of the same keys when
+        the chain is read back.
         """
         if self._delta_chain is None:
             raise SnapshotMismatchError(
@@ -498,6 +515,7 @@ class DetectionEngineBase:
                 expected_base=chain.base_generation,
                 expected_generation=chain.newest_generation,
                 observer=self.observability.store_observer("delta"),
+                extras=extras,
             )
         except BaseException:
             # The drain already emptied the component buffers, so this

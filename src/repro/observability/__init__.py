@@ -13,7 +13,8 @@ One :class:`Observability` object bundles what the pipeline layers need:
   wall-clock folded-stack sampling (``GET /profile``),
 * ``slo`` — an :class:`~repro.observability.slo.SloTracker` computing
   multi-window burn rates over the registry (``GET /slo``),
-* ``clock`` — the injected time source every duration comes from.
+* ``clock`` — ``time.perf_counter``, the one time source every
+  duration comes from.
 
 The library default is :data:`NOOP` — instrumented code paths cost one
 no-op call and **zero allocations** per event, so embedding the engines
@@ -34,7 +35,7 @@ resumed server's counters continue monotonically instead of resetting.
 from __future__ import annotations
 
 import time
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.observability.export import (
     NDJSON_CONTENT_TYPE,
@@ -162,10 +163,11 @@ STANDARD_FAMILIES = {
     "repro_serving_checkpoints_written":
         ("gauge", "Checkpoints the serving cadence has written."),
     "repro_persistence_checkpoints_total":
-        ("counter", "Cadence checkpoint ticks, labeled by mode "
-                    "(full or delta)."),
+        ("counter", "Cadence checkpoint ticks, labeled by mode, the "
+                    "tick kind (full = re-base, delta = append)."),
     "repro_persistence_checkpoint_seconds":
-        ("histogram", "Wall time per cadence checkpoint tick, by mode."),
+        ("histogram", "Wall time per cadence checkpoint tick, by mode "
+                      "(the tick kind)."),
     "repro_persistence_serialize_seconds":
         ("histogram", "Checkpoint encode time (the serialize half), "
                       "by mode."),
@@ -189,37 +191,18 @@ STANDARD_FAMILIES = {
 class Observability:
     """Registry + tracer + clock, enabled or inert, handed down the stack."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = True,
-                 trace_capacity: Optional[int] = None,
-                 stripes: Optional[int] = None,
-                 log_capacity: Optional[int] = None,
-                 log_path: Optional[str] = None,
-                 slo_objectives=None,
-                 slo_clock: Optional[Callable[[], float]] = None):
+    def __init__(self, enabled: bool = True,
+                 log_path: Optional[str] = None):
         self.enabled = bool(enabled)
-        self.clock = clock or time.perf_counter
+        self.clock = time.perf_counter
         if self.enabled:
-            self.registry = MetricsRegistry(
-                stripes=stripes if stripes is not None else 4
-            )
-            self.tracer = StageTracer(
-                clock=self.clock,
-                capacity=trace_capacity or 4096,
-                registry=self.registry,
-            )
-            self.log = EventLog(
-                capacity=log_capacity or DEFAULT_LOG_CAPACITY,
-                tracer=self.tracer,
-                registry=self.registry,
-                path=log_path,
-            )
+            self.registry = MetricsRegistry()
+            self.tracer = StageTracer(clock=self.clock,
+                                      registry=self.registry)
+            self.log = EventLog(tracer=self.tracer, registry=self.registry,
+                                path=log_path)
             self.profiler = SamplingProfiler(registry=self.registry)
-            self.slo = SloTracker(
-                self.registry,
-                objectives=slo_objectives,
-                clock=slo_clock,
-            )
+            self.slo = SloTracker(self.registry)
             for name, (kind, help_text) in STANDARD_FAMILIES.items():
                 getattr(self.registry, kind)(name, help=help_text)
         else:

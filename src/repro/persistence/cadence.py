@@ -1,14 +1,14 @@
 """The checkpoint cadence policy shared by CLI replays and the serving layer.
 
-Both the ``replay`` command (``--checkpoint-every/--checkpoint-mode``) and
-the asyncio serving layer persist the engine on the same policy: every
-N-th published ranking triggers a write; in ``full`` mode each write
-re-serializes the whole window, in ``delta`` mode the chain starts from an
-eagerly written base (compacting any inherited journal on resume) and
-every write until the ``full_every``-th appends a journal segment sized by
-the new documents.  Keeping the policy in one class means the serving
-layer's checkpoint-while-serving behaviour cannot drift from what
-``--resume`` was tested against.
+Both the ``replay`` command (``--checkpoint-every/--full-every``) and the
+asyncio serving layer persist the engine on the same policy: the cadence
+writes a full *base* when it starts (on resume: the just-restored state,
+which compacts any inherited journal), and every N-th published ranking
+then appends a journal segment sized by the new documents.  Every
+``full_every``-th tick, and any tick after a failed append disarmed the
+chain, re-bases with a fresh full checkpoint.  Keeping the policy in one
+class means the serving layer's checkpoint-while-serving behaviour cannot
+drift from what ``--resume`` was tested against.
 
 The cadence itself is synchronous — callers decide where it runs (the CLI
 calls it inline from the harness hook; the serving layer schedules it on
@@ -22,12 +22,16 @@ from typing import Any, Callable, Mapping, Optional
 
 
 class CheckpointCadence:
-    """Every N-th ranking persists the engine, full or base+journal.
+    """Every N-th ranking persists the engine as base + journal.
 
     With ``directory`` unset the cadence is inert (counts rankings,
-    writes nothing) so callers need no conditional wiring.  ``extras``
-    lands in the checkpoint manifest at base/re-base time (the CLI stores
-    its dataset parameters there, the serving layer its ingest counters).
+    writes nothing) so callers need no conditional wiring; with
+    ``directory`` but no ``every`` it only makes the one-off full save of
+    :meth:`finalize`/:meth:`shutdown`.  ``extras`` lands in the checkpoint
+    manifest at base/re-base time (the CLI stores its dataset parameters
+    there, the serving layer its source tag); ``extras_provider``'s live
+    extras are written at every tick, appended segments included, so
+    what a restore reads back is as fresh as the engine state.
     """
 
     def __init__(
@@ -35,34 +39,32 @@ class CheckpointCadence:
         engine,
         directory=None,
         every: Optional[int] = None,
-        mode: str = "full",
         full_every: int = 16,
         extras: Optional[Mapping] = None,
         extras_provider: Optional[Callable[[], Mapping]] = None,
+        mode: str = "delta",
     ):
-        if mode not in ("full", "delta"):
-            raise ValueError(f"mode must be 'full' or 'delta', got {mode!r}")
+        # ``mode`` is kept only because benchmarks/perf/traced_server.py
+        # still passes it; the next [benchmark] change deletes it.
+        if mode != "delta":
+            raise ValueError(
+                f"mode must be 'delta' (base + journal is the only "
+                f"cadence), got {mode!r}"
+            )
         if every is not None and every < 1:
             raise ValueError("every must be a positive ranking count")
         if full_every < 1:
             raise ValueError("full_every must be at least 1")
         if every is not None and directory is None:
             raise ValueError("a checkpoint cadence needs a directory")
-        if mode == "delta" and every is None:
-            raise ValueError(
-                "mode='delta' requires a cadence (every=N): a delta journal "
-                "only exists on a cadence (a one-off save is a full "
-                "checkpoint already)"
-            )
         self.engine = engine
         self.directory = directory
         self.every = every
-        self.mode = mode
         self.full_every = int(full_every)
         self.extras = dict(extras or {})
-        # Live metadata merged into the manifest extras at every write
-        # (the serving CLI rides its metrics snapshot along here so a
-        # resumed server's counters continue instead of resetting).
+        # Live metadata written at every tick (the serving CLI rides its
+        # metrics snapshot along here so a resumed server's counters
+        # continue instead of resetting).
         self.extras_provider = extras_provider
         self.rankings_seen = 0
         self.checkpoints_written = 0
@@ -70,13 +72,13 @@ class CheckpointCadence:
     # -- lifecycle -------------------------------------------------------------
 
     def begin(self) -> None:
-        """Arm the cadence; delta mode writes the chain's base eagerly.
+        """Arm the cadence by writing the chain's base eagerly.
 
         The base is the cadence-start state (for a resume: the
         just-restored state, which compacts any inherited journal), so
         every tick until the next re-base appends a segment.
         """
-        if self.directory is not None and self.every and self.mode == "delta":
+        if self.directory is not None and self.every:
             self.engine.save_checkpoint(
                 self.directory, extras=self._extras(), track_deltas=True
             )
@@ -126,9 +128,8 @@ class CheckpointCadence:
         The serving layer's closing bracket: a served stream is live
         (documents cannot be re-fed from a dataset), so the documents
         accepted after the last cadence tick must reach disk before the
-        process exits — as one more cadence tick (a journal segment in
-        delta mode), or as the one-off end-state save when no cadence was
-        configured.  Call only when the engine is quiescent (the service
+        process exits — as one more cadence tick, or as the one-off
+        end-state save when no cadence was configured.  Call only when the engine is quiescent (the service
         drains its queue first).
         """
         if self.directory is None:
@@ -146,34 +147,38 @@ class CheckpointCadence:
 
     # -- internals -------------------------------------------------------------
 
+    def _live_extras(self) -> Mapping:
+        """The provider's live extras, or none."""
+        if self.extras_provider is None:
+            return {}
+        try:
+            return self.extras_provider() or {}
+        except Exception:
+            # Extras are metadata; a broken provider must not fail a
+            # checkpoint whose state half is perfectly writable.
+            return {}
+
     def _extras(self) -> Mapping:
-        """Static extras merged with the provider's live ones, if any."""
-        extras = dict(self.extras)
-        if self.extras_provider is not None:
-            try:
-                extras.update(self.extras_provider() or {})
-            except Exception:
-                # Extras are metadata; a broken provider must not fail a
-                # checkpoint whose state half is perfectly writable.
-                pass
-        return extras
+        """Static extras merged with the provider's live ones."""
+        return {**self.extras, **self._live_extras()}
 
     def _write_tick(self) -> None:
-        # A delta cadence appends — except that every ``full_every``-th
-        # write, and any write while the engine holds no armed chain (a
-        # failed append disarms it for good), re-bases with a full one.
+        # Append — except that every ``full_every``-th write, and any
+        # write while the engine holds no armed chain (a failed append
+        # disarms it for good), re-bases with a full checkpoint.
         append = (
-            self.mode == "delta"
-            and self.checkpoints_written % self.full_every != 0
+            self.checkpoints_written % self.full_every != 0
             and self.engine.delta_chain_armed
         )
         observability = getattr(self.engine, "observability", None)
         if observability is None or not observability.enabled:
             self._write_tick_inner(append)
             return
-        mode = "delta" if append else "full"
+        # The tick kind labels the metrics: ``full`` re-bases, ``delta``
+        # appends.
+        kind = "delta" if append else "full"
         clock = observability.clock
-        with observability.tracer.span(f"checkpoint_{mode}"):
+        with observability.tracer.span(f"checkpoint_{kind}"):
             started = clock()
             self._write_tick_inner(append)
             elapsed = clock() - started
@@ -181,15 +186,15 @@ class CheckpointCadence:
             # checkpoint trace id, pairing /logs with /trace.
             observability.log.emit(
                 "checkpoint",
-                mode=mode,
+                mode=kind,
                 seconds=round(elapsed, 6),
                 checkpoints_written=self.checkpoints_written,
             )
         registry = observability.registry
         registry.histogram("repro_persistence_checkpoint_seconds") \
-            .labels(mode=mode).observe(elapsed)
+            .labels(mode=kind).observe(elapsed)
         registry.counter("repro_persistence_checkpoints_total") \
-            .labels(mode=mode).inc()
+            .labels(mode=kind).inc()
 
     def _write_tick_inner(self, append: bool) -> None:
         # A tick builds, encodes and drops one burst of acyclic containers;
@@ -199,12 +204,12 @@ class CheckpointCadence:
         gc.disable()
         try:
             if append:
-                # Manifest extras were recorded at the base/re-base tick.
-                self.engine.save_delta_checkpoint(self.directory)
+                self.engine.save_delta_checkpoint(
+                    self.directory, extras=self._live_extras()
+                )
             else:
                 self.engine.save_checkpoint(
-                    self.directory, extras=self._extras(),
-                    track_deltas=self.mode == "delta",
+                    self.directory, extras=self._extras(), track_deltas=True
                 )
         finally:
             if collecting:

@@ -417,12 +417,17 @@ def append_delta(
     expected_base: Optional[int] = None,
     expected_generation: Optional[int] = None,
     observer=None,
+    extras: Optional[Mapping[str, Any]] = None,
 ) -> int:
     """Append one journal segment to the checkpoint in ``directory``.
 
     ``delta_state`` is an engine ``delta_since()`` dict; a ``"shards"``
     list (the sharded engine) lands in one CRC-framed
     ``shard-NNNN-<gen>.delta`` per shard next to ``engine-<gen>.delta``.
+    ``extras`` (optional) rides in the engine segment and supersedes the
+    manifest's extras of the same keys once the segment is folded, so
+    live metadata (the serving metrics snapshot) is as fresh as the
+    engine state it was taken with.
     The manifest pins the chain (base generation, shard count); each
     segment *commits itself* through its CRC frame — generations are
     strictly consecutive from the base, so the committed chain is the
@@ -474,6 +479,8 @@ def append_delta(
 
     engine_delta = dict(delta_state)
     shard_deltas = engine_delta.pop("shards", None)
+    if extras:
+        engine_delta["extras"] = dict(extras)
     manifest_shards = manifest.get("num_shards")
     delta_shards = None if shard_deltas is None else len(shard_deltas)
     if delta_shards != manifest_shards:
@@ -519,11 +526,12 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     The returned ``state`` is the engine snapshot with the per-shard files
     reassembled under ``"shards"`` (in shard order) and — for a delta
     checkpoint — the committed journal segments folded in, ready for an
-    engine's ``restore``.  Validation order: manifest format version
-    first, then the CRC-32 of every state file and the CRC frame of every
-    journal segment — corrupted bytes never reach a restore, and a
-    corrupt committed segment fails the whole load rather than silently
-    restoring a partial chain.
+    engine's ``restore``; the manifest's ``extras`` are updated with
+    those of the newest folded segment that carries any.  Validation
+    order: manifest format version first, then the CRC-32 of every state
+    file and the CRC frame of every journal segment — corrupted bytes
+    never reach a restore, and a corrupt committed segment fails the
+    whole load rather than silently restoring a partial chain.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -562,6 +570,7 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         )
 
         folded = False
+        extras = None
         for index, generation in enumerate(chain):
             try:
                 delta = _read_segment(directory, generation, num_shards)
@@ -585,12 +594,15 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
                         f"{exc}"
                     ) from exc
                 break
+            extras = delta.pop("extras", None) or extras
             # Per-fold derivations are deferred; one finalize pass below
             # keeps an N-segment restore O(window + journal), not O(N·window).
             state = apply_engine_delta(state, delta, derive=False)
             folded = True
         if folded:
             state = finalize_engine_state(state)
+        if extras:
+            manifest["extras"] = {**manifest.get("extras", {}), **extras}
     return manifest, state
 
 

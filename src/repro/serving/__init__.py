@@ -10,8 +10,8 @@ the batch-replay engines into a servable system:
   blocks on the process backend), the global ranking and one personalised
   ranking per registered user published on the fan-out, and an optional
   :class:`~repro.persistence.cadence.CheckpointCadence` persisting the
-  engine between batches (delta mode rides the loop at journal-segment
-  cost).
+  engine between batches as base + journal (a tick costs one segment
+  sized by the new documents).
 * :class:`~repro.serving.broadcast.AsyncFanout` /
   :class:`~repro.serving.broadcast.Subscription` — the one push path:
   channels of frames, each fanned out to per-subscriber bounded buffers

@@ -35,10 +35,11 @@ behind an event loop:
   (the engine is only touched from that thread).  Profiles live in the
   engine's personalization component and are not checkpointed.
 * **Checkpointing** rides the same loop: a
-  :class:`~repro.persistence.cadence.CheckpointCadence` (typically delta
-  mode) runs on the engine executor between engine calls, so a snapshot
-  never observes a half-ingested batch and ingestion keeps accepting
-  documents (into the queue) while the journal segment fsyncs.
+  :class:`~repro.persistence.cadence.CheckpointCadence` writes its base
+  when the service starts and appends journal segments on the engine
+  executor between engine calls, so a snapshot never observes a
+  half-ingested batch and ingestion keeps accepting documents (into the
+  queue) while the segment fsyncs.
 
 Because the consumer feeds the exact document sequence through the same
 ``process_batch`` the offline CLI uses, the rankings pushed to
@@ -54,6 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.engine import require_stream_time
 from repro.core.personalization import UserProfile
 from repro.observability import Observability
 from repro.persistence.cadence import CheckpointCadence
@@ -307,11 +309,17 @@ class DetectionService:
         previous = self._last_submitted
         for document in batch:
             timestamp = float(getattr(document, "timestamp"))
-            if previous is not None and timestamp < previous:
+            # Negated >=, as in the engine: a NaN fails the order check.
+            if previous is not None and not timestamp >= previous:
                 raise ValueError(
                     f"out-of-order document: {timestamp} < {previous}"
                 )
             previous = timestamp
+        # The engine's own range check, so a batch it would reject (or
+        # one whose boundary could never advance) gets its 400 here.
+        interval = self.engine.config.evaluation_interval
+        require_stream_time(float(batch[0].timestamp), interval)
+        require_stream_time(previous, interval)
         # Commit the high-water mark BEFORE parking on the queue: while
         # this producer waits for capacity, a concurrent submit must
         # validate against this batch, not against the pre-batch value —

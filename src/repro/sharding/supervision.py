@@ -12,9 +12,10 @@ back into liveness:
   (``ingest`` chunks, ``evaluate`` boundaries, delta arm/disarm, journal
   drains) is recorded, as the ``(operation, payload)`` it is, in an
   **operation log** since the last state-capture point — and the log is
-  bounded: a full checkpoint restarts it, and where no cadence takes one
-  the supervisor captures the workers' state itself every
-  :data:`LOG_COMPACT_OPS` messages,
+  bounded: a full checkpoint restarts it, and between those the
+  supervisor captures the workers' state itself once the log reaches
+  :data:`LOG_COMPACT_OPS` messages (under a delta chain, at the next
+  journal drain),
 * on failure the dead pool is discarded wholesale and a fresh one is
   rebuilt from the one recovery source, the in-memory base plus the log:
   the workers' states at the last capture point (fresh workers before
@@ -58,12 +59,12 @@ _LOGGED = frozenset(
 )
 
 #: Length at which the supervisor re-bases the operation log itself, by a
-#: ``collect_states`` of its own, unless delta tracking is armed.  Armed
-#: means a checkpoint cadence exists, whose every ``full_every``-th tick
-#: re-bases already — and un-drained delta buffers are not part of a
-#: snapshot, so an armed chain must not be re-based behind the engine's
-#: back.  Unarmed, nothing else restarts the log: it would keep every
-#: dispatched chunk for the life of the process.
+#: ``collect_states`` of its own.  Un-drained delta buffers are not part
+#: of a snapshot, so while delta tracking is armed it waits for the next
+#: journal drain (``collect_delta``): the buffers are empty there, and a
+#: snapshot plus a re-arm is exactly the drained workers.  Otherwise
+#: nothing but a cadence re-base restarts the log, every ``full_every``
+#: ticks or never: it would keep every dispatched chunk in between.
 LOG_COMPACT_OPS = 1024
 
 
@@ -460,7 +461,8 @@ class SupervisedBackend(ShardBackend):
 
     def _append_log(self, entry: tuple) -> None:
         self._log.append(entry)
-        if len(self._log) >= LOG_COMPACT_OPS and not self._armed:
+        if len(self._log) >= LOG_COMPACT_OPS and (
+                not self._armed or entry[0] == "collect_delta"):
             # Guarded like any other call: should it fail, the entry just
             # appended is replayed with the rest.
             self.collect_states()

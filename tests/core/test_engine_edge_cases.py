@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.config import EnBlogueConfig
-from repro.core.engine import EnBlogue
+from repro.core.engine import EnBlogue, require_stream_time
 from repro.datasets.documents import Document
 from repro.sharding import ShardedEnBlogue
 
@@ -164,15 +164,19 @@ def make_engine(kind):
 
 class TestNonFiniteTimestamps:
     """``nan`` cannot be ordered and ``inf`` cannot be caught up to: both
-    are rejected before any state is touched, on every ingestion path."""
+    are rejected before any state is touched, on every ingestion path.
+    So is a finite time where one evaluation interval is below the float
+    spacing (|t| ≥ 2**64 for an hour): ``boundary + interval == boundary``
+    there, and one such document used to spin the catch-up forever."""
 
     KINDS = ("single", "serial", "threads")
     HOSTILE = (float("nan"), float("inf"), float("-inf"))
+    FAR = (1e20, 2.0 ** 65)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("path", ["process", "process_batch"])
     @pytest.mark.parametrize("fresh", [True, False])
-    @pytest.mark.parametrize("timestamp", HOSTILE, ids=str)
+    @pytest.mark.parametrize("timestamp", HOSTILE + FAR, ids=str)
     def test_rejected_with_the_engine_unchanged(
         self, kind, path, fresh, timestamp
     ):
@@ -237,6 +241,16 @@ class TestNonFiniteTimestamps:
         finally:
             if kind != "single":
                 engine.close()
+
+    def test_the_far_bound_is_where_one_interval_stops_measuring_out(self):
+        require_stream_time(2.0 ** 63, HOUR)  # spacing 2048 s < 1 h
+        require_stream_time(-(2.0 ** 63), HOUR)
+        for timestamp in (2.0 ** 64, -(2.0 ** 64)):  # spacing 4096 s
+            with pytest.raises(ValueError, match="out of range"):
+                require_stream_time(timestamp, HOUR)
+        # A shorter interval lowers the bound with it.
+        with pytest.raises(ValueError, match="out of range"):
+            require_stream_time(2.0 ** 63, 2048.0)
 
     def test_tracker_order_checks_reject_nan(self):
         tracker = EnBlogue(config()).tracker

@@ -1,7 +1,7 @@
 """The ``serve`` command end to end: a real server process over HTTP.
 
 Mirrors the CI serve-smoke leg: start ``python -m repro.cli serve`` with a
-2-shard backend and a delta checkpoint cadence, POST a synthetic batch,
+2-shard backend and a checkpoint cadence, POST a synthetic batch,
 read a ranking frame off the SSE stream, confirm the journal landed, shut
 down cleanly, and resume a second server from the checkpoint.
 """
@@ -30,12 +30,16 @@ class TestServeParser:
         assert args.port == 8000
         assert args.queue_capacity == 8
 
-    def test_delta_mode_requires_cadence(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="delta"):
-            main(["serve", "--checkpoint-dir", "/tmp/x",
-                  "--checkpoint-mode", "delta"])
+    def test_full_checkpoint_mode_is_gone(self, capsys):
+        # Base + journal is the only cadence; serve's hidden flag takes
+        # only the one value benchmarks/perf still passes, and replay has
+        # no such flag at all.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--checkpoint-mode", "full"])
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["replay", "--checkpoint-mode", "delta"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cadence_requires_directory(self):
         from repro.cli import main
@@ -148,8 +152,8 @@ class TestServeEndToEnd:
         port = free_port()
         process = spawn_serve(
             ["--shards", "2", "--backend", "serial",
-             "--checkpoint-dir", str(ckpt), "--checkpoint-every", "2",
-             "--checkpoint-mode", "delta"], port,
+             "--checkpoint-dir", str(ckpt), "--checkpoint-every", "2"],
+            port,
         )
         try:
             with open_sse(port) as stream:

@@ -331,6 +331,37 @@ class TestSloEndpoint:
         assert 'repro_slo_attainment{objective="batch_latency"' in text
 
 
+    def test_custom_objectives_swapped_in_are_served(self, docs):
+        # README's recipe: a deployment replaces the bundle's tracker with
+        # one over its own objectives before the service starts.
+        from repro.observability import SloObjective, SloTracker
+
+        async def scenario():
+            observability = Observability()
+            observability.slo = SloTracker(observability.registry, objectives=[
+                SloObjective(name="fast_batches", kind="latency",
+                             target=0.999,
+                             metric="repro_serving_batch_seconds",
+                             threshold_s=0.1),
+            ])
+            engine = EnBlogue(config(), observability=observability)
+            service = DetectionService(engine)
+            await service.start()
+            server = RankingServer(service, port=0)
+            await server.start()
+            await service.submit(docs[:64])
+            await service.drain()
+            status, _headers, body = await raw_request(
+                server.port, "GET", "/slo")
+            await teardown(service, server)
+            return status, json.loads(body)
+
+        status, payload = asyncio.run(scenario())
+        assert status == 200
+        assert [o["name"] for o in payload["objectives"]] == ["fast_batches"]
+        assert set(payload["summary"]) == {"fast_batches"}
+
+
 class TestShardHealth:
     def test_status_turns_503_when_a_shard_dies(self, docs):
         async def scenario():

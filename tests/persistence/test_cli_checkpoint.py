@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.persistence.store import read_manifest
+from repro.persistence.store import read_checkpoint, read_manifest
 
 CKPT_ARGS = ["--dataset", "tweets", "--hours", "8"]
 
@@ -36,13 +36,15 @@ class TestCheckpointFlags:
         assert run(["replay", *CKPT_ARGS, "--shards", "2",
                     "--checkpoint-every", "3",
                     "--checkpoint-dir", str(directory)]) == 0
-        manifest = read_manifest(directory)
+        manifest, state = read_checkpoint(directory)
         assert manifest["kind"] == "sharded-enblogue"
         assert manifest["num_shards"] == 2
+        assert manifest["extras"]["dataset"] == "tweets"
         # The cadence excludes the forced final evaluation, so the saved
-        # checkpoint sits mid-stream and a resume has documents to replay.
+        # checkpoint (base + journal) sits mid-stream and a resume has
+        # documents to replay.
         total = 8 * 40  # hours * tweets_per_hour
-        assert manifest["documents_processed"] < total
+        assert 0 < state["documents_processed"] < total
 
 
 class TestResume:
@@ -57,6 +59,8 @@ class TestResume:
         assert run(["replay", *CKPT_ARGS, "--shards", "2",
                     "--checkpoint-every", "3",
                     "--checkpoint-dir", str(directory)]) == 0
+        # The cadence is base + journal with no mode flag given.
+        assert list(directory.glob("*.delta")), "no journal segment landed"
         # … resumed into 4 shards.
         assert run(["replay", "--resume", str(directory), "--shards", "4",
                     "--export", str(resumed_export)]) == 0
@@ -112,9 +116,9 @@ class TestResume:
         directory = tmp_path / "ckpt"
         assert run(["replay", *CKPT_ARGS, "--checkpoint-every", "3",
                     "--checkpoint-dir", str(directory)]) == 0
-        first = read_manifest(directory)["documents_processed"]
+        first = read_checkpoint(directory)[1]["documents_processed"]
         assert run(["replay", "--resume", str(directory),
                     "--checkpoint-dir", str(directory)]) == 0
-        second = read_manifest(directory)["documents_processed"]
+        second = read_checkpoint(directory)[1]["documents_processed"]
         assert second == 8 * 40
         assert second > first

@@ -220,7 +220,7 @@ class TestCadenceSurvivesAFailedAppend:
             if sharded else EnBlogue(config(), observability=observability)
         )
         cadence = CheckpointCadence(
-            engine, directory=tmp_path, every=1, mode="delta", full_every=100
+            engine, directory=tmp_path, every=1, full_every=100
         )
         cadence.begin()
         outcomes = []
@@ -257,17 +257,17 @@ def test_a_tick_pauses_the_cyclic_collector_and_restores_it(docs, tmp_path):
 
     engine = EnBlogue(config())
     cadence = CheckpointCadence(
-        engine, directory=tmp_path, every=1, mode="delta", full_every=100
+        engine, directory=tmp_path, every=1, full_every=100
     )
     cadence.begin()
     during = []
     real_save = engine.save_delta_checkpoint
 
-    def spying_save(directory):
+    def spying_save(directory, **kwargs):
         during.append(gc.isenabled())
         if len(during) == 2:
             raise OSError("disk full")
-        return real_save(directory)
+        return real_save(directory, **kwargs)
 
     engine.save_delta_checkpoint = spying_save
     assert gc.isenabled()
@@ -406,3 +406,46 @@ class TestCoordinatorTagSets:
         legacy["version"] = 1  # a pre-table journal's envelope
         with pytest.raises(SnapshotVersionError):
             apply_engine_delta(base, legacy)
+
+
+def test_appended_ticks_carry_the_live_metrics_snapshot(docs, tmp_path):
+    # A resumed server restores its counters from the manifest extras;
+    # they must be those of the newest tick, not of the base up to
+    # full_every - 1 ticks before the engine state restored with them.
+    import json
+
+    from repro.observability import Observability
+    from repro.persistence.cadence import CheckpointCadence
+
+    observability = Observability()
+    engine = EnBlogue(config(), observability=observability)
+    snapshots = []
+
+    def provider():
+        snapshots.append(observability.snapshot())
+        return {"metrics": snapshots[-1]}
+
+    cadence = CheckpointCadence(
+        engine, directory=tmp_path, every=1, full_every=100,
+        extras={"source": "test"}, extras_provider=provider,
+    )
+    cadence.begin()
+    for start in range(0, 160, 40):
+        engine.process_many(docs[start:start + 40])
+        cadence.note_ranking()
+    assert cadence.checkpoints_written == 5
+    assert len(list(tmp_path.glob("engine-*.delta"))) == 4
+    assert snapshots[-1] != snapshots[0]
+    restored, manifest = load_engine(tmp_path)
+    assert manifest["extras"]["metrics"] == \
+        json.loads(json.dumps(snapshots[-1]))
+    assert manifest["extras"]["source"] == "test"
+    assert restored.snapshot() == engine.snapshot()
+
+
+def test_a_full_cadence_mode_is_rejected(tmp_path):
+    from repro.persistence.cadence import CheckpointCadence
+
+    with pytest.raises(ValueError, match="delta"):
+        CheckpointCadence(EnBlogue(config()), directory=tmp_path, every=2,
+                          mode="full")

@@ -129,7 +129,7 @@ def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
     overrides, docs, every = SCENARIOS[scenario]
     engine = VARIANTS[variant](config(**overrides))
     cadence = CheckpointCadence(
-        engine, directory=tmp_path, every=every, mode="delta", full_every=4
+        engine, directory=tmp_path, every=every, full_every=4
     )
     cadence.begin()
     restores_to_live_snapshot(tmp_path, engine)

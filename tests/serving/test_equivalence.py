@@ -179,8 +179,7 @@ class TestGroupCommit:
 
         async def scenario():
             cadence = CheckpointCadence(
-                engine, directory=directory, every=2, mode="delta",
-                full_every=4,
+                engine, directory=directory, every=2, full_every=4,
             )
             service = SpiedService(engine, queue_capacity=capacity,
                                    cadence=cadence)
@@ -370,7 +369,7 @@ class TestCheckpointWhileServing:
         # Serve the first half with a delta cadence riding the loop.
         first = make_engine(num_shards, backend)
         cadence = CheckpointCadence(
-            first, directory=tmp_path, every=2, mode="delta", full_every=16,
+            first, directory=tmp_path, every=2, full_every=16,
         )
         try:
             serve(first, docs[:split], cadence=cadence)

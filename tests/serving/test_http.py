@@ -483,6 +483,57 @@ class TestEndpoints:
         assert all("finite" in body["error"] for _, body in results)
         assert (status, processed) == (202, 20)
 
+    def test_an_unadvanceable_timestamp_is_a_400_and_the_stream_goes_on(
+        self, docs
+    ):
+        # At t = 1e20 one evaluation interval is below the float spacing:
+        # such a document used to spin the engine executor forever.
+        class TripwireEngine(EnBlogue):
+            # Fails the batch instead of hanging should the document ever
+            # get past submit().
+            def process_batch(self, documents):
+                documents = list(documents)
+                if any(d.timestamp >= 1e19 for d in documents):
+                    raise RuntimeError("far-future document reached the engine")
+                return super().process_batch(documents)
+
+        async def scenario():
+            engine = TripwireEngine(config())
+            service = DetectionService(engine)
+            await service.start()
+            server = RankingServer(service, port=0)
+            await server.start()
+            try:
+                await http_request(
+                    server.port, "POST", "/ingest",
+                    [doc_payload(d) for d in docs[:10]],
+                )
+                await asyncio.wait_for(service.drain(), timeout=10.0)
+                before = engine.snapshot()
+                rejected = await http_request(
+                    server.port, "POST", "/ingest",
+                    [{"timestamp": 1e20, "tags": ["a", "b"]}],
+                )
+                await asyncio.wait_for(service.drain(), timeout=10.0)
+                unchanged = engine.snapshot() == before
+                accepted, _ = await http_request(
+                    server.port, "POST", "/ingest",
+                    [doc_payload(d) for d in docs[10:20]],
+                )
+                await asyncio.wait_for(service.drain(), timeout=10.0)
+                return (rejected, unchanged, accepted,
+                        engine.documents_processed, service.status())
+            finally:
+                await server.stop()
+                await service.stop()
+
+        (code, body), unchanged, accepted, processed, status = \
+            asyncio.run(scenario())
+        assert code == 400 and "out of range" in body["error"]
+        assert unchanged
+        assert (accepted, processed) == (202, 20)
+        assert status["batch_errors"] == 0
+
     def test_keep_alive_serves_sequential_requests(self, docs):
         async def scenario():
             engine = EnBlogue(config())

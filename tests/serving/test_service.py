@@ -386,8 +386,7 @@ class TestCheckpointHops:
                                      evaluation_interval=10.0),
                               observability=Observability())
             cadence = CheckpointCadence(
-                engine, directory=tmp_path, every=16, mode="delta",
-                full_every=4,
+                engine, directory=tmp_path, every=16, full_every=4,
             )
             service = SpiedService(
                 engine, cadence=AlwaysDue(cadence) if all_hops else cadence

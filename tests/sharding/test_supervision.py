@@ -335,8 +335,9 @@ class TestPermanentFailure:
 
 
 class TestBoundedOperationLog:
-    """Without a checkpoint cadence nothing but the supervisor itself can
-    restart the log: it re-bases at ``LOG_COMPACT_OPS``, exactly."""
+    """Between cadence re-bases nothing but the supervisor itself can
+    restart the log: it re-bases at ``LOG_COMPACT_OPS`` (at the next
+    journal drain while a chain is armed), exactly."""
 
     LIMIT = 8
 
@@ -400,6 +401,46 @@ class TestBoundedOperationLog:
             sharded.evaluate_now()
             assert signature(sharded) == reference_signature
 
+    def test_a_cadence_chain_compacts_at_its_drains(
+            self, tweet_docs, reference_signature, monkeypatch, tmp_path):
+        # A cadence whose re-base never comes: the supervisor compacts at
+        # the journal drains, where the armed buffers are empty, so the
+        # log stays bounded and both recovery and the chain stay exact.
+        from repro.sharding import supervision
+
+        monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
+        clock = FakeClock()
+        backend = SupervisedBackend(ThreadBackend(),
+                                    policy=instant_policy(clock))
+        with ShardedEnBlogue(config(), num_shards=2, backend=backend,
+                             chunk_size=16) as sharded:
+            cadence = CheckpointCadence(sharded, directory=tmp_path,
+                                        every=1, full_every=10_000)
+            cadence.begin()
+            after_drains = []
+            for start in range(0, 900, 50):
+                rankings = sharded.process_batch(tweet_docs[start:start + 50])
+                for _ in rankings:
+                    cadence.note_ranking()
+                    after_drains.append(
+                        sharded.supervision_info()["log_ops"])
+            assert cadence.checkpoints_written > 8
+            assert max(after_drains) < self.LIMIT
+            plan = FaultPlan(sleep=clock.sleep).kill_worker(
+                1, after_batches=2)
+            backend.bind_fault_plan(plan)
+            sharded.process_batch(tweet_docs[900:1000])
+            sharded.save_delta_checkpoint(tmp_path)
+            _, restored = read_checkpoint(tmp_path)
+            assert restored == json.loads(json.dumps(sharded.snapshot()))
+            sharded.process_batch(tweet_docs[1000:])
+            sharded.evaluate_now()
+            assert signature(sharded) == reference_signature
+            info = sharded.supervision_info()
+        assert plan.fired() == 1
+        assert info["recoveries"] == 1
+        assert info["last_recovery"]["replayed_ops"] < 2 * self.LIMIT
+
     def test_a_cadence_rebase_restarts_the_log(
             self, tweet_docs, reference_signature, tmp_path):
         clock = FakeClock()
@@ -408,7 +449,7 @@ class TestBoundedOperationLog:
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=16) as sharded:
             cadence = CheckpointCadence(sharded, directory=tmp_path,
-                                        every=1, mode="delta", full_every=3)
+                                        every=1, full_every=3)
             cadence.begin()
             rebased_logs = []
             for start in range(0, 700, 50):
