@@ -8,12 +8,36 @@ uninterrupted run, ``RESUMED`` from ``replay --resume`` of a checkpoint
 taken part-way through the same stream.  The resumed rankings must equal
 the last rankings of the full run exactly.  With ``--journal`` the
 checkpoint directory must also hold delta segments, so a cadence that
-silently wrote full checkpoints only does not pass for a journal test.
+silently wrote full checkpoints only does not pass for a journal test,
+and its base files must hold no table restore derives: an exact-mode
+tracker state carries neither ``pair_events`` nor ``candidates`` (the
+bases of a tiered engine, whose state has a ``tier`` key, keep their pair
+events — admission is not derivable).
 """
 
 import argparse
 import json
 from pathlib import Path
+
+
+def check_bases(directory: Path) -> None:
+    """Fail on a base file whose exact-mode tracker holds a derived table."""
+    bases = {path: json.loads(path.read_text())
+             for path in sorted(directory.glob("*.json"))
+             if path.name != "MANIFEST.json"}
+    if any("tier" in state or "tier" in state.get("tracker", {})
+           for state in bases.values()):
+        print(f"{len(bases)} base file(s) of a tiered engine")
+        return
+    for path, state in bases.items():
+        derived = sorted({"pair_events", "candidates"}
+                         & set(state.get("tracker", {})))
+        if derived:
+            raise SystemExit(
+                f"{path} is an exact-mode base that still holds the "
+                f"derived table(s) {', '.join(derived)}"
+            )
+    print(f"{len(bases)} base file(s) hold no derived table")
 
 
 def main() -> None:
@@ -27,6 +51,7 @@ def main() -> None:
         if not segments:
             raise SystemExit(f"{args.journal} holds no journal segments")
         print(f"journal holds {len(segments)} segment file(s)")
+        check_bases(args.journal)
     full = json.loads(args.full.read_text())
     resumed = json.loads(args.resumed.read_text())
     if len(resumed) < 2:

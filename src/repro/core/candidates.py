@@ -28,9 +28,9 @@ from collections import Counter, defaultdict
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.core.types import TagPair
-from repro.persistence.snapshot import require_state
 
 _EMPTY: Dict[TagPair, None] = {}
+_NO_COUNTS: Mapping[TagPair, int] = {}
 
 
 class CandidateIndex:
@@ -43,8 +43,12 @@ class CandidateIndex:
     threshold stay in the counts — they may regain support.
     """
 
-    def __init__(self, min_support: int = 1):
-        self._reset({}, min_support)
+    def __init__(
+        self, min_support: int = 1, counts: Mapping[TagPair, int] = _NO_COUNTS,
+    ):
+        """An index under ``min_support`` holding ``counts`` — ``{pair: n}``,
+        how a restore rebuilds it from the pair multiset of its events."""
+        self._reset(counts, min_support)
 
     def _reset(self, counts: Mapping[TagPair, int], min_support: int) -> None:
         """Start over from ``counts`` under ``min_support``: O(live pairs)."""
@@ -90,33 +94,6 @@ class CandidateIndex:
     def items(self) -> Iterator[Tuple[TagPair, int]]:
         """Iterate over ``(pair, count)`` for every live pair, once each."""
         return iter(self._counts.items())
-
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """The index's complete state as a versioned, JSON-safe dict.
-
-        Pairs are stored once each (sorted, with their windowed counts);
-        the postings are rebuilt on restore.
-        """
-        return {
-            "kind": "candidate-index",
-            "version": 1,
-            "min_support": self._min_support,
-            "pairs": [
-                [pair.first, pair.second, count]
-                for pair, count in sorted(self._counts.items())
-            ],
-        }
-
-    def restore(self, state: Mapping) -> None:
-        """Replace the index with a :meth:`snapshot`'s state."""
-        require_state(state, "candidate-index", 1)
-        rows: Counter = Counter()
-        for first, second, count in state["pairs"]:
-            if int(count) > 0:
-                rows[TagPair(str(first), str(second))] += int(count)
-        self._reset(rows, state["min_support"])
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` naming a pair the invariant fails for.

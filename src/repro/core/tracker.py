@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, islice, zip_longest
 from operator import ge, itemgetter
 from typing import (
     TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Mapping, Optional,
@@ -156,6 +156,16 @@ class DocumentDecomposer:
             self._cache[key] = (ordered, pairs)
         return ordered, pairs
 
+    def rederive(
+        self, events: Iterable[Tuple[float, Iterable[str]]]
+    ) -> List[Tuple[float, tuple]]:
+        """``(timestamp, pairs)`` for each ``(timestamp, ordered tags)``
+        tag-window event: what ingesting its document produced, through
+        the memo (which this warms for the stream that follows)."""
+        decompose = self.decompose
+        return [(timestamp, decompose(frozenset(tags))[1])
+                for timestamp, tags in events]
+
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the memo is within its bounds
         and every entry is what a fresh decomposition would produce: the
@@ -182,30 +192,29 @@ class DocumentDecomposer:
                 )
 
 
-#: Journal event kinds: a document's ordered tag set (its pair list and
+#: Journal event kind of a document's ordered tag set (its pair list and
 #: its tag-window entry are *derived* on apply — pairs are a pure function
 #: of the sorted tags, so shipping them would double the payload and the
-#: encode time of the hot cadence tick), versus a pre-decomposed pair
-#: event from the sharded ingestion path.
+#: encode time of the hot cadence tick).  A shard's pair events are not
+#: journaled: the sharded fold routes them from the coordinator's
+#: documents (older journals carry them as kind 1, which it skips).
 _DELTA_DOC = 0
-_DELTA_PAIRS = 1
 
 
 @dataclass
 class _TrackerDelta:
     """Everything a tracker appended since its last base snapshot/drain.
 
-    The event buffer aliases the exact tuples the live deques hold
-    (events are immutable), so recording costs one list append per
-    document and preserves the interleaving of document- and pair-fed
-    ingestion; ``samples`` holds one ``(timestamp, pairs, values)``
+    The event buffer holds ``(timestamp, ordered tags)`` per document,
+    aliasing the tuples the tag window holds, so recording costs one list
+    append per document; ``samples`` holds one ``(timestamp, pairs, values)``
     record per evaluation — the sampled pairs and their correlations as
     two parallel lists — so recording an evaluation costs one list append
     and two live containers however many pairs it sampled.  The drain
     writes both logs out as they stand.
     """
 
-    events: List[Tuple[int, float, tuple]] = field(default_factory=list)
+    events: List[Tuple[float, Tuple[str, ...]]] = field(default_factory=list)
     usage_events: List[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]] = \
         field(default_factory=list)
     samples: List[Tuple[float, List[TagPair], List[float]]] = \
@@ -257,6 +266,10 @@ class CorrelationTracker:
         # plus the postings index, evicted in lockstep with the tag window.
         self._pair_events: Deque[Tuple[float, Tuple[TagPair, ...]]] = deque()
         self._candidates = CandidateIndex(min_support=min_pair_support)
+        # Fed documents, the pair events are the decomposition of the tag
+        # window, which an exact snapshot leaves out; fed pair events (a
+        # shard worker), they are the tracker's own, and it keeps them.
+        self._pair_fed = False
         # Windowed co-tag usage per tag (only when the measure needs it).
         self._usage_events: Deque[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]] = deque()
         self._usage: Dict[str, Counter] = {}
@@ -395,7 +408,7 @@ class CorrelationTracker:
                 filter_pairs(timestamp, pairs) if pairs else pairs
                 for timestamp, pairs in zip(timestamps, pair_lists)
             ]
-        self._commit_pairs(_DELTA_DOC, timestamps, pair_lists, tag_sets)
+        self._commit_pairs(timestamps, pair_lists, tag_sets)
         if self.track_usage:
             for timestamp, ordered in zip(timestamps, tag_sets):
                 self._record_usage(timestamp, ordered)
@@ -417,7 +430,8 @@ class CorrelationTracker:
         broadcast back at evaluation time via :meth:`sample_candidates`.
 
         Events must be time-ordered; the whole chunk is validated before any
-        state is touched.  Returns the number of events ingested.
+        state is touched (see :meth:`keep_pair_events`).  Returns the
+        number of events ingested.
         """
         columns = tuple(zip(*events, strict=True))
         if not columns:
@@ -436,17 +450,30 @@ class CorrelationTracker:
                         f"out-of-order pair event: {timestamp} < {latest}"
                     )
                 latest = timestamp
+        self.keep_pair_events()
         latest = timestamps[-1]
-        self._commit_pairs(_DELTA_PAIRS, timestamps, pair_lists, pair_lists)
+        self._commit_pairs(timestamps, pair_lists)
         self._tag_window.advance_to(latest)
         self._evict(latest)
         return len(timestamps)
 
-    def _commit_pairs(self, kind, timestamps, pair_lists, journaled) -> None:
-        """A validated run's pair side, column by column in C-level passes."""
+    def keep_pair_events(self) -> None:
+        """Declare this tracker fed pair events, as a shard worker does at
+        birth: its snapshots carry them, empty ones too.  A tracker fed
+        documents refuses: its pair events are its tag window's."""
+        if self._documents_seen and not self._pair_fed:
+            raise ValueError(
+                "a tracker fed documents cannot ingest pair events: its pair "
+                "events are derived from its tag window"
+            )
+        self._pair_fed = True
+
+    def _commit_pairs(self, timestamps, pair_lists, tag_sets=None) -> None:
+        """A validated run's pair side, column by column in C-level passes;
+        a run of documents (``tag_sets``) is journaled, pair events not."""
         self._pair_events.extend(zip(timestamps, pair_lists))
-        if self._delta is not None:
-            self._delta.events.extend(zip(repeat(kind), timestamps, journaled))
+        if self._delta is not None and tag_sets is not None:
+            self._delta.events.extend(zip(timestamps, tag_sets))
         self._documents_seen += len(timestamps)
         self._latest = timestamps[-1]
         self._candidates.add_many(chain.from_iterable(pair_lists))
@@ -638,26 +665,18 @@ class CorrelationTracker:
     # -- persistence ----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The tracker's complete state as a versioned, JSON-safe dict.
+        """What restore cannot derive, as a versioned, JSON-safe dict.
 
-        Everything the stream built up is externalized — the tag window,
-        the windowed pair events with the postings index, the co-tag usage
-        events, the per-pair correlation histories and the count history —
-        so a restored tracker continues bit-identically.  The decomposition
-        memo is deliberately absent: it is a cache, rebuilt on demand.  A
-        sketch tier, when present, rides along under ``"tier"`` (absent in
-        exact mode, keeping exact-mode snapshots byte-stable).
+        The tag window, the co-tag usage events, the per-pair correlation
+        histories, the count history and ``min_support``, so a restored
+        tracker continues bit-identically.  The pair events go in only
+        where they are not the tag window's decomposition: fed pair events
+        (a shard worker), or under a sketch tier (under ``"tier"``).  The
+        candidate counts and the decomposition memo are always rebuilt.
         """
-        if self._tier is not None:
-            state = self._snapshot_exact()
-            state["tier"] = self._tier.snapshot()
-            return state
-        return self._snapshot_exact()
-
-    def _snapshot_exact(self) -> dict:
-        return {
+        state = {
             "kind": "correlation-tracker",
-            "version": 1,
+            "version": 2,
             "window_horizon": self.window_horizon,
             "history_length": self.history_length,
             "use_entities": self.use_entities,
@@ -665,11 +684,7 @@ class CorrelationTracker:
             "documents_seen": self._documents_seen,
             "latest": self._latest,
             "tag_window": self._tag_window.state_dict(),
-            "pair_events": [
-                [timestamp, [[pair.first, pair.second] for pair in pairs]]
-                for timestamp, pairs in self._pair_events
-            ],
-            "candidates": self._candidates.snapshot(),
+            "min_support": self._candidates.min_support,
             "usage_events": [
                 [timestamp, [[tag, list(cotags)] for tag, cotags in update]]
                 for timestamp, update in self._usage_events
@@ -682,6 +697,14 @@ class CorrelationTracker:
                 tag: list(values) for tag, values in self._count_history.items()
             },
         }
+        if self._pair_fed or self._tier is not None:
+            state["pair_events"] = [
+                [timestamp, [[pair.first, pair.second] for pair in pairs]]
+                for timestamp, pairs in self._pair_events
+            ]
+        if self._tier is not None:
+            state["tier"] = self._tier.snapshot()
+        return state
 
     def restore(self, state: Mapping) -> None:
         """Replace this tracker's state with a :meth:`snapshot`'s.
@@ -690,10 +713,14 @@ class CorrelationTracker:
         (window horizon, history length, entity/usage switches) as the one
         that took the snapshot; mismatches raise
         :class:`~repro.persistence.snapshot.SnapshotMismatchError` before
-        any state is touched.  The usage counters are rebuilt from the
-        usage events, so restored eviction arithmetic is exact.
+        any state is touched.  Pair events the snapshot leaves out are
+        derived from the restored tag window; the candidate counts are
+        rebuilt from the pair events and the usage counters from the usage
+        events, so restored eviction arithmetic is exact.  (A version-1
+        snapshot is brought to version 2 by
+        :func:`repro.persistence.delta.upgrade_engine_state` first.)
         """
-        require_state(state, "correlation-tracker", 1)
+        require_state(state, "correlation-tracker", 2)
         require_compatible(
             "correlation-tracker",
             {
@@ -711,31 +738,33 @@ class CorrelationTracker:
                 f"snapshot is {'tiered' if tier_state is not None else 'exact'}, "
                 f"tracker is {'tiered' if self._tier is not None else 'exact'}"
             )
-        if self._tier is not None:
+        if tier_state is not None:
             self._tier.restore(tier_state)
         self._tag_window.restore_state(state["tag_window"])
-        self._candidates.restore(state["candidates"])
+        # A tier's admitted pairs are never derivable: required under one.
+        pair_events = (state.get("pair_events") if tier_state is None
+                       else state["pair_events"])
+        self._pair_fed = tier_state is None and pair_events is not None
         self._pair_events = deque(
-            (float(timestamp), tuple(TagPair(str(a), str(b)) for a, b in pairs))
-            for timestamp, pairs in state["pair_events"]
+            self._decomposer.rederive(self._tag_window.events)
+            if pair_events is None else
+            ((float(timestamp), tuple(TagPair(str(a), str(b)) for a, b in pairs))
+             for timestamp, pairs in pair_events)
         )
-        usage_events: Deque[
-            Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]
-        ] = deque()
-        usage: Dict[str, Counter] = {}
-        for timestamp, update in state["usage_events"]:
-            prepared = tuple(
-                (str(tag), tuple(str(cotag) for cotag in cotags))
-                for tag, cotags in update
-            )
-            usage_events.append((float(timestamp), prepared))
-            for tag, cotags in prepared:
-                counter = usage.get(tag)
-                if counter is None:
-                    counter = usage[tag] = Counter()
-                counter.update(cotags)
-        self._usage_events = usage_events
-        self._usage = usage
+        self._candidates = CandidateIndex(
+            int(state["min_support"]),
+            Counter(chain.from_iterable(map(itemgetter(1), self._pair_events))),
+        )
+        self._usage_events = deque(
+            (float(timestamp), tuple(
+                (str(tag), tuple(map(str, cotags))) for tag, cotags in update
+            ))
+            for timestamp, update in state["usage_events"]
+        )
+        self._usage = {}
+        for _, update in self._usage_events:
+            for tag, cotags in update:
+                self._usage.setdefault(tag, Counter()).update(cotags)
         if self._evaluator is not None:
             # Rows not yet folded into the dict describe the pre-restore
             # state: dropped, not flushed.
@@ -767,7 +796,10 @@ class CorrelationTracker:
 
         The index's counts are the pair multiset of the windowed pair
         events; no pair or usage event sits at or before ``latest −
-        window_horizon`` (every ingest and advance evicts those); then the
+        window_horizon`` (every ingest and advance evicts those); fed
+        documents under exact tracking, each pair event is the
+        decomposition of the tag-window event at the same position — the
+        identity a snapshot that leaves them out stands on; then the
         index's own invariants.  For tests, after whatever *makes* a state
         — a restore, a journal fold, a re-shard — never on the stream.
         """
@@ -792,6 +824,16 @@ class CorrelationTracker:
                             f"or before the window's cutoff {cutoff} "
                             f"(latest {self._latest})"
                         )
+        if self._tier is None and not self._pair_fed:
+            for (timestamp, pairs), (stamp, tags) in zip_longest(
+                    self._pair_events, self._tag_window.events,
+                    fillvalue=(None, ())):
+                if timestamp != stamp or pairs != tuple(combinations(tags, 2)):
+                    raise AssertionError(
+                        f"pair event {pairs!r} at {timestamp} is not the "
+                        f"decomposition of the tag-window event {tags!r} at "
+                        f"{stamp}"
+                    )
         self._candidates.check_invariants()
 
     # -- incremental persistence ----------------------------------------------
@@ -817,14 +859,13 @@ class CorrelationTracker:
         The companion of :meth:`snapshot` for journaled checkpoints, and a
         transcript of the buffers rather than a walk over the state.  The
         distinct ordered tag sets of the documents (``tag_sets``) and the
-        distinct pairs of the pair events and samples (``pairs``) are
-        written once, as positions into one string table (``tags``); a
-        document event is ``[kind, timestamp, tag_set_position]``, a pair
-        event lists pair positions, and ``samples`` holds one
+        distinct pairs of the samples (``pairs``) are written once, as
+        positions into one string table (``tags``); a document event is
+        ``[kind, timestamp, tag_set_position]`` and ``samples`` holds one
         ``[timestamp, pair_positions, values]`` record per evaluation as
         :meth:`journal_samples` buffered it — every pass runs in C.
-        What is left out (a document's pair list and window entry, the
-        rings' trim to ``maxlen``) is derived by
+        What is left out (a document's pair list and window entry, a
+        shard's pair events, the rings' trim to ``maxlen``) is derived by
         :func:`repro.persistence.delta.apply_tracker_delta`, whose fold
         onto the base reproduces :meth:`snapshot` exactly.  Requires
         :meth:`begin_delta_tracking`; recording stays armed afterwards.
@@ -836,15 +877,10 @@ class CorrelationTracker:
                 "call begin_delta_tracking() first"
             )
         events, samples = buffer.events, buffer.samples
-        tag_set_at, tag_sets = index_table(
-            payload for kind, _, payload in events if kind == _DELTA_DOC
+        tag_set_at, tag_sets = index_table(map(itemgetter(1), events))
+        pair_at, pairs = index_table(
+            chain.from_iterable(map(itemgetter(1), samples))
         )
-        pair_at, pairs = index_table(chain(
-            chain.from_iterable(
-                payload for kind, _, payload in events if kind == _DELTA_PAIRS
-            ),
-            chain.from_iterable(map(itemgetter(1), samples)),
-        ))
         pair_position = pair_at.__getitem__
         tags, tag_sets, pairs = intern_rows(tag_sets, pairs)
         delta = {
@@ -859,10 +895,8 @@ class CorrelationTracker:
             "tag_sets": tag_sets,
             "pairs": pairs,
             "events": [
-                [kind, timestamp,
-                 tag_set_at[payload] if kind == _DELTA_DOC
-                 else list(map(pair_position, payload))]
-                for kind, timestamp, payload in events
+                [_DELTA_DOC, timestamp, tag_set_at[ordered]]
+                for timestamp, ordered in events
             ],
             "usage_events": [
                 [timestamp, [[tag, list(cotags)] for tag, cotags in update]]

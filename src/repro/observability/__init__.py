@@ -160,8 +160,6 @@ STANDARD_FAMILIES = {
         ("gauge", "Batches waiting in the ingest queue."),
     "repro_serving_queue_high_watermark":
         ("gauge", "Deepest the ingest queue has been."),
-    "repro_serving_checkpoints_written":
-        ("gauge", "Checkpoints the serving cadence has written."),
     "repro_persistence_checkpoints_total":
         ("counter", "Cadence checkpoint ticks, labeled by mode, the "
                     "tick kind (full = re-base, delta = append)."),

@@ -2,14 +2,15 @@
 
 A long-running emergent-topic service must survive restarts without
 replaying the stream from cold, so the state every layer maintains — the
-correlation window, the candidate postings, the detector scores, the
-published rankings — is externalized behind one uniform protocol:
+correlation window, the detector scores, the published rankings — is
+externalized behind one uniform protocol, and what restore can derive
+from it (a document-fed window's pair events, the candidate postings) is
+left out:
 
 * :class:`~repro.persistence.snapshot.Snapshotable` — ``snapshot()``
   returns a versioned, JSON-serialisable dict; ``restore(state)`` puts an
   identically-configured instance back into exactly that state.  The
   protocol is implemented by :class:`~repro.core.tracker.CorrelationTracker`,
-  :class:`~repro.core.candidates.CandidateIndex`,
   :class:`~repro.core.shift.ShiftDetector`,
   :class:`~repro.core.ranking.RankingBuilder`,
   :class:`~repro.sharding.worker.ShardWorker` and both detection engines.

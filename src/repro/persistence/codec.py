@@ -49,22 +49,6 @@ def intern_rows(*tables: Sequence[Sequence[str]]) -> tuple:
     ))
 
 
-def pair_to_state(pair: TagPair) -> List[str]:
-    """A canonical pair as the two-element list ``[first, second]``."""
-    return [pair.first, pair.second]
-
-
-def pair_from_state(state: Sequence[str]) -> TagPair:
-    """Rebuild a pair; :class:`TagPair` re-canonicalises and validates."""
-    try:
-        first, second = state
-        return TagPair(str(first), str(second))
-    except (TypeError, ValueError) as exc:
-        raise SnapshotCorruptionError(
-            f"malformed tag-pair state {state!r}: {exc}"
-        ) from exc
-
-
 def topic_to_state(topic: EmergentTopic) -> List[Any]:
     """One ranking entry as a positional list (order matches the fields)."""
     return [

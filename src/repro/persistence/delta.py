@@ -16,10 +16,13 @@ Two rules make the fold exact without shipping the whole window:
   ``latest``, dropping expired events from the merged list reproduces the
   live deque bit for bit (intermediate evictions with earlier ``now``
   values are subsumed by the final cutoff).
-* **Derived state is recomputed.**  The candidate postings counts are by
-  construction the pair multiset of the live pair events, so the merged
-  events determine them exactly — the delta only carries the (mutable)
-  ``min_support`` threshold.
+* **Derived state is not folded.**  A state holds no candidate table,
+  and under exact tracking no pair events: restore derives both from the
+  tag window.  Only a tier's admitted pairs are kept, and the fold derives
+  them from the documents by re-running admission — into the tracker, or
+  routed to the shards of a tiered coordinator; no delta ships a pair
+  event.  :func:`upgrade_engine_state` drops the derived tables a
+  version-1 base still wrote.
 
 Apply functions treat their inputs as consumable and may mutate/alias
 them; callers needing the originals must copy first (the store's reader
@@ -28,12 +31,14 @@ owns its freshly decoded dicts, which is the intended call site).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import combinations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.tracker import _DELTA_DOC
+from repro.core.types import TagPair
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
+from repro.sharding.partitioner import PairPartitioner
 from repro.sketches.tier import SketchTier
 from repro.windows.aggregates import record_count_history
 
@@ -121,60 +126,45 @@ def _replay_count_rows(
     return {tag: list(values) for tag, values in history.items()}
 
 
-def derive_candidates(tracker_state: dict) -> dict:
-    """Recompute a tracker state's candidate postings from its live events.
+def upgrade_engine_state(state: dict) -> dict:
+    """Bring a version-1 engine state to the version-2 layout, in place.
 
-    The candidate counts are by construction the pair multiset of the
-    live pair events, so this is the one derivation a folded chain needs;
-    it costs O(window) and is therefore run once per restore
-    (:func:`apply_tracker_delta` with ``derive=False`` defers it), not
-    once per folded segment.
-    """
-    counts: Counter = Counter()
-    for _, pairs in tracker_state["pair_events"]:
-        counts.update(tuple(pair) for pair in pairs)
-    tracker_state["candidates"] = {
-        "kind": "candidate-index",
-        "version": 1,
-        "min_support": int(tracker_state["candidates"]["min_support"]),
-        "pairs": [[first, second, count]
-                  for (first, second), count in sorted(counts.items())],
-    }
-    return tracker_state
-
-
-def finalize_engine_state(state: dict) -> dict:
-    """Run the deferred per-restore derivations on a folded engine state.
-
-    The inverse bracket of folding segments with ``derive=False``: call
-    once after the last fold (the store's reader does) and the state is
-    indistinguishable from one produced by fully-deriving folds.
+    Each version-1 tracker's candidate table gives way to its
+    ``min_support``, and its pair events go unless a tier admitted them
+    (a tiered coordinator's shards keep theirs).  Any other state passes
+    through untouched.
     """
     kind = state.get("kind") if isinstance(state, Mapping) else None
     if kind == "enblogue":
-        derive_candidates(state["tracker"])
+        trackers = [state.get("tracker")]
     elif kind == "sharded-enblogue":
-        for shard_state in state["shards"]:
-            derive_candidates(shard_state["tracker"])
+        trackers = [shard.get("tracker") for shard in state["shards"]]
+    else:
+        return state
+    trackers = [
+        tracker for tracker in trackers
+        if isinstance(tracker, dict) and tracker.get("version") == 1
+    ]
+    for tracker in trackers:
+        tracker["version"] = 2
+        tracker["min_support"] = int(tracker.pop("candidates")["min_support"])
+        if "tier" not in tracker and "tier" not in state:
+            del tracker["pair_events"]
     return state
 
 
-def apply_tracker_delta(
-    state: dict, delta: Mapping[str, Any], derive: bool = True
-) -> dict:
+def apply_tracker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Fold a tracker delta onto a tracker snapshot dict.
 
-    A document event in the delta names only its ordered tag set; its
-    tag-window entry and its pair list — every ``(i, j)`` combination of
-    the sorted tags, the one decomposition rule of the system — are
-    derived here, where restore-time cost is paid once instead of on
-    every cadence tick.  ``derive=False`` additionally defers the
-    O(window) candidate-postings recomputation to one
-    :func:`derive_candidates` call after the *last* fold of a chain
-    (only ``min_support`` is carried through), keeping an N-segment
-    restore O(window + journal) instead of O(N × window).
+    A document event in the delta names only its ordered tag set, which
+    extends the tag window.  Where the state carries pair events (tiered),
+    the document's pair list — every ``(i, j)`` combination of the sorted
+    tags, re-admitted through the tier — is derived here; elsewhere restore
+    derives them.  A shard tracker's pair events are appended by the
+    sharded fold before this one evicts them; the pair events an older
+    shard delta carries are skipped.
     """
-    require_state(state, "correlation-tracker", 1)
+    require_state(state, "correlation-tracker", 2)
     require_state(delta, "correlation-tracker-delta", (1, 2))
     names = delta["tags"]
     if delta["version"] == 1:
@@ -216,23 +206,23 @@ def apply_tracker_delta(
         if tier_state is not None else None
     )
 
-    events = list(state["pair_events"])
+    events = state.get("pair_events")
+    if events is not None:
+        events = list(events)
     window = state["tag_window"]
     window_events = list(window["events"])
     for (kind, timestamp, _), payload in zip(delta["events"], payloads):
-        if kind == _DELTA_DOC:
-            window_events.append([timestamp, payload])
+        if kind != _DELTA_DOC:
+            continue
+        window_events.append([timestamp, payload])
+        if events is not None:
             pairs = list(combinations(payload, 2))
             if tier is not None and pairs:
                 pairs = tier.filter_pairs(timestamp, pairs)
-            payload = list(map(list, pairs))
-        events.append([timestamp, payload])
-    events = evict_events(events, latest, horizon)
-    state["pair_events"] = events
-
-    state["candidates"]["min_support"] = int(delta["min_support"])
-    if derive:
-        derive_candidates(state)
+            events.append([timestamp, list(map(list, pairs))])
+    if events is not None:
+        state["pair_events"] = evict_events(events, latest, horizon)
+    state["min_support"] = int(delta["min_support"])
 
     usage = list(state["usage_events"])
     usage.extend(delta["usage_events"])
@@ -295,21 +285,17 @@ def apply_builder_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     return state
 
 
-def apply_worker_delta(
-    state: dict, delta: Mapping[str, Any], derive: bool = True
-) -> dict:
+def apply_worker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Fold a shard-worker delta onto one shard's snapshot dict."""
     require_state(state, "shard-worker", 1)
-    require_state(delta, "shard-worker-delta", 1)
+    require_state(delta, "shard-worker-delta", (1, 2))
     if state.get("shard_id") != delta.get("shard_id"):
         raise SnapshotMismatchError(
             f"shard-worker delta is addressed to shard "
             f"{delta.get('shard_id')!r} but the base snapshot belongs to "
             f"shard {state.get('shard_id')!r}"
         )
-    state["tracker"] = apply_tracker_delta(
-        state["tracker"], delta["tracker"], derive=derive
-    )
+    state["tracker"] = apply_tracker_delta(state["tracker"], delta["tracker"])
     state["detector"] = apply_detector_delta(
         state["detector"], delta["detector"]
     )
@@ -330,25 +316,21 @@ def _apply_base_bookkeeping(state: dict, delta: Mapping[str, Any]) -> None:
     state["rankings"] = rankings
 
 
-def apply_engine_delta(
-    state: dict, delta: Mapping[str, Any], derive: bool = True
-) -> dict:
+def apply_engine_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Fold one engine-level journal delta onto an engine snapshot dict.
 
     Dispatches on the base's ``kind`` (``enblogue`` / ``sharded-enblogue``)
     and validates the delta matches; the sharded fold requires one shard
     delta per base shard (a chain never changes the shard count — restore
     into a different count re-partitions the *merged* state afterwards,
-    exactly as for a full checkpoint).  Folding a multi-segment chain?
-    Pass ``derive=False`` per fold and call :func:`finalize_engine_state`
-    once at the end, as the store's reader does.
+    exactly as for a full checkpoint).
     """
     kind = state.get("kind") if isinstance(state, Mapping) else None
     if kind == "enblogue":
         require_state(delta, "enblogue-delta", 1)
         _apply_base_bookkeeping(state, delta)
         state["tracker"] = apply_tracker_delta(
-            state["tracker"], delta["tracker"], derive=derive
+            state["tracker"], delta["tracker"]
         )
         state["detector"] = apply_detector_delta(
             state["detector"], delta["detector"]
@@ -382,16 +364,22 @@ def apply_engine_delta(
             window_events, delta["tag_window_latest"], float(window["horizon"])
         )
         window["latest"] = delta["tag_window_latest"]
-        # A tiered coordinator's shard deltas already carry the admitted
-        # weighted pairs (shard workers are tier-less), so admission is
-        # re-run here only to advance the coordinator's tier state — the
-        # returned weights are deliberately discarded.
+        # Shard workers are tier-less: admission re-runs here, advancing
+        # the coordinator's tier, and its admitted pairs are routed to the
+        # shards as ingestion routes them; each shard's fold evicts them.
         tier_state = state.get("tier")
         if tier_state is not None:
             tier = SketchTier.from_snapshot(tier_state)
+            shard_events = [shard["tracker"]["pair_events"]
+                            for shard in state["shards"]]
+            route = PairPartitioner(len(shard_events)).route
             for timestamp, tags in tag_events:
-                for first, second in combinations(tags, 2):
-                    tier.admit(timestamp, first, second)
+                admitted = tier.filter_pairs(timestamp, [
+                    TagPair(*pair) for pair in combinations(tags, 2)
+                ])
+                for events, pairs in zip(shard_events, route(admitted)):
+                    if pairs:
+                        events.append([timestamp, list(map(list, pairs))])
             state["tier"] = tier.snapshot()
         config = state.get("config") or {}
         state["count_history"] = _replay_count_rows(
@@ -410,7 +398,7 @@ def apply_engine_delta(
                 f"cannot change the shard count"
             )
         state["shards"] = [
-            apply_worker_delta(shard_state, shard_delta, derive=derive)
+            apply_worker_delta(shard_state, shard_delta)
             for shard_state, shard_delta in zip(base_shards, shard_deltas)
         ]
         return state

@@ -524,7 +524,8 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Load a checkpoint; returns ``(manifest, state)``.
 
     The returned ``state`` is the engine snapshot with the per-shard files
-    reassembled under ``"shards"`` (in shard order) and — for a delta
+    reassembled under ``"shards"`` (in shard order), a version-1 base
+    brought to the version-2 layout, and — for a delta
     checkpoint — the committed journal segments folded in, ready for an
     engine's ``restore``; the manifest's ``extras`` are updated with
     those of the newest folded segment that carries any.  Validation
@@ -558,18 +559,15 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             shards.append(_read_verified(directory, files[name], name))
         state["shards"] = shards
 
+    # Imported lazily: the delta module shares the count-history replay
+    # rule with repro.core, which itself imports this package.
+    from repro.persistence.delta import apply_engine_delta, upgrade_engine_state
+
+    state = upgrade_engine_state(state)
     base_generation = manifest.get("base_generation",
                                    manifest.get("generation", 0))
     chain = _journal_chain(directory, int(base_generation))
     if chain:
-        # Imported lazily: the delta module shares the count-history
-        # replay rule with repro.core, which itself imports this package.
-        from repro.persistence.delta import (
-            apply_engine_delta,
-            finalize_engine_state,
-        )
-
-        folded = False
         extras = None
         for index, generation in enumerate(chain):
             try:
@@ -595,12 +593,7 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
                     ) from exc
                 break
             extras = delta.pop("extras", None) or extras
-            # Per-fold derivations are deferred; one finalize pass below
-            # keeps an N-segment restore O(window + journal), not O(N·window).
-            state = apply_engine_delta(state, delta, derive=False)
-            folded = True
-        if folded:
-            state = finalize_engine_state(state)
+            state = apply_engine_delta(state, delta)
         if extras:
             manifest["extras"] = {**manifest.get("extras", {}), **extras}
     return manifest, state

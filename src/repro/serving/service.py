@@ -85,7 +85,7 @@ class ServingStats:
     reads these attributes) and ``GET /metrics`` (which scrapes the
     registry) can never disagree — there is one set of numbers.  Reads
     keep the old dataclass surface (``stats.rankings_published`` is an
-    ``int``); writes go through :meth:`add`/:meth:`set`/:meth:`set_max`.
+    ``int``); writes go through :meth:`add`/:meth:`set_max`.
     Restored registries carry these forward, so a resumed server's
     counters continue monotonically.
     """
@@ -103,7 +103,6 @@ class ServingStats:
 
     #: Attribute name → gauge family backing it (absolute values).
     _GAUGES = {
-        "checkpoints_written": "repro_serving_checkpoints_written",
         "queue_high_watermark": "repro_serving_queue_high_watermark",
     }
 
@@ -122,9 +121,6 @@ class ServingStats:
 
     def add(self, name: str, amount: int = 1) -> None:
         self._counters[name].inc(amount)
-
-    def set(self, name: str, value: int) -> None:
-        self._gauges[name].set(value)
 
     def set_max(self, name: str, value: int) -> None:
         self._gauges[name].set_max(value)
@@ -237,9 +233,6 @@ class DetectionService:
         )
         if self.cadence is not None:
             await self._run_on_engine(self.cadence.begin)
-            self.stats.set(
-                "checkpoints_written", self.cadence.checkpoints_written
-            )
         self._consumer = asyncio.ensure_future(self._consume())
 
     async def stop(self, drain: bool = True) -> None:
@@ -276,9 +269,6 @@ class DetectionService:
                 await self._run_on_engine(self.cadence.shutdown)
             except Exception as exc:
                 self.stats.last_error = repr(exc)
-            self.stats.set(
-                "checkpoints_written", self.cadence.checkpoints_written
-            )
         self.dispatcher.close()
         self._executor.shutdown(wait=True)
 
@@ -422,6 +412,11 @@ class DetectionService:
             **degradation,
             **self._runtime_info,
             **self.stats.as_dict(),
+            # Every write of the cadence, its base included; the ticks
+            # alone are repro_persistence_checkpoints_total.
+            "checkpoints_written": (
+                0 if self.cadence is None else self.cadence.checkpoints_written
+            ),
             # "shards" (from runtime_info) is the count; this is the
             # per-shard detail (pair events, queue depth, last dispatch).
             "shard_health": shards,
@@ -561,9 +556,6 @@ class DetectionService:
             except Exception as exc:
                 self.stats.add("batch_errors")
                 self.stats.last_error = repr(exc)
-            self.stats.set(
-                "checkpoints_written", self.cadence.checkpoints_written
-            )
         # Full ingest→publish latency (queue wait included), once per
         # submitted batch from its own enqueue stamp.  The SLO tick samples
         # every objective's good/total right after, so burn-rate windows

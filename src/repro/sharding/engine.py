@@ -37,6 +37,7 @@ of it to drift.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from itertools import compress
 from operator import itemgetter
@@ -50,7 +51,7 @@ from repro.core.engine import (
     make_sketch_tier,
 )
 from repro.core.tracker import DocumentDecomposer
-from repro.core.types import Ranking
+from repro.core.types import Ranking, TagPair
 from repro.core.vectorized import config_vectorizes
 from repro.entity.tagger import EntityTagger
 from repro.persistence.codec import index_table, intern_rows, optional_float
@@ -354,6 +355,8 @@ class ShardedEnBlogue(DetectionEngineBase):
         observe every routed pair event and the snapshot is consistent as
         of the last processed document.  The per-shard states land under
         ``"shards"``; the checkpoint store writes them to one file each.
+        Under exact tracking they go without the pair events :meth:`restore`
+        derives; a tier's admitted pairs are not derivable, and stay.
         """
         self._ensure_open()
         self._flush()
@@ -374,6 +377,16 @@ class ShardedEnBlogue(DetectionEngineBase):
         }
         if self._tier is not None:
             state["tier"] = self._tier.snapshot()
+        else:
+            # New dicts: a supervised backend keeps the collected states
+            # as its rebuild base.
+            state["shards"] = [
+                {**shard, "tracker": {
+                    key: value for key, value in shard["tracker"].items()
+                    if key != "pair_events"
+                }}
+                for shard in state["shards"]
+            ]
         return state
 
     def restore(self, state: Mapping) -> None:
@@ -383,9 +396,13 @@ class ShardedEnBlogue(DetectionEngineBase):
         count: the per-pair state is then re-routed through the stable
         CRC-32 partitioner (:mod:`repro.sharding.reshard`) before it is
         handed to this engine's workers, so a 2-shard checkpoint restores
-        into 4 shards (or 1) without replaying the stream.  ``chunk_size``
-        and the backend are runtime choices, free to differ from the
-        checkpointed run's.
+        into 4 shards (or 1) without replaying the stream.  Under exact
+        tracking each worker's pair events are derived here, as ingestion
+        routes them; a tier's admitted pairs are merged across the old
+        shards and re-routed, one event per old shard event.  A re-sharded
+        worker counts the events it is handed.  ``chunk_size`` and the
+        backend are runtime choices, free to differ from the checkpointed
+        run's.
         """
         require_state(state, self.SNAPSHOT_KIND, 1)
         self._ensure_open()
@@ -415,8 +432,19 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._latest = optional_float(state["latest"])
         self.ranking_builder.restore(state["builder"])
         shard_states = state["shards"]
-        if len(shard_states) != self.num_shards:
+        resharded = len(shard_states) != self.num_shards
+        shard_events = (self._shard_pair_events(shard_states)
+                        if tier_state is None or resharded else None)
+        if resharded:
             shard_states = reshard_worker_states(shard_states, self.num_shards)
+        if shard_events is not None:
+            shard_states = [
+                {**shard, "tracker": {
+                    **shard["tracker"], "pair_events": events,
+                    **({"documents_seen": len(events)} if resharded else {}),
+                }}
+                for shard, events in zip(shard_states, shard_events)
+            ]
         self.backend.restore_states(shard_states)
         self._buffers = [[] for _ in range(self.num_shards)]
         self._buffered_documents = 0
@@ -510,6 +538,35 @@ class ShardedEnBlogue(DetectionEngineBase):
     def shard_health(self) -> List[dict]:
         """Per-shard health from the backend, without a sync point."""
         return self.backend.health()
+
+    def _shard_pair_events(
+        self, shard_states: List[Mapping] = ()
+    ) -> List[List[ShardEvent]]:
+        """Each shard's pair events, routed through the current partitioner.
+
+        Exact, they are derived: the windowed documents' pairs, one event
+        per document and shard it gives a pair.  Under a tier, the old
+        ``shard_states``' admitted pairs are merged in timestamp order, cut
+        at the window's cutoff (the one eviction rule; a shard last
+        advanced earlier may still hold older ones) and re-routed.
+        """
+        window = self._tag_window
+        if self._tier is None:
+            routed = self._decomposer.rederive(window.events)
+        else:
+            cutoff = (float("-inf") if window.latest_timestamp is None
+                      else window.latest_timestamp - window.horizon)
+            route = self.partitioner.route
+            old_events = [shard["tracker"]["pair_events"]
+                          for shard in shard_states]
+            routed = [
+                (float(timestamp), route(TagPair(*pair) for pair in pairs))
+                for timestamp, pairs in heapq.merge(*old_events,
+                                                    key=itemgetter(0))
+                if timestamp > cutoff
+            ]
+        return [[(timestamp, columns[shard]) for timestamp, columns in routed
+                 if columns[shard]] for shard in range(self.num_shards)]
 
     def _record_count_row(self) -> None:
         """Fold the window's current per-tag counts into the count history."""

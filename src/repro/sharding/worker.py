@@ -55,6 +55,7 @@ class ShardWorker:
         self.tracker = make_tracker(
             config, track_usage=False, track_count_history=False,
         )
+        self.tracker.keep_pair_events()
         self.detector = make_shift_detector(config)
         self.builder = RankingBuilder(top_k=config.top_k)
         # Fused batched evaluation over this shard's pair slice (None →
@@ -175,8 +176,10 @@ class ShardWorker:
     def snapshot(self) -> dict:
         """This shard's complete state as a versioned, JSON-safe dict.
 
-        Every entry is keyed (directly or transitively) by a canonical
-        pair, which is what lets
+        Pair events included: a backend transfers it and a supervisor
+        rebuilds from it (a sharded checkpoint drops them; the coordinator
+        derives them).  Every entry is keyed (directly or
+        transitively) by a canonical pair, which is what lets
         :func:`~repro.sharding.reshard.reshard_worker_states` re-route a
         checkpoint into a different shard count through the partitioner.
         """
@@ -226,13 +229,14 @@ class ShardWorker:
         """This shard's changes since the last base snapshot/drain.
 
         The journal-segment companion of :meth:`snapshot`, folded back by
-        :func:`repro.persistence.delta.apply_worker_delta`; because a
-        shard tracker ingests only pair events, the delta is dominated by
-        the shard's slice of the new documents' pairs.
+        :func:`repro.persistence.delta.apply_worker_delta`.  Version 2
+        carries no pair events: the sharded fold routes them from the
+        coordinator's documents, so the tracker part is its clocks, event
+        count and sampled correlations.
         """
         return {
             "kind": "shard-worker-delta",
-            "version": 1,
+            "version": 2,
             "since": int(generation),
             "shard_id": self.shard_id,
             "tracker": self.tracker.delta_since(generation),

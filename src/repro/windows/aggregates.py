@@ -83,6 +83,12 @@ class TagFrequencyWindow:
         return len(self._events)
 
     @property
+    def events(self) -> Deque[Tuple[float, Tuple[str, ...]]]:
+        """The windowed ``(timestamp, ordered tags)`` events, oldest first
+        (read-only; do not mutate)."""
+        return self._events
+
+    @property
     def counts(self) -> Counter:
         """The live per-tag ``Counter`` (read-only; do not mutate).
 

@@ -103,6 +103,12 @@ VARIANTS = {
     "tiered-k3": lambda cfg: EnBlogue(
         cfg.with_overrides(tracking="tiered", promote_support=3)
     ),
+    # Admission at the coordinator; the fold routes the admitted pairs to
+    # the shards, whose bases keep them (empty ones too, at begin()).
+    "tiered-k3-serial-2": lambda cfg: ShardedEnBlogue(
+        cfg.with_overrides(tracking="tiered", promote_support=3),
+        num_shards=2, backend="serial", chunk_size=7,
+    ),
 }
 
 

@@ -126,16 +126,18 @@ class TestDecayedMaximum:
 
 
 class TestCandidateIndex:
+    """A snapshot holds no candidate table: restore builds the index from
+    the pair multiset of the events, through the constructor."""
+
     def build(self):
         index = CandidateIndex(min_support=2)
         index.add_many([pair("a", "b"), pair("a", "b"), pair("a", "c"),
                         pair("b", "c"), pair("b", "c"), pair("b", "c")])
         return index
 
-    def test_roundtrip_preserves_postings_and_threshold(self):
+    def test_built_from_counts_matches_incremental_postings(self):
         index = self.build()
-        restored = CandidateIndex()
-        restored.restore(json_roundtrip(index.snapshot()))
+        restored = CandidateIndex(2, dict(index.items()))
         assert sorted(restored.items()) == sorted(index.items())
         assert restored.min_support == 2
         assert restored.candidates(["b"]) == index.candidates(["b"])
@@ -150,35 +152,19 @@ class TestCandidateIndex:
         assert "c" not in restored._postings
         restored.check_invariants()
 
-    def test_restore_replaces_previous_state(self):
-        index = self.build()
-        restored = CandidateIndex()
-        restored.add(pair("x", "y"))
-        restored.restore(index.snapshot())
-        assert pair("x", "y") not in restored
-        assert len(restored) == len(index)
-
-    def test_restore_costs_one_step_per_row_whatever_the_count(self):
-        # Each row is written as a count, not replayed as that many
-        # occurrences: a row claiming 10**15 returns at once.  Repeated
-        # rows add up and a non-positive one is no live pair, as before.
-        state = CandidateIndex(min_support=2).snapshot()
-        state["pairs"] = [["a", "b", 10 ** 15], ["a", "c", 0],
-                          ["b", "c", -3], ["a", "b", 2], ["c", "d", 1]]
-        restored = CandidateIndex()
-        restored.restore(state)
+    def test_building_costs_one_step_per_pair_whatever_the_count(self):
+        # A count is written as a count, not replayed as that many
+        # occurrences: a pair counted 10**15 times is built at once.
+        restored = CandidateIndex(2, {pair("a", "b"): 10 ** 15,
+                                      pair("c", "d"): 1})
         assert dict(restored.items()) \
-            == {pair("a", "b"): 10 ** 15 + 2, pair("c", "d"): 1}
-        # Only the row that reaches min_support is in a posting.
+            == {pair("a", "b"): 10 ** 15, pair("c", "d"): 1}
+        # Only the pair that reaches min_support is in a posting.
         assert {tag: set(bucket)
                 for tag, bucket in restored._postings.items()} \
             == {"a": {pair("a", "b")}, "b": {pair("a", "b")}}
         assert restored.candidates(["a", "c"]) == [(pair("a", "b"), "a")]
         restored.check_invariants()
-
-    def test_foreign_snapshot_rejected(self):
-        with pytest.raises(SnapshotMismatchError):
-            CandidateIndex().restore({"kind": "timeseries", "version": 1})
 
 
 class TestCorrelationTracker:
@@ -235,6 +221,47 @@ class TestCorrelationTracker:
 
     def test_conforms_to_protocol(self):
         assert isinstance(self.build(), Snapshotable)
+
+    def test_pair_events_are_derived_not_stored(self):
+        tracker = self.build()
+        state = tracker.snapshot()
+        assert state["version"] == 2
+        assert "pair_events" not in state and "candidates" not in state
+        restored = self.fresh()
+        restored.restore(json_roundtrip(state))
+        assert list(restored._pair_events) == list(tracker._pair_events)
+        assert dict(restored.candidate_index.items()) \
+            == dict(tracker.candidate_index.items())
+        restored.check_invariants()
+
+    def test_restore_replaces_previous_state(self):
+        restored = self.fresh()
+        restored.observe(0.0, ["x", "y"])
+        restored.restore(self.fresh().snapshot())
+        assert pair("x", "y") not in restored.candidate_index
+        assert not restored._pair_events
+
+    def test_tracker_fed_pair_events_keeps_them(self):
+        tracker = self.fresh()
+        tracker.observe_pair_events([(0.0, (pair("a", "b"),))])
+        state = json_roundtrip(tracker.snapshot())
+        assert state["pair_events"] == [[0.0, [["a", "b"]]]]
+        restored = self.fresh()
+        restored.restore(state)
+        assert restored.pair_count(pair("a", "b")) == 1
+        restored.check_invariants()
+
+    def test_one_way_of_feeding(self):
+        tracker = self.build()
+        with pytest.raises(ValueError, match="fed documents cannot"):
+            tracker.observe_pair_events([(3 * HOUR, (pair("a", "b"),))])
+        assert tracker.pair_count(pair("a", "b")) == 2
+
+    def test_version_1_is_upgraded_by_the_reader_not_restore(self):
+        state = self.build().snapshot()
+        state["version"] = 1
+        with pytest.raises(SnapshotVersionError, match="version 2"):
+            self.fresh().restore(state)
 
 
 class TestShiftDetector:

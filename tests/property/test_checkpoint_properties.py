@@ -24,7 +24,7 @@ from repro.datasets.documents import Document
 from repro.persistence import load_engine
 from repro.sharding import ProcessBackend, ShardedEnBlogue
 
-from invariants import check_invariants
+from invariants import check_invariants, live_pair_state
 
 tag_names = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -81,13 +81,17 @@ def interrupted_run(docs, cut, checkpoint_shards, resume_shards, backend):
                              backend=backend(), chunk_size=7) as engine:
             engine.process_many(docs[:cut])
             engine.save_checkpoint(directory)
+            live = live_pair_state(engine)
         resumed, _ = load_engine(
             directory, num_shards=resume_shards, backend=backend(),
         )
         with resumed:
             # Restored (and for N != M re-sharded): a state a live engine
-            # can be in, checked where it was made.
+            # can be in, checked where it was made — and holding the pair
+            # events and counts the checkpointed engine held, which the
+            # base leaves out and the restore derived.
             check_invariants(resumed)
+            assert live_pair_state(resumed) == live
             resumed.process_many(docs[cut:])
             return signature(resumed)
 

@@ -23,7 +23,7 @@ from repro.datasets.documents import Document
 from repro.persistence import load_engine, read_checkpoint
 from repro.sharding import ShardedEnBlogue
 
-from invariants import check_invariants
+from invariants import check_invariants, live_pair_state
 
 tag_names = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -113,6 +113,8 @@ def test_single_engine_chain_restores_bit_identical(steps, data):
         assert merged == engine.snapshot()
         resumed, _ = load_engine(directory)
         check_invariants(resumed)
+        # The live tables the base leaves out, derived on restore.
+        assert live_pair_state(resumed) == live_pair_state(engine)
         resumed.process_many(docs[cut:])
         assert signature(resumed) == expected
 
@@ -137,9 +139,11 @@ def test_sharded_chain_restores_bit_identical_across_shard_counts(steps, data):
             _, merged = read_checkpoint(directory)
             check_invariants(merged)
             assert merged == engine.snapshot()
+            live = live_pair_state(engine)
         resumed, _ = load_engine(directory, num_shards=resume_shards)
         with resumed:
             check_invariants(resumed)
+            assert live_pair_state(resumed) == live
             resumed.process_many(docs[cut:])
             assert signature(resumed) == expected
 
@@ -194,10 +198,12 @@ def test_chain_spanning_a_mid_chain_reshard(case):
         with ShardedEnBlogue(config(), num_shards=first_shards,
                              backend="serial", chunk_size=7) as engine:
             write_chain(engine, docs, directory, first_cuts)
+            live = live_pair_state(engine)
         middle, _ = load_engine(directory, num_shards=middle_shards)
         with middle:
             # What the re-shard made must be a state a live engine can be in.
             check_invariants(middle)
+            assert live_pair_state(middle) == live
             # Restoring compacted base + journal; the new chain re-bases.
             middle.process_many(docs[handoff:second_cut])
             middle.save_checkpoint(directory, track_deltas=True)
@@ -205,8 +211,10 @@ def test_chain_spanning_a_mid_chain_reshard(case):
             _, merged = read_checkpoint(directory)
             check_invariants(merged)
             assert merged == middle.snapshot()
+            live = live_pair_state(middle)
         final, _ = load_engine(directory, num_shards=final_shards)
         with final:
             check_invariants(final)
+            assert live_pair_state(final) == live
             final.process_many(docs[second_cut:])
             assert signature(final) == expected

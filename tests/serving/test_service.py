@@ -396,8 +396,13 @@ class TestCheckpointHops:
                 await service.submit(batch)
             await service.stop()
             status = service.status()
-            status["engine_calls"] = int(service.observability.registry.get(
+            registry = service.observability.registry
+            status["engine_calls"] = int(registry.get(
                 "repro_core_batches_total").value)
+            status["checkpoint_ticks"] = {
+                dict(key)["mode"]: int(child.value) for key, child
+                in registry.get("repro_persistence_checkpoints_total").samples()
+            }
             return cadence, status
 
         cadence, status = run(scenario())
@@ -429,3 +434,13 @@ class TestCheckpointHops:
         assert reference.checkpoints_written == cadence.checkpoints_written
         assert reference_status["checkpoints_written"] \
             == status["checkpoints_written"] == cadence.checkpoints_written
+
+    def test_checkpoint_family_counts_the_ticks(self, tmp_path):
+        # 200 rankings at every=16: 12 writing ticks, then the shutdown
+        # tick; the base begin() writes is no tick.  Every 4th write
+        # re-bases (full), the others append (delta).
+        _, cadence, status = self.serve_with_cadence(tmp_path,
+                                                     all_hops=False)
+        assert status["checkpoint_ticks"] == {"full": 3, "delta": 10}
+        assert status["checkpoints_written"] == 1 + 13 \
+            == cadence.checkpoints_written
