@@ -211,6 +211,33 @@ class ShiftDetector:
         else:
             scores.pop(pair, None)
 
+    def check_invariants(self, latest: Optional[float] = None) -> None:
+        """Raise ``AssertionError`` unless a live detector could hold this.
+
+        No score (in the dict, or in the attached evaluator's columns) was
+        last updated after ``latest``, the latest evaluated timestamp;
+        while a journal is armed every dirty pair is among the scores;
+        then the attached evaluator's own invariants.  Reads the dict as
+        it stands — nothing pending is folded in.  For tests, never on
+        the stream.
+        """
+        if latest is not None:
+            for pair, maximum in self._scores.items():
+                _, last_update = maximum.state()
+                if last_update is not None and last_update > latest:
+                    raise AssertionError(
+                        f"{pair!r} was scored at {last_update}, after the "
+                        f"latest evaluation at {latest}"
+                    )
+        if self._dirty is not None:
+            missing = self._dirty - self._scores.keys()
+            if missing:
+                raise AssertionError(
+                    f"dirty pairs {sorted(missing)!r} have no score"
+                )
+        if self._evaluator is not None:
+            self._evaluator.check_invariants(latest)
+
     # -- persistence --------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -609,6 +609,75 @@ class FusedEvaluator:
         self._score_pending[:] = False
         self._stale = True
 
+    def check_invariants(self, latest: Optional[float] = None) -> None:
+        """Raise ``AssertionError`` unless a live evaluator could hold this.
+
+        ``_pair_rows`` and ``_pairs`` are inverse maps; every column has
+        one capacity, at least the row count; no row holds more history
+        points than the ring's length; unless the columns are stale, a
+        row that is not pending equals its pair's series in the tracker's
+        dict and its decayed maximum in the detector's (read as they
+        stand, nothing drained); no known score was last updated after
+        ``latest``.  For tests, never on the stream.
+        """
+        used = len(self._pairs)
+        if len(self._pair_rows) != used or any(
+            self._pairs[row] != pair for pair, row in self._pair_rows.items()
+        ):
+            raise AssertionError("_pair_rows and _pairs are not inverse maps")
+        capacities = {getattr(self, name).shape[0] for name in self._COLUMNS}
+        if len(capacities) != 1 or min(capacities) < used:
+            raise AssertionError(
+                f"column capacities {sorted(capacities)} for {used} rows"
+            )
+        lengths = self._hist_len[:used]
+        if used and (lengths.min() < 0
+                     or lengths.max() > self._history_columns):
+            raise AssertionError(
+                f"a row holds {int(lengths.max())} history points, the ring "
+                f"holds {self._history_columns}"
+            )
+        last = self._score_last[:used][self._score_known[:used]]
+        if latest is not None and (last > latest).any():
+            raise AssertionError(
+                f"a score column was updated after the latest evaluation at "
+                f"{latest}"
+            )
+        if self._stale:
+            return
+        columns = self._history_columns
+        histories = self._tracker._histories
+        scores = self._detector._scores
+        for row, pair in enumerate(self._pairs):
+            if not self._hist_pending[row]:
+                length = int(self._hist_len[row])
+                series = histories.get(pair)
+                timestamps, values = (
+                    ([], []) if series is None else series.tail_points(columns)
+                )
+                start = columns - length
+                if (len(values) != length
+                        or self._hist[row, start:].tolist() != values
+                        or self._hist_ts[row, start:].tolist() != timestamps):
+                    raise AssertionError(
+                        f"{pair!r}'s history row is not the tracker's series"
+                    )
+            if not self._score_pending[row]:
+                maximum = scores.get(pair)
+                state = (None, None) if maximum is None else maximum.state()
+                row_state = (
+                    (float(self._score_value[row]),
+                     float(self._score_last[row]))
+                    if self._score_known[row] else (None, None)
+                )
+                if state[1] is None:
+                    state = (None, None)
+                if row_state != state:
+                    raise AssertionError(
+                        f"{pair!r}'s score row {row_state} is not the "
+                        f"detector's {state}"
+                    )
+
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(

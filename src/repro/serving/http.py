@@ -85,6 +85,10 @@ MAX_PROFILE_SECONDS = 30.0
 #: whole archive in one request.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Header lines one request may carry: the header dict is bounded by it,
+#: not by whatever distinct names a client cares to send.
+MAX_HEADER_LINES = 100
+
 
 #: The one empty set every document without entities shares.
 _NO_ENTITIES: frozenset = frozenset()
@@ -214,10 +218,12 @@ class RankingServer:
                     # task.exception(), which raises on a cancelled task.
                     return
                 except ValueError as exc:
-                    # Unparsable Content-Length, oversized body: the client
-                    # deserves a 400, not a dropped connection and an
-                    # unretrieved task exception in the loop.  The request
-                    # framing is lost, so this connection cannot be reused.
+                    # A malformed request line, conflicting or unparsable
+                    # Content-Length, too many header lines, an oversized
+                    # body: the client deserves a 400, not a dropped
+                    # connection and an unretrieved task exception in the
+                    # loop.  The request framing is lost, so this
+                    # connection cannot be reused.
                     await self._respond_json(writer, 400, {"error": str(exc)})
                     return
                 if request is None:
@@ -304,17 +310,29 @@ class RankingServer:
         request_line = await reader.readline()
         if not request_line:
             return None
-        try:
-            method, target, version = request_line.decode("latin-1").split()
-        except ValueError:
-            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise ValueError("malformed request line: expected "
+                             "METHOD TARGET VERSION")
+        method, target, version = parts
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                raise ValueError(
+                    f"header block exceeds {MAX_HEADER_LINES} lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # Request smuggling's first move: which length frames the
+                # body is ambiguous, so neither is trusted.
+                raise ValueError("conflicting Content-Length headers")
+            headers[name] = value
         length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY_BYTES:
             raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")

@@ -4,11 +4,8 @@ import pytest
 
 from repro.baselines.popularity import PopularityBaseline
 from repro.core.types import TagPair
-from repro.datasets.documents import Document
 
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"d{t}", tags=frozenset(tags))
+from differential import doc
 
 
 class TestPopularityBaseline:

@@ -4,13 +4,8 @@ import pytest
 
 from repro.baselines.twitter_monitor import TwitterMonitorBaseline
 from repro.core.types import TagPair
-from repro.datasets.documents import Document
 
-HOUR = 3600.0
-
-
-def doc(t, tags, i=0):
-    return Document(timestamp=float(t), doc_id=f"d{t}-{i}", tags=frozenset(tags))
+from differential import HOUR, doc
 
 
 def steady_stream(hours, tag_sets_per_hour):
@@ -18,7 +13,7 @@ def steady_stream(hours, tag_sets_per_hour):
     documents = []
     for hour in range(hours):
         for i, tags in enumerate(tag_sets_per_hour):
-            documents.append(doc(hour * HOUR + i, tags, i))
+            documents.append(doc(hour * HOUR + i, tags))
     return documents
 
 
@@ -35,7 +30,7 @@ class TestTwitterMonitorBaseline:
         documents = steady_stream(20, [["news", "politics"], ["news", "economy"]])
         burst_start = 20 * HOUR
         for i in range(30):
-            documents.append(doc(burst_start + i, ["storm", "coast"], i))
+            documents.append(doc(burst_start + i, ["storm", "coast"]))
         documents.append(doc(burst_start + HOUR, ["news", "politics"]))
         baseline.process_many(documents)
         ranking = baseline.current_ranking()
@@ -61,10 +56,10 @@ class TestTwitterMonitorBaseline:
             # "popular" appears 6 times per hour throughout, "rare" twice.
             for i in range(6):
                 partner = "rare" if hour >= 20 and i < 2 else f"filler{i}"
-                documents.append(doc(base + i, ["popular", partner], i))
+                documents.append(doc(base + i, ["popular", partner]))
             for i in range(2):
                 if hour < 20 or i >= 2:
-                    documents.append(doc(base + 10 + i, ["rare", f"other{i}"], 10 + i))
+                    documents.append(doc(base + 10 + i, ["rare", f"other{i}"]))
         baseline.process_many(documents)
         for ranking in baseline.ranking_history():
             assert not ranking.contains_pair(TagPair("popular", "rare"))

@@ -37,6 +37,7 @@ def pytest_collection_modifyitems(items):
     scaled = set()
     for item in items:
         test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # a test method's function
         pinned = getattr(test, "_hypothesis_internal_use_settings", None)
         if pinned is not None and id(test) not in scaled:
             scaled.add(id(test))

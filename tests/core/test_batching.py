@@ -2,41 +2,13 @@
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import CORPUS_CHUNK, EnBlogue
 from repro.core.tracker import CorrelationTracker
-from repro.datasets.documents import Document
 from repro.datasets.synthetic import figure1_stream
 from repro.observability import Observability
 from repro.streams.item import StreamItem
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"doc-{t}", tags=frozenset(tags))
-
-
-def ranking_signature(engine):
-    return [
-        (ranking.timestamp, [(topic.pair, topic.score) for topic in ranking])
-        for ranking in engine.ranking_history()
-    ]
+from differential import HOUR, config, doc, signature
 
 
 class TestProcessBatchEquivalence:
@@ -46,7 +18,7 @@ class TestProcessBatchEquivalence:
         single.process_many(corpus)
         batch = EnBlogue(config())
         batch.process_batch(corpus)
-        assert ranking_signature(single) == ranking_signature(batch)
+        assert signature(single) == signature(batch)
         assert single.documents_processed == batch.documents_processed
         assert single.current_seeds == batch.current_seeds
 
@@ -58,7 +30,7 @@ class TestProcessBatchEquivalence:
         chunked = EnBlogue(config())
         for start in range(0, len(documents), 17):
             chunked.process_batch(documents[start:start + 17])
-        assert ranking_signature(whole) == ranking_signature(chunked)
+        assert signature(whole) == signature(chunked)
 
     def test_batch_returns_every_ranking_produced(self):
         engine = EnBlogue(config())
@@ -128,7 +100,7 @@ class TestEvaluationCatchUp:
                      doc(7.5 * HOUR, ["a", "c"])]
         single.process_many(documents)
         batch.process_batch(documents)
-        assert ranking_signature(single) == ranking_signature(batch)
+        assert signature(single) == signature(batch)
         assert len(batch.ranking_history()) == 7
 
     def test_gap_straddling_two_batches(self):
@@ -237,4 +209,4 @@ class TestBatchSink:
             sink.push(item)
         batch = EnBlogue(config())
         batch.as_sink().push_batch(items)
-        assert ranking_signature(single) == ranking_signature(batch)
+        assert signature(single) == signature(batch)

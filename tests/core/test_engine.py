@@ -2,36 +2,15 @@
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.core.personalization import UserProfile
 from repro.core.types import TagPair
-from repro.datasets.documents import Document
 from repro.datasets.synthetic import figure1_stream
 from repro.entity.knowledge_base import KnowledgeBase
 from repro.entity.tagger import EntityTagger
 from repro.streams.item import StreamItem
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def doc(t, tags, text=""):
-    return Document(timestamp=float(t), doc_id=f"doc-{t}", tags=frozenset(tags), text=text)
+from differential import HOUR, config, doc
 
 
 class TestProcessing:

@@ -6,27 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue, require_stream_time
 from repro.datasets.documents import Document
-from repro.sharding import ShardedEnBlogue
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR, evaluation_interval=HOUR,
-        num_seeds=10, min_seed_count=1, min_pair_support=1, min_history=2,
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def doc(t, tags, doc_id=None, text=""):
-    return Document(timestamp=float(t), doc_id=doc_id or f"doc-{t}",
-                    tags=frozenset(tags), text=text)
+from differential import HOUR, IN_PROCESS, close, config, doc, make_engine
 
 
 class TestDegenerateDocuments:
@@ -156,12 +139,6 @@ def hostile_doc(timestamp, tags):
     return SimpleNamespace(timestamp=timestamp, tags=frozenset(tags))
 
 
-def make_engine(kind):
-    if kind == "single":
-        return EnBlogue(config())
-    return ShardedEnBlogue(config(), num_shards=2, backend=kind)
-
-
 class TestNonFiniteTimestamps:
     """``nan`` cannot be ordered and ``inf`` cannot be caught up to: both
     are rejected before any state is touched, on every ingestion path.
@@ -169,7 +146,8 @@ class TestNonFiniteTimestamps:
     spacing (|t| ≥ 2**64 for an hour): ``boundary + interval == boundary``
     there, and one such document used to spin the catch-up forever."""
 
-    KINDS = ("single", "serial", "threads")
+    KINDS = ["single-fused"] + [
+        row.name for row in IN_PROCESS if row.shards == 2]
     HOSTILE = (float("nan"), float("inf"), float("-inf"))
     FAR = (1e20, 2.0 ** 65)
 
@@ -180,7 +158,7 @@ class TestNonFiniteTimestamps:
     def test_rejected_with_the_engine_unchanged(
         self, kind, path, fresh, timestamp
     ):
-        engine = make_engine(kind)
+        engine = make_engine(kind, config(), chunk_size=256)
         try:
             if not fresh:
                 engine.process_batch(
@@ -201,14 +179,13 @@ class TestNonFiniteTimestamps:
             engine.process_batch([doc(20 * 600, ["a", "b"], doc_id="next")])
             assert engine.documents_processed == (1 if fresh else 21)
         finally:
-            if kind != "single":
-                engine.close()
+            close(engine)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("timestamp", HOSTILE, ids=str)
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_rejected_anywhere_in_a_batch(self, kind, timestamp, position):
-        engine = make_engine(kind)
+        engine = make_engine(kind, config(), chunk_size=256)
         try:
             engine.process_batch([doc(t, ["a", "b"]) for t in range(5)])
             before = engine.snapshot()
@@ -219,8 +196,7 @@ class TestNonFiniteTimestamps:
                 engine.process_batch(batch)
             assert engine.snapshot() == before
         finally:
-            if kind != "single":
-                engine.close()
+            close(engine)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("timestamp", HOSTILE, ids=str)
@@ -229,7 +205,7 @@ class TestNonFiniteTimestamps:
     ):
         # Used to publish a ranking stamped ``inf`` and park the clock
         # there, after which every honest document was out of order.
-        engine = make_engine(kind)
+        engine = make_engine(kind, config(), chunk_size=256)
         try:
             engine.process_batch([doc(t, ["a", "b"]) for t in range(5)])
             before = engine.snapshot()
@@ -239,8 +215,7 @@ class TestNonFiniteTimestamps:
             engine.process(doc(5, ["a", "b"], doc_id="next"))
             assert engine.documents_processed == 6
         finally:
-            if kind != "single":
-                engine.close()
+            close(engine)
 
     def test_the_far_bound_is_where_one_interval_stops_measuring_out(self):
         require_stream_time(2.0 ** 63, HOUR)  # spacing 2048 s < 1 h

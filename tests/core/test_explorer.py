@@ -4,14 +4,9 @@ import pytest
 
 from repro.core.explorer import ArchiveExplorer, RangeShift
 from repro.core.types import TagPair
-from repro.datasets.documents import Document
 from repro.datasets.synthetic import figure1_stream
 
-HOUR = 3600.0
-
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"d{t}", tags=frozenset(tags))
+from differential import HOUR, doc
 
 
 @pytest.fixture(scope="module")

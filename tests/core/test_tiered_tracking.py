@@ -13,25 +13,12 @@ import pytest
 from repro.core.config import DAY, HOUR, EnBlogueConfig, live_stream_config
 from repro.core.engine import EnBlogue, make_sketch_tier
 from repro.datasets.synthetic import SyntheticStreamGenerator
-from repro.datasets.twitter import TweetStreamGenerator
 from repro.datasets.vocabulary import TagVocabulary
 from repro.observability import Observability
 from repro.persistence.resume import load_engine
 from repro.sharding import ShardedEnBlogue
 
-
-def stream(hours=12, tweets_per_hour=40, seed=11):
-    corpus, _ = TweetStreamGenerator(
-        hours=hours, tweets_per_hour=tweets_per_hour, seed=seed
-    ).generate()
-    return list(corpus)
-
-
-def ranking_signature(engine):
-    return [
-        (ranking.timestamp, [(topic.pair, topic.score) for topic in ranking.topics])
-        for ranking in engine.ranking_history()
-    ]
+from differential import signature, tweet_stream
 
 
 def replay(config, docs, **kwargs):
@@ -60,7 +47,7 @@ class TestDegenerateThresholds:
 
     @pytest.mark.parametrize("threshold", [0, 1])
     def test_rankings_bit_identical_to_exact(self, threshold):
-        docs = stream()
+        docs = tweet_stream()
         exact = replay(BASE, docs)
         tiered = replay(
             BASE.with_overrides(
@@ -68,13 +55,13 @@ class TestDegenerateThresholds:
             ),
             docs,
         )
-        assert ranking_signature(tiered) == ranking_signature(exact)
+        assert signature(tiered) == signature(exact)
         assert tiered.tracker.snapshot() == exact.tracker.snapshot()
 
 
 class TestNonzeroThreshold:
     def test_live_pairs_reduced(self):
-        docs = stream()
+        docs = tweet_stream()
         exact = replay(BASE, docs)
         tiered = replay(
             BASE.with_overrides(tracking="tiered", promote_support=4), docs
@@ -88,7 +75,7 @@ class TestNonzeroThreshold:
         assert tier.promotions > 0
 
     def test_promoted_pairs_still_rank(self):
-        docs = stream()
+        docs = tweet_stream()
         tiered = replay(
             BASE.with_overrides(tracking="tiered", promote_support=3), docs
         )
@@ -115,7 +102,7 @@ class TestSurface:
             BASE.with_overrides(tracking="tiered", promote_support=3),
             observability=observability,
         )
-        for document in stream(hours=6):
+        for document in tweet_stream(hours=6):
             engine.process(document)
         registry = observability.registry
         tier = engine.tracker.tier
@@ -197,7 +184,7 @@ def test_tiered_tracking_meets_approximate_gates(tmp_path):
     assert topk_recall(exact_engine, tiered_engine) >= 0.9
 
     half = len(docs) // 2
-    first = ShardedEnBlogue(TIERED, num_shards=2, backend="serial")
+    first = ShardedEnBlogue(TIERED, num_shards=2)
     try:
         first.process_batch(docs[:half])
         first.save_checkpoint(tmp_path)
@@ -206,6 +193,6 @@ def test_tiered_tracking_meets_approximate_gates(tmp_path):
     resumed, _ = load_engine(tmp_path, num_shards=4)
     try:
         resumed.process_batch(docs[half:])
-        assert ranking_signature(resumed) == ranking_signature(tiered_engine)
+        assert signature(resumed) == signature(tiered_engine)
     finally:
         resumed.close()

@@ -14,11 +14,13 @@ import math
 
 import pytest
 
+from differential import HOUR, config
+
+
 np = pytest.importorskip("numpy")
 
 from repro.core import vectorized
 
-from repro.core.config import EnBlogueConfig
 from repro.core.correlation import (
     JaccardCorrelation,
     KlDivergenceCorrelation,
@@ -46,24 +48,6 @@ from repro.timeseries.predictors import EwmaPredictor, HoltPredictor
 pytestmark = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="vectorized path requires numpy"
 )
-
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
 
 def parts(tracker=None):
     tracker = tracker or CorrelationTracker(window_horizon=HOUR)

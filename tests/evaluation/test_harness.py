@@ -2,32 +2,16 @@
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import CORPUS_CHUNK, EnBlogue
 from repro.datasets.events import EmergentEvent, EventSchedule
 from repro.datasets.synthetic import SyntheticStreamGenerator, figure1_stream
 from repro.evaluation.harness import run_detector, run_experiment, score_run
-from repro.sharding import ShardedEnBlogue
 
-HOUR = 3600.0
-
-
-SMALL_CONFIG = EnBlogueConfig(
-    window_horizon=6 * HOUR, evaluation_interval=HOUR,
-    num_seeds=10, min_seed_count=1, min_pair_support=1, min_history=2,
-    predictor_window=3,
-)
+from differential import HOUR, IN_PROCESS, ROWS, close, config, signature
 
 
 def small_engine():
-    return EnBlogue(SMALL_CONFIG)
-
-
-def signature(rankings):
-    return [
-        (ranking.timestamp, [(topic.pair, topic.score) for topic in ranking])
-        for ranking in rankings
-    ]
+    return EnBlogue(config())
 
 
 class TestRunDetector:
@@ -87,21 +71,19 @@ class TestChunkedReplay:
         first_chunk = [r for r, processed in seen if processed == CORPUS_CHUNK]
         assert len(first_chunk) > 1
 
-    @pytest.mark.parametrize("shape", ["single", "serial", "threads"])
-    def test_rankings_equal_one_process_batch(self, shape):
+    @pytest.mark.parametrize("row", [ROWS["single-fused"]] + [
+        row for row in IN_PROCESS if row.shards == 2
+    ], ids=lambda row: row.name)
+    def test_rankings_equal_one_process_batch(self, row):
         corpus, _ = figure1_stream(num_steps=45, shift_start=25)
         documents = list(corpus)
         reference = small_engine()
         expected = reference.process_batch(documents)
-        if shape == "single":
-            engine = small_engine()
-        else:
-            engine = ShardedEnBlogue(SMALL_CONFIG, num_shards=2, backend=shape)
+        engine = row.build(config(), chunk_size=256)
         try:
             run = run_detector(engine, documents, finalize=False)
         finally:
-            if shape != "single":
-                engine.close()
+            close(engine)
         assert signature(run.rankings) == signature(expected)
         assert run.documents == len(documents)
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from differential import BY_REFERENCE
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -54,14 +56,17 @@ class TestReplayCommand:
                           "--seeds", "10", "--seed", "7"])
         assert exit_code == 0
 
-    def test_sharded_replay_matches_single_engine_output(self, capsys):
+    @pytest.mark.parametrize("backend", BY_REFERENCE)
+    def test_sharded_replay_matches_single_engine_output(self, capsys,
+                                                         backend):
         main(["replay", "--dataset", "tweets", "--hours", "18", "--seed", "7"])
         single_ranking = capsys.readouterr().out.split("ranking at t=")[1]
         exit_code = main(["replay", "--dataset", "tweets", "--hours", "18",
-                          "--seed", "7", "--shards", "4", "--backend", "serial"])
+                          "--seed", "7", "--shards", "4",
+                          "--backend", backend])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "enblogue[4xserial]" in output
+        assert f"enblogue[4x{backend}]" in output
         assert output.split("ranking at t=")[1] == single_ranking
 
     def test_sharded_replay_process_backend(self, capsys):
@@ -73,24 +78,14 @@ class TestReplayCommand:
         assert "enblogue[2xprocess]" in output
         assert "ranking at t=" in output
 
-    def test_sharded_replay_threads_backend_matches_single(self, capsys):
-        main(["replay", "--dataset", "tweets", "--hours", "18", "--seed", "7"])
-        single_ranking = capsys.readouterr().out.split("ranking at t=")[1]
-        exit_code = main(["replay", "--dataset", "tweets", "--hours", "18",
-                          "--seed", "7", "--shards", "4",
-                          "--backend", "threads"])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "enblogue[4xthreads]" in output
-        assert output.split("ranking at t=")[1] == single_ranking
-
-    def test_replay_verbose_reports_runtime(self, capsys):
+    @pytest.mark.parametrize("backend", BY_REFERENCE)
+    def test_replay_verbose_reports_runtime(self, capsys, backend):
         exit_code = main(["replay", "--dataset", "tweets", "--hours", "12",
                           "--seed", "7", "--shards", "2",
-                          "--backend", "threads", "--verbose"])
+                          "--backend", backend, "--verbose"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "runtime: engine=sharded backend=threads shards=2" in output
+        assert f"runtime: engine=sharded backend={backend} shards=2" in output
         assert "evaluation_path=" in output
 
     def test_replay_quiet_omits_runtime_line(self, capsys):

@@ -20,7 +20,7 @@ import pytest
 from repro.cli import build_parser
 from repro.datasets.twitter import TweetStreamGenerator
 
-HOUR = 3600.0
+from differential import HOUR
 
 
 class TestServeParser:

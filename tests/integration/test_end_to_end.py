@@ -22,7 +22,7 @@ from repro.streams.operators import (
 from repro.streams.plan import PlanExecutor, QueryPlan
 from repro.streams.sources import DocumentStreamSource
 
-HOUR = 3600.0
+from differential import HOUR
 
 
 def engine_config(**overrides):

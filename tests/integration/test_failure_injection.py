@@ -18,7 +18,7 @@ from repro.streams.operators import (
 from repro.streams.plan import PlanExecutor, QueryPlan
 from repro.streams.sources import DocumentStreamSource, IterableSource
 
-HOUR = 3600.0
+from differential import HOUR
 
 
 def engine_config(**overrides):

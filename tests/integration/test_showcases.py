@@ -14,7 +14,7 @@ from repro.evaluation.ground_truth import GroundTruthMatcher
 from repro.evaluation.harness import run_detector, run_experiment
 from repro.evaluation.metrics import RankingComparison
 
-HOUR = 3600.0
+from differential import HOUR
 
 
 def archive_config(**overrides):

@@ -5,9 +5,7 @@ import json
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
-from repro.datasets.twitter import TweetStreamGenerator
 from repro.observability import (
     NDJSON_CONTENT_TYPE,
     PROMETHEUS_CONTENT_TYPE,
@@ -16,29 +14,12 @@ from repro.observability import (
 )
 from repro.serving import DetectionService, RankingServer
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
+from differential import HOUR, config, tweet_stream
 
 
 @pytest.fixture(scope="module")
 def docs():
-    corpus, _ = TweetStreamGenerator(
-        hours=12, tweets_per_hour=30, seed=11).generate()
-    return list(corpus)
+    return tweet_stream(hours=12, per_hour=30, seed=11)
 
 
 async def raw_request(port, method, path, body=None):

@@ -7,7 +7,6 @@ import threading
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.observability import (
     DEFAULT_BUCKETS,
     NOOP,
@@ -19,22 +18,7 @@ from repro.observability import (
 )
 from repro.observability.metrics import Histogram
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
+from differential import BY_REFERENCE, HOUR, config, tweet_stream
 
 
 class TestHistogramBuckets:
@@ -109,18 +93,18 @@ class TestStriping:
         assert histogram.count == 12000
         assert histogram.sum == pytest.approx(6000.0)
 
-    def test_threads_backend_counters_stay_exact(self):
-        # The real thing: shard threads and the coordinator hammer the
-        # same registry while a sharded engine replays a stream.
-        from repro.datasets.twitter import TweetStreamGenerator
+    @pytest.mark.parametrize("backend", BY_REFERENCE)
+    def test_in_process_backend_counters_stay_exact(self, backend):
+        # The real thing: shard workers in the coordinator's process (on
+        # their own threads, where the transport has them) and the
+        # coordinator hammer the same registry while a sharded engine
+        # replays a stream.
         from repro.sharding import ShardedEnBlogue
 
-        corpus, _ = TweetStreamGenerator(
-            hours=12, tweets_per_hour=30, seed=11).generate()
-        documents = list(corpus)
+        documents = tweet_stream(hours=12, per_hour=30, seed=11)
         observability = Observability()
         engine = ShardedEnBlogue(
-            config(), num_shards=2, backend="threads",
+            config(), num_shards=2, backend=backend,
             observability=observability,
         )
         try:

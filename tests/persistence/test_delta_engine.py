@@ -4,33 +4,19 @@ The contract under test is two-layered: ``delta_since`` folded onto the
 base snapshot reproduces ``snapshot()`` exactly (the dict-level
 equivalence the store's reader relies on), and a base + journal directory
 resumes into a continuation bit-identical to an uninterrupted run — for
-the single engine and for the sharded one on both backends, including a
-restore into a different shard count.
+the single engine, and for the sharded one across a re-shard mid-chain
+(every transport's N → M resume is a cell of the differential matrix).
 """
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.documents import Document
 from repro.persistence import load_engine, read_checkpoint
 from repro.persistence.snapshot import SnapshotMismatchError
-from repro.sharding import ProcessBackend, ShardedEnBlogue
+from repro.sharding import ShardedEnBlogue
 
-
-def config(**overrides):
-    base = EnBlogueConfig(
-        window_horizon=100.0,
-        evaluation_interval=25.0,
-        num_seeds=6,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-        history_length=6,
-    )
-    return base.with_overrides(**overrides) if overrides else base
+from differential import HOSTILE, config, signature
 
 
 def stream(count=240, seed=11):
@@ -50,13 +36,6 @@ def stream(count=240, seed=11):
     return docs
 
 
-def signature(engine):
-    return [
-        (ranking.timestamp, ranking.topics)
-        for ranking in engine.ranking_history()
-    ]
-
-
 @pytest.fixture(scope="module")
 def docs():
     return stream()
@@ -64,7 +43,7 @@ def docs():
 
 @pytest.fixture(scope="module")
 def reference(docs):
-    engine = EnBlogue(config())
+    engine = EnBlogue(config(**HOSTILE))
     engine.process_many(docs)
     return signature(engine)
 
@@ -83,13 +62,13 @@ class TestSingleEngineChain:
     CUTS = (60, 100, 150, 180)
 
     def test_merged_state_equals_live_snapshot(self, docs, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         drive_chain(engine, docs, tmp_path, self.CUTS)
         _, merged = read_checkpoint(tmp_path)
         assert merged == engine.snapshot()
 
     def test_resume_continue_bit_identical(self, docs, reference, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         cut = drive_chain(engine, docs, tmp_path, self.CUTS)
         resumed, _ = load_engine(tmp_path)
         resumed.process_many(docs[cut:])
@@ -98,7 +77,7 @@ class TestSingleEngineChain:
     def test_empty_delta_tick_round_trips(self, docs, tmp_path):
         # A cadence tick with no new documents writes a (tiny) segment
         # that must still fold cleanly.
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:60])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         engine.save_delta_checkpoint(tmp_path)
@@ -108,7 +87,7 @@ class TestSingleEngineChain:
     def test_policy_mutation_mid_chain_survives(self, docs, tmp_path):
         # min_pair_support and the ranking policy are mutable between
         # evaluations; the journal must carry the latest values.
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:60])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         engine.tracker.min_pair_support = 3
@@ -124,20 +103,20 @@ class TestSingleEngineChain:
 
 class TestChainGuards:
     def test_delta_without_baseline_rejected(self, docs, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:40])
         with pytest.raises(SnapshotMismatchError, match="baseline"):
             engine.save_delta_checkpoint(tmp_path)
 
     def test_delta_into_a_different_directory_rejected(self, docs, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:40])
         engine.save_checkpoint(tmp_path / "a", track_deltas=True)
         with pytest.raises(SnapshotMismatchError, match="base chain"):
             engine.save_delta_checkpoint(tmp_path / "b")
 
     def test_full_save_without_tracking_ends_the_chain(self, docs, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:40])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         engine.save_checkpoint(tmp_path)
@@ -145,7 +124,7 @@ class TestChainGuards:
             engine.save_delta_checkpoint(tmp_path)
 
     def test_restore_invalidates_the_chain(self, docs, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:40])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         engine.restore(engine.snapshot())
@@ -153,7 +132,7 @@ class TestChainGuards:
             engine.save_delta_checkpoint(tmp_path)
 
     def test_detector_reset_rejected_while_recording(self, docs, tmp_path):
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:40])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         with pytest.raises(RuntimeError, match="re-base"):
@@ -166,7 +145,7 @@ class TestChainGuards:
         # commit a segment with a silent hole.
         import repro.persistence.snapshot as snapshot_module
 
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:40])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         engine.process_many(docs[40:60])
@@ -215,9 +194,10 @@ class TestCadenceSurvivesAFailedAppend:
         monkeypatch.setattr(engine_module, "append_delta", flaky_append)
         observability = Observability()
         engine = (
-            ShardedEnBlogue(config(), num_shards=2, backend="serial",
+            ShardedEnBlogue(config(**HOSTILE), num_shards=2,
                             chunk_size=7, observability=observability)
-            if sharded else EnBlogue(config(), observability=observability)
+            if sharded
+            else EnBlogue(config(**HOSTILE), observability=observability)
         )
         cadence = CheckpointCadence(
             engine, directory=tmp_path, every=1, full_every=100
@@ -255,7 +235,7 @@ def test_a_tick_pauses_the_cyclic_collector_and_restores_it(docs, tmp_path):
 
     from repro.persistence.cadence import CheckpointCadence
 
-    engine = EnBlogue(config())
+    engine = EnBlogue(config(**HOSTILE))
     cadence = CheckpointCadence(
         engine, directory=tmp_path, every=1, full_every=100
     )
@@ -288,39 +268,10 @@ def test_a_tick_pauses_the_cyclic_collector_and_restores_it(docs, tmp_path):
 
 
 class TestShardedChains:
+    """(N → M resumes of a journal on every transport are cells of the
+    differential matrix.)"""
+
     CUTS = (60, 110, 160)
-
-    @pytest.mark.parametrize("checkpoint_shards,resume_shards",
-                             [(1, 1), (2, 2), (2, 4), (4, 1)])
-    def test_serial_chain_resumes_bit_identical(
-        self, docs, reference, tmp_path, checkpoint_shards, resume_shards
-    ):
-        with ShardedEnBlogue(config(), num_shards=checkpoint_shards,
-                             backend="serial", chunk_size=7) as engine:
-            cut = drive_chain(engine, docs, tmp_path, self.CUTS)
-            _, merged = read_checkpoint(tmp_path)
-            assert merged == engine.snapshot()
-        resumed, _ = load_engine(tmp_path, num_shards=resume_shards)
-        with resumed:
-            resumed.process_many(docs[cut:])
-            assert signature(resumed) == reference
-
-    def test_process_backend_chain_resumes_resharded(
-        self, docs, reference, tmp_path
-    ):
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend=ProcessBackend(start_method="fork"),
-                             chunk_size=7) as engine:
-            cut = drive_chain(engine, docs, tmp_path, self.CUTS)
-            _, merged = read_checkpoint(tmp_path)
-            assert merged == engine.snapshot()
-        resumed, _ = load_engine(
-            tmp_path, num_shards=4,
-            backend=ProcessBackend(start_method="fork"),
-        )
-        with resumed:
-            resumed.process_many(docs[cut:])
-            assert signature(resumed) == reference
 
     def test_chain_spanning_a_reshard_resumes_bit_identical(
         self, docs, reference, tmp_path
@@ -328,7 +279,7 @@ class TestShardedChains:
         # Chain A written by 2 shards, resumed into 4 (compaction +
         # re-partition), chain B written by the 4-shard engine, resumed
         # into 1 — the delta format composes with re-sharding end to end.
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+        with ShardedEnBlogue(config(**HOSTILE), num_shards=2,
                              chunk_size=7) as engine:
             drive_chain(engine, docs, tmp_path, (60, 100))
         middle, _ = load_engine(tmp_path, num_shards=4)
@@ -356,7 +307,7 @@ class TestCoordinatorTagSets:
 
     @pytest.fixture
     def delta(self, docs, tmp_path):
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+        with ShardedEnBlogue(config(**HOSTILE), num_shards=2,
                              chunk_size=7) as engine:
             engine.process_many(docs[:60])
             engine.save_checkpoint(tmp_path, track_deltas=True)
@@ -398,7 +349,7 @@ class TestCoordinatorTagSets:
         from repro.persistence.delta import apply_engine_delta
         from repro.persistence.snapshot import SnapshotVersionError
 
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+        with ShardedEnBlogue(config(**HOSTILE), num_shards=2,
                              chunk_size=7) as engine:
             engine.process_many(docs[:60])
             base = engine.snapshot()
@@ -418,7 +369,7 @@ def test_appended_ticks_carry_the_live_metrics_snapshot(docs, tmp_path):
     from repro.persistence.cadence import CheckpointCadence
 
     observability = Observability()
-    engine = EnBlogue(config(), observability=observability)
+    engine = EnBlogue(config(**HOSTILE), observability=observability)
     snapshots = []
 
     def provider():
@@ -447,5 +398,5 @@ def test_a_full_cadence_mode_is_rejected(tmp_path):
     from repro.persistence.cadence import CheckpointCadence
 
     with pytest.raises(ValueError, match="delta"):
-        CheckpointCadence(EnBlogue(config()), directory=tmp_path, every=2,
-                          mode="full")
+        CheckpointCadence(EnBlogue(config(**HOSTILE)), directory=tmp_path,
+                          every=2, mode="full")

@@ -20,30 +20,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.documents import Document
 from repro.persistence import read_checkpoint
 from repro.persistence.cadence import CheckpointCadence
-from repro.sharding import ShardedEnBlogue
+
+from differential import HOSTILE, ROWS, close, config, json_copy
 
 FIXTURES = Path(__file__).parent / "fixtures" / "journal_v1"
 
 TAGS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
-
-
-def config(**overrides):
-    return EnBlogueConfig(
-        window_horizon=100.0,
-        evaluation_interval=25.0,
-        num_seeds=6,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-        history_length=6,
-    ).with_overrides(**overrides)
 
 
 def stream(count, tags=TAGS):
@@ -90,11 +76,9 @@ SCENARIOS = {
 
 #: name → engine factory over a config.
 VARIANTS = {
-    "single-fused": EnBlogue,
-    "single-scalar": lambda cfg: EnBlogue(cfg, vectorize=False),
-    "serial-2": lambda cfg: ShardedEnBlogue(
-        cfg, num_shards=2, backend="serial", chunk_size=7
-    ),
+    "single-fused": ROWS["single-fused"].build,
+    "single-scalar": ROWS["single-scalar"].build,
+    "serial-2": ROWS["serial-2"].build,
     # K <= 1 runs without sketches (the exact engine by construction);
     # K = 3 journals raw documents and re-runs admission on apply.
     "tiered-k1": lambda cfg: EnBlogue(
@@ -105,17 +89,14 @@ VARIANTS = {
     ),
     # Admission at the coordinator; the fold routes the admitted pairs to
     # the shards, whose bases keep them (empty ones too, at begin()).
-    "tiered-k3-serial-2": lambda cfg: ShardedEnBlogue(
-        cfg.with_overrides(tracking="tiered", promote_support=3),
-        num_shards=2, backend="serial", chunk_size=7,
-    ),
+    "tiered-k3-serial-2": lambda cfg: ROWS["serial-2"].build(
+        cfg.with_overrides(tracking="tiered", promote_support=3)),
 }
 
 
 def restores_to_live_snapshot(directory, engine):
     _, restored = read_checkpoint(directory)
-    live = json.loads(json.dumps(engine.snapshot()))
-    assert restored == live
+    assert restored == json_copy(engine.snapshot())
     return restored
 
 
@@ -133,7 +114,7 @@ CELLS = [
 @pytest.mark.parametrize("scenario,variant", CELLS)
 def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
     overrides, docs, every = SCENARIOS[scenario]
-    engine = VARIANTS[variant](config(**overrides))
+    engine = VARIANTS[variant](config(**dict(HOSTILE, **overrides)))
     cadence = CheckpointCadence(
         engine, directory=tmp_path, every=every, full_every=4
     )
@@ -165,8 +146,7 @@ def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
                                                   evaluations + 1)]
         assert rings and newest in rings
         assert all(len(ring) <= 4 for ring in rings)
-    if hasattr(engine, "close"):
-        engine.close()
+    close(engine)
 
 
 # -- version-1 segments ------------------------------------------------------
@@ -186,7 +166,8 @@ def drive_v1_chain(engine, directory):
 
 def write_v1_fixtures():  # pragma: no cover - run once, at the parent commit
     for variant in ("single-fused", "serial-2"):
-        drive_v1_chain(VARIANTS[variant](config()), FIXTURES / variant)
+        drive_v1_chain(VARIANTS[variant](config(**HOSTILE)),
+                       FIXTURES / variant)
 
 
 @pytest.mark.parametrize("variant", ["single-fused", "serial-2"])
@@ -200,6 +181,6 @@ def test_version_1_segments_still_fold(variant, tmp_path):
         assert segment["detector"]["version"] == 1
     else:
         assert segment["version"] == 2
-    engine = VARIANTS[variant](config())
+    engine = VARIANTS[variant](config(**HOSTILE))
     drive_v1_chain(engine, tmp_path)
     restores_to_live_snapshot(fixture, engine)

@@ -12,10 +12,13 @@ guessed restore.
 """
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.documents import Document
 from repro.persistence.snapshot import (
@@ -30,19 +33,11 @@ from repro.persistence.store import (
     write_checkpoint,
 )
 
+from differential import HOSTILE, config
 
-def config():
-    return EnBlogueConfig(
-        window_horizon=100.0,
-        evaluation_interval=25.0,
-        num_seeds=4,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-        history_length=6,
-    )
+SMALL = dict(HOSTILE, num_seeds=4)
+
+FIXTURES = Path(__file__).parent / "fixtures" / "journal_v1"
 
 
 def documents(count, start=0.0, step=3.0):
@@ -68,7 +63,7 @@ def chained(tmp_path):
     Returns ``(engine, prefixes)`` where ``prefixes[i]`` is the engine
     state as of tick ``i`` (0 = base), for asserting prefix fallbacks.
     """
-    engine = EnBlogue(config())
+    engine = EnBlogue(config(**SMALL))
     engine.process_many(documents(30))
     engine.save_checkpoint(tmp_path, track_deltas=True)
     prefixes = [snapshot_copy(engine)]
@@ -240,7 +235,7 @@ class TestJournalCorruption:
 class TestFormatCompatibility:
     def test_version_1_manifest_without_journal_still_reads(self, tmp_path):
         # PR 3 checkpoints predate the journal; they must stay loadable.
-        engine = EnBlogue(config())
+        engine = EnBlogue(config(**SMALL))
         engine.process_many(documents(20))
         engine.save_checkpoint(tmp_path)
         manifest_path = tmp_path / MANIFEST_NAME
@@ -250,3 +245,82 @@ class TestFormatCompatibility:
         manifest_path.write_text(json.dumps(manifest))
         _, state = read_checkpoint(tmp_path)
         assert state == engine.snapshot()
+
+
+# -- framing under fuzzing -----------------------------------------------------
+
+
+def committed_states(directory):
+    """What each committed tick of a chain restores to: the chain with
+    every later generation's segments removed, base alone first."""
+    generations = sorted({int(path.stem.rsplit("-", 1)[1])
+                          for path in Path(directory).glob("*.delta")})
+    states = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for keep in [None] + generations:
+            prefix = Path(scratch) / str(keep)
+            shutil.copytree(directory, prefix)
+            for path in prefix.glob("*.delta"):
+                if keep is None or int(path.stem.rsplit("-", 1)[1]) > keep:
+                    path.unlink()
+            states.append(read_checkpoint(prefix)[1])
+    return states
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """name → (chain directory, the segment the fuzzer damages, the
+    states of its committed ticks): the last and a mid-chain segment of a
+    live chain, and a segment of each version-1 fixture."""
+    directory = tmp_path_factory.mktemp("chain")
+    engine = EnBlogue(config(**SMALL))
+    engine.process_many(documents(30))
+    engine.save_checkpoint(directory, track_deltas=True)
+    for start in (90.0, 135.0, 180.0):
+        engine.process_many(documents(15, start=start))
+        engine.save_delta_checkpoint(directory)
+    live = committed_states(directory)
+    segments = journal_paths(directory)
+    chains = {
+        "last": (directory, segments[-1].name, live),
+        "mid-chain": (directory, segments[1].name, live),
+    }
+    for fixture in sorted(FIXTURES.iterdir()):
+        states = committed_states(fixture)
+        for segment in sorted(fixture.glob("*.delta")):
+            chains[f"{fixture.name}/{segment.name}"] = (
+                fixture, segment.name, states)
+    return chains
+
+
+damage = st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0),
+              st.integers(min_value=1, max_value=255)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), damage=damage)
+def test_damaged_framing_restores_a_committed_tick_or_fails_loudly(
+    chains, data, damage
+):
+    name = data.draw(st.sampled_from(sorted(chains)), label="segment")
+    source, segment, states = chains[name]
+    kind, position, mask = damage
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch) / "chain"
+        shutil.copytree(source, directory)
+        path = directory / segment
+        payload = bytearray(path.read_bytes())
+        position %= len(payload)
+        if kind == "flip":
+            payload[position] ^= mask
+        else:
+            del payload[position:]
+        path.write_bytes(bytes(payload))
+        try:
+            _, state = read_checkpoint(directory)
+        except SnapshotCorruptionError:
+            return
+    assert state in states

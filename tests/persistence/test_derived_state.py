@@ -18,7 +18,6 @@ the same stream restores to.
 
 import json
 import runpy
-import sys
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -28,10 +27,10 @@ from repro.core.engine import EnBlogue
 from repro.persistence import load_engine
 from repro.sharding import ShardedEnBlogue, reshard_worker_states
 
-from test_delta_format import config, stream
-
-sys.path.insert(0, str(Path(__file__).parents[1] / "property"))
-from invariants import check_invariants, live_pair_state  # noqa: E402
+from differential import (
+    HOSTILE, ROWS, check_invariants, config, live_pair_state, signature,
+)
+from test_delta_format import stream
 
 FIXTURES = Path(__file__).parent / "fixtures" / "base_v1"
 
@@ -41,9 +40,7 @@ DOCS, CUT = 160, 100
 #: name → engine factory over a config.
 VARIANTS = {
     "single": EnBlogue,
-    "serial-2": lambda cfg: ShardedEnBlogue(
-        cfg, num_shards=2, backend="serial", chunk_size=7
-    ),
+    "serial-2": ROWS["serial-2"].build,
 }
 
 
@@ -51,29 +48,20 @@ VARIANTS = {
 #: whose shards' admitted pairs version 2 keeps as they were.
 V1_VARIANTS = {
     **VARIANTS,
-    "tiered-2": lambda cfg: ShardedEnBlogue(
+    "tiered-2": lambda cfg: ROWS["serial-2"].build(
         cfg.with_overrides(tracking="tiered", promote_support=3,
-                           sketch_width=64, sketch_depth=2),
-        num_shards=2, backend="serial", chunk_size=7,
-    ),
+                           sketch_width=64, sketch_depth=2)),
 }
 
 
 def write_base_v1_fixtures():  # pragma: no cover - run once, at the parent commit
     docs = stream(DOCS)
     for variant, make in V1_VARIANTS.items():
-        engine = make(config())
+        engine = make(config(**HOSTILE))
         engine.process_many(docs[:CUT])
         engine.save_checkpoint(FIXTURES / variant)
         if hasattr(engine, "close"):
             engine.close()
-
-
-def signature(engine):
-    return [
-        (ranking.timestamp, ranking.label, ranking.topics)
-        for ranking in engine.ranking_history()
-    ]
 
 
 def closing(engine):
@@ -95,7 +83,7 @@ def derived_tables(state):
 class TestBaseFiles:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_exact_bases_carry_no_derived_table(self, variant, tmp_path):
-        with closing(VARIANTS[variant](config())) as engine:
+        with closing(VARIANTS[variant](config(**HOSTILE))) as engine:
             engine.process_many(stream(DOCS))
             engine.save_checkpoint(tmp_path)
         files = base_files(tmp_path)
@@ -105,7 +93,7 @@ class TestBaseFiles:
             assert "pair_events" not in state  # the coordinator's, if any
 
     def test_tiered_bases_keep_their_pair_events(self, tmp_path):
-        tiered = config(tracking="tiered", promote_support=3)
+        tiered = config(**HOSTILE, tracking="tiered", promote_support=3)
         docs = stream(DOCS)
         with closing(EnBlogue(tiered)) as engine:
             engine.process_many(docs)
@@ -113,7 +101,7 @@ class TestBaseFiles:
         state = base_files(tmp_path / "single")["engine-00000001.json"]
         assert derived_tables(state) == ["pair_events"]
         assert "tier" in state["tracker"]
-        with ShardedEnBlogue(tiered, num_shards=2, backend="serial") as engine:
+        with ShardedEnBlogue(tiered, num_shards=2) as engine:
             engine.process_many(docs)
             engine.save_checkpoint(tmp_path / "sharded")
         files = base_files(tmp_path / "sharded")
@@ -132,14 +120,14 @@ class TestReshardedWorkers:
     def test_n_to_m_resume_holds_a_from_scratch_run_s_workers(
         self, tracking, tmp_path
     ):
-        cfg = config(tracking=tracking, promote_support=3)
+        cfg = config(**HOSTILE, tracking=tracking, promote_support=3)
         docs = stream(DOCS)
-        with ShardedEnBlogue(cfg, num_shards=2, backend="serial",
+        with ShardedEnBlogue(cfg, num_shards=2,
                              chunk_size=7) as engine:
             engine.process_many(docs[:CUT])
             engine.save_checkpoint(tmp_path)
         resumed, _ = load_engine(tmp_path, num_shards=4)
-        with resumed, ShardedEnBlogue(cfg, num_shards=4, backend="serial",
+        with resumed, ShardedEnBlogue(cfg, num_shards=4,
                                       chunk_size=7) as scratch:
             check_invariants(resumed)
             resumed.process_many(docs[CUT:])
@@ -174,8 +162,8 @@ class TestReshardedWorkers:
     def test_a_resharded_worker_counts_the_events_it_is_handed(
         self, tracking, tmp_path
     ):
-        cfg = config(tracking=tracking, promote_support=3)
-        with ShardedEnBlogue(cfg, num_shards=2, backend="serial") as engine:
+        cfg = config(**HOSTILE, tracking=tracking, promote_support=3)
+        with ShardedEnBlogue(cfg, num_shards=2) as engine:
             engine.process_many(stream(DOCS))
             engine.save_checkpoint(tmp_path)
         resumed, _ = load_engine(tmp_path, num_shards=4)
@@ -187,8 +175,7 @@ class TestReshardedWorkers:
                 == events
 
     def test_complete_worker_states_reshard_without_their_pair_events(self):
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="serial") as engine:
+        with ShardedEnBlogue(config(**HOSTILE), num_shards=2) as engine:
             engine.process_many(stream(DOCS))
             complete = engine.backend.collect_states()
         assert all(state["tracker"]["pair_events"] for state in complete)
@@ -213,7 +200,7 @@ class TestVersion1Bases:
             tracker["version"] == 1 and derived_tables({"tracker": tracker})
             == ["candidates", "pair_events"] for tracker in trackers
         )
-        with closing(V1_VARIANTS[variant](config())) as engine:
+        with closing(V1_VARIANTS[variant](config(**HOSTILE))) as engine:
             engine.process_many(docs[:CUT])
             engine.save_checkpoint(tmp_path)
         options = {} if num_shards is None else {"num_shards": num_shards}
@@ -237,8 +224,8 @@ class TestCheckResumeScript:
         return runpy.run_path(str(script))["check_bases"]
 
     def test_passes_version_2_and_tiered_bases(self, tmp_path):
-        tiered = config(tracking="tiered", promote_support=3)
-        for name, engine in (("exact", EnBlogue(config())),
+        tiered = config(**HOSTILE, tracking="tiered", promote_support=3)
+        for name, engine in (("exact", EnBlogue(config(**HOSTILE))),
                              ("tiered", EnBlogue(tiered))):
             engine.process_many(stream(DOCS))
             engine.save_checkpoint(tmp_path / name)

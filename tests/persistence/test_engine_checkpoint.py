@@ -10,7 +10,6 @@ in the sharded-equivalence suite.
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.persistence import load_engine
@@ -18,29 +17,7 @@ from repro.persistence.snapshot import SnapshotMismatchError
 from repro.sharding import ProcessBackend, ShardedEnBlogue
 from repro.sharding.reshard import reshard_worker_states
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def signature(engine):
-    return [
-        (ranking.timestamp, ranking.label, ranking.topics)
-        for ranking in engine.ranking_history()
-    ]
+from differential import HOUR, config, signature
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +98,7 @@ class TestShardedEngine:
     def test_serial_checkpoint_resumes_bit_identically(
         self, tweet_docs, reference, tmp_path, num_shards
     ):
-        with ShardedEnBlogue(config(), num_shards=num_shards,
-                             backend="serial") as engine:
+        with ShardedEnBlogue(config(), num_shards=num_shards) as engine:
             engine.process_many(tweet_docs[:200])
             engine.save_checkpoint(tmp_path)
         resumed, manifest = load_engine(tmp_path)
@@ -137,8 +113,7 @@ class TestShardedEngine:
     ):
         # The headline property: a 2-shard checkpoint restores into any
         # shard count by re-routing the pair state through the CRC-32 hash.
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="serial") as engine:
+        with ShardedEnBlogue(config(), num_shards=2) as engine:
             engine.process_many(tweet_docs[:200])
             engine.save_checkpoint(tmp_path)
         resumed, _ = load_engine(tmp_path, num_shards=resume_shards)
@@ -166,8 +141,7 @@ class TestShardedEngine:
     def test_resume_across_backends(self, tweet_docs, reference, tmp_path):
         # Backend choice is runtime, not stream state: a serial checkpoint
         # resumes under worker processes (and would vice versa).
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="serial") as engine:
+        with ShardedEnBlogue(config(), num_shards=2) as engine:
             engine.process_many(tweet_docs[:200])
             engine.save_checkpoint(tmp_path)
         resumed, _ = load_engine(
@@ -179,7 +153,7 @@ class TestShardedEngine:
 
     def test_chunk_size_is_free_to_differ_on_resume(self, tweet_docs,
                                                     reference, tmp_path):
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+        with ShardedEnBlogue(config(), num_shards=2,
                              chunk_size=64) as engine:
             engine.process_many(tweet_docs[:200])
             engine.save_checkpoint(tmp_path)
@@ -189,7 +163,7 @@ class TestShardedEngine:
             assert signature(resumed) == reference
 
     def test_snapshot_flushes_buffered_chunks(self, tweet_docs):
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+        with ShardedEnBlogue(config(), num_shards=2,
                              chunk_size=4096) as engine:
             engine.process_many(tweet_docs[:50])
             state = engine.snapshot()
@@ -201,7 +175,7 @@ class TestShardedEngine:
         assert events > 0
 
     def test_closed_engine_refuses_snapshot_and_restore(self, tweet_docs):
-        engine = ShardedEnBlogue(config(), num_shards=2, backend="serial")
+        engine = ShardedEnBlogue(config(), num_shards=2)
         engine.process(tweet_docs[0])
         state = engine.snapshot()
         engine.close()
@@ -213,8 +187,7 @@ class TestShardedEngine:
 
 class TestReshardStates:
     def shard_states(self, tweet_docs, num_shards=2):
-        with ShardedEnBlogue(config(), num_shards=num_shards,
-                             backend="serial") as engine:
+        with ShardedEnBlogue(config(), num_shards=num_shards) as engine:
             engine.process_many(tweet_docs[:200])
             return engine.snapshot()["shards"]
 

@@ -27,7 +27,7 @@ from repro.windows.aggregates import TagFrequencyWindow
 from repro.windows.decay import DecayedMaximum, ExponentialDecay
 from repro.windows.timeseries import TimeSeries
 
-HOUR = 3600.0
+from differential import HOUR
 
 
 def json_roundtrip(state):

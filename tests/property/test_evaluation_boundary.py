@@ -6,40 +6,38 @@ implementations they replaced.  Those — the full sort over every live tag
 and the two-loop row rule — live on here, and only here, as the oracles.
 
 Also pinned: an evaluation reads the tracker's live count history (no
-per-evaluation copy), a selector never modifies what it is handed, and
-the history exists only for a criterion that reads it — under
-``popularity`` every engine variant keeps, snapshots and journals none
-(and drops one it is handed by an older checkpoint), under ``volatility``
-and ``hybrid`` every variant keeps exactly the scalar single engine's.
+per-evaluation copy), a selector never modifies what it is handed, and a
+popularity engine drops a history an older checkpoint hands it.  (That
+every variant keeps exactly the scalar single engine's history — none
+under ``popularity`` — is asserted on every differential-matrix cell.)
 
 Last, where ``process_batch`` cuts a chunk: it finds each boundary-free
 run by bisection, and every engine variant must evaluate exactly where the
 document-at-a-time loop does (documents on a boundary, equal timestamps
 around one, several boundaries crossed at once, empty chunks).
 
-The engine-variant matrix runs on the no-numpy CI leg too, where it pins
-the scalar store; its fused-evaluator cases skip themselves there.
+The variant tests run on the no-numpy CI leg too, where they pin the
+scalar store; their fused-evaluator cases skip themselves there.
 """
 
 import json
 import math
 import random
-import tempfile
 from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.core.seeds import make_seed_selector
 from repro.core.tracker import CorrelationTracker
-from repro.core.vectorized import NUMPY_AVAILABLE
 from repro.datasets.documents import Document
-from repro.persistence import load_engine, read_checkpoint
 from repro.persistence.delta import _replay_count_rows
-from repro.sharding import ShardedEnBlogue
 from repro.windows.aggregates import TagFrequencyWindow, record_count_history
+
+from differential import (
+    HOSTILE, close, config, count_history_of, in_process_variants, signature,
+)
 
 CRITERIA = ("popularity", "volatility", "hybrid")
 
@@ -240,11 +238,8 @@ def test_base_plus_journal_replay_reproduces_the_count_history(before, after):
 
 
 def boundary_config(criterion):
-    return EnBlogueConfig(
-        window_horizon=100.0, evaluation_interval=25.0, num_seeds=4,
-        min_seed_count=1, min_pair_support=1, min_history=2,
-        history_length=6, seed_criterion=criterion,
-    )
+    return config(**dict(HOSTILE, num_seeds=4), predictor_window=6,
+                  seed_criterion=criterion)
 
 
 def boundary_documents():
@@ -299,41 +294,18 @@ def test_selector_is_handed_the_live_history_itself(monkeypatch):
 
 
 # -- the history exists only for a criterion that reads it ---------------------
+#
+# That a popularity engine keeps, snapshots and journals no history, and a
+# volatility or hybrid engine exactly the scalar single engine's (key order
+# included, folded from its journal at every tick), is asserted on every
+# cell of ``tests/property/test_differential.py``.
 
-needs_evaluator = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="needs the fused evaluator (numpy)"
-)
-
-#: ``(engine kind, vectorize)``: single, sharded serial and sharded threads,
-#: each on the fused evaluator (the default) and on the scalar store.
-VARIANTS = [
-    pytest.param(kind, vectorize, marks=marks, id=f"{kind}-{label}")
-    for kind in ("single", "serial", "threads")
-    for vectorize, label, marks in (
-        (None, "fused", needs_evaluator), (False, "scalar", ()),
-    )
-]
-
-READING_CRITERIA = ("volatility", "hybrid")
+VARIANTS = in_process_variants()
 
 
-def make_engine(kind, vectorize, criterion):
-    cfg = boundary_config(criterion)
-    if kind == "single":
-        return EnBlogue(cfg, vectorize=vectorize)
-    return ShardedEnBlogue(
-        cfg, num_shards=2, backend=kind, chunk_size=7, vectorize=vectorize,
-    )
-
-
-def close(engine):
-    if isinstance(engine, ShardedEnBlogue):
-        engine.close()
-
-
-#: The last documents of a stream, fed after the journaled part; enough to
-#: cross an evaluation boundary.
-TAIL = 30
+def feed(engine, documents):
+    for start in range(0, len(documents), 16):
+        engine.process_batch(documents[start:start + 16])
 
 
 def churning_documents():
@@ -341,7 +313,7 @@ def churning_documents():
     rng = random.Random(5)
     tags = [f"tag{index}" for index in range(9)]
     documents = []
-    for index in range(3 * 84 + TAIL):
+    for index in range(3 * 84 + 30):
         era = tags[(index // 40) % 3 * 3:][:5]
         documents.append(Document(
             timestamp=float(index), doc_id=f"doc-{index}",
@@ -350,87 +322,17 @@ def churning_documents():
     return documents
 
 
-def signature(engine):
-    return [
-        (ranking.timestamp, ranking.label, ranking.topics)
-        for ranking in engine.ranking_history()
-    ]
-
-
-def count_history_of(state):
-    """The count history inside an engine snapshot, wherever it lives."""
-    if state["kind"] == EnBlogue.SNAPSHOT_KIND:
-        return state["tracker"]["count_history"]
-    return state["count_history"]
-
-
-def count_rows_of(delta):
-    if delta["kind"] == "enblogue-delta":
-        return delta["tracker"]["count_rows"]
-    return delta["count_rows"]
-
-
-def feed(engine, documents):
-    for start in range(0, len(documents), 16):
-        engine.process_batch(documents[start:start + 16])
-
-
-def run_with_journal(engine, documents, directory):
-    """All but the tail: a base checkpoint a third of the way in, then a
-    journal tick per third.  Returns the count history of the chain
-    (base + journal, folded) after each tick."""
-    third = (len(documents) - TAIL) // 3
-    feed(engine, documents[:third])
-    engine.save_checkpoint(directory, track_deltas=True)
-    folded = []
-    for start in (third, 2 * third):
-        feed(engine, documents[start:start + third])
-        engine.save_delta_checkpoint(directory)
-        folded.append(count_history_of(read_checkpoint(directory)[1]))
-    return folded
-
-
-@pytest.mark.parametrize("kind, vectorize", VARIANTS)
-def test_popularity_engines_keep_no_count_history(kind, vectorize):
-    documents = churning_documents()
-    engine = make_engine(kind, vectorize, "popularity")
-    reference = EnBlogue(boundary_config("popularity"), vectorize=False)
-    try:
-        assert not engine.seed_selector.reads_history
-        with tempfile.TemporaryDirectory() as directory:
-            folded = run_with_journal(engine, documents, directory)
-            assert folded == [{}, {}]
-            assert count_history_of(engine.snapshot()) == {}
-            if kind == "single":
-                assert engine.tracker.count_history_map == {}
-                assert engine.tracker.count_history() == {}
-            # The journal carries no rows either.
-            feed(engine, documents[-TAIL:])
-            assert count_rows_of(engine.delta_since(99)) == []
-            # Base + journal replays to the live state, and resumes.
-            engine.save_checkpoint(directory, track_deltas=True)
-            resumed, _ = load_engine(directory)
-            try:
-                assert resumed.snapshot() == engine.snapshot()
-            finally:
-                close(resumed)
-        feed(reference, documents)
-        assert signature(engine) == signature(reference)
-    finally:
-        close(engine)
-
-
-@pytest.mark.parametrize("kind, vectorize", VARIANTS)
+@pytest.mark.parametrize("row, evaluation", VARIANTS)
 def test_restoring_a_history_into_a_popularity_engine_drops_it(
-    kind, vectorize
+    row, evaluation
 ):
     """A checkpoint from before the history became conditional carries one
     under every criterion: it restores, and the next snapshot is canonical.
     """
     documents = churning_documents()
     half = len(documents) // 2
-    uninterrupted = make_engine(kind, vectorize, "popularity")
-    resumed = make_engine(kind, vectorize, "popularity")
+    uninterrupted = row.build(boundary_config("popularity"), evaluation)
+    resumed = row.build(boundary_config("popularity"), evaluation)
     # What the older code kept: the volatility engine's history at the
     # same stream position (the row rule never depended on the criterion).
     recorder = EnBlogue(boundary_config("volatility"), vectorize=False)
@@ -440,7 +342,7 @@ def test_restoring_a_history_into_a_popularity_engine_drops_it(
         history = recorder.snapshot()["tracker"]["count_history"]
         assert history
         old_format = json.loads(json.dumps(uninterrupted.snapshot()))
-        if kind == "single":
+        if not row.shards:
             old_format["tracker"]["count_history"] = history
         else:
             old_format["count_history"] = history
@@ -454,39 +356,6 @@ def test_restoring_a_history_into_a_popularity_engine_drops_it(
     finally:
         close(uninterrupted)
         close(resumed)
-
-
-@pytest.mark.parametrize("criterion", READING_CRITERIA)
-@pytest.mark.parametrize("kind, vectorize", VARIANTS)
-def test_history_reading_engines_keep_the_scalar_engines_history(
-    kind, vectorize, criterion
-):
-    documents = churning_documents()
-    engine = make_engine(kind, vectorize, criterion)
-    reference = EnBlogue(boundary_config(criterion), vectorize=False)
-    try:
-        assert engine.seed_selector.reads_history
-        with tempfile.TemporaryDirectory() as left, \
-                tempfile.TemporaryDirectory() as right:
-            folded = run_with_journal(engine, documents, left)
-            expected = run_with_journal(reference, documents, right)
-            # Journal replay, tick by tick.
-            assert folded == expected
-            assert all(folded)
-            feed(engine, documents[-TAIL:])
-            feed(reference, documents[-TAIL:])
-            rows = count_rows_of(engine.delta_since(99))
-            assert rows == count_rows_of(reference.delta_since(99))
-            assert rows
-        live = count_history_of(engine.snapshot())
-        assert live == reference.tracker.count_history()
-        # First-appearance key order too, on every backend.
-        assert list(live) == list(reference.tracker.count_history())
-        assert signature(engine) == signature(reference)
-        if kind == "single":
-            assert engine.snapshot() == reference.snapshot()
-    finally:
-        close(engine)
 
 
 # -- where process_batch cuts a chunk ------------------------------------------
@@ -537,10 +406,10 @@ def listen(engine):
 
 
 @pytest.mark.parametrize("case", CUT_CASES)
-@pytest.mark.parametrize("kind, vectorize", VARIANTS)
-def test_process_batch_cuts_where_process_evaluates(kind, vectorize, case):
+@pytest.mark.parametrize("row, evaluation", VARIANTS)
+def test_process_batch_cuts_where_process_evaluates(row, evaluation, case):
     chunks = cut_documents(CUT_CASES[case])
-    engine = make_engine(kind, vectorize, "popularity")
+    engine = row.build(boundary_config("popularity"), evaluation)
     reference = EnBlogue(boundary_config("popularity"), vectorize=False)
     try:
         seen, expected_seen = listen(engine), listen(reference)
@@ -561,7 +430,7 @@ def test_process_batch_cuts_where_process_evaluates(kind, vectorize, case):
         final = max(sum(CUT_CASES[case], [])) + 25.0
         assert engine.evaluate_now(final).topics \
             == reference.evaluate_now(final).topics
-        if kind == "single":
+        if not row.shards:
             assert engine.snapshot() == reference.snapshot()
     finally:
         close(engine)

@@ -24,18 +24,18 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue, make_shift_detector, make_tracker
 from repro.core.ranking import RankingBuilder
 from repro.core.tracker import DocumentDecomposer
 from repro.core.types import TagPair
 from repro.core.vectorized import NUMPY_AVAILABLE, make_fused_evaluator
-from repro.datasets.documents import Document
 from repro.persistence.store import read_checkpoint
 from repro.sharding.worker import ShardWorker
 from repro.windows.aggregates import TagFrequencyWindow
 from repro.windows.decay import DecayedMaximum
 from repro.windows.timeseries import TimeSeries
+
+from differential import HOSTILE, build_docs, config
 
 needs_evaluator = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="needs the fused evaluator (numpy)"
@@ -63,33 +63,6 @@ cut_points = st.lists(
 )
 
 
-def build_docs(steps):
-    docs = []
-    timestamp = 0.0
-    for index, (delta, tags) in enumerate(steps):
-        timestamp += delta
-        docs.append(Document(
-            timestamp=timestamp, doc_id=f"doc-{index}", tags=frozenset(tags),
-        ))
-    return docs
-
-
-def config(predictor="moving_average"):
-    # history_length 6 with an evaluation every 25 time units: the rings
-    # wrap within a stream, so full-row shifts are exercised too.
-    return EnBlogueConfig(
-        window_horizon=100.0,
-        evaluation_interval=25.0,
-        num_seeds=6,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor=predictor,
-        predictor_window=3,
-        history_length=6,
-    )
-
-
 def chunks(docs, cuts):
     """``docs`` split at the given fractions (empty chunks dropped)."""
     indices = sorted({int(cut * len(docs)) for cut in cuts} | {len(docs)})
@@ -102,8 +75,8 @@ def chunks(docs, cuts):
 
 def engines(predictor):
     """``(default engine, scalar engine)`` under one configuration."""
-    default = EnBlogue(config(predictor))
-    scalar = EnBlogue(config(predictor), vectorize=False)
+    default = EnBlogue(config(**HOSTILE, predictor=predictor))
+    scalar = EnBlogue(config(**HOSTILE, predictor=predictor), vectorize=False)
     if NUMPY_AVAILABLE:
         assert default.evaluation_path == "vectorized"
     assert scalar.evaluation_path == "scalar"
@@ -305,8 +278,8 @@ def test_worker_pickles_with_rows_pending(steps, cut, armed):
     # armed journal's records, must survive the trip.
     script = worker_events(build_docs(steps))
     split = max(1, int(cut * len(script)))
-    worker = ShardWorker(0, config())
-    scalar = ShardWorker(0, config(), vectorize=False)
+    worker = ShardWorker(0, config(**HOSTILE))
+    scalar = ShardWorker(0, config(**HOSTILE), vectorize=False)
     assert worker.evaluation_path == "vectorized"
     for each in (worker, scalar):
         if armed:
@@ -328,7 +301,7 @@ def test_worker_pickles_with_rows_pending(steps, cut, armed):
 
 def stack(armed):
     """A tracker/detector/evaluator stack as the engines wire it."""
-    cfg = config()
+    cfg = config(**HOSTILE)
     tracker = make_tracker(cfg)
     detector = make_shift_detector(cfg)
     evaluator = make_fused_evaluator(

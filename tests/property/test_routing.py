@@ -16,6 +16,7 @@ which the routed tuples make worth having: rankings stay bit-identical to
 the single engine's while the memo evicts or declines.
 """
 
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +29,9 @@ from repro.core.tracker import DocumentDecomposer
 from repro.sharding import ShardedEnBlogue
 from repro.sharding.backends import SerialBackend
 from repro.sharding.partitioner import PairPartitioner
+
+from differential import IN_PROCESS, ROWS, signature
+
 
 INTERVAL = 20.0
 
@@ -238,11 +242,6 @@ def test_route_and_split_event_agree_with_shard_of(tags, num_shards):
 # -- the memo's bounds ---------------------------------------------------------
 
 
-def signature(engine):
-    return [(ranking.timestamp, ranking.label, ranking.topics)
-            for ranking in engine.ranking_history()]
-
-
 def memo_config():
     return EnBlogueConfig(
         window_horizon=60.0, evaluation_interval=10.0, num_seeds=8,
@@ -252,11 +251,9 @@ def memo_config():
 
 
 ENGINES = [
-    pytest.param(lambda config: EnBlogue(config), id="single"),
-    pytest.param(lambda config: ShardedEnBlogue(
-        config, num_shards=2, backend="serial"), id="serial-2"),
-    pytest.param(lambda config: ShardedEnBlogue(
-        config, num_shards=2, backend="threads"), id="threads-2"),
+    pytest.param(partial(row.build, chunk_size=256), id=row.name)
+    for row in [ROWS["single-fused"]] + [
+        row for row in IN_PROCESS if row.shards == 2]
 ]
 
 

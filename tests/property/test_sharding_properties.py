@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import make_tracker
 from repro.core.config import EnBlogueConfig
 from repro.core.tracker import CorrelationTracker, DocumentDecomposer
-from repro.datasets.documents import Document
 from repro.sharding import ShardedEnBlogue
 from repro.sharding.partitioner import PairPartitioner
 
-from invariants import check_invariants
+from differential import (
+    BY_REFERENCE, build_docs, check_invariants, config, signature,
+)
 
 tag_names = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -129,28 +130,10 @@ stream_steps = st.lists(
 )
 
 
-def build_stream(steps):
-    docs, now = [], 0.0
-    for index, (gap, tags) in enumerate(steps):
-        now += gap
-        docs.append(Document(timestamp=now, doc_id=f"d{index}",
-                             tags=frozenset(tags)))
-    return docs
-
-
 def ingest_config(tracking):
-    return EnBlogueConfig(
-        tracking=tracking,
-        promote_support=2,
-        window_horizon=3 * INTERVAL,
-        evaluation_interval=INTERVAL,
-        num_seeds=6,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-        history_length=5,
+    return config(
+        tracking=tracking, promote_support=2, window_horizon=3 * INTERVAL,
+        evaluation_interval=INTERVAL, num_seeds=6, history_length=5,
     )
 
 
@@ -185,27 +168,23 @@ def drive(docs, calls, pauses, config, chunk_size, backend, directory):
             elif pause == "arm":
                 engine.save_checkpoint(directory, track_deltas=True)
         delta = engine.delta_since(1) if "arm" in pauses.values() else None
-        signature = [
-            (ranking.timestamp, ranking.label, ranking.topics)
-            for ranking in engine.ranking_history()
-        ]
         snapshot = engine.snapshot()
         check_invariants(snapshot)
-        return signature, snapshot, delta, dispatched
+        return signature(engine), snapshot, delta, dispatched
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     steps=stream_steps,
     chunk_size=st.sampled_from([1, 7, 256]),
-    backend=st.sampled_from(["serial", "threads"]),
+    backend=st.sampled_from(BY_REFERENCE),
     tracking=st.sampled_from(["exact", "tiered"]),
     data=st.data(),
 )
 def test_batching_never_changes_what_the_shards_are_sent(
     steps, chunk_size, backend, tracking, data
 ):
-    docs = build_stream(steps)
+    docs = build_docs(steps)
     config = ingest_config(tracking)
     positions = st.integers(min_value=0, max_value=len(docs))
     pauses = data.draw(

@@ -8,9 +8,8 @@ On randomized streams the two paths must agree *exactly*:
   float, on the counts a tracker's (scalar) sampling loop hands out, for
   all four vectorizable measures;
 - whole-engine rankings (sampling + shift scoring + top-k) are equal
-  across every vectorizable measure × predictor combination;
-- the threads shard backend matches the serial backend for shard counts
-  1, 2 and 4, including through a mid-stream checkpoint → restore;
+  across every vectorizable measure × predictor combination (every
+  sharded variant is a row of ``tests/differential.py``'s matrix);
 - ``predict_batch`` returns the scalar predictor's forecast for every row
   of a right-aligned history matrix, wherever each row starts.
 
@@ -37,15 +36,15 @@ from repro.core.vectorized import (
     predict_batch,
 )
 from repro.datasets.documents import Document
-from repro.sharding import ShardedEnBlogue
 from repro.timeseries.predictors import EwmaPredictor, make_predictor
 from repro.windows.aggregates import TagFrequencyWindow
+
+from differential import HOUR
+
 
 pytestmark = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="vectorized path requires numpy"
 )
-
-HOUR = 3600.0
 
 tag_names = st.sampled_from(
     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -174,53 +173,6 @@ def test_vectorized_engine_rankings_equal_scalar(
     assert scalar_engine.evaluation_path == "scalar"
     assert batched_engine.evaluation_path == "vectorized"
     assert run(scalar_engine, docs) == run(batched_engine, docs)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    raw=engine_documents,
-    num_shards=st.sampled_from([1, 2, 4]),
-    vectorize=st.booleans(),
-)
-def test_threads_backend_equals_serial(raw, num_shards, vectorize):
-    docs = as_docs(raw)
-    cfg = engine_config("jaccard", "moving_average")
-    with ShardedEnBlogue(cfg, num_shards=num_shards, backend="serial",
-                         vectorize=vectorize) as serial:
-        expected = run(serial, docs)
-    with ShardedEnBlogue(cfg, num_shards=num_shards, backend="threads",
-                         vectorize=vectorize) as threaded:
-        assert run(threaded, docs) == expected
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    raw=engine_documents,
-    num_shards=st.sampled_from([1, 2, 4]),
-    restore_shards=st.sampled_from([1, 2, 4]),
-)
-def test_threads_backend_checkpoint_restore_mid_stream(
-    raw, num_shards, restore_shards
-):
-    docs = as_docs(raw)
-    cfg = engine_config("jaccard", "moving_average")
-    with ShardedEnBlogue(cfg, num_shards=num_shards,
-                         backend="serial") as serial:
-        serial.process_many(docs)
-        expected = serial.evaluate_now()
-
-    cut = len(docs) // 2
-    with ShardedEnBlogue(cfg, num_shards=num_shards,
-                         backend="threads") as first:
-        first.process_many(docs[:cut])
-        state = first.snapshot()
-    # Restore into a fresh threads engine — possibly re-sharded — and
-    # replay the rest of the stream.
-    with ShardedEnBlogue(cfg, num_shards=restore_shards,
-                         backend="threads") as second:
-        second.restore(state)
-        second.process_many(docs[cut:])
-        assert second.evaluate_now() == expected
 
 
 # -- predictor kernels: one pass, whatever the history lengths -------------------

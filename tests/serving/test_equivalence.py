@@ -1,13 +1,12 @@
-"""The serving acceptance bar: served rankings are bit-identical.
+"""The serving layer's own promises, beyond the differential matrix.
 
-Two pins:
-
-* Rankings pushed to a subscriber while serving equal a batch replay of
-  the same document stream under the same configuration — for shard
-  counts 1 and 2 on both the serial and the process backend.
-* A delta checkpoint taken *while serving* resumes into a continued run
-  whose rankings match the uninterrupted serve, with the journal chain
-  (base + segments) actually on disk.
+Served rankings equal a batch replay for every engine variant, and a
+journal written while serving resumes into the uninterrupted serve's
+tail: both are cells of ``tests/property/test_differential.py``
+(observability on = served).  Pinned here: the consumer's group commit is
+invisible (any grouping serves the offline replay's frames, counters and
+drained checkpoint), a rejected batch costs only itself, and a service
+resumed from its shutdown checkpoint continues the stream.
 """
 
 import asyncio
@@ -16,123 +15,28 @@ import threading
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
-from repro.datasets.twitter import TweetStreamGenerator
 from repro.datasets.documents import Document
-from repro.observability import Observability
 from repro.persistence import CheckpointCadence, load_engine
 from repro.persistence.store import read_checkpoint
 from repro.serving import DetectionService
-from repro.sharding import ProcessBackend, ShardedEnBlogue
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
+from differential import (
+    IN_PROCESS, ROWS, close, config, serve, tweet_stream,
+)
 
 
 @pytest.fixture(scope="module")
 def docs():
-    corpus, _ = TweetStreamGenerator(
-        hours=18, tweets_per_hour=30, seed=23).generate()
-    return list(corpus)
+    return tweet_stream(hours=18, per_hour=30, seed=23)
 
 
 def chunks(items, size):
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def make_engine(num_shards, backend):
-    if num_shards == 0:
-        return EnBlogue(config())
-    if backend == "process":
-        backend = ProcessBackend(start_method="fork")
-    return ShardedEnBlogue(config(), num_shards=num_shards, backend=backend)
-
-
-def close(engine):
-    if isinstance(engine, ShardedEnBlogue):
-        engine.close()
-
-
-def serve(engine, documents, chunk=64, cadence=None):
-    """Serve documents through a service; returns the subscriber's frames."""
-
-    async def scenario():
-        service = DetectionService(engine, cadence=cadence)
-        await service.start()
-        subscription = service.subscribe()
-        for batch in chunks(documents, chunk):
-            await service.submit(batch)
-        await service.stop()
-        frames = []
-        while (message := await subscription.next_message()) is not None:
-            frames.append(message.payload)
-        return frames
-
-    return asyncio.run(scenario())
-
-
-class TestServedRankingsBitIdentical:
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_sharded_serve_matches_batch_replay(self, docs, num_shards,
-                                                backend):
-        reference = EnBlogue(config())
-        reference.process_batch(docs)
-
-        engine = make_engine(num_shards, backend)
-        try:
-            frames = serve(engine, docs)
-        finally:
-            close(engine)
-        # Full EmergentTopic equality: every float must agree exactly.
-        assert frames == reference.ranking_history()
-
-    def test_single_engine_serve_matches_batch_replay(self, docs):
-        reference = EnBlogue(config())
-        reference.process_batch(docs)
-        frames = serve(EnBlogue(config()), docs)
-        assert frames == reference.ranking_history()
-
-    def test_full_observability_never_perturbs_the_rankings(self, docs):
-        """Profiler at 100Hz + event log + SLO ticks: still bit-identical.
-
-        The whole observability stack reads timings and counters; none
-        of it may touch engine math.  This pins it: a serve with every
-        subsystem live produces the exact frames of a bare batch replay.
-        """
-        from repro.observability import Observability
-
-        reference = EnBlogue(config())
-        reference.process_batch(docs)
-
-        observability = Observability()
-        observability.profiler.start(interval=0.01)
-        engine = EnBlogue(config(), observability=observability)
-        try:
-            frames = serve(engine, docs)
-        finally:
-            observability.close()
-        assert frames == reference.ranking_history()
-        # And the subsystems really were live while the stream ran.
-        assert any(r["event"] == "batch"
-                   for r in observability.log.records())
-        assert observability.registry.counter(
-            "repro_slo_ticks_total").value > 0
+def batched(documents, chunk=64):
+    return chunks(documents, chunk)
 
 
 class TestGroupCommit:
@@ -224,12 +128,10 @@ class TestGroupCommit:
 
         return asyncio.run(scenario())
 
-    @pytest.mark.parametrize("num_shards,backend", [
-        (0, None),            # the single engine
-        (2, "threads"),
-    ])
-    def test_any_grouping_serves_the_same_stream(self, docs, tmp_path,
-                                                 num_shards, backend):
+    @pytest.mark.parametrize("row", [ROWS["single-fused"]] + [
+        row for row in IN_PROCESS if row.shards == 2
+    ], ids=lambda row: row.name)
+    def test_any_grouping_serves_the_same_stream(self, docs, tmp_path, row):
         capacity = self.CAPACITY
         # 1 to hold the consumer, groups of 1 .. capacity, 2 + sentinel.
         count = 1 + capacity * (capacity + 1) // 2 + 2
@@ -238,7 +140,7 @@ class TestGroupCommit:
 
         outcomes = {}
         for name, grouped in (("grouped", True), ("single", False)):
-            engine = make_engine(num_shards, backend)
+            engine = row.build(config(), chunk_size=256)
             try:
                 outcomes[name], sizes = self.serve(
                     engine, batches, tmp_path / name, grouped
@@ -252,7 +154,7 @@ class TestGroupCommit:
                 assert sizes == [1] * count
         assert outcomes["grouped"] == outcomes["single"]
 
-        offline = make_engine(num_shards, backend)
+        offline = row.build(config(), chunk_size=256)
         try:
             offline.process_batch(docs)
             state = json.dumps(offline.snapshot(), sort_keys=True)
@@ -349,62 +251,12 @@ class TestGroupCommit:
 
 
 class TestCheckpointWhileServing:
-    @pytest.mark.parametrize("num_shards,backend", [
-        (0, None),            # the single engine
-        (2, "serial"),
-        (2, "process"),
-    ])
-    def test_delta_checkpoint_resumes_into_matching_serve(
-        self, docs, tmp_path, num_shards, backend
-    ):
-        split = len(docs) // 2
-
-        # The uninterrupted serve over the whole stream.
-        uninterrupted = make_engine(num_shards, backend)
-        try:
-            all_frames = serve(uninterrupted, docs)
-        finally:
-            close(uninterrupted)
-
-        # Serve the first half with a delta cadence riding the loop.
-        first = make_engine(num_shards, backend)
-        cadence = CheckpointCadence(
-            first, directory=tmp_path, every=2, full_every=16,
-        )
-        try:
-            serve(first, docs[:split], cadence=cadence)
-        finally:
-            close(first)
-        assert cadence.checkpoints_written >= 2  # base + >= 1 tick
-        assert list(tmp_path.glob("*.delta")), \
-            "the serve-time cadence wrote no journal segments"
-
-        # Resume from the journal chain and serve the remainder.  The
-        # service's shutdown wrote a closing tick after the drain, so the
-        # checkpoint covers every accepted document — nothing served is
-        # lost even though the tail landed after the last cadence tick.
-        resumed, _manifest = load_engine(
-            tmp_path,
-            backend="serial" if backend != "process"
-            else ProcessBackend(start_method="fork"),
-        )
-        consumed = resumed.documents_processed
-        assert consumed == split
-        try:
-            resumed_frames = serve(resumed, docs[consumed:])
-        finally:
-            close(resumed)
-
-        # The continued serve reproduces the uninterrupted serve's tail.
-        assert resumed_frames == all_frames[-len(resumed_frames):]
-        assert len(resumed_frames) >= 2
-
     def test_shutdown_checkpoint_without_cadence_saves_end_state(
         self, docs, tmp_path
     ):
         engine = EnBlogue(config())
         cadence = CheckpointCadence(engine, directory=tmp_path)
-        frames = serve(engine, docs[:256], cadence=cadence)
+        frames = serve(engine, batched(docs[:256]), cadence)
         assert cadence.checkpoints_written == 1
 
         resumed, _ = load_engine(tmp_path)
@@ -420,7 +272,7 @@ class TestCheckpointWhileServing:
         engine's checkpointed stream position, not a fresh None."""
         engine = EnBlogue(config())
         cadence = CheckpointCadence(engine, directory=tmp_path)
-        serve(engine, docs[:128], cadence=cadence)
+        serve(engine, batched(docs[:128]), cadence)
         resumed, _ = load_engine(tmp_path)
 
         async def scenario():

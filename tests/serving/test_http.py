@@ -4,38 +4,20 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.core.personalization import UserProfile
-from repro.datasets.twitter import TweetStreamGenerator
 from repro.portal.serialization import ranking_to_dict
 from repro.serving import DetectionService, RankingServer, parse_ingest_body
-from repro.serving.http import IngestDocument
+from repro.serving.http import MAX_HEADER_LINES, IngestDocument
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
+from differential import BY_REFERENCE, HOUR, TRANSPORTS, config, tweet_stream
 
 
 @pytest.fixture(scope="module")
 def docs():
-    corpus, _ = TweetStreamGenerator(
-        hours=12, tweets_per_hour=30, seed=11).generate()
-    return list(corpus)
+    return tweet_stream(hours=12, per_hour=30, seed=11)
 
 
 def doc_payload(document):
@@ -681,16 +663,17 @@ class TestEndpoints:
         assert body["stale"] is False
         assert body["recovering_shards"] == []
 
-    def test_dead_shard_pool_maps_ingest_to_503_with_retry_after(self, docs):
+    @pytest.mark.parametrize("transport", BY_REFERENCE)
+    def test_dead_shard_pool_maps_ingest_to_503_with_retry_after(
+            self, docs, transport):
         # An *unsupervised* worker death tears the pool down for good:
         # the first batch poisons the engine, the next POST /ingest gets
         # a clean 503 + Retry-After instead of a 500 or a hung socket.
         from repro.faults import FaultPlan
         from repro.sharding import ShardedEnBlogue
-        from repro.sharding.backends import ThreadBackend
 
         async def scenario():
-            backend = ThreadBackend()
+            backend = TRANSPORTS[transport]()
             backend.bind_fault_plan(
                 FaultPlan().kill_worker(0, after_batches=1))
             engine = ShardedEnBlogue(config(), num_shards=2,
@@ -733,15 +716,15 @@ class TestEndpoints:
         # /status reports the node unfit for ingest.
         assert state["healthy"] is False
 
+    @pytest.mark.parametrize("transport", BY_REFERENCE)
     def test_supervised_recovery_keeps_serving_identical_rankings(
-            self, docs):
+            self, docs, transport):
         from repro.faults import FaultPlan
         from repro.sharding import (
             RetryPolicy,
             ShardedEnBlogue,
             SupervisedBackend,
         )
-        from repro.sharding.backends import ThreadBackend
 
         sleeps = []
 
@@ -751,7 +734,8 @@ class TestEndpoints:
         async def scenario():
             policy = RetryPolicy(max_retries=3, backoff_base=0.01,
                                  sleep=fake_sleep)
-            backend = SupervisedBackend(ThreadBackend(), policy=policy)
+            backend = SupervisedBackend(TRANSPORTS[transport](),
+                                        policy=policy)
             backend.bind_fault_plan(
                 FaultPlan(sleep=fake_sleep).kill_worker(1, after_batches=1))
             engine = ShardedEnBlogue(config(), num_shards=2,
@@ -784,7 +768,7 @@ class TestEndpoints:
         assert state["recoveries"] == 1
         assert state["permanent_failure"] is None
         assert state["stale"] is False  # recovery already completed
-        assert state["backend"] == "supervised[threads]"
+        assert state["backend"] == f"supervised[{transport}]"
         reference = EnBlogue(config())
         reference.process_batch([IngestDocument(doc_payload(d))
                                  for d in docs[:256]])
@@ -887,3 +871,109 @@ class TestEndpoints:
         marked = [dict(frame, stale=True, recovering_shards=[1])
                   for frame in clean[:degraded]]
         assert degraded and streams[0] == marked + clean[degraded:]
+
+
+#: A valid request that hostile bytes are pipelined behind.
+VALID_GET = b"GET /status HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@st.composite
+def hostile_requests(draw):
+    """Conflicting lengths, an oversized header block, a half-sent body,
+    or garbage pipelined behind a valid request."""
+    kind = draw(st.sampled_from(["lengths", "headers", "half", "garbage"]))
+    if kind == "lengths":
+        first, second = draw(st.lists(st.integers(0, 40), min_size=2,
+                                      max_size=2, unique=True))
+        return (b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n"
+                b"Content-Length: %d\r\n\r\n%s"
+                % (first, second, b"x" * max(first, second)))
+    if kind == "headers":
+        count = draw(st.integers(MAX_HEADER_LINES + 1, MAX_HEADER_LINES + 40))
+        return b"GET /status HTTP/1.1\r\n" + b"".join(
+            b"X-%d: y\r\n" % index for index in range(count)) + b"\r\n"
+    if kind == "half":
+        length = draw(st.integers(1, 64))
+        sent = draw(st.integers(0, length - 1))
+        return (b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                % (length, b"[" * sent))
+    return VALID_GET + draw(st.binary(max_size=80))
+
+
+class TestHostileFraming:
+    """The hand-rolled parser answers what it cannot frame with a 400 and
+    a close, leaves no task dying unobserved, and keeps serving."""
+
+    @staticmethod
+    def answers(attacks):
+        """Send each raw attack on its own connection (then EOF); returns
+        the status codes each connection was answered with, the loop's
+        unhandled exceptions, and the status of a clean GET after."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            service = DetectionService(EnBlogue(config()))
+            await service.start()
+            server = RankingServer(service, port=0)
+            await server.start()
+            answered = []
+            try:
+                for attack in attacks:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port)
+                    writer.write(attack)
+                    writer.write_eof()
+                    raw = await asyncio.wait_for(reader.read(), 10.0)
+                    writer.close()
+                    answered.append([
+                        int(line.split(b" ", 2)[1])
+                        for line in raw.split(b"\r\n")
+                        if line.startswith(b"HTTP/1.1 ")
+                    ])
+                after, _ = await http_request(server.port, "GET", "/status")
+            finally:
+                await server.stop()
+                await service.stop()
+            # The stream protocol reports a handler's exception from the
+            # task's done callback: let every pending callback run.
+            await asyncio.sleep(0)
+            return answered, unhandled, after
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("attack", [
+        b"POST /ingest HTTP/1.1\r\nContent-Length: 2\r\n"
+        b"Content-Length: 3\r\n\r\n[] ",
+        b"GET /status HTTP/1.1\r\n" + b"".join(
+            b"X-Header-%d: x\r\n" % index
+            for index in range(MAX_HEADER_LINES + 1)) + b"\r\n",
+        b"GET /status\r\n\r\n",
+        b"\r\n",
+    ], ids=["conflicting-lengths", "header-flood", "two-token-line",
+            "empty-line"])
+    def test_unframeable_requests_are_a_400(self, attack):
+        answered, unhandled, after = self.answers([attack])
+        assert answered == [[400]]
+        assert unhandled == [] and after == 200
+
+    def test_repeated_equal_lengths_are_one_length(self):
+        answered, _, _ = self.answers([
+            b"POST /ingest HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"Content-Length: 2\r\n\r\n[]"
+        ])
+        assert answered == [[202]]
+
+    @settings(max_examples=25, deadline=None)
+    @given(attacks=st.lists(hostile_requests(), min_size=1, max_size=3))
+    def test_hostile_framing_is_a_4xx_or_a_close(self, attacks):
+        answered, unhandled, after = self.answers(attacks)
+        for attack, statuses in zip(attacks, answered):
+            if attack.startswith(VALID_GET):
+                assert statuses[:1] == [200]  # the valid request first
+                statuses = statuses[1:]
+            assert all(400 <= status < 500 for status in statuses), statuses
+        assert unhandled == []
+        assert after == 200

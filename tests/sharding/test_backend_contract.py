@@ -1,12 +1,12 @@
-"""The shard-backend contract, once, over all three transports.
+"""The shard-backend contract, once, over every transport.
 
-``serial``, ``threads`` and ``process`` differ only in how a message
-travels, so everything a coordinator may rely on is asserted here for
-each of them through the public surface alone (``health()``, ``stats()``,
-the raised :class:`ShardExecutionError`, the interpreter's own thread and
-child-process lists) — never through a transport's internals.  What the
-transports do *not* share is stated as such: only ``serial`` and
-``threads`` deliver by reference.
+The transports of ``tests/differential.py``'s engine table differ only in
+how a message travels, so everything a coordinator may rely on is
+asserted here for each of them through the public surface alone
+(``health()``, ``stats()``, the raised :class:`ShardExecutionError`, the
+interpreter's own thread and child-process lists) — never through a
+transport's internals.  What the transports do *not* share is stated as
+such: only those in the coordinator's process deliver by reference.
 """
 
 import multiprocessing
@@ -15,51 +15,18 @@ import time
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.types import TagPair
-from repro.datasets.documents import Document
 from repro.faults import FaultPlan
 from repro.observability import Observability
-from repro.sharding import (
-    ProcessBackend,
-    SerialBackend,
-    ShardedEnBlogue,
-    ThreadBackend,
-    make_backend,
-)
+from repro.sharding import ShardedEnBlogue, make_backend
 from repro.sharding.backends import ShardExecutionError, _ShardServer
 from repro.sharding.worker import ShardWorker
 
-HOUR = 3600.0
-
-TRANSPORTS = {
-    "serial": SerialBackend,
-    "threads": ThreadBackend,
-    "process": lambda: ProcessBackend(start_method="fork"),
-}
+from differential import BY_REFERENCE, TRANSPORTS, config, doc
 
 #: A killed or failed worker must be reported well inside the 5 s a
 #: transport would wait out when joining a worker that never exits.
 PROMPT_SECONDS = 3.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"doc-{t}", tags=frozenset(tags))
 
 
 def chunk(timestamp, first, second):
@@ -293,7 +260,7 @@ class TestKilledWorker:
 
     def test_a_process_that_dies_on_its_own_is_reported(self):
         # Not scripted: the OS takes the worker (OOM kill, crash).
-        backend = ProcessBackend(start_method="fork")
+        backend = TRANSPORTS["process"]()
         backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
         try:
             victim = next(child for child in shard_children()
@@ -368,7 +335,7 @@ class TestTelemetry:
 
 
 class TestDelivery:
-    @pytest.mark.parametrize("by_reference", ["serial", "threads"])
+    @pytest.mark.parametrize("by_reference", BY_REFERENCE)
     def test_workers_receive_live_objects_not_copies(self, by_reference):
         # Zero-copy contract: the exact event tuples, tag counts and
         # result lists cross the transport without pickling.  (Only the

@@ -10,27 +10,11 @@ import json
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.faults import Fault, FaultPlan, tear_journal_tail
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
+from differential import HOUR, config
 
 
 class TestFaultValidation:

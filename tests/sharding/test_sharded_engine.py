@@ -12,11 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
+from repro.core.config import live_stream_config
 from repro.core.engine import EnBlogue
-from repro.datasets.documents import Document
 from repro.datasets.synthetic import correlation_shift_stream
-from repro.datasets.twitter import TweetStreamGenerator
+from repro.persistence.snapshot import SnapshotMismatchError
 from repro.sharding import (
     ProcessBackend,
     SerialBackend,
@@ -24,41 +23,14 @@ from repro.sharding import (
     make_backend,
 )
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def signature(engine):
-    """Full-fidelity ranking history: timestamps, topics, every float."""
-    return [
-        (ranking.timestamp, ranking.label, ranking.topics)
-        for ranking in engine.ranking_history()
-    ]
-
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"doc-{t}", tags=frozenset(tags))
+from differential import (
+    BY_REFERENCE, HOUR, config, doc, signature, tweet_stream,
+)
 
 
 @pytest.fixture(scope="module")
 def tweet_docs():
-    corpus, _ = TweetStreamGenerator(hours=24, tweets_per_hour=60,
-                                     seed=7).generate()
-    return list(corpus)
+    return tweet_stream(hours=24, per_hour=60, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +53,7 @@ class TestSerialEquivalence:
         cfg = config()
         reference = single_reference(tweet_docs, cfg)
         with ShardedEnBlogue(cfg, num_shards=num_shards,
-                             backend="serial", chunk_size=64) as sharded:
+                             chunk_size=64) as sharded:
             sharded.process_many(tweet_docs)
             sharded.evaluate_now()
             assert signature(sharded) == signature(reference)
@@ -94,15 +66,15 @@ class TestSerialEquivalence:
         cfg = config(min_pair_support=2, predictor="ewma")
         reference = single_reference(shift_docs, cfg)
         with ShardedEnBlogue(cfg, num_shards=num_shards,
-                             backend="serial", chunk_size=32) as sharded:
+                             chunk_size=32) as sharded:
             sharded.process_many(shift_docs)
             sharded.evaluate_now()
             assert signature(sharded) == signature(reference)
 
     def test_batch_path_matches_per_document_path(self, tweet_docs):
         cfg = config()
-        with ShardedEnBlogue(cfg, num_shards=4, backend="serial") as per_doc, \
-                ShardedEnBlogue(cfg, num_shards=4, backend="serial") as batched:
+        with ShardedEnBlogue(cfg, num_shards=4) as per_doc, \
+                ShardedEnBlogue(cfg, num_shards=4) as batched:
             per_doc.process_many(tweet_docs)
             for start in range(0, len(tweet_docs), 97):
                 batched.process_batch(tweet_docs[start:start + 97])
@@ -113,7 +85,7 @@ class TestSerialEquivalence:
         cfg = config()
         signatures = []
         for chunk_size in (1, 17, 4096):
-            with ShardedEnBlogue(cfg, num_shards=3, backend="serial",
+            with ShardedEnBlogue(cfg, num_shards=3,
                                  chunk_size=chunk_size) as sharded:
                 sharded.process_many(tweet_docs)
                 sharded.evaluate_now()
@@ -128,7 +100,7 @@ class TestSerialEquivalence:
                 doc(5 * HOUR, ["a", "c"])]
         reference = EnBlogue(cfg)
         reference.process_many(docs)
-        with ShardedEnBlogue(cfg, num_shards=2, backend="serial") as sharded:
+        with ShardedEnBlogue(cfg, num_shards=2) as sharded:
             sharded.process_many(docs)
             assert signature(sharded) == signature(reference)
             assert len(sharded.ranking_history()) == 5
@@ -136,7 +108,7 @@ class TestSerialEquivalence:
     def test_listeners_fire_per_boundary_with_matching_counts(self, tweet_docs):
         cfg = config()
         seen = []
-        with ShardedEnBlogue(cfg, num_shards=2, backend="serial") as sharded:
+        with ShardedEnBlogue(cfg, num_shards=2) as sharded:
             sharded.add_ranking_listener(
                 lambda ranking: seen.append(
                     (ranking.timestamp, sharded.documents_processed)
@@ -154,24 +126,10 @@ class TestSerialEquivalence:
         assert seen == expected
 
 
-class TestProcessBackendEquivalence:
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_twitter_stream_rankings_bit_identical(self, tweet_docs, num_shards):
-        cfg = config()
-        reference = single_reference(tweet_docs, cfg)
-        with ShardedEnBlogue(cfg, num_shards=num_shards,
-                             backend="process", chunk_size=128) as sharded:
-            sharded.process_batch(tweet_docs)
-            sharded.evaluate_now()
-            assert signature(sharded) == signature(reference)
-
-    def test_synthetic_shift_stream_rankings_bit_identical(self, shift_docs):
-        cfg = config(min_pair_support=2)
-        reference = single_reference(shift_docs, cfg)
-        with ShardedEnBlogue(cfg, num_shards=4, backend="process") as sharded:
-            sharded.process_many(shift_docs)
-            sharded.evaluate_now()
-            assert signature(sharded) == signature(reference)
+class TestProcessBackend:
+    """(Process pools publishing the single engine's rankings are rows of
+    the differential matrix; the pinned spawn default is exercised by
+    ``test_rankings_identical_across_start_methods``.)"""
 
     def test_shard_stats_report_partitioned_state(self, tweet_docs):
         with ShardedEnBlogue(config(), num_shards=4,
@@ -248,7 +206,7 @@ class TestEngineSurface:
         reference = EnBlogue(cfg)
         reference.process_many(tweet_docs)
         reference.evaluate_now()
-        with ShardedEnBlogue(cfg, num_shards=2, backend="serial") as sharded:
+        with ShardedEnBlogue(cfg, num_shards=2) as sharded:
             half = len(tweet_docs) // 2
             sharded.process_batch(tweet_docs[:half])
             with pytest.raises(ValueError, match="out-of-order"):
@@ -261,7 +219,7 @@ class TestEngineSurface:
 
     @pytest.mark.parametrize("journal", [False, True])
     @pytest.mark.parametrize("tracking", ["exact", "tiered"])
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", BY_REFERENCE)
     def test_malformed_document_mid_batch_leaves_engine_unchanged(
         self, tmp_path, backend, tracking, journal
     ):
@@ -340,3 +298,39 @@ class TestEngineSurface:
             for document in tweet_docs[150:200]:
                 sink.push(document)
             assert signature(sharded) == signature(reference)
+
+
+class TestTieredTracking:
+    """Admission runs once, in the coordinator; the tier rides the
+    coordinator's snapshot (parity and resume are matrix cells)."""
+
+    TIERED = live_stream_config().with_overrides(
+        tracking="tiered", promote_support=3)
+
+    def test_runtime_info_names_the_mode(self):
+        with ShardedEnBlogue(self.TIERED, num_shards=2) as engine:
+            info = engine.runtime_info()
+        assert info["tracking"] == "tiered"
+        assert info["promote_support"] == 3
+
+    def test_tier_state_rides_the_snapshot(self):
+        with ShardedEnBlogue(self.TIERED, num_shards=2,
+                             chunk_size=32) as engine:
+            engine.process_many(tweet_stream(hours=6))
+            state = engine.snapshot()
+        assert state["tier"]["kind"] == "sketch-tier"
+        assert state["tier"]["promote_support"] == 3
+
+    def test_mode_mismatch_is_rejected(self):
+        with ShardedEnBlogue(self.TIERED, num_shards=2,
+                             chunk_size=32) as tiered:
+            tiered.process_many(tweet_stream(hours=6))
+            state = tiered.snapshot()
+        with ShardedEnBlogue(live_stream_config(), num_shards=2) as exact:
+            with pytest.raises(SnapshotMismatchError):
+                exact.restore(state)
+
+    def test_exact_snapshot_has_no_tier_key(self):
+        with ShardedEnBlogue(live_stream_config(), num_shards=2) as engine:
+            engine.process_many(tweet_stream(hours=3))
+            assert "tier" not in engine.snapshot()

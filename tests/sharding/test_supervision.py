@@ -13,11 +13,8 @@ import json
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.core.engine import EnBlogue
 from repro.core.types import TagPair
-from repro.datasets.documents import Document
-from repro.datasets.twitter import TweetStreamGenerator
 from repro.faults import FaultPlan, tear_journal_tail
 from repro.observability import Observability
 from repro.persistence import (
@@ -32,42 +29,12 @@ from repro.sharding import (
     available_backends,
     make_backend,
 )
-from repro.sharding.backends import (
-    ProcessBackend,
-    SerialBackend,
-    ShardExecutionError,
-    ThreadBackend,
-)
+from repro.sharding.backends import SerialBackend, ShardExecutionError
 from repro.sharding.worker import ShardWorker
 
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
-
-def signature(engine):
-    return [
-        (ranking.timestamp, ranking.label, ranking.topics)
-        for ranking in engine.ranking_history()
-    ]
-
-
-def doc(t, tags):
-    return Document(timestamp=float(t), doc_id=f"doc-{t}",
-                    tags=frozenset(tags))
+from differential import (
+    BY_REFERENCE, HOUR, TRANSPORTS, config, doc, signature, tweet_stream,
+)
 
 
 class FakeClock:
@@ -93,17 +60,15 @@ def instant_policy(clock=None, **overrides):
     return RetryPolicy(**defaults)
 
 
-def make_inner(kind):
-    if kind == "process":
-        return ProcessBackend(start_method="fork")
-    return make_backend(kind)
+@pytest.fixture(params=BY_REFERENCE)
+def in_process(request):
+    """The name of a transport whose workers share this process."""
+    return request.param
 
 
 @pytest.fixture(scope="module")
 def tweet_docs():
-    corpus, _ = TweetStreamGenerator(hours=24, tweets_per_hour=60,
-                                     seed=7).generate()
-    return list(corpus)
+    return tweet_stream(hours=24, per_hour=60, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +105,13 @@ class TestRetryPolicy:
 
 class TestExactRecovery:
     @pytest.mark.parametrize("num_shards", [2, 4])
-    @pytest.mark.parametrize("inner", ["serial", "threads", "process"])
+    @pytest.mark.parametrize("inner", sorted(TRANSPORTS))
     def test_worker_kill_mid_stream_stays_bit_identical(
             self, tweet_docs, reference_signature, num_shards, inner):
         clock = FakeClock()
         plan = FaultPlan(sleep=clock.sleep).kill_worker(
             num_shards - 1, after_batches=2)
-        backend = SupervisedBackend(make_inner(inner),
+        backend = SupervisedBackend(TRANSPORTS[inner](),
                                     policy=instant_policy(clock))
         backend.bind_fault_plan(plan)
         with ShardedEnBlogue(config(), num_shards=num_shards,
@@ -161,12 +126,13 @@ class TestExactRecovery:
         assert plan.fired() == 1
 
     def test_dispatch_failure_is_retried_transparently(self, tweet_docs,
-                                                       reference_signature):
+                                                       reference_signature,
+                                                       in_process):
         clock = FakeClock()
         plan = FaultPlan(sleep=clock.sleep).fail_dispatch(
             shard=0, exception=BrokenPipeError, after=2, times=1,
             operation="ingest")
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         backend.bind_fault_plan(plan)
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
@@ -181,7 +147,7 @@ class TestExactRecovery:
     def test_kill_between_delta_tick_and_next_batch_keeps_the_journal(
             self, tweet_docs, reference_signature, tmp_path):
         clock = FakeClock()
-        backend = SupervisedBackend(ProcessBackend(start_method="fork"),
+        backend = SupervisedBackend(TRANSPORTS["process"](),
                                     policy=instant_policy(clock))
         with ShardedEnBlogue(config(), num_shards=4, backend=backend,
                              chunk_size=128) as sharded:
@@ -209,9 +175,9 @@ class TestExactRecovery:
         assert info["last_recovery"]["replayed_ops"] > 1
 
     def test_torn_journal_tail_recovers_from_verified_prefix(
-            self, tweet_docs, reference_signature, tmp_path):
+            self, tweet_docs, reference_signature, tmp_path, in_process):
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=128) as sharded:
@@ -240,13 +206,13 @@ class TestExactRecovery:
         assert info["recoveries"] == 1
 
     def test_recovery_after_a_resume_rebuilds_at_the_restored_width(
-            self, tweet_docs, reference_signature, tmp_path):
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+            self, tweet_docs, reference_signature, tmp_path, in_process):
+        with ShardedEnBlogue(config(), num_shards=2,
                              chunk_size=128) as sharded:
             sharded.process_batch(tweet_docs[:600])
             sharded.save_checkpoint(tmp_path)
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         plan = FaultPlan(sleep=clock.sleep).kill_worker(2, after_batches=1)
         backend.bind_fault_plan(plan)
@@ -261,11 +227,12 @@ class TestExactRecovery:
         assert info["recoveries"] == 1
         assert info["last_recovery"]["shards"] == 3
 
-    def test_recovery_metrics_and_trace_are_recorded(self, tweet_docs):
+    def test_recovery_metrics_and_trace_are_recorded(
+            self, tweet_docs, in_process):
         clock = FakeClock()
         observability = Observability()
         plan = FaultPlan(sleep=clock.sleep).kill_worker(0, after_batches=1)
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         backend.bind_fault_plan(plan)
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
@@ -288,14 +255,15 @@ class TestExactRecovery:
 
 class TestDeadlines:
     def test_gather_past_deadline_counts_as_failure(self, tweet_docs,
-                                                    reference_signature):
+                                                    reference_signature,
+                                                    in_process):
         clock = FakeClock()
         policy = instant_policy(clock, deadline=1.0, backoff_base=0.0)
         # The delay advances the shared fake clock 5 virtual seconds —
         # far past the 1s deadline — without any real waiting.
         plan = FaultPlan(sleep=clock.sleep).delay_gather(
             shard=0, seconds=5.0)
-        backend = SupervisedBackend(ThreadBackend(), policy=policy)
+        backend = SupervisedBackend(TRANSPORTS[in_process](), policy=policy)
         backend.bind_fault_plan(plan)
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=128) as sharded:
@@ -308,13 +276,13 @@ class TestDeadlines:
 
 
 class TestPermanentFailure:
-    def test_exhausted_budget_escalates_and_latches(self):
+    def test_exhausted_budget_escalates_and_latches(self, in_process):
         clock = FakeClock()
         policy = instant_policy(clock, max_retries=2)
         plan = FaultPlan(sleep=clock.sleep).fail_dispatch(
             shard=0, exception=BrokenPipeError, times=99,
             operation="ingest")
-        backend = SupervisedBackend(ThreadBackend(), policy=policy)
+        backend = SupervisedBackend(TRANSPORTS[in_process](), policy=policy)
         backend.bind_fault_plan(plan)
         backend.start([ShardWorker(0, config()), ShardWorker(1, config())])
         try:
@@ -342,12 +310,12 @@ class TestBoundedOperationLog:
     LIMIT = 8
 
     def test_log_stays_under_the_constant_and_recovery_stays_exact(
-            self, tweet_docs, reference_signature, monkeypatch):
+            self, tweet_docs, reference_signature, monkeypatch, in_process):
         from repro.sharding import supervision
 
         monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         cut = len(tweet_docs) // 2
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
@@ -377,11 +345,12 @@ class TestBoundedOperationLog:
         assert info["log_ops"] <= self.LIMIT
 
     def test_an_armed_delta_chain_is_not_rebased_behind_the_engine(
-            self, tweet_docs, reference_signature, monkeypatch, tmp_path):
+            self, tweet_docs, reference_signature, monkeypatch, tmp_path,
+            in_process):
         from repro.sharding import supervision
 
         monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy())
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=16) as sharded:
@@ -403,7 +372,8 @@ class TestBoundedOperationLog:
             assert signature(sharded) == reference_signature
 
     def test_a_cadence_chain_compacts_at_its_drains(
-            self, tweet_docs, reference_signature, monkeypatch, tmp_path):
+            self, tweet_docs, reference_signature, monkeypatch, tmp_path,
+            in_process):
         # A cadence whose re-base never comes: the supervisor compacts at
         # the journal drains, where the armed buffers are empty, so the
         # log stays bounded and both recovery and the chain stay exact.
@@ -411,7 +381,7 @@ class TestBoundedOperationLog:
 
         monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=16) as sharded:
@@ -443,9 +413,9 @@ class TestBoundedOperationLog:
         assert info["last_recovery"]["replayed_ops"] < 2 * self.LIMIT
 
     def test_a_cadence_rebase_restarts_the_log(
-            self, tweet_docs, reference_signature, tmp_path):
+            self, tweet_docs, reference_signature, tmp_path, in_process):
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=16) as sharded:
@@ -478,25 +448,25 @@ class TestBoundedOperationLog:
 
 class TestSupervisedWiring:
     def test_supervision_wraps_a_backend_and_is_not_one(self):
-        assert available_backends() == ["process", "serial", "threads"]
+        assert available_backends() == sorted(TRANSPORTS)
         with pytest.raises(ValueError, match="unknown shard backend"):
             make_backend("supervised")
         assert SupervisedBackend(SerialBackend()).name == "supervised[serial]"
 
-    def test_engine_reports_supervised_shape(self, tweet_docs):
-        backend = SupervisedBackend(ThreadBackend())
+    def test_engine_reports_supervised_shape(self, tweet_docs, in_process):
+        backend = SupervisedBackend(TRANSPORTS[in_process]())
         with ShardedEnBlogue(config(), num_shards=2,
                              backend=backend) as sharded:
             sharded.process_batch(tweet_docs[:200])
             info = sharded.runtime_info()
-            assert info["backend"] == "supervised[threads]"
+            assert info["backend"] == f"supervised[{in_process}]"
             stats = sharded.shard_stats()
             assert [entry["shard_id"] for entry in stats] == [0, 1]
 
     def test_a_rebuilt_pool_keeps_the_scalar_evaluation_path(
-            self, tweet_docs, reference_signature):
+            self, tweet_docs, reference_signature, in_process):
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         backend.bind_fault_plan(
             FaultPlan(sleep=clock.sleep).kill_worker(1, after_batches=2))
@@ -509,9 +479,9 @@ class TestSupervisedWiring:
             assert {stats["evaluation_path"]
                     for stats in sharded.shard_stats()} == {"scalar"}
 
-    def test_health_marks_recovering_shards(self, tweet_docs):
+    def test_health_marks_recovering_shards(self, tweet_docs, in_process):
         clock = FakeClock()
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         with ShardedEnBlogue(config(), num_shards=2,
                              backend=backend) as sharded:
@@ -523,11 +493,11 @@ class TestSupervisedWiring:
 
 class TestFaultLogTrail:
     def test_injection_and_recovery_leave_trace_correlated_records(
-            self, tweet_docs):
+            self, tweet_docs, in_process):
         clock = FakeClock()
         observability = Observability()
         plan = FaultPlan(sleep=clock.sleep).kill_worker(0, after_batches=1)
-        backend = SupervisedBackend(ThreadBackend(),
+        backend = SupervisedBackend(TRANSPORTS[in_process](),
                                     policy=instant_policy(clock))
         backend.bind_fault_plan(plan)
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
@@ -564,14 +534,14 @@ class TestFaultLogTrail:
         }
         assert recovery["trace_id"] in recovery_traces
 
-    def test_permanent_failure_is_logged_as_an_error(self):
+    def test_permanent_failure_is_logged_as_an_error(self, in_process):
         clock = FakeClock()
         observability = Observability()
         policy = instant_policy(clock, max_retries=1)
         plan = FaultPlan(sleep=clock.sleep).fail_dispatch(
             shard=0, exception=BrokenPipeError, times=99,
             operation="ingest")
-        backend = SupervisedBackend(ThreadBackend(), policy=policy)
+        backend = SupervisedBackend(TRANSPORTS[in_process](), policy=policy)
         backend.bind_fault_plan(plan)
         backend.bind_observability(observability)
         backend.start([ShardWorker(0, config()), ShardWorker(1, config())])

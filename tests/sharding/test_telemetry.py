@@ -10,31 +10,15 @@ worker lives in another address space.
 
 import pytest
 
-from repro.core.config import EnBlogueConfig
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.observability import Observability
 from repro.sharding import ShardedEnBlogue
 from repro.sharding.worker import ShardWorker
 
+from differential import HOUR, TRANSPORTS, config
+
+
 TELEMETRY_CAPACITY = ShardWorker.TELEMETRY_CAPACITY
-
-HOUR = 3600.0
-
-
-def config(**overrides):
-    defaults = dict(
-        window_horizon=6 * HOUR,
-        evaluation_interval=HOUR,
-        num_seeds=10,
-        min_seed_count=1,
-        min_pair_support=1,
-        min_history=2,
-        predictor="moving_average",
-        predictor_window=3,
-    )
-    defaults.update(overrides)
-    return EnBlogueConfig(**defaults)
-
 
 @pytest.fixture(scope="module")
 def docs():
@@ -75,7 +59,7 @@ class TestWorkerTelemetry:
         # Oldest dropped, newest kept.
         assert telemetry["logs"][-1]["i"] == TELEMETRY_CAPACITY + 49
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+    @pytest.mark.parametrize("backend", sorted(TRANSPORTS))
     def test_per_shard_stage_histogram_for_every_backend(
             self, docs, backend):
         observability = Observability()
@@ -90,11 +74,10 @@ class TestWorkerTelemetry:
 
     def test_restore_ships_a_shard_restore_record(self, docs):
         observability = Observability()
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="serial") as source:
+        with ShardedEnBlogue(config(), num_shards=2) as source:
             source.process_batch(docs[:100])
             states = source.backend.collect_states()
-        with ShardedEnBlogue(config(), num_shards=2, backend="serial",
+        with ShardedEnBlogue(config(), num_shards=2,
                              observability=observability) as rebuilt:
             rebuilt.backend.restore_states(states)
         records = observability.log.records()
@@ -103,8 +86,7 @@ class TestWorkerTelemetry:
         assert all(r["live_pairs"] >= 0 for r in restores)
 
     def test_disabled_bundle_records_no_stage_samples(self, docs):
-        with ShardedEnBlogue(config(), num_shards=2,
-                             backend="serial") as sharded:
+        with ShardedEnBlogue(config(), num_shards=2) as sharded:
             sharded.process_batch(docs[:100])
         # No enabled bundle bound: the engine must not have built the
         # per-shard children at all (the disabled path stays free).
