@@ -1,46 +1,43 @@
-"""Stage (i) pruning made incremental: a tag→supported-pairs postings index.
+"""Stage (i) pruning made incremental: the set of supported pairs.
 
 The paper's efficiency argument is that only pairs that contain a *seed*
 tag **and** have enough windowed support need a correlation sample.
-:class:`CandidateIndex` keeps exactly those findable: one ``Counter`` holds
-the windowed count of every live pair, and per tag a postings dictionary
-records — membership only — the pairs containing it whose count has
-reached ``min_support``.  Candidate generation walks the seeds' postings
-and reads one count per pair it *emits*: no support test is left at
-evaluation time, so its cost follows the answer, not the live pairs.
+:class:`CandidateIndex` keeps the second test answered: one ``Counter``
+holds the windowed count of every live pair, and one insertion-ordered
+dictionary, :attr:`CandidateIndex.supported`, the pairs whose count has
+reached ``min_support``.  The seed test is left, row-wise over that set:
+the scalar path scans it against the seeds, the fused evaluator maps it
+to its rows and selects them with one seed mask over their tag ids.
 
-A pair touches a posting only when a batch carries its count across the
-threshold.  Below it a birth is one increment inside ``Counter.update`` (a
-C loop) and a death one ``pop``; noticing a crossing costs one look per
+A pair enters or leaves the set only when a batch carries its count across
+the threshold.  Below it a birth is one increment inside ``Counter.update``
+(a C loop) and a death one ``pop``; noticing a crossing costs one look per
 arriving occurrence and one comparison per distinct expiring pair.  Where
 most live pairs never reach support (``replay_zipf``: 7,168 live, 36
-supported) an evaluation visits those 36 instead of the ≈ 3,000 pairs in
-the seeds' all-pairs buckets, and ≈ 3,400 bucket dictionaries per window
-are never allocated; where nearly all do (``replay_tweets``: 464 live, 426
-supported) the look is the whole difference, ≈ 0.15 µs per document.  The
-one O(live pairs) step is a change of ``min_support`` (or a restore),
-which rebuilds the postings from the counts — never taken on the stream.
+supported) an evaluation visits those 36; where nearly all do
+(``replay_tweets``: 464 live, 426 supported) the look is the whole
+difference, ≈ 0.15 µs per document.  The one O(live pairs) step is a
+change of ``min_support`` (or a restore), which rebuilds the set from the
+counts — never taken on the stream.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.core.types import TagPair
 
-_EMPTY: Dict[TagPair, None] = {}
 _NO_COUNTS: Mapping[TagPair, int] = {}
 
 
 class CandidateIndex:
-    """One count per live pair, plus per-tag postings of the supported ones.
+    """One count per live pair, plus the set of the supported ones.
 
     Every live pair has a positive count in exactly one mapping; a pair is
-    a member of its two tags' postings dictionaries iff that count is at
-    least ``min_support`` (the tracker's ``min_pair_support``), and a tag
-    with no supported pair has no postings dictionary.  Pairs below the
-    threshold stay in the counts — they may regain support.
+    in :attr:`supported` iff that count is at least ``min_support`` (the
+    tracker's ``min_pair_support``).  Pairs below the threshold stay in the
+    counts — they may regain support.
     """
 
     def __init__(
@@ -57,9 +54,7 @@ class CandidateIndex:
             raise ValueError("min_support must be at least 1")
         self._min_support = min_support
         self._counts: Counter = Counter()
-        # A bucket is born on its first write and deleted with its last
-        # pair; reads go through .get so they never create one.
-        self._postings: Dict[str, Dict[TagPair, None]] = defaultdict(dict)
+        self._supported: Dict[TagPair, int] = {}
         self.add_many(counts)
 
     @property
@@ -67,9 +62,9 @@ class CandidateIndex:
         """Support threshold a live pair must reach to be a candidate.
 
         Mutable between evaluations: pairs below it keep their counts, so
-        a changed value rebuilds the postings from them.  Every write path
-        — the tracker's ``min_pair_support`` setter or a direct assignment
-        — is validated by the one check in :meth:`_reset`.
+        a changed value rebuilds the supported set from them.  Every write
+        path — the tracker's ``min_pair_support`` setter or a direct
+        assignment — is validated by the one check in :meth:`_reset`.
         """
         return self._min_support
 
@@ -95,36 +90,39 @@ class CandidateIndex:
         """Iterate over ``(pair, count)`` for every live pair, once each."""
         return iter(self._counts.items())
 
+    @property
+    def counts(self) -> Mapping[TagPair, int]:
+        """The live ``{pair: count}`` (read-only; do not mutate)."""
+        return self._counts
+
+    @property
+    def supported(self) -> Dict[TagPair, int]:
+        """The pairs at ``min_support`` or above, each mapped to its row in
+        the fused evaluator reading this index: -1 until that evaluator
+        writes it, the one writer of the values.  A ``min_support`` change
+        replaces the dict."""
+        return self._supported
+
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` naming a pair the invariant fails for.
 
-        Every count is a positive integer; a pair is in a posting iff its
-        count is at least ``min_support``, and then in exactly its two
-        tags' buckets; no bucket is empty.  For tests — O(live pairs),
-        never called on the stream.
+        Every count is a positive integer; a pair is supported iff its
+        count is at least ``min_support``; every supported pair is live.
+        For tests — O(live pairs), never called on the stream.
         """
-        counts, postings = self._counts, self._postings
+        counts, supported = self._counts, self._supported
         for pair, count in counts.items():
             if type(count) is not int or count < 1:
                 raise AssertionError(f"{pair!r} has count {count!r}")
-            supported = count >= self._min_support
-            for tag in pair:
-                if (pair in postings.get(tag, _EMPTY)) != supported:
-                    raise AssertionError(
-                        f"{pair!r} has count {count} against min_support "
-                        f"{self._min_support} but is "
-                        f"{'missing from' if supported else 'listed in'} "
-                        f"the postings of {tag!r}"
-                    )
-        for tag, bucket in postings.items():
-            if not bucket:
-                raise AssertionError(f"empty postings bucket for {tag!r}")
-            for pair in bucket:
-                if pair not in counts or tag not in pair:
-                    raise AssertionError(
-                        f"the postings of {tag!r} list {pair!r}, which is "
-                        f"not a live pair containing it"
-                    )
+            if (pair in supported) != (count >= self._min_support):
+                raise AssertionError(
+                    f"{pair!r} has count {count} against min_support "
+                    f"{self._min_support} but is "
+                    f"{'listed in' if pair in supported else 'missing from'}"
+                    f" the supported set"
+                )
+        for pair in supported.keys() - counts.keys():
+            raise AssertionError(f"the supported set lists dead {pair!r}")
 
     # -- maintenance ----------------------------------------------------------
 
@@ -135,7 +133,7 @@ class CandidateIndex:
     def add_many(self, pairs: Iterable[TagPair]) -> None:
         """Record a batch of co-occurrences (duplicates allowed; a
         ``{pair: n}`` mapping records ``n`` of each, as ``Counter.update``).
-        A pair the batch carries to ``min_support`` enters its postings."""
+        A pair the batch carries to ``min_support`` becomes supported."""
         if not isinstance(pairs, Mapping):
             pairs = list(pairs)
         counts = self._counts
@@ -144,25 +142,24 @@ class CandidateIndex:
         # Only a pair below the threshold can cross it; the increments stay C.
         below = [pair for pair in pairs if count_of(pair, 0) < min_support]
         counts.update(pairs)
-        postings = self._postings
+        supported = self._supported
         for pair in below:
             if counts[pair] >= min_support:
-                for tag in pair:
-                    postings[tag][pair] = None
+                supported[pair] = -1
 
     def discard(self, pair: TagPair) -> None:
-        """Remove one co-occurrence of ``pair``, dropping dead postings."""
+        """Remove one co-occurrence of ``pair``."""
         self.remove_many((pair,))
 
     def remove_many(self, pairs: Iterable[TagPair]) -> None:
         """Remove a batch of co-occurrences (duplicates allowed).
 
         A pair whose count reaches zero dies and leaves the counts; one
-        that falls below ``min_support`` (dead or not) leaves its
-        postings.  A pair that is not live is ignored.
+        that falls below ``min_support`` (dead or not) leaves the supported
+        set.  A pair that is not live is ignored.
         """
         counts = self._counts
-        postings = self._postings
+        supported = self._supported
         min_support = self._min_support
         for pair, expired in Counter(pairs).items():
             count = counts.get(pair, 0)
@@ -172,11 +169,7 @@ class CandidateIndex:
             elif count:
                 counts.pop(pair)  # not del: Counter.__delitem__ is interpreted
             if count >= min_support > left:
-                for tag in pair:
-                    bucket = postings[tag]
-                    del bucket[pair]
-                    if not bucket:
-                        del postings[tag]
+                del supported[pair]
 
     # -- candidate generation -------------------------------------------------
 
@@ -187,25 +180,22 @@ class CandidateIndex:
 
         Returns ``(pair, seed_tag, count)`` triples; when both tags are
         seeds the lexicographically smaller one is reported as the trigger,
-        matching the semantics of the original full scan.  Evaluation hot
-        paths use this unsorted form — per-pair work is order-independent
-        and the final ranking applies a total order of its own.
-
-        A pair whose tags are both seeds occurs in two postings lists; it is
-        collected only from its trigger's list — ``seed``'s when ``seed`` is
-        its first tag or its first tag is no seed at all — which
-        deduplicates the union without a seen-set.
+        matching the semantics of the original full scan.  One scan of the
+        supported set against the seed set — the scalar sampler's source;
+        the fused evaluator selects its rows without it.
         """
         seed_set = set(seeds)
-        postings = self._postings
+        if not seed_set:
+            return []
         counts = self._counts
         selected: List[Tuple[TagPair, str, int]] = []
         append = selected.append
-        for seed in seed_set:
-            for pair in postings.get(seed, _EMPTY):
-                first = pair[0]
-                if first == seed or first not in seed_set:
-                    append((pair, seed, counts[pair]))
+        for pair in self._supported:
+            first, second = pair
+            if first in seed_set:
+                append((pair, first, counts[pair]))
+            elif second in seed_set:
+                append((pair, second, counts[pair]))
         return selected
 
     def candidates(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:
@@ -218,8 +208,8 @@ class CandidateIndex:
 
     def scan_candidates(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:
         """Reference implementation: the seed revision's full scan over all
-        pairs.  Kept for equivalence testing; the hot path uses
-        :meth:`candidates`."""
+        live pairs and their counts.  Kept for equivalence testing; the hot
+        path uses :meth:`candidates`."""
         seed_set = set(seeds)
         if not seed_set:
             return []

@@ -4,9 +4,9 @@ The tracker ingests the tagged document stream and maintains, within the
 configured sliding window,
 
 * per-tag document counts (feeding seed selection and the measures),
-* per-pair co-occurrence counts behind a tag→pairs postings index
+* per-pair co-occurrence counts and the set of the supported pairs
   (:class:`~repro.core.candidates.CandidateIndex`), so candidate
-  generation is a union over seed postings rather than a full scan,
+  generation is a seed test over that set rather than a full scan,
 * per-tag co-tag usage distributions (for the information-theoretic
   measure), and
 * per-pair correlation histories sampled at every evaluation.
@@ -258,12 +258,12 @@ class CorrelationTracker:
         # Optional sketch tier in front of the exact pair state: when set,
         # every document's pairs pass through its admission filter before
         # any exact statistic is touched, so cold pairs never occupy the
-        # pair-event window or the postings index.
+        # pair-event window or the candidate index.
         self._tier = tier
 
         self._tag_window = TagFrequencyWindow(window_horizon)
         # Windowed pair co-occurrences: a deque of (timestamp, pairs-of-doc)
-        # plus the postings index, evicted in lockstep with the tag window.
+        # plus the candidate index, evicted in lockstep with the tag window.
         self._pair_events: Deque[Tuple[float, Tuple[TagPair, ...]]] = deque()
         self._candidates = CandidateIndex(min_support=min_pair_support)
         # Fed documents, the pair events are the decomposition of the tag
@@ -309,7 +309,7 @@ class CorrelationTracker:
 
     @property
     def candidate_index(self) -> CandidateIndex:
-        """The incremental seed-postings index behind candidate generation."""
+        """The candidate index (a restore replaces it: read it afresh)."""
         return self._candidates
 
     @property
@@ -504,8 +504,8 @@ class CorrelationTracker:
 
         Returns ``(pair, seed_tag)`` tuples; when both tags are seeds the
         lexicographically smaller one is reported as the trigger.  Answered
-        from the postings index in time proportional to the seeds' postings,
-        not the total number of live pairs.
+        from the index's supported set in time proportional to it, not to
+        the total number of live pairs.
         """
         return self._candidates.candidates(seeds)
 
@@ -617,6 +617,11 @@ class CorrelationTracker:
                  for observation in observations],
             )
         return observations
+
+    @property
+    def journaling(self) -> bool:
+        """Whether delta recording is armed (journal_samples keeps data)."""
+        return self._delta is not None
 
     def journal_samples(
         self, timestamp: float, pairs: List[TagPair], values: List[float]

@@ -5,9 +5,11 @@ evaluation walks the candidate set computing correlation + shift score one
 pair at a time, and then re-reads the decayed score of *every* pair the
 detector has ever scored to admit dormant topics into the ranking.  This
 module rebuilds that pipeline as array math over a columnar pair-state view
-— parallel numpy arrays for history tails, history lengths and decayed
-scores, keyed by a stable pair→row interning table — while keeping every
-published number **bit-identical** to the scalar path:
+— parallel numpy arrays for history tails, history lengths, decayed
+scores and each row's two tag ids, keyed by a stable pair→row interning
+table; the supported pairs map to rows, a seed mask over the tag ids
+picks the candidates, and only the published topics leave numpy.  Every
+published number stays **bit-identical** to the scalar path:
 
 * integer count arithmetic (unions, minima, products) is exact in int64 and
   conversions to float64 are exact below 2**53, so the measure divisions
@@ -15,16 +17,17 @@ published number **bit-identical** to the scalar path:
 * ``np.log``/``np.exp`` are *not* used — on this platform they differ from
   ``math.log``/``math.exp`` in the last ulp for a fraction of inputs.  The
   PMI kernel takes ``math.log`` per masked candidate, and decay factors are
-  computed with ``math.exp`` once per *distinct* elapsed time (evaluation
-  boundaries are shared by construction, so the distinct set is tiny),
-  gathered back through a dict, once per evaluation for every known row;
+  computed with ``math.exp`` once per *distinct* last update (the rows
+  one evaluation scores share its epoch id, so the set is tiny) and
+  gathered by id, once per evaluation for every known row;
 * predictor kernels replay the scalar recurrences column by column in the
   exact same operation order (sums accumulate oldest→newest, EWMA/Holt
-  recurrences step per column).  The windowed kernels group rows by
-  window length; the EWMA/Holt recurrences advance every row together in
-  one pass over the columns, a row joining at its own first column by a
-  masked restart, so every row sees precisely the slice the scalar
-  predictor saw whatever mix of history lengths the candidates have;
+  recurrences step per column), every row together in one pass over the
+  columns: a windowed kernel's row adds an exact 0.0 before its own
+  window, as ``sum()`` starts from 0, and a recurrence row joins at its
+  own first column by a masked restart, so every row sees precisely the
+  slice the scalar predictor saw whatever mix of history lengths the
+  candidates have;
 * the top-k cut thresholds on ``min_score`` (strict, as the scalar
   builder), takes a tie-inclusive superset via ``np.partition``, and then
   applies the canonical ``topic_sort_key`` total order in Python — the same
@@ -53,8 +56,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.correlation import (
     CorrelationMeasure,
@@ -87,12 +89,6 @@ try:  # pragma: no cover - exercised by the no-numpy CI job
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # type: ignore[assignment]
     NUMPY_AVAILABLE = False
-
-#: One candidate triple as produced by ``CandidateIndex.iter_candidates``.
-Candidate = Tuple[TagPair, str, int]
-
-_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
-
 
 # ---------------------------------------------------------------------------
 # Measure kernels
@@ -177,7 +173,7 @@ def measure_supported(measure: CorrelationMeasure) -> bool:
 
 
 def validate_pair_counts(
-    candidates: Sequence[Candidate],
+    pair_at: Callable[[int], TagPair],
     count_a,
     count_b,
     count_both,
@@ -187,8 +183,9 @@ def validate_pair_counts(
 
     Mirrors ``PairCounts.__post_init__`` over the whole candidate set; on a
     violation the scalar dataclass is constructed for the first offending
-    candidate so the raised message (including the canonical pair context)
-    is exactly the scalar path's.
+    candidate, whose pair ``pair_at(position)`` names, so the raised
+    message (including the canonical pair context) is exactly the scalar
+    path's.
     """
     bad = (
         (count_a < 0)
@@ -206,7 +203,7 @@ def validate_pair_counts(
             count_b=int(count_b[index]),
             count_both=int(count_both[index]),
             total_documents=int(total_documents),
-            pair=candidates[index][0],
+            pair=pair_at(index),
         )
         raise AssertionError(
             "vectorized validation flagged counts the scalar validation "
@@ -241,10 +238,11 @@ def measure_candidates(
 # preceding the current observation (row i's usable[i] values occupy the
 # *last* usable[i] columns) and replays the scalar predictor's recurrence
 # column by column.  Every row sees exactly the slice the scalar predictor
-# saw — the windowed kernels group rows by window length, the recurrences
-# restart each row at its own first column — and the per-column array
-# operations perform the same IEEE operations in the same order as the
-# scalar loop, which is what keeps the forecasts bit-identical.
+# saw — the windowed kernels mask the columns before a row's window to an
+# exact 0.0, the recurrences restart each row at its own first column —
+# and the per-column array operations perform the same IEEE operations in
+# the same order as the scalar loop, which keeps the forecasts
+# bit-identical.
 
 
 def _time_major(previous, usable):
@@ -263,18 +261,23 @@ def _predict_last(predictor, previous, usable):
     return previous[:, -1].copy()
 
 
+def _window(previous, counts):
+    """The last ``max(counts)`` columns, each row's columns before its own
+    window an exact ``0.0`` (what its ``sum()`` starts from), and each
+    row's first column in that block."""
+    width = int(counts.max())
+    start = width - counts
+    inside = np.arange(width) >= start[:, None]
+    return np.where(inside, previous[:, previous.shape[1] - width:], 0.0), start
+
+
 def _predict_moving_average(predictor, previous, usable):
-    columns = previous.shape[1]
     counts = np.minimum(predictor.window, usable)
-    out = np.empty(len(usable), dtype=np.float64)
-    for count in np.unique(counts).tolist():
-        rows = counts == count
-        block = previous[rows, columns - count:]
-        total = np.zeros(block.shape[0], dtype=np.float64)
-        for column in range(count):  # oldest→newest, as sum() iterates
-            total = total + block[:, column]
-        out[rows] = total / count
-    return out
+    block, _ = _window(previous, counts)
+    total = np.zeros(len(usable), dtype=np.float64)
+    for column in block.T:  # oldest→newest, as sum() iterates
+        total = total + column
+    return total / counts
 
 
 def _predict_ewma(predictor, previous, usable):
@@ -294,31 +297,29 @@ def _predict_ewma(predictor, previous, usable):
 
 
 def _predict_linear(predictor, previous, usable):
-    columns = previous.shape[1]
     counts = np.minimum(predictor.window, usable)
-    out = np.empty(len(usable), dtype=np.float64)
-    for count in np.unique(counts).tolist():
-        rows = counts == count
-        block = previous[rows, columns - count:]
-        xs = list(range(count))
-        mean_x = sum(xs) / count
-        mean_y = np.zeros(block.shape[0], dtype=np.float64)
-        for column in range(count):
-            mean_y = mean_y + block[:, column]
-        mean_y = mean_y / count
-        denominator = sum((x - mean_x) ** 2 for x in xs)
-        if denominator == 0:
-            out[rows] = mean_y
-            continue
-        numerator = np.zeros(block.shape[0], dtype=np.float64)
-        for column in range(count):
-            numerator = numerator + (xs[column] - mean_x) * (
-                block[:, column] - mean_y
-            )
-        slope = numerator / denominator
-        intercept = mean_y - slope * mean_x
-        out[rows] = intercept + slope * count
-    return out
+    block, start = _window(previous, counts)
+    # The scalar predictor's constants per window length n, computed as it
+    # computes them: xs = range(n), their mean and the denominator.
+    lengths = range(1, predictor.window + 1)
+    means = [sum(range(n)) / n for n in lengths]
+    squares = [sum((x - mean) ** 2 for x in range(n))
+               for n, mean in zip(lengths, means)]
+    mean_x = np.array(means)[counts - 1]
+    denominator = np.array(squares)[counts - 1]
+    mean_y = np.zeros(len(usable), dtype=np.float64)
+    for column in block.T:
+        mean_y = mean_y + column
+    mean_y = mean_y / counts
+    numerator = np.zeros(len(usable), dtype=np.float64)
+    for column, values in enumerate(block.T):
+        term = (column - start - mean_x) * (values - mean_y)
+        numerator = numerator + np.where(column >= start, term, 0.0)
+    # min_history is 2, so no row's window is one point long and every
+    # denominator is positive (the scalar zero-denominator branch is moot).
+    slope = numerator / denominator
+    intercept = mean_y - slope * mean_x
+    return intercept + slope * counts
 
 
 def _predict_holt(predictor, previous, usable):
@@ -422,10 +423,12 @@ class FusedEvaluator:
     """Columnar store of correlation histories and decayed scores,
     evaluated in one batched pass per cadence boundary.
 
-    One evaluation performs, over the whole candidate set at once: gather
-    counts → validate → measure kernel → history append → predictor kernel
-    → prediction errors → decayed-maximum update → global top-k over every
-    known score.  The returned topic list is bit-identical to the scalar
+    One evaluation performs, over the whole candidate set at once: map the
+    index's supported pairs to rows → select the rows with a seed among
+    their tag ids → gather counts → validate → measure kernel → history
+    append → predictor kernel → prediction errors → decayed-maximum update
+    → global top-k over every known score.  Only the published topics
+    leave numpy.  The returned topic list is bit-identical to the scalar
     ``detector.update`` / ``RankingBuilder.top_topics`` pipeline.
 
     The columns are the only place an evaluation writes.  The tracker's
@@ -448,7 +451,8 @@ class FusedEvaluator:
     #: Every per-row array, grown together.
     _COLUMNS = (
         "_hist", "_hist_ts", "_hist_len", "_hist_pending",
-        "_score_value", "_score_last", "_score_known", "_score_pending",
+        "_score_value", "_score_epoch", "_score_known", "_score_pending",
+        "_tag_a", "_tag_b",
     )
 
     def __init__(
@@ -472,9 +476,7 @@ class FusedEvaluator:
         self._detector = detector
         self._builder = builder
         self._history_columns = int(tracker.history_length)
-        self._pair_rows: Dict[TagPair, int] = {}
-        self._pairs: List[TagPair] = []
-        self._allocate(self._INITIAL_CAPACITY)
+        self._clear(self._INITIAL_CAPACITY)
         # The columns must be reloaded from the dicts before the next
         # evaluation: true until the first one, and after invalidate().
         self._stale = True
@@ -483,7 +485,12 @@ class FusedEvaluator:
 
     # -- columnar storage -----------------------------------------------------
 
-    def _allocate(self, capacity: int) -> None:
+    def _clear(self, capacity: int) -> None:
+        """No rows: empty interning tables, zeroed columns of ``capacity``."""
+        self._pair_rows: Dict[TagPair, int] = {}
+        self._pairs: List[TagPair] = []
+        self._tag_ids: Dict[str, int] = {}  # tag → id; _tag_a/_tag_b hold ids
+        self._tags: List[str] = []
         columns = self._history_columns
         # Histories: values and their timestamps, right-aligned (row i's
         # _hist_len[i] points occupy the last columns, oldest first).
@@ -491,12 +498,16 @@ class FusedEvaluator:
         self._hist_ts = np.zeros((capacity, columns), dtype=np.float64)
         self._hist_len = np.zeros(capacity, dtype=np.int64)
         self._score_value = np.zeros(capacity, dtype=np.float64)
-        self._score_last = np.zeros(capacity, dtype=np.float64)
+        # A score's last update, as an id into _epoch_times.
+        self._score_epoch = np.zeros(capacity, dtype=np.int64)
+        self._epoch_times = np.zeros(0, dtype=np.float64)
         self._score_known = np.zeros(capacity, dtype=bool)
         # Rows written since the owning component last folded them into
         # its dict.
         self._hist_pending = np.zeros(capacity, dtype=bool)
         self._score_pending = np.zeros(capacity, dtype=bool)
+        self._tag_a = np.zeros(capacity, dtype=np.int64)
+        self._tag_b = np.zeros(capacity, dtype=np.int64)
 
     def _grow(self, needed: int) -> None:
         capacity = len(self._hist_len)
@@ -518,6 +529,12 @@ class FusedEvaluator:
             self._grow(row + 1)
             self._pair_rows[pair] = row
             self._pairs.append(pair)
+            tag_ids, tags = self._tag_ids, self._tags
+            for column, tag in zip((self._tag_a, self._tag_b), pair):
+                tag_id = tag_ids.setdefault(tag, len(tags))
+                if tag_id == len(tags):
+                    tags.append(tag)
+                column[row] = tag_id
         return row
 
     @property
@@ -533,9 +550,7 @@ class FusedEvaluator:
         """
         histories = self._tracker.history_map
         scores = self._detector.score_map
-        self._pair_rows = {}
-        self._pairs = []
-        self._allocate(max(
+        self._clear(max(
             self._INITIAL_CAPACITY, len(histories.keys() | scores.keys())
         ))
         columns = self._history_columns
@@ -546,6 +561,7 @@ class FusedEvaluator:
                 self._hist[row, columns - len(values):] = values
                 self._hist_ts[row, columns - len(values):] = timestamps
             self._hist_len[row] = len(values)
+        epochs: Dict[float, int] = {}
         for pair, maximum in scores.items():
             row = self._row_for(pair)
             value, last_update = maximum.state()
@@ -553,8 +569,13 @@ class FusedEvaluator:
                 # Never updated: scalar value_at() reads it as 0.0.
                 continue
             self._score_value[row] = value
-            self._score_last[row] = last_update
+            self._score_epoch[row] = epochs.setdefault(last_update, len(epochs))
             self._score_known[row] = True
+        self._epoch_times = np.array(list(epochs), dtype=np.float64)
+        # The rows are renumbered: so are the supported pairs' slots.
+        supported = self._tracker.candidate_index.supported
+        for pair in supported:
+            supported[pair] = self._pair_rows.get(pair, -1)
         self._stale = False
 
     # -- the dict views -------------------------------------------------------
@@ -601,7 +622,7 @@ class FusedEvaluator:
         return zip(
             map(self._pairs.__getitem__, rows.tolist()),
             self._score_value[rows].tolist(),
-            self._score_last[rows].tolist(),
+            self._epoch_times[self._score_epoch[rows]].tolist(),
         )
 
     def discard_scores(self) -> None:
@@ -612,19 +633,27 @@ class FusedEvaluator:
     def check_invariants(self, latest: Optional[float] = None) -> None:
         """Raise ``AssertionError`` unless a live evaluator could hold this.
 
-        ``_pair_rows`` and ``_pairs`` are inverse maps; every column has
+        ``_pair_rows`` and ``_pairs`` are inverse maps; a row's tag ids
+        name its pair through ``_tags`` and ``_tag_ids``; every column has
         one capacity, at least the row count; no row holds more history
-        points than the ring's length; unless the columns are stale, a
-        row that is not pending equals its pair's series in the tracker's
-        dict and its decayed maximum in the detector's (read as they
-        stand, nothing drained); no known score was last updated after
-        ``latest``.  For tests, never on the stream.
+        points than the ring's length; unless the columns are stale (a
+        restore leaves them so, to be reloaded), a supported pair's slot in
+        the candidate index is -1 or its row, a row that is not pending
+        equals its pair's series in the tracker's dict and its decayed
+        maximum in the detector's (read as they stand, nothing drained),
+        and no known score was last updated after ``latest``.  For tests,
+        never on the stream.
         """
         used = len(self._pairs)
         if len(self._pair_rows) != used or any(
             self._pairs[row] != pair for pair, row in self._pair_rows.items()
         ):
             raise AssertionError("_pair_rows and _pairs are not inverse maps")
+        tags, ids = self._tags, self._tag_ids
+        if any(ids[tags[a]] != a or ids[tags[b]] != b or (tags[a], tags[b])
+               != pair for pair, a, b in zip(self._pairs, self._tag_a.tolist(),
+                                             self._tag_b.tolist())):
+            raise AssertionError("a row's tag ids do not name its pair")
         capacities = {getattr(self, name).shape[0] for name in self._COLUMNS}
         if len(capacities) != 1 or min(capacities) < used:
             raise AssertionError(
@@ -637,14 +666,18 @@ class FusedEvaluator:
                 f"a row holds {int(lengths.max())} history points, the ring "
                 f"holds {self._history_columns}"
             )
-        last = self._score_last[:used][self._score_known[:used]]
+        if self._stale:  # the next evaluation reloads every column
+            return
+        if any(row not in (-1, self._pair_rows.get(pair)) for pair, row
+               in self._tracker.candidate_index.supported.items()):
+            raise AssertionError("a supported pair's slot is not its row")
+        last = self._epoch_times[self._score_epoch[:used][
+            self._score_known[:used]]]
         if latest is not None and (last > latest).any():
             raise AssertionError(
                 f"a score column was updated after the latest evaluation at "
                 f"{latest}"
             )
-        if self._stale:
-            return
         columns = self._history_columns
         histories = self._tracker._histories
         scores = self._detector._scores
@@ -667,7 +700,7 @@ class FusedEvaluator:
                 state = (None, None) if maximum is None else maximum.state()
                 row_state = (
                     (float(self._score_value[row]),
-                     float(self._score_last[row]))
+                     float(self._epoch_times[self._score_epoch[row]]))
                     if self._score_known[row] else (None, None)
                 )
                 if state[1] is None:
@@ -702,52 +735,39 @@ class FusedEvaluator:
         from repro.core.ranking import topic_sort_key
 
         tracker = self._tracker
-        detector = self._detector
         builder = self._builder
         if self._stale:
             self._rebuild()
         timestamp = float(timestamp)
-        candidates = tracker.candidate_index.iter_candidates(seeds)
-        sampled = None
-        if candidates:
-            sampled = self._sample_candidates(
-                timestamp, candidates, tag_counts, total_documents
-            )
-        # After the history guard in _sample_candidates: the order in
-        # which the scalar loop would trip over them.
-        self._reject_future_scores(timestamp)
-        # The one decay pass: every known score's factor at ``timestamp``,
-        # held per row for the candidate fold and the top-k scan alike.
+        sampled = self._sample_candidates(
+            timestamp, seeds, tag_counts, total_documents
+        )
+        # The one decay pass, after the history guard (the order in which
+        # the scalar loop would trip over them), for the fold and the top-k.
         used = len(self._pairs)
         known = np.nonzero(self._score_known[:used])[0]
         factors = np.zeros(used, dtype=np.float64)
-        factors[known] = decay_factors(
-            detector.decay.decay_rate, timestamp - self._score_last[known]
-        )
-        fresh_rows: Dict[int, int] = {}
-        values_list: List[float] = []
-        predicted_list: List[float] = []
-        errors_list: List[float] = []
+        factors[known] = self._decay_factors(timestamp, known)
+        # Row → position among the scored candidates; -1 for the others.
+        position = None
         if sampled is not None:
-            pairs, values, scored, lengths = sampled
-            values_list = values.tolist()
-            predicted_list, errors_list = self._score_candidates(
+            values, scored, lengths, is_seed = sampled
+            predicted, errors = self._score_candidates(
                 timestamp, values, scored, lengths, factors
             )
-            tracker.journal_samples(timestamp, pairs, values_list)
-            fresh_rows = {
-                row: index for index, row in enumerate(scored.tolist())
-            }
+            if tracker.journaling:
+                pairs = list(map(self._pairs.__getitem__, scored.tolist()))
+                tracker.journal_samples(timestamp, pairs, values.tolist())
+            position = np.full(used, -1, dtype=np.int64)
+            position[scored] = np.arange(len(scored))
             # Scored just now: last_update == timestamp, factor exactly 1.
             factors[scored] = 1.0
-            known = np.nonzero(self._score_known[:used])[0]
-        # Global top-k over every known score.
-        if known.size == 0:
-            return []
-        current = self._score_value[known] * factors[known]
-        admitted = current > builder.min_score
-        rows = known[admitted]
-        scores = current[admitted]
+        # Global top-k over every known score (an unknown row's is 0.0).
+        current = self._score_value[:used] * factors
+        rows = np.flatnonzero(
+            self._score_known[:used] & (current > builder.min_score)
+        )
+        scores = current[rows]
         top_k = builder.top_k
         if scores.size > top_k:
             # Tie-inclusive superset: keep everything >= the k-th largest
@@ -761,79 +781,100 @@ class FusedEvaluator:
         pairs = self._pairs
         topics: List[EmergentTopic] = []
         for row, score in zip(rows.tolist(), scores.tolist()):
-            index = fresh_rows.get(row)
-            if index is None:
+            pair = pairs[row]
+            index = -1 if position is None else int(position[row])
+            if index < 0:
                 topics.append(EmergentTopic(
-                    pair=pairs[row], score=score, timestamp=timestamp,
+                    pair=pair, score=score, timestamp=timestamp,
                 ))
             else:
                 topics.append(EmergentTopic(
-                    pair=pairs[row],
+                    pair=pair,
                     score=score,
-                    correlation=values_list[index],
-                    predicted_correlation=predicted_list[index],
-                    prediction_error=errors_list[index],
-                    seed_tag=candidates[index][1],
+                    correlation=float(values[index]),
+                    predicted_correlation=float(predicted[index]),
+                    prediction_error=float(errors[index]),
+                    # The trigger: the first tag if it is a seed.
+                    seed_tag=pair[0] if is_seed[self._tag_a[row]]
+                    else pair[1],
                     timestamp=timestamp,
                 ))
         topics.sort(key=topic_sort_key)
         return topics[:top_k]
 
-    def _reject_future_scores(self, timestamp: float) -> None:
-        """DecayedMaximum's guard, over every known score at once: the
-        candidates about to be updated and the dormant pairs the top-k
-        decays to ``timestamp``."""
-        used = len(self._pairs)
-        future = self._score_known[:used] & (self._score_last[:used] > timestamp)
-        if future.any():
-            offending = float(self._score_last[np.nonzero(future)[0][0]])
-            raise ValueError(
-                f"cannot evaluate in the past: {timestamp} < {offending}"
-            )
+    def _decay_factors(self, timestamp: float, known):
+        """Each known row's decay factor at ``timestamp``, one ``math.exp``
+        per live epoch (dead ones are dropped); raises DecayedMaximum's
+        error first if a known score was last updated after it."""
+        epochs = self._score_epoch[known]
+        elapsed = timestamp - self._epoch_times
+        # A dead epoch is never later than a live one: its rows moved on.
+        if (elapsed < 0).any():
+            last = self._epoch_times[epochs]
+            raise ValueError(f"cannot evaluate in the past: {timestamp} < "
+                             f"{float(last[last > timestamp][0])}")
+        live = np.zeros(len(elapsed), dtype=bool)
+        live[epochs] = True
+        if not live.all():
+            epochs = self._score_epoch[known] = (np.cumsum(live) - 1)[epochs]
+            self._epoch_times, elapsed = self._epoch_times[live], elapsed[live]
+        return decay_factors(self._detector.decay.decay_rate, elapsed)[epochs]
 
     def _sample_candidates(
         self,
         timestamp: float,
-        candidates: List[Candidate],
+        seeds,
         tag_counts,
         total_documents: int,
     ):
-        """Measure the candidate set in batch and intern its rows.
+        """Select the candidate rows — supported pairs with a seed among
+        their tags — and measure them in batch; ``None`` without any.
 
-        Returns ``(pairs, values, rows, lengths)``; writes no column
-        (interning a new pair only reserves its row).
+        Returns ``(values, rows, lengths, is_seed)``, ``is_seed`` by tag
+        id; writes no column (interning a new pair only reserves its row).
         """
-        count = len(candidates)
-        # The triples' columns, split by C-level maps.  (Not zip(*...):
-        # that allocates one collector-tracked iterator per candidate,
-        # enough to pull a collection into most evaluations.)
-        pairs = list(map(_FIRST, candidates))
-        count_a = np.fromiter(
-            map(tag_counts.get, map(_FIRST, pairs), repeat(0)),
-            dtype=np.int64, count=count,
-        )
-        count_b = np.fromiter(
-            map(tag_counts.get, map(_SECOND, pairs), repeat(0)),
-            dtype=np.int64, count=count,
-        )
-        count_both = np.fromiter(
-            map(_THIRD, candidates), dtype=np.int64, count=count
-        )
+        index = self._tracker.candidate_index
+        supported = index.supported
+        rows = np.fromiter(supported.values(), dtype=np.int64,
+                           count=len(supported))
+        new = np.flatnonzero(rows < 0)
+        if new.size:  # pairs that (re-)entered support: note their rows
+            pairs = list(supported)
+            for position in new.tolist():
+                pair = pairs[position]
+                row = self._pair_rows.get(pair)
+                rows[position] = supported[pair] = (
+                    self._row_for(pair) if row is None else row)
+        # The seed mask over the tag-id columns; a seed no row has lands
+        # in the spare last slot, which no tag id reaches.
+        is_seed = np.zeros(len(self._tags) + 1, dtype=bool)
+        is_seed[np.fromiter(map(self._tag_ids.get, seeds, repeat(-1)),
+                            dtype=np.int64)] = True
+        tag_a, tag_b = self._tag_a[rows], self._tag_b[rows]
+        selected = np.flatnonzero(is_seed[tag_a] | is_seed[tag_b])
+        if selected.size == 0:
+            return None
+        rows = rows[selected]
+        # Tag counts by id, in one pass over the interned tags; pair counts
+        # in one over the supported pairs.
+        by_id = np.fromiter(map(tag_counts.get, self._tags, repeat(0)),
+                            dtype=np.int64, count=len(self._tags))
+        count_a, count_b = by_id[tag_a[selected]], by_id[tag_b[selected]]
+        count_both = np.fromiter(map(index.counts.__getitem__, supported),
+                                 dtype=np.int64,
+                                 count=len(supported))[selected]
         # Same clamp as the tracker's scalar sampling loop: a sketch tier's
         # back-filled promotion can push a windowed pair count past a tag
         # count; exact tracking never does, so this is a no-op there.
         count_both = np.minimum(count_both, np.minimum(count_a, count_b))
         validate_pair_counts(
-            candidates, count_a, count_b, count_both, total_documents
+            lambda position: self._pairs[rows[position]],
+            count_a, count_b, count_both, total_documents,
         )
         values = measure_candidates(
             self._tracker.measure, count_a, count_b, count_both,
             total_documents,
         )
-        row_list = list(map(self._pair_rows.get, pairs))
-        if None in row_list:  # a pair scored for the first time
-            row_list = [self._row_for(pair) for pair in pairs]
-        rows = np.array(row_list, dtype=np.int64)
         lengths = self._hist_len[rows]
         # TimeSeries.append's guard, over the candidate rows at once.
         newest = self._hist_ts[rows, -1]
@@ -843,19 +884,18 @@ class FusedEvaluator:
             raise ValueError(
                 f"out-of-order append: {timestamp} < {offending}"
             )
-        return pairs, values, rows, lengths
+        return values, rows, lengths, is_seed
 
     def _score_candidates(
         self, timestamp: float, values, rows, lengths, factors
-    ) -> Tuple[List[float], List[float]]:
+    ):
         """Predict and score the sampled candidates, then write their new
         history points and scores into the columns.
 
         Every guard has passed by now and nothing here raises.  Returns
-        the predictions and the prediction errors as lists.
+        the predictions and the prediction errors as arrays.
         """
         detector = self._detector
-        count = len(rows)
         columns = self._history_columns
         # History: the predictor sees the values *preceding* the current
         # observation.  Rows are right-aligned, so dropping the first
@@ -867,11 +907,13 @@ class FusedEvaluator:
         # too-short histories forecast 0.0 with error 0.0.
         gate_limit = max(detector.min_history, detector.predictor.min_history)
         gate = usable >= gate_limit
-        predicted = np.zeros(count, dtype=np.float64)
+        predicted = np.zeros(len(rows), dtype=np.float64)
         if gate.any():
-            predicted[gate] = predict_batch(
-                detector.predictor, previous[gate], usable[gate]
-            )
+            # Every row through the kernel (its cost is per column), a
+            # short one as if gated in; the gate drops its forecast.
+            predicted = np.where(gate, predict_batch(
+                detector.predictor, previous, np.maximum(usable, gate_limit)
+            ), 0.0)
         raw = values - predicted
         if detector.penalize_drops:
             errors = np.abs(raw)
@@ -892,10 +934,11 @@ class FusedEvaluator:
         self._hist_len[rows] = np.minimum(lengths + 1, columns)
         self._hist_pending[rows] = True
         self._score_value[rows] = new_scores
-        self._score_last[rows] = timestamp
+        self._score_epoch[rows] = len(self._epoch_times)
+        self._epoch_times = np.append(self._epoch_times, timestamp)
         self._score_known[rows] = True
         self._score_pending[rows] = True
-        return predicted.tolist(), errors.tolist()
+        return predicted, errors
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A long-running emergent-topic service must survive restarts without
 replaying the stream from cold, so the state every layer maintains — the
 correlation window, the detector scores, the published rankings — is
 externalized behind one uniform protocol, and what restore can derive
-from it (a document-fed window's pair events, the candidate postings) is
+from it (a document-fed window's pair events, the candidate index) is
 left out:
 
 * :class:`~repro.persistence.snapshot.Snapshotable` — ``snapshot()``

@@ -3,7 +3,7 @@
 A :class:`ShardWorker` owns the pair-restricted state of one shard: a
 :class:`~repro.core.tracker.CorrelationTracker` fed through its pair-event
 path (so it maintains the shard's slice of the windowed pair counts, the
-:class:`~repro.core.candidates.CandidateIndex` postings and the per-pair
+:class:`~repro.core.candidates.CandidateIndex` supported set and the per-pair
 correlation histories), a :class:`~repro.core.shift.ShiftDetector` holding
 the decayed shift scores of the shard's pairs, and a
 :class:`~repro.core.ranking.RankingBuilder` that turns one evaluation's

@@ -1,4 +1,4 @@
-"""Tests for the incremental seed-postings candidate index."""
+"""Tests for the incremental candidate index: live counts, supported set."""
 
 import pytest
 
@@ -10,9 +10,10 @@ def pair(a, b):
     return TagPair(a, b)
 
 
-def postings(index, tag):
-    """The pairs listed under ``tag`` — by the invariant, the supported ones."""
-    return set(index._postings.get(tag, ()))
+def findable(index, tag):
+    """The pairs a seed ``tag`` finds — by the invariant, the supported
+    pairs containing it."""
+    return {found for found, _ in index.candidates([tag])}
 
 
 class TestMaintenance:
@@ -40,20 +41,22 @@ class TestMaintenance:
         index.discard(pair("a", "b"))
         assert len(index) == 0
 
-    def test_postings_hold_the_supported_pairs_under_both_tags(self):
+    def test_supported_pairs_are_findable_from_both_tags(self):
         index = CandidateIndex(min_support=2)
         index.add_many([pair("a", "b"), pair("a", "b"), pair("a", "c")])
-        assert postings(index, "a") == postings(index, "b") == {pair("a", "b")}
-        # Live but below support: counted, in no posting.
+        assert list(index.supported) == [pair("a", "b")]
+        assert findable(index, "a") == findable(index, "b") == {pair("a", "b")}
+        # Live but below support: counted, not findable.
         assert index.count(pair("a", "c")) == 1
-        assert postings(index, "c") == postings(index, "missing") == set()
+        assert findable(index, "c") == findable(index, "missing") == set()
         index.check_invariants()
 
-    def test_postings_cleaned_up_after_removal(self):
+    def test_supported_set_cleaned_up_after_removal(self):
         index = CandidateIndex()
         index.add(pair("a", "b"))
         index.discard(pair("a", "b"))
-        assert index._postings == {}
+        assert list(index.supported) == []
+        assert findable(index, "a") == findable(index, "b") == set()
         index.check_invariants()
 
     def test_batch_updates_match_single_updates(self):
@@ -125,27 +128,24 @@ class TestCheckInvariants:
         index.check_invariants()
         return index
 
-    def test_names_a_supported_pair_missing_from_a_posting(self):
+    def test_names_a_supported_pair_missing_from_the_set(self):
         index = self.build()
-        del index._postings["b"]
+        del index._supported[pair("a", "b")]
         with pytest.raises(AssertionError, match=r"'a'.*'b'.*missing from"):
             index.check_invariants()
 
-    def test_names_an_unsupported_pair_listed_in_a_posting(self):
+    def test_names_an_unsupported_pair_listed_in_the_set(self):
         index = self.build()
-        index._postings["c"][pair("a", "c")] = None
+        index._supported[pair("a", "c")] = -1
         with pytest.raises(AssertionError, match=r"'a'.*'c'.*listed in"):
             index.check_invariants()
 
-    def test_names_a_dead_pair_an_empty_bucket_and_a_bad_count(self):
+    def test_names_a_dead_pair_and_a_bad_count(self):
         index = self.build()
-        index._postings["x"][pair("x", "y")] = None
-        with pytest.raises(AssertionError, match="not a live pair"):
+        index._supported[pair("x", "y")] = -1
+        with pytest.raises(AssertionError, match="lists dead"):
             index.check_invariants()
-        del index._postings["x"][pair("x", "y")]
-        with pytest.raises(AssertionError, match="empty postings bucket"):
-            index.check_invariants()
-        del index._postings["x"]
+        del index._supported[pair("x", "y")]
         index._counts[pair("a", "c")] = 0
         with pytest.raises(AssertionError, match="count 0"):
             index.check_invariants()

@@ -346,7 +346,7 @@ class TestCheckInvariants:
 
     def test_runs_the_index_check(self):
         tracker = self.build()
-        del tracker.candidate_index._postings["c"]
+        del tracker.candidate_index._supported[TagPair("a", "c")]
         with pytest.raises(AssertionError, match="missing from"):
             tracker.check_invariants()
 

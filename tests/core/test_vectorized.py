@@ -6,8 +6,10 @@ dispatch contract — vectorized by default, ``vectorize=False`` forcing
 the scalar path, kernel-less measures falling back to scalar — and
 the error paths (batched validation raising the scalar pair-named
 message, stale timestamps rejected) — plus the structure that keeps an
-evaluation's cost fixed: no ``np.unique`` in the recurrence kernels or
-the decay pass, and one decay pass per evaluation.
+evaluation's cost fixed: no ``np.unique`` in the predictor kernels or
+the decay pass, one decay pass per evaluation, and candidates selected
+from the index's supported set without its triples, interning only the
+pairs new to the evaluator.
 """
 
 import math
@@ -43,7 +45,13 @@ from repro.core.vectorized import (
     validate_pair_counts,
 )
 
-from repro.timeseries.predictors import EwmaPredictor, HoltPredictor
+from repro.timeseries.predictors import (
+    EwmaPredictor,
+    HoltPredictor,
+    LastValuePredictor,
+    LinearTrendPredictor,
+    MovingAveragePredictor,
+)
 
 pytestmark = pytest.mark.skipif(
     not NUMPY_AVAILABLE, reason="vectorized path requires numpy"
@@ -101,14 +109,11 @@ class TestDispatchSwitches:
 
 class TestBatchedValidation:
     def test_bad_counts_raise_the_scalar_pair_named_message(self):
-        candidates = [
-            (TagPair("a", "b"), "a", 3),
-            (TagPair("a", "c"), "a", 2),
-        ]
+        pairs = [TagPair("a", "b"), TagPair("a", "c")]
         with pytest.raises(ValueError,
                            match=r"either tag count for pair \(a, c\)"):
             validate_pair_counts(
-                candidates,
+                pairs.__getitem__,
                 np.array([3, 1], dtype=np.int64),
                 np.array([4, 1], dtype=np.int64),
                 np.array([2, 2], dtype=np.int64),  # second exceeds both
@@ -116,10 +121,10 @@ class TestBatchedValidation:
             )
 
     def test_negative_total_raises(self):
-        candidates = [(TagPair("a", "b"), "a", 1)]
+        pairs = [TagPair("a", "b")]
         with pytest.raises(ValueError, match=r"for pair \(a, b\)"):
             validate_pair_counts(
-                candidates,
+                pairs.__getitem__,
                 np.array([0], dtype=np.int64),
                 np.array([0], dtype=np.int64),
                 np.array([0], dtype=np.int64),
@@ -127,9 +132,8 @@ class TestBatchedValidation:
             )
 
     def test_valid_counts_pass(self):
-        candidates = [(TagPair("a", "b"), "a", 2)]
         validate_pair_counts(
-            candidates,
+            [TagPair("a", "b")].__getitem__,
             np.array([3], dtype=np.int64),
             np.array([4], dtype=np.int64),
             np.array([2], dtype=np.int64),
@@ -205,7 +209,7 @@ class TestStaleEvaluationRejected:
 
 class TestFixedCostPerEvaluation:
     """The evaluation's cost is a fixed handful of array passes: the
-    recurrence kernels and the decay pass group nothing by value."""
+    predictor kernels and the decay pass group nothing by value."""
 
     @staticmethod
     def forbid_unique(monkeypatch):
@@ -214,12 +218,16 @@ class TestFixedCostPerEvaluation:
 
         monkeypatch.setattr(vectorized.np, "unique", forbidden)
 
-    @pytest.mark.parametrize("predictor", [EwmaPredictor(), HoltPredictor()])
+    @pytest.mark.parametrize("predictor", [
+        LastValuePredictor(), MovingAveragePredictor(window=3),
+        EwmaPredictor(), LinearTrendPredictor(window=3), HoltPredictor(),
+    ], ids=lambda predictor: type(predictor).__name__)
     def test_recurrence_kernels_do_not_group_by_length(
         self, monkeypatch, predictor
     ):
         rows = [[0.5, 0.25], [0.1, 0.2, 0.4, 0.8], [0.3, 0.3, 0.9]]
-        previous = np.zeros((3, 5))
+        # Padding left of a short row must not leak into its forecast.
+        previous = np.full((3, 5), 7.0)
         for index, row in enumerate(rows):
             previous[index, 5 - len(row):] = row
         usable = np.array([len(row) for row in rows], dtype=np.int64)
@@ -262,3 +270,60 @@ class TestFixedCostPerEvaluation:
         assert len(calls) == rankings
         # An evaluation with nothing known yet still makes its one call.
         assert calls[0] == 0 and max(calls) > 0
+
+    def test_selection_interns_only_the_pairs_new_to_the_evaluator(
+        self, monkeypatch
+    ):
+        """An evaluation maps the index's supported set to rows and picks
+        the candidates by a seed mask: it never asks the index for
+        candidate triples, and it interns a row only for a pair that has
+        none — not the whole candidate set whenever one pair is new."""
+        from differential import doc
+        from repro.core.candidates import CandidateIndex
+        from repro.core.vectorized import FusedEvaluator
+
+        engine = EnBlogue(config(), vectorize=True)
+        engine.process_batch([doc(0, {"a", "b", "c"}), doc(60, {"a", "d"})])
+        engine.evaluate_now(HOUR)
+        evaluator = engine._fused
+        known = set(evaluator._pair_rows)
+
+        def forbidden(self, seeds):
+            raise AssertionError("iter_candidates called")
+
+        interned = []
+        row_for = FusedEvaluator._row_for
+
+        def counting(self, pair):
+            interned.append(pair)
+            return row_for(self, pair)
+
+        monkeypatch.setattr(CandidateIndex, "iter_candidates", forbidden)
+        monkeypatch.setattr(FusedEvaluator, "_row_for", counting)
+        engine.process_batch([doc(HOUR + 60, {"a", "b", "e"})])
+        ranking = engine.evaluate_now(2 * HOUR)
+        supported = set(engine.tracker.candidate_index.supported)
+        new = supported - known
+        assert new and supported & known
+        assert sorted(interned) == sorted(new)
+        # Both kinds were sampled at the boundary, as the scalar engine
+        # samples them.
+        sampled = {pair for pair in supported
+                   if engine.tracker.history(pair).tail_points(1)[0]
+                   == [2 * HOUR]}
+        assert sampled & new and sampled & known
+        monkeypatch.undo()
+        scalar = EnBlogue(config(), vectorize=False)
+        scalar.process_batch([doc(0, {"a", "b", "c"}), doc(60, {"a", "d"})])
+        scalar.evaluate_now(HOUR)
+        scalar.process_batch([doc(HOUR + 60, {"a", "b", "e"})])
+        assert scalar.evaluate_now(2 * HOUR).topics == ranking.topics
+        assert scalar.snapshot() == engine.snapshot()
+        # The index keeps each supported pair's row for the evaluator.
+        supported = engine.tracker.candidate_index.supported
+        assert all(supported[pair] == evaluator._pair_rows[pair]
+                   for pair in supported)
+        engine.detector.check_invariants(2 * HOUR)
+        supported[TagPair("a", "b")] = evaluator._pair_rows[TagPair("a", "e")]
+        with pytest.raises(AssertionError, match="slot is not its row"):
+            engine.detector.check_invariants(2 * HOUR)

@@ -460,6 +460,9 @@ EVALUATIONS = ("fused", "scalar")
 CRITERIA = ("popularity", "volatility", "hybrid")
 CHECKPOINTINGS = ("none", "journal", "resume")
 OBSERVABILITIES = ("off", "on")
+#: ``min_pair_support``: 1 makes every live pair supported; at 3 live pairs
+#: cross the threshold both ways, the event candidate selection rests on.
+SUPPORTS = (1, 3)
 
 #: Tiered tracking's promotion threshold in the matrix.
 TIER_K = 3
@@ -475,17 +478,20 @@ class Cell(NamedTuple):
     criterion: str
     checkpointing: str
     observability: str
+    support: int = 1
 
     @property
     def id(self) -> str:
-        return "-".join([self.engine.name, *self[1:]])
+        return "-".join([self.engine.name, *self[1:-1],
+                         f"support{self.support}"])
 
     def config(self, base: EnBlogueConfig) -> EnBlogueConfig:
-        """``base`` under this cell's criterion and tracking."""
+        """``base`` under this cell's criterion, tracking and support."""
         if self.tracking == "tiered":
             base = base.with_overrides(tracking="tiered",
                                        promote_support=TIER_K)
-        return base.with_overrides(seed_criterion=self.criterion)
+        return base.with_overrides(seed_criterion=self.criterion,
+                                   min_pair_support=self.support)
 
 
 def axis_pairs(cell):
@@ -526,7 +532,7 @@ def covering_cells():
     candidates = [
         Cell(*values) for values in itertools.product(
             ENGINES, TRACKINGS, EVALUATIONS, CRITERIA, CHECKPOINTINGS,
-            OBSERVABILITIES)
+            OBSERVABILITIES, SUPPORTS)
     ]
     pairs = {cell: axis_pairs(cell) for cell in candidates
              if admissible(cell)}

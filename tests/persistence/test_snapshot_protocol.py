@@ -135,21 +135,23 @@ class TestCandidateIndex:
                         pair("b", "c"), pair("b", "c"), pair("b", "c")])
         return index
 
-    def test_built_from_counts_matches_incremental_postings(self):
+    def test_built_from_counts_matches_incremental_index(self):
         index = self.build()
         restored = CandidateIndex(2, dict(index.items()))
         assert sorted(restored.items()) == sorted(index.items())
         assert restored.min_support == 2
         assert restored.candidates(["b"]) == index.candidates(["b"])
-        # The postings are rebuilt: the supported pairs under both their
-        # tags, the sub-threshold (a, c) in the counts only — and removal
-        # through one tag's postings keeps the other side consistent.
+        # The supported set is rebuilt: the supported pairs findable from
+        # both their tags, the sub-threshold (a, c) in the counts only —
+        # and a removal takes a pair out for either tag.
         restored.check_invariants()
-        assert restored._postings == index._postings
-        assert set(restored._postings["c"]) == {pair("b", "c")}
+        assert restored.supported == index.supported \
+            == {pair("a", "b"): -1, pair("b", "c"): -1}
+        assert restored.candidates(["c"]) == [(pair("b", "c"), "c")]
         restored.remove_many([pair("b", "c")] * 3)
         assert pair("b", "c") not in restored
-        assert "c" not in restored._postings
+        assert restored.candidates(["b"]) == [(pair("a", "b"), "b")]
+        assert restored.candidates(["c"]) == []
         restored.check_invariants()
 
     def test_building_costs_one_step_per_pair_whatever_the_count(self):
@@ -159,10 +161,8 @@ class TestCandidateIndex:
                                       pair("c", "d"): 1})
         assert dict(restored.items()) \
             == {pair("a", "b"): 10 ** 15, pair("c", "d"): 1}
-        # Only the pair that reaches min_support is in a posting.
-        assert {tag: set(bucket)
-                for tag, bucket in restored._postings.items()} \
-            == {"a": {pair("a", "b")}, "b": {pair("a", "b")}}
+        # Only the pair that reaches min_support is supported.
+        assert restored.supported == {pair("a", "b"): -1}
         assert restored.candidates(["a", "c"]) == [(pair("a", "b"), "a")]
         restored.check_invariants()
 

@@ -1,7 +1,7 @@
 """Property test: indexed candidate generation equals the brute-force scan.
 
 The seed revision computed candidates by scanning every windowed pair at
-evaluation time; the postings index maintains them incrementally across
+evaluation time; the index maintains the supported set incrementally across
 arrivals and evictions.  On randomized streams the two must agree exactly —
 same ``(pair, seed_tag)`` list, same order.
 """
@@ -15,9 +15,9 @@ from repro.core.candidates import CandidateIndex
 from repro.core.tracker import CorrelationTracker
 from repro.core.types import TagPair
 
-tag_names = st.sampled_from(
-    ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
-)
+TAG_NAMES = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
+             "theta"]
+tag_names = st.sampled_from(TAG_NAMES)
 
 documents = st.lists(
     st.tuples(
@@ -85,8 +85,9 @@ def test_batched_ingestion_matches_sequential_then_brute_force(docs, seeds, chun
 
 @settings(max_examples=100, deadline=None)
 @given(docs=documents, min_support=st.integers(min_value=1, max_value=3))
-def test_postings_and_counts_stay_consistent(docs, min_support):
-    """The postings are exactly the supported pairs, under both their tags."""
+def test_supported_set_and_counts_stay_consistent(docs, min_support):
+    """The supported set is exactly the pairs at ``min_support``, each
+    findable from both its tags."""
     tracker = CorrelationTracker(window_horizon=80.0,
                                  min_pair_support=min_support)
     for timestamp, tags in sorted(docs, key=lambda d: d[0]):
@@ -96,13 +97,16 @@ def test_postings_and_counts_stay_consistent(docs, min_support):
     live = dict(index.items())
     assert len(live) == len(index)
     assert all(count > 0 for count in live.values())
-    expected = {}
-    for pair, count in live.items():
-        if count >= min_support:
-            for tag in pair:
-                expected.setdefault(tag, set()).add(pair)
-    assert {tag: set(bucket)
-            for tag, bucket in index._postings.items()} == expected
+    expected = {pair for pair, count in live.items() if count >= min_support}
+    assert set(index.supported) == expected
+    assert_findable_iff_supported(index, expected, TAG_NAMES)
+
+
+def assert_findable_iff_supported(index, supported, tags):
+    """From each tag, the pairs a seed finds are the supported ones."""
+    for tag in tags:
+        assert {pair for pair, _ in index.candidates([tag])} \
+            == {pair for pair in supported if tag in pair}
 
 
 # -- the index alone, against a plain multiset ---------------------------------
@@ -147,16 +151,11 @@ def check_against_oracle(index, oracle, min_support, seeds):
         == [(pair, trigger) for pair, trigger, _ in expected]
     assert index.min_support == min_support
     # The structure the design rests on: one positive count per live pair,
-    # the *supported* pairs — and only they — members of exactly their two
-    # tags' buckets, no bucket left behind empty.
+    # the *supported* pairs — and only they — in the set, each findable
+    # from either of its tags.
     index.check_invariants()
-    memberships = sorted(
-        (pair, tag) for tag, bucket in index._postings.items()
-        for pair in bucket
-    )
-    assert memberships == sorted(
-        (pair, tag) for pair in supported for tag in pair
-    )
+    assert set(index.supported) == set(supported)
+    assert_findable_iff_supported(index, supported, ORACLE_TAGS)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ One cell is a row of the engine table × tracking (exact, tiered K=3) ×
 evaluation (fused, scalar) × seed criterion × checkpointing (none, a
 journal tick at every cut, a mid-stream N → M resume) × observability
 (off; on = served through ``DetectionService`` with every instrument
-live).  The cells cover every admissible pair of axis values; each runs
+live) × ``min_pair_support`` (1, 3).  The cells cover every admissible pair of axis values; each runs
 on the fixed tweet streams and — unless its workers are child processes —
 on hypothesis's hostile streams, against the uninterrupted single scalar
 engine on the same stream, through :func:`differential.assert_equivalent`.
@@ -30,6 +30,8 @@ from differential import (
     HOSTILE,
     OBSERVABILITIES,
     REQUIRED,
+    ROWS,
+    SUPPORTS,
     TRACKINGS,
     admissible,
     assert_equivalent,
@@ -103,7 +105,7 @@ def test_cell_on_hostile_streams(cell, docs, data):
 
 def test_cells_cover_every_pair_of_axis_values():
     axes = (ENGINES, TRACKINGS, EVALUATIONS, CRITERIA, CHECKPOINTINGS,
-            OBSERVABILITIES)
+            OBSERVABILITIES, SUPPORTS)
     covered = set().union(*map(axis_pairs, CELLS))
     for (a, first), (b, second) in itertools.combinations(
             enumerate(axes), 2):
@@ -115,6 +117,57 @@ def test_cells_cover_every_pair_of_axis_values():
     assert all(admissible(cell) for cell in CELLS)
     assert set(REQUIRED) <= set(CELLS)
     assert len(set(cell.id for cell in CELLS)) == len(CELLS)
+
+
+# -- the support threshold and the index it shapes ----------------------------
+
+SINGLE_ROWS = [
+    pytest.param(ROWS[name], id=name, marks=pytest.mark.skipif(
+        needs_numpy(ROWS[name].evaluations[0]),
+        reason="needs the fused evaluator (numpy)"))
+    for name in ("single-fused", "single-scalar")
+]
+
+
+@pytest.mark.parametrize("row", SINGLE_ROWS)
+def test_support_lowered_then_raised_between_evaluations(row):
+    """A changed ``min_pair_support`` replaces the supported set: pairs
+    below the old threshold become candidates, then stop again."""
+    docs, _ = FIXED["exact"]
+    cfg = config(min_pair_support=3)
+    engine, reference = row.build(cfg), reference_engine(cfg)
+    previous = 0
+    for cut, support in ((len(docs) // 3, 1), (2 * len(docs) // 3, 4),
+                         (len(docs), None)):
+        for each in (engine, reference):
+            each.process_many(docs[previous:cut])
+            if support is not None:
+                each.tracker.min_pair_support = support
+        previous = cut
+        assert signature(engine) == signature(reference)
+    assert_equivalent(engine, reference)
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@pytest.mark.parametrize("row", SINGLE_ROWS)
+def test_restore_mid_stream_into_a_fresh_engine(row, support):
+    """A restore replaces the tracker's index: a fresh engine, and one
+    that ran on past the snapshot, both continue as the reference."""
+    docs, _ = FIXED["exact"]
+    cfg = config(min_pair_support=support)
+    half, later = len(docs) // 2, 3 * len(docs) // 4
+    ran_on = row.build(cfg)
+    ran_on.process_many(docs[:half])
+    state = ran_on.snapshot()
+    ran_on.process_many(docs[half:later])
+    fresh = row.build(cfg)
+    reference = reference_engine(cfg)
+    reference.process_many(docs)
+    for engine in (fresh, ran_on):
+        engine.restore(state)
+        check_invariants(engine)
+        engine.process_many(docs[half:])
+        assert_equivalent(engine, reference)
 
 
 # -- the oracle against itself -----------------------------------------------
