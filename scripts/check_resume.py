@@ -9,10 +9,8 @@ taken part-way through the same stream.  The resumed rankings must equal
 the last rankings of the full run exactly.  With ``--journal`` the
 checkpoint directory must also hold delta segments, so a cadence that
 silently wrote full checkpoints only does not pass for a journal test,
-and its base files must hold no table restore derives: an exact-mode
-tracker state carries neither ``pair_events`` nor ``candidates`` (the
-bases of a tiered engine, whose state has a ``tier`` key, keep their pair
-events — admission is not derivable).
+and its base files must hold no table restore derives: a tracker state
+carries neither ``pair_events`` nor ``candidates``.
 """
 
 import argparse
@@ -21,20 +19,16 @@ from pathlib import Path
 
 
 def check_bases(directory: Path) -> None:
-    """Fail on a base file whose exact-mode tracker holds a derived table."""
+    """Fail on a base file whose tracker holds a derived table."""
     bases = {path: json.loads(path.read_text())
              for path in sorted(directory.glob("*.json"))
              if path.name != "MANIFEST.json"}
-    if any("tier" in state or "tier" in state.get("tracker", {})
-           for state in bases.values()):
-        print(f"{len(bases)} base file(s) of a tiered engine")
-        return
     for path, state in bases.items():
         derived = sorted({"pair_events", "candidates"}
                          & set(state.get("tracker", {})))
         if derived:
             raise SystemExit(
-                f"{path} is an exact-mode base that still holds the "
+                f"{path} is a base that still holds the "
                 f"derived table(s) {', '.join(derived)}"
             )
     print(f"{len(bases)} base file(s) hold no derived table")

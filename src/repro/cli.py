@@ -105,10 +105,6 @@ def _apply_overrides(config: EnBlogueConfig, args: argparse.Namespace) -> EnBlog
         overrides["predictor"] = args.predictor
     if args.seeds is not None:
         overrides["num_seeds"] = args.seeds
-    if args.tracking is not None:
-        overrides["tracking"] = args.tracking
-    if args.promote_support is not None:
-        overrides["promote_support"] = args.promote_support
     return config.with_overrides(**overrides) if overrides else config
 
 
@@ -154,8 +150,7 @@ def _print_runtime(engine) -> None:
     info = engine.runtime_info()
     print(
         f"runtime: engine={info['engine']} backend={info['backend']} "
-        f"shards={info['shards']} evaluation_path={info['evaluation_path']} "
-        f"tracking={info.get('tracking', 'exact')}"
+        f"shards={info['shards']} evaluation_path={info['evaluation_path']}"
     )
 
 
@@ -284,8 +279,7 @@ def _require_no_resume_overrides(args: argparse.Namespace,
     parser default and the manifest (explicitly re-passing the recorded
     value is a harmless no-op); ``serve`` has no dataset and passes none.
     """
-    for flag in ("top_k", "measure", "predictor", "seeds",
-                 "tracking", "promote_support"):
+    for flag in ("top_k", "measure", "predictor", "seeds"):
         if getattr(args, flag) is not None:
             raise SystemExit(
                 f"--{flag.replace('_', '-')} cannot be combined with "
@@ -533,18 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--predictor", default=None,
                          help="shift predictor (last, moving_average, ewma, linear, holt)")
         sub.add_argument("--seeds", type=int, default=None, help="number of seed tags")
-        sub.add_argument("--tracking", choices=("exact", "tiered"),
-                         default=None,
-                         help="pair-tracking mode: 'exact' keeps every live "
-                              "pair; 'tiered' absorbs cold pairs in a "
-                              "Count-Min + Bloom sketch tier and promotes "
-                              "only pairs reaching --promote-support")
-        sub.add_argument("--promote-support", type=int, default=None,
-                         metavar="K",
-                         help="with --tracking tiered: sketched windowed "
-                              "support at which a pair is promoted into "
-                              "exact tracking (0 or 1 degenerate to the "
-                              "exact engine)")
 
     def add_engine(sub: argparse.ArgumentParser) -> None:
         """Shards, persistence and supervision: replay and serve alike."""

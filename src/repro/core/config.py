@@ -42,15 +42,6 @@ class EnBlogueConfig:
     ``max_ranking_history`` bounds how many published rankings the engine
     retains (``None`` keeps every ranking, which suits replayed archives;
     long-running live streams should set a finite bound).
-
-    ``tracking`` selects the pair-tracking mode: ``"exact"`` keeps every
-    live pair (the paper's behaviour), ``"tiered"`` puts a Count-Min +
-    Bloom sketch tier in front of the exact tracker so only pairs whose
-    sketched windowed support reaches ``promote_support`` occupy exact
-    state — bounded memory at unbounded tag cardinality.
-    ``promote_support`` of 0 or 1 degenerates to the exact engine
-    bit-identically; ``sketch_width``/``sketch_depth`` size the per-epoch
-    Count-Min table (overcount bound ``e/width`` of the windowed total).
     """
 
     window_horizon: float = DAY
@@ -68,10 +59,6 @@ class EnBlogueConfig:
     top_k: int = 10
     use_entities: bool = True
     max_ranking_history: Optional[int] = None
-    tracking: str = "exact"
-    promote_support: int = 0
-    sketch_width: int = 8192
-    sketch_depth: int = 4
     name: str = "default"
 
     def __post_init__(self) -> None:
@@ -105,14 +92,6 @@ class EnBlogueConfig:
             raise ValueError(
                 "seed_criterion must be 'popularity', 'volatility' or 'hybrid'"
             )
-        if self.tracking not in ("exact", "tiered"):
-            raise ValueError("tracking must be 'exact' or 'tiered'")
-        if self.promote_support < 0:
-            raise ValueError("promote_support must be non-negative")
-        if self.sketch_width < 1:
-            raise ValueError("sketch_width must be positive")
-        if self.sketch_depth < 1:
-            raise ValueError("sketch_depth must be positive")
 
     def with_overrides(self, **overrides: Any) -> "EnBlogueConfig":
         """A copy of this configuration with some fields replaced."""
@@ -133,8 +112,6 @@ class EnBlogueConfig:
             "top_k": self.top_k,
             "use_entities": self.use_entities,
             "max_ranking_history": self.max_ranking_history,
-            "tracking": self.tracking,
-            "promote_support": self.promote_support,
         }
 
 

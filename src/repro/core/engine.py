@@ -39,7 +39,6 @@ from repro.persistence.codec import (
 )
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.persistence.store import append_delta, write_checkpoint
-from repro.sketches.tier import SketchTier
 from repro.streams.operators import FunctionSink
 from repro.timeseries.predictors import make_predictor
 from repro.windows.decay import ExponentialDecay
@@ -82,7 +81,6 @@ def require_stream_time(timestamp: float, interval: float) -> None:
 def make_tracker(
     config: EnBlogueConfig,
     track_usage: Optional[bool] = None,
-    tier: Optional[SketchTier] = None,
     track_count_history: bool = True,
 ) -> CorrelationTracker:
     """The correlation tracker a configuration prescribes.
@@ -95,11 +93,6 @@ def make_tracker(
     ``track_count_history`` comes from the seed selector the caller built
     (``seed_selector.reads_history``): the per-tag count history exists for
     the criteria that read it and for nothing else.
-
-    ``tier`` is deliberately explicit rather than derived from the config:
-    in the sharded engine admission runs once, globally, in the
-    coordinator — shard workers must build tier-less trackers even under a
-    tiered configuration, because their pair stream is already admitted.
     """
     if track_usage is None:
         track_usage = config.correlation_measure == "kl"
@@ -110,46 +103,8 @@ def make_tracker(
         history_length=config.history_length,
         use_entities=config.use_entities,
         track_usage=track_usage,
-        tier=tier,
         track_count_history=track_count_history,
     )
-
-
-def make_sketch_tier(config: EnBlogueConfig) -> Optional[SketchTier]:
-    """The sketch admission tier a configuration prescribes, or ``None``.
-
-    A tier exists only for ``tracking="tiered"`` with ``promote_support``
-    of at least 2: thresholds 0 and 1 admit every occurrence at weight 1,
-    which is exactly the exact engine — running it without the sketches is
-    what pins the degenerate case bit-identical for free.
-    """
-    if config.tracking != "tiered" or config.promote_support < 2:
-        return None
-    return SketchTier(
-        window_horizon=config.window_horizon,
-        promote_support=config.promote_support,
-        width=config.sketch_width,
-        depth=config.sketch_depth,
-    )
-
-
-def bind_tier_gauges(observability: Observability, tier: SketchTier) -> None:
-    """Expose a live tier's occupancy and error gauges on the registry.
-
-    Reads are live callbacks (collection-time), so scrapes always see the
-    current tier without the engine pushing per-update metrics.
-    """
-    if not observability.enabled:
-        return
-    registry = observability.registry
-    registry.gauge("repro_tracking_promotions").set_function(
-        lambda: tier.promotions)
-    registry.gauge("repro_tracking_filtered_occurrences").set_function(
-        lambda: tier.filtered)
-    registry.gauge("repro_tracking_sketched_keys").set_function(
-        lambda: tier.tracked_keys)
-    registry.gauge("repro_tracking_sketch_error_bound").set_function(
-        lambda: tier.error_bound)
 
 
 def make_shift_detector(config: EnBlogueConfig) -> ShiftDetector:
@@ -633,13 +588,9 @@ class EnBlogue(DetectionEngineBase):
         observability: Optional[Observability] = None,
     ):
         super().__init__(config, entity_tagger, observability=observability)
-        tier = make_sketch_tier(self.config)
         self.tracker = make_tracker(
-            self.config, tier=tier,
-            track_count_history=self.seed_selector.reads_history,
+            self.config, track_count_history=self.seed_selector.reads_history,
         )
-        if tier is not None:
-            bind_tier_gauges(self.observability, tier)
         self.detector = make_shift_detector(self.config)
         # Fused batched evaluation (None → scalar path): built once; while
         # attached, its columns are where histories and scores are written,
@@ -661,8 +612,6 @@ class EnBlogue(DetectionEngineBase):
             "backend": "inline",
             "shards": 1,
             "evaluation_path": self.evaluation_path,
-            "tracking": "tiered" if self.tracker.tier is not None else "exact",
-            "promote_support": self.config.promote_support,
         }
 
     # -- hooks ----------------------------------------------------------------

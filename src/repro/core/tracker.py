@@ -39,15 +39,12 @@ from repro.core.candidates import CandidateIndex
 from repro.core.correlation import CorrelationMeasure, JaccardCorrelation, PairCounts
 from repro.core.types import TagPair, normalize_tag
 from repro.persistence.codec import index_table, intern_rows
-from repro.persistence.snapshot import (
-    SnapshotMismatchError, require_compatible, require_state,
-)
+from repro.persistence.snapshot import require_compatible, require_state
 from repro.windows.aggregates import TagFrequencyWindow, record_count_history
 from repro.windows.timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core import vectorized as _vectorized
-    from repro.sketches.tier import SketchTier
 
 #: One prepared document: ``(timestamp, tags, entities)``.
 Observation = Tuple[float, Iterable[str], Iterable[str]]
@@ -233,7 +230,6 @@ class CorrelationTracker:
         history_length: int = 24,
         use_entities: bool = True,
         track_usage: bool = False,
-        tier: Optional["SketchTier"] = None,
         track_count_history: bool = True,
     ):
         if window_horizon <= 0:
@@ -254,12 +250,6 @@ class CorrelationTracker:
         # the snapshot contract: restoring a state that carries a history
         # into a tracker that keeps none simply drops it.
         self.track_count_history = bool(track_count_history)
-
-        # Optional sketch tier in front of the exact pair state: when set,
-        # every document's pairs pass through its admission filter before
-        # any exact statistic is touched, so cold pairs never occupy the
-        # pair-event window or the candidate index.
-        self._tier = tier
 
         self._tag_window = TagFrequencyWindow(window_horizon)
         # Windowed pair co-occurrences: a deque of (timestamp, pairs-of-doc)
@@ -311,11 +301,6 @@ class CorrelationTracker:
     def candidate_index(self) -> CandidateIndex:
         """The candidate index (a restore replaces it: read it afresh)."""
         return self._candidates
-
-    @property
-    def tier(self):
-        """The sketch admission tier, or ``None`` in exact mode."""
-        return self._tier
 
     def attach_evaluator(self, evaluator: "_vectorized.FusedEvaluator") -> None:
         """Make ``evaluator``'s history columns the place evaluations write.
@@ -399,15 +384,8 @@ class CorrelationTracker:
             pair_lists.append(pairs)
         if not timestamps:
             return 0
-        # Commit phase: nothing below can fail on malformed input, so a
-        # rejected chunk leaves the sketches untouched too.  Tier admission
-        # and usage tracking loop per document, only when configured.
-        if self._tier is not None:
-            filter_pairs = self._tier.filter_pairs
-            pair_lists = [
-                filter_pairs(timestamp, pairs) if pairs else pairs
-                for timestamp, pairs in zip(timestamps, pair_lists)
-            ]
+        # Commit phase: nothing below can fail on malformed input.  Usage
+        # tracking loops per document, only when configured.
         self._commit_pairs(timestamps, pair_lists, tag_sets)
         if self.track_usage:
             for timestamp, ordered in zip(timestamps, tag_sets):
@@ -516,11 +494,7 @@ class CorrelationTracker:
         return PairCounts(
             count_a=count_a,
             count_b=count_b,
-            # In exact mode the intersection can never exceed either tag
-            # count (pair and tag windows evict under the same horizon);
-            # a sketch tier's back-filled promotion can, so clamp to the
-            # feasible region the measures are defined over.
-            count_both=min(self.pair_count(pair), count_a, count_b),
+            count_both=self.pair_count(pair),
             total_documents=self.document_count(),
             pair=pair,
         )
@@ -589,11 +563,7 @@ class CorrelationTracker:
             counts = PairCounts(
                 count_a=count_a,
                 count_b=count_b,
-                # Exact tracking keeps count_both <= min(count_a, count_b)
-                # by construction; a sketch tier's back-filled promotion
-                # (sketched support, stamped at promotion time) can exceed
-                # it, so clamp to the feasible region.
-                count_both=min(pair_count, count_a, count_b),
+                count_both=pair_count,
                 total_documents=total_documents,
                 pair=pair,
             )
@@ -676,8 +646,8 @@ class CorrelationTracker:
         histories, the count history and ``min_support``, so a restored
         tracker continues bit-identically.  The pair events go in only
         where they are not the tag window's decomposition: fed pair events
-        (a shard worker), or under a sketch tier (under ``"tier"``).  The
-        candidate counts and the decomposition memo are always rebuilt.
+        (a shard worker).  The candidate counts and the decomposition memo
+        are always rebuilt.
         """
         state = {
             "kind": "correlation-tracker",
@@ -702,13 +672,11 @@ class CorrelationTracker:
                 tag: list(values) for tag, values in self._count_history.items()
             },
         }
-        if self._pair_fed or self._tier is not None:
+        if self._pair_fed:
             state["pair_events"] = [
                 [timestamp, [[pair.first, pair.second] for pair in pairs]]
                 for timestamp, pairs in self._pair_events
             ]
-        if self._tier is not None:
-            state["tier"] = self._tier.snapshot()
         return state
 
     def restore(self, state: Mapping) -> None:
@@ -736,20 +704,9 @@ class CorrelationTracker:
             },
             state,
         )
-        tier_state = state.get("tier")
-        if (tier_state is None) != (self._tier is None):
-            raise SnapshotMismatchError(
-                "correlation-tracker snapshot tracking mode does not match: "
-                f"snapshot is {'tiered' if tier_state is not None else 'exact'}, "
-                f"tracker is {'tiered' if self._tier is not None else 'exact'}"
-            )
-        if tier_state is not None:
-            self._tier.restore(tier_state)
         self._tag_window.restore_state(state["tag_window"])
-        # A tier's admitted pairs are never derivable: required under one.
-        pair_events = (state.get("pair_events") if tier_state is None
-                       else state["pair_events"])
-        self._pair_fed = tier_state is None and pair_events is not None
+        pair_events = state.get("pair_events")
+        self._pair_fed = pair_events is not None
         self._pair_events = deque(
             self._decomposer.rederive(self._tag_window.events)
             if pair_events is None else
@@ -802,9 +759,9 @@ class CorrelationTracker:
         The index's counts are the pair multiset of the windowed pair
         events; no pair or usage event sits at or before ``latest −
         window_horizon`` (every ingest and advance evicts those); fed
-        documents under exact tracking, each pair event is the
-        decomposition of the tag-window event at the same position — the
-        identity a snapshot that leaves them out stands on; then the
+        documents, each pair event is the decomposition of the tag-window
+        event at the same position — the identity a snapshot that leaves
+        them out stands on; then the
         index's own invariants.  For tests, after whatever *makes* a state
         — a restore, a journal fold, a re-shard — never on the stream.
         """
@@ -829,7 +786,7 @@ class CorrelationTracker:
                             f"or before the window's cutoff {cutoff} "
                             f"(latest {self._latest})"
                         )
-        if self._tier is None and not self._pair_fed:
+        if not self._pair_fed:
             for (timestamp, pairs), (stamp, tags) in zip_longest(
                     self._pair_events, self._tag_window.events,
                     fillvalue=(None, ())):

@@ -863,10 +863,6 @@ class FusedEvaluator:
         count_both = np.fromiter(map(index.counts.__getitem__, supported),
                                  dtype=np.int64,
                                  count=len(supported))[selected]
-        # Same clamp as the tracker's scalar sampling loop: a sketch tier's
-        # back-filled promotion can push a windowed pair count past a tag
-        # count; exact tracking never does, so this is a no-op there.
-        count_both = np.minimum(count_both, np.minimum(count_a, count_b))
         validate_pair_counts(
             lambda position: self._pairs[rows[position]],
             count_a, count_b, count_both, total_documents,

@@ -99,16 +99,6 @@ STANDARD_FAMILIES = {
     "repro_pipeline_stage_seconds":
         ("histogram", "Wall time per pipeline stage, labeled by stage "
                       "name."),
-    "repro_tracking_promotions":
-        ("gauge", "Pairs the sketch tier promoted into exact tracking."),
-    "repro_tracking_filtered_occurrences":
-        ("gauge", "Pair occurrences absorbed by the sketch tier."),
-    "repro_tracking_sketched_keys":
-        ("gauge", "Bloom-known pair keys across the two live sketch "
-                  "epochs (tier occupancy)."),
-    "repro_tracking_sketch_error_bound":
-        ("gauge", "Count-Min overcount bound (e/width x windowed total) "
-                  "of the sketch tier."),
     "repro_sharding_dispatch_seconds":
         ("histogram", "Per-shard chunk dispatch latency."),
     "repro_sharding_pair_events_total":

@@ -16,13 +16,10 @@ Two rules make the fold exact without shipping the whole window:
   ``latest``, dropping expired events from the merged list reproduces the
   live deque bit for bit (intermediate evictions with earlier ``now``
   values are subsumed by the final cutoff).
-* **Derived state is not folded.**  A state holds no candidate table,
-  and under exact tracking no pair events: restore derives both from the
-  tag window.  Only a tier's admitted pairs are kept, and the fold derives
-  them from the documents by re-running admission — into the tracker, or
-  routed to the shards of a tiered coordinator; no delta ships a pair
-  event.  :func:`upgrade_engine_state` drops the derived tables a
-  version-1 base still wrote.
+* **Derived state is not folded.**  A state holds no candidate table and
+  no pair events: restore derives both from the tag window, and no delta
+  ships a pair event.  :func:`upgrade_engine_state` drops the derived
+  tables a version-1 base still wrote.
 
 Apply functions treat their inputs as consumable and may mutate/alias
 them; callers needing the originals must copy first (the store's reader
@@ -32,15 +29,15 @@ owns its freshly decoded dicts, which is the intended call site).
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.tracker import _DELTA_DOC
-from repro.core.types import TagPair
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
-from repro.sharding.partitioner import PairPartitioner
-from repro.sketches.tier import SketchTier
 from repro.windows.aggregates import record_count_history
+
+#: The sketch tier's configuration fields, which an older checkpoint's
+#: configuration may still carry.
+_TIER_FIELDS = ("tracking", "promote_support", "sketch_width", "sketch_depth")
 
 
 def evict_events(events: List[list], latest, horizon: float) -> List[list]:
@@ -127,11 +124,16 @@ def _replay_count_rows(
 
 
 def upgrade_engine_state(state: dict) -> dict:
-    """Bring a version-1 engine state to the version-2 layout, in place.
+    """Bring an older engine state to the current layout, in place.
 
+    A configuration that still carries the sketch tier's fields loses
+    them if it describes exact tracking: ``tracking`` other than
+    ``"tiered"``, or a ``promote_support`` below 2, which never built a
+    tier.  Any other is refused with
+    :class:`~repro.persistence.snapshot.SnapshotMismatchError`: the tier
+    is gone, and its admitted pairs are not the exact engine's state.
     Each version-1 tracker's candidate table gives way to its
-    ``min_support``, and its pair events go unless a tier admitted them
-    (a tiered coordinator's shards keep theirs).  Any other state passes
+    ``min_support``, and its pair events go.  Any other state passes
     through untouched.
     """
     kind = state.get("kind") if isinstance(state, Mapping) else None
@@ -141,6 +143,18 @@ def upgrade_engine_state(state: dict) -> dict:
         trackers = [shard.get("tracker") for shard in state["shards"]]
     else:
         return state
+    config = state.get("config")
+    if isinstance(config, dict) and not config.keys().isdisjoint(_TIER_FIELDS):
+        if (config.get("tracking") == "tiered"
+                and int(config.get("promote_support", 0)) >= 2):
+            raise SnapshotMismatchError(
+                "checkpoint was taken under tiered tracking "
+                f"(promote_support={config['promote_support']}); the sketch "
+                "tier has been removed and its state cannot restore into "
+                "exact tracking: replay the stream to take a new checkpoint"
+            )
+        for name in _TIER_FIELDS:
+            config.pop(name, None)
     trackers = [
         tracker for tracker in trackers
         if isinstance(tracker, dict) and tracker.get("version") == 1
@@ -148,8 +162,7 @@ def upgrade_engine_state(state: dict) -> dict:
     for tracker in trackers:
         tracker["version"] = 2
         tracker["min_support"] = int(tracker.pop("candidates")["min_support"])
-        if "tier" not in tracker and "tier" not in state:
-            del tracker["pair_events"]
+        del tracker["pair_events"]
     return state
 
 
@@ -157,12 +170,8 @@ def apply_tracker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Fold a tracker delta onto a tracker snapshot dict.
 
     A document event in the delta names only its ordered tag set, which
-    extends the tag window.  Where the state carries pair events (tiered),
-    the document's pair list — every ``(i, j)`` combination of the sorted
-    tags, re-admitted through the tier — is derived here; elsewhere restore
-    derives them.  A shard tracker's pair events are appended by the
-    sharded fold before this one evicts them; the pair events an older
-    shard delta carries are skipped.
+    extends the tag window; restore derives the document's pair events.
+    The pair events an older shard delta carries are skipped.
     """
     require_state(state, "correlation-tracker", 2)
     require_state(delta, "correlation-tracker-delta", (1, 2))
@@ -197,31 +206,13 @@ def apply_tracker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     horizon = float(state["window_horizon"])
     latest = delta["latest"]
 
-    # A tiered tracker journals raw documents; re-running admission from
-    # the base snapshot's tier reproduces both the admitted weighted pair
-    # stream and the advanced tier state, exactly as the live run did.
-    tier_state = state.get("tier")
-    tier = (
-        SketchTier.from_snapshot(tier_state)
-        if tier_state is not None else None
-    )
-
-    events = state.get("pair_events")
-    if events is not None:
-        events = list(events)
     window = state["tag_window"]
     window_events = list(window["events"])
-    for (kind, timestamp, _), payload in zip(delta["events"], payloads):
-        if kind != _DELTA_DOC:
-            continue
-        window_events.append([timestamp, payload])
-        if events is not None:
-            pairs = list(combinations(payload, 2))
-            if tier is not None and pairs:
-                pairs = tier.filter_pairs(timestamp, pairs)
-            events.append([timestamp, list(map(list, pairs))])
-    if events is not None:
-        state["pair_events"] = evict_events(events, latest, horizon)
+    window_events.extend(
+        [timestamp, payload]
+        for (kind, timestamp, _), payload in zip(delta["events"], payloads)
+        if kind == _DELTA_DOC
+    )
     state["min_support"] = int(delta["min_support"])
 
     usage = list(state["usage_events"])
@@ -243,8 +234,6 @@ def apply_tracker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     )
     state["documents_seen"] = int(delta["documents_seen"])
     state["latest"] = latest
-    if tier is not None:
-        state["tier"] = tier.snapshot()
     return state
 
 
@@ -364,23 +353,6 @@ def apply_engine_delta(state: dict, delta: Mapping[str, Any]) -> dict:
             window_events, delta["tag_window_latest"], float(window["horizon"])
         )
         window["latest"] = delta["tag_window_latest"]
-        # Shard workers are tier-less: admission re-runs here, advancing
-        # the coordinator's tier, and its admitted pairs are routed to the
-        # shards as ingestion routes them; each shard's fold evicts them.
-        tier_state = state.get("tier")
-        if tier_state is not None:
-            tier = SketchTier.from_snapshot(tier_state)
-            shard_events = [shard["tracker"]["pair_events"]
-                            for shard in state["shards"]]
-            route = PairPartitioner(len(shard_events)).route
-            for timestamp, tags in tag_events:
-                admitted = tier.filter_pairs(timestamp, [
-                    TagPair(*pair) for pair in combinations(tags, 2)
-                ])
-                for events, pairs in zip(shard_events, route(admitted)):
-                    if pairs:
-                        events.append([timestamp, list(map(list, pairs))])
-            state["tier"] = tier.snapshot()
         config = state.get("config") or {}
         state["count_history"] = _replay_count_rows(
             state["count_history"], delta["count_rows"],

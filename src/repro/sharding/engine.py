@@ -37,7 +37,6 @@ of it to drift.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from itertools import compress
 from operator import itemgetter
@@ -45,13 +44,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.config import EnBlogueConfig
 from repro.core.correlation import available_measures
-from repro.core.engine import (
-    DetectionEngineBase,
-    bind_tier_gauges,
-    make_sketch_tier,
-)
+from repro.core.engine import DetectionEngineBase
 from repro.core.tracker import DocumentDecomposer
-from repro.core.types import Ranking, TagPair
+from repro.core.types import Ranking
 from repro.core.vectorized import config_vectorizes
 from repro.entity.tagger import EntityTagger
 from repro.persistence.codec import index_table, intern_rows, optional_float
@@ -120,22 +115,12 @@ class ShardedEnBlogue(DetectionEngineBase):
             else "scalar"
         )
 
-        # Admission runs once, globally, before pairs are partitioned:
-        # a per-shard sketch could not be re-split on an N-to-M restore,
-        # and the admitted weighted pair stream is what keeps the shard
-        # workers' exact state identical to the single tiered engine's.
-        self._tier = make_sketch_tier(self.config)
-        if self._tier is not None:
-            bind_tier_gauges(self.observability, self._tier)
-        # A pair's shard is a pure function of the pair, so in exact mode
-        # the memoised decomposition of a tag set carries its per-shard
-        # split: decompose() hands back (ordered, routed).  Under a tier
-        # the admitted pairs differ from document to document, so the
-        # decomposer keeps plain pairs and each document is routed after
-        # admission.
+        # A pair's shard is a pure function of the pair, so the memoised
+        # decomposition of a tag set carries its per-shard split:
+        # decompose() hands back (ordered, routed).
         self._decomposer = DocumentDecomposer(
             use_entities=self.config.use_entities,
-            route=self.partitioner.route if self._tier is None else None,
+            route=self.partitioner.route,
         )
         # The window and the count history are plain, unlocked structures
         # on every backend.  This thread is their only writer; a shard
@@ -201,8 +186,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         decompose = self._decomposer.decompose
         timestamps: List[float] = []
         tag_sets: List[Tuple[str, ...]] = []
-        # Per document: its pairs as one tuple per shard — or, under a
-        # tier, its plain pairs, routed once admitted (see __init__).
+        # Per document: its pairs as one tuple per shard (see __init__).
         pair_rows: List[tuple] = []
         for timestamp, tags, entities in observations:
             if latest is not None and not timestamp >= latest:
@@ -214,11 +198,7 @@ class ShardedEnBlogue(DetectionEngineBase):
             timestamps.append(timestamp)
             tag_sets.append(ordered)
             pair_rows.append(pairs)
-        # Commit phase: nothing below can fail on malformed input.  Tier
-        # admission runs here, per document in stream order, so a rejected
-        # run leaves the sketch untouched too.
-        tier = self._tier
-        route = self.partitioner.route
+        # Commit phase: nothing below can fail on malformed input.
         total = len(timestamps)
         start = 0
         while start < total:
@@ -233,14 +213,6 @@ class ShardedEnBlogue(DetectionEngineBase):
                 self._delta_tag_events.extend(zip(times, tags))
             self._latest = times[-1]
             rows = pair_rows[start:stop]
-            if tier is not None:
-                admitted = [
-                    tier.filter_pairs(timestamp, pairs) if pairs else pairs
-                    for timestamp, pairs in zip(times, rows)
-                ]
-                no_pairs = ((),) * self.num_shards
-                rows = [route(pairs) if pairs else no_pairs
-                        for pairs in admitted]
             for buffer, column in zip(self._buffers, zip(*rows)):
                 buffer.extend(compress(zip(times, column), column))
             self._buffered_documents += stop - start
@@ -281,8 +253,6 @@ class ShardedEnBlogue(DetectionEngineBase):
             "backend": self.backend.name,
             "shards": self.num_shards,
             "evaluation_path": path,
-            "tracking": "tiered" if self._tier is not None else "exact",
-            "promote_support": self.config.promote_support,
         }
 
     def check_invariants(self) -> None:
@@ -355,8 +325,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         observe every routed pair event and the snapshot is consistent as
         of the last processed document.  The per-shard states land under
         ``"shards"``; the checkpoint store writes them to one file each.
-        Under exact tracking they go without the pair events :meth:`restore`
-        derives; a tier's admitted pairs are not derivable, and stay.
+        They go without the pair events :meth:`restore` derives.
         """
         self._ensure_open()
         self._flush()
@@ -373,20 +342,16 @@ class ShardedEnBlogue(DetectionEngineBase):
                 for tag, values in self._count_history.items()
             },
             "builder": self.ranking_builder.snapshot(),
-            "shards": self.backend.collect_states(),
-        }
-        if self._tier is not None:
-            state["tier"] = self._tier.snapshot()
-        else:
             # New dicts: a supervised backend keeps the collected states
             # as its rebuild base.
-            state["shards"] = [
+            "shards": [
                 {**shard, "tracker": {
                     key: value for key, value in shard["tracker"].items()
                     if key != "pair_events"
                 }}
-                for shard in state["shards"]
-            ]
+                for shard in self.backend.collect_states()
+            ],
+        }
         return state
 
     def restore(self, state: Mapping) -> None:
@@ -396,25 +361,15 @@ class ShardedEnBlogue(DetectionEngineBase):
         count: the per-pair state is then re-routed through the stable
         CRC-32 partitioner (:mod:`repro.sharding.reshard`) before it is
         handed to this engine's workers, so a 2-shard checkpoint restores
-        into 4 shards (or 1) without replaying the stream.  Under exact
-        tracking each worker's pair events are derived here, as ingestion
-        routes them; a tier's admitted pairs are merged across the old
-        shards and re-routed, one event per old shard event.  A re-sharded
-        worker counts the events it is handed.  ``chunk_size`` and the
+        into 4 shards (or 1) without replaying the stream.  Each worker's
+        pair events are derived here, as ingestion routes them.  A
+        re-sharded worker counts the events it is handed.  ``chunk_size`` and the
         backend are runtime choices, free to differ from the checkpointed
         run's.
         """
         require_state(state, self.SNAPSHOT_KIND, 1)
         self._ensure_open()
         self._restore_base(state)
-        tier_state = state.get("tier")
-        if (tier_state is None) != (self._tier is None):
-            raise SnapshotMismatchError(
-                "tracking-mode mismatch: the snapshot and this engine "
-                "disagree on whether a sketch tier is present"
-            )
-        if tier_state is not None:
-            self._tier.restore(tier_state)
         self._tag_window.restore_state(state["tag_window"])
         # An engine that keeps no count history drops a restored one (a
         # checkpoint written when every engine recorded it), so its next
@@ -433,18 +388,15 @@ class ShardedEnBlogue(DetectionEngineBase):
         self.ranking_builder.restore(state["builder"])
         shard_states = state["shards"]
         resharded = len(shard_states) != self.num_shards
-        shard_events = (self._shard_pair_events(shard_states)
-                        if tier_state is None or resharded else None)
         if resharded:
             shard_states = reshard_worker_states(shard_states, self.num_shards)
-        if shard_events is not None:
-            shard_states = [
-                {**shard, "tracker": {
-                    **shard["tracker"], "pair_events": events,
-                    **({"documents_seen": len(events)} if resharded else {}),
-                }}
-                for shard, events in zip(shard_states, shard_events)
-            ]
+        shard_states = [
+            {**shard, "tracker": {
+                **shard["tracker"], "pair_events": events,
+                **({"documents_seen": len(events)} if resharded else {}),
+            }}
+            for shard, events in zip(shard_states, self._shard_pair_events())
+        ]
         self.backend.restore_states(shard_states)
         self._buffers = [[] for _ in range(self.num_shards)]
         self._buffered_documents = 0
@@ -539,32 +491,11 @@ class ShardedEnBlogue(DetectionEngineBase):
         """Per-shard health from the backend, without a sync point."""
         return self.backend.health()
 
-    def _shard_pair_events(
-        self, shard_states: List[Mapping] = ()
-    ) -> List[List[ShardEvent]]:
-        """Each shard's pair events, routed through the current partitioner.
-
-        Exact, they are derived: the windowed documents' pairs, one event
-        per document and shard it gives a pair.  Under a tier, the old
-        ``shard_states``' admitted pairs are merged in timestamp order, cut
-        at the window's cutoff (the one eviction rule; a shard last
-        advanced earlier may still hold older ones) and re-routed.
-        """
-        window = self._tag_window
-        if self._tier is None:
-            routed = self._decomposer.rederive(window.events)
-        else:
-            cutoff = (float("-inf") if window.latest_timestamp is None
-                      else window.latest_timestamp - window.horizon)
-            route = self.partitioner.route
-            old_events = [shard["tracker"]["pair_events"]
-                          for shard in shard_states]
-            routed = [
-                (float(timestamp), route(TagPair(*pair) for pair in pairs))
-                for timestamp, pairs in heapq.merge(*old_events,
-                                                    key=itemgetter(0))
-                if timestamp > cutoff
-            ]
+    def _shard_pair_events(self) -> List[List[ShardEvent]]:
+        """Each shard's pair events, derived through the current partitioner:
+        the windowed documents' pairs, one event per document and shard it
+        gives a pair."""
+        routed = self._decomposer.rederive(self._tag_window.events)
         return [[(timestamp, columns[shard]) for timestamp, columns in routed
                  if columns[shard]] for shard in range(self.num_shards)]
 

@@ -5,10 +5,9 @@ shard's snapshot holds is keyed by a canonical pair (correlation
 histories, decayed shift scores), so it re-routes through the same stable
 CRC-32 hash (:class:`~repro.sharding.partitioner.PairPartitioner`) that
 partitioned the live stream.  A shard's windowed pair events are not
-re-partitioned here: under exact tracking the coordinator derives them on
-restore by routing its own tag-window events through the new partitioner,
-exactly as a from-scratch M-shard run would have routed them (under a
-tier, it re-routes the old shards' admitted pairs).  The merged union of
+re-partitioned here: the coordinator derives them on restore by routing
+its own tag-window events through the new partitioner, exactly as a
+from-scratch M-shard run would have routed them.  The merged union of
 the old shards' states equals the single-engine state, and splitting it M
 ways reproduces the per-pair state a from-scratch M-shard run would hold —
 which is why a re-sharded resume stays bit-identical.

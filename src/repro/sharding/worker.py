@@ -230,8 +230,8 @@ class ShardWorker:
 
         The journal-segment companion of :meth:`snapshot`, folded back by
         :func:`repro.persistence.delta.apply_worker_delta`.  Version 2
-        carries no pair events: the sharded fold routes them from the
-        coordinator's documents, so the tracker part is its clocks, event
+        carries no pair events: restore derives them from the
+        coordinator's tag window, so the tracker part is its clocks, event
         count and sampled correlations.
         """
         return {

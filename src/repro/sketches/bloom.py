@@ -49,8 +49,7 @@ class BloomFilter:
             self.add(key)
 
     def __contains__(self, key: str) -> bool:
-        # Hash lazily: a miss usually fails on the first probe, and the
-        # membership-heavy sketch-tier admission path leans on that.
+        # Hash lazily: a miss usually fails on the first probe.
         for index in range(self.hash_count):
             if not self._get_bit(self._hashes.hash(key, index) % self.size):
                 return False

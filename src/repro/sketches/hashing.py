@@ -1,6 +1,6 @@
-"""Deterministic hash families for the sketch data structures.
+"""Deterministic hash families for the Bloom filter.
 
-The sketches need several independent hash functions over arbitrary string
+The filter needs several independent hash functions over arbitrary string
 keys.  We derive them from ``hashlib.blake2b`` with a per-function salt,
 which is deterministic across processes (unlike Python's built-in ``hash``
 with randomised seeds) so tests and benchmarks are reproducible.

@@ -5,8 +5,7 @@ correlation tracker needs windowed document counts per tag as the
 denominators of its pair measures.  :class:`TagFrequencyWindow` keeps the
 per-document events so that evictions are exact;
 :func:`record_count_history` folds its per-evaluation snapshots into the
-count series the volatility criterion reads.  The approximate counterpart
-of the pair counts is the sketch tier in :mod:`repro.sketches`.
+count series the volatility criterion reads.
 """
 
 from __future__ import annotations

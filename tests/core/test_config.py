@@ -62,6 +62,18 @@ class TestEnBlogueConfig:
         assert described["name"] == "x"
         assert described["correlation_measure"] == "jaccard"
 
+    @pytest.mark.parametrize("field,value", [
+        ("tracking", "tiered"), ("promote_support", 3),
+        ("sketch_width", 8192), ("sketch_depth", 4),
+    ])
+    def test_the_sketch_tier_fields_are_gone(self, field, value):
+        # Exact tracking is the only pair tracker: no option selects a tier.
+        with pytest.raises(TypeError):
+            EnBlogueConfig(**{field: value})
+        with pytest.raises(TypeError):
+            EnBlogueConfig().with_overrides(**{field: value})
+        assert field not in EnBlogueConfig().describe()
+
     def test_config_is_hashable_and_frozen(self):
         config = EnBlogueConfig()
         with pytest.raises(AttributeError):

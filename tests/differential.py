@@ -1,7 +1,7 @@
 """The one differential harness: every engine variant against one oracle.
 
 The oracle is the single, scalar, uninterrupted engine.  Every variant —
-sharded over any transport, fused, tiered, journaled, resumed into another
+sharded over any transport, fused, journaled, resumed into another
 shard count, supervised through a worker kill, served with every
 instrument live — must publish exactly its ranking sequence (timestamp,
 label and every field of every topic) and hold a state a live engine can
@@ -56,7 +56,6 @@ from repro.sharding import (
     SupervisedBackend,
     ThreadBackend,
 )
-from repro.sketches.tier import SketchTier
 
 HOUR = 3600.0
 
@@ -333,11 +332,10 @@ def check_invariants(engine_or_state) -> None:
 
 def _check_sharded(engine) -> None:
     """The coordinator's own invariants, every worker's tracker and
-    detector, and under exact tracking the identity a sharded base stands
-    on: each worker's pair events inside the coordinator's window are its
-    routing of the windowed documents (older ones are a shard's not yet
-    evicted, gone at its next advance).  A tier's admitted pairs are not
-    derivable."""
+    detector, and the identity a sharded base stands on: each worker's
+    pair events inside the coordinator's window are its routing of the
+    windowed documents (older ones are a shard's not yet evicted, gone at
+    its next advance)."""
     engine.check_invariants()
     engine._flush()  # the buffered chunks reach the shards
     latest = latest_evaluation(engine)
@@ -350,8 +348,6 @@ def _check_sharded(engine) -> None:
     for worker in _live_workers(engine) or ():
         worker.tracker.check_invariants()
         worker.detector.check_invariants(latest)
-    if engine._tier is not None:
-        return
     window = engine._tag_window
     cutoff = window.latest_timestamp - window.horizon \
         if window.latest_timestamp is not None else float("-inf")
@@ -371,13 +367,11 @@ def _check_sharded(engine) -> None:
 
 
 def restored_tracker(tracker_state) -> CorrelationTracker:
-    tier = tracker_state.get("tier")
     tracker = CorrelationTracker(
         window_horizon=tracker_state["window_horizon"],
         history_length=tracker_state["history_length"],
         use_entities=tracker_state["use_entities"],
         track_usage=tracker_state["track_usage"],
-        tier=None if tier is None else SketchTier.from_snapshot(tier),
     )
     tracker.restore(tracker_state)
     return tracker
@@ -455,7 +449,6 @@ def assert_equivalent(engine, reference) -> None:
 
 # -- the matrix ----------------------------------------------------------------
 
-TRACKINGS = ("exact", "tiered")
 EVALUATIONS = ("fused", "scalar")
 CRITERIA = ("popularity", "volatility", "hybrid")
 CHECKPOINTINGS = ("none", "journal", "resume")
@@ -464,32 +457,31 @@ OBSERVABILITIES = ("off", "on")
 #: cross the threshold both ways, the event candidate selection rests on.
 SUPPORTS = (1, 3)
 
-#: Tiered tracking's promotion threshold in the matrix.
-TIER_K = 3
-
 #: A mid-stream resume re-shards: checkpointed shard count → resumed one.
 RESHARD = {1: 2, 2: 4, 4: 1}
 
 
 class Cell(NamedTuple):
     engine: Variant
-    tracking: str
     evaluation: str
     criterion: str
     checkpointing: str
     observability: str
     support: int = 1
+    #: The fixed stream and base configuration the cell replays: "base",
+    #: or "live" (the live profile: EWMA predictor, bounded ranking
+    #: history).  Not an axis: only pinned cells run "live".
+    profile: str = "base"
 
     @property
     def id(self) -> str:
-        return "-".join([self.engine.name, *self[1:-1],
-                         f"support{self.support}"])
+        parts = [self.engine.name, *self[1:5], f"support{self.support}"]
+        if self.profile != "base":
+            parts.append(self.profile)
+        return "-".join(parts)
 
     def config(self, base: EnBlogueConfig) -> EnBlogueConfig:
-        """``base`` under this cell's criterion, tracking and support."""
-        if self.tracking == "tiered":
-            base = base.with_overrides(tracking="tiered",
-                                       promote_support=TIER_K)
+        """``base`` under this cell's criterion and support."""
         return base.with_overrides(seed_criterion=self.criterion,
                                    min_pair_support=self.support)
 
@@ -504,24 +496,25 @@ def admissible(cell) -> bool:
     return cell.evaluation in cell.engine.evaluations
 
 
-#: Cells pinned before the pairwise fill.  New ones: a process pool
-#: journaled under tiered tracking, a supervised pool resumed from a
-#: journal, the scalar evaluator on shards under the history-reading
-#: criteria, and a served (observability on) N → M resume.  Kept ones: a
-#: resume while serving on the single engine and on a process pool, and a
-#: tiered resume on the single engine and from 2 shards into 4.
+#: Cells pinned before the pairwise fill: a supervised pool resumed from
+#: a journal, the scalar evaluator on shards under the history-reading
+#: criteria, a resume while serving on the single engine, from 2 shards
+#: into 4 and on a process pool; and on the live profile, a process pool
+#: journaled, and a resume on the single engine and from 2 shards into 4.
 REQUIRED = (
-    Cell(ROWS["process-2"], "tiered", "fused", "popularity", "journal", "off"),
-    Cell(ROWS["supervised-process-2"], "exact", "fused", "volatility",
-         "resume", "off"),
-    Cell(ROWS["serial-2"], "exact", "scalar", "volatility", "none", "off"),
-    Cell(ROWS["process-4"], "exact", "scalar", "hybrid", "none", "off"),
-    Cell(ROWS["serial-2"], "exact", "fused", "popularity", "resume", "on"),
-    Cell(ROWS["single-fused"], "exact", "fused", "hybrid", "resume", "on"),
-    Cell(ROWS["process-2"], "exact", "fused", "volatility", "resume", "on"),
-    Cell(ROWS["single-fused"], "tiered", "fused", "popularity", "resume",
+    Cell(ROWS["supervised-process-2"], "fused", "volatility", "resume",
          "off"),
-    Cell(ROWS["serial-2"], "tiered", "fused", "popularity", "resume", "off"),
+    Cell(ROWS["serial-2"], "scalar", "volatility", "none", "off"),
+    Cell(ROWS["process-4"], "scalar", "hybrid", "none", "off"),
+    Cell(ROWS["serial-2"], "fused", "popularity", "resume", "on"),
+    Cell(ROWS["single-fused"], "fused", "hybrid", "resume", "on"),
+    Cell(ROWS["process-2"], "fused", "volatility", "resume", "on"),
+    Cell(ROWS["process-2"], "fused", "popularity", "journal", "off",
+         profile="live"),
+    Cell(ROWS["single-fused"], "fused", "popularity", "resume", "off",
+         profile="live"),
+    Cell(ROWS["serial-2"], "fused", "popularity", "resume", "off",
+         profile="live"),
 )
 
 
@@ -531,7 +524,7 @@ def covering_cells():
     candidate in table order)."""
     candidates = [
         Cell(*values) for values in itertools.product(
-            ENGINES, TRACKINGS, EVALUATIONS, CRITERIA, CHECKPOINTINGS,
+            ENGINES, EVALUATIONS, CRITERIA, CHECKPOINTINGS,
             OBSERVABILITIES, SUPPORTS)
     ]
     pairs = {cell: axis_pairs(cell) for cell in candidates
@@ -539,7 +532,7 @@ def covering_cells():
     uncovered = set().union(*pairs.values())
     cells = list(REQUIRED)
     for cell in cells:
-        uncovered -= pairs[cell]
+        uncovered -= axis_pairs(cell)
     while uncovered:
         best = max(pairs, key=lambda cell: len(pairs[cell] & uncovered))
         cells.append(best)
@@ -612,6 +605,8 @@ class Run:
             chunk_size=self.chunk_size)
 
     def _resume(self, observability=None):
+        """The engine the checkpoint restores; closed again if it fails
+        its invariants, so a failing cell leaves no worker pool behind."""
         row = self.cell.engine
         if row.shards == 0:
             resumed, _ = load_engine(self.directory,
@@ -620,7 +615,11 @@ class Run:
             resumed, _ = load_engine(
                 self.directory, num_shards=self.resume_shards,
                 backend=row.transport(), observability=observability)
-        check_invariants(resumed)
+        try:
+            check_invariants(resumed)
+        except BaseException:
+            self._retire(resumed)
+            raise
         return resumed
 
     def _retire(self, engine):
@@ -656,14 +655,16 @@ class Run:
                 assert_folds_to_live(self.directory, engine, invariants=False)
             if checkpointing == "resume":
                 live = live_pair_state(engine)
+                state = json_copy(engine.snapshot()) \
+                    if self.cell.engine.shards in (0, self.resume_shards) \
+                    else None
                 resumed = self._resume()
-                assert live_pair_state(resumed) == live
-                if resumed.__class__ is engine.__class__ and \
-                        self.cell.engine.shards in (0, self.resume_shards):
-                    assert json_copy(resumed.snapshot()) \
-                        == json_copy(engine.snapshot())
+                # Swap before checking: a failed check retires the resumed one.
                 self._retire(engine)
                 engine = resumed
+                assert live_pair_state(engine) == live
+                if state is not None:
+                    assert json_copy(engine.snapshot()) == state
             feed(engine, self.docs[previous:])
             reference.process_many(self.docs[previous:])
             if checkpointing == "journal":
@@ -696,9 +697,10 @@ class Run:
                     assert list(self.directory.glob("*.delta"))
             if checkpointing == "resume":
                 live = live_pair_state(engine)
-                self._retire(engine)
                 observabilities.append(_live_observability())
-                engine = self._resume(observabilities[-1])
+                resumed = self._resume(observabilities[-1])
+                self._retire(engine)
+                engine = resumed
                 assert engine.documents_processed == handoff
                 assert live_pair_state(engine) == live
                 frames += serve(engine,

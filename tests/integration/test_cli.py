@@ -23,6 +23,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--dataset", "facebook"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tracking", "tiered"), ("--promote-support", "3"),
+    ])
+    @pytest.mark.parametrize("command", ["replay", "serve"])
+    def test_sketch_tier_flags_are_gone(self, command, flag, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, flag, value])
+
     def test_non_positive_shards_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--shards", "0"])
@@ -39,6 +47,29 @@ class TestReplayCommand:
         assert "replay of 'tweets'" in output
         assert "recall" in output
         assert "ranking at t=" in output
+        assert "stage times" not in output  # only with --metrics
+
+    @pytest.mark.parametrize("shards,stages", [
+        pytest.param([], set(), id="single"),
+        pytest.param(["--shards", "2"], {"dispatch", "shard_evaluate", "merge"},
+                     id="sharded"),
+    ])
+    def test_replay_metrics_prints_the_stage_table(self, tmp_path, capsys,
+                                                   shards, stages):
+        # One row per stage the instrumented run timed, and one seed
+        # selection per published ranking.
+        target = tmp_path / "rankings.json"
+        exit_code = main(["replay", "--dataset", "tweets", "--hours", "18",
+                          "--seed", "7", "--metrics", "--export", str(target),
+                          *shards])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        table = output.split("stage times\n", 1)[1].split("\n\n", 1)[0]
+        header, *rows = table.splitlines()
+        assert header.split() == ["stage", "calls", "total", "ms", "mean", "µs"]
+        calls = {name: int(count) for name, count, _, _ in map(str.split, rows)}
+        assert {"batch", "ingest", "seed_select", *stages} <= calls.keys()
+        assert calls["seed_select"] == len(json.loads(target.read_text()))
 
     def test_replay_with_export_writes_json(self, tmp_path, capsys):
         target = tmp_path / "rankings.json"

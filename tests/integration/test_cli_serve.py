@@ -86,6 +86,13 @@ def post_json(port, path, payload):
         return response.status, json.loads(response.read())
 
 
+def get_text(port, path):
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}{path}", timeout=10
+    ) as response:
+        return response.read().decode()
+
+
 def get_json(port, path):
     with urllib.request.urlopen(
         f"http://127.0.0.1:{port}{path}", timeout=10
@@ -182,6 +189,28 @@ class TestServeEndToEnd:
             assert ranking["ranking"] is not None
         finally:
             shutdown(resumed)
+
+    def test_log_file_holds_every_record_logs_serves(self, tmp_path):
+        log_file = tmp_path / "serve.ndjson"
+        port = free_port()
+        process = spawn_serve(["--log-file", str(log_file)], port)
+        try:
+            status, _ = post_json(port, "/ingest", [
+                {"timestamp": float(hour), "tags": ["alpha", "beta"]}
+                for hour in range(3)
+            ])
+            assert status == 202
+            served = get_text(port, "/logs").splitlines()
+        finally:
+            shutdown(process)
+        # The file is the ring's NDJSON, line for line, and it keeps what
+        # the server logged after the read too, through the drain.
+        written = log_file.read_text(encoding="utf-8").splitlines()
+        assert served and set(served) <= set(written)
+        records = [json.loads(line) for line in written]
+        assert sorted(record["seq"] for record in records) \
+            == list(range(1, len(records) + 1))
+        assert any(record["event"] == "batch" for record in records)
 
     def test_a_clean_drain_with_an_idle_keep_alive_connection_is_silent(self):
         # A producer that keeps its connection open between POSTs leaves

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import EnBlogue
 from repro.datasets.documents import Document
 from repro.persistence import read_checkpoint
 from repro.persistence.cadence import CheckpointCadence
@@ -79,18 +78,14 @@ VARIANTS = {
     "single-fused": ROWS["single-fused"].build,
     "single-scalar": ROWS["single-scalar"].build,
     "serial-2": ROWS["serial-2"].build,
-    # K <= 1 runs without sketches (the exact engine by construction);
-    # K = 3 journals raw documents and re-runs admission on apply.
-    "tiered-k1": lambda cfg: EnBlogue(
-        cfg.with_overrides(tracking="tiered", promote_support=1)
-    ),
-    "tiered-k3": lambda cfg: EnBlogue(
-        cfg.with_overrides(tracking="tiered", promote_support=3)
-    ),
-    # Admission at the coordinator; the fold routes the admitted pairs to
-    # the shards, whose bases keep them (empty ones too, at begin()).
-    "tiered-k3-serial-2": lambda cfg: ROWS["serial-2"].build(
-        cfg.with_overrides(tracking="tiered", promote_support=3)),
+    # A tick that routes no pair event to some of the four shards.
+    "serial-4": ROWS["serial-4"].build,
+    # Workers in the coordinator's address space, handed states by reference.
+    "threads-2": ROWS["threads-2"].build,
+    # The live profile's EWMA predictor and a ranking history bounded below
+    # the evaluations of a stream.
+    "single-live": lambda cfg: ROWS["single-fused"].build(
+        cfg.with_overrides(predictor="ewma", max_ranking_history=12)),
 }
 
 

@@ -1,34 +1,40 @@
 """A base checkpoint holds only what restore cannot derive.
 
-Under exact tracking the windowed pair events and the candidate counts
-are a pure function of the tag window: each pair event is the
+The windowed pair events and the candidate counts are a pure function
+of the tag window: each pair event is the
 decomposition of the tag-window event at the same position, and the
 candidate counts are their multiset.  A version-2 base therefore leaves
 both out, and restore re-derives them — the single engine from its own
 tag window, the sharded coordinator by routing its tag-window events
-through the current partitioner, N → M included.  Tiered tracking keeps
-its pair events: tier admission cannot be derived from the window.
+through the current partitioner, N → M included.
 
-``fixtures/base_v1`` holds version-1 bases (a single engine, a 2-shard
-one and a tiered 2-shard one) written by the parent of the commit that introduced
-version 2 (run :func:`write_base_v1_fixtures` with that commit's ``src``
-on the path); they must keep restoring to the state a version-2 base of
-the same stream restores to.
+``fixtures/base_v1`` holds version-1 bases (a single engine and a 2-shard
+one) written by the parent of the commit that introduced version 2 (run
+:func:`write_base_v1_fixtures` with that commit's ``src`` on the path);
+they must keep restoring to the state a version-2 base of the same stream
+restores to.  Their configurations still carry the fields of the sketch
+tier, since removed: a configuration that describes exact tracking loses
+them on read, any other is refused.
 """
 
 import json
 import runpy
+import shutil
+import zlib
 from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from repro.core.engine import EnBlogue
-from repro.persistence import load_engine
+from repro.persistence import (
+    SnapshotMismatchError, load_engine, read_checkpoint,
+)
 from repro.sharding import ShardedEnBlogue, reshard_worker_states
 
 from differential import (
-    HOSTILE, ROWS, check_invariants, config, live_pair_state, signature,
+    HOSTILE, ROWS, check_invariants, config, json_copy, live_pair_state,
+    signature,
 )
 from test_delta_format import stream
 
@@ -44,19 +50,9 @@ VARIANTS = {
 }
 
 
-#: The version-1 fixtures: the exact variants, and a tiered 2-shard base,
-#: whose shards' admitted pairs version 2 keeps as they were.
-V1_VARIANTS = {
-    **VARIANTS,
-    "tiered-2": lambda cfg: ROWS["serial-2"].build(
-        cfg.with_overrides(tracking="tiered", promote_support=3,
-                           sketch_width=64, sketch_depth=2)),
-}
-
-
 def write_base_v1_fixtures():  # pragma: no cover - run once, at the parent commit
     docs = stream(DOCS)
-    for variant, make in V1_VARIANTS.items():
+    for variant, make in VARIANTS.items():
         engine = make(config(**HOSTILE))
         engine.process_many(docs[:CUT])
         engine.save_checkpoint(FIXTURES / variant)
@@ -92,42 +88,25 @@ class TestBaseFiles:
             assert derived_tables(state) == [], name
             assert "pair_events" not in state  # the coordinator's, if any
 
-    def test_tiered_bases_keep_their_pair_events(self, tmp_path):
-        tiered = config(**HOSTILE, tracking="tiered", promote_support=3)
-        docs = stream(DOCS)
-        with closing(EnBlogue(tiered)) as engine:
-            engine.process_many(docs)
-            engine.save_checkpoint(tmp_path / "single")
-        state = base_files(tmp_path / "single")["engine-00000001.json"]
-        assert derived_tables(state) == ["pair_events"]
-        assert "tier" in state["tracker"]
-        with ShardedEnBlogue(tiered, num_shards=2) as engine:
-            engine.process_many(docs)
-            engine.save_checkpoint(tmp_path / "sharded")
-        files = base_files(tmp_path / "sharded")
-        # Admission ran at the coordinator, which routed the admitted
-        # pairs to the shards: the shards keep them, the tier stays above.
-        coordinator = files.pop("engine-00000001.json")
-        assert "tier" in coordinator and "pair_events" not in coordinator
-        assert [derived_tables(state) for state in files.values()] == [
-            ["pair_events"], ["pair_events"]
-        ]
-        assert all(state["tracker"]["pair_events"] for state in files.values())
+
+#: ``(checkpointed, resumed)`` shard counts: split, merge, a count that
+#: divides neither way, and into one.
+RESHARDS = [(2, 4), (4, 2), (2, 3), (3, 1)]
 
 
 class TestReshardedWorkers:
-    @pytest.mark.parametrize("tracking", ["exact", "tiered"])
+    @pytest.mark.parametrize("before,after", RESHARDS)
     def test_n_to_m_resume_holds_a_from_scratch_run_s_workers(
-        self, tracking, tmp_path
+        self, before, after, tmp_path
     ):
-        cfg = config(**HOSTILE, tracking=tracking, promote_support=3)
+        cfg = config(**HOSTILE)
         docs = stream(DOCS)
-        with ShardedEnBlogue(cfg, num_shards=2,
+        with ShardedEnBlogue(cfg, num_shards=before,
                              chunk_size=7) as engine:
             engine.process_many(docs[:CUT])
             engine.save_checkpoint(tmp_path)
-        resumed, _ = load_engine(tmp_path, num_shards=4)
-        with resumed, ShardedEnBlogue(cfg, num_shards=4,
+        resumed, _ = load_engine(tmp_path, num_shards=after)
+        with resumed, ShardedEnBlogue(cfg, num_shards=after,
                                       chunk_size=7) as scratch:
             check_invariants(resumed)
             resumed.process_many(docs[CUT:])
@@ -138,35 +117,24 @@ class TestReshardedWorkers:
             scratch.evaluate_now()
             assert signature(resumed) == signature(scratch)
             assert live_pair_state(resumed) == live_pair_state(scratch)
-            # Worker by worker: the pair events, histories, scores and
-            # clocks.  Exact, the events are per document, as the live run
-            # routed them; a tier's admitted pairs are re-routed per old
-            # shard event, so there only the (timestamp, pair) occurrences
-            # agree.  The event count is the one exception: what the old
-            # stream routed to a new shard is nowhere recorded, so it
-            # counts from the resume.
+            # Worker by worker: the pair events (per document, as the live
+            # run routed them), histories, scores and clocks.  The event
+            # count is the one exception: what the old stream routed to a
+            # new shard is nowhere recorded, so it counts from the resume.
             for mine, theirs in zip(resumed.backend.collect_states(),
                                     scratch.backend.collect_states()):
                 for state in (mine, theirs):
-                    tracker = state["tracker"]
-                    del tracker["documents_seen"]
-                    if tracking == "tiered":
-                        tracker["pair_events"] = [
-                            (timestamp, pair)
-                            for timestamp, pairs in tracker["pair_events"]
-                            for pair in pairs
-                        ]
+                    del state["tracker"]["documents_seen"]
                 assert mine == theirs
 
-    @pytest.mark.parametrize("tracking", ["exact", "tiered"])
+    @pytest.mark.parametrize("before,after", RESHARDS)
     def test_a_resharded_worker_counts_the_events_it_is_handed(
-        self, tracking, tmp_path
+        self, before, after, tmp_path
     ):
-        cfg = config(**HOSTILE, tracking=tracking, promote_support=3)
-        with ShardedEnBlogue(cfg, num_shards=2) as engine:
+        with ShardedEnBlogue(config(**HOSTILE), num_shards=before) as engine:
             engine.process_many(stream(DOCS))
             engine.save_checkpoint(tmp_path)
-        resumed, _ = load_engine(tmp_path, num_shards=4)
+        resumed, _ = load_engine(tmp_path, num_shards=after)
         with resumed:
             events = [len(state["tracker"]["pair_events"])
                       for state in resumed.backend.collect_states()]
@@ -186,8 +154,8 @@ class TestReshardedWorkers:
 
 class TestVersion1Bases:
     @pytest.mark.parametrize("variant,num_shards", [
-        ("single", None), ("serial-2", 2), ("serial-2", 4),
-        ("tiered-2", 2), ("tiered-2", 4),
+        ("single", None), ("serial-2", 1), ("serial-2", 2), ("serial-2", 3),
+        ("serial-2", 4),
     ])
     def test_restores_like_a_version_2_base_of_the_stream(
         self, variant, num_shards, tmp_path
@@ -200,7 +168,7 @@ class TestVersion1Bases:
             tracker["version"] == 1 and derived_tables({"tracker": tracker})
             == ["candidates", "pair_events"] for tracker in trackers
         )
-        with closing(V1_VARIANTS[variant](config(**HOSTILE))) as engine:
+        with closing(VARIANTS[variant](config(**HOSTILE))) as engine:
             engine.process_many(docs[:CUT])
             engine.save_checkpoint(tmp_path)
         options = {} if num_shards is None else {"num_shards": num_shards}
@@ -216,6 +184,83 @@ class TestVersion1Bases:
             assert live_pair_state(old) == live_pair_state(new)
 
 
+
+#: Checkpoints whose configuration may carry the sketch tier's fields: the
+#: committed version-1 bases and journals, as written, and a version-2 base
+#: of each shape with the fields put back (as written before the tier went).
+TIER_FIELD_SOURCES = [
+    "base_v1/single", "base_v1/serial-2",
+    "journal_v1/single-fused", "journal_v1/serial-2",
+    "version-2/single", "version-2/serial-2",
+]
+
+#: ``(tracking, promote_support)`` → whether that configuration built a
+#: tier: only ``"tiered"`` at a threshold of 2 or more did.
+TIER_SETTINGS = [
+    ("exact", 3, False), ("tiered", 0, False), ("tiered", 1, False),
+    ("tiered", 2, True), ("tiered", 3, True),
+]
+
+TIER_FIELDS = {"tracking", "promote_support", "sketch_width", "sketch_depth"}
+
+
+def write_config_fields(directory, **fields):
+    """Set ``fields`` in the configuration of a checkpoint's manifest and
+    engine base, keeping the manifest's checksum right."""
+    manifest = json.loads((directory / "MANIFEST.json").read_text())
+    entry = manifest["files"]["engine"]
+    state = json.loads((directory / entry["path"]).read_text())
+    for config_dict in (state["config"], manifest["config"]):
+        config_dict.update(fields)
+    payload = json.dumps(state).encode("utf-8")
+    (directory / entry["path"]).write_bytes(payload)
+    entry["crc32"] = zlib.crc32(payload)
+    (directory / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
+def tier_field_source(source, directory):
+    """Write the checkpoint ``source`` names into ``directory``."""
+    kind, variant = source.split("/")
+    if kind != "version-2":
+        shutil.copytree(FIXTURES.parent / source, directory)
+        return
+    with closing(VARIANTS[variant](config(**HOSTILE))) as engine:
+        engine.process_many(stream(DOCS)[:CUT])
+        engine.save_checkpoint(directory)
+    write_config_fields(directory, tracking="exact", promote_support=0,
+                        sketch_width=8192, sketch_depth=4)
+
+
+class TestSketchTierFields:
+    @pytest.mark.parametrize("tracking,promote_support,tiered", TIER_SETTINGS)
+    @pytest.mark.parametrize("source", TIER_FIELD_SOURCES)
+    def test_a_tiered_configuration_restores_only_without_a_tier(
+        self, source, tracking, promote_support, tiered, tmp_path
+    ):
+        """A configuration that never built a tier loses the fields and
+        restores as the checkpoint did; any other is refused, naming the
+        tier."""
+        original, changed = tmp_path / "original", tmp_path / "changed"
+        tier_field_source(source, original)
+        _, expected = read_checkpoint(original)
+        assert TIER_FIELDS.isdisjoint(expected["config"])
+        shutil.copytree(original, changed)
+        write_config_fields(changed, tracking=tracking,
+                            promote_support=promote_support)
+        if tiered:
+            for read in (read_checkpoint, load_engine):
+                with pytest.raises(SnapshotMismatchError,
+                                   match="sketch tier"):
+                    read(changed)
+            return
+        _, state = read_checkpoint(changed)
+        assert state == expected
+        restored, _ = load_engine(changed)
+        with closing(restored):
+            check_invariants(restored)
+            assert json_copy(restored.snapshot()) == expected
+
+
 class TestCheckResumeScript:
     """``scripts/check_resume.py --journal DIR`` pins the base format."""
 
@@ -223,13 +268,11 @@ class TestCheckResumeScript:
         script = Path(__file__).parents[2] / "scripts" / "check_resume.py"
         return runpy.run_path(str(script))["check_bases"]
 
-    def test_passes_version_2_and_tiered_bases(self, tmp_path):
-        tiered = config(**HOSTILE, tracking="tiered", promote_support=3)
-        for name, engine in (("exact", EnBlogue(config(**HOSTILE))),
-                             ("tiered", EnBlogue(tiered))):
-            engine.process_many(stream(DOCS))
-            engine.save_checkpoint(tmp_path / name)
-            self.check_bases()(tmp_path / name)
+    def test_passes_version_2_bases(self, tmp_path):
+        engine = EnBlogue(config(**HOSTILE))
+        engine.process_many(stream(DOCS))
+        engine.save_checkpoint(tmp_path)
+        self.check_bases()(tmp_path)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_fails_a_base_holding_a_derived_table(self, variant):

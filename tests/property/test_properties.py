@@ -13,7 +13,6 @@ from repro.core.correlation import (
 )
 from repro.core.types import TagPair
 from repro.sketches.bloom import BloomFilter
-from repro.sketches.countmin import CountMinSketch
 from repro.timeseries.predictors import (
     EwmaPredictor,
     LinearTrendPredictor,
@@ -211,17 +210,6 @@ class TestPredictorProperties:
 
 
 class TestSketchProperties:
-    @settings(max_examples=25)
-    @given(keys=st.lists(tag_names, min_size=1, max_size=200))
-    def test_count_min_never_underestimates(self, keys):
-        sketch = CountMinSketch(width=64, depth=4)
-        truth = {}
-        for key in keys:
-            sketch.add(key)
-            truth[key] = truth.get(key, 0) + 1
-        for key, count in truth.items():
-            assert sketch.estimate(key) >= count
-
     @settings(max_examples=25)
     @given(keys=st.lists(tag_names, min_size=1, max_size=100))
     def test_bloom_filter_has_no_false_negatives(self, keys):

@@ -4,9 +4,8 @@ every document on its own.
 ``ShardedEnBlogue`` keeps a tag set's per-shard split in the decomposition
 memo and commits a boundary-free run to the shard buffers column-wise.
 The oracle here does neither: it decomposes each document afresh (its tags
-handed over as a ``list``, which bypasses the memo), admits its pairs
-through its own sketch tier, calls ``split_event`` on what is left and
-keeps its own count of buffered documents and evaluation boundaries.  A
+handed over as a ``list``, which bypasses the memo), calls
+``split_event`` on its pairs and keeps its own count of buffered documents and evaluation boundaries.  A
 recording backend then has to have been sent exactly the oracle's chunks —
 per dispatch, per shard, element for element — with the coordinator's
 ``check_invariants()`` green after every call.
@@ -24,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.core.tracker as tracker_module
 from repro.core.config import EnBlogueConfig
-from repro.core.engine import EnBlogue, make_sketch_tier
+from repro.core.engine import EnBlogue
 from repro.core.tracker import DocumentDecomposer
 from repro.sharding import ShardedEnBlogue
 from repro.sharding.backends import SerialBackend
@@ -90,10 +89,8 @@ def build_stream(steps, wide_at):
     return documents
 
 
-def routing_config(tracking):
+def routing_config():
     return EnBlogueConfig(
-        tracking=tracking,
-        promote_support=2,
         window_horizon=3 * INTERVAL,
         evaluation_interval=INTERVAL,
         num_seeds=6,
@@ -112,7 +109,6 @@ class DispatchOracle:
     def __init__(self, config, num_shards, chunk_size):
         self.partitioner = PairPartitioner(num_shards)
         self.decomposer = DocumentDecomposer(use_entities=config.use_entities)
-        self.tier = make_sketch_tier(config)
         self.interval = config.evaluation_interval
         self.chunk_size = chunk_size
         self.buffers = [[] for _ in range(num_shards)]
@@ -135,8 +131,6 @@ class DispatchOracle:
             self.next_evaluation += self.interval
         _, pairs = self.decomposer.decompose(
             list(document.tags), list(document.entities))
-        if pairs and self.tier is not None:
-            pairs = self.tier.filter_pairs(timestamp, pairs)
         for shard_id, event in self.partitioner.split_event(timestamp, pairs):
             self.buffers[shard_id].append(event)
         self.buffered += 1
@@ -151,7 +145,6 @@ def coordinator_state(engine):
         [list(buffer) for buffer in engine._buffers],
         engine._buffered_documents,
         engine._latest,
-        None if engine._tier is None else engine._tier.snapshot(),
         engine.documents_processed,
     )
 
@@ -162,26 +155,25 @@ def coordinator_state(engine):
     wide_at=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 20)),
     chunk_size=st.sampled_from([1, 3, 256]),
     num_shards=st.sampled_from([1, 2, 4]),
-    tracking=st.sampled_from(["exact", "tiered"]),
     cuts=st.sets(st.integers(0, 60), max_size=6),
 )
-# A 300-tag document (44,850 pairs, wider than the memo admits) in both
-# tracking modes, between recurring narrow ones.
+# A 300-tag document (44,850 pairs, wider than the memo admits) between
+# recurring narrow ones, handed over as frozensets and as lists.
 @example(
     steps=[(0.0, ["alpha", "beta"], "frozenset")] * 3
     + [(5.0, ["alpha", "beta", "café"], "frozenset")] * 3,
-    wide_at=2, chunk_size=3, num_shards=4, tracking="exact", cuts={1, 4},
+    wide_at=2, chunk_size=3, num_shards=4, cuts={1, 4},
 )
 @example(
     steps=[(0.0, ["alpha", "beta"], "frozenset")] * 3
     + [(INTERVAL, ["alpha", "beta", "日本"], "list")] * 3,
-    wide_at=1, chunk_size=256, num_shards=2, tracking="tiered", cuts=set(),
+    wide_at=1, chunk_size=256, num_shards=2, cuts=set(),
 )
 def test_dispatched_chunks_equal_split_event_per_document(
-    steps, wide_at, chunk_size, num_shards, tracking, cuts
+    steps, wide_at, chunk_size, num_shards, cuts
 ):
     documents = build_stream(steps, wide_at)
-    config = routing_config(tracking)
+    config = routing_config()
     oracle = DispatchOracle(config, num_shards, chunk_size)
     for document in documents:
         oracle.feed(document)

@@ -130,10 +130,10 @@ stream_steps = st.lists(
 )
 
 
-def ingest_config(tracking):
+def ingest_config():
     return config(
-        tracking=tracking, promote_support=2, window_horizon=3 * INTERVAL,
-        evaluation_interval=INTERVAL, num_seeds=6, history_length=5,
+        window_horizon=3 * INTERVAL, evaluation_interval=INTERVAL,
+        num_seeds=6, history_length=5,
     )
 
 
@@ -178,14 +178,13 @@ def drive(docs, calls, pauses, config, chunk_size, backend, directory):
     steps=stream_steps,
     chunk_size=st.sampled_from([1, 7, 256]),
     backend=st.sampled_from(BY_REFERENCE),
-    tracking=st.sampled_from(["exact", "tiered"]),
     data=st.data(),
 )
 def test_batching_never_changes_what_the_shards_are_sent(
-    steps, chunk_size, backend, tracking, data
+    steps, chunk_size, backend, data
 ):
     docs = build_docs(steps)
-    config = ingest_config(tracking)
+    config = ingest_config()
     positions = st.integers(min_value=0, max_value=len(docs))
     pauses = data.draw(
         st.dictionaries(

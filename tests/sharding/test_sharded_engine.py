@@ -12,10 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import live_stream_config
 from repro.core.engine import EnBlogue
 from repro.datasets.synthetic import correlation_shift_stream
-from repro.persistence.snapshot import SnapshotMismatchError
 from repro.sharding import (
     ProcessBackend,
     SerialBackend,
@@ -217,22 +215,23 @@ class TestEngineSurface:
             sharded.evaluate_now()
             assert signature(sharded) == signature(reference)
 
+    @pytest.mark.parametrize("malformed,error", [
+        pytest.param(SimpleNamespace(timestamp=3.0, tags=7), TypeError,
+                     id="undecomposable"),
+        pytest.param(doc(1.5, ["a", "b"]), ValueError, id="out-of-order"),
+    ])
     @pytest.mark.parametrize("journal", [False, True])
-    @pytest.mark.parametrize("tracking", ["exact", "tiered"])
     @pytest.mark.parametrize("backend", BY_REFERENCE)
     def test_malformed_document_mid_batch_leaves_engine_unchanged(
-        self, tmp_path, backend, tracking, journal
+        self, tmp_path, backend, journal, malformed, error
     ):
         # Decomposition can fail too, not only the order check: the run is
-        # decomposed in full before the tag window, the sketch tier, the
-        # shard buffers or an armed journal see any of it.  The twin never
-        # sees the rejected batch; everything observable must agree.
-        cfg = config(tracking=tracking, promote_support=2)
+        # decomposed in full before the tag window, the shard buffers or an
+        # armed journal see any of it.  The twin never sees the rejected
+        # batch; everything observable must agree.
+        cfg = config()
         good = [doc(0, ["a", "b"]), doc(1, ["a", "b", "c"])]
-        rejected = [
-            doc(2, ["a", "c"]),
-            SimpleNamespace(timestamp=3.0, tags=7),
-        ]
+        rejected = [doc(2, ["a", "c"]), malformed]
         engines = [
             ShardedEnBlogue(cfg, num_shards=2, backend=backend)
             for _ in range(2)
@@ -245,8 +244,7 @@ class TestEngineSurface:
                                            track_deltas=True)
             offered, twin = engines
             before = offered.snapshot()
-            assert ("tier" in before) == (tracking == "tiered")
-            with pytest.raises(TypeError):
+            with pytest.raises(error):
                 offered.process_batch(rejected)
             assert offered.documents_processed == len(good)
             assert offered.snapshot() == before == twin.snapshot()
@@ -298,39 +296,3 @@ class TestEngineSurface:
             for document in tweet_docs[150:200]:
                 sink.push(document)
             assert signature(sharded) == signature(reference)
-
-
-class TestTieredTracking:
-    """Admission runs once, in the coordinator; the tier rides the
-    coordinator's snapshot (parity and resume are matrix cells)."""
-
-    TIERED = live_stream_config().with_overrides(
-        tracking="tiered", promote_support=3)
-
-    def test_runtime_info_names_the_mode(self):
-        with ShardedEnBlogue(self.TIERED, num_shards=2) as engine:
-            info = engine.runtime_info()
-        assert info["tracking"] == "tiered"
-        assert info["promote_support"] == 3
-
-    def test_tier_state_rides_the_snapshot(self):
-        with ShardedEnBlogue(self.TIERED, num_shards=2,
-                             chunk_size=32) as engine:
-            engine.process_many(tweet_stream(hours=6))
-            state = engine.snapshot()
-        assert state["tier"]["kind"] == "sketch-tier"
-        assert state["tier"]["promote_support"] == 3
-
-    def test_mode_mismatch_is_rejected(self):
-        with ShardedEnBlogue(self.TIERED, num_shards=2,
-                             chunk_size=32) as tiered:
-            tiered.process_many(tweet_stream(hours=6))
-            state = tiered.snapshot()
-        with ShardedEnBlogue(live_stream_config(), num_shards=2) as exact:
-            with pytest.raises(SnapshotMismatchError):
-                exact.restore(state)
-
-    def test_exact_snapshot_has_no_tier_key(self):
-        with ShardedEnBlogue(live_stream_config(), num_shards=2) as engine:
-            engine.process_many(tweet_stream(hours=3))
-            assert "tier" not in engine.snapshot()

@@ -1,61 +1,13 @@
-"""Error-bound, merge and serialization guarantees of the sketches.
+"""False-positive, merge and serialization guarantees of the Bloom filter.
 
-The properties the tiered tracker leans on: a Count-Min estimate never
-undercounts and overcounts by at most ``(e / width) * N`` with high
-probability, a Bloom filter's false-positive rate stays near its design
-point, merges are associative (the distributed-aggregation contract),
-and snapshots round-trip bit for bit.
+The filter's false-positive rate stays near its design point, merges are
+associative (the distributed-aggregation contract), and snapshots
+round-trip bit for bit.
 """
 
-import math
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sketches.bloom import BloomFilter
-from repro.sketches.countmin import CountMinSketch
-from repro.sketches.tier import SketchTier
-
-keys = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
-
-
-class TestCountMinErrorBounds:
-    @given(st.lists(keys, max_size=300))
-    @settings(max_examples=60, deadline=None)
-    def test_estimate_never_underestimates(self, stream):
-        sketch = CountMinSketch(width=32, depth=3)
-        true = {}
-        for key in stream:
-            sketch.add(key)
-            true[key] = true.get(key, 0) + 1
-        for key, count in true.items():
-            assert sketch.estimate(key) >= count
-
-    def test_overcount_within_epsilon_n(self):
-        # Deterministic instance of the classic bound: with probability
-        # 1 - e^-depth per key the overcount stays below (e / width) * N.
-        # Fixed seed and stream make this a pinned instance, not a flake.
-        width, depth = 256, 4
-        sketch = CountMinSketch(width=width, depth=depth, seed=11)
-        true = {}
-        for i in range(5000):
-            key = f"key-{(i * 7919) % 800:03d}"
-            sketch.add(key)
-            true[key] = true.get(key, 0) + 1
-        bound = math.e / width * sketch.total
-        violations = sum(
-            1 for key, count in true.items()
-            if sketch.estimate(key) - count > bound
-        )
-        # The per-key failure probability is e^-4 (< 2%); this pinned
-        # instance has zero violations and must stay that way.
-        assert violations == 0
-
-    def test_total_is_n(self):
-        sketch = CountMinSketch(width=64, depth=4)
-        sketch.add("a", 5)
-        sketch.add("b", 2)
-        assert sketch.total == 7
 
 
 class TestBloomFalsePositiveRate:
@@ -74,27 +26,6 @@ class TestBloomFalsePositiveRate:
 
 
 class TestMergeAssociativity:
-    def _cms(self, seed_keys):
-        sketch = CountMinSketch(width=64, depth=4, seed=5)
-        for key, count in seed_keys:
-            sketch.add(key, count)
-        return sketch
-
-    def test_countmin_merge_is_associative(self):
-        parts = [
-            [("a", 2), ("b", 1)],
-            [("b", 4), ("c", 3)],
-            [("a", 1), ("d", 9)],
-        ]
-        left = self._cms(parts[0])
-        left.merge(self._cms(parts[1]))
-        left.merge(self._cms(parts[2]))
-        right_tail = self._cms(parts[1])
-        right_tail.merge(self._cms(parts[2]))
-        right = self._cms(parts[0])
-        right.merge(right_tail)
-        assert left.snapshot() == right.snapshot()
-
     def _bloom(self, members):
         bloom = BloomFilter(capacity=128, error_rate=0.01, seed=5)
         bloom.update(members)
@@ -113,30 +44,26 @@ class TestMergeAssociativity:
         for member in ("a", "b", "c", "d"):
             assert member in left
 
-    def test_countmin_merge_rejects_mismatched_shape(self):
-        with pytest.raises(ValueError):
-            CountMinSketch(width=64, depth=4).merge(
-                CountMinSketch(width=32, depth=4)
-            )
-
     def test_bloom_merge_rejects_mismatched_shape(self):
         with pytest.raises(ValueError):
             BloomFilter(capacity=64, error_rate=0.01).merge(
                 BloomFilter(capacity=128, error_rate=0.01)
             )
 
+    def test_bloom_merge_rejects_mismatched_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            BloomFilter(capacity=64, seed=1).merge(
+                BloomFilter(capacity=64, seed=2)
+            )
+
+    def test_bloom_merge_is_the_filter_of_both_inputs(self):
+        merged = self._bloom(["a", "b"])
+        merged.merge(self._bloom(["c"]))
+        assert merged.snapshot() == self._bloom(["a", "b", "c"]).snapshot()
+        assert len(merged) == 3
+
 
 class TestSnapshotRoundTrips:
-    def test_countmin_round_trip(self):
-        sketch = CountMinSketch(width=32, depth=3, seed=7)
-        for i in range(50):
-            sketch.add(f"key-{i % 9}")
-        restored = CountMinSketch.from_snapshot(sketch.snapshot())
-        assert restored.snapshot() == sketch.snapshot()
-        restored.add("key-0")
-        sketch.add("key-0")
-        assert restored.estimate("key-0") == sketch.estimate("key-0")
-
     def test_bloom_round_trip(self):
         bloom = BloomFilter(capacity=64, error_rate=0.02, seed=7)
         bloom.update(["x", "y", "z"])
@@ -144,28 +71,17 @@ class TestSnapshotRoundTrips:
         assert restored.snapshot() == bloom.snapshot()
         assert "x" in restored and "q" not in restored
 
-    def test_countmin_restore_rejects_wrong_shape(self):
-        sketch = CountMinSketch(width=32, depth=3, seed=7)
-        state = sketch.snapshot()
-        other = CountMinSketch(width=64, depth=3, seed=7)
+    @pytest.mark.parametrize("field,value", [
+        ("kind", "count-min"),
+        ("version", 2),
+        ("capacity", 65),
+        ("seed", 8),
+        ("bits", "00"),
+    ])
+    def test_bloom_restore_rejects_a_foreign_snapshot(self, field, value):
+        bloom = BloomFilter(capacity=64, error_rate=0.02, seed=7)
+        bloom.add("x")
+        before = bloom.snapshot()
         with pytest.raises(ValueError):
-            other.restore(state)
-
-    def test_tier_round_trip_continues_identically(self):
-        def feed(tier, start, count):
-            results = []
-            for i in range(start, start + count):
-                timestamp = float(i % 400) + (i // 400) * 400.0
-                results.append(
-                    tier.admit(timestamp, f"a{i % 13}", f"b{i % 7}")
-                )
-            return results
-
-        original = SketchTier(
-            window_horizon=200.0, promote_support=3, width=128, depth=3
-        )
-        feed(original, 0, 300)
-        restored = SketchTier.from_snapshot(original.snapshot())
-        assert restored.snapshot() == original.snapshot()
-        assert feed(original, 300, 300) == feed(restored, 300, 300)
-        assert restored.snapshot() == original.snapshot()
+            bloom.restore({**before, field: value})
+        assert bloom.snapshot() == before

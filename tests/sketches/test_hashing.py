@@ -42,3 +42,14 @@ class TestHashFamily:
         for value in family.hashes("anything"):
             assert isinstance(value, int)
             assert value >= 0
+
+    def test_hashes_agree_with_hash(self):
+        family = HashFamily(4, seed=3)
+        assert family.hashes("key") == [family.hash("key", i) for i in range(4)]
+
+    def test_values_do_not_depend_on_the_process(self):
+        # Pinned: a filter's bits must mean the same in every process and
+        # run, whatever PYTHONHASHSEED says.
+        assert HashFamily(2, seed=7).hashes("enblogue") == [
+            5114627486970204667, 4978008481468829250,
+        ]
