@@ -147,6 +147,11 @@ def main() -> None:
                      if line.startswith("repro_sharding_recoveries_total ")]
         assert recovered and float(recovered[0].split()[1]) >= 1, \
             "metrics scrape does not show the recovery"
+        # The plan kills shard 0 once: its death is counted once, under it.
+        dead = [line for line in scrape.splitlines()
+                if line.startswith("repro_sharding_dead_workers_total{")]
+        assert dead == ['repro_sharding_dead_workers_total{shard="0"} 1'], \
+            f"metrics scrape does not show the one killed shard: {dead}"
 
         # The structured event log must carry the whole recovery trail,
         # and the recovery records must share the trace id of the span

@@ -19,6 +19,11 @@ supported) an evaluation visits those 36; where nearly all do
 difference, ≈ 0.15 µs per document.  The one O(live pairs) step is a
 change of ``min_support`` (or a restore), which rebuilds the set from the
 counts — never taken on the stream.
+
+Pairs here are the plain canonical tuples of
+:func:`~repro.core.types.canonical_pair`, which the cyclic collector stops
+tracking; the index holds one per live pair, for as long as the stream
+runs, and a tuple subclass would be walked at every full collection.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from repro.core.types import TagPair
+from repro.core.types import Pair
 
-_NO_COUNTS: Mapping[TagPair, int] = {}
+_NO_COUNTS: Mapping[Pair, int] = {}
 
 
 class CandidateIndex:
@@ -41,20 +46,20 @@ class CandidateIndex:
     """
 
     def __init__(
-        self, min_support: int = 1, counts: Mapping[TagPair, int] = _NO_COUNTS,
+        self, min_support: int = 1, counts: Mapping[Pair, int] = _NO_COUNTS,
     ):
         """An index under ``min_support`` holding ``counts`` — ``{pair: n}``,
         how a restore rebuilds it from the pair multiset of its events."""
         self._reset(counts, min_support)
 
-    def _reset(self, counts: Mapping[TagPair, int], min_support: int) -> None:
+    def _reset(self, counts: Mapping[Pair, int], min_support: int) -> None:
         """Start over from ``counts`` under ``min_support``: O(live pairs)."""
         min_support = int(min_support)
         if min_support < 1:
             raise ValueError("min_support must be at least 1")
         self._min_support = min_support
         self._counts: Counter = Counter()
-        self._supported: Dict[TagPair, int] = {}
+        self._supported: Dict[Pair, int] = {}
         self.add_many(counts)
 
     @property
@@ -79,24 +84,24 @@ class CandidateIndex:
         """Number of distinct live pairs."""
         return len(self._counts)
 
-    def __contains__(self, pair: TagPair) -> bool:
+    def __contains__(self, pair: Pair) -> bool:
         return pair in self._counts
 
-    def count(self, pair: TagPair) -> int:
+    def count(self, pair: Pair) -> int:
         """Windowed co-occurrence count of ``pair`` (0 when absent)."""
         return self._counts.get(pair, 0)
 
-    def items(self) -> Iterator[Tuple[TagPair, int]]:
+    def items(self) -> Iterator[Tuple[Pair, int]]:
         """Iterate over ``(pair, count)`` for every live pair, once each."""
         return iter(self._counts.items())
 
     @property
-    def counts(self) -> Mapping[TagPair, int]:
+    def counts(self) -> Mapping[Pair, int]:
         """The live ``{pair: count}`` (read-only; do not mutate)."""
         return self._counts
 
     @property
-    def supported(self) -> Dict[TagPair, int]:
+    def supported(self) -> Dict[Pair, int]:
         """The pairs at ``min_support`` or above, each mapped to its row in
         the fused evaluator reading this index: -1 until that evaluator
         writes it, the one writer of the values.  A ``min_support`` change
@@ -126,11 +131,11 @@ class CandidateIndex:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add(self, pair: TagPair) -> None:
+    def add(self, pair: Pair) -> None:
         """Record one co-occurrence of ``pair``."""
         self.add_many((pair,))
 
-    def add_many(self, pairs: Iterable[TagPair]) -> None:
+    def add_many(self, pairs: Iterable[Pair]) -> None:
         """Record a batch of co-occurrences (duplicates allowed; a
         ``{pair: n}`` mapping records ``n`` of each, as ``Counter.update``).
         A pair the batch carries to ``min_support`` becomes supported."""
@@ -147,11 +152,11 @@ class CandidateIndex:
             if counts[pair] >= min_support:
                 supported[pair] = -1
 
-    def discard(self, pair: TagPair) -> None:
+    def discard(self, pair: Pair) -> None:
         """Remove one co-occurrence of ``pair``."""
         self.remove_many((pair,))
 
-    def remove_many(self, pairs: Iterable[TagPair]) -> None:
+    def remove_many(self, pairs: Iterable[Pair]) -> None:
         """Remove a batch of co-occurrences (duplicates allowed).
 
         A pair whose count reaches zero dies and leaves the counts; one
@@ -175,7 +180,7 @@ class CandidateIndex:
 
     def iter_candidates(
         self, seeds: Iterable[str]
-    ) -> List[Tuple[TagPair, str, int]]:
+    ) -> List[Tuple[Pair, str, int]]:
         """Supported pairs containing at least one seed, in no fixed order.
 
         Returns ``(pair, seed_tag, count)`` triples; when both tags are
@@ -188,7 +193,7 @@ class CandidateIndex:
         if not seed_set:
             return []
         counts = self._counts
-        selected: List[Tuple[TagPair, str, int]] = []
+        selected: List[Tuple[Pair, str, int]] = []
         append = selected.append
         for pair in self._supported:
             first, second = pair
@@ -198,7 +203,7 @@ class CandidateIndex:
                 append((pair, second, counts[pair]))
         return selected
 
-    def candidates(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:
+    def candidates(self, seeds: Iterable[str]) -> List[Tuple[Pair, str]]:
         """``(pair, seed_tag)`` tuples sorted by pair (the public contract)."""
         selected = [
             (pair, trigger) for pair, trigger, _ in self.iter_candidates(seeds)
@@ -206,20 +211,21 @@ class CandidateIndex:
         selected.sort(key=lambda item: item[0])
         return selected
 
-    def scan_candidates(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:
+    def scan_candidates(self, seeds: Iterable[str]) -> List[Tuple[Pair, str]]:
         """Reference implementation: the seed revision's full scan over all
         live pairs and their counts.  Kept for equivalence testing; the hot
         path uses :meth:`candidates`."""
         seed_set = set(seeds)
         if not seed_set:
             return []
-        selected: List[Tuple[TagPair, str]] = []
+        selected: List[Tuple[Pair, str]] = []
         for pair, count in self.items():
             if count < self.min_support:
                 continue
-            if pair.first in seed_set:
-                selected.append((pair, pair.first))
-            elif pair.second in seed_set:
-                selected.append((pair, pair.second))
+            first, second = pair
+            if first in seed_set:
+                selected.append((pair, first))
+            elif second in seed_set:
+                selected.append((pair, second))
         selected.sort(key=lambda item: item[0])
         return selected

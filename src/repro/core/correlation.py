@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Type
 
-from repro.core.types import TagPair
+from repro.core.types import Pair
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class PairCounts:
     count_b: int
     count_both: int
     total_documents: int
-    pair: Optional[TagPair] = field(default=None, compare=False, repr=False)
+    pair: Optional[Pair] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if min(self.count_a, self.count_b, self.count_both, self.total_documents) < 0:
@@ -51,7 +51,8 @@ class PairCounts:
 
     def _pair_context(self) -> str:
         """`` for pair (a, b)`` when the canonical pair is known, else ``""``."""
-        return "" if self.pair is None else f" for pair {self.pair}"
+        return "" if self.pair is None \
+            else " for pair ({}, {})".format(*self.pair)
 
     @property
     def union(self) -> int:

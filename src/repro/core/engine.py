@@ -28,7 +28,7 @@ from repro.core.ranking import RankingBuilder
 from repro.core.seeds import make_seed_selector
 from repro.core.shift import ShiftDetector, ShiftScore
 from repro.core.tracker import CorrelationTracker
-from repro.core.types import Ranking, TagPair, normalize_tag
+from repro.core.types import Ranking, canonical_pair, normalize_tag
 from repro.core.vectorized import make_fused_evaluator
 from repro.entity.tagger import EntityTagger
 from repro.observability import NOOP, Observability
@@ -629,7 +629,7 @@ class EnBlogue(DetectionEngineBase):
     def correlation_history(self, tag_a: str, tag_b: str) -> TimeSeries:
         """Correlation history of a pair (for plots such as Figure 1)."""
         return self.tracker.history(
-            TagPair(normalize_tag(tag_a), normalize_tag(tag_b))
+            canonical_pair(normalize_tag(tag_a), normalize_tag(tag_b))
         )
 
     def topic_score(self, tag_a: str, tag_b: str,
@@ -638,7 +638,8 @@ class EnBlogue(DetectionEngineBase):
         if timestamp is None:
             timestamp = self.tracker.latest_timestamp or 0.0
         return self.detector.score_at(
-            TagPair(normalize_tag(tag_a), normalize_tag(tag_b)), timestamp
+            canonical_pair(normalize_tag(tag_a), normalize_tag(tag_b)),
+            timestamp,
         )
 
     # -- persistence ---------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.shift import ShiftDetector, ShiftScore
-from repro.core.types import EmergentTopic, Ranking, TagPair
+from repro.core.types import EmergentTopic, Pair, Ranking, TagPair
 from repro.persistence.snapshot import require_state
 
 
@@ -100,7 +100,7 @@ class RankingBuilder:
         timestamp: float,
         shift_scores: Iterable[ShiftScore],
         detector: Optional[ShiftDetector] = None,
-    ) -> Dict[TagPair, EmergentTopic]:
+    ) -> Dict[Pair, EmergentTopic]:
         """Every topic competing at ``timestamp``, keyed by pair (unordered).
 
         ``shift_scores`` are the freshly scored observations; when
@@ -111,7 +111,7 @@ class RankingBuilder:
         engine's per-shard scoring, so both paths admit exactly the same
         topics.
         """
-        topics: Dict[TagPair, EmergentTopic] = {}
+        topics: Dict[Pair, EmergentTopic] = {}
         for shift in shift_scores:
             if shift.score <= self.min_score:
                 continue

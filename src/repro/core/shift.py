@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.tracker import PairObservation
-from repro.core.types import TagPair
+from repro.core.types import Pair, canonical_pair
 from repro.persistence.codec import intern_rows
 from repro.persistence.snapshot import require_compatible, require_state
 from repro.timeseries.predictors import MovingAveragePredictor, Predictor
@@ -29,9 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class ShiftScore:
-    """The scored shift of one pair at one evaluation time."""
+    """The scored shift of one pair (a plain canonical pair) at one
+    evaluation time."""
 
-    pair: TagPair
+    pair: Pair
     timestamp: float
     correlation: float
     predicted: float
@@ -66,11 +67,11 @@ class ShiftDetector:
         # evaluations write; this dict then lags behind until
         # _synced_scores() folds the scored rows in, so read it through
         # that method only.
-        self._scores: Dict[TagPair, DecayedMaximum] = {}
+        self._scores: Dict[Pair, DecayedMaximum] = {}
         self._evaluator: Optional["FusedEvaluator"] = None
         # Pairs whose decayed maximum changed since the last delta drain;
         # None when delta recording is inactive.
-        self._dirty: Optional[Set[TagPair]] = None
+        self._dirty: Optional[Set[Pair]] = None
 
     def attach_evaluator(self, evaluator: "FusedEvaluator") -> None:
         """Make ``evaluator``'s score columns the place evaluations write.
@@ -82,7 +83,7 @@ class ShiftDetector:
 
     def _synced_scores(
         self, mutating: bool = False
-    ) -> Dict[TagPair, DecayedMaximum]:
+    ) -> Dict[Pair, DecayedMaximum]:
         """The per-pair decayed maxima with every scored row folded in.
 
         Rows the attached evaluator scored since the last call are
@@ -177,22 +178,23 @@ class ShiftDetector:
             seed_tag=observation.seed_tag,
         )
 
-    def score_at(self, pair: TagPair, timestamp: float) -> float:
+    def score_at(self, pair: Pair, timestamp: float) -> float:
         """Current decayed score of ``pair`` (0.0 when never scored)."""
         tracker = self._synced_scores().get(pair)
         if tracker is None:
             return 0.0
         return tracker.value_at(timestamp)
 
-    def scored_pairs(self) -> List[TagPair]:
+    def scored_pairs(self) -> List[Pair]:
         return sorted(self._synced_scores())
 
     @property
-    def score_map(self) -> Dict[TagPair, DecayedMaximum]:
-        """The live per-pair decayed maxima (read-only; do not mutate)."""
+    def score_map(self) -> Dict[Pair, DecayedMaximum]:
+        """The live per-pair decayed maxima, keyed by plain canonical pairs
+        (read-only; do not mutate)."""
         return self._synced_scores()
 
-    def reset(self, pair: Optional[TagPair] = None) -> None:
+    def reset(self, pair: Optional[Pair] = None) -> None:
         """Forget the score of one pair, or of every pair.
 
         Not representable in a journal delta (which carries updates, not
@@ -254,8 +256,9 @@ class ShiftDetector:
             "penalize_drops": self.penalize_drops,
             "decay_half_life": self.decay.half_life,
             "scores": [
-                [pair.first, pair.second, *maximum.state()]
-                for pair, maximum in sorted(self._synced_scores().items())
+                [first, second, *maximum.state()]
+                for (first, second), maximum
+                in sorted(self._synced_scores().items())
             ],
         }
 
@@ -271,11 +274,11 @@ class ShiftDetector:
             },
             state,
         )
-        scores: Dict[TagPair, DecayedMaximum] = {}
+        scores: Dict[Pair, DecayedMaximum] = {}
         for first, second, value, last_update in state["scores"]:
             maximum = DecayedMaximum(self.decay)
             maximum.restore_state(value, last_update)
-            scores[TagPair(str(first), str(second))] = maximum
+            scores[canonical_pair(str(first), str(second))] = maximum
         if self._evaluator is not None:
             # Rows not yet folded into the dict describe the pre-restore
             # state: dropped, not flushed.

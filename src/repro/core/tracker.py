@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, combinations, islice, zip_longest
 from operator import ge, itemgetter
 from typing import (
@@ -37,7 +36,7 @@ from typing import (
 
 from repro.core.candidates import CandidateIndex
 from repro.core.correlation import CorrelationMeasure, JaccardCorrelation, PairCounts
-from repro.core.types import TagPair, normalize_tag
+from repro.core.types import Pair, canonical_pair, normalize_tags
 from repro.persistence.codec import index_table, intern_rows
 from repro.persistence.snapshot import require_compatible, require_state
 from repro.windows.aggregates import TagFrequencyWindow, record_count_history
@@ -49,19 +48,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: One prepared document: ``(timestamp, tags, entities)``.
 Observation = Tuple[float, Iterable[str], Iterable[str]]
 
-_EMPTY_FROZENSET: frozenset = frozenset()
-
 #: Bound on the tag-set decomposition memo; real streams draw from a small
 #: vocabulary so the memo stays tiny, but an adversarial stream must not be
 #: able to grow it without limit.
 _DECOMPOSE_CACHE_LIMIT = 65536
 
-#: How many of the oldest memo entries a full cache evicts at once.  An
-#: eighth keeps the amortized eviction cost per insert negligible while
-#: retaining 7/8 of the memo, so a vocabulary churn spike no longer
-#: cold-starts decomposition for the whole stream the way the previous
-#: clear-everything policy did; evicted-but-hot tag sets re-enter on
-#: their next occurrence at the cost of one recomputation.
+#: How many of the oldest memo entries a full cache evicts at once, and
+#: the bound of the probation dict a tag set waits in between its first
+#: and its second sighting (cleared whole when full).  An eighth keeps
+#: the amortized eviction cost per insert negligible while retaining 7/8
+#: of the memo, so a vocabulary churn spike does not cold-start
+#: decomposition for the whole stream; evicted-but-hot tag sets re-enter
+#: on their next two occurrences at the cost of one recomputation.
 _DECOMPOSE_EVICT_BATCH = _DECOMPOSE_CACHE_LIMIT // 8
 
 #: Widest tag set the memo admits.  An entry holds O(width²) pairs, so
@@ -72,17 +70,13 @@ _DECOMPOSE_EVICT_BATCH = _DECOMPOSE_CACHE_LIMIT // 8
 #: effective tags, so whether wide sets recur is unverified.
 _DECOMPOSE_CACHE_WIDTH = 16
 
-#: A pair from two tags already known to be non-empty, distinct and in
-#: order — what ``combinations`` yields over a document's sorted,
-#: de-duplicated tags — skipping ``TagPair.__new__``'s re-validation.
-_ordered_pair = partial(tuple.__new__, TagPair)
-
 
 @dataclass(frozen=True)
 class PairObservation:
-    """The correlation of one candidate pair at one evaluation time."""
+    """The correlation of one candidate pair (a plain canonical pair) at
+    one evaluation time."""
 
-    pair: TagPair
+    pair: Pair
     timestamp: float
     correlation: float
     counts: PairCounts
@@ -98,60 +92,81 @@ class DocumentDecomposer:
 
     The one decomposition rule of the system, shared by the tracker and by
     the sharded coordinator (which must decompose each document exactly once
-    before routing its pairs to shard workers).  Results are memoised when
-    both inputs are frozensets (the shape every dataset and stream item
+    before routing its pairs to shard workers).  The pairs are the plain
+    canonical tuples ``combinations`` yields over the sorted tags.
+
+    Results are memoised when the tags are a frozenset and the entities
+    empty or a frozenset (the shape every dataset and stream item
     produces), since the same tag combinations recur constantly within a
-    stream; the memo is bounded in entries (``_DECOMPOSE_CACHE_LIMIT``)
-    and in the width of a tag set it admits (``_DECOMPOSE_CACHE_WIDTH``).
+    stream.  The key is the tag set itself when there are no entities, and
+    ``(tags, entities)`` otherwise.  A set is admitted on its second
+    sighting: the first parks its result in a probation dict of at most
+    ``_DECOMPOSE_EVICT_BATCH`` entries (cleared whole when full), and a
+    probation hit promotes the entry into the memo, so the one-off sets of
+    a long stream never pile up in it.  The memo is bounded in entries
+    (``_DECOMPOSE_CACHE_LIMIT``, oldest batch evicted first) and in the
+    width of a tag set it admits (``_DECOMPOSE_CACHE_WIDTH``).
 
     ``route``, when given, is applied to the pair tuple once per
-    decomposition — on a memo miss, never on a hit — and its result is what
-    :meth:`decompose` hands back in the pairs' place.  The sharded
-    coordinator passes its partitioner's ``route``, so a recurring tag set
-    costs one lookup for its decomposition *and* its per-shard split.
+    decomposition — on a miss of both dicts, never on a hit — and its
+    result is what :meth:`decompose` hands back in the pairs' place.  The
+    sharded coordinator passes its partitioner's ``route``, so a recurring
+    tag set costs one lookup for its decomposition *and* its per-shard
+    split.
     """
 
     def __init__(
         self,
         use_entities: bool = True,
-        route: Optional[Callable[[Tuple[TagPair, ...]], tuple]] = None,
+        route: Optional[Callable[[Tuple[Pair, ...]], tuple]] = None,
     ):
         self.use_entities = bool(use_entities)
         self._route = route
-        self._cache: Dict[
-            Tuple[frozenset, frozenset], Tuple[Tuple[str, ...], tuple]
-        ] = {}
+        # Keyed by the tag frozenset, or by (tags, entities) when a
+        # document has entities.
+        self._cache: Dict[object, Tuple[Tuple[str, ...], tuple]] = {}
+        self._probation: Dict[object, Tuple[Tuple[str, ...], tuple]] = {}
 
     def decompose(
         self, tags: Iterable[str], entities: Iterable[str] = ()
     ) -> Tuple[Tuple[str, ...], tuple]:
-        key: Optional[Tuple[frozenset, frozenset]] = None
+        key: object = None
         if type(tags) is frozenset:
             if not entities:
-                key = (tags, _EMPTY_FROZENSET)
+                key = tags
             elif type(entities) is frozenset:
                 key = (tags, entities)
             if key is not None:
                 cached = self._cache.get(key)
                 if cached is not None:
                     return cached
-        effective = {normalize_tag(tag) for tag in tags}
+                cached = self._probation.pop(key, None)
+                if cached is not None:
+                    cache = self._cache
+                    if len(cache) >= _DECOMPOSE_CACHE_LIMIT:
+                        # FIFO partial eviction: drop the oldest batch
+                        # instead of clearing the memo wholesale.  dict
+                        # iteration order is insertion order, so the
+                        # victims are the stalest entries.
+                        for stale in list(islice(cache, _DECOMPOSE_EVICT_BATCH)):
+                            del cache[stale]
+                    cache[key] = cached
+                    return cached
+        effective = normalize_tags(tags)
         if entities and self.use_entities:
-            effective |= {normalize_tag(entity) for entity in entities}
+            effective |= normalize_tags(entities)
         effective.discard("")
         ordered = tuple(sorted(effective))
-        pairs = tuple(map(_ordered_pair, combinations(ordered, 2)))
+        pairs = tuple(combinations(ordered, 2))
         if self._route is not None:
             pairs = self._route(pairs)
+        result = (ordered, pairs)
         if key is not None and len(ordered) <= _DECOMPOSE_CACHE_WIDTH:
-            if len(self._cache) >= _DECOMPOSE_CACHE_LIMIT:
-                # FIFO partial eviction: drop the oldest batch instead of
-                # clearing the memo wholesale.  dict iteration order is
-                # insertion order, so the victims are the stalest entries.
-                for stale in list(islice(self._cache, _DECOMPOSE_EVICT_BATCH)):
-                    del self._cache[stale]
-            self._cache[key] = (ordered, pairs)
-        return ordered, pairs
+            probation = self._probation
+            if len(probation) >= _DECOMPOSE_EVICT_BATCH:
+                probation.clear()
+            probation[key] = result
+        return result
 
     def rederive(
         self, events: Iterable[Tuple[float, Iterable[str]]]
@@ -164,21 +179,39 @@ class DocumentDecomposer:
                 for timestamp, tags in events]
 
     def check_invariants(self) -> None:
-        """Raise ``AssertionError`` unless the memo is within its bounds
-        and every entry is what a fresh decomposition would produce: the
-        pairs of its ordered tags, or — routed — tuples that concatenate
-        to a permutation of them.  For tests, never on the stream.
+        """Raise ``AssertionError`` unless the memo and probation are
+        within their bounds, share no key, and every entry of either is
+        what a fresh decomposition would produce: the pairs of its ordered
+        tags, or — routed — tuples that concatenate to a permutation of
+        them.  For tests, never on the stream.
         """
-        if len(self._cache) > _DECOMPOSE_CACHE_LIMIT:
+        for name, entries, limit in (
+                ("memo", self._cache, _DECOMPOSE_CACHE_LIMIT),
+                ("probation", self._probation, _DECOMPOSE_EVICT_BATCH)):
+            if len(entries) > limit:
+                raise AssertionError(
+                    f"{name} holds {len(entries)} entries, limit {limit}"
+                )
+        shared = self._cache.keys() & self._probation.keys()
+        if shared:
             raise AssertionError(
-                f"memo holds {len(self._cache)} entries, limit "
-                f"{_DECOMPOSE_CACHE_LIMIT}"
+                f"memo and probation share the keys {sorted(shared, key=repr)!r}"
             )
-        for ordered, pairs in self._cache.values():
+        for key, (ordered, pairs) in chain(self._cache.items(),
+                                           self._probation.items()):
             if len(ordered) > _DECOMPOSE_CACHE_WIDTH:
                 raise AssertionError(
                     f"memo holds a {len(ordered)}-tag set, width limit "
                     f"{_DECOMPOSE_CACHE_WIDTH}"
+                )
+            tags, entities = (key, ()) if type(key) is frozenset else key
+            effective = normalize_tags(tags)
+            if self.use_entities:
+                effective |= normalize_tags(entities)
+            effective.discard("")
+            if ordered != tuple(sorted(effective)):
+                raise AssertionError(
+                    f"memo entry for {key!r} holds the tags {ordered!r}"
                 )
             if self._route is not None:
                 pairs = sorted(chain.from_iterable(pairs))
@@ -214,7 +247,7 @@ class _TrackerDelta:
     events: List[Tuple[float, Tuple[str, ...]]] = field(default_factory=list)
     usage_events: List[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]] = \
         field(default_factory=list)
-    samples: List[Tuple[float, List[TagPair], List[float]]] = \
+    samples: List[Tuple[float, List[Pair], List[float]]] = \
         field(default_factory=list)
     count_rows: List[Dict[str, int]] = field(default_factory=list)
 
@@ -254,7 +287,7 @@ class CorrelationTracker:
         self._tag_window = TagFrequencyWindow(window_horizon)
         # Windowed pair co-occurrences: a deque of (timestamp, pairs-of-doc)
         # plus the candidate index, evicted in lockstep with the tag window.
-        self._pair_events: Deque[Tuple[float, Tuple[TagPair, ...]]] = deque()
+        self._pair_events: Deque[Tuple[float, Tuple[Pair, ...]]] = deque()
         self._candidates = CandidateIndex(min_support=min_pair_support)
         # Fed documents, the pair events are the decomposition of the tag
         # window, which an exact snapshot leaves out; fed pair events (a
@@ -268,7 +301,7 @@ class CorrelationTracker:
         # With a fused evaluator attached its columns are where evaluations
         # write; this dict then lags behind until _synced_histories() folds
         # the evaluated rows in, so read it through that method only.
-        self._histories: Dict[TagPair, TimeSeries] = {}
+        self._histories: Dict[Pair, TimeSeries] = {}
         self._evaluator: Optional["_vectorized.FusedEvaluator"] = None
         # Windowed tag-count history per tag (for the volatility seed
         # criterion); bounded deques, appended by record_count_history.
@@ -312,7 +345,7 @@ class CorrelationTracker:
 
     def _synced_histories(
         self, mutating: bool = False
-    ) -> Dict[TagPair, TimeSeries]:
+    ) -> Dict[Pair, TimeSeries]:
         """The per-pair histories with every evaluated row folded in.
 
         Rows the attached evaluator wrote since the last call are
@@ -333,8 +366,9 @@ class CorrelationTracker:
         return self._histories
 
     @property
-    def history_map(self) -> Dict[TagPair, TimeSeries]:
-        """The live per-pair correlation histories (read-only; do not mutate)."""
+    def history_map(self) -> Dict[Pair, TimeSeries]:
+        """The live per-pair correlation histories, keyed by plain canonical
+        pairs (read-only; do not mutate)."""
         return self._synced_histories()
 
     @property
@@ -368,7 +402,7 @@ class CorrelationTracker:
         """
         timestamps: List[float] = []
         tag_sets: List[Tuple[str, ...]] = []
-        pair_lists: List[Tuple[TagPair, ...]] = []
+        pair_lists: List[Tuple[Pair, ...]] = []
         latest = self._latest
         decompose = self._decomposer.decompose
         for timestamp, tags, entities in observations:
@@ -395,7 +429,7 @@ class CorrelationTracker:
         return len(timestamps)
 
     def observe_pair_events(
-        self, events: Iterable[Tuple[float, Tuple[TagPair, ...]]]
+        self, events: Iterable[Tuple[float, Tuple[Pair, ...]]]
     ) -> int:
         """Ingest pre-decomposed ``(timestamp, pairs)`` events.
 
@@ -471,26 +505,27 @@ class CorrelationTracker:
     def tag_count(self, tag: str) -> int:
         return self._tag_window.count(tag)
 
-    def pair_count(self, pair: TagPair) -> int:
+    def pair_count(self, pair: Pair) -> int:
         return self._candidates.count(pair)
 
     def document_count(self) -> int:
         return self._tag_window.document_count
 
-    def candidate_pairs(self, seeds: Iterable[str]) -> List[Tuple[TagPair, str]]:
+    def candidate_pairs(self, seeds: Iterable[str]) -> List[Tuple[Pair, str]]:
         """Pairs with enough windowed support that contain at least one seed.
 
-        Returns ``(pair, seed_tag)`` tuples; when both tags are seeds the
-        lexicographically smaller one is reported as the trigger.  Answered
-        from the index's supported set in time proportional to it, not to
-        the total number of live pairs.
+        Returns ``(pair, seed_tag)`` tuples, each pair a plain canonical
+        tuple; when both tags are seeds the lexicographically smaller one
+        is reported as the trigger.  Answered from the index's supported
+        set in time proportional to it, not to the total number of live
+        pairs.
         """
         return self._candidates.candidates(seeds)
 
-    def pair_counts_for(self, pair: TagPair) -> PairCounts:
+    def pair_counts_for(self, pair: Pair) -> PairCounts:
         """The windowed counts driving the correlation of ``pair``."""
-        count_a = self.tag_count(pair.first)
-        count_b = self.tag_count(pair.second)
+        count_a = self.tag_count(pair[0])
+        count_b = self.tag_count(pair[1])
         return PairCounts(
             count_a=count_a,
             count_b=count_b,
@@ -499,11 +534,11 @@ class CorrelationTracker:
             pair=pair,
         )
 
-    def correlation(self, pair: TagPair) -> float:
+    def correlation(self, pair: Pair) -> float:
         """Current correlation of ``pair`` under the configured measure."""
         counts = self.pair_counts_for(pair)
-        usage_a = self._usage.get(pair.first) if self.track_usage else None
-        usage_b = self._usage.get(pair.second) if self.track_usage else None
+        usage_a = self._usage.get(pair[0]) if self.track_usage else None
+        usage_b = self._usage.get(pair[1]) if self.track_usage else None
         return max(0.0, self.measure.value(counts, usage_a, usage_b))
 
     # -- evaluation ------------------------------------------------------------
@@ -558,8 +593,9 @@ class CorrelationTracker:
         # triples carry the pair counts, so no lookups are needed here.
         candidates = self._candidates.iter_candidates(seeds)
         for pair, seed_tag, pair_count in candidates:
-            count_a = tag_counts.get(pair.first, 0)
-            count_b = tag_counts.get(pair.second, 0)
+            first, second = pair
+            count_a = tag_counts.get(first, 0)
+            count_b = tag_counts.get(second, 0)
             counts = PairCounts(
                 count_a=count_a,
                 count_b=count_b,
@@ -567,8 +603,8 @@ class CorrelationTracker:
                 total_documents=total_documents,
                 pair=pair,
             )
-            usage_a = self._usage.get(pair.first) if track_usage else None
-            usage_b = self._usage.get(pair.second) if track_usage else None
+            usage_a = self._usage.get(first) if track_usage else None
+            usage_b = self._usage.get(second) if track_usage else None
             value = max(0.0, measure_value(counts, usage_a, usage_b))
             history = histories.get(pair)
             if history is None:
@@ -594,7 +630,7 @@ class CorrelationTracker:
         return self._delta is not None
 
     def journal_samples(
-        self, timestamp: float, pairs: List[TagPair], values: List[float]
+        self, timestamp: float, pairs: List[Pair], values: List[float]
     ) -> None:
         """Note one evaluation's sampled correlations in the armed journal.
 
@@ -606,11 +642,12 @@ class CorrelationTracker:
         if self._delta is not None and pairs:
             self._delta.samples.append((float(timestamp), pairs, values))
 
-    def history(self, pair: TagPair) -> TimeSeries:
+    def history(self, pair: Pair) -> TimeSeries:
         """Correlation history of ``pair`` (empty series when never observed)."""
         return self._synced_histories().get(pair, TimeSeries())
 
-    def tracked_pairs(self) -> List[TagPair]:
+    def tracked_pairs(self) -> List[Pair]:
+        """Every pair with a correlation history, as sorted plain tuples."""
         return sorted(self._synced_histories())
 
     @property
@@ -665,8 +702,9 @@ class CorrelationTracker:
                 for timestamp, update in self._usage_events
             ],
             "histories": [
-                [pair.first, pair.second, series.snapshot()]
-                for pair, series in sorted(self._synced_histories().items())
+                [first, second, series.snapshot()]
+                for (first, second), series
+                in sorted(self._synced_histories().items())
             ],
             "count_history": {
                 tag: list(values) for tag, values in self._count_history.items()
@@ -674,7 +712,7 @@ class CorrelationTracker:
         }
         if self._pair_fed:
             state["pair_events"] = [
-                [timestamp, [[pair.first, pair.second] for pair in pairs]]
+                [timestamp, list(map(list, pairs))]
                 for timestamp, pairs in self._pair_events
             ]
         return state
@@ -710,7 +748,8 @@ class CorrelationTracker:
         self._pair_events = deque(
             self._decomposer.rederive(self._tag_window.events)
             if pair_events is None else
-            ((float(timestamp), tuple(TagPair(str(a), str(b)) for a, b in pairs))
+            ((float(timestamp),
+              tuple(canonical_pair(str(a), str(b)) for a, b in pairs))
              for timestamp, pairs in pair_events)
         )
         self._candidates = CandidateIndex(
@@ -732,7 +771,7 @@ class CorrelationTracker:
             # state: dropped, not flushed.
             self._evaluator.discard_histories()
         self._histories = {
-            TagPair(str(a), str(b)): TimeSeries.from_snapshot(series)
+            canonical_pair(str(a), str(b)): TimeSeries.from_snapshot(series)
             for a, b, series in state["histories"]
         }
         # A tracker that keeps no count history drops a restored one (a
@@ -761,9 +800,9 @@ class CorrelationTracker:
         window_horizon`` (every ingest and advance evicts those); fed
         documents, each pair event is the decomposition of the tag-window
         event at the same position — the identity a snapshot that leaves
-        them out stands on; then the
-        index's own invariants.  For tests, after whatever *makes* a state
-        — a restore, a journal fold, a re-shard — never on the stream.
+        them out stands on; then the index's and the decomposition memo's
+        own invariants.  For tests, after whatever *makes* a state — a
+        restore, a journal fold, a re-shard — never on the stream.
         """
         expected = Counter(chain.from_iterable(
             pairs for _, pairs in self._pair_events
@@ -797,6 +836,7 @@ class CorrelationTracker:
                         f"{stamp}"
                     )
         self._candidates.check_invariants()
+        self._decomposer.check_invariants()
 
     # -- incremental persistence ----------------------------------------------
 
@@ -905,7 +945,7 @@ class CorrelationTracker:
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_horizon
         pair_events = self._pair_events
-        expired_pairs: List[TagPair] = []
+        expired_pairs: List[Pair] = []
         while pair_events and pair_events[0][0] <= cutoff:
             expired_pairs.extend(pair_events.popleft()[1])
         if expired_pairs:

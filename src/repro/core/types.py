@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 def normalize_tag(tag: object) -> str:
@@ -17,31 +17,57 @@ def normalize_tag(tag: object) -> str:
     return str(tag).strip().lower()
 
 
-class TagPair(tuple):
-    """An unordered pair of tags, the unit of an emergent topic.
+def normalize_tags(tags: Iterable[object]) -> Set[str]:
+    """The set of ``normalize_tag(tag)`` over ``tags``, in one C-level pass.
 
-    Pairs are stored in lexicographic order so ``TagPair("b", "a")`` and
-    ``TagPair("a", "b")`` are the same pair.  A pair *is* the tuple
-    ``(first, second)``: it is used as a dictionary key and a sort key
-    millions of times per replay, and a tuple subclass hashes, compares
-    and orders in C, where a class with its own ``__hash__``/``__eq__``
-    calls back into the interpreter on every dictionary operation.  Two
-    consequences, both on purpose: a pair equals the plain tuple of its
-    tags (``TagPair("b", "a") == ("a", "b")``), and nothing about it is
+    ``str.strip`` and ``str.lower`` applied to ``str(tag)`` are exactly
+    :func:`normalize_tag`, without an interpreted call per member.
+    """
+    return set(map(str.lower, map(str.strip, map(str, tags))))
+
+
+#: A canonical pair inside the engine: the plain tuple ``(first, second)``
+#: of two distinct, non-empty tags with ``first < second``.
+Pair = Tuple[str, str]
+
+
+def canonical_pair(first: str, second: str) -> Pair:
+    """Validate two tags and return them as the canonical plain pair.
+
+    The one pair rule: both tags non-empty, distinct, and ordered
+    lexicographically, so ``("b", "a")`` and ``("a", "b")`` are one pair.
+    Inside the engine a pair is this plain tuple, which CPython's cyclic
+    collector stops tracking once it has seen it; :class:`TagPair` is the
+    same tuple for code outside the engine.
+    """
+    if not first or not second:
+        raise ValueError("both tags of a pair must be non-empty")
+    if first == second:
+        raise ValueError("a pair needs two distinct tags")
+    return (first, second) if first < second else (second, first)
+
+
+class TagPair(tuple):
+    """An unordered pair of tags, the unit of an emergent topic, as the
+    engine hands it out.
+
+    Inside the engine a pair is the plain tuple :func:`canonical_pair`
+    returns; ``TagPair`` is that tuple where a pair leaves the engine, on
+    :attr:`EmergentTopic.pair`, with ``first``/``second`` accessors.  It
+    is a tuple subclass, so it hashes, compares and orders in C and equals
+    the plain tuple of its tags (``TagPair("b", "a") == ("a", "b")``):
+    either one finds the other in a dictionary.  Nothing about it is
     cached, so a pair unpickled in a spawn-started worker (where ``str``
-    hashes are salted differently) hashes like one built there.
+    hashes are salted differently) hashes like one built there.  The
+    engine keeps none of them: the collector never untracks an instance
+    of a tuple subclass, so millions of them would be walked at every
+    full collection.
     """
 
     __slots__ = ()
 
     def __new__(cls, first: str, second: str) -> "TagPair":
-        if not first or not second:
-            raise ValueError("both tags of a pair must be non-empty")
-        if first == second:
-            raise ValueError("a pair needs two distinct tags")
-        if first > second:
-            first, second = second, first
-        return tuple.__new__(cls, (first, second))
+        return tuple.__new__(cls, canonical_pair(first, second))
 
     first = property(itemgetter(0), doc="The lexicographically smaller tag.")
     second = property(itemgetter(1), doc="The lexicographically larger tag.")
@@ -80,7 +106,11 @@ class TagPair(tuple):
 
 @dataclass(frozen=True)
 class EmergentTopic:
-    """One entry of an emergent-topic ranking."""
+    """One entry of an emergent-topic ranking.
+
+    ``pair`` may be given as a plain pair, as the engine holds it; the
+    topic always carries a :class:`TagPair`.
+    """
 
     pair: TagPair
     score: float
@@ -93,6 +123,8 @@ class EmergentTopic:
     def __post_init__(self) -> None:
         if self.score < 0:
             raise ValueError("topic scores are non-negative")
+        if type(self.pair) is not TagPair:
+            object.__setattr__(self, "pair", TagPair(*self.pair))
 
     @property
     def tags(self) -> Tuple[str, str]:

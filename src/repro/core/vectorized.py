@@ -67,7 +67,7 @@ from repro.core.correlation import (
     PmiCorrelation,
     vectorizable_measures,
 )
-from repro.core.types import EmergentTopic, TagPair
+from repro.core.types import EmergentTopic, Pair
 from repro.timeseries.predictors import (
     EwmaPredictor,
     HoltPredictor,
@@ -173,7 +173,7 @@ def measure_supported(measure: CorrelationMeasure) -> bool:
 
 
 def validate_pair_counts(
-    pair_at: Callable[[int], TagPair],
+    pair_at: Callable[[int], Pair],
     count_a,
     count_b,
     count_both,
@@ -487,8 +487,8 @@ class FusedEvaluator:
 
     def _clear(self, capacity: int) -> None:
         """No rows: empty interning tables, zeroed columns of ``capacity``."""
-        self._pair_rows: Dict[TagPair, int] = {}
-        self._pairs: List[TagPair] = []
+        self._pair_rows: Dict[Pair, int] = {}
+        self._pairs: List[Pair] = []
         self._tag_ids: Dict[str, int] = {}  # tag → id; _tag_a/_tag_b hold ids
         self._tags: List[str] = []
         columns = self._history_columns
@@ -522,7 +522,7 @@ class FusedEvaluator:
             grown[:capacity] = old
             setattr(self, name, grown)
 
-    def _row_for(self, pair: TagPair) -> int:
+    def _row_for(self, pair: Pair) -> int:
         row = self._pair_rows.get(pair)
         if row is None:
             row = len(self._pairs)

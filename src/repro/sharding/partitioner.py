@@ -22,31 +22,32 @@ from __future__ import annotations
 import zlib
 from typing import Iterable, List, Tuple
 
-from repro.core.types import TagPair
+from repro.core.types import Pair
 
 
 class PairPartitioner:
-    """Map every canonical :class:`TagPair` to exactly one shard id."""
+    """Map every canonical pair to exactly one shard id."""
 
     def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.num_shards = int(num_shards)
 
-    def shard_of(self, pair: TagPair) -> int:
+    def shard_of(self, pair: Pair) -> int:
         """The shard owning ``pair``, in ``range(num_shards)``.
 
-        ``TagPair`` canonicalises its tags lexicographically, so the two
+        A canonical pair orders its tags lexicographically, so the two
         spellings of a pair always land on the same shard.
         """
         if self.num_shards == 1:
             return 0
-        key = f"{pair.first}\x1f{pair.second}".encode("utf-8")
+        first, second = pair
+        key = f"{first}\x1f{second}".encode("utf-8")
         return zlib.crc32(key) % self.num_shards
 
     def route(
-        self, pairs: Iterable[TagPair]
-    ) -> Tuple[Tuple[TagPair, ...], ...]:
+        self, pairs: Iterable[Pair]
+    ) -> Tuple[Tuple[Pair, ...], ...]:
         """``pairs`` as one tuple per shard, each in input order.
 
         Dense: position ``shard_id`` holds that shard's pairs, the empty
@@ -54,15 +55,15 @@ class PairPartitioner:
         of the pair tuple, which is why the coordinator keeps its result
         in the decomposition memo instead of re-deriving it per document.
         """
-        routed: List[List[TagPair]] = [[] for _ in range(self.num_shards)]
+        routed: List[List[Pair]] = [[] for _ in range(self.num_shards)]
         shard_of = self.shard_of
         for pair in pairs:
             routed[shard_of(pair)].append(pair)
         return tuple(map(tuple, routed))
 
     def split_event(
-        self, timestamp: float, pairs: Iterable[TagPair]
-    ) -> List[Tuple[int, Tuple[float, Tuple[TagPair, ...]]]]:
+        self, timestamp: float, pairs: Iterable[Pair]
+    ) -> List[Tuple[int, Tuple[float, Tuple[Pair, ...]]]]:
         """One document's pair set as per-shard ``(timestamp, pairs)`` events.
 
         Only shards that own at least one of the pairs get an event.

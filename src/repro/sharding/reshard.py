@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional, Sequence
 
-from repro.core.types import TagPair
+from repro.core.types import canonical_pair
 from repro.persistence.snapshot import (
     SnapshotMismatchError,
     require_state,
@@ -97,7 +97,8 @@ def reshard_worker_states(
     partitioner = PairPartitioner(num_shards)
 
     def owner(pair_state: Sequence[str]) -> int:
-        return partitioner.shard_of(TagPair(str(pair_state[0]), str(pair_state[1])))
+        return partitioner.shard_of(
+            canonical_pair(str(pair_state[0]), str(pair_state[1])))
 
     latests = [
         tracker["latest"] for tracker in trackers

@@ -27,12 +27,12 @@ from repro.core.config import EnBlogueConfig
 from repro.core.engine import make_shift_detector, make_tracker
 from repro.core.ranking import RankingBuilder
 from repro.core.shift import ShiftScore
-from repro.core.types import EmergentTopic, TagPair
+from repro.core.types import EmergentTopic, Pair
 from repro.core.vectorized import make_fused_evaluator
 from repro.persistence.snapshot import require_compatible, require_state
 
 #: One pair-restricted document event: ``(timestamp, pairs-of-this-shard)``.
-ShardEvent = Tuple[float, Tuple[TagPair, ...]]
+ShardEvent = Tuple[float, Tuple[Pair, ...]]
 
 
 class ShardWorker:

@@ -413,10 +413,11 @@ class TestCountHistoryBound:
 
 class TestDecomposerMissPath:
     def test_pairs_are_the_validated_constructors_pairs(self):
-        # The miss path builds its pairs without TagPair's re-validation;
-        # what it builds must be what the constructor would have built.
+        # The miss path builds its pairs without canonical_pair's
+        # validation; what it builds must be what the validating
+        # constructors would have built, as plain tuples.
         from repro.core.tracker import DocumentDecomposer
-        from repro.core.types import TagPair
+        from repro.core.types import TagPair, canonical_pair
 
         decomposer = DocumentDecomposer()
         cases = [
@@ -436,9 +437,12 @@ class TestDecomposerMissPath:
                 for j in range(i + 1, len(ordered))
             )
             assert pairs == expected
-            assert all(type(pair) is TagPair for pair in pairs)
-            assert [(pair.first, pair.second) for pair in pairs] == [
-                tuple(pair) for pair in expected
+            assert all(type(pair) is tuple for pair in pairs)
+            assert all(type(tag) is str for pair in pairs for tag in pair)
+            assert [(pair.first, pair.second) for pair in expected] \
+                == list(pairs)
+            assert list(pairs) == [
+                canonical_pair(second, first) for first, second in pairs
             ]
 
 
@@ -478,6 +482,27 @@ class TestDecomposerMissPath:
 
 
 class TestDecomposerEviction:
+    def test_a_set_is_kept_on_its_second_sighting(self):
+        from repro.core.tracker import DocumentDecomposer
+
+        decomposer = DocumentDecomposer()
+        tags = frozenset({"b", "a", "c"})
+        first = decomposer.decompose(tags)
+        assert tags not in decomposer._cache
+        assert decomposer._probation[tags] is first
+        second = decomposer.decompose(tags)
+        assert second is first
+        assert decomposer._cache == {tags: first}
+        assert decomposer._probation == {}
+        assert decomposer.decompose(tags) is first
+        # With entities the key is the (tags, entities) pair.
+        entities = frozenset({"d"})
+        with_entities = decomposer.decompose(tags, entities)
+        assert decomposer.decompose(tags, entities) is with_entities
+        assert (tags, entities) in decomposer._cache
+        assert with_entities[0] == ("a", "b", "c", "d")
+        decomposer.check_invariants()
+
     def test_memo_never_exceeds_the_limit(self):
         from repro.core.tracker import (
             _DECOMPOSE_CACHE_LIMIT,
@@ -487,11 +512,31 @@ class TestDecomposerEviction:
 
         decomposer = DocumentDecomposer()
         for index in range(_DECOMPOSE_CACHE_LIMIT + 100):
-            decomposer.decompose(frozenset({f"tag-{index}", "anchor"}))
+            tags = frozenset({f"tag-{index}", "anchor"})
+            decomposer.decompose(tags)
+            decomposer.decompose(tags)
             assert len(decomposer._cache) <= _DECOMPOSE_CACHE_LIMIT
+            assert len(decomposer._probation) <= _DECOMPOSE_EVICT_BATCH
         # Partial eviction: a churn spike drops one batch, not the memo.
         assert len(decomposer._cache) \
             >= _DECOMPOSE_CACHE_LIMIT - _DECOMPOSE_EVICT_BATCH
+        decomposer.check_invariants()
+
+    def test_probation_never_exceeds_its_bound(self):
+        from repro.core.tracker import (
+            _DECOMPOSE_EVICT_BATCH,
+            DocumentDecomposer,
+        )
+
+        decomposer = DocumentDecomposer()
+        # One-off tag sets: none is ever admitted, and probation is
+        # cleared whole each time it fills.
+        for index in range(2 * _DECOMPOSE_EVICT_BATCH + 5):
+            decomposer.decompose(frozenset({f"once-{index}", "anchor"}))
+            assert len(decomposer._probation) <= _DECOMPOSE_EVICT_BATCH
+        assert decomposer._cache == {}
+        assert len(decomposer._probation) == 5
+        decomposer.check_invariants()
 
     def test_eviction_is_fifo_and_keeps_recent_entries(self):
         from repro.core.tracker import (
@@ -501,12 +546,14 @@ class TestDecomposerEviction:
 
         decomposer = DocumentDecomposer()
         oldest = frozenset({"tag-0", "anchor"})
-        newest = frozenset({f"tag-{_DECOMPOSE_CACHE_LIMIT - 1}", "anchor"})
+        newest = frozenset({f"tag-{_DECOMPOSE_CACHE_LIMIT}", "anchor"})
         for index in range(_DECOMPOSE_CACHE_LIMIT + 1):
-            decomposer.decompose(frozenset({f"tag-{index}", "anchor"}))
+            tags = frozenset({f"tag-{index}", "anchor"})
+            decomposer.decompose(tags)
+            decomposer.decompose(tags)
         cache = decomposer._cache
-        assert (oldest, frozenset()) not in cache
-        assert (newest, frozenset()) in cache
+        assert oldest not in cache
+        assert newest in cache
 
     def test_wide_tag_sets_are_decomposed_but_not_kept(self):
         from repro.core.tracker import (
@@ -518,10 +565,12 @@ class TestDecomposerEviction:
         at_limit = frozenset(f"t{i:02d}" for i in range(_DECOMPOSE_CACHE_WIDTH))
         too_wide = at_limit | {"one-more"}
         for tags in (at_limit, too_wide, frozenset(f"w{i}" for i in range(400))):
-            ordered, pairs = decomposer.decompose(tags)
-            assert (ordered, pairs) == decomposer.decompose(sorted(tags))
-            assert len(pairs) == len(tags) * (len(tags) - 1) // 2
-        assert list(decomposer._cache) == [(at_limit, frozenset())]
+            for _ in range(2):
+                ordered, pairs = decomposer.decompose(tags)
+                assert (ordered, pairs) == decomposer.decompose(sorted(tags))
+                assert len(pairs) == len(tags) * (len(tags) - 1) // 2
+        assert list(decomposer._cache) == [at_limit]
+        assert decomposer._probation == {}
         decomposer.check_invariants()
 
     def test_route_runs_on_a_miss_only_and_replaces_the_pairs(self):
@@ -538,7 +587,11 @@ class TestDecomposerEviction:
         first = decomposer.decompose(tags)
         assert first == (("a", "b", "c"),
                          ((("a", "b"), ("b", "c")), (("a", "c"),)))
-        assert decomposer.decompose(tags) == first
+        # The second sighting promotes what the first routed; the third
+        # is a memo hit.
+        assert decomposer.decompose(tags) is first
+        assert decomposer.decompose(tags) is first
+        assert tags in decomposer._cache
         assert len(calls) == 1
         decomposer.check_invariants()
         # An unmemoised shape is routed every time.
@@ -546,19 +599,28 @@ class TestDecomposerEviction:
         decomposer.decompose(["a", "b"])
         assert len(calls) == 3
 
-    def test_eviction_does_not_change_results(self):
-        from repro.core.tracker import DocumentDecomposer
+    def test_eviction_does_not_change_results(self, monkeypatch):
         import repro.core.tracker as tracker_module
+        from repro.core.tracker import DocumentDecomposer
 
+        # Shrink both bounds so eviction and probation clears fire in a
+        # short loop.
+        monkeypatch.setattr(tracker_module, "_DECOMPOSE_CACHE_LIMIT", 16)
+        monkeypatch.setattr(tracker_module, "_DECOMPOSE_EVICT_BATCH", 4)
         decomposer = DocumentDecomposer()
-        anchor = frozenset({"b", "a", "c"})
-        expected = decomposer.decompose(anchor)
-        original_limit = tracker_module._DECOMPOSE_CACHE_LIMIT
-        # Shrink the limit so eviction actually fires in a short loop.
-        tracker_module._DECOMPOSE_CACHE_LIMIT = 16
-        try:
-            for index in range(64):
-                decomposer.decompose(frozenset({f"t{index}", "z"}))
-            assert decomposer.decompose(anchor) == expected
-        finally:
-            tracker_module._DECOMPOSE_CACHE_LIMIT = original_limit
+        # 40 recurring sets, each twice in a row, three rounds, with a
+        # one-off set after every pair of sightings.
+        tag_sets = [
+            tags
+            for round_ in range(3)
+            for index in range(40)
+            for tags in (frozenset({f"t{index}", f"u{index % 7}", "z"}),) * 2
+            + (frozenset({f"once-{round_}-{index}", "z"}),)
+        ]
+        for tags in tag_sets:
+            result = decomposer.decompose(tags)
+            assert result == DocumentDecomposer().decompose(tags)
+            assert len(decomposer._cache) <= 16
+            assert len(decomposer._probation) <= 4
+            decomposer.check_invariants()
+        assert decomposer._cache, "recurring sets were admitted"

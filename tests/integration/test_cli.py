@@ -119,6 +119,22 @@ class TestReplayCommand:
         assert f"runtime: engine=sharded backend={backend} shards=2" in output
         assert "evaluation_path=" in output
 
+    def test_years_sets_the_nyt_archive_length(self, capsys):
+        from repro.datasets.nyt import NytArchiveGenerator
+
+        counts = {}
+        for years in (0.05, 0.1):
+            exit_code = main(["replay", "--dataset", "nyt", "--years",
+                              str(years), "--top-k", "3"])
+            assert exit_code == 0
+            row = next(line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("enblogue"))
+            counts[years] = int(row.split("|")[1])
+            corpus, _ = NytArchiveGenerator(
+                years=years, articles_per_day=16, seed=19).generate()
+            assert counts[years] == len(list(corpus))
+        assert counts[0.05] < counts[0.1]
+
     def test_replay_quiet_omits_runtime_line(self, capsys):
         exit_code = main(["replay", "--dataset", "tweets", "--hours", "12",
                           "--seed", "7"])

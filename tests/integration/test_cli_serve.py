@@ -47,6 +47,42 @@ class TestServeParser:
         with pytest.raises(SystemExit, match="checkpoint-dir"):
             main(["serve", "--checkpoint-every", "2"])
 
+    @pytest.mark.parametrize("flags, preset, buffer_limit", [
+        pytest.param([], "live", 64, id="defaults"),
+        pytest.param(["--preset", "news", "--buffer-limit", "3"], "news", 3,
+                     id="news-3"),
+    ])
+    def test_preset_and_buffer_limit_reach_the_service(
+            self, monkeypatch, flags, preset, buffer_limit):
+        # A stand-in server receives the service serve built: the engine
+        # runs under the preset's configuration, and a subscriber's frame
+        # buffer is --buffer-limit.
+        import repro.serving
+        from repro.cli import main
+        from repro.core.config import live_stream_config, news_archive_config
+
+        class Served(Exception):
+            pass
+
+        seen = {}
+
+        class StandInServer:
+            def __init__(self, service, host, port):
+                self.service = service
+
+            async def start(self):
+                seen["config"] = self.service.engine.config
+                seen["buffer_limit"] = self.service.subscribe().buffer_limit
+                await self.service.stop()
+                raise Served
+
+        monkeypatch.setattr(repro.serving, "RankingServer", StandInServer)
+        with pytest.raises(Served):
+            main(["serve", "--port", "0", *flags])
+        expected = news_archive_config() if preset == "news" \
+            else live_stream_config()
+        assert seen == {"config": expected, "buffer_limit": buffer_limit}
+
     def test_resume_rejects_config_overrides(self):
         from repro.cli import main
 

@@ -38,10 +38,11 @@ def brute_force_candidates(tracker, seeds):
     for pair, count in tracker.candidate_index.items():
         if count < tracker.min_pair_support:
             continue
-        if pair.first in seed_set:
-            candidates.append((pair, pair.first))
-        elif pair.second in seed_set:
-            candidates.append((pair, pair.second))
+        first, second = pair
+        if first in seed_set:
+            candidates.append((pair, first))
+        elif second in seed_set:
+            candidates.append((pair, second))
     candidates.sort(key=lambda item: item[0])
     return candidates
 

@@ -90,8 +90,9 @@ class TestCountingConsistency:
         for pair in tracker.candidate_pairs(
                 [tag for tag, _ in tracker.tag_window.top_tags(10)]):
             tag_pair = pair[0]
-            assert index.tag_count(tag_pair.first, start, end) == tracker.tag_count(tag_pair.first)
-            assert index.pair_count(tag_pair.first, tag_pair.second, start, end) == \
+            first, second = tag_pair
+            assert index.tag_count(first, start, end) == tracker.tag_count(first)
+            assert index.pair_count(first, second, start, end) == \
                 tracker.pair_count(tag_pair)
 
     @settings(max_examples=30)

@@ -294,6 +294,7 @@ def test_memo_stays_within_its_entry_limit(make_engine, monkeypatch):
 
     def within_limit(engine):
         assert len(decomposer_of(engine)._cache) <= limit
+        assert len(decomposer_of(engine)._probation) <= 3
 
     rankings, entries = run_one_at_a_time(make_engine, documents, within_limit)
     assert 0 < entries <= limit

@@ -224,7 +224,8 @@ class TestEndpoints:
         # The ingest payload carries frozensets, the shape the tracker's
         # decomposition memo keys on: a tag set seen before is neither
         # normalised nor paired again, whatever order it is posted in —
-        # its documents get the very objects the first decomposition built.
+        # its documents get the very objects the first decomposition built,
+        # which waited in probation until the second sighting admitted them.
         def batch(start, flip):
             tag_sets = [["alpha", "beta"], ["beta", "gamma", "delta"]]
             return [
@@ -239,26 +240,30 @@ class TestEndpoints:
             await service.start()
             server = RankingServer(service, port=0)
             await server.start()
-            memo = engine.tracker._decomposer._cache
+            decomposer = engine.tracker._decomposer
             try:
                 status, _ = await http_request(
                     server.port, "POST", "/ingest", batch(0, flip=False))
                 assert status == 202
                 await service.drain()
-                first = dict(memo)
+                first = (dict(decomposer._cache), dict(decomposer._probation))
                 status, _ = await http_request(
                     server.port, "POST", "/ingest", batch(10, flip=True))
                 assert status == 202
                 await service.drain()
-                return first, dict(memo), engine
+                second = (dict(decomposer._cache), dict(decomposer._probation))
+                return first, second, engine
             finally:
                 await server.stop()
                 await service.stop()
 
         first, second, engine = asyncio.run(scenario())
         assert engine.documents_processed == 4
-        assert len(first) == 2, "one memo entry per new tag set"
-        assert second == first, "the re-posted tag sets were decomposed again"
+        (kept, parked), (admitted, left) = first, second
+        assert kept == {} and len(parked) == 2, \
+            "one probation entry per new tag set"
+        assert admitted == parked and left == {}, \
+            "the re-posted tag sets were decomposed again"
         tag_events = list(engine.tracker.tag_window._events)
         pair_events = list(engine.tracker._pair_events)
         for reposted, original in ((2, 0), (3, 1)):

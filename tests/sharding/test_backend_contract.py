@@ -161,6 +161,62 @@ class TestStickyFailure:
         assert_pool_is_gone(backend)
 
 
+class FailingEvaluate(ShardWorker):
+    """A worker whose evaluation raises, worker-side."""
+
+    def evaluate(self, timestamp, seeds, tag_counts, total):
+        raise RuntimeError("evaluation blew up")
+
+
+def failure_counts(observability):
+    """``{family: {shard: value}}`` of the three shard failure counters."""
+    counts = {}
+    for family_name in ("repro_sharding_ingest_failures_total",
+                        "repro_sharding_worker_failures_total",
+                        "repro_sharding_dead_workers_total"):
+        family = observability.registry.get(family_name)
+        counts[family_name] = {} if family is None else {
+            dict(key)["shard"]: child.value for key, child in family.samples()
+        }
+    return counts
+
+
+class TestFailureCounters:
+    """A worker-side failure lands once in its kind's counter, under the
+    shard that failed, and in no other counter."""
+
+    def test_an_ingest_exception_counts_one_ingest_failure(self, start):
+        observability = Observability()
+        backend = start(shards=2, observability=observability)
+        backend.ingest([chunk(10, "a", "b"), chunk(10, "c", "d")])
+        backend.ingest([[], chunk(5, "c", "e")])  # out of order on shard 1
+        with pytest.raises(ShardExecutionError,
+                           match="shard 1 failed during evaluate"):
+            backend.evaluate(12.0, ["a"], {"a": 1, "b": 1}, 1)
+        assert failure_counts(observability) == {
+            "repro_sharding_ingest_failures_total": {"1": 1},
+            "repro_sharding_worker_failures_total": {},
+            "repro_sharding_dead_workers_total": {},
+        }
+        assert_pool_is_gone(backend)
+
+    def test_an_evaluate_exception_counts_one_worker_failure(self, start):
+        observability = Observability()
+        backend = start(shards=2, observability=observability,
+                        worker=FailingEvaluate)
+        backend.ingest([chunk(10, "a", "b"), chunk(10, "c", "d")])
+        with pytest.raises(ShardExecutionError,
+                           match="shard 0 failed during evaluate") as excinfo:
+            backend.evaluate(12.0, ["a"], {"a": 1, "b": 1}, 1)
+        assert "evaluation blew up" in str(excinfo.value)
+        assert failure_counts(observability) == {
+            "repro_sharding_ingest_failures_total": {},
+            "repro_sharding_worker_failures_total": {"0": 1},
+            "repro_sharding_dead_workers_total": {},
+        }
+        assert_pool_is_gone(backend)
+
+
 class TestInjectedFailures:
     def test_failed_send_leaves_no_live_worker(self, start):
         backend = start(plan=FaultPlan().fail_dispatch(
