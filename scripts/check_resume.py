@@ -8,9 +8,11 @@ uninterrupted run, ``RESUMED`` from ``replay --resume`` of a checkpoint
 taken part-way through the same stream.  The resumed rankings must equal
 the last rankings of the full run exactly.  With ``--journal`` the
 checkpoint directory must also hold delta segments, so a cadence that
-silently wrote full checkpoints only does not pass for a journal test,
-and its base files must hold no table restore derives: a tracker state
-carries neither ``pair_events`` nor ``candidates``.
+silently wrote full checkpoints only does not pass for a journal test.
+Its base files must hold no table restore derives: a tracker state
+carries neither ``pair_events`` nor ``candidates``.  And they must spell
+no tag name in place: a tag window's events and a tracker's histories
+refer to their component's ``tags`` table by position.
 """
 
 import argparse
@@ -18,8 +20,18 @@ import json
 from pathlib import Path
 
 
+def holds_text(node) -> bool:
+    """Whether a decoded JSON value holds a string anywhere."""
+    if isinstance(node, str):
+        return True
+    if isinstance(node, list):
+        return any(map(holds_text, node))
+    return False
+
+
 def check_bases(directory: Path) -> None:
-    """Fail on a base file whose tracker holds a derived table."""
+    """Fail on a base file whose tracker holds a derived table, or whose
+    tag window or histories spell a tag name in place."""
     bases = {path: json.loads(path.read_text())
              for path in sorted(directory.glob("*.json"))
              if path.name != "MANIFEST.json"}
@@ -31,7 +43,22 @@ def check_bases(directory: Path) -> None:
                 f"{path} is a base that still holds the "
                 f"derived table(s) {', '.join(derived)}"
             )
-    print(f"{len(bases)} base file(s) hold no derived table")
+    for path, state in bases.items():
+        tracker = state.get("tracker", {})
+        spelled = sorted({
+            name for name, rows in (
+                ("tag window", state.get("tag_window", {}).get("events")),
+                ("tag window", tracker.get("tag_window", {}).get("events")),
+                ("histories", tracker.get("histories")),
+            ) if holds_text(rows)
+        })
+        if spelled:
+            raise SystemExit(
+                f"{path} is a base that spells tag names in place in its "
+                f"{' and '.join(spelled)}"
+            )
+    print(f"{len(bases)} base file(s) hold no derived table and spell no "
+          f"tag in place")
 
 
 def main() -> None:

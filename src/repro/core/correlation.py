@@ -185,7 +185,10 @@ class KlDivergenceCorrelation(CorrelationMeasure):
     def _symmetric_kl(
         self, usage_a: Mapping[str, int], usage_b: Mapping[str, int]
     ) -> float:
-        vocabulary = set(usage_a) | set(usage_b)
+        # Sorted: the sums must not follow a set's iteration order, which
+        # depends on the hash seed and on the order the counters were
+        # filled in, so a restored tracker would round differently.
+        vocabulary = sorted(usage_a.keys() | usage_b.keys())
         if not vocabulary:
             return 0.0
         p = self._smooth(usage_a, vocabulary)
@@ -194,7 +197,9 @@ class KlDivergenceCorrelation(CorrelationMeasure):
         kl_qp = sum(q[t] * math.log(q[t] / p[t]) for t in vocabulary)
         return 0.5 * (kl_pq + kl_qp)
 
-    def _smooth(self, usage: Mapping[str, int], vocabulary: set) -> Dict[str, float]:
+    def _smooth(
+        self, usage: Mapping[str, int], vocabulary: List[str]
+    ) -> Dict[str, float]:
         total = sum(usage.get(t, 0) for t in vocabulary) + self.smoothing * len(vocabulary)
         return {
             t: (usage.get(t, 0) + self.smoothing) / total for t in vocabulary

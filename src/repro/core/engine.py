@@ -34,7 +34,8 @@ from repro.entity.tagger import EntityTagger
 from repro.observability import NOOP, Observability
 from repro.persistence.codec import (
     optional_float,
-    ranking_from_state,
+    ranking_history_from_state,
+    ranking_history_state,
     ranking_to_state,
 )
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
@@ -529,7 +530,7 @@ class DetectionEngineBase:
             "documents_processed": self._documents_processed,
             "current_seeds": list(self._current_seeds),
             "next_evaluation": self._next_evaluation,
-            "rankings": [ranking_to_state(r) for r in self._rankings],
+            "rankings": ranking_history_state(self._rankings),
         }
 
     def _restore_base(self, state: Mapping) -> None:
@@ -554,7 +555,7 @@ class DetectionEngineBase:
         self._documents_processed = int(state["documents_processed"])
         self._current_seeds = [str(seed) for seed in state["current_seeds"]]
         self._next_evaluation = optional_float(state["next_evaluation"])
-        self._rankings = [ranking_from_state(r) for r in state["rankings"]]
+        self._rankings = ranking_history_from_state(state["rankings"])
         # A restore invalidates any recorded-but-undrained delta chain.
         self._stop_delta_tracking()
 
@@ -655,7 +656,7 @@ class EnBlogue(DetectionEngineBase):
         """
         return {
             "kind": self.SNAPSHOT_KIND,
-            "version": 1,
+            "version": 2,
             **self._base_snapshot(),
             "tracker": self.tracker.snapshot(),
             "detector": self.detector.snapshot(),
@@ -669,7 +670,7 @@ class EnBlogue(DetectionEngineBase):
         was taken under (:func:`~repro.persistence.resume.load_engine`
         rebuilds it from the checkpoint manifest automatically).
         """
-        require_state(state, self.SNAPSHOT_KIND, 1)
+        require_state(state, self.SNAPSHOT_KIND, 2)
         self._restore_base(state)
         self.tracker.restore(state["tracker"])
         self.detector.restore(state["detector"])

@@ -95,56 +95,52 @@ class RankingBuilder:
             "min_score": self.min_score,
         }
 
-    def collect_topics(
-        self,
-        timestamp: float,
-        shift_scores: Iterable[ShiftScore],
-        detector: Optional[ShiftDetector] = None,
-    ) -> Dict[Pair, EmergentTopic]:
-        """Every topic competing at ``timestamp``, keyed by pair (unordered).
-
-        ``shift_scores`` are the freshly scored observations; when
-        ``detector`` is given, pairs it has scored in the past but that are
-        absent from the current observations compete with their decayed
-        scores, so a strong recent topic does not vanish the moment its
-        correlation stops growing.  Shared by :meth:`build` and the sharded
-        engine's per-shard scoring, so both paths admit exactly the same
-        topics.
-        """
-        topics: Dict[Pair, EmergentTopic] = {}
-        for shift in shift_scores:
-            if shift.score <= self.min_score:
-                continue
-            topics[shift.pair] = EmergentTopic(
-                pair=shift.pair,
-                score=shift.score,
-                correlation=shift.correlation,
-                predicted_correlation=shift.predicted,
-                prediction_error=shift.error,
-                seed_tag=shift.seed_tag,
-                timestamp=timestamp,
-            )
-        if detector is not None:
-            for pair in detector.scored_pairs():
-                if pair in topics:
-                    continue
-                score = detector.score_at(pair, timestamp)
-                if score <= self.min_score:
-                    continue
-                topics[pair] = EmergentTopic(
-                    pair=pair, score=score, timestamp=timestamp,
-                )
-        return topics
-
     def top_topics(
         self,
         timestamp: float,
         shift_scores: Iterable[ShiftScore],
         detector: Optional[ShiftDetector] = None,
     ) -> List[EmergentTopic]:
-        """The top-k competing topics in :func:`topic_sort_key` order."""
-        topics = self.collect_topics(timestamp, shift_scores, detector)
-        return sorted(topics.values(), key=topic_sort_key)[: self.top_k]
+        """The top-k competing topics in :func:`topic_sort_key` order.
+
+        ``shift_scores`` are the freshly scored observations; when
+        ``detector`` is given, pairs it has scored in the past but that are
+        absent from the current observations compete with their decayed
+        scores, so a strong recent topic does not vanish the moment its
+        correlation stops growing.  Only scores above ``min_score``
+        compete.  The top k are picked by ``(-score, pair)`` first, and
+        only they become :class:`EmergentTopic` objects.  The one rule of
+        the single engine and the sharded engine's per-shard scoring, so
+        both paths admit exactly the same topics.
+        """
+        min_score = self.min_score
+        fresh: Dict[Pair, ShiftScore] = {
+            shift.pair: shift for shift in shift_scores
+            if shift.score > min_score
+        }
+        competing = [(-shift.score, pair) for pair, shift in fresh.items()]
+        if detector is not None:
+            for pair, maximum in detector.score_map.items():
+                if pair in fresh:
+                    continue
+                score = maximum.value_at(timestamp)
+                if score > min_score:
+                    competing.append((-score, pair))
+        topics: List[EmergentTopic] = []
+        for negated, pair in heapq.nsmallest(self.top_k, competing):
+            shift = fresh.get(pair)
+            topics.append(EmergentTopic(
+                pair=pair, score=-negated, timestamp=timestamp,
+            ) if shift is None else EmergentTopic(
+                pair=pair,
+                score=shift.score,
+                correlation=shift.correlation,
+                predicted_correlation=shift.predicted,
+                prediction_error=shift.error,
+                seed_tag=shift.seed_tag,
+                timestamp=timestamp,
+            ))
+        return topics
 
     def build(
         self,

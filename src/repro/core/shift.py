@@ -14,12 +14,19 @@ approximately 2 days."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple,
+)
 
 from repro.core.tracker import PairObservation
 from repro.core.types import Pair, canonical_pair
-from repro.persistence.codec import intern_rows
-from repro.persistence.snapshot import require_compatible, require_state
+from repro.persistence.codec import index_table, intern_rows
+from repro.persistence.snapshot import (
+    SnapshotCorruptionError, require_compatible, require_state,
+)
 from repro.timeseries.predictors import MovingAveragePredictor, Predictor
 from repro.windows.decay import DecayedMaximum, ExponentialDecay
 
@@ -43,6 +50,59 @@ class ShiftScore:
     def __post_init__(self) -> None:
         if self.error < 0 or self.score < 0:
             raise ValueError("errors and scores are non-negative")
+
+
+def scores_state(
+    rows: Iterable[Tuple[str, str, float, Optional[float]]],
+) -> dict:
+    """``tags``, ``times`` and ``scores`` of ``(first, second, value,
+    last_update)`` decayed-maximum rows, in their order.
+
+    A row becomes ``[first, second, value, time_position]``: the tags are
+    positions into ``tags`` and the last update into ``times`` (null when
+    there is none), each table in first-seen order.  The one encoder of
+    the scores: the detector, the journal fold and the re-sharding all
+    write through it, so equal scores encode to equal bytes.
+    """
+    rows = list(rows)
+    tag_at, tags = index_table(
+        chain.from_iterable(map(itemgetter(0, 1), rows))
+    )
+    time_at, times = index_table(
+        filter(_is_not_none, map(itemgetter(3), rows))
+    )
+    return {
+        "tags": tags,
+        "times": times,
+        "scores": [
+            [tag_at[first], tag_at[second], value,
+             None if last_update is None else time_at[last_update]]
+            for first, second, value, last_update in rows
+        ],
+    }
+
+
+def _is_not_none(value: object) -> bool:
+    return value is not None
+
+
+def scores_from_state(
+    state: Mapping,
+) -> List[Tuple[str, str, float, Optional[float]]]:
+    """The ``(first, second, value, last_update)`` rows of a
+    :func:`scores_state` dict (a detector state holds its keys)."""
+    try:
+        tags = [str(tag) for tag in state["tags"]]
+        times = [float(time) for time in state["times"]]
+        return [
+            (tags[first], tags[second], float(value),
+             None if position is None else times[position])
+            for first, second, value, position in state["scores"]
+        ]
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptionError(
+            f"malformed shift score state: {exc}"
+        ) from exc
 
 
 class ShiftDetector:
@@ -247,24 +307,25 @@ class ShiftDetector:
 
         The predictor itself is stateless between evaluations (it reads the
         tracker-owned histories), so the per-pair ``(value, last_update)``
-        pairs are the detector's whole state.
+        pairs are the detector's whole state, written through
+        :func:`scores_state`.
         """
         return {
             "kind": "shift-detector",
-            "version": 1,
+            "version": 2,
             "min_history": self.min_history,
             "penalize_drops": self.penalize_drops,
             "decay_half_life": self.decay.half_life,
-            "scores": [
-                [first, second, *maximum.state()]
+            **scores_state(
+                (first, second, *maximum.state())
                 for (first, second), maximum
                 in sorted(self._synced_scores().items())
-            ],
+            ),
         }
 
     def restore(self, state: Mapping) -> None:
         """Replace the per-pair scores with a :meth:`snapshot`'s state."""
-        require_state(state, "shift-detector", 1)
+        require_state(state, "shift-detector", 2)
         require_compatible(
             "shift-detector",
             {
@@ -275,10 +336,10 @@ class ShiftDetector:
             state,
         )
         scores: Dict[Pair, DecayedMaximum] = {}
-        for first, second, value, last_update in state["scores"]:
+        for first, second, value, last_update in scores_from_state(state):
             maximum = DecayedMaximum(self.decay)
             maximum.restore_state(value, last_update)
-            scores[canonical_pair(str(first), str(second))] = maximum
+            scores[canonical_pair(first, second)] = maximum
         if self._evaluator is not None:
             # Rows not yet folded into the dict describe the pre-restore
             # state: dropped, not flushed.

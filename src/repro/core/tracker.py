@@ -38,7 +38,9 @@ from repro.core.candidates import CandidateIndex
 from repro.core.correlation import CorrelationMeasure, JaccardCorrelation, PairCounts
 from repro.core.types import Pair, canonical_pair, normalize_tags
 from repro.persistence.codec import index_table, intern_rows
-from repro.persistence.snapshot import require_compatible, require_state
+from repro.persistence.snapshot import (
+    SnapshotCorruptionError, require_compatible, require_state,
+)
 from repro.windows.aggregates import TagFrequencyWindow, record_count_history
 from repro.windows.timeseries import TimeSeries
 
@@ -220,6 +222,70 @@ class DocumentDecomposer:
                     f"memo entry for {ordered!r} holds {pairs!r}, not the "
                     "pairs of its tags"
                 )
+
+
+def usage_update(
+    ordered: Tuple[str, ...]
+) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+    """A document's co-tag usage update: each of its ordered tags with
+    the others, the one rule behind the usage events and their rebuild."""
+    return tuple(
+        (tag, tuple(t for t in ordered if t != tag)) for tag in ordered
+    )
+
+
+def histories_state(
+    rows: Iterable[Tuple[str, str, Iterable[float], Iterable[float]]],
+) -> dict:
+    """``tags``, ``times`` and ``histories`` of ``(first, second,
+    timestamps, values)`` correlation-history rows, in their order.
+
+    A row becomes ``[first, second, time_positions, values]``: the tags
+    are positions into ``tags`` and the sample timestamps into ``times``,
+    each table in first-seen order, so a tag or an evaluation time is
+    spelled once however many series hold it.  Every series is a ring
+    bounded to the tracker's ``history_length``, which the tracker state
+    carries once.  The one encoder of the histories: the tracker, the
+    journal fold and the re-sharding all write through it, so equal
+    histories encode to equal bytes.
+    """
+    rows = list(rows)
+    tag_at, tags = index_table(
+        chain.from_iterable(map(itemgetter(0, 1), rows))
+    )
+    time_at, times = index_table(
+        chain.from_iterable(map(itemgetter(2), rows))
+    )
+    time_position = time_at.__getitem__
+    return {
+        "tags": tags,
+        "times": times,
+        "histories": [
+            [tag_at[first], tag_at[second],
+             list(map(time_position, timestamps)), list(values)]
+            for first, second, timestamps, values in rows
+        ],
+    }
+
+
+def histories_from_state(
+    state: Mapping,
+) -> List[Tuple[str, str, List[float], List[float]]]:
+    """The ``(first, second, timestamps, values)`` rows of a
+    :func:`histories_state` dict (a tracker state holds its keys)."""
+    try:
+        tags = [str(tag) for tag in state["tags"]]
+        times = [float(time) for time in state["times"]]
+        time_of = times.__getitem__
+        return [
+            (tags[first], tags[second], list(map(time_of, positions)),
+             list(map(float, values)))
+            for first, second, positions, values in state["histories"]
+        ]
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptionError(
+            f"malformed correlation history state: {exc}"
+        ) from exc
 
 
 #: Journal event kind of a document's ordered tag set (its pair list and
@@ -679,16 +745,18 @@ class CorrelationTracker:
     def snapshot(self) -> dict:
         """What restore cannot derive, as a versioned, JSON-safe dict.
 
-        The tag window, the co-tag usage events, the per-pair correlation
-        histories, the count history and ``min_support``, so a restored
-        tracker continues bit-identically.  The pair events go in only
-        where they are not the tag window's decomposition: fed pair events
-        (a shard worker).  The candidate counts and the decomposition memo
-        are always rebuilt.
+        The tag window, the per-pair correlation histories (through
+        :func:`histories_state`: each tag and sample timestamp once, in
+        ``tags`` and ``times``), the count history and ``min_support``, so
+        a restored tracker continues bit-identically.  The pair events go
+        in only where they are not the tag window's decomposition: fed
+        pair events (a shard worker).  The candidate counts, the co-tag
+        usage events (each the usage update of the tag-window event at the
+        same position) and the decomposition memo are always rebuilt.
         """
         state = {
             "kind": "correlation-tracker",
-            "version": 2,
+            "version": 3,
             "window_horizon": self.window_horizon,
             "history_length": self.history_length,
             "use_entities": self.use_entities,
@@ -697,15 +765,11 @@ class CorrelationTracker:
             "latest": self._latest,
             "tag_window": self._tag_window.state_dict(),
             "min_support": self._candidates.min_support,
-            "usage_events": [
-                [timestamp, [[tag, list(cotags)] for tag, cotags in update]]
-                for timestamp, update in self._usage_events
-            ],
-            "histories": [
-                [first, second, series.snapshot()]
+            **histories_state(
+                (first, second, series.timestamps, series.values)
                 for (first, second), series
                 in sorted(self._synced_histories().items())
-            ],
+            ),
             "count_history": {
                 tag: list(values) for tag, values in self._count_history.items()
             },
@@ -724,14 +788,14 @@ class CorrelationTracker:
         (window horizon, history length, entity/usage switches) as the one
         that took the snapshot; mismatches raise
         :class:`~repro.persistence.snapshot.SnapshotMismatchError` before
-        any state is touched.  Pair events the snapshot leaves out are
-        derived from the restored tag window; the candidate counts are
-        rebuilt from the pair events and the usage counters from the usage
-        events, so restored eviction arithmetic is exact.  (A version-1
-        snapshot is brought to version 2 by
+        any state is touched.  Pair events the snapshot leaves out and the
+        usage events are derived from the restored tag window; the
+        candidate counts are rebuilt from the pair events and the usage
+        counters from the usage events, so restored eviction arithmetic is
+        exact.  (An older snapshot is brought to version 3 by
         :func:`repro.persistence.delta.upgrade_engine_state` first.)
         """
-        require_state(state, "correlation-tracker", 2)
+        require_state(state, "correlation-tracker", 3)
         require_compatible(
             "correlation-tracker",
             {
@@ -742,6 +806,7 @@ class CorrelationTracker:
             },
             state,
         )
+        histories = histories_from_state(state)
         self._tag_window.restore_state(state["tag_window"])
         pair_events = state.get("pair_events")
         self._pair_fed = pair_events is not None
@@ -757,11 +822,9 @@ class CorrelationTracker:
             Counter(chain.from_iterable(map(itemgetter(1), self._pair_events))),
         )
         self._usage_events = deque(
-            (float(timestamp), tuple(
-                (str(tag), tuple(map(str, cotags))) for tag, cotags in update
-            ))
-            for timestamp, update in state["usage_events"]
-        )
+            (timestamp, usage_update(ordered))
+            for timestamp, ordered in self._tag_window.events
+        ) if self.track_usage else deque()
         self._usage = {}
         for _, update in self._usage_events:
             for tag, cotags in update:
@@ -770,9 +833,12 @@ class CorrelationTracker:
             # Rows not yet folded into the dict describe the pre-restore
             # state: dropped, not flushed.
             self._evaluator.discard_histories()
+        maxlen = self.history_length
         self._histories = {
-            canonical_pair(str(a), str(b)): TimeSeries.from_snapshot(series)
-            for a, b, series in state["histories"]
+            canonical_pair(first, second): TimeSeries.from_points(
+                timestamps, values, maxlen=maxlen
+            )
+            for first, second, timestamps, values in histories
         }
         # A tracker that keeps no count history drops a restored one (a
         # checkpoint written when every engine recorded it), so its next
@@ -825,6 +891,14 @@ class CorrelationTracker:
                             f"or before the window's cutoff {cutoff} "
                             f"(latest {self._latest})"
                         )
+        expected_usage = [
+            (stamp, usage_update(tags)) for stamp, tags in self._tag_window.events
+        ] if self.track_usage else []
+        if list(self._usage_events) != expected_usage:
+            raise AssertionError(
+                "the usage events are not the usage updates of the tag "
+                "window's events"
+            )
         if not self._pair_fed:
             for (timestamp, pairs), (stamp, tags) in zip_longest(
                     self._pair_events, self._tag_window.events,
@@ -917,14 +991,12 @@ class CorrelationTracker:
 
     def _record_usage(self, timestamp: float, ordered: Tuple[str, ...]) -> None:
         """Update the windowed co-tag usage distributions for one document."""
-        usage_update = tuple(
-            (tag, tuple(t for t in ordered if t != tag)) for tag in ordered
-        )
-        self._usage_events.append((timestamp, usage_update))
+        update = usage_update(ordered)
+        self._usage_events.append((timestamp, update))
         if self._delta is not None:
-            self._delta.usage_events.append((timestamp, usage_update))
+            self._delta.usage_events.append((timestamp, update))
         usage = self._usage
-        for tag, cotags in usage_update:
+        for tag, cotags in update:
             counter = usage.get(tag)
             if counter is None:
                 counter = usage[tag] = Counter()

@@ -16,10 +16,16 @@ Two rules make the fold exact without shipping the whole window:
   ``latest``, dropping expired events from the merged list reproduces the
   live deque bit for bit (intermediate evictions with earlier ``now``
   values are subsumed by the final cutoff).
-* **Derived state is not folded.**  A state holds no candidate table and
-  no pair events: restore derives both from the tag window, and no delta
-  ships a pair event.  :func:`upgrade_engine_state` drops the derived
-  tables a version-1 base still wrote.
+* **Derived state is not folded.**  A state holds no candidate table, no
+  pair events and no usage events: restore derives them from the tag
+  window, and the usage events a delta still ships are skipped.
+  :func:`upgrade_engine_state` drops the derived tables an older base
+  still wrote.
+
+A component's state spells each tag and sample timestamp once, in its
+own tables.  A fold decodes the base through the component's decoder,
+folds the named rows, and re-encodes through the encoder ``snapshot()``
+itself writes with, so a folded state equals a live one byte for byte.
 
 Apply functions treat their inputs as consumable and may mutate/alias
 them; callers needing the originals must copy first (the store's reader
@@ -29,11 +35,20 @@ owns its freshly decoded dicts, which is the intended call site).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.tracker import _DELTA_DOC
+from repro.core.shift import scores_from_state, scores_state
+from repro.core.tracker import (
+    _DELTA_DOC, histories_from_state, histories_state,
+)
+from repro.persistence.codec import (
+    names, ranking_from_state, ranking_history_from_state,
+    ranking_history_state,
+)
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
-from repro.windows.aggregates import record_count_history
+from repro.windows.aggregates import (
+    record_count_history, window_events, window_state,
+)
 
 #: The sketch tier's configuration fields, which an older checkpoint's
 #: configuration may still carry.
@@ -51,33 +66,33 @@ def evict_events(events: List[list], latest, horizon: float) -> List[list]:
     return events[drop:] if drop else events
 
 
-def _merge_keyed(base: List[list], updates: List[list]) -> List[list]:
-    """Replace/extend per-pair table entries, re-emitting in snapshot order.
+def _merge_keyed(base: List[Sequence], updates: List[Sequence]) -> list:
+    """Replace/extend per-pair rows, re-emitting in snapshot order.
 
-    ``base`` and ``updates`` are lists of ``[first, second, ...]`` rows,
-    keyed by their canonical pair; the result is sorted exactly like the
+    ``base`` and ``updates`` are ``(first, second, ...)`` rows keyed by
+    their canonical pair; the result is sorted exactly like the
     components' ``snapshot()`` methods sort (canonical pairs order as
     their ``(first, second)`` tuples).
     """
-    table: Dict[Tuple, list] = {tuple(row[:2]): row for row in base}
+    table: Dict[Tuple, Sequence] = {tuple(row[:2]): row for row in base}
     for row in updates:
         table[tuple(row[:2])] = row
     return [table[key] for key in sorted(table)]
 
 
 def _merge_histories(
-    base: List[list], samples: List[list], history_length: int,
-) -> List[list]:
+    base: List[tuple], samples: List[list], history_length: int,
+) -> List[tuple]:
     """Extend per-pair correlation series with their delta points.
 
-    ``base`` rows are ``[first, second, series_snapshot]``; ``samples``
-    are ``[timestamp, pairs, values]``, one record per evaluation since
-    the base.  Extending each series in record order and re-trimming to
-    its ``maxlen`` reproduces the live ring bit for bit (a pair sampled
-    more often than its ring holds keeps the tail that survived); a new
-    pair starts an empty ring bounded to the tracker's ``history_length``.
+    ``base`` rows are ``(first, second, timestamps, values)``;
+    ``samples`` are ``[timestamp, pairs, values]``, one record per
+    evaluation since the base.  Extending each series in record order and
+    re-trimming to ``history_length`` reproduces the live ring bit for bit
+    (a pair sampled more often than its ring holds keeps the tail that
+    survived); a new pair starts an empty ring.
     """
-    table: Dict[Tuple[str, str], list] = {
+    table: Dict[Tuple[str, str], tuple] = {
         tuple(row[:2]): row for row in base
     }
     for timestamp, pairs, values in samples:
@@ -85,28 +100,20 @@ def _merge_histories(
             key = tuple(pair)
             row = table.get(key)
             if row is None:
-                row = table[key] = [key[0], key[1], {
-                    "kind": "timeseries",
-                    "version": 1,
-                    "maxlen": int(history_length),
-                    "timestamps": [],
-                    "values": [],
-                }]
-            series = row[2]
-            series["timestamps"].append(timestamp)
-            series["values"].append(value)
-    for row in table.values():
-        series = row[2]
-        maxlen = series.get("maxlen")
-        if maxlen is not None and len(series["timestamps"]) > int(maxlen):
-            series["timestamps"] = series["timestamps"][-int(maxlen):]
-            series["values"] = series["values"][-int(maxlen):]
-    return [table[key] for key in sorted(table)]
+                row = table[key] = (key[0], key[1], [], [])
+            row[2].append(timestamp)
+            row[3].append(value)
+    return [
+        (first, second, timestamps[-history_length:],
+         values[-history_length:])
+        for first, second, timestamps, values
+        in (table[key] for key in sorted(table))
+    ]
 
 
 def _named(tags: List[str], rows: List[list]) -> List[List[str]]:
     """``rows`` of positions into a delta's ``tags`` table, as tag names."""
-    return [[tags[position] for position in row] for row in rows]
+    return [names(tags, row) for row in rows]
 
 
 def _replay_count_rows(
@@ -123,6 +130,71 @@ def _replay_count_rows(
     return {tag: list(values) for tag, values in history.items()}
 
 
+def _fold_window(
+    window: Mapping[str, Any], events: List[Sequence], latest,
+) -> dict:
+    """A tag window state extended by ``(timestamp, tags)`` events and
+    evicted at its new ``latest``, re-encoded."""
+    horizon = window["horizon"]
+    merged = window_events(window)
+    merged.extend(events)
+    return window_state(
+        horizon, latest, evict_events(merged, latest, float(horizon))
+    )
+
+
+def _fold_rankings(state: dict, rankings: List[Mapping[str, Any]]) -> None:
+    """Append a delta's named rankings to the base's ranking history,
+    under the engine's ``max_ranking_history`` bound."""
+    history = ranking_history_from_state(state["rankings"])
+    history.extend(map(ranking_from_state, rankings))
+    limit = (state.get("config") or {}).get("max_ranking_history")
+    if limit is not None and len(history) > int(limit):
+        history = history[-int(limit):]
+    state["rankings"] = ranking_history_state(history)
+
+
+def _upgrade_window(window: dict) -> dict:
+    """A version-1 tag window (tags spelled per event) at version 2."""
+    if window.get("version") != 1:
+        return window
+    return window_state(window["horizon"], window["latest"], window["events"])
+
+
+def _upgrade_tracker(tracker: dict) -> None:
+    """Bring a tracker state to version 3, in place.
+
+    Version 1 loses its candidate table (for its ``min_support``) and its
+    pair events; version 2 its usage events, and its window and histories
+    are re-encoded with tables (a series' ``maxlen`` was the tracker's
+    ``history_length``).
+    """
+    if tracker.get("version") == 1:
+        tracker["version"] = 2
+        tracker["min_support"] = int(tracker.pop("candidates")["min_support"])
+        del tracker["pair_events"]
+    if tracker.get("version") != 2:
+        return
+    tracker["version"] = 3
+    tracker.pop("usage_events", None)
+    tracker["tag_window"] = _upgrade_window(tracker["tag_window"])
+    length = int(tracker["history_length"])
+    tracker.update(histories_state(
+        (first, second, series["timestamps"][-length:],
+         series["values"][-length:])
+        for first, second, series in tracker["histories"]
+    ))
+
+
+def _upgrade_detector(detector: dict) -> None:
+    """Bring a version-1 detector state (tags and times spelled per row)
+    to version 2, in place."""
+    if detector.get("version") != 1:
+        return
+    detector["version"] = 2
+    detector.update(scores_state(detector["scores"]))
+
+
 def upgrade_engine_state(state: dict) -> dict:
     """Bring an older engine state to the current layout, in place.
 
@@ -132,15 +204,16 @@ def upgrade_engine_state(state: dict) -> dict:
     tier.  Any other is refused with
     :class:`~repro.persistence.snapshot.SnapshotMismatchError`: the tier
     is gone, and its admitted pairs are not the exact engine's state.
-    Each version-1 tracker's candidate table gives way to its
-    ``min_support``, and its pair events go.  Any other state passes
-    through untouched.
+    A version-1 engine's named rankings become a ranking history with a
+    tag table, and its coordinator window (sharded) gets its tables; each
+    tracker is brought to version 3 and each detector to version 2 (see
+    :func:`_upgrade_tracker`).  Any other state passes through untouched.
     """
     kind = state.get("kind") if isinstance(state, Mapping) else None
     if kind == "enblogue":
-        trackers = [state.get("tracker")]
+        components = [state]
     elif kind == "sharded-enblogue":
-        trackers = [shard.get("tracker") for shard in state["shards"]]
+        components = state["shards"]
     else:
         return state
     config = state.get("config")
@@ -155,14 +228,20 @@ def upgrade_engine_state(state: dict) -> dict:
             )
         for name in _TIER_FIELDS:
             config.pop(name, None)
-    trackers = [
-        tracker for tracker in trackers
-        if isinstance(tracker, dict) and tracker.get("version") == 1
-    ]
-    for tracker in trackers:
-        tracker["version"] = 2
-        tracker["min_support"] = int(tracker.pop("candidates")["min_support"])
-        del tracker["pair_events"]
+    if state.get("version") == 1:
+        state["version"] = 2
+        state["rankings"] = ranking_history_state(
+            [ranking_from_state(ranking) for ranking in state["rankings"]]
+        )
+        if kind == "sharded-enblogue":
+            state["tag_window"] = _upgrade_window(state["tag_window"])
+    for component in components:
+        if not isinstance(component, dict):
+            continue
+        if isinstance(component.get("tracker"), dict):
+            _upgrade_tracker(component["tracker"])
+        if isinstance(component.get("detector"), dict):
+            _upgrade_detector(component["detector"])
     return state
 
 
@@ -170,29 +249,30 @@ def apply_tracker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """Fold a tracker delta onto a tracker snapshot dict.
 
     A document event in the delta names only its ordered tag set, which
-    extends the tag window; restore derives the document's pair events.
-    The pair events an older shard delta carries are skipped.
+    extends the tag window; restore derives the document's pair and usage
+    events.  The pair events an older shard delta carries, and the usage
+    events every delta carries, are skipped.
     """
-    require_state(state, "correlation-tracker", 2)
+    require_state(state, "correlation-tracker", 3)
     require_state(delta, "correlation-tracker-delta", (1, 2))
-    names = delta["tags"]
+    table = delta["tags"]
     if delta["version"] == 1:
         # Still folded — a stopped server always leaves a journal tick
-        # behind: tags and pairs spelled in place as positions in ``names``,
+        # behind: tags and pairs spelled in place as positions in ``tags``,
         # history points as ``[first, second, value]`` rows per timestamp.
         payloads = [
-            [names[position] for position in payload] if kind == _DELTA_DOC
-            else _named(names, payload)
+            names(table, payload) if kind == _DELTA_DOC
+            else _named(table, payload)
             for kind, _, payload in delta["events"]
         ]
         samples = [
-            [timestamp, _named(names, [row[:2] for row in rows]),
+            [timestamp, _named(table, [row[:2] for row in rows]),
              [row[2] for row in rows]]
             for timestamp, rows in delta["histories"]
         ]
     else:
-        tag_sets = _named(names, delta["tag_sets"])
-        pair_table = _named(names, delta["pairs"])
+        tag_sets = _named(table, delta["tag_sets"])
+        pair_table = _named(table, delta["pairs"])
         payloads = [
             list(tag_sets[payload]) if kind == _DELTA_DOC
             else [list(pair_table[position]) for position in payload]
@@ -203,34 +283,21 @@ def apply_tracker_delta(state: dict, delta: Mapping[str, Any]) -> dict:
              values]
             for timestamp, positions, values in delta["samples"]
         ]
-    horizon = float(state["window_horizon"])
     latest = delta["latest"]
-
-    window = state["tag_window"]
-    window_events = list(window["events"])
-    window_events.extend(
-        [timestamp, payload]
-        for (kind, timestamp, _), payload in zip(delta["events"], payloads)
-        if kind == _DELTA_DOC
+    state["tag_window"] = _fold_window(
+        state["tag_window"],
+        [(timestamp, payload)
+         for (kind, timestamp, _), payload in zip(delta["events"], payloads)
+         if kind == _DELTA_DOC],
+        delta["tag_window_latest"],
     )
     state["min_support"] = int(delta["min_support"])
-
-    usage = list(state["usage_events"])
-    usage.extend(delta["usage_events"])
-    state["usage_events"] = evict_events(usage, latest, horizon)
-
-    window_latest = delta["tag_window_latest"]
-    window["events"] = evict_events(
-        window_events, window_latest, float(window["horizon"])
-    )
-    window["latest"] = window_latest
-
-    state["histories"] = _merge_histories(
-        list(state["histories"]), samples, int(state["history_length"]),
-    )
+    history_length = int(state["history_length"])
+    state.update(histories_state(_merge_histories(
+        histories_from_state(state), samples, history_length,
+    )))
     state["count_history"] = _replay_count_rows(
-        state["count_history"], delta["count_rows"],
-        int(state["history_length"]),
+        state["count_history"], delta["count_rows"], history_length,
     )
     state["documents_seen"] = int(delta["documents_seen"])
     state["latest"] = latest
@@ -245,7 +312,7 @@ def apply_detector_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     ``last_updates`` columns (version 1: ``[first, second, value]`` rows
     grouped under their ``last_update``); the merge replaces entries.
     """
-    require_state(state, "shift-detector", 1)
+    require_state(state, "shift-detector", 2)
     require_state(delta, "shift-detector-delta", (1, 2))
     tags = delta["tags"]
     if delta["version"] == 1:
@@ -261,7 +328,9 @@ def apply_detector_delta(state: dict, delta: Mapping[str, Any]) -> dict:
                 delta["pairs"], delta["values"], delta["last_updates"]
             )
         ]
-    state["scores"] = _merge_keyed(list(state["scores"]), updates)
+    state.update(scores_state(
+        _merge_keyed(scores_from_state(state), updates)
+    ))
     return state
 
 
@@ -297,12 +366,7 @@ def _apply_base_bookkeeping(state: dict, delta: Mapping[str, Any]) -> None:
     state["documents_processed"] = int(delta["documents_processed"])
     state["current_seeds"] = list(delta["current_seeds"])
     state["next_evaluation"] = delta["next_evaluation"]
-    rankings = list(state["rankings"])
-    rankings.extend(delta["rankings"])
-    limit = (state.get("config") or {}).get("max_ranking_history")
-    if limit is not None and len(rankings) > int(limit):
-        rankings = rankings[-int(limit):]
-    state["rankings"] = rankings
+    _fold_rankings(state, delta["rankings"])
 
 
 def apply_engine_delta(state: dict, delta: Mapping[str, Any]) -> dict:
@@ -316,6 +380,7 @@ def apply_engine_delta(state: dict, delta: Mapping[str, Any]) -> dict:
     """
     kind = state.get("kind") if isinstance(state, Mapping) else None
     if kind == "enblogue":
+        require_state(state, "enblogue", 2)
         require_state(delta, "enblogue-delta", 1)
         _apply_base_bookkeeping(state, delta)
         state["tracker"] = apply_tracker_delta(
@@ -333,6 +398,7 @@ def apply_engine_delta(state: dict, delta: Mapping[str, Any]) -> dict:
         # an event is a position into it), as the tracker deltas do;
         # version 2 spelled an event's tag positions in place; version-1
         # journals predate the "tags" table and fail the envelope check.
+        require_state(state, "sharded-enblogue", 2)
         require_state(delta, "sharded-enblogue-delta", (2, 3))
         tags = delta["tags"]
         tag_sets = delta["tag_sets"] if delta["version"] == 3 else None
@@ -346,13 +412,9 @@ def apply_engine_delta(state: dict, delta: Mapping[str, Any]) -> dict:
         _apply_base_bookkeeping(state, delta)
         latest = delta["latest"]
         state["latest"] = latest
-        window = state["tag_window"]
-        window_events = list(window["events"])
-        window_events.extend(tag_events)
-        window["events"] = evict_events(
-            window_events, delta["tag_window_latest"], float(window["horizon"])
+        state["tag_window"] = _fold_window(
+            state["tag_window"], tag_events, delta["tag_window_latest"]
         )
-        window["latest"] = delta["tag_window_latest"]
         config = state.get("config") or {}
         state["count_history"] = _replay_count_rows(
             state["count_history"], delta["count_rows"],

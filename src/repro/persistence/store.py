@@ -524,8 +524,8 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Load a checkpoint; returns ``(manifest, state)``.
 
     The returned ``state`` is the engine snapshot with the per-shard files
-    reassembled under ``"shards"`` (in shard order), a version-1 base
-    brought to the version-2 layout, and — for a delta
+    reassembled under ``"shards"`` (in shard order), an older base
+    brought to the current layout, and — for a delta
     checkpoint — the committed journal segments folded in, ready for an
     engine's ``restore``; the manifest's ``extras`` are updated with
     those of the newest folded segment that carries any.  Validation

@@ -331,7 +331,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._flush()
         state = {
             "kind": self.SNAPSHOT_KIND,
-            "version": 1,
+            "version": 2,
             **self._base_snapshot(),
             "num_shards": self.num_shards,
             "chunk_size": self.chunk_size,
@@ -367,7 +367,7 @@ class ShardedEnBlogue(DetectionEngineBase):
         backend are runtime choices, free to differ from the checkpointed
         run's.
         """
-        require_state(state, self.SNAPSHOT_KIND, 1)
+        require_state(state, self.SNAPSHOT_KIND, 2)
         self._ensure_open()
         self._restore_base(state)
         self._tag_window.restore_state(state["tag_window"])

@@ -19,8 +19,11 @@ of this same re-routing, not a cold replay.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, List, Mapping, Optional, Sequence
 
+from repro.core.shift import scores_from_state, scores_state
+from repro.core.tracker import histories_from_state, histories_state
 from repro.core.types import canonical_pair
 from repro.persistence.snapshot import (
     SnapshotMismatchError,
@@ -56,12 +59,14 @@ def _require_agreement(
 
 
 def _require_pair_only(tracker_state: Mapping[str, Any], index: int) -> None:
-    # Usage distributions and count histories are tag-level, document-scoped
-    # statistics; shard trackers never populate them (the coordinator owns
-    # both), so their presence means this is not a shard-worker checkpoint.
-    if tracker_state.get("usage_events") or tracker_state.get("count_history"):
+    # Windowed documents (whose usage updates the tracker derives) and count
+    # histories are tag-level, document-scoped statistics; shard trackers
+    # never populate them (the coordinator owns both), so their presence
+    # means this is not a shard-worker checkpoint.
+    if (tracker_state["tag_window"].get("events")
+            or tracker_state.get("count_history")):
         raise SnapshotMismatchError(
-            f"shard {index} carries tag-level usage/count-history state, "
+            f"shard {index} carries tag-level window/count-history state, "
             f"which cannot be re-partitioned by pair; only shard-worker "
             f"checkpoints can be re-sharded"
         )
@@ -88,7 +93,9 @@ def reshard_worker_states(
     trackers = [state["tracker"] for state in states]
     detectors = [state["detector"] for state in states]
     for tracker in trackers:
-        require_state(tracker, "correlation-tracker", 2)
+        require_state(tracker, "correlation-tracker", 3)
+    for detector in detectors:
+        require_state(detector, "shift-detector", 2)
     _require_agreement(trackers, _TRACKER_FINGERPRINT, "tracker")
     _require_agreement(detectors, _DETECTOR_FINGERPRINT, "detector")
     for index, tracker in enumerate(trackers):
@@ -96,9 +103,8 @@ def reshard_worker_states(
 
     partitioner = PairPartitioner(num_shards)
 
-    def owner(pair_state: Sequence[str]) -> int:
-        return partitioner.shard_of(
-            canonical_pair(str(pair_state[0]), str(pair_state[1])))
+    def owner(row: Sequence[Any]) -> int:
+        return partitioner.shard_of(canonical_pair(row[0], row[1]))
 
     latests = [
         tracker["latest"] for tracker in trackers
@@ -108,13 +114,13 @@ def reshard_worker_states(
 
     new_histories: List[list] = [[] for _ in range(num_shards)]
     for tracker in trackers:
-        for entry in tracker["histories"]:
-            new_histories[owner(entry)].append(entry)
+        for row in histories_from_state(tracker):
+            new_histories[owner(row)].append(row)
 
     new_scores: List[list] = [[] for _ in range(num_shards)]
     for detector in detectors:
-        for entry in detector["scores"]:
-            new_scores[owner(entry)].append(entry)
+        for row in scores_from_state(detector):
+            new_scores[owner(row)].append(row)
 
     resharded: List[dict] = []
     for shard_id in range(num_shards):
@@ -129,13 +135,13 @@ def reshard_worker_states(
             "documents_seen": 0,
             "latest": latest,
             "tag_window": {**tracker["tag_window"], "latest": latest},
-            "histories": sorted(new_histories[shard_id],
-                                key=lambda entry: (entry[0], entry[1])),
+            **histories_state(sorted(new_histories[shard_id],
+                                     key=itemgetter(0, 1))),
         }
         detector_state = {
             **detectors[0],
-            "scores": sorted(new_scores[shard_id],
-                             key=lambda entry: (entry[0], entry[1])),
+            **scores_state(sorted(new_scores[shard_id],
+                                  key=itemgetter(0, 1))),
         }
         resharded.append({
             "kind": "shard-worker",

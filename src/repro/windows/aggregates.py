@@ -13,11 +13,15 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from itertools import chain, filterfalse, repeat
+from operator import itemgetter
 from typing import (
     Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar,
 )
 
-from repro.persistence.snapshot import require_compatible, require_state
+from repro.persistence.codec import index_table
+from repro.persistence.snapshot import (
+    SnapshotCorruptionError, require_compatible, require_state,
+)
 
 
 _Score = TypeVar("_Score", int, float)
@@ -194,34 +198,23 @@ class TagFrequencyWindow:
         (Named ``state_dict`` rather than the ``Snapshotable`` protocol's
         ``snapshot`` because :meth:`snapshot` — the per-tag counts copy —
         predates the persistence layer and feeds the seed selector.)  Only
-        the event deque and the latest timestamp are stored: the per-tag
-        counters and the document count are derived exactly from the events
-        on restore.
+        the events and the latest timestamp are stored, through
+        :func:`window_state`: the per-tag counters and the document count
+        are derived exactly from the events on restore.
         """
-        return {
-            "kind": "tag-frequency-window",
-            "version": 1,
-            "horizon": self.horizon,
-            "latest": self._latest,
-            "events": [
-                [timestamp, list(tags)] for timestamp, tags in self._events
-            ],
-        }
+        return window_state(self.horizon, self._latest, self._events)
 
     def restore_state(self, state: dict) -> None:
         """Replace this window's state with a :meth:`state_dict` snapshot."""
-        require_state(state, "tag-frequency-window", 1)
+        require_state(state, "tag-frequency-window", 2)
         require_compatible(
             "tag-frequency-window", {"horizon": self.horizon}, state
         )
-        events: Deque[Tuple[float, Tuple[str, ...]]] = deque()
-        counts: Counter = Counter()
-        for timestamp, tags in state["events"]:
-            unique_tags = tuple(str(tag) for tag in tags)
-            events.append((float(timestamp), unique_tags))
-            counts.update(unique_tags)
+        events = deque(window_events(state))
+        self._counts = Counter(
+            chain.from_iterable(map(itemgetter(1), events))
+        )
         self._events = events
-        self._counts = counts
         latest = state["latest"]
         self._latest = None if latest is None else float(latest)
 
@@ -240,6 +233,54 @@ class TagFrequencyWindow:
                 counts[tag] = left
             else:
                 counts.pop(tag, None)  # not del: that is interpreted
+
+
+def window_state(
+    horizon: float,
+    latest: Optional[float],
+    events: Iterable[Tuple[float, Sequence[str]]],
+) -> dict:
+    """A tag window's state from its ``(timestamp, ordered tags)`` events.
+
+    Two columns: ``timestamps``, and ``events``, each event's tags as
+    positions into ``tags``, which spells every tag once, in first-seen
+    order.  The one encoder of a window, live or folded from a journal,
+    so equal windows encode to equal bytes.
+    """
+    events = list(events)
+    tag_at, tags = index_table(
+        chain.from_iterable(map(itemgetter(1), events))
+    )
+    position = tag_at.__getitem__
+    return {
+        "kind": "tag-frequency-window",
+        "version": 2,
+        "horizon": horizon,
+        "latest": latest,
+        "tags": tags,
+        "timestamps": list(map(itemgetter(0), events)),
+        "events": [list(map(position, ordered)) for _, ordered in events],
+    }
+
+
+def window_events(state: Mapping) -> List[Tuple[float, Tuple[str, ...]]]:
+    """The ``(timestamp, ordered tags)`` events of a :func:`window_state`."""
+    require_state(state, "tag-frequency-window", 2)
+    tags = [str(tag) for tag in state["tags"]]
+    name = tags.__getitem__
+    timestamps, events = state["timestamps"], state["events"]
+    if len(timestamps) != len(events):
+        raise SnapshotCorruptionError(
+            f"tag window holds {len(timestamps)} timestamps for "
+            f"{len(events)} events"
+        )
+    try:
+        return [(float(timestamp), tuple(map(name, positions)))
+                for timestamp, positions in zip(timestamps, events)]
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptionError(
+            f"malformed tag window event: {exc}"
+        ) from exc
 
 
 def record_count_history(

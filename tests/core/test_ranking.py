@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.core import ranking as ranking_module
+from repro.core.engine import EnBlogue
 from repro.core.ranking import RankingBuilder, topic_sort_key
 from repro.core.shift import ShiftDetector, ShiftScore
 from repro.core.tracker import PairObservation
 from repro.core.correlation import PairCounts
-from repro.core.types import TagPair
+from repro.core.types import EmergentTopic, TagPair
 from repro.timeseries.predictors import LastValuePredictor
 from repro.windows.decay import ExponentialDecay
+
+from differential import config, signature, tweet_stream
 
 
 def shift(pair, score, timestamp=0.0, error=None, correlation=0.5):
@@ -159,3 +163,66 @@ class TestKWayMerge:
     def test_merge_of_no_shards_is_empty(self):
         builder = RankingBuilder(top_k=2)
         assert len(builder.merge(1.0, [])) == 0
+
+
+def count_topics(monkeypatch):
+    """Count the topics the ranking module builds from here on."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return EmergentTopic(*args, **kwargs)
+
+    monkeypatch.setattr(ranking_module, "EmergentTopic", counted)
+    return built
+
+
+class TestOnlyPublishedTopicsAreBuilt:
+    """The top k are picked from ``(-score, pair)`` keys; only they become
+    topics."""
+
+    def scored(self, pairs, score, timestamp):
+        # With a last-value forecast of 0, the error, and so the decayed
+        # maximum as of ``timestamp``, is exactly the correlation.
+        detector = ShiftDetector(predictor=LastValuePredictor(), min_history=1)
+        for pair in pairs:
+            detector.update(
+                PairObservation(pair=pair, timestamp=timestamp,
+                                correlation=score,
+                                counts=PairCounts(2, 2, 2, 10),
+                                seed_tag=pair.first),
+                [0.0],
+            )
+        return detector
+
+    def test_ties_between_fresh_and_decayed_scores(self, monkeypatch):
+        decayed = [TagPair("a", "c"), TagPair("b", "d"), TagPair("e", "f")]
+        detector = self.scored(decayed, 0.5, 10.0)
+        fresh = [shift(TagPair("a", "b"), 0.5, timestamp=10.0),
+                 shift(TagPair("b", "c"), 0.5, timestamp=10.0),
+                 shift(TagPair("a", "z"), 0.25, timestamp=10.0)]
+        built = count_topics(monkeypatch)
+        topics = RankingBuilder(top_k=3).top_topics(10.0, fresh, detector)
+        assert len(built) == 3
+        # Five pairs tie at 0.5: the three smallest pairs win, fresh and
+        # decayed alike, each with the fields of where its score came from.
+        assert [topic.pair for topic in topics] \
+            == [TagPair("a", "b"), TagPair("a", "c"), TagPair("b", "c")]
+        assert [topic.score for topic in topics] == [0.5, 0.5, 0.5]
+        assert [topic.seed_tag for topic in topics] == ["a", None, "b"]
+        assert topics == sorted(topics, key=topic_sort_key)
+
+    def test_the_scalar_engine_builds_at_most_top_k_per_evaluation(
+        self, monkeypatch
+    ):
+        docs = tweet_stream(hours=24, per_hour=60, seed=7)
+        scalar = EnBlogue(config(top_k=3), vectorize=False)
+        built = count_topics(monkeypatch)
+        scalar.process_many(docs)
+        evaluations = len(scalar.ranking_history())
+        assert evaluations and len(scalar.detector.scored_pairs()) > 3
+        assert len(built) <= 3 * evaluations
+        monkeypatch.undo()
+        fused = EnBlogue(config(top_k=3))
+        fused.process_many(docs)
+        assert signature(scalar) == signature(fused)

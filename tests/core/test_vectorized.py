@@ -195,7 +195,9 @@ class TestStaleEvaluationRejected:
             ))
         state = engine.detector.snapshot()
         assert state["scores"], "the replay scored nothing to corrupt"
-        state["scores"][0][3] = 100 * HOUR
+        # The first score's last update becomes a new sample time.
+        state["scores"][0][3] = len(state["times"])
+        state["times"].append(100 * HOUR)
         engine.detector.restore(state)
         before = engine.snapshot()
         with pytest.raises(ValueError, match="cannot evaluate in the past"):
@@ -203,7 +205,8 @@ class TestStaleEvaluationRejected:
         # Checked before any column is written: apart from the clock and
         # the count row the engine advanced first, nothing moved.
         after = engine.snapshot()
-        assert after["tracker"]["histories"] == before["tracker"]["histories"]
+        for table in ("tags", "times", "histories"):
+            assert after["tracker"][table] == before["tracker"][table]
         assert after["detector"] == before["detector"]
 
 

@@ -112,6 +112,50 @@ class TestMetricsEndpoint:
                f"{status['rankings_published']}" in text
 
 
+    def test_submission_publish_error_and_queue_families_match_status(
+        self, docs
+    ):
+        """After a known ingest with one raising subscriber, the scrape
+        reads each of these families as /status reads its field."""
+
+        def exploding(message):
+            raise RuntimeError("subscriber blew up")
+
+        async def scenario():
+            engine = EnBlogue(config(), observability=Observability())
+            service = DetectionService(engine)
+            await service.start()
+            service.subscribe().deliver = exploding
+            server = RankingServer(service, port=0)
+            await server.start()
+            for start in range(0, 256, 64):
+                await service.submit(docs[start:start + 64])
+            await service.drain()
+            _s, _h, metrics = await raw_request(server.port, "GET", "/metrics")
+            _s, _h, status = await raw_request(server.port, "GET", "/status")
+            await teardown(service, server)
+            return metrics.decode("utf-8"), json.loads(status)
+
+        text, status = asyncio.run(scenario())
+        assert status["documents_submitted"] == 256
+        assert status["publish_errors"] > 0
+        assert status["queue_high_watermark"] >= 1
+        for field, family in (
+            ("documents_submitted", "repro_serving_documents_submitted_total"),
+            ("publish_errors", "repro_serving_publish_errors_total"),
+            ("queue_high_watermark", "repro_serving_queue_high_watermark"),
+        ):
+            assert sample_value(text, family) == status[field], family
+
+
+def sample_value(text, family):
+    """The value of the unlabeled sample of ``family`` in a scrape."""
+    values = [float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+              if line.startswith(family + " ")]
+    assert len(values) == 1, f"{family} has {len(values)} unlabeled samples"
+    return values[0]
+
+
 class TestTraceEndpoint:
     def test_trace_returns_wellformed_ndjson_span_trees(self, docs):
         async def scenario():

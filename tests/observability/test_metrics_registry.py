@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.core.engine import EnBlogue
 from repro.observability import (
     DEFAULT_BUCKETS,
     NOOP,
@@ -17,6 +18,7 @@ from repro.observability import (
     render_prometheus,
 )
 from repro.observability.metrics import Histogram
+from repro.persistence import CheckpointCadence
 
 from differential import BY_REFERENCE, HOUR, config, tweet_stream
 
@@ -294,3 +296,31 @@ class TestRegistryContract:
         gauge.set_function(lambda: 1 / 0)
         assert gauge.value == 0.0
         render_prometheus(registry)  # must not raise either
+
+
+class TestCheckpointSplit:
+    """The serialize/fsync halves of every checkpoint write, by mode."""
+
+    FAMILIES = ("repro_persistence_serialize_seconds",
+                "repro_persistence_fsync_seconds")
+
+    def test_a_base_write_and_a_journal_append_record_one_sample_each(
+        self, tmp_path
+    ):
+        observability = Observability()
+        engine = EnBlogue(config(), observability=observability)
+        cadence = CheckpointCadence(engine, tmp_path, every=1)
+
+        def samples():
+            return {
+                family: {dict(key)["mode"]: child.count for key, child
+                         in observability.registry.histogram(family).samples()}
+                for family in self.FAMILIES
+            }
+
+        cadence.begin()
+        assert samples() == dict.fromkeys(self.FAMILIES, {"full": 1})
+        engine.process_many(tweet_stream(hours=3, per_hour=30, seed=11))
+        assert cadence.note_ranking()
+        assert samples() == dict.fromkeys(self.FAMILIES,
+                                          {"full": 1, "delta": 1})

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.tracker import histories_from_state
 from repro.datasets.documents import Document
 from repro.persistence import read_checkpoint
 from repro.persistence.cadence import CheckpointCadence
@@ -134,8 +135,8 @@ def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
             if "shards" in restored else [restored["tracker"]]
         )
         rings = [
-            series["timestamps"]
-            for tracker in trackers for _, _, series in tracker["histories"]
+            timestamps for tracker in trackers
+            for _, _, timestamps, _ in histories_from_state(tracker)
         ]
         newest = [25.0 * index for index in range(evaluations - 3,
                                                   evaluations + 1)]

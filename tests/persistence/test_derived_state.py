@@ -3,18 +3,20 @@
 The windowed pair events and the candidate counts are a pure function
 of the tag window: each pair event is the
 decomposition of the tag-window event at the same position, and the
-candidate counts are their multiset.  A version-2 base therefore leaves
-both out, and restore re-derives them — the single engine from its own
-tag window, the sharded coordinator by routing its tag-window events
-through the current partitioner, N → M included.
+candidate counts are their multiset.  A base since version 2 therefore
+leaves both out, and restore re-derives them — the single engine from
+its own tag window, the sharded coordinator by routing its tag-window
+events through the current partitioner, N → M included.
 
 ``fixtures/base_v1`` holds version-1 bases (a single engine and a 2-shard
 one) written by the parent of the commit that introduced version 2 (run
 :func:`write_base_v1_fixtures` with that commit's ``src`` on the path);
-they must keep restoring to the state a version-2 base of the same stream
-restores to.  Their configurations still carry the fields of the sketch
-tier, since removed: a configuration that describes exact tracking loses
-them on read, any other is refused.
+they must keep restoring to the state a current base of the same stream
+restores to.  So must the version-2 bases of ``fixtures/base_v2``, which
+spell every tag and sample timestamp in place (written the same way by
+:func:`write_base_v2_fixtures`).  The version-1 configurations still
+carry the fields of the sketch tier, since removed: a configuration that
+describes exact tracking loses them on read, any other is refused.
 """
 
 import json
@@ -40,6 +42,11 @@ from test_delta_format import stream
 
 FIXTURES = Path(__file__).parent / "fixtures" / "base_v1"
 
+#: Version-2 bases (tags and sample times spelled in place), written by
+#: the parent of the commit that gave every component its tag and time
+#: tables (run :func:`write_base_v2_fixtures` with that commit's ``src``).
+FIXTURES_V2 = FIXTURES.parent / "base_v2"
+
 #: The fixtures' stream: a base after ``CUT`` of ``DOCS`` documents.
 DOCS, CUT = 160, 100
 
@@ -50,14 +57,22 @@ VARIANTS = {
 }
 
 
-def write_base_v1_fixtures():  # pragma: no cover - run once, at the parent commit
+def write_bases(directory):  # pragma: no cover - run once per fixture
     docs = stream(DOCS)
     for variant, make in VARIANTS.items():
         engine = make(config(**HOSTILE))
         engine.process_many(docs[:CUT])
-        engine.save_checkpoint(FIXTURES / variant)
+        engine.save_checkpoint(directory / variant)
         if hasattr(engine, "close"):
             engine.close()
+
+
+def write_base_v1_fixtures():  # pragma: no cover - run once, at the parent commit
+    write_bases(FIXTURES)
+
+
+def write_base_v2_fixtures():  # pragma: no cover - run once, at the parent commit
+    write_bases(FIXTURES_V2)
 
 
 def closing(engine):
@@ -152,6 +167,32 @@ class TestReshardedWorkers:
             assert state["tracker"]["documents_seen"] == 0
 
 
+def restores_like_a_current_base(directory, variant, num_shards, tmp_path):
+    """The base in ``directory`` restores to the state a current base of
+    the same stream restores to, and both continue bit-identically."""
+    docs = stream(DOCS)
+    with closing(VARIANTS[variant](config(**HOSTILE))) as engine:
+        engine.process_many(docs[:CUT])
+        engine.save_checkpoint(tmp_path)
+    options = {} if num_shards is None else {"num_shards": num_shards}
+    old, _ = load_engine(directory, **options)
+    new, _ = load_engine(tmp_path, **options)
+    with closing(old), closing(new):
+        check_invariants(old)
+        assert old.snapshot() == new.snapshot()
+        assert live_pair_state(old) == live_pair_state(new)
+        old.process_many(docs[CUT:])
+        new.process_many(docs[CUT:])
+        assert signature(old) == signature(new)
+        assert live_pair_state(old) == live_pair_state(new)
+        assert old.snapshot() == new.snapshot()
+
+
+def fixture_trackers(directory):
+    return [state["tracker"] for state in base_files(directory).values()
+            if "tracker" in state]
+
+
 class TestVersion1Bases:
     @pytest.mark.parametrize("variant,num_shards", [
         ("single", None), ("serial-2", 1), ("serial-2", 2), ("serial-2", 3),
@@ -160,36 +201,43 @@ class TestVersion1Bases:
     def test_restores_like_a_version_2_base_of_the_stream(
         self, variant, num_shards, tmp_path
     ):
-        docs = stream(DOCS)
-        trackers = [state["tracker"]
-                    for state in base_files(FIXTURES / variant).values()
-                    if "tracker" in state]
+        trackers = fixture_trackers(FIXTURES / variant)
         assert trackers and all(
             tracker["version"] == 1 and derived_tables({"tracker": tracker})
             == ["candidates", "pair_events"] for tracker in trackers
         )
-        with closing(VARIANTS[variant](config(**HOSTILE))) as engine:
-            engine.process_many(docs[:CUT])
-            engine.save_checkpoint(tmp_path)
-        options = {} if num_shards is None else {"num_shards": num_shards}
-        old, _ = load_engine(FIXTURES / variant, **options)
-        new, _ = load_engine(tmp_path, **options)
-        with closing(old), closing(new):
-            check_invariants(old)
-            assert old.snapshot() == new.snapshot()
-            assert live_pair_state(old) == live_pair_state(new)
-            old.process_many(docs[CUT:])
-            new.process_many(docs[CUT:])
-            assert signature(old) == signature(new)
-            assert live_pair_state(old) == live_pair_state(new)
+        restores_like_a_current_base(
+            FIXTURES / variant, variant, num_shards, tmp_path
+        )
 
+
+class TestVersion2Bases:
+    """Bases that spell every tag and sample timestamp in place restore
+    through ``upgrade_engine_state``, re-sharded too."""
+
+    @pytest.mark.parametrize("variant,num_shards", [
+        ("single", None), ("serial-2", 1), ("serial-2", 3),
+    ])
+    def test_restores_like_a_current_base_of_the_stream(
+        self, variant, num_shards, tmp_path
+    ):
+        trackers = fixture_trackers(FIXTURES_V2 / variant)
+        assert trackers and all(
+            tracker["version"] == 2 and "tags" not in tracker
+            and tracker["tag_window"]["version"] == 1
+            for tracker in trackers
+        )
+        restores_like_a_current_base(
+            FIXTURES_V2 / variant, variant, num_shards, tmp_path
+        )
 
 
 #: Checkpoints whose configuration may carry the sketch tier's fields: the
-#: committed version-1 bases and journals, as written, and a version-2 base
-#: of each shape with the fields put back (as written before the tier went).
+#: committed older bases and journals, as written, and a base of each shape
+#: written now (``version-2/``, the first base without derived tables) with
+#: the fields put back (as written before the tier went).
 TIER_FIELD_SOURCES = [
-    "base_v1/single", "base_v1/serial-2",
+    "base_v1/single", "base_v1/serial-2", "base_v2/single", "base_v2/serial-2",
     "journal_v1/single-fused", "journal_v1/serial-2",
     "version-2/single", "version-2/serial-2",
 ]
@@ -278,3 +326,9 @@ class TestCheckResumeScript:
     def test_fails_a_base_holding_a_derived_table(self, variant):
         with pytest.raises(SystemExit, match="candidates, pair_events"):
             self.check_bases()(FIXTURES / variant)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_fails_a_base_spelling_tags_in_place(self, variant):
+        with pytest.raises(SystemExit,
+                           match="spells tag names in place"):
+            self.check_bases()(FIXTURES_V2 / variant)

@@ -11,6 +11,8 @@ in the sharded-equivalence suite.
 import pytest
 
 from repro.core.engine import EnBlogue
+from repro.core.shift import scores_from_state
+from repro.core.tracker import histories_from_state
 from repro.datasets.twitter import TweetStreamGenerator
 from repro.persistence import load_engine
 from repro.persistence.snapshot import SnapshotMismatchError
@@ -210,8 +212,8 @@ class TestReshardStates:
         # Pair events and candidate counts are no part of a shard state:
         # the coordinator derives them on restore.
         for extract in (
-            lambda s: s["tracker"]["histories"],
-            lambda s: s["detector"]["scores"],
+            lambda s: histories_from_state(s["tracker"]),
+            lambda s: scores_from_state(s["detector"]),
         ):
             assert union(states, extract) == union(resharded, extract)
 

@@ -225,7 +225,7 @@ class TestCorrelationTracker:
     def test_pair_events_are_derived_not_stored(self):
         tracker = self.build()
         state = tracker.snapshot()
-        assert state["version"] == 2
+        assert state["version"] == 3
         assert "pair_events" not in state and "candidates" not in state
         restored = self.fresh()
         restored.restore(json_roundtrip(state))
@@ -260,7 +260,7 @@ class TestCorrelationTracker:
     def test_version_1_is_upgraded_by_the_reader_not_restore(self):
         state = self.build().snapshot()
         state["version"] = 1
-        with pytest.raises(SnapshotVersionError, match="version 2"):
+        with pytest.raises(SnapshotVersionError, match="version 3"):
             self.fresh().restore(state)
 
 

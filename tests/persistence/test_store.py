@@ -20,7 +20,7 @@ from repro.persistence.store import (
 def sample_state(shards=None):
     state = {
         "kind": "sharded-enblogue" if shards else "enblogue",
-        "version": 1,
+        "version": 2,
         "config": {"name": "test", "top_k": 10},
         "documents_processed": 42,
         "payload": [1.5, "x", None],

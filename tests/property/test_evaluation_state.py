@@ -351,7 +351,8 @@ def test_failed_evaluation_changes_nothing(failure, armed):
         for each in (control, victim):
             good = each[1].snapshot()
             bad = json.loads(json.dumps(good))
-            bad["scores"][0][3] = now + 1000.0
+            bad["scores"][0][3] = len(bad["times"])
+            bad["times"].append(now + 1000.0)
             each[1].restore(bad)
             if each is victim:
                 with pytest.raises(ValueError,
