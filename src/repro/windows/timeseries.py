@@ -13,8 +13,6 @@ import bisect
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.persistence.snapshot import require_state
-
 
 class TimeSeries:
     """An append-only series of ``(timestamp, value)`` pairs.
@@ -47,16 +45,6 @@ class TimeSeries:
         """The bound of the ring buffer (None when unbounded)."""
         return self._maxlen
 
-    def snapshot(self) -> dict:
-        """The series as a versioned, JSON-serialisable dict."""
-        return {
-            "kind": "timeseries",
-            "version": 1,
-            "maxlen": self._maxlen,
-            "timestamps": list(self._timestamps),
-            "values": list(self._values),
-        }
-
     @classmethod
     def from_points(
         cls,
@@ -80,17 +68,6 @@ class TimeSeries:
         series._timestamps = timestamps
         series._values = values
         return series
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "TimeSeries":
-        """Rebuild a series from :meth:`snapshot` output, bit for bit."""
-        require_state(state, "timeseries", 1)
-        maxlen = state["maxlen"]
-        return cls.from_points(
-            [float(t) for t in state["timestamps"]],
-            [float(v) for v in state["values"]],
-            maxlen=None if maxlen is None else int(maxlen),
-        )
 
     def __len__(self) -> int:
         return len(self._timestamps)

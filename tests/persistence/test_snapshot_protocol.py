@@ -25,7 +25,6 @@ from repro.persistence.snapshot import (
 )
 from repro.windows.aggregates import TagFrequencyWindow
 from repro.windows.decay import DecayedMaximum, ExponentialDecay
-from repro.windows.timeseries import TimeSeries
 
 from differential import HOUR
 
@@ -65,25 +64,6 @@ class TestEnvelopeHelpers:
         message = str(excinfo.value)
         assert "horizon" in message and "depth" in message
         assert "20.0" in message and "10.0" in message
-
-
-class TestTimeSeries:
-    def test_roundtrip_preserves_points_and_bound(self):
-        series = TimeSeries(maxlen=3)
-        for i in range(5):
-            series.append(float(i), i * 0.1)
-        restored = TimeSeries.from_snapshot(json_roundtrip(series.snapshot()))
-        assert list(restored) == list(series)
-        assert restored.maxlen == series.maxlen
-        # The bound stays live: appending still evicts the oldest point.
-        restored.append(10.0, 1.0)
-        assert len(restored) == 3
-
-    def test_unbounded_series_roundtrips(self):
-        series = TimeSeries(points=[(1.0, 0.5), (2.0, 0.25)])
-        restored = TimeSeries.from_snapshot(json_roundtrip(series.snapshot()))
-        assert list(restored) == [(1.0, 0.5), (2.0, 0.25)]
-        assert restored.maxlen is None
 
 
 class TestTagFrequencyWindow:
