@@ -7,9 +7,11 @@ Both files are ``repro.cli replay --export`` outputs: ``FULL`` from an
 uninterrupted run, ``RESUMED`` from ``replay --resume`` of a checkpoint
 taken part-way through the same stream.  The resumed rankings must equal
 the last rankings of the full run exactly.  With ``--journal`` the
-checkpoint directory must also hold delta segments, so a cadence that
+checkpoint directory must also hold journal segments, so a cadence that
 silently wrote full checkpoints only does not pass for a journal test.
-Its base files must hold no table restore derives: a tracker state
+Every segment must be the engine's input (a ``command-log`` segment), and
+no shard may have written one of its own (``shard-*.delta``).  Its base
+files must hold no table restore derives: a tracker state
 carries neither ``pair_events`` nor ``candidates``.  And they must spell
 no tag name in place: a tag window's events and a tracker's histories
 refer to their component's ``tags`` table by position.
@@ -61,6 +63,27 @@ def check_bases(directory: Path) -> None:
           f"tag in place")
 
 
+def check_segments(directory: Path) -> None:
+    """Fail unless ``directory`` holds journal segments, each one a
+    command log of the engine's input and none a shard's."""
+    segments = sorted(directory.glob("*.delta"))
+    if not segments:
+        raise SystemExit(f"{directory} holds no journal segments")
+    for path in segments:
+        if path.name.startswith("shard-"):
+            raise SystemExit(
+                f"{path} is a shard's segment: the journal is the "
+                f"coordinator's input, one segment per tick"
+            )
+        # A segment is one header line of framing, then the JSON body.
+        kind = json.loads(path.read_bytes().split(b"\n", 1)[1]).get("kind")
+        if kind != "command-log":
+            raise SystemExit(
+                f"{path} is a {kind!r} segment, not a command log"
+            )
+    print(f"journal holds {len(segments)} command-log segment(s)")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("full", type=Path)
@@ -68,10 +91,7 @@ def main() -> None:
     parser.add_argument("--journal", type=Path, metavar="DIR")
     args = parser.parse_args()
     if args.journal is not None:
-        segments = list(args.journal.glob("*.delta"))
-        if not segments:
-            raise SystemExit(f"{args.journal} holds no journal segments")
-        print(f"journal holds {len(segments)} segment file(s)")
+        check_segments(args.journal)
         check_bases(args.journal)
     full = json.loads(args.full.read_text())
     resumed = json.loads(args.resumed.read_text())

@@ -193,7 +193,7 @@ def _checkpoint_cadence(engine, args: argparse.Namespace, extras: dict,
     runs the very same class on its engine executor, so serve-time
     checkpoints cannot drift from what ``--resume`` is tested against).
     A replay calls ``begin`` itself (the service does so on start): it
-    eagerly writes the delta chain's base — the replay-start state (for
+    eagerly writes the journal's base — the replay-start state (for
     ``--resume``: the just-restored state, which compacts any inherited
     journal) — so every cadence tick until the next re-base appends a
     segment.

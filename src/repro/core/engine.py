@@ -36,8 +36,8 @@ from repro.persistence.codec import (
     optional_float,
     ranking_history_from_state,
     ranking_history_state,
-    ranking_to_state,
 )
+from repro.persistence.journal import encode_segment
 from repro.persistence.snapshot import SnapshotMismatchError, require_state
 from repro.persistence.store import append_delta, write_checkpoint
 from repro.streams.operators import FunctionSink
@@ -167,10 +167,11 @@ class DetectionEngineBase:
         self._current_seeds: List[str] = []
         self._next_evaluation: Optional[float] = None
         self._documents_processed = 0
-        # Delta-checkpoint chain: rankings published since the last drain
-        # (None = not recording) and the chain the next
-        # save_delta_checkpoint appends to.
-        self._delta_rankings: Optional[List[Ranking]] = None
+        # The input since the last checkpoint tick (None = not recording):
+        # runs of prepared documents, and the timestamps of forced
+        # evaluations; and the chain the next save_delta_checkpoint
+        # appends it to.
+        self._journal: Optional[list] = None
         self._delta_chain: Optional[_DeltaChain] = None
 
     # -- hooks ----------------------------------------------------------------
@@ -300,6 +301,12 @@ class DetectionEngineBase:
         with self.observability.tracer.span("ingest") as span:
             ingested = self._ingest_observations(pending)
             span.set(documents=ingested)
+        self._note_ingested(pending, ingested)
+
+    def _note_ingested(self, run: List[tuple], ingested: int) -> None:
+        """Count a run that reached the engine's state, and journal it."""
+        if self._journal is not None:
+            self._journal.append(run)
         self._documents_processed += ingested
         self._metric_documents.inc(ingested)
 
@@ -339,12 +346,23 @@ class DetectionEngineBase:
 
     def evaluate_now(self, timestamp: Optional[float] = None) -> Ranking:
         """Force an evaluation at ``timestamp`` (default: latest stream time)."""
+        latest = self._latest_timestamp()
         if timestamp is None:
-            timestamp = self._latest_timestamp()
+            timestamp = latest
         if timestamp is None:
             raise ValueError("no documents processed yet")
+        timestamp = float(timestamp)
         require_stream_time(timestamp, self.config.evaluation_interval)
-        return self._timed_evaluate(timestamp)
+        # Checked before seeds are selected, so a refused call changes
+        # nothing (and needs no journal entry).
+        if latest is not None and not timestamp >= latest:
+            raise ValueError(
+                f"cannot advance backwards: {timestamp} < {latest}"
+            )
+        ranking = self._timed_evaluate(timestamp)
+        if self._journal is not None:
+            self._journal.append(timestamp)
+        return ranking
 
     # -- results --------------------------------------------------------------
 
@@ -415,42 +433,44 @@ class DetectionEngineBase:
         in the checkpoint manifest (the CLI stores its dataset parameters
         there so ``--resume`` can rebuild the stream).
 
-        With ``track_deltas`` the checkpoint becomes the *base* of a delta
-        chain: the engine starts recording what changes, and subsequent
-        :meth:`save_delta_checkpoint` calls append journal segments that
-        cost kilobytes proportional to the new documents instead of
-        re-serialising the whole window.  Without it, any active recording
-        is stopped (the chain is re-based elsewhere or abandoned).
+        With ``track_deltas`` the checkpoint becomes the *base* of a
+        journal: the engine starts recording its input, and subsequent
+        :meth:`save_delta_checkpoint` calls append it as journal segments
+        that cost bytes proportional to the new documents instead of
+        re-serialising the whole window.  Without it, any recording is
+        stopped (the chain is re-based elsewhere or abandoned).
         """
         generation = write_checkpoint(
             directory, self.snapshot(), extras,
             observer=self.observability.store_observer("full"),
         )
         if track_deltas:
-            self._begin_delta_tracking()
+            self._journal = []
             self._delta_chain = _DeltaChain(
                 directory=str(Path(directory).resolve()),
                 base_generation=generation,
                 newest_generation=generation,
             )
         else:
-            self._stop_delta_tracking()
+            self._stop_journal()
         return Path(directory)
 
     def save_delta_checkpoint(
         self, directory, extras: Optional[Mapping] = None,
     ) -> Path:
-        """Append a journal segment of everything since the last save.
+        """Append the input since the last save as one journal segment.
 
-        Requires an active delta chain — a prior
+        Requires an active chain — a prior
         ``save_checkpoint(directory, track_deltas=True)`` into the *same*
-        directory — and appends one CRC-framed segment per component at
-        the chain's next generation (one durability barrier, kilobytes
-        proportional to the new documents).  Restoring the directory
-        replays base + journal into exactly this engine's current state;
-        a crash mid-append costs at most this tick.  ``extras`` ride in
-        the segment and supersede the manifest's of the same keys when
-        the chain is read back.
+        directory — and appends one CRC-framed segment at the chain's next
+        generation (one durability barrier, bytes proportional to the new
+        documents).  Reading the directory back replays base + journal
+        into exactly this engine's current state; a crash mid-append costs
+        at most this tick.  The journal holds the engine's input only: a
+        component setting changed by hand since the base (say
+        ``tracker.min_pair_support``) reaches disk at the next base.
+        ``extras`` ride in the segment and supersede the manifest's of the
+        same keys when the chain is read back.
         """
         if self._delta_chain is None:
             raise SnapshotMismatchError(
@@ -465,20 +485,19 @@ class DetectionEngineBase:
                 f"baseline lives in {chain.directory}, not {resolved}"
             )
         try:
-            delta = self.delta_since(chain.newest_generation + 1)
             generation = append_delta(
-                directory, delta,
+                directory, self.delta_since(chain.newest_generation + 1),
                 expected_base=chain.base_generation,
                 expected_generation=chain.newest_generation,
                 observer=self.observability.store_observer("delta"),
                 extras=extras,
             )
         except BaseException:
-            # The drain already emptied the component buffers, so this
-            # tick can never be re-journaled: a retried append would
-            # commit a segment with a silent hole.  Disarm the chain —
-            # the next save must re-base with a full checkpoint.
-            self._stop_delta_tracking()
+            # The drain already emptied the journal buffer, so this tick
+            # can never be re-journaled: a retried append would commit a
+            # segment with a silent hole.  Disarm the chain — the next
+            # save must re-base with a full checkpoint.
+            self._stop_journal()
             raise
         chain.newest_generation = generation
         return Path(directory)
@@ -488,40 +507,28 @@ class DetectionEngineBase:
         """Whether :meth:`save_delta_checkpoint` has a chain to extend."""
         return self._delta_chain is not None
 
-    def _begin_delta_tracking(self) -> None:
-        """Arm delta recording in every stateful component (hook)."""
-        self._delta_rankings = []
-
-    def _stop_delta_tracking(self) -> None:
-        """Disarm delta recording and drop any buffered chain state (hook)."""
-        self._delta_rankings = None
+    def _stop_journal(self) -> None:
+        """Stop recording input and forget the chain."""
+        self._journal = None
         self._delta_chain = None
 
     def delta_since(self, generation: int) -> dict:
-        """Everything that changed since the last base/drain (hook)."""
-        raise NotImplementedError
+        """Drain the input recorded since the base or the last drain as a
+        journal segment (see :mod:`repro.persistence.journal`).
 
-    def _base_delta(self, generation: int) -> dict:
-        """The boundary-bookkeeping delta shared by both engines.
-
-        Counters and seeds are absolute (they are tiny); rankings are the
-        ones published since the last drain, appended on apply under the
-        same ``max_ranking_history`` bound as :meth:`_publish`.
+        ``generation`` is stamped into the segment as ``"since"``.  The
+        documents go in the form they were ingested in — each one's
+        ordered tag set, tagger output included — so a replay needs no
+        tagger.
         """
-        rankings = self._delta_rankings
-        if rankings is None:
+        entries = self._journal
+        if entries is None:
             raise SnapshotMismatchError(
                 "no delta baseline: call save_checkpoint(directory, "
                 "track_deltas=True) before delta_since"
             )
-        self._delta_rankings = []
-        return {
-            "since": int(generation),
-            "documents_processed": self._documents_processed,
-            "current_seeds": list(self._current_seeds),
-            "next_evaluation": self._next_evaluation,
-            "rankings": [ranking_to_state(r) for r in rankings],
-        }
+        self._journal = []
+        return encode_segment(generation, entries, self._decomposer.ordered)
 
     def _base_snapshot(self) -> dict:
         """The boundary bookkeeping shared by both engines."""
@@ -556,16 +563,14 @@ class DetectionEngineBase:
         self._current_seeds = [str(seed) for seed in state["current_seeds"]]
         self._next_evaluation = optional_float(state["next_evaluation"])
         self._rankings = ranking_history_from_state(state["rankings"])
-        # A restore invalidates any recorded-but-undrained delta chain.
-        self._stop_delta_tracking()
+        # The recorded input led to the replaced state, not to this one.
+        self._stop_journal()
 
     # -- shared internals ------------------------------------------------------
 
     def _publish(self, ranking: Ranking) -> Ranking:
         """Record a new ranking (bounded history) and notify listeners."""
         self._rankings.append(ranking)
-        if self._delta_rankings is not None:
-            self._delta_rankings.append(ranking)
         limit = self.config.max_ranking_history
         if limit is not None and len(self._rankings) > limit:
             del self._rankings[: len(self._rankings) - limit]
@@ -593,6 +598,8 @@ class EnBlogue(DetectionEngineBase):
             self.config, track_count_history=self.seed_selector.reads_history,
         )
         self.detector = make_shift_detector(self.config)
+        # The tracker's decomposition memo, which the journal reads too.
+        self._decomposer = self.tracker._decomposer
         # Fused batched evaluation (None → scalar path): built once; while
         # attached, its columns are where histories and scores are written,
         # and the tracker's/detector's dicts are materialised on read.
@@ -675,36 +682,6 @@ class EnBlogue(DetectionEngineBase):
         self.tracker.restore(state["tracker"])
         self.detector.restore(state["detector"])
         self.ranking_builder.restore(state["builder"])
-
-    def _begin_delta_tracking(self) -> None:
-        super()._begin_delta_tracking()
-        self.tracker.begin_delta_tracking()
-        self.detector.begin_delta_tracking()
-        self.ranking_builder.begin_delta_tracking()
-
-    def _stop_delta_tracking(self) -> None:
-        super()._stop_delta_tracking()
-        self.tracker.end_delta_tracking()
-        self.detector.end_delta_tracking()
-        self.ranking_builder.end_delta_tracking()
-
-    def delta_since(self, generation: int) -> dict:
-        """Everything that changed since the last base snapshot/drain.
-
-        The journal-segment companion of :meth:`snapshot`:
-        :func:`repro.persistence.delta.apply_engine_delta` folds the
-        result onto the base snapshot dict and reproduces the current
-        :meth:`snapshot` exactly, which is what keeps a base + journal
-        restore bit-identical to an uninterrupted run.
-        """
-        return {
-            "kind": "enblogue-delta",
-            "version": 1,
-            **self._base_delta(generation),
-            "tracker": self.tracker.delta_since(generation),
-            "detector": self.detector.delta_since(generation),
-            "builder": self.ranking_builder.delta_since(generation),
-        }
 
     # -- internals -----------------------------------------------------------------------
 

@@ -73,28 +73,6 @@ class RankingBuilder:
         self.top_k = top_k
         self.min_score = min_score
 
-    def begin_delta_tracking(self) -> None:
-        """No buffers to arm: the builder's whole state is its tiny policy."""
-
-    def end_delta_tracking(self) -> None:
-        """No buffers to discard (see :meth:`begin_delta_tracking`)."""
-
-    def delta_since(self, generation: int) -> dict:
-        """The current ranking policy, absolute (it may mutate mid-stream).
-
-        Journal deltas ship the policy whole on every tick — it is two
-        scalars, far below any framing overhead — so
-        :func:`repro.persistence.delta.apply_builder_delta` simply adopts
-        the latest values.
-        """
-        return {
-            "kind": "ranking-builder-delta",
-            "version": 1,
-            "since": int(generation),
-            "top_k": self.top_k,
-            "min_score": self.min_score,
-        }
-
     def top_topics(
         self,
         timestamp: float,

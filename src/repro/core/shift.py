@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence,
     Tuple,
 )
 
 from repro.core.tracker import PairObservation
 from repro.core.types import Pair, canonical_pair
-from repro.persistence.codec import index_table, intern_rows
+from repro.persistence.codec import index_table
 from repro.persistence.snapshot import (
     SnapshotCorruptionError, require_compatible, require_state,
 )
@@ -61,8 +61,8 @@ def scores_state(
     A row becomes ``[first, second, value, time_position]``: the tags are
     positions into ``tags`` and the last update into ``times`` (null when
     there is none), each table in first-seen order.  The one encoder of
-    the scores: the detector, the journal fold and the re-sharding all
-    write through it, so equal scores encode to equal bytes.
+    the scores: the detector, the upgrade of an older state and the
+    re-sharding write through it, so equal scores encode to equal bytes.
     """
     rows = list(rows)
     tag_at, tags = index_table(
@@ -129,9 +129,6 @@ class ShiftDetector:
         # that method only.
         self._scores: Dict[Pair, DecayedMaximum] = {}
         self._evaluator: Optional["FusedEvaluator"] = None
-        # Pairs whose decayed maximum changed since the last delta drain;
-        # None when delta recording is inactive.
-        self._dirty: Optional[Set[Pair]] = None
 
     def attach_evaluator(self, evaluator: "FusedEvaluator") -> None:
         """Make ``evaluator``'s score columns the place evaluations write.
@@ -147,22 +144,18 @@ class ShiftDetector:
         """The per-pair decayed maxima with every scored row folded in.
 
         Rows the attached evaluator scored since the last call are
-        materialised here, on read, and — while a journal is armed —
-        marked dirty for the next :meth:`delta_since`.  ``mutating`` tells
+        materialised here, on read.  ``mutating`` tells
         the evaluator that the caller is about to change the dict behind
         its back, so it reloads its columns before its next evaluation.
         """
         evaluator = self._evaluator
         if evaluator is not None:
             scores = self._scores
-            dirty = self._dirty
             for pair, value, last_update in evaluator.drain_scores():
                 maximum = scores.get(pair)
                 if maximum is None:
                     maximum = scores[pair] = DecayedMaximum(self.decay)
                 maximum.restore_state(value, last_update)
-                if dirty is not None:
-                    dirty.add(pair)
             if mutating:
                 evaluator.invalidate()
         return self._scores
@@ -226,8 +219,6 @@ class ShiftDetector:
             observation.pair, DecayedMaximum(self.decay)
         )
         score = tracker.update(observation.timestamp, error)
-        if self._dirty is not None:
-            self._dirty.add(observation.pair)
         return ShiftScore(
             pair=observation.pair,
             timestamp=observation.timestamp,
@@ -255,18 +246,7 @@ class ShiftDetector:
         return self._synced_scores()
 
     def reset(self, pair: Optional[Pair] = None) -> None:
-        """Forget the score of one pair, or of every pair.
-
-        Not representable in a journal delta (which carries updates, not
-        deletions), so resetting while delta recording is active fails
-        loudly instead of silently corrupting a checkpoint chain.
-        """
-        if self._dirty is not None:
-            raise RuntimeError(
-                "cannot reset scores while delta recording is active: a "
-                "journal delta cannot express deletions; write a full "
-                "checkpoint (re-base) first"
-            )
+        """Forget the score of one pair, or of every pair."""
         scores = self._synced_scores(mutating=True)
         if pair is None:
             scores.clear()
@@ -278,7 +258,6 @@ class ShiftDetector:
 
         No score (in the dict, or in the attached evaluator's columns) was
         last updated after ``latest``, the latest evaluated timestamp;
-        while a journal is armed every dirty pair is among the scores;
         then the attached evaluator's own invariants.  Reads the dict as
         it stands — nothing pending is folded in.  For tests, never on
         the stream.
@@ -291,12 +270,6 @@ class ShiftDetector:
                         f"{pair!r} was scored at {last_update}, after the "
                         f"latest evaluation at {latest}"
                     )
-        if self._dirty is not None:
-            missing = self._dirty - self._scores.keys()
-            if missing:
-                raise AssertionError(
-                    f"dirty pairs {sorted(missing)!r} have no score"
-                )
         if self._evaluator is not None:
             self._evaluator.check_invariants(latest)
 
@@ -345,49 +318,3 @@ class ShiftDetector:
             # state: dropped, not flushed.
             self._evaluator.discard_scores()
         self._scores = scores
-        # Any buffered delta described the pre-restore state; drop it.
-        self._dirty = None
-
-    # -- incremental persistence --------------------------------------------
-
-    def begin_delta_tracking(self) -> None:
-        """Start (or re-arm, emptying the buffer) delta recording."""
-        # Rows scored before this point belong to the base snapshot.
-        self._synced_scores()
-        self._dirty = set()
-
-    def end_delta_tracking(self) -> None:
-        """Stop recording and discard any buffered delta."""
-        self._dirty = None
-
-    def delta_since(self, generation: int) -> dict:
-        """The decayed maxima updated since the last base/drain.
-
-        Replace semantics: the dirty pairs (``pairs``, each exactly once,
-        in canonical order, as positions into the ``tags`` string table)
-        with their *absolute* state in two parallel columns (``values``,
-        ``last_updates``), so
-        :func:`repro.persistence.delta.apply_detector_delta` merges them
-        into the base table without replaying updates.  Requires
-        :meth:`begin_delta_tracking`; recording stays armed afterwards.
-        """
-        if self._dirty is None:
-            raise RuntimeError(
-                "delta tracking is not active: take a base snapshot and "
-                "call begin_delta_tracking() first"
-            )
-        scores = self._synced_scores()
-        dirty = sorted(self._dirty)
-        states = [scores[pair].state() for pair in dirty]
-        tags, pairs = intern_rows(dirty)
-        delta = {
-            "kind": "shift-detector-delta",
-            "version": 2,
-            "since": int(generation),
-            "tags": tags,
-            "pairs": pairs,
-            "values": [value for value, _ in states],
-            "last_updates": [last_update for _, last_update in states],
-        }
-        self._dirty = set()
-        return delta

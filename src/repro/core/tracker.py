@@ -26,7 +26,7 @@ path.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice, zip_longest
 from operator import ge, itemgetter
 from typing import (
@@ -37,7 +37,7 @@ from typing import (
 from repro.core.candidates import CandidateIndex
 from repro.core.correlation import CorrelationMeasure, JaccardCorrelation, PairCounts
 from repro.core.types import Pair, canonical_pair, normalize_tags
-from repro.persistence.codec import index_table, intern_rows
+from repro.persistence.codec import index_table
 from repro.persistence.snapshot import (
     SnapshotCorruptionError, require_compatible, require_state,
 )
@@ -154,11 +154,7 @@ class DocumentDecomposer:
                             del cache[stale]
                     cache[key] = cached
                     return cached
-        effective = normalize_tags(tags)
-        if entities and self.use_entities:
-            effective |= normalize_tags(entities)
-        effective.discard("")
-        ordered = tuple(sorted(effective))
+        ordered = self._order(tags, entities)
         pairs = tuple(combinations(ordered, 2))
         if self._route is not None:
             pairs = self._route(pairs)
@@ -169,6 +165,31 @@ class DocumentDecomposer:
                 probation.clear()
             probation[key] = result
         return result
+
+    def ordered(
+        self, tags: Iterable[str], entities: Iterable[str] = ()
+    ) -> Tuple[str, ...]:
+        """The ordered tags :meth:`decompose` gives a document, read from
+        the memo or probation when either holds them, and admitting
+        nothing: a second look at a document must not promote a one-off
+        tag set into the memo."""
+        if type(tags) is frozenset and (
+                not entities or type(entities) is frozenset):
+            key = (tags, entities) if entities else tags
+            cached = self._cache.get(key) or self._probation.get(key)
+            if cached is not None:
+                return cached[0]
+        return self._order(tags, entities)
+
+    def _order(
+        self, tags: Iterable[str], entities: Iterable[str]
+    ) -> Tuple[str, ...]:
+        """The normalised, deduplicated, sorted tags (and entities)."""
+        effective = normalize_tags(tags)
+        if entities and self.use_entities:
+            effective |= normalize_tags(entities)
+        effective.discard("")
+        return tuple(sorted(effective))
 
     def rederive(
         self, events: Iterable[Tuple[float, Iterable[str]]]
@@ -207,11 +228,7 @@ class DocumentDecomposer:
                     f"{_DECOMPOSE_CACHE_WIDTH}"
                 )
             tags, entities = (key, ()) if type(key) is frozenset else key
-            effective = normalize_tags(tags)
-            if self.use_entities:
-                effective |= normalize_tags(entities)
-            effective.discard("")
-            if ordered != tuple(sorted(effective)):
+            if ordered != self._order(tags, entities):
                 raise AssertionError(
                     f"memo entry for {key!r} holds the tags {ordered!r}"
                 )
@@ -246,7 +263,7 @@ def histories_state(
     spelled once however many series hold it.  Every series is a ring
     bounded to the tracker's ``history_length``, which the tracker state
     carries once.  The one encoder of the histories: the tracker, the
-    journal fold and the re-sharding all write through it, so equal
+    upgrade of an older state and the re-sharding write through it, so equal
     histories encode to equal bytes.
     """
     rows = list(rows)
@@ -286,36 +303,6 @@ def histories_from_state(
         raise SnapshotCorruptionError(
             f"malformed correlation history state: {exc}"
         ) from exc
-
-
-#: Journal event kind of a document's ordered tag set (its pair list and
-#: its tag-window entry are *derived* on apply — pairs are a pure function
-#: of the sorted tags, so shipping them would double the payload and the
-#: encode time of the hot cadence tick).  A shard's pair events are not
-#: journaled: the sharded fold routes them from the coordinator's
-#: documents (older journals carry them as kind 1, which it skips).
-_DELTA_DOC = 0
-
-
-@dataclass
-class _TrackerDelta:
-    """Everything a tracker appended since its last base snapshot/drain.
-
-    The event buffer holds ``(timestamp, ordered tags)`` per document,
-    aliasing the tuples the tag window holds, so recording costs one list
-    append per document; ``samples`` holds one ``(timestamp, pairs, values)``
-    record per evaluation — the sampled pairs and their correlations as
-    two parallel lists — so recording an evaluation costs one list append
-    and two live containers however many pairs it sampled.  The drain
-    writes both logs out as they stand.
-    """
-
-    events: List[Tuple[float, Tuple[str, ...]]] = field(default_factory=list)
-    usage_events: List[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...]]] = \
-        field(default_factory=list)
-    samples: List[Tuple[float, List[Pair], List[float]]] = \
-        field(default_factory=list)
-    count_rows: List[Dict[str, int]] = field(default_factory=list)
 
 
 class CorrelationTracker:
@@ -373,8 +360,6 @@ class CorrelationTracker:
         # criterion); bounded deques, appended by record_count_history.
         # Stays empty when track_count_history is off.
         self._count_history: Dict[str, Deque[int]] = {}
-        # Delta recording (for journaled checkpoints); None when inactive.
-        self._delta: Optional[_TrackerDelta] = None
         # Memoising decomposer: tag sets recur constantly in real streams,
         # and building the O(k²) pair tuple dominates ingestion when computed
         # from scratch per document.
@@ -486,7 +471,7 @@ class CorrelationTracker:
             return 0
         # Commit phase: nothing below can fail on malformed input.  Usage
         # tracking loops per document, only when configured.
-        self._commit_pairs(timestamps, pair_lists, tag_sets)
+        self._commit_pairs(timestamps, pair_lists)
         if self.track_usage:
             for timestamp, ordered in zip(timestamps, tag_sets):
                 self._record_usage(timestamp, ordered)
@@ -546,12 +531,9 @@ class CorrelationTracker:
             )
         self._pair_fed = True
 
-    def _commit_pairs(self, timestamps, pair_lists, tag_sets=None) -> None:
-        """A validated run's pair side, column by column in C-level passes;
-        a run of documents (``tag_sets``) is journaled, pair events not."""
+    def _commit_pairs(self, timestamps, pair_lists) -> None:
+        """A validated run's pair side, column by column in C-level passes."""
         self._pair_events.extend(zip(timestamps, pair_lists))
-        if self._delta is not None and tag_sets is not None:
-            self._delta.events.extend(zip(timestamps, tag_sets))
         self._documents_seen += len(timestamps)
         self._latest = timestamps[-1]
         self._candidates.add_many(chain.from_iterable(pair_lists))
@@ -681,32 +663,7 @@ class CorrelationTracker:
                 pair=pair, timestamp=timestamp, correlation=value,
                 counts=counts, seed_tag=seed_tag,
             ))
-        if self._delta is not None:
-            self.journal_samples(
-                timestamp,
-                [observation.pair for observation in observations],
-                [float(observation.correlation)
-                 for observation in observations],
-            )
         return observations
-
-    @property
-    def journaling(self) -> bool:
-        """Whether delta recording is armed (journal_samples keeps data)."""
-        return self._delta is not None
-
-    def journal_samples(
-        self, timestamp: float, pairs: List[Pair], values: List[float]
-    ) -> None:
-        """Note one evaluation's sampled correlations in the armed journal.
-
-        ``values[i]`` is the correlation appended to the history of
-        ``pairs[i]`` at ``timestamp``; both lists are kept by reference
-        until the next :meth:`delta_since`.  A no-op while delta recording
-        is inactive, and for an evaluation that sampled nothing.
-        """
-        if self._delta is not None and pairs:
-            self._delta.samples.append((float(timestamp), pairs, values))
 
     def history(self, pair: Pair) -> TimeSeries:
         """Correlation history of ``pair`` (empty series when never observed)."""
@@ -793,7 +750,7 @@ class CorrelationTracker:
         candidate counts are rebuilt from the pair events and the usage
         counters from the usage events, so restored eviction arithmetic is
         exact.  (An older snapshot is brought to version 3 by
-        :func:`repro.persistence.delta.upgrade_engine_state` first.)
+        :func:`repro.persistence.upgrade.upgrade_engine_state` first.)
         """
         require_state(state, "correlation-tracker", 3)
         require_compatible(
@@ -855,8 +812,6 @@ class CorrelationTracker:
         self._documents_seen = int(state["documents_seen"])
         latest = state["latest"]
         self._latest = None if latest is None else float(latest)
-        # Any buffered delta described the pre-restore state; drop it.
-        self._delta = None
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless a live tracker could hold this state.
@@ -868,7 +823,7 @@ class CorrelationTracker:
         event at the same position — the identity a snapshot that leaves
         them out stands on; then the index's and the decomposition memo's
         own invariants.  For tests, after whatever *makes* a state — a
-        restore, a journal fold, a re-shard — never on the stream.
+        restore, a journal replay, a re-shard — never on the stream.
         """
         expected = Counter(chain.from_iterable(
             pairs for _, pairs in self._pair_events
@@ -912,89 +867,12 @@ class CorrelationTracker:
         self._candidates.check_invariants()
         self._decomposer.check_invariants()
 
-    # -- incremental persistence ----------------------------------------------
-
-    def begin_delta_tracking(self) -> None:
-        """Start (or re-arm, emptying the buffers) delta recording.
-
-        Call right after taking the base :meth:`snapshot`; everything the
-        tracker appends afterwards is buffered until :meth:`delta_since`
-        drains it.  Recording costs one list append per ingested document
-        and one per evaluation — negligible next to the statistics updates
-        themselves.
-        """
-        self._delta = _TrackerDelta()
-
-    def end_delta_tracking(self) -> None:
-        """Stop recording and discard any buffered delta."""
-        self._delta = None
-
-    def delta_since(self, generation: int) -> dict:
-        """Drain the recorded changes since the last base/drain as a dict.
-
-        The companion of :meth:`snapshot` for journaled checkpoints, and a
-        transcript of the buffers rather than a walk over the state.  The
-        distinct ordered tag sets of the documents (``tag_sets``) and the
-        distinct pairs of the samples (``pairs``) are written once, as
-        positions into one string table (``tags``); a document event is
-        ``[kind, timestamp, tag_set_position]`` and ``samples`` holds one
-        ``[timestamp, pair_positions, values]`` record per evaluation as
-        :meth:`journal_samples` buffered it — every pass runs in C.
-        What is left out (a document's pair list and window entry, a
-        shard's pair events, the rings' trim to ``maxlen``) is derived by
-        :func:`repro.persistence.delta.apply_tracker_delta`, whose fold
-        onto the base reproduces :meth:`snapshot` exactly.  Requires
-        :meth:`begin_delta_tracking`; recording stays armed afterwards.
-        """
-        buffer = self._delta
-        if buffer is None:
-            raise RuntimeError(
-                "delta tracking is not active: take a base snapshot and "
-                "call begin_delta_tracking() first"
-            )
-        events, samples = buffer.events, buffer.samples
-        tag_set_at, tag_sets = index_table(map(itemgetter(1), events))
-        pair_at, pairs = index_table(
-            chain.from_iterable(map(itemgetter(1), samples))
-        )
-        pair_position = pair_at.__getitem__
-        tags, tag_sets, pairs = intern_rows(tag_sets, pairs)
-        delta = {
-            "kind": "correlation-tracker-delta",
-            "version": 2,
-            "since": int(generation),
-            "documents_seen": self._documents_seen,
-            "latest": self._latest,
-            "min_support": self._candidates.min_support,
-            "tag_window_latest": self._tag_window.latest_timestamp,
-            "tags": tags,
-            "tag_sets": tag_sets,
-            "pairs": pairs,
-            "events": [
-                [_DELTA_DOC, timestamp, tag_set_at[ordered]]
-                for timestamp, ordered in events
-            ],
-            "usage_events": [
-                [timestamp, [[tag, list(cotags)] for tag, cotags in update]]
-                for timestamp, update in buffer.usage_events
-            ],
-            "samples": [
-                [timestamp, list(map(pair_position, sampled)), values]
-                for timestamp, sampled, values in samples
-            ],
-            "count_rows": buffer.count_rows,
-        }
-        self._delta = _TrackerDelta()
-        return delta
-
     # -- internals ----------------------------------------------------------------
 
     def _record_usage(self, timestamp: float, ordered: Tuple[str, ...]) -> None:
         """Update the windowed co-tag usage distributions for one document."""
         update = usage_update(ordered)
         self._usage_events.append((timestamp, update))
-        if self._delta is not None:
-            self._delta.usage_events.append((timestamp, update))
         usage = self._usage
         for tag, cotags in update:
             counter = usage.get(tag)
@@ -1005,13 +883,9 @@ class CorrelationTracker:
     def _record_count_history(self) -> None:
         if not self.track_count_history:
             return
-        snapshot = self._tag_window.snapshot()
-        if self._delta is not None:
-            # The row is a fresh dict from the window; recording the
-            # reference is safe (record_count_history only reads it).
-            self._delta.count_rows.append(snapshot)
         record_count_history(
-            self._count_history, snapshot, self.history_length
+            self._count_history, self._tag_window.snapshot(),
+            self.history_length,
         )
 
     def _evict(self, now: float) -> None:

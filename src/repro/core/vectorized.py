@@ -38,11 +38,10 @@ histories and scores live: an evaluation writes them and nothing else.
 The scalar dictionaries (the tracker's per-pair :class:`TimeSeries`
 histories, the detector's :class:`DecayedMaximum` table) are materialised
 from the rows evaluated since the last read, only when something reads
-them — a query, a snapshot, a scalar evaluation — and the delta journal
-records one ``(timestamp, pairs, values)`` entry per evaluation instead
-of bookkeeping per pair.  Mutations that happen *outside* the
-fused path (a scalar evaluation, a checkpoint restore, a score reset)
-invalidate the columns through the owning component; the next evaluation
+them — a query, a snapshot, a scalar evaluation.  Mutations that happen
+*outside* the fused path (a scalar evaluation, a checkpoint restore, a
+score reset) invalidate the columns through the owning component; the
+next evaluation
 reloads them from the dictionaries first, so mixing paths is always
 correct, merely slower for one evaluation.  Without an evaluator (no
 numpy, a kernel-less measure or predictor, ``vectorize=False``) the
@@ -725,8 +724,7 @@ class FusedEvaluator:
         The caller must already have advanced the tracker's window to
         ``timestamp`` (both engines do, mirroring the scalar entry points).
         Every check runs before any column is written, so an evaluation
-        that raises leaves histories, scores and the journal buffer exactly
-        as they were — where the scalar loop keeps what it appended for the
+        that raises leaves histories and scores exactly as they were — where the scalar loop keeps what it appended for the
         candidates preceding the offending one.  The raised message is the
         scalar path's (with several offenders it may name a different one),
         and a tracker holding invalid windowed counts is unreachable
@@ -734,7 +732,6 @@ class FusedEvaluator:
         """
         from repro.core.ranking import topic_sort_key
 
-        tracker = self._tracker
         builder = self._builder
         if self._stale:
             self._rebuild()
@@ -755,9 +752,6 @@ class FusedEvaluator:
             predicted, errors = self._score_candidates(
                 timestamp, values, scored, lengths, factors
             )
-            if tracker.journaling:
-                pairs = list(map(self._pairs.__getitem__, scored.tolist()))
-                tracker.journal_samples(timestamp, pairs, values.tolist())
             position = np.full(used, -1, dtype=np.int64)
             position[scored] = np.arange(len(scored))
             # Scored just now: last_update == timestamp, factor exactly 1.

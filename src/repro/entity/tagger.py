@@ -15,7 +15,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 from repro.entity.knowledge_base import KnowledgeBase, default_knowledge_base
 from repro.entity.ontology import Ontology, ontology_from_knowledge_base
 from repro.entity.tokenizer import is_stopword, ngrams, tokenize
-from repro.sketches.bloom import BloomFilter
 from repro.streams.item import StreamItem
 from repro.streams.operators import Operator
 
@@ -32,7 +31,6 @@ class EntityTagger:
         ontology: Optional[Ontology] = None,
         allowed_types: Iterable[str] = (),
         max_phrase_length: int = DEFAULT_MAX_PHRASE_LENGTH,
-        use_prefilter: bool = True,
     ):
         if max_phrase_length <= 0:
             raise ValueError("max_phrase_length must be positive")
@@ -42,12 +40,6 @@ class EntityTagger:
             self.ontology = ontology_from_knowledge_base(self.knowledge_base)
         self.allowed_types = tuple(allowed_types)
         self.max_phrase_length = int(max_phrase_length)
-        self._prefilter: Optional[BloomFilter] = None
-        if use_prefilter:
-            phrases = self.knowledge_base.phrases()
-            if phrases:
-                self._prefilter = BloomFilter(capacity=max(len(phrases), 16))
-                self._prefilter.update(phrases)
 
     def tag(self, text: str) -> List[str]:
         """Canonical entity names found in ``text`` (deduplicated, ordered).
@@ -64,8 +56,6 @@ class EntityTagger:
             if start < skip_until:
                 continue
             if length == 1 and is_stopword(phrase):
-                continue
-            if self._prefilter is not None and phrase not in self._prefilter:
                 continue
             entry = self.knowledge_base.resolve(phrase)
             if entry is None:

@@ -311,7 +311,7 @@ def tear_journal_tail(directory, cut: int = 16) -> Tuple[Path, int]:
     directory = Path(directory)
     segments = sorted(directory.glob("engine-*.delta"))
     if not segments:
-        raise FileNotFoundError(f"no delta journal segments under {directory}")
+        raise FileNotFoundError(f"no journal segments under {directory}")
     tail = segments[-1]
     size = tail.stat().st_size
     keep = max(size - int(cut), 1)

@@ -1,14 +1,17 @@
 """The checkpoint cadence policy shared by CLI replays and the serving layer.
 
 Both the ``replay`` command (``--checkpoint-every/--full-every``) and the
-asyncio serving layer persist the engine on the same policy: the cadence
-writes a full *base* when it starts (on resume: the just-restored state,
-which compacts any inherited journal), and every N-th published ranking
-then appends a journal segment sized by the new documents.  Every
+asyncio serving layer persist the engine on the same policy: base plus
+command log.  The cadence writes a full *base* when it starts (on resume:
+the just-restored state, which compacts any inherited journal), and every
+N-th published ranking then appends a journal segment holding the
+engine's input since the previous tick — the documents and any forced
+evaluations, which a reader replays onto the base.  Every
 ``full_every``-th tick, and any tick after a failed append disarmed the
-chain, re-bases with a fresh full checkpoint.  Keeping the policy in one
-class means the serving layer's checkpoint-while-serving behaviour cannot
-drift from what ``--resume`` was tested against.
+chain, re-bases with a fresh full checkpoint, which bounds the replay a
+restore runs.  Keeping the policy in one class means the serving layer's
+checkpoint-while-serving behaviour cannot drift from what ``--resume``
+was tested against.
 
 The cadence itself is synchronous — callers decide where it runs (the CLI
 calls it inline from the harness hook; the serving layer schedules it on

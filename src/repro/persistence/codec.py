@@ -27,30 +27,24 @@ from repro.persistence.snapshot import SnapshotCorruptionError
 def index_table(keys: Iterable[Hashable]) -> Tuple[Dict[Any, int], list]:
     """``(position, table)`` for the distinct ``keys``, in first-seen order.
 
-    Journal deltas write every recurring tag set and pair once, into a
-    table, and refer to it by position everywhere else — most of the
-    difference between a cadence tick sized by what changed and one sized
-    by the repeated strings.  Shared (with :func:`intern_rows`) by the
-    tracker, the shift detector and the sharded coordinator, so they
-    cannot drift from the decoders in :mod:`repro.persistence.delta`.
+    Snapshots and journal segments write every recurring tag, timestamp
+    and tag set once, into a table, and refer to it by position
+    everywhere else — most of the difference between a checkpoint sized
+    by what it holds and one sized by the repeated strings.
     """
     position = dict.fromkeys(keys)
     position = dict(zip(position, range(len(position))))
     return position, list(position)
 
 
-def intern_rows(*tables: Sequence[Sequence[str]]) -> tuple:
-    """``(tags, *tables)``: each table's rows (tuples of tags: ordered
-    tag sets, canonical pairs) as lists of positions into one ``tags``
-    table, so a delta spells a tag once however often it occurs.
+def intern_rows(rows: Sequence[Sequence[str]]) -> tuple:
+    """``(tags, rows)``: the rows (tuples of tags, such as ordered tag
+    sets) as lists of positions into one ``tags`` table, so a journal
+    segment spells a tag once however often it occurs.
     """
-    tag_at, tags = index_table(
-        chain.from_iterable(chain.from_iterable(tables))
-    )
+    tag_at, tags = index_table(chain.from_iterable(rows))
     position = tag_at.__getitem__
-    return (tags, *(
-        [list(map(position, row)) for row in table] for table in tables
-    ))
+    return tags, [list(map(position, row)) for row in rows]
 
 
 def names(table: Sequence[Any], positions: Iterable[int]) -> list:
@@ -58,21 +52,8 @@ def names(table: Sequence[Any], positions: Iterable[int]) -> list:
     return list(map(table.__getitem__, positions))
 
 
-def topic_to_state(topic: EmergentTopic) -> List[Any]:
-    """One ranking entry as a positional list (order matches the fields)."""
-    return [
-        topic.pair.first,
-        topic.pair.second,
-        topic.score,
-        topic.correlation,
-        topic.predicted_correlation,
-        topic.prediction_error,
-        topic.seed_tag,
-        topic.timestamp,
-    ]
-
-
 def topic_from_state(state: Sequence[Any]) -> EmergentTopic:
+    """One positional ranking entry, in the order of the topic's fields."""
     try:
         first, second, score, correlation, predicted, error, seed, ts = state
         return EmergentTopic(
@@ -90,15 +71,8 @@ def topic_from_state(state: Sequence[Any]) -> EmergentTopic:
         ) from exc
 
 
-def ranking_to_state(ranking: Ranking) -> dict:
-    return {
-        "timestamp": ranking.timestamp,
-        "label": ranking.label,
-        "topics": [topic_to_state(topic) for topic in ranking.topics],
-    }
-
-
 def ranking_from_state(state: Mapping[str, Any]) -> Ranking:
+    """A named ranking as version-1 engine states wrote them."""
     try:
         return Ranking(
             timestamp=float(state["timestamp"]),

@@ -45,46 +45,6 @@ class Snapshotable(Protocol):
         ...
 
 
-@runtime_checkable
-class DeltaSnapshotable(Snapshotable, Protocol):
-    """A :class:`Snapshotable` that can also externalize *incremental* state.
-
-    Between a full :meth:`~Snapshotable.snapshot` (the *base*) and the
-    present, the component records what changed — appended window events,
-    dirty per-pair entries, replayable evaluation rows — and
-    :meth:`delta_since` drains that record as a versioned, JSON-safe dict
-    that is kilobytes proportional to the new documents rather than
-    megabytes proportional to the window.  The matching pure functions in
-    :mod:`repro.persistence.delta` fold a delta onto a base snapshot dict,
-    reproducing exactly the state a fresh ``snapshot()`` would return, so
-    a base plus a journal of deltas restores through the unchanged
-    ``restore`` path.
-
-    Recording is opt-in (``begin_delta_tracking``) because the buffers
-    cost memory until drained; ``restore`` implicitly ends tracking (the
-    buffers would describe a state that no longer exists).
-    """
-
-    def begin_delta_tracking(self) -> None:
-        """Start (or re-arm, emptying the buffers) delta recording."""
-        ...
-
-    def delta_since(self, generation: int) -> dict:
-        """Drain everything recorded since the last base/drain as a dict.
-
-        ``generation`` is an opaque caller-side chain position stamped
-        into the delta as ``"since"`` (the on-disk journal order is the
-        authority; the stamp exists for debugging and audits).  Tracking
-        stays armed: the next call returns only what happened after this
-        one.
-        """
-        ...
-
-    def end_delta_tracking(self) -> None:
-        """Stop recording and discard any buffered deltas."""
-        ...
-
-
 def require_state(
     state: Any, kind: str, version: Union[int, Tuple[int, ...]]
 ) -> Mapping[str, Any]:

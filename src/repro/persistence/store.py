@@ -1,15 +1,14 @@
-"""The on-disk checkpoint format: manifest + state files + delta journal.
+"""The on-disk checkpoint format: manifest + base state files + journal.
 
 A checkpoint directory holds::
 
     MANIFEST.json               format version, generations, engine
-                                kind/config, file table with CRC-32s,
-                                journal segment table
+                                kind/config, file table with CRC-32s
     engine-00000003.json        the engine-level *base* snapshot (gen 3)
     shard-0000-00000003.json    one file per shard worker (sharded engines)
     shard-0001-00000003.json    ...
-    engine-00000004.delta       journal segment: what changed since gen 3
-    shard-0000-00000004.delta   (one per shard, CRC-framed)
+    engine-00000004.delta       journal segment: the engine's input since
+    engine-00000005.delta       the previous tick (CRC-framed)
     ...
 
 State files carry a monotonically increasing *generation* suffix and are
@@ -23,27 +22,29 @@ ones.  This matters most for cadence checkpointing into one directory
 (``--checkpoint-every``), whose entire purpose is surviving exactly such
 crashes.
 
-Delta checkpoints (:func:`append_delta`) extend the base with an
-append-only journal: a cadence tick writes one CRC-framed ``.delta``
-segment per component — kilobytes proportional to the documents since the
-previous tick, not megabytes proportional to the window.  The manifest
-pins the chain (its ``base_generation`` and shard count); the segments
-themselves commit through their self-verifying frames at strictly
-consecutive generations, with one directory-fsync durability barrier per
-tick.  A power cut can therefore tear a trailing run of ticks — the
-frames detect exactly that and the reader falls back to the longest
-verified prefix.  Damage *inside* the chain — a bad CRC with an intact
-segment after it, or a generation gap, which no interrupted append can
-produce — raises
+The journal (:func:`append_delta`) is a command log: a cadence tick
+appends one CRC-framed segment holding the documents the engine ingested
+since the previous tick and its forced evaluations
+(:mod:`repro.persistence.journal`) — bytes proportional to the new
+documents, not to the window, and one segment whatever the shard count.
+The manifest pins the chain's base generation; the segments commit
+through their self-verifying frames at strictly consecutive
+generations, with one directory-fsync durability barrier per tick.  A
+power cut can therefore tear a trailing run of ticks — the frames detect
+exactly that and the reader falls back to the longest verified prefix.
+Damage *inside* the chain — a bad CRC with an intact segment after it,
+or a generation gap, which no interrupted append can produce — raises
 :class:`~repro.persistence.snapshot.SnapshotCorruptionError`: a chain
 prefix is restored whole or not at all, never partially.  The next full
 checkpoint (:func:`write_checkpoint`) starts a fresh base and prunes the
-journal; compaction is simply restore-then-full-snapshot.
+journal.
 
 :func:`read_checkpoint` verifies the format version and every CRC before
-any state reaches a ``restore`` call, then folds the journal onto the
-base through :mod:`repro.persistence.delta`, so callers always receive a
-complete engine state regardless of how it was written.
+any state reaches a ``restore`` call, brings an older base to the
+current layout, then replays the journal through an engine restored from
+the base (:func:`repro.persistence.resume.replay_journal`), so callers
+always receive one complete engine state regardless of how it was
+written.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.persistence.journal import KIND as SEGMENT_KIND
 from repro.persistence.snapshot import (
     SnapshotCorruptionError,
     SnapshotMismatchError,
@@ -63,8 +65,9 @@ from repro.persistence.snapshot import (
 )
 
 #: Version of the directory layout + manifest schema (component snapshots
-#: carry their own ``version`` fields on top of this).  Version 2 added
-#: the delta journal; version-1 checkpoints (no journal) remain readable.
+#: and journal segments carry their own ``kind`` and ``version`` on top
+#: of this).  Version 2 added the journal; version-1 checkpoints (no
+#: journal) remain readable.
 FORMAT_VERSION = 2
 
 SUPPORTED_FORMAT_VERSIONS = (1, FORMAT_VERSION)
@@ -92,10 +95,6 @@ def _shard_file_name(shard_id: int, generation: int) -> str:
 
 def _engine_delta_name(generation: int) -> str:
     return f"engine-{generation:08d}.delta"
-
-
-def _shard_delta_name(shard_id: int, generation: int) -> str:
-    return f"shard-{shard_id:04d}-{generation:08d}.delta"
 
 
 def _next_generation(
@@ -413,7 +412,7 @@ def _read_framed_file(path: Path, description: str) -> Any:
 
 def append_delta(
     directory,
-    delta_state: Mapping[str, Any],
+    segment: Mapping[str, Any],
     expected_base: Optional[int] = None,
     expected_generation: Optional[int] = None,
     observer=None,
@@ -421,25 +420,22 @@ def append_delta(
 ) -> int:
     """Append one journal segment to the checkpoint in ``directory``.
 
-    ``delta_state`` is an engine ``delta_since()`` dict; a ``"shards"``
-    list (the sharded engine) lands in one CRC-framed
-    ``shard-NNNN-<gen>.delta`` per shard next to ``engine-<gen>.delta``.
-    ``extras`` (optional) rides in the engine segment and supersedes the
-    manifest's extras of the same keys once the segment is folded, so
-    live metadata (the serving metrics snapshot) is as fresh as the
-    engine state it was taken with.
-    The manifest pins the chain (base generation, shard count); each
+    ``segment`` is an engine ``delta_since()`` dict: the input since the
+    previous tick, written as one CRC-framed ``engine-<gen>.delta``.
+    ``extras`` (optional) ride in the segment and supersede the
+    manifest's extras of the same keys once it is read back, so live
+    metadata (the serving metrics snapshot) is as fresh as the engine
+    state it was taken with.  The manifest pins the chain's base; each
     segment *commits itself* through its CRC frame — generations are
     strictly consecutive from the base, so the committed chain is the
     longest verifiable prefix and no per-tick manifest rewrite is needed.
     Nothing is pruned: the journal accumulates until the next full
-    :func:`write_checkpoint` re-bases the directory (compaction is simply
-    restore-then-full-snapshot).
+    :func:`write_checkpoint` re-bases the directory.
 
-    One durability barrier per tick: the segment files are written and
-    atomically renamed without their own fsync, then a single directory
-    fsync persists the renames (ordered-journal filesystems flush the
-    renamed files' data first; elsewhere the data may lag by a few
+    One durability barrier per tick: the segment is written and
+    atomically renamed without its own fsync, then a single directory
+    fsync persists the rename (ordered-journal filesystems flush the
+    renamed file's data first; elsewhere the data may lag by a few
     ticks).  A power cut can therefore tear a trailing run of ticks —
     the frames detect it and the reader falls back to the verified
     prefix.  The tear can never end up mid-chain (before an intact
@@ -477,40 +473,17 @@ def append_delta(
             f"interrupted); write a fresh full checkpoint first"
         )
 
-    engine_delta = dict(delta_state)
-    shard_deltas = engine_delta.pop("shards", None)
-    if extras:
-        engine_delta["extras"] = dict(extras)
-    manifest_shards = manifest.get("num_shards")
-    delta_shards = None if shard_deltas is None else len(shard_deltas)
-    if delta_shards != manifest_shards:
-        raise SnapshotMismatchError(
-            f"delta carries state for {delta_shards!r} shard(s) but the "
-            f"checkpoint in {directory} holds {manifest_shards!r}; a delta "
-            f"chain cannot change the shard count (re-shard on restore)"
-        )
-
     started = time.perf_counter() if observer is not None else 0.0
-
-    payloads: List[Tuple[Path, bytes]] = []
-    if shard_deltas is not None:
-        for shard_id, shard_delta in enumerate(shard_deltas):
-            payloads.append((
-                directory / _shard_delta_name(shard_id, generation),
-                _frame(_encode(shard_delta)),
-            ))
-    payloads.append((
-        directory / _engine_delta_name(generation),
-        _frame(_encode(engine_delta)),
-    ))
-
+    if extras:
+        segment = {**segment, "extras": dict(extras)}
+    payload = _frame(_encode(segment))
     if observer is not None:
         now = time.perf_counter()
         observer("serialize", now - started)
         started = now
 
-    for path, payload in payloads:
-        _atomic_write(path, payload, durable=False)
+    _atomic_write(directory / _engine_delta_name(generation), payload,
+                  durable=False)
     # The tick's one durability barrier (see the docstring).
     _fsync_directory(directory)
 
@@ -525,14 +498,16 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
     The returned ``state`` is the engine snapshot with the per-shard files
     reassembled under ``"shards"`` (in shard order), an older base
-    brought to the current layout, and — for a delta
-    checkpoint — the committed journal segments folded in, ready for an
-    engine's ``restore``; the manifest's ``extras`` are updated with
-    those of the newest folded segment that carries any.  Validation
-    order: manifest format version first, then the CRC-32 of every state
-    file and the CRC frame of every journal segment — corrupted bytes
-    never reach a restore, and a corrupt committed segment fails the
-    whole load rather than silently restoring a partial chain.
+    brought to the current layout, and the committed journal segments
+    replayed onto it, ready for an engine's ``restore``; the manifest's
+    ``extras`` are updated with those of the newest segment that carries
+    any.  Validation order: manifest format version first, then the
+    CRC-32 of every state file and the CRC frame of every journal
+    segment — corrupted bytes never reach a restore, and a corrupt
+    committed segment fails the whole load rather than silently
+    restoring a partial chain.  A segment in the per-component format
+    older builds wrote is refused with
+    :class:`~repro.persistence.snapshot.SnapshotMismatchError`.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -559,44 +534,67 @@ def read_checkpoint(directory) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             shards.append(_read_verified(directory, files[name], name))
         state["shards"] = shards
 
-    # Imported lazily: the delta module shares the count-history replay
-    # rule with repro.core, which itself imports this package.
-    from repro.persistence.delta import apply_engine_delta, upgrade_engine_state
+    # Imported lazily: both build on repro.core, which itself imports
+    # this package.
+    from repro.persistence.resume import replay_journal
+    from repro.persistence.upgrade import upgrade_engine_state
 
     state = upgrade_engine_state(state)
     base_generation = manifest.get("base_generation",
                                    manifest.get("generation", 0))
-    chain = _journal_chain(directory, int(base_generation))
-    if chain:
-        extras = None
-        for index, generation in enumerate(chain):
-            try:
-                delta = _read_segment(directory, generation, num_shards)
-            except SnapshotCorruptionError as exc:
-                # A power cut tears a contiguous *suffix*: segment data is
-                # not fsynced per tick, so on filesystems without ordered
-                # data flushing several trailing ticks may be torn at
-                # once.  If everything after the failure is torn too, fall
-                # back to the verified prefix; an *intact* later segment
-                # rules the crash explanation out — that is damage
-                # mid-chain, and restoring around it would be a lie.
-                for later in chain[index + 1:]:
-                    try:
-                        _read_segment(directory, later, num_shards)
-                    except SnapshotCorruptionError:
-                        continue
-                    raise SnapshotCorruptionError(
-                        f"journal segment {generation} in {directory} is "
-                        f"damaged mid-chain (segment {later} after it is "
-                        f"intact, so this is not an interrupted append): "
-                        f"{exc}"
-                    ) from exc
-                break
-            extras = delta.pop("extras", None) or extras
-            state = apply_engine_delta(state, delta)
-        if extras:
-            manifest["extras"] = {**manifest.get("extras", {}), **extras}
-    return manifest, state
+    segments = _read_journal(directory, int(base_generation))
+    extras = None
+    for segment in segments:
+        extras = segment.pop("extras", None) or extras
+    if extras:
+        manifest["extras"] = {**manifest.get("extras", {}), **extras}
+    return manifest, replay_journal(state, segments)
+
+
+def _read_journal(directory: Path, base_generation: int) -> List[dict]:
+    """The committed journal segments after the base, in order.
+
+    A power cut tears a contiguous *suffix*: segment data is not fsynced
+    per tick, so on filesystems without ordered data flushing several
+    trailing ticks may be torn at once.  If everything after a segment
+    that fails its frame is torn too, the chain is the verified prefix
+    before it; an *intact* later segment rules the crash explanation out
+    — that is damage mid-chain, and restoring around it would be a lie.
+    """
+    chain = _journal_chain(directory, base_generation)
+    segments: List[dict] = []
+    for index, generation in enumerate(chain):
+        try:
+            segment = _read_framed_file(
+                directory / _engine_delta_name(generation), "journal segment"
+            )
+        except SnapshotCorruptionError as exc:
+            for later in chain[index + 1:]:
+                try:
+                    _read_framed_file(
+                        directory / _engine_delta_name(later),
+                        "journal segment",
+                    )
+                except SnapshotCorruptionError:
+                    continue
+                raise SnapshotCorruptionError(
+                    f"journal segment {generation} in {directory} is "
+                    f"damaged mid-chain (segment {later} after it is "
+                    f"intact, so this is not an interrupted append): "
+                    f"{exc}"
+                ) from exc
+            break
+        kind = segment.get("kind") if isinstance(segment, dict) else None
+        if kind != SEGMENT_KIND:
+            raise SnapshotMismatchError(
+                f"journal segment {generation} in {directory} is a {kind!r} "
+                f"segment, which this build no longer reads (it replays "
+                f"{SEGMENT_KIND!r} segments): take a fresh base — restore "
+                f"the checkpoint with the build that wrote it and save a "
+                f"full checkpoint"
+            )
+        segments.append(segment)
+    return segments
 
 
 def _journal_chain(directory: Path, base_generation: int) -> List[int]:
@@ -626,21 +624,3 @@ def _journal_chain(directory: Path, base_generation: int) -> List[int]:
             f"at {generation - 1} — refusing to guess which prefix is real"
         )
     return chain
-
-
-def _read_segment(
-    directory: Path, generation: int, num_shards: Optional[int]
-) -> Dict[str, Any]:
-    """Read and verify one journal tick's delta files (engine + shards)."""
-    delta = _read_framed_file(
-        directory / _engine_delta_name(generation), "engine delta"
-    )
-    if num_shards is not None:
-        shard_deltas = []
-        for shard_id in range(num_shards):
-            shard_deltas.append(_read_framed_file(
-                directory / _shard_delta_name(shard_id, generation),
-                f"shard-{shard_id} delta",
-            ))
-        delta["shards"] = shard_deltas
-    return delta

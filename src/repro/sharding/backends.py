@@ -1,10 +1,9 @@
 """The shard protocol, and the three transports it travels over.
 
-The coordinator talks to its shard workers in eight messages — ``ingest``
-(fire-and-forget, one chunk of pair events) and seven synchronous
-operations (``evaluate``, ``stats``, ``collect_state``, ``restore_state``,
-``begin_delta``, ``end_delta``, ``collect_delta``) — plus ``stop``, and
-the protocol is written down here exactly once:
+The coordinator talks to its shard workers in five messages — ``ingest``
+(fire-and-forget, one chunk of pair events) and four synchronous
+operations (``evaluate``, ``stats``, ``collect_state``, ``restore_state``)
+— plus ``stop``, and the protocol is written down here exactly once:
 
 * **worker side** — :data:`_OPERATIONS` maps each synchronous operation
   to the :class:`~repro.sharding.worker.ShardWorker` call it stands for;
@@ -98,9 +97,6 @@ _OPERATIONS = {
     "stats": lambda worker, _: worker.stats(),
     "collect_state": lambda worker, _: worker.snapshot(),
     "restore_state": lambda worker, state: worker.restore(state),
-    "begin_delta": lambda worker, _: worker.begin_delta_tracking(),
-    "end_delta": lambda worker, _: worker.end_delta_tracking(),
-    "collect_delta": lambda worker, generation: worker.delta_since(generation),
 }
 
 
@@ -553,18 +549,6 @@ class ShardBackend:
     def restore_states(self, states: Sequence[Mapping]) -> None:
         """Restore one snapshot per shard worker, in shard order."""
         self._call("restore_state", states)
-
-    def begin_delta_tracking(self) -> None:
-        """Arm delta recording in every shard worker (journal checkpoints)."""
-        self._call("begin_delta")
-
-    def end_delta_tracking(self) -> None:
-        """Disarm delta recording in every shard worker."""
-        self._call("end_delta")
-
-    def collect_deltas(self, generation: int) -> List[dict]:
-        """Drain every shard worker's delta, in shard order."""
-        return self._call("collect_delta", generation)
 
     def close(self) -> None:
         """Graceful shutdown (idempotent): a stop message behind whatever

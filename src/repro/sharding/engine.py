@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.config import EnBlogueConfig
@@ -49,8 +48,8 @@ from repro.core.tracker import DocumentDecomposer
 from repro.core.types import Ranking
 from repro.core.vectorized import config_vectorizes
 from repro.entity.tagger import EntityTagger
-from repro.persistence.codec import index_table, intern_rows, optional_float
-from repro.persistence.snapshot import SnapshotMismatchError, require_state
+from repro.persistence.codec import optional_float
+from repro.persistence.snapshot import require_state
 from repro.sharding.backends import ShardBackend, make_backend
 from repro.sharding.partitioner import PairPartitioner
 from repro.sharding.reshard import reshard_worker_states
@@ -138,10 +137,6 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._buffered_documents = 0
         self._latest: Optional[float] = None
         self._closed = False
-        # Delta-checkpoint buffers for the coordinator's own (tag-level)
-        # state; None when delta recording is inactive.
-        self._delta_tag_events: Optional[List[Tuple[float, Tuple[str, ...]]]] = None
-        self._delta_count_rows: Optional[List[Dict[str, int]]] = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -209,15 +204,19 @@ class ShardedEnBlogue(DetectionEngineBase):
             ))
             times, tags = timestamps[start:stop], tag_sets[start:stop]
             self._tag_window.add_ordered_run(times, tags)  # checked above
-            if self._delta_tag_events is not None:
-                self._delta_tag_events.extend(zip(times, tags))
             self._latest = times[-1]
             rows = pair_rows[start:stop]
             for buffer, column in zip(self._buffers, zip(*rows)):
                 buffer.extend(compress(zip(times, column), column))
             self._buffered_documents += stop - start
             if self._buffered_documents >= self.chunk_size:
-                self._flush()
+                try:
+                    self._flush()
+                except BaseException:
+                    # The window and the buffers hold the run up to here:
+                    # it is ingested, so it is counted and journaled.
+                    self._note_ingested(observations[:stop], stop)
+                    raise
             start = stop
         return total
 
@@ -401,76 +400,6 @@ class ShardedEnBlogue(DetectionEngineBase):
         self._buffers = [[] for _ in range(self.num_shards)]
         self._buffered_documents = 0
 
-    def _begin_delta_tracking(self) -> None:
-        # snapshot() already flushed, but a direct caller may not have:
-        # the shard deltas must start exactly at the base state.
-        self._flush()
-        super()._begin_delta_tracking()
-        self._delta_tag_events = []
-        self._delta_count_rows = []
-        self.backend.begin_delta_tracking()
-
-    def _stop_delta_tracking(self) -> None:
-        was_tracking = self._delta_rankings is not None
-        super()._stop_delta_tracking()
-        self._delta_tag_events = None
-        self._delta_count_rows = None
-        if was_tracking and not self._closed:
-            try:
-                self.backend.end_delta_tracking()
-            except Exception:
-                # Disarming is best-effort cleanup, often reached while
-                # unwinding a failed save — a dead backend has no worker
-                # buffers left to disarm, and raising here would mask the
-                # failure that brought us down this path.
-                pass
-
-    def delta_since(self, generation: int) -> dict:
-        """Coordinator + every shard's changes since the last base/drain.
-
-        Buffered chunks are flushed first so the drained shard deltas
-        observe every routed pair event (the FIFO argument of
-        ``collect_states``); the coordinator contributes its appended
-        tag-window events, the per-evaluation count-history rows, and the
-        shared boundary bookkeeping.  Folded back by
-        :func:`repro.persistence.delta.apply_engine_delta`.  The drain is
-        not transactional: if the backend fails mid-collect the buffered
-        tick is lost — ``save_delta_checkpoint`` disarms the chain on any
-        failure for exactly that reason.
-        """
-        self._ensure_open()
-        if self._delta_tag_events is None:
-            raise SnapshotMismatchError(
-                "no delta baseline: call save_checkpoint(directory, "
-                "track_deltas=True) before delta_since"
-            )
-        self._flush()
-        tag_events = self._delta_tag_events
-        count_rows = self._delta_count_rows
-        self._delta_tag_events = []
-        self._delta_count_rows = []
-        # Version 3, the tracker delta's encoding: each distinct ordered
-        # tag set once ("tag_sets", positions into the "tags" string
-        # table), every event a position into it — a segment sized by the
-        # distinct tag sets, not by every document repeating its tags.
-        tag_set_at, tag_sets = index_table(map(itemgetter(1), tag_events))
-        tags, tag_sets = intern_rows(tag_sets)
-        return {
-            "kind": "sharded-enblogue-delta",
-            "version": 3,
-            **self._base_delta(generation),
-            "latest": self._latest,
-            "tag_window_latest": self._tag_window.latest_timestamp,
-            "tags": tags,
-            "tag_sets": tag_sets,
-            "tag_events": [
-                [timestamp, tag_set_at[tags]] for timestamp, tags in tag_events
-            ],
-            "count_rows": count_rows,
-            "builder": self.ranking_builder.delta_since(generation),
-            "shards": self.backend.collect_deltas(generation),
-        }
-
     # -- internals ------------------------------------------------------------
 
     def _sink_name(self) -> str:
@@ -501,11 +430,9 @@ class ShardedEnBlogue(DetectionEngineBase):
 
     def _record_count_row(self) -> None:
         """Fold the window's current per-tag counts into the count history."""
-        count_row = self._tag_window.snapshot()
-        if self._delta_count_rows is not None:
-            self._delta_count_rows.append(count_row)
         record_count_history(
-            self._count_history, count_row, self.config.history_length,
+            self._count_history, self._tag_window.snapshot(),
+            self.config.history_length,
         )
 
     def _evaluate(self, timestamp: float) -> Ranking:

@@ -9,13 +9,11 @@ any inner backend (serial / threads / process) and turns worker death
 back into liveness:
 
 * every state-changing protocol message the coordinator issues
-  (``ingest`` chunks, ``evaluate`` boundaries, delta arm/disarm, journal
-  drains) is recorded, as the ``(operation, payload)`` it is, in an
-  **operation log** since the last state-capture point — and the log is
-  bounded: a full checkpoint restarts it, and between those the
-  supervisor captures the workers' state itself once the log reaches
-  :data:`LOG_COMPACT_OPS` messages (under a delta chain, at the next
-  journal drain),
+  (``ingest`` chunks, ``evaluate`` boundaries) is recorded, as the
+  ``(operation, payload)`` it is, in an **operation log** since the last
+  state-capture point — and the log is bounded: a full checkpoint
+  restarts it, and between those the supervisor captures the workers'
+  state itself once the log reaches :data:`LOG_COMPACT_OPS` messages,
 * on failure the dead pool is discarded wholesale and a fresh one is
   rebuilt from the one recovery source, the in-memory base plus the log:
   the workers' states at the last capture point (fresh workers before
@@ -54,17 +52,13 @@ __all__ = ["RetryPolicy", "SupervisedBackend"]
 #: The messages that change worker state, hence logged for replay.
 #: (``restore_state`` changes it too, but together with
 #: ``collect_state`` it is a state-capture point: the log restarts there.)
-_LOGGED = frozenset(
-    {"ingest", "evaluate", "begin_delta", "end_delta", "collect_delta"}
-)
+_LOGGED = frozenset({"ingest", "evaluate"})
 
 #: Length at which the supervisor re-bases the operation log itself, by a
-#: ``collect_states`` of its own.  Un-drained delta buffers are not part
-#: of a snapshot, so while delta tracking is armed it waits for the next
-#: journal drain (``collect_delta``): the buffers are empty there, and a
-#: snapshot plus a re-arm is exactly the drained workers.  Otherwise
-#: nothing but a cadence re-base restarts the log, every ``full_every``
-#: ticks or never: it would keep every dispatched chunk in between.
+#: ``collect_states`` of its own.  A worker's state is its snapshot, so
+#: the capture can happen at any message; without it nothing but a
+#: cadence re-base would restart the log, every ``full_every`` ticks or
+#: never, and the log would keep every dispatched chunk in between.
 LOG_COMPACT_OPS = 1024
 
 
@@ -138,8 +132,7 @@ class SupervisedBackend(ShardBackend):
         self.num_shards = 0
         self._worker_config = None
         self._worker_vectorize = True
-        self._armed = False
-        self._reset_log(base=None, armed=False)
+        self._reset_log(base=None)
 
         self._recovering: Set[int] = set()
         self._permanent: Optional[str] = None
@@ -177,10 +170,9 @@ class SupervisedBackend(ShardBackend):
         self.num_shards = len(workers)
         self._inner.start(workers)
         self._closed = False
-        self._armed = False
         self._permanent = None
         self._recovering.clear()
-        self._reset_log(base=None, armed=False)
+        self._reset_log(base=None)
 
     def bind_observability(self, observability) -> None:
         super().bind_observability(observability)
@@ -228,27 +220,14 @@ class SupervisedBackend(ShardBackend):
     def collect_states(self) -> List[dict]:
         states = super().collect_states()
         # A fresh full snapshot of every worker is a state-capture point:
-        # the log restarts here.  (If delta tracking is armed, the workers'
-        # un-drained buffers are not part of the snapshot — the arm flag is
-        # remembered and re-arming on rebuild resets them, which matches
-        # the engine's own re-base sequence: collect_states is immediately
-        # followed by a fresh begin_delta_tracking.)
-        self._reset_log(base=states, armed=self._armed)
+        # the log restarts here.
+        self._reset_log(base=states)
         return states
 
     def restore_states(self, states: Sequence[Mapping]) -> None:
         states = [dict(state) for state in states]
         super().restore_states(states)
-        self._reset_log(base=states, armed=self._armed)
-
-    def begin_delta_tracking(self) -> None:
-        # Set before the call is logged, so that logging it cannot compact.
-        self._armed = True
-        super().begin_delta_tracking()
-
-    def end_delta_tracking(self) -> None:
-        super().end_delta_tracking()
-        self._armed = False
+        self._reset_log(base=states)
 
     # -- health / introspection -------------------------------------------
 
@@ -440,10 +419,6 @@ class SupervisedBackend(ShardBackend):
             ])
             if self._base_states is not None:
                 inner.restore_states(self._base_states)
-            if self._armed_at_base:
-                inner.begin_delta_tracking()
-            # A replayed drain is there for its buffer-reset side effect;
-            # the drained events were already journaled pre-crash.
             for operation, payload in self._log:
                 _deliver(inner, operation, payload)
         except BaseException:
@@ -454,15 +429,13 @@ class SupervisedBackend(ShardBackend):
 
     # -- log bookkeeping ---------------------------------------------------
 
-    def _reset_log(self, base: Optional[List[Mapping]], armed: bool) -> None:
+    def _reset_log(self, base: Optional[List[Mapping]]) -> None:
         self._base_states = base
-        self._armed_at_base = armed
         self._log: List[tuple] = []
 
     def _append_log(self, entry: tuple) -> None:
         self._log.append(entry)
-        if len(self._log) >= LOG_COMPACT_OPS and (
-                not self._armed or entry[0] == "collect_delta"):
+        if len(self._log) >= LOG_COMPACT_OPS:
             # Guarded like any other call: should it fail, the entry just
             # appended is replayed with the rest.
             self.collect_states()

@@ -213,37 +213,6 @@ class ShardWorker:
             "shard_restore", live_pairs=self.live_pairs(),
         )
 
-    def begin_delta_tracking(self) -> None:
-        """Arm delta recording in the shard's tracker/detector/builder."""
-        self.tracker.begin_delta_tracking()
-        self.detector.begin_delta_tracking()
-        self.builder.begin_delta_tracking()
-
-    def end_delta_tracking(self) -> None:
-        """Disarm delta recording and drop any buffered deltas."""
-        self.tracker.end_delta_tracking()
-        self.detector.end_delta_tracking()
-        self.builder.end_delta_tracking()
-
-    def delta_since(self, generation: int) -> dict:
-        """This shard's changes since the last base snapshot/drain.
-
-        The journal-segment companion of :meth:`snapshot`, folded back by
-        :func:`repro.persistence.delta.apply_worker_delta`.  Version 2
-        carries no pair events: restore derives them from the
-        coordinator's tag window, so the tracker part is its clocks, event
-        count and sampled correlations.
-        """
-        return {
-            "kind": "shard-worker-delta",
-            "version": 2,
-            "since": int(generation),
-            "shard_id": self.shard_id,
-            "tracker": self.tracker.delta_since(generation),
-            "detector": self.detector.delta_since(generation),
-            "builder": self.builder.delta_since(generation),
-        }
-
     # -- introspection --------------------------------------------------------
 
     def live_pairs(self) -> int:

@@ -244,8 +244,8 @@ def window_state(
 
     Two columns: ``timestamps``, and ``events``, each event's tags as
     positions into ``tags``, which spells every tag once, in first-seen
-    order.  The one encoder of a window, live or folded from a journal,
-    so equal windows encode to equal bytes.
+    order.  The one encoder of a window, live or upgraded from an older
+    base, so equal windows encode to equal bytes.
     """
     events = list(events)
     tag_at, tags = index_table(
@@ -294,8 +294,8 @@ def record_count_history(
     reflects disappearance as well as growth; each tag's series is a deque
     bounded to ``history_length``, so the append itself trims to the last
     ``history_length`` points.  The single rule behind the volatility seed
-    criterion, shared by the tracker, the sharded coordinator (its global
-    count history must evolve identically) and the journal replay.
+    criterion, shared by the tracker and the sharded coordinator (its
+    global count history must evolve identically).
 
     The history holds every tag ever seen, so the row is folded in by
     C-level iteration, not a Python loop over the vocabulary: tags new to

@@ -134,13 +134,7 @@ class TimeSeries:
         return list(self._values[-n:])
 
     def tail_points(self, n: int) -> Tuple[List[float], List[float]]:
-        """The last ``n`` points as ``(timestamps, values)`` lists.
-
-        The journal-delta encoding of a series: a bounded ring that took
-        ``n`` appends since a baseline is reproduced exactly by extending
-        the baseline with this tail and re-trimming to ``maxlen`` (when
-        ``n`` reaches ``maxlen`` the tail *is* the whole series).
-        """
+        """The last ``n`` points as ``(timestamps, values)`` lists."""
         if n <= 0:
             return [], []
         return list(self._timestamps[-n:]), list(self._values[-n:])

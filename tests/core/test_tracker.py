@@ -381,15 +381,12 @@ class TestCountHistoryBound:
                                     track_count_history=False)
         for tracker in (recording, silent):
             tracker.observe(1.0, ["s", "x"])
-            tracker.begin_delta_tracking()
             tracker.evaluate(2.0, ["s"])
             tracker.advance_to(3.0)
             tracker.record_count_history_row()
         assert recording.count_history() == {"s": [1, 1], "x": [1, 1]}
         assert silent.count_history() == {} == silent.count_history_map
         assert silent.snapshot()["count_history"] == {}
-        assert silent.delta_since(1)["count_rows"] == []
-        assert len(recording.delta_since(1)["count_rows"]) == 2
         # Not a structural parameter: a state that carries a history
         # restores, and the history is dropped rather than kept stale.
         silent.restore(recording.snapshot())

@@ -299,13 +299,13 @@ def _live_workers(engine):
 
 
 def check_invariants(engine_or_state) -> None:
-    """``check_invariants()`` on whatever a run, restore, journal fold or
+    """``check_invariants()`` on whatever a run, restore, journal replay or
     re-shard made.
 
     A single engine checks its tracker, detector and fused evaluator in
     place.  A sharded engine checks its coordinator in place and every
     worker through the complete state its backend hands over (workers in
-    the coordinator's process in place too).  A folded journal is only a
+    the coordinator's process in place too).  A read checkpoint is only a
     dict: a single engine's tracker state is restored into a fresh tracker
     (``restore`` adopts a state as it stands and derives what it leaves
     out); a sharded state is restored into a serial coordinator and
@@ -568,14 +568,14 @@ def _assert_in_step(engine, reference) -> None:
         == list(live_count_history(reference).items())
 
 
-def assert_folds_to_live(directory, engine, invariants=True) -> dict:
-    """The chain in ``directory`` folds to ``engine``'s live snapshot (and,
-    with ``invariants``, to a state a live engine can be in)."""
-    _, folded = read_checkpoint(directory)
+def assert_replays_to_live(directory, engine, invariants=True) -> dict:
+    """The chain in ``directory`` replays to ``engine``'s live snapshot
+    (and, with ``invariants``, to a state a live engine can be in)."""
+    _, replayed = read_checkpoint(directory)
     if invariants:
-        check_invariants(folded)
-    assert folded == engine.snapshot()
-    return folded
+        check_invariants(replayed)
+    assert replayed == engine.snapshot()
+    return replayed
 
 
 class Run:
@@ -650,9 +650,9 @@ class Run:
                     engine.save_checkpoint(self.directory, track_deltas=True)
                 else:
                     engine.save_delta_checkpoint(self.directory)
-                # The last tick's fold is checked for invariants below: as
+                # The last tick's replay is checked for invariants below: as
                 # the journal's end state, or as the restored engine.
-                assert_folds_to_live(self.directory, engine, invariants=False)
+                assert_replays_to_live(self.directory, engine, invariants=False)
             if checkpointing == "resume":
                 live = live_pair_state(engine)
                 state = json_copy(engine.snapshot()) \
@@ -669,7 +669,7 @@ class Run:
             reference.process_many(self.docs[previous:])
             if checkpointing == "journal":
                 engine.save_delta_checkpoint(self.directory)
-                assert_folds_to_live(self.directory, engine)
+                assert_replays_to_live(self.directory, engine)
             if self.fixed and self.docs:
                 engine.evaluate_now()
                 reference.evaluate_now()
@@ -692,7 +692,7 @@ class Run:
             frames = serve(engine, self._batches(0, handoff), cadence)
             _assert_observed(observabilities[0], handoff)
             if checkpointing != "none":
-                assert_folds_to_live(self.directory, engine)
+                assert_replays_to_live(self.directory, engine)
                 if self.fixed:
                     assert list(self.directory.glob("*.delta"))
             if checkpointing == "resume":

@@ -66,16 +66,12 @@ class TestEntityTagger:
     def test_phrase_longer_than_window_is_not_matched(self):
         kb = KnowledgeBase()
         kb.add_entity("one two three four five")
-        tagger = EntityTagger(knowledge_base=kb, max_phrase_length=4, use_prefilter=False)
+        tagger = EntityTagger(knowledge_base=kb, max_phrase_length=4)
         assert tagger.tag("one two three four five") == []
 
     def test_default_knowledge_base_is_used_when_none_given(self):
         tagger = EntityTagger()
         assert "Athens" in tagger.tag("the conference moved to Athens")
-
-    def test_prefilter_can_be_disabled(self):
-        tagger = EntityTagger(knowledge_base=small_kb(), use_prefilter=False)
-        assert tagger.tag("obama in athens") == ["Barack Obama", "Athens"]
 
 
 class TestEntityTaggingOperator:

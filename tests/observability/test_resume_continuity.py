@@ -92,3 +92,26 @@ class TestManifestRide:
         cadence.finalize()
         _engine, manifest = load_engine(tmp_path)
         assert "metrics" not in manifest.get("extras", {})
+
+    def test_a_replayed_journal_counts_no_document_twice(self, tmp_path):
+        # Restore replays the journal's documents through a scratch
+        # engine; the counters come from the newest segment's extras,
+        # which counted each of those documents once, live.
+        documents = make_documents(240)
+        observability = Observability()
+        engine = EnBlogue(config(), observability=observability)
+        cadence = CheckpointCadence(
+            engine, directory=tmp_path, every=1, full_every=100,
+            extras_provider=_metrics_extras_provider(observability),
+        )
+        cadence.begin()
+        for start in range(0, 240, 40):
+            for _ in engine.process_batch(documents[start:start + 40]):
+                cadence.note_ranking()
+        assert len(list(tmp_path.glob("*.delta"))) > 2
+        fresh = Observability()
+        resumed, manifest = load_engine(tmp_path, observability=fresh)
+        _restore_metrics(fresh, manifest)
+        counted = fresh.registry.counter("repro_core_documents_total").value
+        assert counted == resumed.documents_processed
+        assert resumed.snapshot() == engine.snapshot()

@@ -101,8 +101,8 @@ def test_a_restored_or_folded_state_encodes_to_the_same_bytes(name, tmp_path):
         engine.process_many(DOCS[CUT // 2:])
         engine.save_delta_checkpoint(tmp_path)
         live = json.dumps(engine.snapshot())
-        _, folded = read_checkpoint(tmp_path)
-        assert json.dumps(folded) == live
+        _, replayed = read_checkpoint(tmp_path)
+        assert json.dumps(replayed) == live
         resumed.restore(json.loads(live))
         assert json.dumps(resumed.snapshot()) == live
         if hasattr(resumed, "tracker"):

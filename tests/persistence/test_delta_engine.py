@@ -1,11 +1,12 @@
-"""Engine-level delta checkpointing: chains, guards, bit-identical resume.
+"""Engine-level journal checkpointing: chains, guards, bit-identical resume.
 
-The contract under test is two-layered: ``delta_since`` folded onto the
-base snapshot reproduces ``snapshot()`` exactly (the dict-level
-equivalence the store's reader relies on), and a base + journal directory
-resumes into a continuation bit-identical to an uninterrupted run — for
-the single engine, and for the sharded one across a re-shard mid-chain
-(every transport's N → M resume is a cell of the differential matrix).
+The contract under test is two-layered: the segments ``delta_since``
+drains, replayed onto the base snapshot, reproduce ``snapshot()`` exactly
+(the dict-level equivalence the store's reader relies on), and a base +
+journal directory resumes into a continuation bit-identical to an
+uninterrupted run — for the single engine, and for the sharded one across
+a re-shard mid-chain (every transport's N → M resume is a cell of the
+differential matrix).
 """
 
 import pytest
@@ -76,7 +77,7 @@ class TestSingleEngineChain:
 
     def test_empty_delta_tick_round_trips(self, docs, tmp_path):
         # A cadence tick with no new documents writes a (tiny) segment
-        # that must still fold cleanly.
+        # that must still replay cleanly.
         engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:60])
         engine.save_checkpoint(tmp_path, track_deltas=True)
@@ -84,15 +85,20 @@ class TestSingleEngineChain:
         _, merged = read_checkpoint(tmp_path)
         assert merged == engine.snapshot()
 
-    def test_policy_mutation_mid_chain_survives(self, docs, tmp_path):
+    def test_a_policy_set_by_hand_reaches_disk_at_the_next_base(
+            self, docs, tmp_path):
         # min_pair_support and the ranking policy are mutable between
-        # evaluations; the journal must carry the latest values.
+        # evaluations.  They are not input, so the journal does not carry
+        # them; the next base does, and the chain after it replays onto
+        # them.
         engine = EnBlogue(config(**HOSTILE))
         engine.process_many(docs[:60])
         engine.save_checkpoint(tmp_path, track_deltas=True)
         engine.tracker.min_pair_support = 3
         engine.ranking_builder.top_k = 5
         engine.process_many(docs[60:100])
+        engine.save_checkpoint(tmp_path, track_deltas=True)
+        engine.process_many(docs[100:140])
         engine.save_delta_checkpoint(tmp_path)
         _, merged = read_checkpoint(tmp_path)
         assert merged == engine.snapshot()
@@ -131,15 +137,8 @@ class TestChainGuards:
         with pytest.raises(SnapshotMismatchError, match="baseline"):
             engine.save_delta_checkpoint(tmp_path)
 
-    def test_detector_reset_rejected_while_recording(self, docs, tmp_path):
-        engine = EnBlogue(config(**HOSTILE))
-        engine.process_many(docs[:40])
-        engine.save_checkpoint(tmp_path, track_deltas=True)
-        with pytest.raises(RuntimeError, match="re-base"):
-            engine.detector.reset()
-
     def test_failed_append_disarms_the_chain(self, docs, tmp_path):
-        # save_delta_checkpoint drains the component buffers before the
+        # save_delta_checkpoint drains the recorded input before the
         # store write; if the write then fails, that tick can never be
         # re-journaled, so the chain must disarm — a blind retry would
         # commit a segment with a silent hole.
@@ -278,7 +277,7 @@ class TestShardedChains:
     ):
         # Chain A written by 2 shards, resumed into 4 (compaction +
         # re-partition), chain B written by the 4-shard engine, resumed
-        # into 1 — the delta format composes with re-sharding end to end.
+        # into 1 — the journal composes with re-sharding end to end.
         with ShardedEnBlogue(config(**HOSTILE), num_shards=2,
                              chunk_size=7) as engine:
             drive_chain(engine, docs, tmp_path, (60, 100))
@@ -294,69 +293,68 @@ class TestShardedChains:
             assert signature(final) == reference
 
 
-class TestCoordinatorTagSets:
-    """The coordinator's tag events use the tracker delta's tag-set table.
+class TestSegmentTables:
+    """A segment spells each tag and each distinct tag set once.
 
-    A sharded delta writes every distinct ordered tag set once
-    (``tag_sets``, version 3 of the ``sharded-enblogue-delta`` payload,
-    its tags positions into one ``tags`` string table) and each event as
-    a position into it, so a cadence tick's coordinator segment is sized
-    by the *distinct* tag sets, not by every document repeating its tag
-    strings.
+    The documents of a tick are its timestamps and, per document, a
+    position into the table of distinct ordered tag sets (``tag_sets``,
+    themselves positions into one ``tags`` string table), so a segment is
+    sized by the distinct tag sets, not by every document repeating its
+    tag strings — on either engine, which journal the same input alike.
     """
 
-    @pytest.fixture
-    def delta(self, docs, tmp_path):
-        with ShardedEnBlogue(config(**HOSTILE), num_shards=2,
-                             chunk_size=7) as engine:
-            engine.process_many(docs[:60])
-            engine.save_checkpoint(tmp_path, track_deltas=True)
-            engine.process_many(docs[60:140])
-            return engine.delta_since(2)
+    @pytest.fixture(params=["single", "serial-2"])
+    def segment(self, request, docs, tmp_path):
+        engine = (
+            EnBlogue(config(**HOSTILE)) if request.param == "single"
+            else ShardedEnBlogue(config(**HOSTILE), num_shards=2,
+                                 chunk_size=7)
+        )
+        engine.process_many(docs[:60])
+        engine.save_checkpoint(tmp_path, track_deltas=True)
+        engine.process_many(docs[60:140])
+        segment = engine.delta_since(2)
+        if request.param != "single":
+            engine.close()
+        return segment
 
-    def test_tag_events_reference_the_table(self, delta):
-        assert delta["version"] == 3
-        assert delta["tag_events"], "the window of docs must append events"
-        tags = delta["tags"]
+    def test_documents_reference_the_table(self, segment):
+        assert segment["kind"] == "command-log"
+        assert len(segment["times"]) == len(segment["sets"]) == 80
+        tags = segment["tags"]
         assert all(isinstance(tag, str) for tag in tags)
         assert len(set(tags)) == len(tags)  # each tag spelled once
-        table = delta["tag_sets"]
+        table = segment["tag_sets"]
         assert len(set(map(tuple, table))) == len(table)  # each set once
         assert all(0 <= tag < len(tags) for row in table for tag in row)
-        for _timestamp, position in delta["tag_events"]:
-            assert isinstance(position, int)
-            assert 0 <= position < len(table)
+        assert all(0 <= position < len(table)
+                   for position in segment["sets"])
 
-    def test_size_regression_vs_raw_string_encoding(self, delta):
+    def test_size_regression_vs_raw_string_encoding(self, segment):
         import json
 
-        tags, table = delta["tags"], delta["tag_sets"]
-        raw_events = [
+        tags, table = segment["tags"], segment["tag_sets"]
+        raw_documents = [
             [timestamp, [tags[tag] for tag in table[position]]]
-            for timestamp, position in delta["tag_events"]
+            for timestamp, position in zip(segment["times"], segment["sets"])
         ]
         table_bytes = len(json.dumps({
             "tags": tags, "tag_sets": table,
-            "tag_events": delta["tag_events"],
+            "times": segment["times"], "sets": segment["sets"],
         }).encode())
-        raw_bytes = len(json.dumps({"tag_events": raw_events}).encode())
-        # The pin: the tables must actually shrink the coordinator events
-        # (each tag and each distinct set is paid once, every reference
-        # is a position).
+        raw_bytes = len(json.dumps({"documents": raw_documents}).encode())
+        # The pin: the tables must actually shrink the segment (each tag
+        # and each distinct set is paid once, every reference is a
+        # position).
         assert table_bytes < raw_bytes
 
-    def test_version_1_journals_are_rejected_not_misread(self, docs, delta):
-        from repro.persistence.delta import apply_engine_delta
+    def test_a_segment_of_another_version_is_rejected_not_misread(
+            self, segment):
+        from repro.persistence.journal import decode_segment
         from repro.persistence.snapshot import SnapshotVersionError
 
-        with ShardedEnBlogue(config(**HOSTILE), num_shards=2,
-                             chunk_size=7) as engine:
-            engine.process_many(docs[:60])
-            base = engine.snapshot()
-        legacy = dict(delta)
-        legacy["version"] = 1  # a pre-table journal's envelope
         with pytest.raises(SnapshotVersionError):
-            apply_engine_delta(base, legacy)
+            decode_segment(dict(segment, version=0))
 
 
 def test_appended_ticks_carry_the_live_metrics_snapshot(docs, tmp_path):

@@ -1,18 +1,19 @@
-"""The journal-segment encoding, pinned by one differential.
+"""The journal, pinned by one differential.
 
 Every cell drives an engine variant through a delta
 :class:`~repro.persistence.cadence.CheckpointCadence` and, after *every*
 write, compares what the directory restores to
-(``read_checkpoint(dir)[1]``: base + folded journal) with the JSON round
-trip of the live ``engine.snapshot()``.  The scenarios are the inputs the
-encoding has to survive: many small ticks, few large ones, rings shorter
-than a tick's evaluations, documents with non-ASCII and with 1,000 tags —
-and every cell ends on a tick with no documents and no evaluations.
+(``read_checkpoint(dir)[1]``: the base with the journal replayed onto it)
+with the JSON round trip of the live ``engine.snapshot()``.  The
+scenarios are the inputs a replay has to reproduce: many small ticks, few
+large ones, rings shorter than a tick's evaluations, documents with
+non-ASCII and with 1,000 tags, forced evaluations between ticks — and
+every cell ends on a tick with no documents and no evaluations.
 
-``fixtures/journal_v1`` holds two checkpoint directories written by the
-parent of the commit that introduced the version-2 segments (run
-:func:`write_v1_fixtures` with that commit's ``src`` on the path): the
-reader must keep folding them.
+``fixtures/journal_v1`` holds two checkpoint directories whose segments
+are in the per-component format older builds wrote (run
+:func:`write_v1_fixtures` with such a build's ``src`` on the path): the
+reader refuses them, naming the way out.
 """
 
 import json
@@ -22,8 +23,9 @@ import pytest
 
 from repro.core.tracker import histories_from_state
 from repro.datasets.documents import Document
-from repro.persistence import read_checkpoint
+from repro.persistence import load_engine, read_checkpoint
 from repro.persistence.cadence import CheckpointCadence
+from repro.persistence.snapshot import SnapshotMismatchError
 
 from differential import HOSTILE, ROWS, close, config, json_copy
 
@@ -54,7 +56,7 @@ def stream(count, tags=TAGS):
 
 def unusual_stream():
     """Non-ASCII tags throughout, and one document carrying 1,000 tags
-    (499,500 pairs, derived on apply) that the short window soon evicts."""
+    (499,500 pairs, derived on replay) that the short window soon evicts."""
     tags = ["zürich", "東京", "são paulo", "москва", "naïve", "café", "ℵ", "😀"]
     docs = stream(60, tags)
     docs[24] = Document(
@@ -64,14 +66,18 @@ def unusual_stream():
     return docs
 
 
-#: name → (config overrides, documents, cadence ``every``).
+#: name → (config overrides, documents, cadence ``every``, and every how
+#: many batches an ``evaluate_now`` follows, or 0).
 SCENARIOS = {
-    "every-1": ({}, stream(400), 1),
-    "every-16": ({}, stream(700), 16),
-    # 64 evaluations between two writes, rings of 4: the segment carries
-    # all 64 samples of a pair and the fold keeps exactly the last 4.
-    "rings-shorter-than-a-tick": ({"history_length": 4}, stream(1300), 64),
-    "unusual-documents": ({"window_horizon": 30.0}, unusual_stream(), 1),
+    "every-1": ({}, stream(400), 1, 0),
+    "every-16": ({}, stream(700), 16, 0),
+    # 64 evaluations between two writes, rings of 4: the replay appends
+    # 64 samples to a pair's ring, which keeps exactly the last 4.
+    "rings-shorter-than-a-tick": ({"history_length": 4}, stream(1300), 64, 0),
+    "unusual-documents": ({"window_horizon": 30.0}, unusual_stream(), 1, 0),
+    # Forced evaluations between two ticks, off the evaluation grid: the
+    # segment records each one where it happened among the documents.
+    "forced-evaluations": ({}, stream(400), 4, 3),
 }
 
 #: name → engine factory over a config.
@@ -97,8 +103,7 @@ def restores_to_live_snapshot(directory, engine):
 
 
 #: The 1,000-tag document costs seconds per cell (half a million pairs to
-#: derive, snapshot and compare), so it runs where its encodings differ:
-#: as a document event (single) and as pair events (sharded).
+#: derive, snapshot and compare), so it runs on one engine of each kind.
 CELLS = [
     (scenario, variant)
     for scenario in sorted(SCENARIOS) for variant in sorted(VARIANTS)
@@ -109,20 +114,24 @@ CELLS = [
 
 @pytest.mark.parametrize("scenario,variant", CELLS)
 def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
-    overrides, docs, every = SCENARIOS[scenario]
+    overrides, docs, every, force_every = SCENARIOS[scenario]
     engine = VARIANTS[variant](config(**dict(HOSTILE, **overrides)))
     cadence = CheckpointCadence(
         engine, directory=tmp_path, every=every, full_every=4
     )
     cadence.begin()
     restores_to_live_snapshot(tmp_path, engine)
-    evaluations = 0
-    for start in range(0, len(docs), 7):
+    evaluations = forced = 0
+    for batch, start in enumerate(range(0, len(docs), 7), 1):
         rankings = engine.process_batch(docs[start:start + 7])
         evaluations += len(rankings)
         if cadence.note_rankings(len(rankings)):
             restores_to_live_snapshot(tmp_path, engine)
+        elif force_every and batch % force_every == 0:
+            engine.evaluate_now()
+            forced += 1
     assert cadence.checkpoints_written >= 3  # base, an append, ...
+    assert forced >= 10 or not force_every
     # The closing tick journals the tail; the one after it has no
     # documents and no evaluations to journal.
     cadence.shutdown()
@@ -145,38 +154,30 @@ def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
     close(engine)
 
 
-# -- version-1 segments ------------------------------------------------------
+# -- segments of the per-component format ------------------------------------
 
 V1_CUTS = (80, 110, 140)
 
 
-def drive_v1_chain(engine, directory):
+def write_v1_fixtures():  # pragma: no cover - run once, with an older build
     """Base at the first cut, one journal segment per further cut."""
     docs = stream(V1_CUTS[-1])
-    engine.process_many(docs[:V1_CUTS[0]])
-    engine.save_checkpoint(directory, track_deltas=True)
-    for previous, cut in zip(V1_CUTS, V1_CUTS[1:]):
-        engine.process_many(docs[previous:cut])
-        engine.save_delta_checkpoint(directory)
-
-
-def write_v1_fixtures():  # pragma: no cover - run once, at the parent commit
     for variant in ("single-fused", "serial-2"):
-        drive_v1_chain(VARIANTS[variant](config(**HOSTILE)),
-                       FIXTURES / variant)
+        engine = VARIANTS[variant](config(**HOSTILE))
+        engine.process_many(docs[:V1_CUTS[0]])
+        engine.save_checkpoint(FIXTURES / variant, track_deltas=True)
+        for previous, cut in zip(V1_CUTS, V1_CUTS[1:]):
+            engine.process_many(docs[previous:cut])
+            engine.save_delta_checkpoint(FIXTURES / variant)
 
 
 @pytest.mark.parametrize("variant", ["single-fused", "serial-2"])
-def test_version_1_segments_still_fold(variant, tmp_path):
+def test_an_old_journal_is_refused_naming_a_fresh_base(variant):
     fixture = FIXTURES / variant
     segment = json.loads(
         (fixture / "engine-00000003.delta").read_bytes().split(b"\n", 1)[1]
     )
-    if variant == "single-fused":
-        assert segment["tracker"]["version"] == 1
-        assert segment["detector"]["version"] == 1
-    else:
-        assert segment["version"] == 2
-    engine = VARIANTS[variant](config(**HOSTILE))
-    drive_v1_chain(engine, tmp_path)
-    restores_to_live_snapshot(fixture, engine)
+    assert segment["kind"] in ("enblogue-delta", "sharded-enblogue-delta")
+    for read in (read_checkpoint, load_engine):
+        with pytest.raises(SnapshotMismatchError, match="take a fresh base"):
+            read(fixture)

@@ -1,10 +1,9 @@
 """The journal layer of the store: frames, chain commits, corruption.
 
-The delta format's durability story: the manifest (written at base time,
-manifest-rename-as-sole-commit) pins the chain — base generation and
-shard count — and each journal tick commits itself through CRC-framed
-segment files at strictly consecutive generations, with one durability
-barrier per tick.  A torn or missing *final* tick is the expected shape
+The journal's durability story: the manifest (written at base time,
+manifest-rename-as-sole-commit) pins the chain's base generation, and
+each journal tick commits itself through one CRC-framed segment file at
+strictly consecutive generations, with one durability barrier per tick.  A torn or missing *final* tick is the expected shape
 of a power cut and falls back to the committed prefix; damage anywhere
 before the tail (impossible for an interrupted append, since a new
 writer must re-base first) fails the whole load — never a partial or
@@ -36,8 +35,6 @@ from repro.persistence.store import (
 from differential import HOSTILE, config
 
 SMALL = dict(HOSTILE, num_seeds=4)
-
-FIXTURES = Path(__file__).parent / "fixtures" / "journal_v1"
 
 
 def documents(count, start=0.0, step=3.0):
@@ -90,7 +87,7 @@ class TestJournalCommit:
         # The manifest pins the chain the segments extend.
         assert read_manifest(tmp_path)["base_generation"] == 1
 
-    def test_read_folds_journal_onto_base(self, chained, tmp_path):
+    def test_read_replays_the_journal_onto_the_base(self, chained, tmp_path):
         engine, _ = chained
         _, state = read_checkpoint(tmp_path)
         assert state == engine.snapshot()
@@ -135,14 +132,19 @@ class TestJournalCommit:
             append_delta(tmp_path, second, expected_base=1,
                          expected_generation=3)
 
-    def test_shard_count_must_match_the_base(self, tmp_path):
-        write_checkpoint(tmp_path, {
-            "kind": "sharded-enblogue", "version": 1, "config": {},
-            "shards": [{"s": 0}, {"s": 1}],
-        })
-        with pytest.raises(SnapshotMismatchError, match="shard count"):
-            append_delta(tmp_path, {"kind": "sharded-enblogue-delta",
-                                    "shards": [{"s": 0}]})
+    def test_a_sharded_tick_writes_one_segment(self, tmp_path):
+        # The coordinator records the input; the shards write nothing.
+        from repro.sharding import ShardedEnBlogue
+
+        with ShardedEnBlogue(config(**SMALL), num_shards=2) as engine:
+            engine.process_many(documents(30))
+            engine.save_checkpoint(tmp_path, track_deltas=True)
+            engine.process_many(documents(15, start=90.0))
+            engine.save_delta_checkpoint(tmp_path)
+            assert [path.name for path in tmp_path.glob("*.delta")] \
+                == ["engine-00000002.delta"]
+            _, state = read_checkpoint(tmp_path)
+            assert state == snapshot_copy(engine)
 
 
 class TestJournalCorruption:
@@ -271,25 +273,26 @@ def committed_states(directory):
 def chains(tmp_path_factory):
     """name → (chain directory, the segment the fuzzer damages, the
     states of its committed ticks): the last and a mid-chain segment of a
-    live chain, and a segment of each version-1 fixture."""
-    directory = tmp_path_factory.mktemp("chain")
-    engine = EnBlogue(config(**SMALL))
-    engine.process_many(documents(30))
-    engine.save_checkpoint(directory, track_deltas=True)
-    for start in (90.0, 135.0, 180.0):
-        engine.process_many(documents(15, start=start))
-        engine.save_delta_checkpoint(directory)
-    live = committed_states(directory)
-    segments = journal_paths(directory)
-    chains = {
-        "last": (directory, segments[-1].name, live),
-        "mid-chain": (directory, segments[1].name, live),
-    }
-    for fixture in sorted(FIXTURES.iterdir()):
-        states = committed_states(fixture)
-        for segment in sorted(fixture.glob("*.delta")):
-            chains[f"{fixture.name}/{segment.name}"] = (
-                fixture, segment.name, states)
+    single engine's chain and of a sharded one's."""
+    from repro.sharding import ShardedEnBlogue
+
+    chains = {}
+    for name, engine in (
+        ("single", EnBlogue(config(**SMALL))),
+        ("serial-2", ShardedEnBlogue(config(**SMALL), num_shards=2)),
+    ):
+        directory = tmp_path_factory.mktemp(name)
+        engine.process_many(documents(30))
+        engine.save_checkpoint(directory, track_deltas=True)
+        for start in (90.0, 135.0, 180.0):
+            engine.process_many(documents(15, start=start))
+            engine.save_delta_checkpoint(directory)
+        if name != "single":
+            engine.close()
+        states = committed_states(directory)
+        segments = journal_paths(directory)
+        chains[f"{name}/last"] = (directory, segments[-1].name, states)
+        chains[f"{name}/mid-chain"] = (directory, segments[1].name, states)
     return chains
 
 

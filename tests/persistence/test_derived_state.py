@@ -233,12 +233,11 @@ class TestVersion2Bases:
 
 
 #: Checkpoints whose configuration may carry the sketch tier's fields: the
-#: committed older bases and journals, as written, and a base of each shape
+#: committed older bases, as written, and a base of each shape
 #: written now (``version-2/``, the first base without derived tables) with
 #: the fields put back (as written before the tier went).
 TIER_FIELD_SOURCES = [
     "base_v1/single", "base_v1/serial-2", "base_v2/single", "base_v2/serial-2",
-    "journal_v1/single-fused", "journal_v1/serial-2",
     "version-2/single", "version-2/serial-2",
 ]
 
@@ -310,11 +309,45 @@ class TestSketchTierFields:
 
 
 class TestCheckResumeScript:
-    """``scripts/check_resume.py --journal DIR`` pins the base format."""
+    """``scripts/check_resume.py --journal DIR`` pins the base format and
+    the journal's."""
 
     def check_bases(self):
-        script = Path(__file__).parents[2] / "scripts" / "check_resume.py"
-        return runpy.run_path(str(script))["check_bases"]
+        return self.script()["check_bases"]
+
+    def script(self):
+        path = Path(__file__).parents[2] / "scripts" / "check_resume.py"
+        return runpy.run_path(str(path))
+
+    def write_journal(self, directory):
+        engine = EnBlogue(config(**HOSTILE))
+        engine.process_many(stream(DOCS)[:CUT])
+        engine.save_checkpoint(directory, track_deltas=True)
+        engine.process_many(stream(DOCS)[CUT:])
+        engine.save_delta_checkpoint(directory)
+        return directory / "engine-00000002.delta"
+
+    def test_passes_a_command_log(self, tmp_path):
+        self.write_journal(tmp_path)
+        self.script()["check_segments"](tmp_path)
+
+    def test_fails_a_segment_of_another_kind(self, tmp_path):
+        segment = self.write_journal(tmp_path)
+        header, body = segment.read_bytes().split(b"\n", 1)
+        state = dict(json.loads(body), kind="enblogue-delta")
+        segment.write_bytes(header + b"\n" + json.dumps(state).encode())
+        with pytest.raises(SystemExit, match="'enblogue-delta' segment"):
+            self.script()["check_segments"](tmp_path)
+
+    def test_fails_a_shard_segment(self, tmp_path):
+        segment = self.write_journal(tmp_path)
+        shutil.copy(segment, tmp_path / "shard-0000-00000002.delta")
+        with pytest.raises(SystemExit, match="shard's segment"):
+            self.script()["check_segments"](tmp_path)
+
+    def test_fails_a_directory_without_segments(self, tmp_path):
+        with pytest.raises(SystemExit, match="no journal segments"):
+            self.script()["check_segments"](tmp_path)
 
     def test_passes_version_2_bases(self, tmp_path):
         engine = EnBlogue(config(**HOSTILE))

@@ -32,7 +32,6 @@ from repro.core.engine import EnBlogue
 from repro.core.seeds import make_seed_selector
 from repro.core.tracker import CorrelationTracker
 from repro.datasets.documents import Document
-from repro.persistence.delta import _replay_count_rows
 from repro.windows.aggregates import TagFrequencyWindow, record_count_history
 
 from differential import (
@@ -206,12 +205,12 @@ def test_row_rule_matches_the_two_loop_oracle(rows, history_length):
 
 @settings(max_examples=100, deadline=None)
 @given(before=count_rows, after=count_rows)
-def test_base_plus_journal_replay_reproduces_the_count_history(before, after):
-    tracker = CorrelationTracker(window_horizon=1.5, history_length=3)
-    timestamp = 0.0
+def test_base_plus_replayed_input_reproduces_the_count_history(before, after):
+    # A journal replays the input after the base: a tracker restored from
+    # the base and fed the same rows must hold the live count history.
+    live = CorrelationTracker(window_horizon=1.5, history_length=3)
 
-    def play(rows):
-        nonlocal timestamp
+    def play(tracker, rows, timestamp):
         for row in rows:
             timestamp += 1.0
             for tag, count in row.items():
@@ -219,19 +218,17 @@ def test_base_plus_journal_replay_reproduces_the_count_history(before, after):
                     tracker.observe(timestamp, [tag])
             tracker.advance_to(timestamp)
             tracker.record_count_history_row()
+        return timestamp
 
-    play(before)
-    base = tracker.snapshot()
-    tracker.begin_delta_tracking()
-    play(after)
-    delta = tracker.delta_since(0)
-    assert len(delta["count_rows"]) == len(after)
-    replayed = _replay_count_rows(
-        base["count_history"], delta["count_rows"], tracker.history_length
-    )
-    live = tracker.snapshot()["count_history"]
-    assert list(replayed.items()) == list(live.items())
-    assert live == tracker.count_history()
+    timestamp = play(live, before, 0.0)
+    replica = CorrelationTracker(window_horizon=1.5, history_length=3)
+    replica.restore(live.snapshot())
+    play(live, after, timestamp)
+    play(replica, after, timestamp)
+    replayed = replica.snapshot()["count_history"]
+    expected = live.snapshot()["count_history"]
+    assert list(replayed.items()) == list(expected.items())
+    assert expected == live.count_history()
 
 
 # -- the engine reads the live history, it does not copy it --------------------
@@ -297,7 +294,7 @@ def test_selector_is_handed_the_live_history_itself(monkeypatch):
 #
 # That a popularity engine keeps, snapshots and journals no history, and a
 # volatility or hybrid engine exactly the scalar single engine's (key order
-# included, folded from its journal at every tick), is asserted on every
+# included, replayed from its journal at every tick), is asserted on every
 # cell of ``tests/property/test_differential.py``.
 
 VARIANTS = in_process_variants()

@@ -5,7 +5,7 @@ nothing else; the tracker's ``TimeSeries`` dict and the detector's
 ``DecayedMaximum`` dict are materialised from the touched rows when
 something reads them.  Without one (``vectorize=False``, no numpy) the
 dicts are written directly.  On random streams the two stores must be
-indistinguishable through every reader — queries, snapshots, the delta
+indistinguishable through every reader — queries, snapshots, the
 journal — at every point of the stream, and through every event that
 crosses the boundary between them: a scalar evaluation in the middle of
 a tick, a restore or a score reset while rows are pending, a pickle round
@@ -164,30 +164,22 @@ def test_journal_replay_equals_snapshot_through_mid_tick_reads(
 @settings(max_examples=25, deadline=None)
 @given(steps=document_steps, cut=st.floats(min_value=0.1, max_value=0.9),
        predictor=predictors)
-def test_scalar_evaluation_inside_a_tick_is_journaled_in_order(
+def test_scalar_evaluation_between_fused_ones_reads_the_same(
         steps, cut, predictor):
     # tracker.evaluate() samples through the scalar loop: it folds the
     # pending rows in, appends to the dict directly and makes the
     # evaluator reload (renumbering its rows) before the next fused
-    # evaluation — all between two drains of one journal tick.
+    # evaluation.
     docs = build_docs(steps)
     split = max(1, int(cut * len(docs)))
     default, scalar = engines(predictor)
-    with tempfile.TemporaryDirectory() as left, \
-            tempfile.TemporaryDirectory() as right:
-        default.save_checkpoint(left, track_deltas=True)
-        scalar.save_checkpoint(right, track_deltas=True)
-        for engine in (default, scalar):
-            engine.process_batch(docs[:split])
-            engine.tracker.evaluate(
-                engine.tracker.latest_timestamp, engine.current_seeds
-            )
-            engine.process_batch(docs[split:])
-        assert_same_readers(default, scalar)
-        default.save_delta_checkpoint(left)
-        scalar.save_delta_checkpoint(right)
-        assert read_checkpoint(left)[1] == default.snapshot()
-        assert read_checkpoint(left)[1] == read_checkpoint(right)[1]
+    for engine in (default, scalar):
+        engine.process_batch(docs[:split])
+        engine.tracker.evaluate(
+            engine.tracker.latest_timestamp, engine.current_seeds
+        )
+        engine.process_batch(docs[split:])
+    assert_same_readers(default, scalar)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,36 +262,29 @@ def drive(worker, steps):
 
 @needs_evaluator
 @settings(max_examples=30, deadline=None)
-@given(steps=document_steps, cut=st.floats(min_value=0.1, max_value=0.9),
-       armed=st.booleans())
-def test_worker_pickles_with_rows_pending(steps, cut, armed):
+@given(steps=document_steps, cut=st.floats(min_value=0.1, max_value=0.9))
+def test_worker_pickles_with_rows_pending(steps, cut):
     # The process backend ships a worker (evaluator included) through
-    # pickle; rows evaluated but not yet folded into the dicts, and the
-    # armed journal's records, must survive the trip.
+    # pickle; rows evaluated but not yet folded into the dicts must
+    # survive the trip.
     script = worker_events(build_docs(steps))
     split = max(1, int(cut * len(script)))
     worker = ShardWorker(0, config(**HOSTILE))
     scalar = ShardWorker(0, config(**HOSTILE), vectorize=False)
     assert worker.evaluation_path == "vectorized"
     for each in (worker, scalar):
-        if armed:
-            each.begin_delta_tracking()
         drive(each, script[:split])
     clone = pickle.loads(pickle.dumps(worker))
     expected = drive(scalar, script[split:])
     assert drive(worker, script[split:]) == expected
     assert drive(clone, script[split:]) == expected
-    if armed:
-        delta = scalar.delta_since(2)
-        assert clone.delta_since(2) == delta
-        assert worker.delta_since(2) == delta
     assert clone.snapshot() == worker.snapshot() == scalar.snapshot()
 
 
 # -- failed evaluations ---------------------------------------------------------
 
 
-def stack(armed):
+def stack():
     """A tracker/detector/evaluator stack as the engines wire it."""
     cfg = config(**HOSTILE)
     tracker = make_tracker(cfg)
@@ -307,9 +292,6 @@ def stack(armed):
     evaluator = make_fused_evaluator(
         tracker, detector, RankingBuilder(top_k=cfg.top_k)
     )
-    if armed:
-        tracker.begin_delta_tracking()
-        detector.begin_delta_tracking()
     return tracker, detector, evaluator
 
 
@@ -324,12 +306,11 @@ def evaluate(tracker, evaluator, timestamp, total=None):
 
 @needs_evaluator
 @pytest.mark.parametrize("failure", ["counts", "out-of-order", "future-score"])
-@pytest.mark.parametrize("armed", [False, True])
-def test_failed_evaluation_changes_nothing(failure, armed):
+def test_failed_evaluation_changes_nothing(failure):
     docs = build_docs([(7.0, set(TAGS[index % 4:index % 4 + 3]))
                        for index in range(40)])
-    control = stack(armed)
-    victim = stack(armed)
+    control = stack()
+    victim = stack()
     for tracker, _, evaluator in (control, victim):
         for index, document in enumerate(docs[:30]):
             tracker.observe(document.timestamp, document.tags)
@@ -346,8 +327,8 @@ def test_failed_evaluation_changes_nothing(failure, armed):
             evaluate(tracker, evaluator, now - 50.0)
     else:
         # A score stamped in the future can only arrive through a
-        # (corrupted) restore, which disarms the detector's journal; the
-        # control takes the same detour minus the failing evaluation.
+        # (corrupted) restore; the control takes the same detour minus
+        # the failing evaluation.
         for each in (control, victim):
             good = each[1].snapshot()
             bad = json.loads(json.dumps(good))
@@ -359,9 +340,7 @@ def test_failed_evaluation_changes_nothing(failure, armed):
                                    match="cannot evaluate in the past"):
                     evaluate(tracker, evaluator, now)
             each[1].restore(good)
-            if armed:
-                each[1].begin_delta_tracking()
-    # Both stacks continue identically: histories, scores, the journal.
+    # Both stacks continue identically: histories and scores.
     results = []
     for tracker, detector, evaluator in (control, victim):
         topics = []
@@ -370,10 +349,7 @@ def test_failed_evaluation_changes_nothing(failure, armed):
             if index % 5 == 4:
                 topics.append(
                     evaluate(tracker, evaluator, document.timestamp))
-        deltas = (tracker.delta_since(1), detector.delta_since(1)) \
-            if armed else None
-        results.append(
-            (topics, tracker.snapshot(), detector.snapshot(), deltas))
+        results.append((topics, tracker.snapshot(), detector.snapshot()))
     assert results[0] == results[1]
 
 

@@ -12,7 +12,6 @@ from repro.core.correlation import (
     PmiCorrelation,
 )
 from repro.core.types import TagPair
-from repro.sketches.bloom import BloomFilter
 from repro.timeseries.predictors import (
     EwmaPredictor,
     LinearTrendPredictor,
@@ -204,15 +203,3 @@ class TestPredictorProperties:
         detector = ShiftDetector(predictor=MovingAveragePredictor(window=5), min_history=2)
         constant = [value] * len(history)
         assert detector.prediction_error(constant, value) <= 1e-9
-
-
-# -- sketches -----------------------------------------------------------------------------
-
-
-class TestSketchProperties:
-    @settings(max_examples=25)
-    @given(keys=st.lists(tag_names, min_size=1, max_size=100))
-    def test_bloom_filter_has_no_false_negatives(self, keys):
-        bloom = BloomFilter(capacity=max(len(keys), 8))
-        bloom.update(keys)
-        assert all(key in bloom for key in keys)

@@ -252,11 +252,7 @@ class TestInjectedFailures:
         backend.evaluate(11.0, ["a"], {"a": 1, "b": 1}, 1)
         backend.stats()
         backend.restore_states(backend.collect_states())
-        backend.begin_delta_tracking()
-        backend.collect_deltas(1)
-        backend.end_delta_tracking()
-        synchronous = ["evaluate", "stats", "collect_state", "restore_state",
-                       "begin_delta", "collect_delta", "end_delta"]
+        synchronous = ["evaluate", "stats", "collect_state", "restore_state"]
         scattered = [(shard, operation) for operation in synchronous
                      for shard in (0, 1)]
         assert plan.sent == [(0, "ingest")] + scattered

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.engine import EnBlogue
 from repro.datasets.synthetic import correlation_shift_stream
+from repro.persistence import read_checkpoint
 from repro.sharding import (
     ProcessBackend,
     SerialBackend,
@@ -250,16 +251,19 @@ class TestEngineSurface:
             assert offered.snapshot() == before == twin.snapshot()
             if journal:
                 delta = offered.delta_since(1)
-                assert delta["tag_events"] == []
+                assert delta["times"] == []
                 assert delta == twin.delta_since(1)
         finally:
             for engine in engines:
                 engine.close()
 
-    def test_chunk_left_full_by_a_failed_dispatch_is_retried(self):
+    def test_chunk_left_full_by_a_failed_dispatch_is_retried(self, tmp_path):
         # A dispatch that raises leaves the chunk buffered and full; the
-        # next document joins it and the dispatch is attempted again.
+        # next document joins it and the dispatch is attempted again.  The
+        # documents the window took before it are ingested: counted, and
+        # journaled.
         with ShardedEnBlogue(config(), num_shards=1, chunk_size=2) as sharded:
+            sharded.save_checkpoint(tmp_path, track_deltas=True)
             ingest = sharded.backend.ingest
             sent = []
 
@@ -277,6 +281,9 @@ class TestEngineSurface:
             sharded.process_batch([doc(2, ["b", "c"]), doc(3, ["a", "b"])])
             assert [len(chunk) for chunk in sent[1]] == [3]
             assert sharded.shard_stats()[0]["events"] == 4
+            assert sharded.documents_processed == 4
+            sharded.save_delta_checkpoint(tmp_path)
+            assert read_checkpoint(tmp_path)[1] == sharded.snapshot()
 
     def test_backend_instance_accepted(self):
         backend = SerialBackend()

@@ -153,8 +153,8 @@ class TestExactRecovery:
                              chunk_size=128) as sharded:
             sharded.process_batch(tweet_docs[:600])
             sharded.save_checkpoint(tmp_path, track_deltas=True)
-            # The base restarted the log; only the arm message is in it.
-            assert sharded.supervision_info()["log_ops"] == 1
+            # The base restarted the log.
+            assert sharded.supervision_info()["log_ops"] == 0
             sharded.process_batch(tweet_docs[600:900])
             sharded.save_delta_checkpoint(tmp_path)
             # The very next dispatch to shard 2 is fatal: the recovery
@@ -163,8 +163,9 @@ class TestExactRecovery:
                 2, after_batches=1)
             backend.bind_fault_plan(plan)
             sharded.process_batch(tweet_docs[900:])
-            # The replayed drain reset the rebuilt workers' buffers, so the
-            # next segment carries exactly what the journal is missing.
+            # The journal is the coordinator's input, which the rebuild
+            # does not touch: the next segment carries exactly what the
+            # journal is missing.
             sharded.save_delta_checkpoint(tmp_path)
             _, restored = read_checkpoint(tmp_path)
             assert restored == json.loads(json.dumps(sharded.snapshot()))
@@ -304,8 +305,8 @@ class TestPermanentFailure:
 
 class TestBoundedOperationLog:
     """Between cadence re-bases nothing but the supervisor itself can
-    restart the log: it re-bases at ``LOG_COMPACT_OPS`` (at the next
-    journal drain while a chain is armed), exactly."""
+    restart the log: it re-bases at ``LOG_COMPACT_OPS``, exactly, whether
+    a journal chain is armed or not."""
 
     LIMIT = 8
 
@@ -344,39 +345,54 @@ class TestBoundedOperationLog:
         assert info["last_recovery"]["replayed_ops"] <= self.LIMIT
         assert info["log_ops"] <= self.LIMIT
 
-    def test_an_armed_delta_chain_is_not_rebased_behind_the_engine(
+    def test_an_armed_chain_keeps_the_log_bounded(
             self, tweet_docs, reference_signature, monkeypatch, tmp_path,
             in_process):
+        # The journal records the coordinator's input, not the workers',
+        # so an armed chain no longer holds compaction back: the log stays
+        # under the constant, and a worker killed after a compaction
+        # rebuilds exactly — the engine and the journal both.
         from repro.sharding import supervision
 
         monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
+        clock = FakeClock()
         backend = SupervisedBackend(TRANSPORTS[in_process](),
-                                    policy=instant_policy())
+                                    policy=instant_policy(clock))
         with ShardedEnBlogue(config(), num_shards=2, backend=backend,
                              chunk_size=16) as sharded:
             sharded.process_batch(tweet_docs[:400])
             sharded.save_checkpoint(tmp_path, track_deltas=True)
-            sharded.process_batch(tweet_docs[400:900])
-            # Armed: the log runs past the constant (the cadence's own
-            # re-base is what restarts it) and the drained delta still
-            # carries every document and every shard's samples since the
-            # base (shard deltas ship no pair events: the fold routes them).
-            assert sharded.supervision_info()["log_ops"] > self.LIMIT
-            delta = sharded.delta_since(1)
-            shard_samples = sum(
-                len(shard["tracker"]["samples"]) for shard in delta["shards"])
-            assert shard_samples > 0
-            assert len(delta["tag_events"]) == 500
-            sharded.process_batch(tweet_docs[900:])
+            high_water = 0
+            for start in range(400, 900, 20):
+                sharded.process_batch(tweet_docs[start:start + 20])
+                high_water = max(high_water,
+                                 sharded.supervision_info()["log_ops"])
+            dispatched = sum(record["dispatches"]
+                             for record in backend.health())
+            assert dispatched > 4 * self.LIMIT
+            assert high_water <= self.LIMIT
+            plan = FaultPlan(sleep=clock.sleep).kill_worker(
+                1, after_batches=3)
+            backend.bind_fault_plan(plan)
+            sharded.process_batch(tweet_docs[900:1100])
+            sharded.save_delta_checkpoint(tmp_path)
+            _, restored = read_checkpoint(tmp_path)
+            assert restored == json.loads(json.dumps(sharded.snapshot()))
+            sharded.process_batch(tweet_docs[1100:])
             sharded.evaluate_now()
             assert signature(sharded) == reference_signature
+            info = sharded.supervision_info()
+        assert plan.fired() == 1
+        assert info["recoveries"] == 1
+        assert info["last_recovery"]["replayed_ops"] <= self.LIMIT
+        assert info["log_ops"] <= self.LIMIT
 
-    def test_a_cadence_chain_compacts_at_its_drains(
+    def test_a_cadence_chain_that_never_rebases_stays_bounded(
             self, tweet_docs, reference_signature, monkeypatch, tmp_path,
             in_process):
-        # A cadence whose re-base never comes: the supervisor compacts at
-        # the journal drains, where the armed buffers are empty, so the
-        # log stays bounded and both recovery and the chain stay exact.
+        # A cadence whose re-base never comes: the supervisor compacts on
+        # its own, so the log stays bounded and both recovery and the
+        # chain stay exact.
         from repro.sharding import supervision
 
         monkeypatch.setattr(supervision, "LOG_COMPACT_OPS", self.LIMIT)
@@ -428,10 +444,10 @@ class TestBoundedOperationLog:
                 for _ in rankings:
                     cadence.note_ranking()
                     if cadence.checkpoints_written % 3 == 1:
-                        # A re-base tick: base written, then the re-arm.
+                        # A re-base tick: the base restarted the log.
                         rebased_logs.append(
                             sharded.supervision_info()["log_ops"])
-            assert len(rebased_logs) >= 3 and set(rebased_logs) == {1}
+            assert len(rebased_logs) >= 3 and set(rebased_logs) == {0}
             plan = FaultPlan(sleep=clock.sleep).kill_worker(
                 0, after_batches=2)
             backend.bind_fault_plan(plan)
