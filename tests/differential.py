@@ -146,14 +146,16 @@ class Variant:
             backend.bind_fault_plan(FaultPlan().kill_worker(1, after_batches=2))
         return backend
 
-    def build(self, cfg, evaluation=None, observability=None, chunk_size=7):
+    def build(self, cfg, evaluation=None, observability=None, chunk_size=7,
+              entity_tagger=None):
         if self.shards == 0:
             return EnBlogue(cfg, vectorize=bool(self.vectorize),
-                            observability=observability)
+                            observability=observability,
+                            entity_tagger=entity_tagger)
         return ShardedEnBlogue(
             cfg, num_shards=self.shards, backend=self.transport(),
             chunk_size=chunk_size, vectorize=evaluation != "scalar",
-            observability=observability,
+            observability=observability, entity_tagger=entity_tagger,
         )
 
 

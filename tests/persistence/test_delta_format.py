@@ -7,8 +7,10 @@ write, compares what the directory restores to
 with the JSON round trip of the live ``engine.snapshot()``.  The
 scenarios are the inputs a replay has to reproduce: many small ticks, few
 large ones, rings shorter than a tick's evaluations, documents with
-non-ASCII and with 1,000 tags, forced evaluations between ticks — and
-every cell ends on a tick with no documents and no evaluations.
+non-ASCII and with 1,000 tags, forced evaluations between ticks, runs
+of equal timestamps cut by batches and ticks, silences longer than the
+window — and every cell ends on a tick with no documents and no
+evaluations.  A stream tagged by an entity tagger restores without one.
 
 ``fixtures/journal_v1`` holds two checkpoint directories whose segments
 are in the per-component format older builds wrote (run
@@ -23,6 +25,8 @@ import pytest
 
 from repro.core.tracker import histories_from_state
 from repro.datasets.documents import Document
+from repro.entity.knowledge_base import KnowledgeBase
+from repro.entity.tagger import EntityTagger
 from repro.persistence import load_engine, read_checkpoint
 from repro.persistence.cadence import CheckpointCadence
 from repro.persistence.snapshot import SnapshotMismatchError
@@ -66,6 +70,30 @@ def unusual_stream():
     return docs
 
 
+def retimed(docs, times):
+    """``docs`` with their timestamps replaced, one per document."""
+    return [Document(timestamp=timestamp, doc_id=doc.doc_id, tags=doc.tags)
+            for doc, timestamp in zip(docs, times, strict=True)]
+
+
+def tied_stream():
+    """Five documents per timestamp, every fifth timestamp on the
+    evaluation grid: batches of seven and the ticks cut runs of equal
+    timestamps, which the replay reads as one run."""
+    return retimed(stream(400), [(index // 5) * 5.0 for index in range(400)])
+
+
+def gapped_stream():
+    """Silences of 260 s (past the 100 s window, over ten evaluation
+    boundaries) every 50 documents: a batch after one catches up on
+    empty evaluations, and the window evicts everything before it."""
+    times, now = [], 0.0
+    for index in range(400):
+        now += 260.0 if index and index % 50 == 0 else 2.5
+        times.append(now)
+    return retimed(stream(400), times)
+
+
 #: name → (config overrides, documents, cadence ``every``, and every how
 #: many batches an ``evaluate_now`` follows, or 0).
 SCENARIOS = {
@@ -78,6 +106,8 @@ SCENARIOS = {
     # Forced evaluations between two ticks, off the evaluation grid: the
     # segment records each one where it happened among the documents.
     "forced-evaluations": ({}, stream(400), 4, 3),
+    "tied-timestamps": ({}, tied_stream(), 2, 5),
+    "silent-gaps": ({}, gapped_stream(), 3, 0),
 }
 
 #: name → engine factory over a config.
@@ -91,8 +121,9 @@ VARIANTS = {
     "threads-2": ROWS["threads-2"].build,
     # The live profile's EWMA predictor and a ranking history bounded below
     # the evaluations of a stream.
-    "single-live": lambda cfg: ROWS["single-fused"].build(
-        cfg.with_overrides(predictor="ewma", max_ranking_history=12)),
+    "single-live": lambda cfg, **kwargs: ROWS["single-fused"].build(
+        cfg.with_overrides(predictor="ewma", max_ranking_history=12),
+        **kwargs),
 }
 
 
@@ -151,6 +182,60 @@ def test_every_tick_restores_to_the_live_snapshot(scenario, variant, tmp_path):
                                                   evaluations + 1)]
         assert rings and newest in rings
         assert all(len(ring) <= 4 for ring in rings)
+    close(engine)
+
+
+def knowledge_base():
+    kb = KnowledgeBase()
+    kb.add_entity("Barack Obama", aliases=["obama"], types=["person"])
+    kb.add_entity("New Orleans", types=["place"])
+    kb.add_entity("Athens", types=["place"])
+    return kb
+
+
+def texted_stream():
+    """The plain stream with text on most documents, naming an entity on
+    half of them."""
+    texts = ["obama spoke in New Orleans", "athens and new orleans",
+             "nothing to find here", ""]
+    docs = []
+    for index, doc in enumerate(stream(300)):
+        docs.append(Document(
+            timestamp=doc.timestamp, doc_id=doc.doc_id, tags=doc.tags,
+            text=texts[index % 4] if index % 90 < 60 else texts[index % 2],
+        ))
+    return docs
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_tagger_output_replays_without_a_tagger(variant, tmp_path):
+    # The journal holds each document's tags as ingested, entities
+    # included, and the reader's scratch engine has no tagger: the
+    # restored state equals the live one only if the segment carried the
+    # tagger's output.
+    tagger = EntityTagger(knowledge_base=knowledge_base())
+    calls = []
+    tag = tagger.tag
+    tagger.tag = lambda text: calls.append(text) or tag(text)
+    engine = VARIANTS[variant](config(**HOSTILE), entity_tagger=tagger)
+    cadence = CheckpointCadence(
+        engine, directory=tmp_path, every=2, full_every=4
+    )
+    cadence.begin()
+    docs = texted_stream()
+    for start in range(0, len(docs), 7):
+        rankings = engine.process_batch(docs[start:start + 7])
+        if cadence.note_rankings(len(rankings)):
+            live = len(calls)
+            restores_to_live_snapshot(tmp_path, engine)
+            assert len(calls) == live
+    cadence.shutdown()
+    live = len(calls)
+    restored = restores_to_live_snapshot(tmp_path, engine)
+    assert len(calls) == live > 0
+    # Tags are normalised on ingestion, entity names too.
+    state = json.dumps(restored, ensure_ascii=False)
+    assert "barack obama" in state and "new orleans" in state
     close(engine)
 
 

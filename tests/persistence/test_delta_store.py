@@ -32,7 +32,7 @@ from repro.persistence.store import (
     write_checkpoint,
 )
 
-from differential import HOSTILE, config
+from differential import HOSTILE, close, config
 
 SMALL = dict(HOSTILE, num_seeds=4)
 
@@ -53,14 +53,12 @@ def snapshot_copy(engine):
     return json.loads(json.dumps(engine.snapshot()))
 
 
-@pytest.fixture
-def chained(tmp_path):
-    """An engine with a base + two committed journal ticks on disk.
+def drive_chain(engine, tmp_path):
+    """A base + two committed journal ticks of ``engine`` on disk.
 
     Returns ``(engine, prefixes)`` where ``prefixes[i]`` is the engine
     state as of tick ``i`` (0 = base), for asserting prefix fallbacks.
     """
-    engine = EnBlogue(config(**SMALL))
     engine.process_many(documents(30))
     engine.save_checkpoint(tmp_path, track_deltas=True)
     prefixes = [snapshot_copy(engine)]
@@ -71,6 +69,21 @@ def chained(tmp_path):
     engine.save_delta_checkpoint(tmp_path)
     prefixes.append(snapshot_copy(engine))
     return engine, prefixes
+
+
+@pytest.fixture
+def chained(tmp_path):
+    """A single engine's chain (see :func:`drive_chain`)."""
+    return drive_chain(EnBlogue(config(**SMALL)), tmp_path)
+
+
+@pytest.fixture
+def sharded_chained(tmp_path):
+    """The same chain written by a 2-shard coordinator."""
+    from repro.sharding import ShardedEnBlogue
+
+    with ShardedEnBlogue(config(**SMALL), num_shards=2) as engine:
+        yield drive_chain(engine, tmp_path)
 
 
 def journal_paths(directory):
@@ -131,20 +144,6 @@ class TestJournalCommit:
         with pytest.raises(SnapshotMismatchError, match="extended"):
             append_delta(tmp_path, second, expected_base=1,
                          expected_generation=3)
-
-    def test_a_sharded_tick_writes_one_segment(self, tmp_path):
-        # The coordinator records the input; the shards write nothing.
-        from repro.sharding import ShardedEnBlogue
-
-        with ShardedEnBlogue(config(**SMALL), num_shards=2) as engine:
-            engine.process_many(documents(30))
-            engine.save_checkpoint(tmp_path, track_deltas=True)
-            engine.process_many(documents(15, start=90.0))
-            engine.save_delta_checkpoint(tmp_path)
-            assert [path.name for path in tmp_path.glob("*.delta")] \
-                == ["engine-00000002.delta"]
-            _, state = read_checkpoint(tmp_path)
-            assert state == snapshot_copy(engine)
 
 
 class TestJournalCorruption:
@@ -232,6 +231,30 @@ class TestJournalCorruption:
         engine, _ = load_engine(tmp_path)
         assert engine.documents_processed \
             == prefixes[1]["documents_processed"]
+        close(engine)
+
+
+class TestShardedJournalCommit(TestJournalCommit):
+    """The commit rules hold for a sharded engine's chain, which its
+    coordinator writes and a scratch engine of its shard count replays."""
+
+    @pytest.fixture
+    def chained(self, sharded_chained):
+        return sharded_chained
+
+
+class TestShardedJournalCorruption(TestJournalCorruption):
+    """The corruption rules hold for a sharded engine's chain."""
+
+    @pytest.fixture
+    def chained(self, sharded_chained):
+        return sharded_chained
+
+
+def test_a_sharded_tick_writes_one_segment(sharded_chained, tmp_path):
+    # The coordinator records the input; the shards write nothing.
+    assert sorted(path.name for path in tmp_path.glob("*.delta")) \
+        == ["engine-00000002.delta", "engine-00000003.delta"]
 
 
 class TestFormatCompatibility:
